@@ -13,7 +13,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -59,7 +58,6 @@ class MultiplicityReport:
     beta: float
     certified_zeros: tuple[CertReport, ...]
     n: int
-    lambda_star_hint: Optional[float]
     verdict: str
 
     def to_dict(self) -> dict:
@@ -67,7 +65,6 @@ class MultiplicityReport:
             "interval": [self.alpha, self.beta],
             "certified": [c.to_dict() for c in self.certified_zeros],
             "n": self.n,
-            "lambda_star_hint": self.lambda_star_hint,
             "verdict": self.verdict,
         }
 
@@ -133,8 +130,7 @@ def certify_ejecting(p: chain.ProblemSpec, z: analysis.ZeroRecord,
 
 def multiplicity_report(p: chain.ProblemSpec, alpha: float, beta: float,
                         grid_n: int = 256, radius: float | None = None,
-                        grid_per_axis: int = DEFAULT_GRID,
-                        lambda_star_hint: float | None = None) -> MultiplicityReport:
+                        grid_per_axis: int = DEFAULT_GRID) -> MultiplicityReport:
     """Scan, certify every zero, and count the certified sign changers.
 
     When n of them certify, the equation has at least n T-periodic
@@ -151,6 +147,4 @@ def multiplicity_report(p: chain.ProblemSpec, alpha: float, beta: float,
     else:
         verdict = ""
     return MultiplicityReport(alpha=float(alpha), beta=float(beta),
-                              certified_zeros=certs, n=n,
-                              lambda_star_hint=lambda_star_hint,
-                              verdict=verdict)
+                              certified_zeros=certs, n=n, verdict=verdict)

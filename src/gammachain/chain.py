@@ -17,8 +17,7 @@ import numpy as np
 from . import expr
 from .kernel import GammaKernel
 
-__all__ = ["ProblemSpec", "ExpandedField", "expand", "lifted_zero", "project",
-           "as_state"]
+__all__ = ["ProblemSpec", "ExpandedField", "expand", "lifted_zero", "as_state"]
 
 _PERIODICITY_SEED = 0x5EED0001
 _PERIODICITY_SAMPLES = 50
@@ -113,39 +112,35 @@ def expand(p: ProblemSpec) -> ExpandedField:
     """Build the expanded field: componentwise
 
     (v0, g(u, v0, vb), a*(phi(u, v0) - v1), a*(v1 - v2), ..., a*(v_{b-1} - vb))
-    with forcing (0, f(t, u, v0), 0, ..., 0).
+    with forcing (0, f(t, u, v0), 0, ..., 0).  ``G_modified`` replaces v1 in
+    the first cascade stage by vb.
     """
     g, phi, f = _compiled(p)
     a = p.kernel.a
     b = p.kernel.b
     dim = b + 2
 
-    def G(xi):
-        out = np.empty(dim)
-        u, v0 = xi[0], xi[1]
-        out[0] = v0
-        out[1] = g(u, v0, xi[dim - 1])
-        out[2] = a * (phi(u, v0) - xi[2])
-        if b >= 2:
-            out[3:] = a * (xi[2:dim - 1] - xi[3:dim])
-        return out
-
-    def G_modified(xi):
-        out = np.empty(dim)
-        u, v0 = xi[0], xi[1]
-        out[0] = v0
-        out[1] = g(u, v0, xi[dim - 1])
-        out[2] = a * (phi(u, v0) - xi[dim - 1])
-        if b >= 2:
-            out[3:] = a * (xi[2:dim - 1] - xi[3:dim])
-        return out
+    def field(driver):
+        """The autonomous field whose first cascade stage is driven by
+        state component ``driver``."""
+        def G(xi):
+            out = np.empty(dim)
+            u, v0 = xi[0], xi[1]
+            out[0] = v0
+            out[1] = g(u, v0, xi[dim - 1])
+            out[2] = a * (phi(u, v0) - xi[driver])
+            if b >= 2:
+                out[3:] = a * (xi[2:dim - 1] - xi[3:dim])
+            return out
+        return G
 
     def F(t, xi):
         out = np.zeros(dim)
         out[1] = f(t, xi[0], xi[1])
         return out
 
-    return ExpandedField(dim=dim, G=G, F=F, G_modified=G_modified, problem=p)
+    return ExpandedField(dim=dim, G=field(2), F=F, G_modified=field(dim - 1),
+                         problem=p)
 
 
 def as_state(xi, dim: int) -> np.ndarray:
@@ -170,8 +165,3 @@ def lifted_zero(p: ProblemSpec, u: float) -> np.ndarray:
     out[1] = 0.0
     out[2:] = w
     return out
-
-
-def project(traj) -> tuple[np.ndarray, np.ndarray]:
-    """First two coordinate tracks (x, xdot) of an expanded trajectory."""
-    return traj.ys[:, 0].copy(), traj.ys[:, 1].copy()

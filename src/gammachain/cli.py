@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -71,8 +72,8 @@ def _require_keys(d: dict, allowed: set, required: set, path: str):
 
 def _number(d: dict, key: str, path: str) -> float:
     v = d[key]
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise ConfigError(f"{path}.{key}: expected a number, got {v!r}")
+    if isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v):
+        raise ConfigError(f"{path}.{key}: expected a finite number, got {v!r}")
     return float(v)
 
 
@@ -144,12 +145,12 @@ def load_config(path) -> RunConfig:
                      cert_grid=cert_grid)
 
 
-def cmd_analyze(cfg: RunConfig, lambda_star_hint: float | None = None) -> dict:
+def cmd_analyze(cfg: RunConfig) -> dict:
     """Degree + multiplicity reports for the configured interval."""
     degree = analysis.degree_G(cfg.problem, cfg.alpha, cfg.beta, cfg.grid_n)
     mult = certify.multiplicity_report(cfg.problem, cfg.alpha, cfg.beta,
                                        cfg.grid_n, cfg.cert_radius,
-                                       cfg.cert_grid, lambda_star_hint)
+                                       cfg.cert_grid)
     return {"degree": degree.to_dict(), "multiplicity": mult.to_dict()}
 
 
@@ -186,6 +187,8 @@ def read_branch_csv(path, b: int) -> list[orbit.BranchPoint]:
             vals = [float(x) for x in parts]
         except ValueError as exc:
             raise SchemaError(f"{path}:{idx}: {exc}") from exc
+        if not all(math.isfinite(v) for v in vals):
+            raise SchemaError(f"{path}:{idx}: non-finite value")
         sp = orbit.StartingPoint(lam=vals[0], xi0=np.array(vals[1:b + 3]),
                                  residual=vals[-1])
         points.append(orbit.BranchPoint(sp=sp, sup_norm=vals[-4],
@@ -202,6 +205,9 @@ def cmd_branch(cfg: RunConfig, out_dir, seed_index: int | None = None) -> dict:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     zeros = analysis.scan_zeros(cfg.problem, cfg.alpha, cfg.beta, cfg.grid_n)
+    if seed_index is not None and not 0 <= seed_index < len(zeros):
+        raise ConfigError(f"--seed-zero {seed_index}: the scan found {len(zeros)} "
+                          f"zeros, valid indices are 0 to {len(zeros) - 1}")
     field = chain.expand(cfg.problem)
     b = cfg.problem.kernel.b
     summary = {"seeds": [], "lambda_star_hint": None}

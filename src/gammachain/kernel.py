@@ -14,8 +14,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.special import gammaln
 
-__all__ = ["GammaKernel", "gamma_eval", "gamma_moments", "tail_horizon",
-           "quadrature_mass"]
+__all__ = ["GammaKernel", "gamma_eval", "tail_horizon", "quadrature_mass"]
 
 _CHUNK = 1024  # panels per vectorized block in the horizon walk
 
@@ -66,11 +65,6 @@ def gamma_eval(k: GammaKernel, s):
     if np.isscalar(s) or arr.ndim == 0:
         return float(out)
     return out
-
-
-def gamma_moments(k: GammaKernel) -> tuple[float, float]:
-    """(mean, variance) = (b/a, b/a^2)."""
-    return k.mean, k.variance
 
 
 def _panel_masses(k: GammaKernel, start_index: int, count: int, h: float) -> np.ndarray:

@@ -10,8 +10,8 @@ corrector), so folds in lambda are traversed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from typing import Callable, Optional
+from dataclasses import dataclass, fields, replace
+from typing import Callable
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -21,8 +21,8 @@ from . import chain
 __all__ = ["Trajectory", "StartingPoint", "BranchPoint", "ContinuationParams",
            "BranchTrace", "IntegrationError", "NoConvergenceError",
            "SingularJacobianError", "CorrectorFailureError",
-           "integrate", "period_map", "newton_periodic", "continue_branch",
-           "trace_from_zero", "orbit_metrics", "fold_lambdas"]
+           "integrate", "period_map", "newton_periodic", "trace_from_zero",
+           "orbit_metrics", "fold_lambdas"]
 
 DENSE_SAMPLES = 512
 DEFAULT_TOL = 1e-10
@@ -101,6 +101,14 @@ class ContinuationParams:
     norm_max: float = 100.0
 
     def __post_init__(self):
+        for f in fields(self):
+            v = getattr(self, f.name)
+            if f.type == "int":
+                if isinstance(v, bool) or not isinstance(v, int):
+                    raise ValueError(f"{f.name} must be an integer, got {v!r}")
+            elif (isinstance(v, bool) or not isinstance(v, (int, float))
+                  or not math.isfinite(v)):
+                raise ValueError(f"{f.name} must be a finite number, got {v!r}")
         if not (0 < self.min_step <= self.initial_step <= self.max_step):
             raise ValueError("need 0 < min_step <= initial_step <= max_step")
         if self.max_steps < 1 or self.newton_max_iter < 1:
@@ -167,14 +175,15 @@ def period_map(field, lam: float, xi0, tol: float = DEFAULT_TOL) -> np.ndarray:
     return sol.y[:, -1].copy()
 
 
-def _monodromy(pmap, xi, p_base, step=MONODROMY_STEP):
-    """Forward-difference monodromy, one re-integration per column."""
+def _monodromy(field, lam, xi, base, tol=DEFAULT_TOL):
+    """Forward-difference monodromy of the period map at (lam, xi), whose
+    value there is ``base``; one re-integration per column."""
     n = xi.size
     M = np.empty((n, n))
     for j in range(n):
         pert = xi.copy()
-        pert[j] += step
-        M[:, j] = (pmap(pert) - p_base) / step
+        pert[j] += MONODROMY_STEP
+        M[:, j] = (period_map(field, lam, pert, tol) - base) / MONODROMY_STEP
     return M
 
 
@@ -190,8 +199,7 @@ def newton_periodic(field, lam: float, guess, *, tol: float = DEFAULT_TOL,
     xi = chain.as_state(guess, field.dim)
     if np.linalg.norm(xi, np.inf) > norm_max:
         raise NoConvergenceError(f"guess norm exceeds {norm_max}")
-    pmap = lambda x: period_map(field, lam, x, int_tol)
-    p_base = pmap(xi)
+    p_base = period_map(field, lam, xi, int_tol)
     res_vec = p_base - xi
     res = float(np.linalg.norm(res_vec, np.inf))
     identity = np.eye(field.dim)
@@ -200,7 +208,7 @@ def newton_periodic(field, lam: float, guess, *, tol: float = DEFAULT_TOL,
         scale = 1.0 + float(np.linalg.norm(xi, np.inf))
         if res <= tol * scale:
             return StartingPoint(lam=float(lam), xi0=xi, residual=res)
-        M = _monodromy(pmap, xi, p_base)
+        M = _monodromy(field, lam, xi, p_base, int_tol)
         eigs = np.linalg.eigvals(M)
         if np.min(np.abs(eigs - 1.0)) <= SINGULAR_TOL:
             raise SingularJacobianError(
@@ -215,7 +223,7 @@ def newton_periodic(field, lam: float, guess, *, tol: float = DEFAULT_TOL,
         for _ in range(8):
             cand = xi + step * delta
             if np.linalg.norm(cand, np.inf) <= norm_max:
-                p_cand = pmap(cand)
+                p_cand = period_map(field, lam, cand, int_tol)
                 r_cand = p_cand - cand
                 rn = float(np.linalg.norm(r_cand, np.inf))
                 if rn < res:
@@ -257,7 +265,6 @@ class _CorrectorFail(Exception):
 
 def _corrector(field, z_pred, tangent, params):
     """Bordered Newton: periodicity residual plus the normal-plane equation."""
-    T = field.problem.T
     dim = field.dim
 
     def residual(z):
@@ -280,16 +287,11 @@ def _corrector(field, z_pred, tangent, params):
         if J is None:
             J = np.empty((dim + 1, dim + 1))
             base = R + z[1:]  # = period_map at z
-            h = MONODROMY_STEP
             zl = z.copy()
-            zl[0] += h
+            zl[0] += MONODROMY_STEP
             try:
-                J[:dim, 0] = (residual(zl) - R) / h
-                for j in range(dim):
-                    zj = z.copy()
-                    zj[j + 1] += h
-                    J[:dim, j + 1] = ((period_map(field, z[0], zj[1:]) - base) / h)
-                J[np.arange(dim), np.arange(1, dim + 1)] -= 1.0
+                J[:dim, 0] = (residual(zl) - R) / MONODROMY_STEP
+                J[:dim, 1:] = _monodromy(field, z[0], z[1:], base) - np.eye(dim)
             except (IntegrationError, ValueError):
                 raise _CorrectorFail("Jacobian evaluation failed")
             J[dim, :] = tangent
@@ -313,15 +315,17 @@ def _corrector(field, z_pred, tangent, params):
     raise _CorrectorFail("corrector did not converge")
 
 
-def _try_anchor(field, xi_guess, params):
-    """Land exactly on the trivial lambda = 0 solution if one is reachable."""
+def _land(field, xi_guess, params, points):
+    """Land exactly on the trivial lambda = 0 solution if one is reachable;
+    appends it to ``points`` and returns the march's final status."""
     try:
         sp = newton_periodic(field, 0.0, xi_guess, tol=params.newton_tol,
                              max_iter=params.newton_max_iter,
                              norm_max=params.norm_max)
     except (SingularJacobianError, NoConvergenceError, IntegrationError):
-        return None
-    return _branch_point(field, 0.0, sp.xi0, sp.residual)
+        return "lambda_negative"
+    points.append(_branch_point(field, 0.0, sp.xi0, sp.residual))
+    return "lambda_zero"
 
 
 def _march(field, z_start, tangent, params):
@@ -337,12 +341,7 @@ def _march(field, z_start, tangent, params):
         z_last = zs[-1]
         z_pred = z_last + ds * t_hat
         if z_pred[0] < 0.0:
-            anchor = _try_anchor(field, z_last[1:], params)
-            if anchor is not None:
-                points.append(anchor)
-                status = "lambda_zero"
-            else:
-                status = "lambda_negative"
+            status = _land(field, z_last[1:], params, points)
             break
         try:
             z_new, iters, res = _corrector(field, z_pred, t_hat, params)
@@ -353,12 +352,7 @@ def _march(field, z_start, tangent, params):
                 break
             continue
         if z_new[0] < 0.0:
-            anchor = _try_anchor(field, z_new[1:], params)
-            if anchor is not None:
-                points.append(anchor)
-                status = "lambda_zero"
-            else:
-                status = "lambda_negative"
+            status = _land(field, z_new[1:], params, points)
             break
         if z_new[0] > params.lambda_max:
             status = "lambda_max"
@@ -400,18 +394,13 @@ def _with_arclengths(points: list[BranchPoint]) -> list[BranchPoint]:
     return out
 
 
-def continue_branch(field, seed: StartingPoint,
-                    params: ContinuationParams) -> list[BranchPoint]:
+def _trace(field, seed: StartingPoint, params: ContinuationParams) -> BranchTrace:
     """Pseudo-arclength continuation from a converged starting point.
 
     Both tangent directions are traced and merged in traversal order
     (backward end first, then the seed, then the forward march).  Raises
     :class:`CorrectorFailureError` when no branch can be started at all.
     """
-    return _trace(field, seed, params).points
-
-
-def _trace(field, seed: StartingPoint, params: ContinuationParams) -> BranchTrace:
     z0 = np.concatenate(([seed.lam], seed.xi0))
     seed_bp = _branch_point(field, seed.lam, seed.xi0, seed.residual)
 

@@ -151,7 +151,6 @@ class TestMultiplicity:
         rep = multiplicity_report(example_problem, -0.5, 1.5, 200, radius=0.1)
         assert rep.n == 2
         assert "at least 2" in rep.verdict
-        assert rep.lambda_star_hint is None
 
     def test_empty_interval(self, example_problem):
         rep = multiplicity_report(example_problem, 0.25, 0.75, 100, radius=0.1)
@@ -173,8 +172,6 @@ class TestMultiplicity:
 
     def test_serializes(self, example_problem):
         import json
-        rep = multiplicity_report(example_problem, -0.5, 1.5, 200, radius=0.1,
-                                  lambda_star_hint=0.25)
+        rep = multiplicity_report(example_problem, -0.5, 1.5, 200, radius=0.1)
         doc = json.loads(json.dumps(rep.to_dict()))
         assert doc["n"] == 2
-        assert doc["lambda_star_hint"] == 0.25

@@ -83,6 +83,21 @@ class TestLoadConfig:
         with pytest.raises(ConfigError):
             load_config(write_config(tmp_path, doc))
 
+    @pytest.mark.parametrize("section,key,value", [
+        ("certify", "radius", math.inf),
+        ("continuation", "max_steps", 10.5),
+        ("continuation", "lambda_max", math.nan),
+    ])
+    def test_rejects_nonfinite_or_mistyped_numbers(self, tmp_path, capsys,
+                                                   section, key, value):
+        doc = json.loads(json.dumps(EXAMPLE_CONFIG))
+        doc[section] = {key: value}
+        path = write_config(tmp_path, doc)  # json writes Infinity / NaN
+        with pytest.raises(ConfigError, match=key):
+            load_config(path)
+        assert main(["analyze", "--config", str(path)]) == 1
+        capsys.readouterr()
+
 
 class TestAnalyze:
     def test_example_report(self, tmp_path):
@@ -160,6 +175,14 @@ class TestBranch:
         summary = cmd_branch(cfg, tmp_path / "out", seed_index=1)
         assert len(summary["seeds"]) == 1
         assert summary["seeds"][0]["zero"] == pytest.approx(1.0, abs=1e-10)
+
+    @pytest.mark.parametrize("index", [2, -1])
+    def test_seed_zero_out_of_range(self, tmp_path, capsys, index):
+        path = write_config(tmp_path, SHORT_BRANCH_CONFIG)
+        code = main(["branch", "--config", str(path), "--out",
+                     str(tmp_path / "out"), "--seed-zero", str(index)])
+        assert code == 1
+        assert "valid indices are 0 to 1" in capsys.readouterr().err
 
     def test_lambda_max_zero_gives_trivial_rows(self, tmp_path):
         doc = json.loads(json.dumps(EXAMPLE_CONFIG))
@@ -242,6 +265,21 @@ class TestVerify:
         assert not doc["all_pass"]
         assert not doc["rows"][-1]["pass"]
         assert any(r["pass"] for r in doc["rows"][:-1])
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_nonfinite_value_is_schema_error(self, branch_csv, tmp_path, capsys,
+                                             value):
+        cfg, csv = branch_csv
+        lines = csv.read_text().splitlines()
+        parts = lines[2].split(",")
+        parts[1] = value  # a state column
+        bad = tmp_path / "nonfinite.csv"
+        bad.write_text("\n".join(lines[:2] + [",".join(parts)] + lines[3:]) + "\n")
+        with pytest.raises(SchemaError, match=f"{bad.name}:3: non-finite"):
+            read_branch_csv(bad, 2)
+        config = write_config(tmp_path, SHORT_BRANCH_CONFIG)
+        assert main(["verify", str(bad), "--config", str(config)]) == 4
+        capsys.readouterr()
 
     def test_empty_csv(self, branch_csv, tmp_path):
         cfg, _ = branch_csv
