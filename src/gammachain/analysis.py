@@ -119,7 +119,7 @@ def phi_prime(p: chain.ProblemSpec, u: float) -> float:
     return (phi_eval(p, u + h) - phi_eval(p, u - h)) / (2.0 * h)
 
 
-def jacobian_fd(fun, x: np.ndarray, step: float = FD_STEP) -> np.ndarray:
+def jacobian_fd(fun, x: np.ndarray) -> np.ndarray:
     """Central finite-difference Jacobian of a vector map."""
     x = np.asarray(x, dtype=float)
     n = x.size
@@ -127,16 +127,15 @@ def jacobian_fd(fun, x: np.ndarray, step: float = FD_STEP) -> np.ndarray:
     J = np.empty((fx.size, n))
     for j in range(n):
         e = np.zeros(n)
-        e[j] = step
-        J[:, j] = (np.asarray(fun(x + e)) - np.asarray(fun(x - e))) / (2.0 * step)
+        e[j] = FD_STEP
+        J[:, j] = (np.asarray(fun(x + e)) - np.asarray(fun(x - e))) / (2.0 * FD_STEP)
     return J
 
 
-def modified_jacobian_det(p: chain.ProblemSpec, point: np.ndarray,
-                          step: float = FD_STEP) -> float:
+def modified_jacobian_det(p: chain.ProblemSpec, point: np.ndarray) -> float:
     """det of the finite-difference Jacobian of the modified chain field."""
     field = chain.expand(p)
-    J = jacobian_fd(field.G_modified, point, step)
+    J = jacobian_fd(field.G_modified, point)
     return float(np.linalg.det(J))
 
 

@@ -30,7 +30,6 @@ EXIT_SCHEMA = 4
 
 LIFT_THRESHOLD = 1e-4
 RESIDUAL_THRESHOLD = 1e-3
-SEED_LAMBDA = 1e-3
 
 
 class ConfigError(ValueError):
@@ -217,18 +216,12 @@ def cmd_branch(cfg: RunConfig, out_dir, seed_index: int | None = None) -> dict:
             continue
         entry = {"index": idx, "zero": z.u_bar, "csv": None, "points": 0,
                  "status": None, "max_lambda": None, "fold_lambdas": []}
-        try:
-            trace = orbit.trace_from_zero(field, z.u_bar, cfg.continuation,
-                                          SEED_LAMBDA)
-            points = trace.points
-            entry["status"] = {"backward": trace.status_backward,
-                               "forward": trace.status_forward}
-            if trace.reason:
-                entry["reason"] = trace.reason
-        except orbit.CorrectorFailureError as exc:
-            points = exc.points
-            entry["status"] = {"backward": "corrector_failure",
-                               "forward": "corrector_failure"}
+        trace = orbit.trace_from_zero(field, z.u_bar, cfg.continuation)
+        points = trace.points
+        entry["status"] = {"backward": trace.status_backward,
+                           "forward": trace.status_forward}
+        if trace.reason:
+            entry["reason"] = trace.reason
         csv_path = out / f"branch_{idx}.csv"
         write_branch_csv(csv_path, b, points)
         entry["csv"] = csv_path.name
@@ -277,8 +270,7 @@ def _emit(doc: dict, out_dir, name: str):
 
 _NUMERICAL_ERRORS = (analysis.DegenerateZeroError, analysis.CrossCheckError,
                      orbit.IntegrationError, orbit.NoConvergenceError,
-                     orbit.SingularJacobianError, orbit.CorrectorFailureError,
-                     expr.EvalError, ArithmeticError)
+                     orbit.SingularJacobianError, expr.EvalError, ArithmeticError)
 
 
 def main(argv=None) -> int:

@@ -21,7 +21,6 @@ from .kernel import GammaKernel, tail_horizon, gamma_eval
 __all__ = ["PeriodicTrack", "history_convolution", "verify_lift",
            "direct_residual", "tracks_from_trajectory"]
 
-TRACK_SAMPLES = 512
 TRUNCATION_MASS = 1e-12
 QUAD_SUBINTERVALS = 4096
 TEST_TIMES = 64

@@ -20,7 +20,7 @@ from . import chain
 
 __all__ = ["Trajectory", "StartingPoint", "BranchPoint", "ContinuationParams",
            "BranchTrace", "IntegrationError", "NoConvergenceError",
-           "SingularJacobianError", "CorrectorFailureError",
+           "SingularJacobianError",
            "integrate", "period_map", "newton_periodic", "trace_from_zero",
            "orbit_metrics", "fold_lambdas"]
 
@@ -28,6 +28,7 @@ DENSE_SAMPLES = 512
 DEFAULT_TOL = 1e-10
 MONODROMY_STEP = 1e-7
 SINGULAR_TOL = 1e-6  # |eig(M) - 1| below this flags the phase-shift degeneracy
+SEED_LAMBDA = 1e-3  # lambda of the first corrected point next to a zero
 
 
 class IntegrationError(RuntimeError):
@@ -44,14 +45,6 @@ class NoConvergenceError(RuntimeError):
 
 class SingularJacobianError(RuntimeError):
     """Monodromy has an eigenvalue 1: periodicity Jacobian is singular."""
-
-
-class CorrectorFailureError(RuntimeError):
-    """Continuation corrector failed at the minimum step size."""
-
-    def __init__(self, message: str, points: list):
-        super().__init__(message)
-        self.points = points
 
 
 @dataclass(eq=False)
@@ -153,29 +146,29 @@ def _solve(field, lam, xi0, t0, t1, tol, dense):
 
 
 def integrate(field, lam: float, xi0, t0: float, t1: float,
-              tol: float = DEFAULT_TOL, n_samples: int = DENSE_SAMPLES) -> Trajectory:
+              tol: float = DEFAULT_TOL) -> Trajectory:
     """Integrate xi' = G(xi) + lam*F(t, xi) over [t0, t1].
 
-    Dense output is sampled on ``n_samples`` uniform points of [t0, t1).
+    Dense output is sampled on ``DENSE_SAMPLES`` uniform points of [t0, t1).
     Deterministic for fixed inputs.
     """
     if not t1 > t0:
         raise ValueError("need t1 > t0")
     sol = _solve(field, lam, xi0, t0, t1, tol, dense=True)
-    ts = t0 + (t1 - t0) * np.arange(n_samples) / n_samples
+    ts = t0 + (t1 - t0) * np.arange(DENSE_SAMPLES) / DENSE_SAMPLES
     ys = sol.sol(ts).T
     return Trajectory(ts=ts, ys=ys, y_end=sol.y[:, -1].copy(),
                       t0=t0, t1=t1, _interp=sol.sol)
 
 
-def period_map(field, lam: float, xi0, tol: float = DEFAULT_TOL) -> np.ndarray:
+def period_map(field, lam: float, xi0) -> np.ndarray:
     """xi(T) for the solution starting at xi0; T from the field's problem."""
     T = field.problem.T
-    sol = _solve(field, lam, xi0, 0.0, T, tol, dense=False)
+    sol = _solve(field, lam, xi0, 0.0, T, DEFAULT_TOL, dense=False)
     return sol.y[:, -1].copy()
 
 
-def _monodromy(field, lam, xi, base, tol=DEFAULT_TOL):
+def _monodromy(field, lam, xi, base):
     """Forward-difference monodromy of the period map at (lam, xi), whose
     value there is ``base``; one re-integration per column."""
     n = xi.size
@@ -183,32 +176,34 @@ def _monodromy(field, lam, xi, base, tol=DEFAULT_TOL):
     for j in range(n):
         pert = xi.copy()
         pert[j] += MONODROMY_STEP
-        M[:, j] = (period_map(field, lam, pert, tol) - base) / MONODROMY_STEP
+        M[:, j] = (period_map(field, lam, pert) - base) / MONODROMY_STEP
     return M
 
 
-def newton_periodic(field, lam: float, guess, *, tol: float = DEFAULT_TOL,
-                    max_iter: int = 25, norm_max: float = 1e6,
-                    int_tol: float = DEFAULT_TOL) -> StartingPoint:
+def newton_periodic(field, lam: float, guess,
+                    params: ContinuationParams = ContinuationParams()) -> StartingPoint:
     """Damped Newton for a fixed point of the period map at fixed lambda.
 
-    Raises :class:`SingularJacobianError` when the monodromy has an
-    eigenvalue 1 (e.g. the autonomous phase-shift degeneracy on nonconstant
-    lambda = 0 orbits) and :class:`NoConvergenceError` otherwise on failure.
+    Uses ``params.newton_tol``, ``params.newton_max_iter`` and
+    ``params.norm_max`` (iterates beyond it are rejected).  Raises
+    :class:`SingularJacobianError` when the monodromy has an eigenvalue 1
+    (e.g. the autonomous phase-shift degeneracy on nonconstant lambda = 0
+    orbits) and :class:`NoConvergenceError` otherwise on failure.
     """
+    tol, norm_max = params.newton_tol, params.norm_max
     xi = chain.as_state(guess, field.dim)
     if np.linalg.norm(xi, np.inf) > norm_max:
         raise NoConvergenceError(f"guess norm exceeds {norm_max}")
-    p_base = period_map(field, lam, xi, int_tol)
+    p_base = period_map(field, lam, xi)
     res_vec = p_base - xi
     res = float(np.linalg.norm(res_vec, np.inf))
     identity = np.eye(field.dim)
 
-    for _ in range(max_iter):
+    for _ in range(params.newton_max_iter):
         scale = 1.0 + float(np.linalg.norm(xi, np.inf))
         if res <= tol * scale:
             return StartingPoint(lam=float(lam), xi0=xi, residual=res)
-        M = _monodromy(field, lam, xi, p_base, int_tol)
+        M = _monodromy(field, lam, xi, p_base)
         eigs = np.linalg.eigvals(M)
         if np.min(np.abs(eigs - 1.0)) <= SINGULAR_TOL:
             raise SingularJacobianError(
@@ -223,7 +218,7 @@ def newton_periodic(field, lam: float, guess, *, tol: float = DEFAULT_TOL,
         for _ in range(8):
             cand = xi + step * delta
             if np.linalg.norm(cand, np.inf) <= norm_max:
-                p_cand = period_map(field, lam, cand, int_tol)
+                p_cand = period_map(field, lam, cand)
                 r_cand = p_cand - cand
                 rn = float(np.linalg.norm(r_cand, np.inf))
                 if rn < res:
@@ -247,8 +242,8 @@ def orbit_metrics(traj: Trajectory) -> tuple[float, float]:
     return float(np.max(np.abs(x))), float(np.max(x) - np.min(x))
 
 
-def _branch_point(field, lam, xi, residual, int_tol=DEFAULT_TOL) -> BranchPoint:
-    traj = integrate(field, lam, xi, 0.0, field.problem.T, tol=int_tol)
+def _branch_point(field, lam, xi, residual) -> BranchPoint:
+    traj = integrate(field, lam, xi, 0.0, field.problem.T)
     sup, diam = orbit_metrics(traj)
     return BranchPoint(sp=StartingPoint(lam=float(lam), xi0=np.asarray(xi, float),
                                         residual=float(residual)),
@@ -319,9 +314,7 @@ def _land(field, xi_guess, params, points):
     """Land exactly on the trivial lambda = 0 solution if one is reachable;
     appends it to ``points`` and returns the march's final status."""
     try:
-        sp = newton_periodic(field, 0.0, xi_guess, tol=params.newton_tol,
-                             max_iter=params.newton_max_iter,
-                             norm_max=params.norm_max)
+        sp = newton_periodic(field, 0.0, xi_guess, params)
     except (SingularJacobianError, NoConvergenceError, IntegrationError):
         return "lambda_negative"
     points.append(_branch_point(field, 0.0, sp.xi0, sp.residual))
@@ -398,8 +391,11 @@ def _trace(field, seed: StartingPoint, params: ContinuationParams) -> BranchTrac
     """Pseudo-arclength continuation from a converged starting point.
 
     Both tangent directions are traced and merged in traversal order
-    (backward end first, then the seed, then the forward march).  Raises
-    :class:`CorrectorFailureError` when no branch can be started at all.
+    (backward end first, then the seed, then the forward march).  When no
+    second point can be corrected, the trace is the seed alone with status
+    ``corrector_failure`` both ways.  A second point beyond ``lambda_max``
+    still fixes the tangent but is not kept; the forward march then ends at
+    once with status ``lambda_max``.
     """
     z0 = np.concatenate(([seed.lam], seed.xi0))
     seed_bp = _branch_point(field, seed.lam, seed.xi0, seed.residual)
@@ -409,55 +405,55 @@ def _trace(field, seed: StartingPoint, params: ContinuationParams) -> BranchTrac
     for dl in (params.initial_step, params.initial_step / 5.0,
                params.initial_step / 25.0):
         try:
-            sp2 = newton_periodic(field, seed.lam + dl, seed.xi0,
-                                  tol=params.newton_tol,
-                                  max_iter=params.newton_max_iter,
-                                  norm_max=params.norm_max)
+            sp2 = newton_periodic(field, seed.lam + dl, seed.xi0, params)
             break
         except (SingularJacobianError, NoConvergenceError, IntegrationError):
             continue
     if sp2 is None:
-        raise CorrectorFailureError("cannot start branch from the seed", [seed_bp])
+        return BranchTrace([seed_bp], "corrector_failure", "corrector_failure")
     z1 = np.concatenate(([sp2.lam], sp2.xi0))
     t_hat = (z1 - z0) / np.linalg.norm(z1 - z0)
 
     minus_points, status_minus = _march(field, z0, -t_hat, params)
-    bp1 = _branch_point(field, sp2.lam, sp2.xi0, sp2.residual)
-    plus_points, status_plus = _march(field, z1, t_hat, params)
+    if sp2.lam > params.lambda_max:
+        plus_points, status_plus = [], "lambda_max"
+    else:
+        bp1 = _branch_point(field, sp2.lam, sp2.xi0, sp2.residual)
+        plus_points, status_plus = _march(field, z1, t_hat, params)
+        plus_points.insert(0, bp1)
 
-    ordered = list(reversed(minus_points)) + [seed_bp, bp1] + plus_points
+    ordered = list(reversed(minus_points)) + [seed_bp] + plus_points
     return BranchTrace(points=_with_arclengths(ordered),
                        status_backward=status_minus, status_forward=status_plus)
 
 
-def trace_from_zero(field, u_bar: float, params: ContinuationParams,
-                    seed_lambda: float = 1e-3) -> BranchTrace:
-    """Seed at the lifted zero, correct at a small lambda, trace both ways.
+def trace_from_zero(field, u_bar: float, params: ContinuationParams) -> BranchTrace:
+    """Seed at the lifted zero, correct at ``SEED_LAMBDA``, trace both ways.
 
     When the seed Newton hits a singular monodromy (the degenerate case of
     a branch confined to the lambda = 0 slice) or cannot converge, the
     result holds only the trivial point with status ``degenerate_slice``.
     """
     lifted = chain.lifted_zero(field.problem, u_bar)
-    trivial = _branch_point(field, 0.0, lifted,
-                            float(np.linalg.norm(
-                                period_map(field, 0.0, lifted) - lifted, np.inf)))
-    if params.lambda_max <= 0.0 or seed_lambda > params.lambda_max:
-        return BranchTrace(points=[trivial], status_backward="lambda_max",
-                           status_forward="lambda_max")
+
+    def trivial_only(status: str, reason: str = "") -> BranchTrace:
+        residual = float(np.linalg.norm(period_map(field, 0.0, lifted) - lifted,
+                                        np.inf))
+        return BranchTrace([_branch_point(field, 0.0, lifted, residual)],
+                           status, status, reason)
+
+    if SEED_LAMBDA > params.lambda_max:
+        return trivial_only("lambda_max")
     try:
-        seed = newton_periodic(field, seed_lambda, lifted,
-                               tol=params.newton_tol,
-                               max_iter=params.newton_max_iter,
-                               norm_max=params.norm_max)
+        seed = newton_periodic(field, SEED_LAMBDA, lifted, params)
     except (SingularJacobianError, NoConvergenceError) as exc:
-        return BranchTrace(points=[trivial], status_backward="degenerate_slice",
-                           status_forward="degenerate_slice", reason=str(exc))
+        return trivial_only("degenerate_slice", str(exc))
     return _trace(field, seed, params)
 
 
 def fold_lambdas(points: list[BranchPoint]) -> list[float]:
-    """Lambda values at interior local maxima along the traversal order."""
+    """Lambda values at interior turning points (local maxima or minima of
+    lambda) along the traversal order."""
     lams = [bp.sp.lam for bp in points]
-    return [lams[i] for i in range(1, len(lams) - 1)
-            if lams[i] > lams[i - 1] and lams[i] > lams[i + 1]]
+    return [lam for prev, lam, nxt in zip(lams, lams[1:], lams[2:])
+            if lam > max(prev, nxt) or lam < min(prev, nxt)]

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from gammachain import expr
+from gammachain import expr, orbit
 from gammachain.chain import ProblemSpec
 
 EXAMPLE = dict(g="-x0*(1+x2)", phi="q-p", f="1+x*sin(2*pi*t)", a=2.0, b=2, T=1.0)
@@ -12,6 +12,19 @@ EXAMPLE = dict(g="-x0*(1+x2)", phi="q-p", f="1+x*sin(2*pi*t)", a=2.0, b=2, T=1.0
 
 def example_problem() -> ProblemSpec:
     return ProblemSpec.from_strings(**EXAMPLE)
+
+
+def refuse_second_branch_point(monkeypatch):
+    """Let only the seed's periodic Newton solve succeed, so no branch can
+    be started from the seed."""
+    newton = orbit.newton_periodic
+
+    def seed_only(field, lam, guess, params=orbit.ContinuationParams()):
+        if lam != orbit.SEED_LAMBDA:
+            raise orbit.NoConvergenceError("second point refused")
+        return newton(field, lam, guess, params)
+
+    monkeypatch.setattr(orbit, "newton_periodic", seed_only)
 
 
 def central_fd(fun, x: float, h: float = 1e-6) -> float:

@@ -203,6 +203,18 @@ class TestBranch:
         assert len(points) == 1
         assert points[0].sp.lam == 0.0
 
+    def test_unstartable_branch_writes_seed_row(self, tmp_path, monkeypatch):
+        helpers.refuse_second_branch_point(monkeypatch)
+        cfg = load_config(write_config(tmp_path, SHORT_BRANCH_CONFIG))
+        summary = cmd_branch(cfg, tmp_path / "out", seed_index=0)
+        entry = summary["seeds"][0]
+        assert entry["status"] == {"backward": "corrector_failure",
+                                   "forward": "corrector_failure"}
+        assert "reason" not in entry
+        points = read_branch_csv(tmp_path / "out" / entry["csv"], 2)
+        assert len(points) == entry["points"] == 1
+        assert points[0].sp.lam == orbit.SEED_LAMBDA
+
     def test_summary_written(self, tmp_path):
         cfg = load_config(write_config(tmp_path, SHORT_BRANCH_CONFIG))
         cmd_branch(cfg, tmp_path / "out", seed_index=0)

@@ -106,6 +106,17 @@ class TestTailHorizon:
         if H > step:
             assert sps.gammaincc(b, a * (H - step)) > 1e-6
 
+    @pytest.mark.parametrize("eps", [1e-6, 1e-3])
+    @pytest.mark.parametrize("a,b", GRID)
+    def test_quadrature_tail_brackets_eps(self, a, b, eps):
+        # oracle independent of gammaincc: the Simpson mass of the density
+        k = GammaKernel(a, b)
+        H = tail_horizon(k, eps)
+        step = k.mean / 100.0
+        assert 1.0 - quadrature_mass(k, H) <= eps
+        if H > step:
+            assert 1.0 - quadrature_mass(k, H - step) > eps
+
 
 @pytest.mark.parametrize("a,b", GRID)
 def test_unit_mass(a, b):

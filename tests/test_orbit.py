@@ -4,16 +4,21 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import helpers
 from gammachain import chain, orbit
 from gammachain.chain import ExpandedField, ProblemSpec, lifted_zero
-from gammachain.orbit import (ContinuationParams, CorrectorFailureError,
-                              IntegrationError, NoConvergenceError,
-                              SingularJacobianError, fold_lambdas, integrate,
-                              newton_periodic, orbit_metrics, period_map,
-                              trace_from_zero)
+from gammachain.orbit import (ContinuationParams, IntegrationError,
+                              NoConvergenceError, SingularJacobianError,
+                              fold_lambdas, integrate, newton_periodic,
+                              orbit_metrics, period_map, trace_from_zero)
 
 P1 = np.array([1.0, 0.0, -1.0, -1.0])
+
+STATUSES = {"lambda_zero", "lambda_negative", "lambda_max", "norm_max",
+            "max_steps", "corrector_failure", "closed_loop", "degenerate_slice"}
 
 
 def oscillator_problem(T=1.0, forcing="sin(2*pi*t)"):
@@ -103,7 +108,8 @@ class TestNewtonPeriodic:
 
     def test_far_guess_fails(self, example_field):
         with pytest.raises(NoConvergenceError):
-            newton_periodic(example_field, 0.05, np.full(4, 1e7), norm_max=1e6)
+            newton_periodic(example_field, 0.05, np.full(4, 1e7),
+                            ContinuationParams(norm_max=1e6))
 
     def test_resonant_monodromy_detected(self):
         f = chain.expand(resonant_problem())
@@ -172,6 +178,52 @@ class TestTraceFromZero:
         assert trace.points[0].sp.lam == 0.0
         assert trace.points[0].diameter == 0.0
 
+    def test_second_point_past_lambda_max_not_written(self, example_field):
+        # the natural step lands the second point at lambda = 0.051
+        params = ContinuationParams(initial_step=0.05, max_step=0.05,
+                                    lambda_max=0.03)
+        trace = trace_from_zero(example_field, 0.0, params)
+        assert trace.status_forward == "lambda_max"
+        assert trace.status_backward == "lambda_zero"
+        lams = [bp.sp.lam for bp in trace.points]
+        assert max(lams) <= params.lambda_max
+        assert max(lams) == orbit.SEED_LAMBDA
+
+    def test_unstartable_branch_is_status(self, example_field, monkeypatch):
+        helpers.refuse_second_branch_point(monkeypatch)
+        trace = trace_from_zero(example_field, 0.0, ContinuationParams())
+        assert (trace.status_backward, trace.status_forward) == (
+            "corrector_failure", "corrector_failure")
+        assert trace.reason == ""
+        assert len(trace.points) == 1
+        assert trace.points[0].sp.lam == orbit.SEED_LAMBDA
+        assert trace.points[0].arclength == 0.0
+
+
+@st.composite
+def continuation_params(draw):
+    steps = sorted(draw(st.lists(st.floats(1e-4, 0.08), min_size=3, max_size=3)))
+    return ContinuationParams(
+        min_step=steps[0], initial_step=steps[1], max_step=steps[2],
+        max_steps=draw(st.integers(1, 15)),
+        newton_tol=draw(st.floats(1e-12, 1e-8)),
+        newton_max_iter=draw(st.integers(1, 25)),
+        step_shrink=draw(st.floats(0.1, 0.9)),
+        step_grow=draw(st.floats(1.05, 2.0)),
+        lambda_max=draw(st.floats(0.0, 0.1)),
+        norm_max=draw(st.floats(0.5, 100.0)))
+
+
+@settings(derandomize=True, deadline=None, max_examples=30)
+@given(params=continuation_params(), u_bar=st.sampled_from([0.0, 1.0]))
+def test_traces_stay_in_bounds(example_field, params, u_bar):
+    trace = trace_from_zero(example_field, u_bar, params)
+    assert {trace.status_backward, trace.status_forward} <= STATUSES
+    lams = [bp.sp.lam for bp in trace.points]
+    assert all(0.0 <= lam <= params.lambda_max for lam in lams)
+    arcs = [bp.arclength for bp in trace.points]
+    assert all(b >= a for a, b in zip(arcs, arcs[1:]))
+
 
 class TestMetrics:
     def test_constant_orbit(self, example_field):
@@ -187,7 +239,11 @@ class TestMetrics:
         assert diam == pytest.approx(2.0, abs=1e-4)
 
     def test_fold_detection(self):
-        lams = [0.0, 0.1, 0.2, 0.15, 0.05, 0.0]
-        pts = [orbit.BranchPoint(orbit.StartingPoint(l, np.zeros(1), 0.0),
-                                 0.0, 0.0, 0.0) for l in lams]
-        assert fold_lambdas(pts) == [0.2]
+        def folds(lams):
+            return fold_lambdas([orbit.BranchPoint(
+                orbit.StartingPoint(l, np.zeros(1), 0.0), 0.0, 0.0, 0.0)
+                for l in lams])
+
+        assert folds([0.0, 0.1, 0.2, 0.15, 0.05, 0.0]) == [0.2]
+        # a turning point where lambda is least is a fold too
+        assert folds([0.3, 0.2, 0.1, 0.15, 0.25, 0.2, 0.1]) == [0.1, 0.25]
