@@ -393,19 +393,22 @@ def _trace(field, seed: StartingPoint, params: ContinuationParams) -> BranchTrac
     Both tangent directions are traced and merged in traversal order
     (backward end first, then the seed, then the forward march).  When no
     second point can be corrected, the trace is the seed alone with status
-    ``corrector_failure`` both ways.  A second point beyond ``lambda_max``
-    still fixes the tangent but is not kept; the forward march then ends at
-    once with status ``lambda_max``.
+    ``corrector_failure`` both ways.  The natural step to the second point
+    stops at ``lambda_max``.  Only a seed already at ``lambda_max`` steps
+    beyond it; that second point fixes the tangent but is not kept, and the
+    forward march ends at once with status ``lambda_max``.
     """
     z0 = np.concatenate(([seed.lam], seed.xi0))
     seed_bp = _branch_point(field, seed.lam, seed.xi0, seed.residual)
 
     # second point by a natural lambda step fixes the initial tangent
+    lam_stop = params.lambda_max if params.lambda_max > seed.lam else math.inf
     sp2 = None
     for dl in (params.initial_step, params.initial_step / 5.0,
                params.initial_step / 25.0):
         try:
-            sp2 = newton_periodic(field, seed.lam + dl, seed.xi0, params)
+            sp2 = newton_periodic(field, min(seed.lam + dl, lam_stop), seed.xi0,
+                                  params)
             break
         except (SingularJacobianError, NoConvergenceError, IntegrationError):
             continue

@@ -1,11 +1,13 @@
 """Shared builders for the test suite: the worked example, randomized
-transversal problems with known roots, and a random expression generator."""
+transversal problems with known roots, a random expression generator, and
+a reference history quadrature."""
 from __future__ import annotations
 
 import numpy as np
 
-from gammachain import expr, orbit
+from gammachain import chain, expr, orbit
 from gammachain.chain import ProblemSpec
+from gammachain.kernel import GammaKernel, gamma_eval, tail_horizon
 
 EXAMPLE = dict(g="-x0*(1+x2)", phi="q-p", f="1+x*sin(2*pi*t)", a=2.0, b=2, T=1.0)
 
@@ -25,6 +27,26 @@ def refuse_second_branch_point(monkeypatch):
         return newton(field, lam, guess, params)
 
     monkeypatch.setattr(orbit, "newton_periodic", seed_only)
+
+
+def reference_history_convolution(p: ProblemSpec, x, xdot, i: int,
+                                  t: float) -> float:
+    """Stage i of the chain at time t without folding or FFT:
+
+        integral_0^H  gamma_a^i(s) * phi(x(t - s), xdot(t - s)) ds
+
+    by composite Simpson with 4096 panels over [0, H], H the tail horizon
+    of mass 1e-12, with the tracks evaluated at every t - s."""
+    k = GammaKernel(p.kernel.a, i)
+    H = tail_horizon(k, 1e-12)
+    n = 4096
+    s = np.linspace(0.0, H, n + 1)
+    w = np.ones(n + 1)
+    w[1:-1:2] = 4.0
+    w[2:-1:2] = 2.0
+    phi = expr.compile_expr(p.phi, chain.PHI_VARS, vectorized=True)
+    z = phi(x.value(t - s), xdot.value(t - s)) + np.zeros_like(s)
+    return float(H / n / 3.0 * np.dot(w, gamma_eval(k, s) * z))
 
 
 def central_fd(fun, x: float, h: float = 1e-6) -> float:

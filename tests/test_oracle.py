@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import helpers
-from gammachain import oracle, orbit
+from gammachain import chain, oracle, orbit
 from gammachain.chain import ProblemSpec, lifted_zero
 from gammachain.kernel import GammaKernel, tail_horizon
 from gammachain.oracle import (PeriodicTrack, direct_residual,
@@ -26,6 +26,17 @@ def forced_point(example_problem, example_field):
     sp = orbit.newton_periodic(example_field, 0.05, np.zeros(4))
     traj = orbit.integrate(example_field, 0.05, sp.xi0, 0.0, 1.0)
     return sp, traj
+
+
+@pytest.fixture(scope="module")
+def long_period_point():
+    """(problem, one-period trajectory) of a forced point with a = 8, b = 4,
+    T = 4, next to the lifted zero 0."""
+    p = ProblemSpec.from_strings("-x0*(1+x2)", "q-p", "1+x*sin(2*pi*t/4)",
+                                 8.0, 4, 4.0)
+    fld = chain.expand(p)
+    sp = orbit.newton_periodic(fld, 0.05, np.zeros(6))
+    return p, orbit.integrate(fld, sp.lam, sp.xi0, 0.0, p.T)
 
 
 class TestPeriodicTrack:
@@ -59,14 +70,14 @@ class TestHistoryConvolution:
         xd = x.derivative()
         for i in (1, 2):
             for t in (0.0, 0.37, 0.9):
-                assert history_convolution(p, x, xd, i, t) == pytest.approx(
+                assert history_convolution(p, x, xd, t)[i - 1, 0] == pytest.approx(
                     1.0, abs=1e-9)
 
     def test_constant_solution_matches_lifted_coordinates(self, example_problem):
         x = PeriodicTrack(np.ones(512), 1.0)
         xd = PeriodicTrack(np.zeros(512), 1.0)
         for i in (1, 2):
-            got = history_convolution(example_problem, x, xd, i, 0.3)
+            got = history_convolution(example_problem, x, xd, 0.3)[i - 1, 0]
             assert got == pytest.approx(-1.0, abs=1e-10)
 
     def test_exponential_smoothing_closed_form(self):
@@ -79,30 +90,43 @@ class TestHistoryConvolution:
         w = 2 * math.pi
         for t in np.linspace(0.0, 1.0, 9):
             want = a * (a * math.cos(w * t) + w * math.sin(w * t)) / (a * a + w * w)
-            got = history_convolution(p, x, xd, 1, t)
+            got = history_convolution(p, x, xd, t)[0, 0]
             assert got == pytest.approx(want, abs=1e-6)
 
-    def test_stage_bounds(self, example_problem):
+    def test_every_stage_closed_form(self):
+        # phi(x, xdot) = x with x(s) = cos(omega s), omega = 2 pi / T:
+        # stage i is Re[(a / (a + i omega))^i exp(i omega t)]
+        a, b, T = 8.0, 4, 4.0
+        p = ProblemSpec.from_strings("-x0", "p", "sin(2*pi*t/4)", a, b, T)
+        x = cosine_track(T=T)
+        xd = x.derivative()
+        w = 2 * math.pi / T
+        for t in np.linspace(0.0, T, 7, endpoint=False) + 0.1:
+            got = history_convolution(p, x, xd, t)[:, 0]
+            want = [((a / (a + 1j * w)) ** i * np.exp(1j * w * t)).real
+                    for i in range(1, b + 1)]
+            assert np.max(np.abs(got - want)) <= 1e-9
+
+    def test_shape(self):
         x = cosine_track()
-        with pytest.raises(ValueError):
-            history_convolution(example_problem, x, x.derivative(), 0, 0.0)
-        with pytest.raises(ValueError):
-            history_convolution(example_problem, x, x.derivative(), 3, 0.0)
+        for b in (2, 8):
+            p = ProblemSpec.from_strings("-x0", "q-p", "sin(2*pi*t)", 2.0, b, 1.0)
+            assert history_convolution(p, x, x.derivative()).shape == (b, 4096)
 
     def test_periodicity(self, example_problem):
         x = cosine_track(amplitude=0.4)
         xd = x.derivative()
         for t in (0.1, 0.62):
-            a = history_convolution(example_problem, x, xd, 2, t)
-            b = history_convolution(example_problem, x, xd, 2, t + 1.0)
+            a = history_convolution(example_problem, x, xd, t)[1, 0]
+            b = history_convolution(example_problem, x, xd, t + 1.0)[1, 0]
             assert abs(a - b) <= 1e-8
 
     def test_horizon_doubling_converged(self, example_problem):
         x = cosine_track(amplitude=0.3)
         xd = x.derivative()
         H = tail_horizon(GammaKernel(2.0, 2), 1e-12)
-        a = history_convolution(example_problem, x, xd, 2, 0.4)
-        b = history_convolution(example_problem, x, xd, 2, 0.4, horizon=2 * H)
+        a = history_convolution(example_problem, x, xd, 0.4)[1, 0]
+        b = history_convolution(example_problem, x, xd, 0.4, horizon=2 * H)[1, 0]
         assert abs(a - b) < 1e-9
 
     def test_chain_recurrence_closure(self, example_problem):
@@ -113,12 +137,55 @@ class TestHistoryConvolution:
         phi = lambda t: float(xd.value(t) - x.value(t))
         h = 1e-5
         for t in (0.15, 0.5, 0.83):
-            y1 = lambda s: history_convolution(p, x, xd, 1, s)
-            y2 = lambda s: history_convolution(p, x, xd, 2, s)
+            y1 = lambda s: history_convolution(p, x, xd, s)[0, 0]
+            y2 = lambda s: history_convolution(p, x, xd, s)[1, 0]
             d1 = (y1(t + h) - y1(t - h)) / (2 * h)
             d2 = (y2(t + h) - y2(t - h)) / (2 * h)
             assert abs(d1 - 2.0 * (phi(t) - y1(t))) <= 1e-5
             assert abs(d2 - 2.0 * (y1(t) - y2(t))) <= 1e-5
+
+    def test_matches_unfolded_reference(self, example_problem, forced_point,
+                                        long_period_point):
+        _, traj = forced_point
+        for p, tr in ((example_problem, traj), long_period_point):
+            x, xd = tracks_from_trajectory(tr)
+            for t in (0.0, 0.23, 0.71 * p.T):
+                got = history_convolution(p, x, xd, t)[:, 0]
+                want = [helpers.reference_history_convolution(p, x, xd, i, t)
+                        for i in range(1, p.kernel.b + 1)]
+                assert np.max(np.abs(got - want)) <= 1e-9
+
+
+class TestOracleWork:
+    """One verify_lift evaluates each track once on the quadrature grid and
+    reuses the cached kernel spectra on the next call."""
+
+    @pytest.mark.parametrize("b", [2, 8])
+    def test_verify_lift_work(self, monkeypatch, b):
+        p = ProblemSpec.from_strings(**dict(helpers.EXAMPLE, b=b))
+        fld = chain.expand(p)
+        sp = orbit.newton_periodic(fld, 0.05, np.zeros(b + 2))
+        traj = orbit.integrate(fld, sp.lam, sp.xi0, 0.0, p.T)
+        work = {"track_calls": 0, "track_points": 0, "gamma_calls": 0}
+        value, gamma_eval = PeriodicTrack.value, oracle.gamma_eval
+
+        def counted_value(track, t):
+            work["track_calls"] += 1
+            work["track_points"] += np.size(t)
+            return value(track, t)
+
+        def counted_gamma_eval(k, s):
+            work["gamma_calls"] += 1
+            return gamma_eval(k, s)
+
+        monkeypatch.setattr(PeriodicTrack, "value", counted_value)
+        monkeypatch.setattr(oracle, "gamma_eval", counted_gamma_eval)
+        verify_lift(p, sp, traj)
+        assert work["track_calls"] <= 2
+        assert work["track_points"] <= 2 * 4096
+        work["gamma_calls"] = 0
+        verify_lift(p, sp, traj)
+        assert work["gamma_calls"] == 0
 
 
 class TestVerifyLift:
@@ -165,3 +232,21 @@ class TestDirectResidual:
         traj = orbit.integrate(example_field, sp.lam, bad, 0.0, 1.0)
         x, _ = tracks_from_trajectory(traj)
         assert direct_residual(example_problem, sp.lam, x) > 1e-3
+
+    def test_matches_scalar_reference(self, example_problem, forced_point,
+                                      long_period_point):
+        # one time at a time with the scalar g and f; both points are at
+        # lambda = 0.05
+        lam = 0.05
+        for p, tr in ((example_problem, forced_point[1]), long_period_point):
+            g, _, f = chain._compiled(p)
+            x, _ = tracks_from_trajectory(tr)
+            xd = x.derivative()
+            xdd = xd.derivative()
+            worst = 0.0
+            for t in np.linspace(0.0, p.T, 64, endpoint=False):
+                conv = helpers.reference_history_convolution(p, x, xd, p.kernel.b, t)
+                xv, vv = float(x.value(t)), float(xd.value(t))
+                res = float(xdd.value(t)) - g(xv, vv, conv) - lam * f(t, xv, vv)
+                worst = max(worst, abs(res))
+            assert abs(direct_residual(p, lam, x) - worst) <= 1e-9

@@ -179,7 +179,8 @@ class TestTraceFromZero:
         assert trace.points[0].diameter == 0.0
 
     def test_second_point_past_lambda_max_not_written(self, example_field):
-        # the natural step lands the second point at lambda = 0.051
+        # the natural step would land the second point at lambda = 0.051;
+        # it stops at lambda_max instead, and the forward march ends there
         params = ContinuationParams(initial_step=0.05, max_step=0.05,
                                     lambda_max=0.03)
         trace = trace_from_zero(example_field, 0.0, params)
@@ -187,7 +188,7 @@ class TestTraceFromZero:
         assert trace.status_backward == "lambda_zero"
         lams = [bp.sp.lam for bp in trace.points]
         assert max(lams) <= params.lambda_max
-        assert max(lams) == orbit.SEED_LAMBDA
+        assert max(lams) == params.lambda_max
 
     def test_unstartable_branch_is_status(self, example_field, monkeypatch):
         helpers.refuse_second_branch_point(monkeypatch)
