@@ -119,23 +119,29 @@ def phi_prime(p: chain.ProblemSpec, u: float) -> float:
     return (phi_eval(p, u + h) - phi_eval(p, u - h)) / (2.0 * h)
 
 
-def jacobian_fd(fun, x: np.ndarray) -> np.ndarray:
-    """Central finite-difference Jacobian of a vector map."""
-    x = np.asarray(x, dtype=float)
-    n = x.size
-    fx = np.asarray(fun(x), dtype=float)
-    J = np.empty((fx.size, n))
-    for j in range(n):
-        e = np.zeros(n)
-        e[j] = FD_STEP
-        J[:, j] = (np.asarray(fun(x + e)) - np.asarray(fun(x - e))) / (2.0 * FD_STEP)
-    return J
+def jacobian_fd(fun, X: np.ndarray) -> np.ndarray:
+    """Central finite-difference Jacobians at the N columns of ``X``.
+
+    ``fun`` is column-batched: it maps an (n, M) array of states to the
+    (m, M) array of their images.  All 2nN shifted states x +- h e_j
+    (h = ``FD_STEP``) go through one call of ``fun``; the result is the
+    (N, m, n) stack whose column j is (fun(x + h e_j) - fun(x - h e_j)) / 2h.
+    """
+    X = np.asarray(X, dtype=float)
+    n, N = X.shape
+    steps = FD_STEP * np.eye(n)[:, :, None]
+    shifted = np.concatenate((X[:, None, :] + steps, X[:, None, :] - steps),
+                             axis=1)
+    images = np.asarray(fun(shifted.reshape(n, 2 * n * N)), dtype=float)
+    images = images.reshape(-1, 2, n, N)
+    return ((images[:, 0] - images[:, 1]) / (2.0 * FD_STEP)).transpose(2, 0, 1)
 
 
 def modified_jacobian_det(p: chain.ProblemSpec, point: np.ndarray) -> float:
     """det of the finite-difference Jacobian of the modified chain field."""
     field = chain.expand(p)
-    J = jacobian_fd(field.G_modified, point)
+    column = np.asarray(point, dtype=float).reshape(-1, 1)
+    J = jacobian_fd(chain.columnwise(field.G_modified), column)[0]
     return float(np.linalg.det(J))
 
 

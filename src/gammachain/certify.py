@@ -6,11 +6,13 @@ nonconstant unforced T-periodic orbits near a zero: the zero is then an
 ejecting point and a branch of genuinely forced solutions emanates from
 it.  The Lipschitz constant is estimated as the sampled maximum of the
 Jacobian operator 2-norm over a box; this is a lower estimate, so the
-certification comparison applies a safety factor on top of it.
+certification comparison applies a safety factor on top of it.  The
+samples are taken in chunks of ``SAMPLE_CHUNK`` points, and each chunk's
+central-difference Jacobians come from one call of the column-batched
+field ``G_batch``.
 """
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -26,6 +28,7 @@ DEFAULT_GRID = 7
 DENSE_AXES_CAP = 5
 MC_POINTS = 10_000
 MC_SEED = 0x5EED
+SAMPLE_CHUNK = 128  # box samples per batched Jacobian call
 
 
 @dataclass(frozen=True)
@@ -69,32 +72,53 @@ class MultiplicityReport:
         }
 
 
+def _box_samples(center: np.ndarray, radius: float, grid_per_axis: int):
+    """The samples of the box center +- radius as (dim, k) column chunks
+    of at most ``SAMPLE_CHUNK`` points: the tensor grid in
+    ``itertools.product`` order up to ``DENSE_AXES_CAP`` axes, else
+    ``MC_POINTS`` uniform draws from a generator seeded with ``MC_SEED``."""
+    dim = center.size
+    if dim <= DENSE_AXES_CAP:
+        axes = [np.linspace(c - radius, c + radius, grid_per_axis) for c in center]
+        total = grid_per_axis ** dim
+        for start in range(0, total, SAMPLE_CHUNK):
+            flat = np.arange(start, min(start + SAMPLE_CHUNK, total))
+            idx = np.unravel_index(flat, (grid_per_axis,) * dim)
+            yield np.stack([ax[i] for ax, i in zip(axes, idx)])
+    else:
+        rng = np.random.default_rng(MC_SEED)
+        for start in range(0, MC_POINTS, SAMPLE_CHUNK):
+            k = min(SAMPLE_CHUNK, MC_POINTS - start)
+            yield center[:, None] + rng.uniform(-radius, radius, size=(k, dim)).T
+
+
 def lipschitz_estimate(field: chain.ExpandedField, center, radius: float,
                        grid_per_axis: int = DEFAULT_GRID) -> float:
     """Sampled lower estimate of the local Lipschitz constant of G.
 
     Maximum of the operator 2-norm of the finite-difference Jacobian over
     the box center +- radius: a full tensor grid up to 5 axes, Monte Carlo
-    with 10^4 points (fixed seed) beyond.
+    with 10^4 points (fixed seed) beyond.  The Jacobians of each chunk of
+    at most ``SAMPLE_CHUNK`` samples come from one ``analysis.jacobian_fd``
+    call on ``field.G_batch``.  Raises ``ArithmeticError`` naming the
+    first sample whose Jacobian has a non-finite entry (a pole of the
+    field in the box, or overflow).
     """
     if radius <= 0:
         raise ValueError("radius must be positive")
     if grid_per_axis < 2:
         raise ValueError("grid_per_axis must be >= 2")
     center = chain.as_state(center, field.dim)
-    dim = field.dim
-    if dim <= DENSE_AXES_CAP:
-        axes = [np.linspace(c - radius, c + radius, grid_per_axis) for c in center]
-        points = itertools.product(*axes)
-        samples = (np.array(pt) for pt in points)
-    else:
-        rng = np.random.default_rng(MC_SEED)
-        samples = (center + rng.uniform(-radius, radius, size=dim)
-                   for _ in range(MC_POINTS))
     best = 0.0
-    for pt in samples:
-        J = analysis.jacobian_fd(field.G, pt)
-        best = max(best, float(np.linalg.norm(J, 2)))
+    for X in _box_samples(center, radius, grid_per_axis):
+        with np.errstate(all="ignore"):
+            J = analysis.jacobian_fd(field.G_batch, X)
+        bad = ~np.all(np.isfinite(J), axis=(1, 2))
+        if np.any(bad):
+            raise ArithmeticError(
+                "non-finite Jacobian of G at box sample "
+                f"{X[:, np.argmax(bad)].tolist()}")
+        best = max(best, float(np.max(np.linalg.norm(J, 2, axis=(1, 2)))))
     return best
 
 

@@ -17,7 +17,8 @@ import numpy as np
 from . import expr
 from .kernel import GammaKernel
 
-__all__ = ["ProblemSpec", "ExpandedField", "expand", "lifted_zero", "as_state"]
+__all__ = ["ProblemSpec", "ExpandedField", "expand", "columnwise", "lifted_zero",
+           "as_state"]
 
 _PERIODICITY_SEED = 0x5EED0001
 _PERIODICITY_SAMPLES = 50
@@ -83,7 +84,9 @@ class ExpandedField:
     (nonzero only in the xdot component), ``G_modified`` a variant with the
     first cascade stage driven by the last one; it has the same zeros as G
     and a block-triangular Jacobian there, which makes it the convenient
-    map for determinant and degree computations.
+    map for determinant and degree computations.  ``G_batch`` is G on
+    columns: it maps a (dim, N) array of states to the (dim, N) array of
+    their images, for evaluating many states in one call.
     """
 
     dim: int
@@ -91,20 +94,33 @@ class ExpandedField:
     F: Callable[[float, np.ndarray], np.ndarray]
     G_modified: Optional[Callable[[np.ndarray], np.ndarray]]
     problem: Optional[ProblemSpec]
+    G_batch: Callable[[np.ndarray], np.ndarray]
 
     @classmethod
     def from_callables(cls, dim: int, G, F=None, problem=None) -> "ExpandedField":
+        """A field from a scalar G; its ``G_batch`` maps G over the columns."""
         if F is None:
             def F(t, xi, _d=dim):
                 return np.zeros(_d)
-        return cls(dim=dim, G=G, F=F, G_modified=None, problem=problem)
+        return cls(dim=dim, G=G, F=F, G_modified=None, problem=problem,
+                   G_batch=columnwise(G))
+
+
+def columnwise(G: Callable[[np.ndarray], np.ndarray]):
+    """Column-batched form of a map of one state: column k of the result
+    is G applied to column k of the (dim, N) argument."""
+    def G_batch(X):
+        return np.stack([np.asarray(G(X[:, k]), dtype=float)
+                         for k in range(X.shape[1])], axis=1)
+    return G_batch
 
 
 @lru_cache(maxsize=128)
-def _compiled(p: ProblemSpec):
-    return (expr.compile_expr(p.g, G_VARS),
-            expr.compile_expr(p.phi, PHI_VARS),
-            expr.compile_expr(p.f, F_VARS))
+def _compiled(p: ProblemSpec, vectorized: bool = False):
+    """Compiled (g, phi, f); the vectorized ones take array arguments."""
+    return (expr.compile_expr(p.g, G_VARS, vectorized),
+            expr.compile_expr(p.phi, PHI_VARS, vectorized),
+            expr.compile_expr(p.f, F_VARS, vectorized))
 
 
 @lru_cache(maxsize=128)
@@ -113,18 +129,21 @@ def expand(p: ProblemSpec) -> ExpandedField:
 
     (v0, g(u, v0, vb), a*(phi(u, v0) - v1), a*(v1 - v2), ..., a*(v_{b-1} - vb))
     with forcing (0, f(t, u, v0), 0, ..., 0).  ``G_modified`` replaces v1 in
-    the first cascade stage by vb.
+    the first cascade stage by vb.  ``G_batch`` evaluates G on the columns
+    of a (dim, N) array with the vectorized g and phi.
     """
-    g, phi, f = _compiled(p)
     a = p.kernel.a
     b = p.kernel.b
     dim = b + 2
 
-    def field(driver):
+    def field(driver, batched=False):
         """The autonomous field whose first cascade stage is driven by
-        state component ``driver``."""
+        state component ``driver``.  With ``batched`` set it maps the
+        columns of a (dim, N) array, using the vectorized g and phi."""
+        g, phi, _ = _compiled(p, vectorized=True) if batched else _compiled(p)
+
         def G(xi):
-            out = np.empty(dim)
+            out = np.empty(xi.shape) if batched else np.empty(dim)
             u, v0 = xi[0], xi[1]
             out[0] = v0
             out[1] = g(u, v0, xi[dim - 1])
@@ -134,13 +153,15 @@ def expand(p: ProblemSpec) -> ExpandedField:
             return out
         return G
 
+    _, _, f = _compiled(p)
+
     def F(t, xi):
         out = np.zeros(dim)
         out[1] = f(t, xi[0], xi[1])
         return out
 
     return ExpandedField(dim=dim, G=field(2), F=F, G_modified=field(dim - 1),
-                         problem=p)
+                         problem=p, G_batch=field(2, batched=True))
 
 
 def as_state(xi, dim: int) -> np.ndarray:

@@ -2,9 +2,8 @@
 
 The density ``a^b s^(b-1) exp(-a s) / (b-1)!`` (zero for s < 0) has mean
 ``b/a`` and variance ``b/a^2``.  Its mass beyond H is the regularized
-upper incomplete gamma function Q(b, aH).  Quadratures use composite
-Simpson panels of width mean/100 with 0 always a panel endpoint, matching
-the right-continuity convention at s = 0 for the shape-1 kernel.
+upper incomplete gamma function Q(b, aH); tail horizons are multiples of
+mean/100.
 """
 from __future__ import annotations
 
@@ -15,7 +14,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.special import gammaincc, gammainccinv, gammaln
 
-__all__ = ["GammaKernel", "gamma_eval", "tail_horizon", "quadrature_mass"]
+__all__ = ["GammaKernel", "gamma_eval", "tail_horizon"]
 
 
 @dataclass(frozen=True)
@@ -83,20 +82,3 @@ def tail_horizon(k: GammaKernel, eps: float) -> float:
     while gammaincc(k.b, k.a * (j * h)) > eps:
         j += 1
     return float(j * h)
-
-
-def quadrature_mass(k: GammaKernel, upper: float) -> float:
-    """Composite-Simpson mass of the density over [0, upper]."""
-    if upper < 0:
-        raise ValueError("upper must be nonnegative")
-    if upper == 0:
-        return 0.0
-    h = k.mean / 100.0
-    n = max(1, math.ceil(upper / h - 1e-12))
-    w = upper / n
-    idx = np.arange(n, dtype=float)
-    s0 = idx * w
-    panels = (w / 6.0) * (gamma_eval(k, s0)
-                          + 4.0 * gamma_eval(k, s0 + 0.5 * w)
-                          + gamma_eval(k, s0 + w))
-    return float(np.sum(panels))

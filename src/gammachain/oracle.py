@@ -18,7 +18,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.interpolate import CubicSpline
 
-from . import chain, expr, orbit
+from . import chain, orbit
 from .kernel import GammaKernel, tail_horizon, gamma_eval
 
 __all__ = ["PeriodicTrack", "history_convolution", "verify_lift",
@@ -72,14 +72,6 @@ def tracks_from_trajectory(traj: orbit.Trajectory) -> tuple[PeriodicTrack, Perio
             PeriodicTrack(traj.ys[:, 1], period))
 
 
-@lru_cache(maxsize=128)
-def _vec_compiled(p: chain.ProblemSpec):
-    """Vectorized (g, phi, f) of a problem."""
-    return (expr.compile_expr(p.g, chain.G_VARS, vectorized=True),
-            expr.compile_expr(p.phi, chain.PHI_VARS, vectorized=True),
-            expr.compile_expr(p.f, chain.F_VARS, vectorized=True))
-
-
 def _simpson_weights(n: int) -> np.ndarray:
     w = np.ones(n + 1)
     w[1:-1:2] = 4.0
@@ -128,7 +120,7 @@ def history_convolution(p: chain.ProblemSpec, x: PeriodicTrack,
     T = x.period
     n = QUAD_SUBINTERVALS
     ts = t + T * np.arange(n) / n
-    _, phi, _ = _vec_compiled(p)
+    _, phi, _ = chain._compiled(p, vectorized=True)
     z = phi(x.value(ts), xdot.value(ts)) + np.zeros(n)
     a = p.kernel.a
     spectra = np.array([_kernel_spectrum(a, i, T, horizon)
@@ -161,7 +153,7 @@ def direct_residual(p: chain.ProblemSpec, lam: float, x: PeriodicTrack) -> float
     with xdot, xddot from finite differences of the track and conv_b the
     b-th history convolution.
     """
-    g, _, f = _vec_compiled(p)
+    g, _, f = chain._compiled(p, vectorized=True)
     xdot = x.derivative()
     xddot = xdot.derivative()
     times = np.linspace(0.0, p.T, TEST_TIMES, endpoint=False)

@@ -72,6 +72,15 @@ class StartingPoint:
     residual: float
 
 
+@dataclass(frozen=True, eq=False)
+class _Accepted(StartingPoint):
+    """A starting point with the dense solution of the solve that accepted
+    it: the one-period solve from ``xi0`` at ``lam`` whose end gave
+    ``residual``."""
+
+    solution: object
+
+
 @dataclass(frozen=True)
 class BranchPoint:
     sp: StartingPoint
@@ -145,6 +154,14 @@ def _solve(field, lam, xi0, t0, t1, tol, dense):
     return sol
 
 
+def _trajectory(sol, t0, t1) -> Trajectory:
+    """Sample a dense solution on ``DENSE_SAMPLES`` uniform points of [t0, t1)."""
+    ts = t0 + (t1 - t0) * np.arange(DENSE_SAMPLES) / DENSE_SAMPLES
+    ys = sol.sol(ts).T
+    return Trajectory(ts=ts, ys=ys, y_end=sol.y[:, -1].copy(),
+                      t0=t0, t1=t1, _interp=sol.sol)
+
+
 def integrate(field, lam: float, xi0, t0: float, t1: float,
               tol: float = DEFAULT_TOL) -> Trajectory:
     """Integrate xi' = G(xi) + lam*F(t, xi) over [t0, t1].
@@ -154,11 +171,13 @@ def integrate(field, lam: float, xi0, t0: float, t1: float,
     """
     if not t1 > t0:
         raise ValueError("need t1 > t0")
-    sol = _solve(field, lam, xi0, t0, t1, tol, dense=True)
-    ts = t0 + (t1 - t0) * np.arange(DENSE_SAMPLES) / DENSE_SAMPLES
-    ys = sol.sol(ts).T
-    return Trajectory(ts=ts, ys=ys, y_end=sol.y[:, -1].copy(),
-                      t0=t0, t1=t1, _interp=sol.sol)
+    return _trajectory(_solve(field, lam, xi0, t0, t1, tol, dense=True), t0, t1)
+
+
+def _shoot(field, lam, xi0):
+    """One period from xi0 with dense output: the solve of a shooting
+    residual, which may become a branch point (``_branch_point``)."""
+    return _solve(field, lam, xi0, 0.0, field.problem.T, DEFAULT_TOL, dense=True)
 
 
 def period_map(field, lam: float, xi0) -> np.ndarray:
@@ -194,7 +213,8 @@ def newton_periodic(field, lam: float, guess,
     xi = chain.as_state(guess, field.dim)
     if np.linalg.norm(xi, np.inf) > norm_max:
         raise NoConvergenceError(f"guess norm exceeds {norm_max}")
-    p_base = period_map(field, lam, xi)
+    sol = _shoot(field, lam, xi)
+    p_base = sol.y[:, -1]
     res_vec = p_base - xi
     res = float(np.linalg.norm(res_vec, np.inf))
     identity = np.eye(field.dim)
@@ -202,7 +222,7 @@ def newton_periodic(field, lam: float, guess,
     for _ in range(params.newton_max_iter):
         scale = 1.0 + float(np.linalg.norm(xi, np.inf))
         if res <= tol * scale:
-            return StartingPoint(lam=float(lam), xi0=xi, residual=res)
+            return _Accepted(float(lam), xi, res, sol)
         M = _monodromy(field, lam, xi, p_base)
         eigs = np.linalg.eigvals(M)
         if np.min(np.abs(eigs - 1.0)) <= SINGULAR_TOL:
@@ -218,11 +238,13 @@ def newton_periodic(field, lam: float, guess,
         for _ in range(8):
             cand = xi + step * delta
             if np.linalg.norm(cand, np.inf) <= norm_max:
-                p_cand = period_map(field, lam, cand)
+                sol_cand = _shoot(field, lam, cand)
+                p_cand = sol_cand.y[:, -1]
                 r_cand = p_cand - cand
                 rn = float(np.linalg.norm(r_cand, np.inf))
                 if rn < res:
-                    xi, p_base, res_vec, res = cand, p_cand, r_cand, rn
+                    xi, sol, p_base = cand, sol_cand, p_cand
+                    res_vec, res = r_cand, rn
                     improved = True
                     break
             step *= 0.5
@@ -231,7 +253,7 @@ def newton_periodic(field, lam: float, guess,
 
     scale = 1.0 + float(np.linalg.norm(xi, np.inf))
     if res <= 1e-8 * scale:
-        return StartingPoint(lam=float(lam), xi0=xi, residual=res)
+        return _Accepted(float(lam), xi, res, sol)
     raise NoConvergenceError(
         f"no convergence at lambda={lam}: residual {res:.3e}")
 
@@ -242,11 +264,13 @@ def orbit_metrics(traj: Trajectory) -> tuple[float, float]:
     return float(np.max(np.abs(x))), float(np.max(x) - np.min(x))
 
 
-def _branch_point(field, lam, xi, residual) -> BranchPoint:
-    traj = integrate(field, lam, xi, 0.0, field.problem.T)
-    sup, diam = orbit_metrics(traj)
-    return BranchPoint(sp=StartingPoint(lam=float(lam), xi0=np.asarray(xi, float),
-                                        residual=float(residual)),
+def _branch_point(field, acc: _Accepted) -> BranchPoint:
+    """The branch point of an accepted starting point, its orbit metrics
+    taken from the dense solution of the solve that accepted it."""
+    sup, diam = orbit_metrics(_trajectory(acc.solution, 0.0, field.problem.T))
+    return BranchPoint(sp=StartingPoint(lam=float(acc.lam),
+                                        xi0=np.asarray(acc.xi0, float),
+                                        residual=float(acc.residual)),
                        sup_norm=sup, diameter=diam, arclength=0.0)
 
 
@@ -259,15 +283,18 @@ class _CorrectorFail(Exception):
 
 
 def _corrector(field, z_pred, tangent, params):
-    """Bordered Newton: periodicity residual plus the normal-plane equation."""
+    """Bordered Newton: periodicity residual plus the normal-plane equation.
+
+    Returns (z, iterations, the accepted starting point at z)."""
     dim = field.dim
 
     def residual(z):
-        return period_map(field, z[0], z[1:]) - z[1:]
+        sol = _shoot(field, z[0], z[1:])
+        return sol.y[:, -1] - z[1:], sol
 
     z = z_pred.copy()
     try:
-        R = residual(z)
+        R, sol = residual(z)
     except (IntegrationError, ValueError):
         raise _CorrectorFail("residual evaluation failed at predictor")
     full = np.concatenate((R, [0.0]))
@@ -278,14 +305,16 @@ def _corrector(field, z_pred, tangent, params):
         scale = 1.0 + float(np.linalg.norm(z, np.inf))
         resn = float(np.linalg.norm(full, np.inf))
         if resn <= params.newton_tol * scale:
-            return z, it, float(np.linalg.norm(R, np.inf))
+            return z, it, _Accepted(z[0], z[1:], float(np.linalg.norm(R, np.inf)),
+                                    sol)
         if J is None:
             J = np.empty((dim + 1, dim + 1))
             base = R + z[1:]  # = period_map at z
             zl = z.copy()
             zl[0] += MONODROMY_STEP
             try:
-                J[:dim, 0] = (residual(zl) - R) / MONODROMY_STEP
+                J[:dim, 0] = ((period_map(field, zl[0], zl[1:]) - zl[1:] - R)
+                              / MONODROMY_STEP)
                 J[:dim, 1:] = _monodromy(field, z[0], z[1:], base) - np.eye(dim)
             except (IntegrationError, ValueError):
                 raise _CorrectorFail("Jacobian evaluation failed")
@@ -298,7 +327,7 @@ def _corrector(field, z_pred, tangent, params):
         if np.linalg.norm(z[1:], np.inf) > 10.0 * params.norm_max:
             raise _CorrectorFail("corrector iterate diverged")
         try:
-            R = residual(z)
+            R, sol = residual(z)
         except (IntegrationError, ValueError):
             raise _CorrectorFail("residual evaluation failed")
         full = np.concatenate((R, [tangent @ (z - z_pred)]))
@@ -306,7 +335,8 @@ def _corrector(field, z_pred, tangent, params):
             J = None  # refresh a stalling Jacobian once
     scale = 1.0 + float(np.linalg.norm(z, np.inf))
     if float(np.linalg.norm(full, np.inf)) <= 1e-9 * scale:
-        return z, iters_used, float(np.linalg.norm(R, np.inf))
+        return z, iters_used, _Accepted(z[0], z[1:], float(np.linalg.norm(R, np.inf)),
+                                        sol)
     raise _CorrectorFail("corrector did not converge")
 
 
@@ -317,7 +347,7 @@ def _land(field, xi_guess, params, points):
         sp = newton_periodic(field, 0.0, xi_guess, params)
     except (SingularJacobianError, NoConvergenceError, IntegrationError):
         return "lambda_negative"
-    points.append(_branch_point(field, 0.0, sp.xi0, sp.residual))
+    points.append(_branch_point(field, sp))
     return "lambda_zero"
 
 
@@ -337,7 +367,7 @@ def _march(field, z_start, tangent, params):
             status = _land(field, z_last[1:], params, points)
             break
         try:
-            z_new, iters, res = _corrector(field, z_pred, t_hat, params)
+            z_new, iters, acc = _corrector(field, z_pred, t_hat, params)
         except _CorrectorFail:
             ds *= params.step_shrink
             if ds < params.min_step:
@@ -364,7 +394,7 @@ def _march(field, z_start, tangent, params):
         if closed:
             status = "closed_loop"
             break
-        points.append(_branch_point(field, z_new[0], z_new[1:], res))
+        points.append(_branch_point(field, acc))
         zs.append(z_new)
         tangents.append(new_tangent)
         if iters <= 3:
@@ -399,7 +429,7 @@ def _trace(field, seed: StartingPoint, params: ContinuationParams) -> BranchTrac
     forward march ends at once with status ``lambda_max``.
     """
     z0 = np.concatenate(([seed.lam], seed.xi0))
-    seed_bp = _branch_point(field, seed.lam, seed.xi0, seed.residual)
+    seed_bp = _branch_point(field, seed)
 
     # second point by a natural lambda step fixes the initial tangent
     lam_stop = params.lambda_max if params.lambda_max > seed.lam else math.inf
@@ -421,7 +451,7 @@ def _trace(field, seed: StartingPoint, params: ContinuationParams) -> BranchTrac
     if sp2.lam > params.lambda_max:
         plus_points, status_plus = [], "lambda_max"
     else:
-        bp1 = _branch_point(field, sp2.lam, sp2.xi0, sp2.residual)
+        bp1 = _branch_point(field, sp2)
         plus_points, status_plus = _march(field, z1, t_hat, params)
         plus_points.insert(0, bp1)
 
@@ -440,9 +470,9 @@ def trace_from_zero(field, u_bar: float, params: ContinuationParams) -> BranchTr
     lifted = chain.lifted_zero(field.problem, u_bar)
 
     def trivial_only(status: str, reason: str = "") -> BranchTrace:
-        residual = float(np.linalg.norm(period_map(field, 0.0, lifted) - lifted,
-                                        np.inf))
-        return BranchTrace([_branch_point(field, 0.0, lifted, residual)],
+        sol = _shoot(field, 0.0, lifted)
+        residual = float(np.linalg.norm(sol.y[:, -1] - lifted, np.inf))
+        return BranchTrace([_branch_point(field, _Accepted(0.0, lifted, residual, sol))],
                            status, status, reason)
 
     if SEED_LAMBDA > params.lambda_max:

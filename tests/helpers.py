@@ -1,11 +1,17 @@
 """Shared builders for the test suite: the worked example, randomized
 transversal problems with known roots, a random expression generator, and
-a reference history quadrature."""
+reference implementations (kernel mass quadrature, history quadrature,
+per-sample Lipschitz estimate) that the library's fast paths are checked
+against."""
 from __future__ import annotations
+
+import itertools
+import math
 
 import numpy as np
 
-from gammachain import chain, expr, orbit
+from gammachain import certify, chain, expr, orbit
+from gammachain.analysis import FD_STEP
 from gammachain.chain import ProblemSpec
 from gammachain.kernel import GammaKernel, gamma_eval, tail_horizon
 
@@ -27,6 +33,59 @@ def refuse_second_branch_point(monkeypatch):
         return newton(field, lam, guess, params)
 
     monkeypatch.setattr(orbit, "newton_periodic", seed_only)
+
+
+def quadrature_mass(k: GammaKernel, upper: float) -> float:
+    """Composite-Simpson mass of the density over [0, upper], panels of
+    width at most mean/100 with 0 always a panel endpoint."""
+    if upper < 0:
+        raise ValueError("upper must be nonnegative")
+    if upper == 0:
+        return 0.0
+    h = k.mean / 100.0
+    n = max(1, math.ceil(upper / h - 1e-12))
+    w = upper / n
+    idx = np.arange(n, dtype=float)
+    s0 = idx * w
+    panels = (w / 6.0) * (gamma_eval(k, s0)
+                          + 4.0 * gamma_eval(k, s0 + 0.5 * w)
+                          + gamma_eval(k, s0 + w))
+    return float(np.sum(panels))
+
+
+def reference_jacobian(fun, x: np.ndarray) -> np.ndarray:
+    """Central finite-difference Jacobian of a map of one state, one
+    column (two calls of ``fun``) at a time."""
+    x = np.asarray(x, dtype=float)
+    n = x.size
+    fx = np.asarray(fun(x), dtype=float)
+    J = np.empty((fx.size, n))
+    for j in range(n):
+        e = np.zeros(n)
+        e[j] = FD_STEP
+        J[:, j] = (np.asarray(fun(x + e)) - np.asarray(fun(x - e))) / (2.0 * FD_STEP)
+    return J
+
+
+def reference_lipschitz(field: chain.ExpandedField, center, radius: float,
+                        grid_per_axis: int = certify.DEFAULT_GRID) -> float:
+    """The Lipschitz estimate one sample at a time with the scalar G: the
+    tensor grid by ``itertools.product``, or one generator draw of ``dim``
+    uniforms per Monte Carlo point."""
+    center = np.asarray(center, dtype=float)
+    dim = field.dim
+    if dim <= certify.DENSE_AXES_CAP:
+        axes = [np.linspace(c - radius, c + radius, grid_per_axis) for c in center]
+        samples = (np.array(pt) for pt in itertools.product(*axes))
+    else:
+        rng = np.random.default_rng(certify.MC_SEED)
+        samples = (center + rng.uniform(-radius, radius, size=dim)
+                   for _ in range(certify.MC_POINTS))
+    best = 0.0
+    for pt in samples:
+        J = reference_jacobian(field.G, pt)
+        best = max(best, float(np.linalg.norm(J, 2)))
+    return best
 
 
 def reference_history_convolution(p: ProblemSpec, x, xdot, i: int,

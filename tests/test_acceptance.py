@@ -37,7 +37,7 @@ def test_criterion_01_kernel_mass():
     for a in (0.5, 1.0, 2.0, 8.0):
         for b in (1, 2, 3, 5, 10):
             k = kernel.GammaKernel(a, b)
-            mass = kernel.quadrature_mass(k, kernel.tail_horizon(k, 1e-12))
+            mass = helpers.quadrature_mass(k, kernel.tail_horizon(k, 1e-12))
             worst = max(worst, abs(mass - 1.0))
     elapsed = time.perf_counter() - start
     report("1 kernel mass", worst <= 1e-8 and elapsed < 1.0,

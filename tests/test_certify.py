@@ -1,10 +1,14 @@
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import helpers
 from gammachain import analysis, certify, chain, orbit
 from gammachain.certify import (certify_ejecting, lipschitz_estimate,
                                 multiplicity_report, yorke_check)
@@ -66,6 +70,103 @@ class TestLipschitzEstimate:
             lipschitz_estimate(example_field, np.zeros(4), radius=0.0)
         with pytest.raises(ValueError):
             lipschitz_estimate(example_field, np.zeros(4), 0.1, grid_per_axis=1)
+
+
+class TestBatchedLipschitz:
+    """The chunked, column-batched estimate against the per-sample loop."""
+
+    def test_tensor_grid_matches_reference(self, example_problem, example_field):
+        zeros = analysis.scan_zeros(example_problem, -0.5, 1.5, 200)
+        for z in zeros:
+            got = lipschitz_estimate(example_field, z.lifted, 0.1)
+            assert got == helpers.reference_lipschitz(example_field, z.lifted, 0.1)
+
+    def test_monte_carlo_matches_reference(self):
+        p = ProblemSpec.from_strings("-x0*(1+x2)", "q-p", "1+x*sin(2*pi*t)",
+                                     8.0, 8, 1.0)
+        field = chain.expand(p)
+        center = chain.lifted_zero(p, 0.0)
+        got = lipschitz_estimate(field, center, 0.1)
+        assert got == helpers.reference_lipschitz(field, center, 0.1)
+
+    def test_transcendental_field_matches_reference(self):
+        # np.sin and math.sin may differ in the last bit
+        p = ProblemSpec.from_strings("-sin(3*x0)*(1+x2) + cos(x1*x2)",
+                                     "exp(-p)*q", "sin(2*pi*t)", 2.0, 2, 1.0)
+        field = chain.expand(p)
+        center = np.array([0.3, -0.2, 0.5, 0.4])
+        got = lipschitz_estimate(field, center, 0.4)
+        want = helpers.reference_lipschitz(field, center, 0.4)
+        assert got == pytest.approx(want, rel=1e-9, abs=0.0)
+
+    def test_samples_go_through_bounded_batches(self, example_field, monkeypatch):
+        calls = {"G": 0, "widths": [], "points": []}
+
+        def scalar_G(xi):
+            calls["G"] += 1
+            return example_field.G(xi)
+
+        def batch_G(X):
+            calls["widths"].append(X.shape[1])
+            return example_field.G_batch(X)
+
+        jacobian_fd = analysis.jacobian_fd
+
+        def recorded_jacobian(fun, X):
+            calls["points"].append(X.shape[1])
+            return jacobian_fd(fun, X)
+
+        monkeypatch.setattr(analysis, "jacobian_fd", recorded_jacobian)
+        field = dataclasses.replace(example_field, G=scalar_G, G_batch=batch_G)
+        lipschitz_estimate(field, np.zeros(4), 0.1)
+        assert calls["G"] == 0
+        assert sum(calls["points"]) == certify.DEFAULT_GRID ** 4
+        assert max(calls["points"]) <= certify.SAMPLE_CHUNK
+        assert max(calls["widths"]) <= 2 * 4 * certify.SAMPLE_CHUNK
+        assert len(calls["widths"]) == len(calls["points"])
+
+    def test_pole_on_grid_point_raises(self):
+        # g has a pole at x2 = 0.1, the top grid value of the x2 axis of
+        # the radius-0.1 box around the lifted zero u = 0
+        p = ProblemSpec.from_strings("-x0*(1+x2) + x1/(x2 - 0.1)", "q-p",
+                                     "1+x*sin(2*pi*t)", 2.0, 2, 1.0)
+        zeros = analysis.scan_zeros(p, -0.5, 1.5, 200)
+        assert zeros[0].u_bar == 0.0
+        with pytest.raises(ArithmeticError):
+            certify_ejecting(p, zeros[0], radius=0.1)
+
+
+@st.composite
+def cubic_problems(draw):
+    c = [draw(st.floats(-2.0, 2.0)) for _ in range(6)]
+    d = [draw(st.floats(-2.0, 2.0)) for _ in range(3)]
+    g = (f"({c[0]!r})*x0 + ({c[1]!r})*x0^3 + ({c[2]!r})*x1"
+         f" + ({c[3]!r})*x2*x0^2 + ({c[4]!r})*x1*x2 + ({c[5]!r})*x2^3")
+    phi = f"({d[0]!r}) + ({d[1]!r})*p + ({d[2]!r})*q"
+    return ProblemSpec.from_strings(g, phi, "sin(2*pi*t)",
+                                    draw(st.floats(0.5, 8.0)),
+                                    draw(st.integers(1, 8)), 1.0)
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(p=cubic_problems(), seed=st.integers(0, 2**32 - 1))
+def test_batched_jacobian_matches_per_point(p, seed):
+    field = chain.expand(p)
+    X = np.random.default_rng(seed).uniform(-2.0, 2.0, (field.dim, 64))
+    J = analysis.jacobian_fd(field.G_batch, X)
+    assert J.shape == (64, field.dim, field.dim)
+
+    def one_column(xi):
+        return field.G_batch(xi[:, None])[:, 0]
+
+    for k in range(64):
+        # batching changes no arithmetic: bitwise equal per point
+        assert np.array_equal(J[k], helpers.reference_jacobian(one_column, X[:, k]))
+        # np.power and math.pow differ in the last bit for a few percent of
+        # cubes; one ulp of a term below 16, divided by 2 * FD_STEP, is
+        # 1.8e-9, and g has three power terms
+        want = helpers.reference_jacobian(field.G, X[:, k])
+        assert np.max(np.abs(J[k] - want)) <= 1e-8
 
 
 class TestYorkeCheck:

@@ -132,6 +132,14 @@ class TestAnalyze:
                      str(write_config(tmp_path, doc))]) == 3
         capsys.readouterr()
 
+    def test_pole_in_certification_box_exits_numerical(self, tmp_path, capsys):
+        # the pole x2 = 0.1 is a grid point of the box around zero u = 0
+        doc = json.loads(json.dumps(SHORT_BRANCH_CONFIG))
+        doc["problem"]["g"] = "-x0*(1+x2) + x1/(x2 - 0.1)"
+        assert main(["analyze", "--config",
+                     str(write_config(tmp_path, doc))]) == 3
+        capsys.readouterr()
+
     def test_empty_interval_exits_zero(self, tmp_path, capsys):
         doc = json.loads(json.dumps(EXAMPLE_CONFIG))
         doc["interval"] = {"alpha": 0.25, "beta": 0.75, "grid_n": 100}
@@ -214,6 +222,20 @@ class TestBranch:
         points = read_branch_csv(tmp_path / "out" / entry["csv"], 2)
         assert len(points) == entry["points"] == 1
         assert points[0].sp.lam == orbit.SEED_LAMBDA
+
+    def test_branch_points_reuse_accepting_solves(self, tmp_path, monkeypatch):
+        calls = []
+        integrate = orbit.integrate
+
+        def counted(*args, **kwargs):
+            calls.append(args[1])
+            return integrate(*args, **kwargs)
+
+        monkeypatch.setattr(orbit, "integrate", counted)
+        cfg = load_config(write_config(tmp_path, EXAMPLE_CONFIG))
+        summary = cmd_branch(cfg, tmp_path / "out")
+        assert sum(entry["points"] for entry in summary["seeds"]) > 80
+        assert calls == []
 
     def test_summary_written(self, tmp_path):
         cfg = load_config(write_config(tmp_path, SHORT_BRANCH_CONFIG))

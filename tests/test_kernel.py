@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 import scipy.special as sps
 
-from gammachain.kernel import (GammaKernel, gamma_eval, quadrature_mass,
-                               tail_horizon)
+from gammachain.kernel import GammaKernel, gamma_eval, tail_horizon
+from helpers import quadrature_mass
 
 GRID = [(a, b) for a in (0.5, 1.0, 2.0, 8.0) for b in (1, 2, 3, 5, 10)]
 

@@ -152,6 +152,19 @@ class TestTraceFromZero:
             res = np.linalg.norm(fresh.y_end - bp.sp.xi0, np.inf)
             assert res <= 1e-8 * (1 + np.linalg.norm(bp.sp.xi0, np.inf))
 
+    def test_metrics_equal_a_fresh_integration(self, example_field):
+        # sup_norm and diameter come from the dense output of the solve
+        # that accepted each point; integrating it again gives the same bits
+        params = ContinuationParams(lambda_max=0.05, max_steps=40)
+        fields = [(example_field, trace_from_zero(example_field, 0.0, params))]
+        resonant = chain.expand(resonant_problem())
+        fields.append((resonant, trace_from_zero(resonant, 0.0, params)))
+        for field, trace in fields:
+            for bp in trace.points:
+                fresh = integrate(field, bp.sp.lam, bp.sp.xi0, 0.0,
+                                  field.problem.T)
+                assert orbit_metrics(fresh) == (bp.sup_norm, bp.diameter)
+
     def test_arclength_monotone(self, example_field):
         params = ContinuationParams(lambda_max=0.05, max_steps=40)
         trace = trace_from_zero(example_field, 0.0, params)
