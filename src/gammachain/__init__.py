@@ -5,7 +5,7 @@ tracing of the solution branches in (lambda, starting point) space."""
 from .kernel import GammaKernel, gamma_eval, tail_horizon
 from .chain import ProblemSpec, ExpandedField, expand, lifted_zero
 from .analysis import (ZeroRecord, DegreeReport, phi_eval, phi_prime,
-                       scan_zeros, degree_phi, degree_G)
+                       scan_zeros, degree_G)
 from .certify import (CertReport, MultiplicityReport, lipschitz_estimate,
                       yorke_check, certify_ejecting, multiplicity_report)
 from .orbit import (Trajectory, StartingPoint, BranchPoint, ContinuationParams,

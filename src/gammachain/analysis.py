@@ -17,7 +17,7 @@ from . import chain, expr
 
 __all__ = ["ZeroRecord", "DegreeReport", "AdmissibilityError",
            "DegenerateZeroError", "CrossCheckError",
-           "phi_eval", "phi_prime", "scan_zeros", "degree_phi", "degree_G",
+           "phi_eval", "phi_prime", "scan_zeros", "degree_G",
            "jacobian_fd", "modified_jacobian_det"]
 
 ZERO_TOL = 1e-10
@@ -83,9 +83,12 @@ class DegreeReport:
 
 
 def phi_eval(p: chain.ProblemSpec, u: float) -> float:
-    """Phi(u) = g(u, 0, phi(u, 0))."""
+    """Phi(u) = g(u, 0, phi(u, 0)); math-domain errors raise EvalError."""
     g, phi, _ = chain._compiled(p)
-    return g(float(u), 0.0, phi(float(u), 0.0))
+    try:
+        return g(float(u), 0.0, phi(float(u), 0.0))
+    except ValueError as exc:
+        raise expr.EvalError(f"Phi({float(u)!r}): {exc}") from exc
 
 
 @lru_cache(maxsize=128)
@@ -230,38 +233,27 @@ def _sign(x: float) -> int:
     return (x > 0) - (x < 0)
 
 
-def _degree_from_records(p, alpha, beta, records) -> int:
+def degree_G(p: chain.ProblemSpec, alpha: float, beta: float,
+             grid_n: int = 256) -> DegreeReport:
+    """The zeros of Phi on (alpha, beta) and the degree of the chain field
+    over (alpha, beta) x R^(b+1).
+
+    deg(Phi) is the sum of sign(Phi') over the zeros, cross-checked against
+    (sign Phi(beta) - sign Phi(alpha)) / 2.  deg G = (-1)^(b-1) * deg(Phi)
+    is verified independently by summing Jacobian-determinant signs of the
+    modified field at the lifted zeros.
+    """
+    records = scan_zeros(p, alpha, beta, grid_n)
     degenerate = [z.u_bar for z in records if not z.nondegenerate]
     if degenerate:
         raise DegenerateZeroError(
             f"degenerate zeros (|Phi'| <= {DEGENERACY_TOL}): {degenerate}")
-    total = sum(_sign(z.phi_prime) for z in records)
+    dphi = sum(_sign(z.phi_prime) for z in records)
     boundary = (_sign(phi_eval(p, beta)) - _sign(phi_eval(p, alpha))) // 2
-    if total != boundary:
+    if dphi != boundary:
         raise CrossCheckError(
-            f"sign-count degree {total} disagrees with boundary formula {boundary}")
-    return total
-
-
-def degree_phi(p: chain.ProblemSpec, alpha: float, beta: float,
-               grid_n: int = 256) -> int:
-    """deg(Phi, (alpha, beta)): sum of sign(Phi') over the interior zeros,
-    cross-checked against (sign Phi(beta) - sign Phi(alpha)) / 2."""
-    records = scan_zeros(p, alpha, beta, grid_n)
-    return _degree_from_records(p, alpha, beta, records)
-
-
-def degree_G(p: chain.ProblemSpec, alpha: float, beta: float,
-             grid_n: int = 256) -> DegreeReport:
-    """Degree of the chain field over (alpha, beta) x R^(b+1).
-
-    Computed as (-1)^(b-1) * deg(Phi) and verified independently by summing
-    Jacobian-determinant signs of the modified field at the lifted zeros.
-    """
-    records = scan_zeros(p, alpha, beta, grid_n)
-    dphi = _degree_from_records(p, alpha, beta, records)
-    b = p.kernel.b
-    deg_g = (-1) ** (b - 1) * dphi
+            f"sign-count degree {dphi} disagrees with boundary formula {boundary}")
+    deg_g = (-1) ** (p.kernel.b - 1) * dphi
     jac_sum = sum(_sign(z.det_fd) for z in records)
     if jac_sum != deg_g:
         raise CrossCheckError(

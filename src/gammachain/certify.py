@@ -4,12 +4,14 @@ Any nonconstant periodic orbit of a field with Lipschitz constant L has
 period at least 2*pi/L, so a forcing period T < 2*pi/L rules out
 nonconstant unforced T-periodic orbits near a zero: the zero is then an
 ejecting point and a branch of genuinely forced solutions emanates from
-it.  The Lipschitz constant is estimated as the sampled maximum of the
-Jacobian operator 2-norm over a box; this is a lower estimate, so the
-certification comparison applies a safety factor on top of it.  The
-samples are taken in chunks of ``SAMPLE_CHUNK`` points, and each chunk's
-central-difference Jacobians come from one call of the column-batched
-field ``G_batch``.
+it.  The multiplicity verdict certifies the zeros of an
+``analysis.DegreeReport``: it counts among the zeros whose degree was
+computed, without scanning Phi again.  The Lipschitz constant is estimated
+as the sampled maximum of the Jacobian operator 2-norm over a box; this is
+a lower estimate, so the certification comparison applies a safety factor
+on top of it.  The samples are taken in chunks of ``SAMPLE_CHUNK`` points,
+and each chunk's central-difference Jacobians come from one call of the
+column-batched field ``G_batch``.
 """
 from __future__ import annotations
 
@@ -152,23 +154,23 @@ def certify_ejecting(p: chain.ProblemSpec, z: analysis.ZeroRecord,
                       ejecting_certified=certified, notes=notes)
 
 
-def multiplicity_report(p: chain.ProblemSpec, alpha: float, beta: float,
-                        grid_n: int = 256, radius: float | None = None,
+def multiplicity_report(p: chain.ProblemSpec, degree: analysis.DegreeReport,
+                        radius: float | None = None,
                         grid_per_axis: int = DEFAULT_GRID) -> MultiplicityReport:
-    """Scan, certify every zero, and count the certified sign changers.
+    """Certify every zero of a degree report and count the ejecting ones.
 
     When n of them certify, the equation has at least n T-periodic
     solutions with pairwise disjoint images for every sufficiently small
     positive forcing amplitude.
     """
-    zeros = analysis.scan_zeros(p, alpha, beta, grid_n)
-    certs = tuple(certify_ejecting(p, z, radius, grid_per_axis) for z in zeros)
-    n = sum(1 for c in certs if c.ejecting_certified and c.zero.sign_change)
+    certs = tuple(certify_ejecting(p, z, radius, grid_per_axis)
+                  for z in degree.zeros)
+    n = sum(c.ejecting_certified for c in certs)
     if n > 0:
         verdict = (f"at least {n} T-periodic solutions with pairwise disjoint "
                    f"x-images exist for all sufficiently small lambda > 0 "
                    f"({n} certified ejecting sign-changing zeros)")
     else:
         verdict = ""
-    return MultiplicityReport(alpha=float(alpha), beta=float(beta),
+    return MultiplicityReport(alpha=degree.alpha, beta=degree.beta,
                               certified_zeros=certs, n=n, verdict=verdict)

@@ -60,7 +60,9 @@ _CERTIFY_KEYS = {"radius", "grid_per_axis"}
 _TOP_KEYS = {"problem", "interval", "continuation", "certify"}
 
 
-def _require_keys(d: dict, allowed: set, required: set, path: str):
+def _require_keys(d, allowed: set, required: set, path: str):
+    if not isinstance(d, dict):
+        raise ConfigError(f"{path}: expected an object")
     unknown = set(d) - allowed
     if unknown:
         raise ConfigError(f"{path}: unknown keys {sorted(unknown)}")
@@ -91,8 +93,6 @@ def load_config(path) -> RunConfig:
         raise ConfigError(f"config file not found: {path}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"invalid JSON in {path}: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise ConfigError("top level: expected an object")
     _require_keys(raw, _TOP_KEYS, {"problem", "interval"}, "top level")
 
     prob = raw["problem"]
@@ -147,8 +147,7 @@ def load_config(path) -> RunConfig:
 def cmd_analyze(cfg: RunConfig) -> dict:
     """Degree + multiplicity reports for the configured interval."""
     degree = analysis.degree_G(cfg.problem, cfg.alpha, cfg.beta, cfg.grid_n)
-    mult = certify.multiplicity_report(cfg.problem, cfg.alpha, cfg.beta,
-                                       cfg.grid_n, cfg.cert_radius,
+    mult = certify.multiplicity_report(cfg.problem, degree, cfg.cert_radius,
                                        cfg.cert_grid)
     return {"degree": degree.to_dict(), "multiplicity": mult.to_dict()}
 
@@ -268,9 +267,8 @@ def _emit(doc: dict, out_dir, name: str):
         (out / name).write_text(text + "\n")
 
 
-_NUMERICAL_ERRORS = (analysis.DegenerateZeroError, analysis.CrossCheckError,
-                     orbit.IntegrationError, orbit.NoConvergenceError,
-                     orbit.SingularJacobianError, expr.EvalError, ArithmeticError)
+_NUMERICAL_ERRORS = (orbit.IntegrationError, orbit.NoConvergenceError,
+                     orbit.SingularJacobianError, ArithmeticError)
 
 
 def main(argv=None) -> int:

@@ -6,8 +6,7 @@ import pytest
 import helpers
 from gammachain import analysis
 from gammachain.analysis import (AdmissibilityError, DegenerateZeroError,
-                                 degree_G, degree_phi, phi_eval, phi_prime,
-                                 scan_zeros)
+                                 degree_G, phi_eval, phi_prime, scan_zeros)
 from gammachain.chain import ProblemSpec
 
 
@@ -80,7 +79,7 @@ class TestScanZeros:
         assert not recs[0].nondegenerate
         assert not recs[0].sign_change
         with pytest.raises(DegenerateZeroError):
-            degree_phi(p, -1.0, 1.0, 100)
+            degree_G(p, -1.0, 1.0, 100)
 
     def test_refinement_off_grid(self, example_problem):
         # grid chosen so neither zero lies on a grid point
@@ -92,9 +91,9 @@ class TestScanZeros:
 
 class TestDegrees:
     def test_example_values(self, example_problem):
-        assert degree_phi(example_problem, -0.5, 0.5) == -1
-        assert degree_phi(example_problem, 0.5, 1.5) == 1
-        assert degree_phi(example_problem, -0.5, 1.5) == 0
+        assert degree_G(example_problem, -0.5, 0.5).deg_phi == -1
+        assert degree_G(example_problem, 0.5, 1.5).deg_phi == 1
+        assert degree_G(example_problem, -0.5, 1.5).deg_phi == 0
 
     def test_example_field_degrees(self, example_problem):
         # b = 2: deg G = (-1)^(b-1) deg Phi = -deg Phi
@@ -107,9 +106,9 @@ class TestDegrees:
                 assert degree_G(example_problem, a, b).deg_G != 0
 
     def test_excision(self, example_problem):
-        whole = degree_phi(example_problem, -0.5, 1.5)
-        parts = (degree_phi(example_problem, -0.5, 0.3)
-                 + degree_phi(example_problem, 0.3, 1.5))
+        whole = degree_G(example_problem, -0.5, 1.5).deg_phi
+        parts = (degree_G(example_problem, -0.5, 0.3).deg_phi
+                 + degree_G(example_problem, 0.3, 1.5).deg_phi)
         assert whole == parts
 
     def test_report_serializes(self, example_problem):
@@ -156,6 +155,6 @@ class TestRandomizedSuite:
                 continue
             if abs(phi_eval(problem, cut)) <= 1e-10:
                 continue
-            whole = degree_phi(problem, -2.5, 2.5, 400)
-            assert whole == (degree_phi(problem, -2.5, cut, 200)
-                             + degree_phi(problem, cut, 2.5, 200))
+            whole = degree_G(problem, -2.5, 2.5, 400).deg_phi
+            assert whole == (degree_G(problem, -2.5, cut, 200).deg_phi
+                             + degree_G(problem, cut, 2.5, 200).deg_phi)

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import helpers
-from gammachain import analysis, certify, chain, orbit
+from gammachain import analysis, certify, chain, expr, orbit
 from gammachain.certify import (certify_ejecting, lipschitz_estimate,
                                 multiplicity_report, yorke_check)
 from gammachain.chain import ExpandedField, ProblemSpec
@@ -249,30 +249,73 @@ class TestCertifyEjecting:
 
 class TestMultiplicity:
     def test_example_reports_two(self, example_problem):
-        rep = multiplicity_report(example_problem, -0.5, 1.5, 200, radius=0.1)
+        degree = analysis.degree_G(example_problem, -0.5, 1.5, 200)
+        rep = multiplicity_report(example_problem, degree, radius=0.1)
         assert rep.n == 2
         assert "at least 2" in rep.verdict
 
     def test_empty_interval(self, example_problem):
-        rep = multiplicity_report(example_problem, 0.25, 0.75, 100, radius=0.1)
+        degree = analysis.degree_G(example_problem, 0.25, 0.75, 100)
+        rep = multiplicity_report(example_problem, degree, radius=0.1)
         assert rep.n == 0
         assert rep.verdict == ""
         assert rep.certified_zeros == ()
+        assert (rep.alpha, rep.beta) == (0.25, 0.75)
 
     def test_three_sign_changes(self):
         # Phi(u) = u (1 - u^2): zeros -1, 0, 1, all transversal
         p = ProblemSpec.from_strings("x0 + x2*x0^2", "q-p", "sin(4*pi*t)",
                                      2.0, 2, 0.5)
-        rep = multiplicity_report(p, -1.5, 1.5, 300, radius=0.05)
+        rep = multiplicity_report(p, analysis.degree_G(p, -1.5, 1.5, 300),
+                                  radius=0.05)
         assert len(rep.certified_zeros) == 3
         assert rep.n == 3
 
     def test_propagates_admissibility(self, example_problem):
+        # multiplicity_report takes a DegreeReport, which an interval with
+        # a zero of Phi at an endpoint never yields
         with pytest.raises(analysis.AdmissibilityError):
-            multiplicity_report(example_problem, 0.0, 0.5, 100)
+            analysis.degree_G(example_problem, 0.0, 0.5, 100)
 
     def test_serializes(self, example_problem):
         import json
-        rep = multiplicity_report(example_problem, -0.5, 1.5, 200, radius=0.1)
+        degree = analysis.degree_G(example_problem, -0.5, 1.5, 200)
+        rep = multiplicity_report(example_problem, degree, radius=0.1)
         doc = json.loads(json.dumps(rep.to_dict()))
         assert doc["n"] == 2
+
+
+@st.composite
+def transversal_problems(draw):
+    """A problem of ``helpers.make_transversal_problem`` with b in {1, 2, 3}
+    (so the Lipschitz grid contains the zero itself) and a period T, with
+    f rebuilt to stay T-periodic."""
+    seed = draw(st.integers(0, 2**32 - 1))
+    b = draw(st.sampled_from([1, 2, 3]))
+    T = draw(st.sampled_from([0.5, 1.0, 2.0, 4.0]))
+    p, _, _ = helpers.make_transversal_problem(np.random.default_rng(seed), b)
+    return dataclasses.replace(
+        p, f=expr.parse(f"sin(2*pi*t/{T!r})", chain.F_VARS), T=T)
+
+
+@settings(derandomize=True, deadline=None, max_examples=25)
+@given(p=transversal_problems())
+def test_certified_zeros_are_sound(p):
+    """Degree bookkeeping and the necessary half of certification: a
+    certified zero is a nondegenerate sign change whose Jacobian spectral
+    radius is below 2*pi/T (every Lipschitz constant is at least that
+    radius), and n counts exactly the certified zeros."""
+    b = p.kernel.b
+    degree = analysis.degree_G(p, -2.5, 2.5, 400)
+    assert degree.deg_G == sum(int(np.sign(z.det_fd)) for z in degree.zeros)
+    assert degree.deg_G == (-1) ** (b - 1) * sum(
+        int(np.sign(z.phi_prime)) for z in degree.zeros)
+
+    rep = multiplicity_report(p, degree)
+    field = chain.expand(p)
+    certified = [c for c in rep.certified_zeros if c.ejecting_certified]
+    for c in certified:
+        assert c.zero.nondegenerate and c.zero.sign_change
+        J = helpers.reference_jacobian(field.G, c.zero.lifted)
+        assert np.max(np.abs(np.linalg.eigvals(J))) < 2.0 * math.pi / p.T
+    assert rep.n == len(certified)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import helpers
-from gammachain import cli, orbit
+from gammachain import analysis, certify, cli, orbit
 from gammachain.cli import (ConfigError, SchemaError, cmd_analyze, cmd_branch,
                             cmd_verify, load_config, main, read_branch_csv,
                             write_branch_csv)
@@ -98,6 +98,23 @@ class TestLoadConfig:
         assert main(["analyze", "--config", str(path)]) == 1
         capsys.readouterr()
 
+    @pytest.mark.parametrize("section,value", [
+        ("problem", 3),
+        ("problem", ["g", "phi", "f", "a", "b", "T"]),
+        ("continuation", 5),
+        ("certify", None),
+    ], ids=["problem-number", "problem-list", "continuation-number",
+            "certify-null"])
+    def test_rejects_section_that_is_not_an_object(self, tmp_path, capsys,
+                                                    section, value):
+        doc = json.loads(json.dumps(EXAMPLE_CONFIG))
+        doc[section] = value
+        path = write_config(tmp_path, doc)
+        with pytest.raises(ConfigError, match=f"{section}: expected an object"):
+            load_config(path)
+        assert main(["analyze", "--config", str(path)]) == 1
+        assert "config error: " + section in capsys.readouterr().err
+
 
 class TestAnalyze:
     def test_example_report(self, tmp_path):
@@ -125,12 +142,23 @@ class TestAnalyze:
         capsys.readouterr()
 
     def test_degenerate_zero_exits_numerical(self, tmp_path, capsys):
-        doc = json.loads(json.dumps(EXAMPLE_CONFIG))
-        doc["problem"]["g"] = "x0^2 + 0*x2"  # Phi(u) = u^2: degenerate zero
-        doc["interval"] = {"alpha": -1.0, "beta": 1.0, "grid_n": 100}
-        assert main(["analyze", "--config",
-                     str(write_config(tmp_path, doc))]) == 3
-        capsys.readouterr()
+        cases = [
+            # Phi(u) = u^2: degenerate zero
+            ("x0^2 + 0*x2", {"alpha": -1.0, "beta": 1.0, "grid_n": 100}),
+            # Phi(u) = sqrt(u) - 1 + u is undefined for u < 0
+            ("x0^0.5 - 1 - x2", EXAMPLE_CONFIG["interval"]),
+        ]
+        for g, interval in cases:
+            doc = json.loads(json.dumps(EXAMPLE_CONFIG))
+            doc["problem"]["g"] = g
+            doc["interval"] = interval
+            path = str(write_config(tmp_path, doc))
+            assert main(["analyze", "--config", path]) == 3
+            assert "numerical error: " in capsys.readouterr().err
+        # branch scans Phi before tracing, so the math-domain case fails there too
+        assert main(["branch", "--config", path,
+                     "--out", str(tmp_path / "out")]) == 3
+        assert "numerical error: " in capsys.readouterr().err
 
     def test_pole_in_certification_box_exits_numerical(self, tmp_path, capsys):
         # the pole x2 = 0.1 is a grid point of the box around zero u = 0
@@ -139,6 +167,36 @@ class TestAnalyze:
         assert main(["analyze", "--config",
                      str(write_config(tmp_path, doc))]) == 3
         capsys.readouterr()
+
+    def test_scans_phi_once(self, tmp_path, monkeypatch):
+        scans, reports = [], {}
+        scan_zeros = analysis.scan_zeros
+        degree_G = analysis.degree_G
+        multiplicity_report = certify.multiplicity_report
+
+        def counted_scan(*args, **kwargs):
+            scans.append(args)
+            return scan_zeros(*args, **kwargs)
+
+        def kept_degree(*args, **kwargs):
+            reports["degree"] = degree_G(*args, **kwargs)
+            return reports["degree"]
+
+        def kept_multiplicity(*args, **kwargs):
+            reports["multiplicity"] = multiplicity_report(*args, **kwargs)
+            return reports["multiplicity"]
+
+        monkeypatch.setattr(analysis, "scan_zeros", counted_scan)
+        monkeypatch.setattr(analysis, "degree_G", kept_degree)
+        monkeypatch.setattr(certify, "multiplicity_report", kept_multiplicity)
+        cfg = load_config(write_config(tmp_path, SHORT_BRANCH_CONFIG))
+        doc = cmd_analyze(cfg)
+        assert len(scans) == 1
+        degree, mult = reports["degree"], reports["multiplicity"]
+        assert len(mult.certified_zeros) == len(degree.zeros) == 2
+        for cert, zero in zip(mult.certified_zeros, degree.zeros):
+            assert cert.zero is zero
+        assert doc["multiplicity"]["n"] == 2
 
     def test_empty_interval_exits_zero(self, tmp_path, capsys):
         doc = json.loads(json.dumps(EXAMPLE_CONFIG))
