@@ -1,10 +1,13 @@
 """Bifurcation function, zero scanning and topological degree counting.
 
 Phi(u) = g(u, 0, phi(u, 0)); its transversal zeros carry the degree data.
-The degree of the expanded field over a slab (alpha, beta) x R^(b+1) is
+The degree of the expanded field G over a slab (alpha, beta) x R^(b+1) is
 obtained from the sign count of Phi' and cross-checked against
-finite-difference Jacobian determinants of the modified chain field, whose
-determinant at a lifted zero equals (-1)^(b-1) * a^b * Phi'(u).
+finite-difference Jacobian determinants of G itself: expanding det DG
+along its first row gives (-1)^(b-1) * a^b * Phi'(u) at a lifted zero.
+``jacobian_fd`` is the one central-difference Jacobian of the package; it
+raises ``ArithmeticError`` on a non-finite entry, for the determinants
+and the Lipschitz sampler alike.
 """
 from __future__ import annotations
 
@@ -18,7 +21,7 @@ from . import chain, expr
 __all__ = ["ZeroRecord", "DegreeReport", "AdmissibilityError",
            "DegenerateZeroError", "CrossCheckError",
            "phi_eval", "phi_prime", "scan_zeros", "degree_G",
-           "jacobian_fd", "modified_jacobian_det"]
+           "jacobian_fd"]
 
 ZERO_TOL = 1e-10
 DEGENERACY_TOL = 1e-8
@@ -129,23 +132,24 @@ def jacobian_fd(fun, X: np.ndarray) -> np.ndarray:
     (m, M) array of their images.  All 2nN shifted states x +- h e_j
     (h = ``FD_STEP``) go through one call of ``fun``; the result is the
     (N, m, n) stack whose column j is (fun(x + h e_j) - fun(x - h e_j)) / 2h.
+    ``fun`` runs with floating-point warnings silenced; a Jacobian with a
+    non-finite entry (a pole within one step of its state, or overflow)
+    raises ``ArithmeticError`` naming the first such state.
     """
     X = np.asarray(X, dtype=float)
     n, N = X.shape
     steps = FD_STEP * np.eye(n)[:, :, None]
     shifted = np.concatenate((X[:, None, :] + steps, X[:, None, :] - steps),
                              axis=1)
-    images = np.asarray(fun(shifted.reshape(n, 2 * n * N)), dtype=float)
-    images = images.reshape(-1, 2, n, N)
-    return ((images[:, 0] - images[:, 1]) / (2.0 * FD_STEP)).transpose(2, 0, 1)
-
-
-def modified_jacobian_det(p: chain.ProblemSpec, point: np.ndarray) -> float:
-    """det of the finite-difference Jacobian of the modified chain field."""
-    field = chain.expand(p)
-    column = np.asarray(point, dtype=float).reshape(-1, 1)
-    J = jacobian_fd(chain.columnwise(field.G_modified), column)[0]
-    return float(np.linalg.det(J))
+    with np.errstate(all="ignore"):
+        images = np.asarray(fun(shifted.reshape(n, 2 * n * N)), dtype=float)
+        images = images.reshape(-1, 2, n, N)
+        J = ((images[:, 0] - images[:, 1]) / (2.0 * FD_STEP)).transpose(2, 0, 1)
+    bad = ~np.all(np.isfinite(J), axis=(1, 2))
+    if np.any(bad):
+        raise ArithmeticError(
+            f"non-finite Jacobian at state {X[:, np.argmax(bad)].tolist()}")
+    return J
 
 
 def _bisect(fun, lo: float, hi: float, flo: float) -> float:
@@ -179,7 +183,8 @@ def _make_record(p: chain.ProblemSpec, u: float) -> ZeroRecord:
     dphi = phi_prime(p, u)
     lifted = chain.lifted_zero(p, u)
     det_formula = (-1.0) ** (b - 1) * a**b * dphi
-    det_fd = modified_jacobian_det(p, lifted)
+    J = jacobian_fd(chain.expand(p).G_batch, lifted[:, None])[0]
+    det_fd = float(np.linalg.det(J))
     nondeg = abs(dphi) > DEGENERACY_TOL
     delta = 1e-6 * (1.0 + abs(u))
     sign_change = phi_eval(p, u - delta) * phi_eval(p, u + delta) < 0.0
@@ -240,8 +245,8 @@ def degree_G(p: chain.ProblemSpec, alpha: float, beta: float,
 
     deg(Phi) is the sum of sign(Phi') over the zeros, cross-checked against
     (sign Phi(beta) - sign Phi(alpha)) / 2.  deg G = (-1)^(b-1) * deg(Phi)
-    is verified independently by summing Jacobian-determinant signs of the
-    modified field at the lifted zeros.
+    is verified independently by summing the signs of the finite-difference
+    Jacobian determinants of G at the lifted zeros.
     """
     records = scan_zeros(p, alpha, beta, grid_n)
     degenerate = [z.u_bar for z in records if not z.nondegenerate]

@@ -102,7 +102,7 @@ def lipschitz_estimate(field: chain.ExpandedField, center, radius: float,
     the box center +- radius: a full tensor grid up to 5 axes, Monte Carlo
     with 10^4 points (fixed seed) beyond.  The Jacobians of each chunk of
     at most ``SAMPLE_CHUNK`` samples come from one ``analysis.jacobian_fd``
-    call on ``field.G_batch``.  Raises ``ArithmeticError`` naming the
+    call on ``field.G_batch``, which raises ``ArithmeticError`` naming the
     first sample whose Jacobian has a non-finite entry (a pole of the
     field in the box, or overflow).
     """
@@ -113,13 +113,7 @@ def lipschitz_estimate(field: chain.ExpandedField, center, radius: float,
     center = chain.as_state(center, field.dim)
     best = 0.0
     for X in _box_samples(center, radius, grid_per_axis):
-        with np.errstate(all="ignore"):
-            J = analysis.jacobian_fd(field.G_batch, X)
-        bad = ~np.all(np.isfinite(J), axis=(1, 2))
-        if np.any(bad):
-            raise ArithmeticError(
-                "non-finite Jacobian of G at box sample "
-                f"{X[:, np.argmax(bad)].tolist()}")
+        J = analysis.jacobian_fd(field.G_batch, X)
         best = max(best, float(np.max(np.linalg.norm(J, 2, axis=(1, 2)))))
     return best
 

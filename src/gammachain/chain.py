@@ -4,7 +4,9 @@ A :class:`ProblemSpec` holds the three user maps and the kernel; ``expand``
 turns it into the autonomous field G and T-periodic forcing F on
 R^(b+2), with state ordered (u, v0, v1, ..., vb) = (x, xdot, chain stages).
 Constant solutions of the second-order equation correspond to zeros of
-G through ``lifted_zero``.
+G through ``lifted_zero``.  G is the one field of a problem: the
+integrator, the Lipschitz sampler and the degree cross-check all read it,
+the last two through its column-batched form ``G_batch``.
 """
 from __future__ import annotations
 
@@ -17,8 +19,7 @@ import numpy as np
 from . import expr
 from .kernel import GammaKernel
 
-__all__ = ["ProblemSpec", "ExpandedField", "expand", "columnwise", "lifted_zero",
-           "as_state"]
+__all__ = ["ProblemSpec", "ExpandedField", "expand", "lifted_zero", "as_state"]
 
 _PERIODICITY_SEED = 0x5EED0001
 _PERIODICITY_SAMPLES = 50
@@ -81,38 +82,27 @@ class ExpandedField:
     """First-order field on R^dim, dim = b+2.
 
     ``G`` is the autonomous part, ``F(t, xi)`` the forcing direction
-    (nonzero only in the xdot component), ``G_modified`` a variant with the
-    first cascade stage driven by the last one; it has the same zeros as G
-    and a block-triangular Jacobian there, which makes it the convenient
-    map for determinant and degree computations.  ``G_batch`` is G on
-    columns: it maps a (dim, N) array of states to the (dim, N) array of
-    their images, for evaluating many states in one call.
+    (nonzero only in the xdot component).  ``G_batch`` is G on columns: it
+    maps a (dim, N) array of states to the (dim, N) array of their images,
+    for evaluating many states in one call (box samples, finite-difference
+    Jacobians).
     """
 
     dim: int
     G: Callable[[np.ndarray], np.ndarray]
     F: Callable[[float, np.ndarray], np.ndarray]
-    G_modified: Optional[Callable[[np.ndarray], np.ndarray]]
     problem: Optional[ProblemSpec]
     G_batch: Callable[[np.ndarray], np.ndarray]
 
     @classmethod
     def from_callables(cls, dim: int, G, F=None, problem=None) -> "ExpandedField":
-        """A field from a scalar G; its ``G_batch`` maps G over the columns."""
+        """A field from a G that maps either one state or the columns of a
+        (dim, N) array (a matrix product, or NumPy ufuncs); G serves as
+        both ``G`` and ``G_batch``."""
         if F is None:
             def F(t, xi, _d=dim):
                 return np.zeros(_d)
-        return cls(dim=dim, G=G, F=F, G_modified=None, problem=problem,
-                   G_batch=columnwise(G))
-
-
-def columnwise(G: Callable[[np.ndarray], np.ndarray]):
-    """Column-batched form of a map of one state: column k of the result
-    is G applied to column k of the (dim, N) argument."""
-    def G_batch(X):
-        return np.stack([np.asarray(G(X[:, k]), dtype=float)
-                         for k in range(X.shape[1])], axis=1)
-    return G_batch
+        return cls(dim=dim, G=G, F=F, problem=problem, G_batch=G)
 
 
 @lru_cache(maxsize=128)
@@ -128,18 +118,16 @@ def expand(p: ProblemSpec) -> ExpandedField:
     """Build the expanded field: componentwise
 
     (v0, g(u, v0, vb), a*(phi(u, v0) - v1), a*(v1 - v2), ..., a*(v_{b-1} - vb))
-    with forcing (0, f(t, u, v0), 0, ..., 0).  ``G_modified`` replaces v1 in
-    the first cascade stage by vb.  ``G_batch`` evaluates G on the columns
-    of a (dim, N) array with the vectorized g and phi.
+    with forcing (0, f(t, u, v0), 0, ..., 0).  ``G_batch`` evaluates G on
+    the columns of a (dim, N) array with the vectorized g and phi.
     """
     a = p.kernel.a
     b = p.kernel.b
     dim = b + 2
 
-    def field(driver, batched=False):
-        """The autonomous field whose first cascade stage is driven by
-        state component ``driver``.  With ``batched`` set it maps the
-        columns of a (dim, N) array, using the vectorized g and phi."""
+    def field(batched):
+        """The autonomous field; with ``batched`` set it maps the columns
+        of a (dim, N) array, using the vectorized g and phi."""
         g, phi, _ = _compiled(p, vectorized=True) if batched else _compiled(p)
 
         def G(xi):
@@ -147,7 +135,7 @@ def expand(p: ProblemSpec) -> ExpandedField:
             u, v0 = xi[0], xi[1]
             out[0] = v0
             out[1] = g(u, v0, xi[dim - 1])
-            out[2] = a * (phi(u, v0) - xi[driver])
+            out[2] = a * (phi(u, v0) - xi[2])
             if b >= 2:
                 out[3:] = a * (xi[2:dim - 1] - xi[3:dim])
             return out
@@ -160,8 +148,8 @@ def expand(p: ProblemSpec) -> ExpandedField:
         out[1] = f(t, xi[0], xi[1])
         return out
 
-    return ExpandedField(dim=dim, G=field(2), F=F, G_modified=field(dim - 1),
-                         problem=p, G_batch=field(2, batched=True))
+    return ExpandedField(dim=dim, G=field(batched=False), F=F, problem=p,
+                         G_batch=field(batched=True))
 
 
 def as_state(xi, dim: int) -> np.ndarray:

@@ -1,10 +1,10 @@
 """Configuration loading, subcommand dispatch, and report serialization.
 
 Subcommands: ``analyze`` (degree + multiplicity reports as JSON),
-``branch`` (trace starting-point branches from each certified zero, one
-CSV per seed plus a summary JSON), ``verify`` (oracle cross-check of a
-branch CSV).  Exit codes: 1 config, 2 admissibility, 3 numerical,
-4 CSV schema mismatch.
+``branch`` (trace starting-point branches from every zero the scan finds,
+certified or not, one CSV per seed plus a summary JSON), ``verify``
+(oracle cross-check of a branch CSV).  Exit codes: 1 config,
+2 admissibility, 3 numerical, 4 CSV schema mismatch.
 """
 from __future__ import annotations
 
@@ -12,7 +12,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Optional
 
@@ -53,9 +53,7 @@ class RunConfig:
 
 _PROBLEM_KEYS = {"g", "phi", "f", "a", "b", "T"}
 _INTERVAL_KEYS = {"alpha", "beta", "grid_n"}
-_CONTINUATION_KEYS = {"initial_step", "min_step", "max_step", "max_steps",
-                      "newton_tol", "newton_max_iter", "step_shrink",
-                      "step_grow", "lambda_max", "norm_max"}
+_CONTINUATION_KEYS = {f.name for f in fields(orbit.ContinuationParams)}
 _CERTIFY_KEYS = {"radius", "grid_per_axis"}
 _TOP_KEYS = {"problem", "interval", "continuation", "certify"}
 
@@ -246,8 +244,8 @@ def cmd_verify(cfg: RunConfig, csv_path) -> dict:
     all_pass = True
     for bp in points:
         traj = orbit.integrate(field, bp.sp.lam, bp.sp.xi0, 0.0, p.T)
-        lift = oracle.verify_lift(p, bp.sp, traj)
-        x_track, _ = oracle.tracks_from_trajectory(traj)
+        x_track, xdot_track = oracle.tracks_from_trajectory(traj)
+        lift = oracle.verify_lift(p, traj, x_track, xdot_track)
         dres = oracle.direct_residual(p, bp.sp.lam, x_track)
         ok = lift <= LIFT_THRESHOLD and dres <= RESIDUAL_THRESHOLD
         all_pass = all_pass and ok

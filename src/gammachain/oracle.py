@@ -131,14 +131,11 @@ def history_convolution(p: chain.ProblemSpec, x: PeriodicTrack,
     return y
 
 
-def verify_lift(p: chain.ProblemSpec, sp: orbit.StartingPoint,
-                traj: orbit.Trajectory | None = None) -> float:
-    """Max discrepancy between integrated chain coordinates and the
-    history convolutions, over all stages and 64 test times."""
-    fld = chain.expand(p)
-    if traj is None:
-        traj = orbit.integrate(fld, sp.lam, sp.xi0, 0.0, p.T)
-    x, xdot = tracks_from_trajectory(traj)
+def verify_lift(p: chain.ProblemSpec, traj: orbit.Trajectory,
+                x: PeriodicTrack, xdot: PeriodicTrack) -> float:
+    """Max discrepancy between the chain coordinates of a one-period
+    trajectory and the history convolutions of its (x, xdot) tracks, over
+    all stages and 64 test times."""
     times = np.linspace(0.0, p.T, TEST_TIMES, endpoint=False)
     conv = history_convolution(p, x, xdot)[:, ::QUAD_SUBINTERVALS // TEST_TIMES]
     Y = traj.at(times)

@@ -155,8 +155,8 @@ def test_criterion_05_chain_trick_equivalence(example_problem, example_field,
     worst_res = 0.0
     for bp in points:
         traj = orbit.integrate(example_field, bp.sp.lam, bp.sp.xi0, 0.0, 1.0)
-        worst_lift = max(worst_lift, oracle.verify_lift(example_problem, bp.sp, traj))
-        x, _ = oracle.tracks_from_trajectory(traj)
+        x, xd = oracle.tracks_from_trajectory(traj)
+        worst_lift = max(worst_lift, oracle.verify_lift(example_problem, traj, x, xd))
         worst_res = max(worst_res, oracle.direct_residual(example_problem,
                                                           bp.sp.lam, x))
     elapsed = time.perf_counter() - start

@@ -53,7 +53,7 @@ class TestLipschitzEstimate:
     def test_monotone_under_nested_grids(self):
         def G(xi):
             x, y = xi
-            return np.array([math.sin(3 * x) + y * y, math.cos(x * y)])
+            return np.array([np.sin(3 * x) + y * y, np.cos(x * y)])
         f = ExpandedField.from_callables(2, G)
         center = np.array([0.3, -0.4])
         estimates = [lipschitz_estimate(f, center, 0.5, g) for g in (7, 13, 25)]

@@ -77,21 +77,20 @@ class TestExpand:
         assert got[0] == 0.2
         assert got[1] == -0.5 * (1.0 + -0.1)
         assert got[2] == 2.0 * ((0.2 - 0.5) - -0.1)
-        # for b = 1 the modified field coincides with G
-        assert np.array_equal(f.G_modified(xi), got)
 
-    def test_modified_field_drives_first_stage_by_last(self, example_problem,
-                                                       example_field):
-        # b = 2: G_modified differs from G only in component 2, a*(phi - vb)
-        phi = expr.compile_expr(example_problem.phi, ("p", "q"))
-        rng = np.random.default_rng(11)
-        for _ in range(20):
-            xi = rng.uniform(-3, 3, 4)
-            got = example_field.G_modified(xi)
-            want = example_field.G(xi)
-            want[2] = 2.0 * (phi(xi[0], xi[1]) - xi[3])
-            assert np.array_equal(got, want)
-            assert got[2] != example_field.G(xi)[2]
+    def test_determinant_check_reads_G(self):
+        # the degree cross-check takes det_fd from the Jacobian of G itself,
+        # whose first-row expansion is (-1)^(b-1) a^b Phi'(u) at a lifted zero
+        for problem, _, _ in helpers.transversal_suite():
+            a, b = problem.kernel.a, problem.kernel.b
+            field = expand(problem)
+            for rec in analysis.scan_zeros(problem, -2.5, 2.5, 400):
+                J = analysis.jacobian_fd(field.G_batch, rec.lifted[:, None])[0]
+                assert rec.det_fd == np.linalg.det(J)
+                want = (-1.0) ** (b - 1) * a**b * rec.phi_prime
+                assert rec.det_formula == want
+                assert abs(rec.det_fd - want) <= (analysis.DET_CHECK_TOL
+                                                  * (1.0 + abs(want)))
 
 
 class TestLiftedZero:

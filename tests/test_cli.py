@@ -2,13 +2,14 @@ from __future__ import annotations
 
 import json
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import helpers
-from gammachain import analysis, certify, cli, orbit
+from gammachain import analysis, certify, cli, oracle, orbit
 from gammachain.cli import (ConfigError, SchemaError, cmd_analyze, cmd_branch,
                             cmd_verify, load_config, main, read_branch_csv,
                             write_branch_csv)
@@ -167,6 +168,21 @@ class TestAnalyze:
         assert main(["analyze", "--config",
                      str(write_config(tmp_path, doc))]) == 3
         capsys.readouterr()
+
+    def test_pole_next_to_zero_exits_numerical(self, tmp_path, capsys):
+        # Phi(u) = -u - 1e6; the pole x1 = 1e-6 is one finite-difference
+        # step from the lifted zero u = -1e6
+        doc = {"problem": {"g": "-x0 + 1/(x1 - 0.000001)", "phi": "q-p",
+                           "f": "sin(2*pi*t)", "a": 2, "b": 2, "T": 1},
+               "interval": {"alpha": -2e6, "beta": 0, "grid_n": 200}}
+        path = str(write_config(tmp_path, doc))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["analyze", "--config", path]) == 3
+        err = capsys.readouterr().err
+        assert "numerical error: non-finite Jacobian at state" in err
+        assert "RuntimeWarning" not in err
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
     def test_scans_phi_once(self, tmp_path, monkeypatch):
         scans, reports = [], {}
@@ -372,6 +388,24 @@ class TestVerify:
         config = write_config(tmp_path, SHORT_BRANCH_CONFIG)
         assert main(["verify", str(bad), "--config", str(config)]) == 4
         capsys.readouterr()
+
+    def test_row_builds_four_tracks(self, branch_csv, tmp_path, monkeypatch):
+        # x and xdot from the trajectory, then xdot and xddot of the residual
+        cfg, csv = branch_csv
+        lines = csv.read_text().splitlines()
+        one_row = tmp_path / "one_row.csv"
+        one_row.write_text("\n".join([lines[0], lines[-1]]) + "\n")
+        built = []
+        post_init = oracle.PeriodicTrack.__post_init__
+
+        def counted(track):
+            built.append(track)
+            post_init(track)
+
+        monkeypatch.setattr(oracle.PeriodicTrack, "__post_init__", counted)
+        doc = cmd_verify(cfg, one_row)
+        assert doc["all_pass"] and len(doc["rows"]) == 1
+        assert len(built) == 4
 
     def test_empty_csv(self, branch_csv, tmp_path):
         cfg, _ = branch_csv

@@ -21,6 +21,15 @@ def cosine_track(amplitude=1.0, cycles=1, n=512, T=1.0):
     return PeriodicTrack(amplitude * np.cos(2 * math.pi * cycles * ts / T), T)
 
 
+def lift_of(p, traj):
+    """verify_lift of a one-period trajectory and its own (x, xdot) tracks."""
+    return verify_lift(p, traj, *tracks_from_trajectory(traj))
+
+
+def trivial_trajectory(p, xi0):
+    return orbit.integrate(chain.expand(p), 0.0, xi0, 0.0, p.T)
+
+
 @pytest.fixture()
 def forced_point(example_problem, example_field):
     sp = orbit.newton_periodic(example_field, 0.05, np.zeros(4))
@@ -166,6 +175,7 @@ class TestOracleWork:
         fld = chain.expand(p)
         sp = orbit.newton_periodic(fld, 0.05, np.zeros(b + 2))
         traj = orbit.integrate(fld, sp.lam, sp.xi0, 0.0, p.T)
+        x, xd = tracks_from_trajectory(traj)
         work = {"track_calls": 0, "track_points": 0, "gamma_calls": 0}
         value, gamma_eval = PeriodicTrack.value, oracle.gamma_eval
 
@@ -180,26 +190,26 @@ class TestOracleWork:
 
         monkeypatch.setattr(PeriodicTrack, "value", counted_value)
         monkeypatch.setattr(oracle, "gamma_eval", counted_gamma_eval)
-        verify_lift(p, sp, traj)
+        verify_lift(p, traj, x, xd)
         assert work["track_calls"] <= 2
         assert work["track_points"] <= 2 * 4096
         work["gamma_calls"] = 0
-        verify_lift(p, sp, traj)
+        verify_lift(p, traj, x, xd)
         assert work["gamma_calls"] == 0
 
 
 class TestVerifyLift:
     def test_trivial_origin(self, example_problem):
-        sp = orbit.StartingPoint(0.0, np.zeros(4), 0.0)
-        assert verify_lift(example_problem, sp) == 0.0
+        traj = trivial_trajectory(example_problem, np.zeros(4))
+        assert lift_of(example_problem, traj) == 0.0
 
     def test_trivial_constant_one(self, example_problem):
-        sp = orbit.StartingPoint(0.0, P1.copy(), 0.0)
-        assert verify_lift(example_problem, sp) <= 1e-10
+        traj = trivial_trajectory(example_problem, P1.copy())
+        assert lift_of(example_problem, traj) <= 1e-10
 
     def test_forced_point(self, example_problem, forced_point):
-        sp, traj = forced_point
-        assert verify_lift(example_problem, sp, traj) <= 1e-4
+        _, traj = forced_point
+        assert lift_of(example_problem, traj) <= 1e-4
 
     def test_lift_then_project_consistency(self, example_problem, forced_point):
         sp, traj = forced_point
