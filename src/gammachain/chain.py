@@ -6,7 +6,8 @@ R^(b+2), with state ordered (u, v0, v1, ..., vb) = (x, xdot, chain stages).
 Constant solutions of the second-order equation correspond to zeros of
 G through ``lifted_zero``.  G is the one field of a problem: the
 integrator, the Lipschitz sampler and the degree cross-check all read it,
-the last two through its column-batched form ``G_batch``.
+the last two through its column-batched form ``G_batch``; the batched
+period maps of the shooting Jacobians read ``G_batch`` and ``F_batch``.
 """
 from __future__ import annotations
 
@@ -85,7 +86,8 @@ class ExpandedField:
     (nonzero only in the xdot component).  ``G_batch`` is G on columns: it
     maps a (dim, N) array of states to the (dim, N) array of their images,
     for evaluating many states in one call (box samples, finite-difference
-    Jacobians).
+    Jacobians).  ``F_batch(t, X)`` is F on columns, with one time per
+    column in the (N,) array t.
     """
 
     dim: int
@@ -93,16 +95,19 @@ class ExpandedField:
     F: Callable[[float, np.ndarray], np.ndarray]
     problem: Optional[ProblemSpec]
     G_batch: Callable[[np.ndarray], np.ndarray]
+    F_batch: Callable[[np.ndarray, np.ndarray], np.ndarray]
 
     @classmethod
-    def from_callables(cls, dim: int, G, F=None, problem=None) -> "ExpandedField":
-        """A field from a G that maps either one state or the columns of a
-        (dim, N) array (a matrix product, or NumPy ufuncs); G serves as
-        both ``G`` and ``G_batch``."""
-        if F is None:
-            def F(t, xi, _d=dim):
-                return np.zeros(_d)
-        return cls(dim=dim, G=G, F=F, problem=problem, G_batch=G)
+    def from_callables(cls, dim: int, G, problem=None) -> "ExpandedField":
+        """An unforced field from a G that maps either one state or the
+        columns of a (dim, N) array (a matrix product, or NumPy ufuncs);
+        G serves as both ``G`` and ``G_batch``, and F is zero."""
+        def F(t, xi):
+            return np.zeros(dim)
+
+        def F_batch(t, X):
+            return np.zeros(X.shape)
+        return cls(dim=dim, G=G, F=F, problem=problem, G_batch=G, F_batch=F_batch)
 
 
 @lru_cache(maxsize=128)
@@ -118,8 +123,9 @@ def expand(p: ProblemSpec) -> ExpandedField:
     """Build the expanded field: componentwise
 
     (v0, g(u, v0, vb), a*(phi(u, v0) - v1), a*(v1 - v2), ..., a*(v_{b-1} - vb))
-    with forcing (0, f(t, u, v0), 0, ..., 0).  ``G_batch`` evaluates G on
-    the columns of a (dim, N) array with the vectorized g and phi.
+    with forcing (0, f(t, u, v0), 0, ..., 0).  ``G_batch`` and ``F_batch``
+    evaluate G and F on the columns of a (dim, N) array with the vectorized
+    g, phi and f.
     """
     a = p.kernel.a
     b = p.kernel.b
@@ -142,14 +148,20 @@ def expand(p: ProblemSpec) -> ExpandedField:
         return G
 
     _, _, f = _compiled(p)
+    _, _, f_batch = _compiled(p, vectorized=True)
 
     def F(t, xi):
         out = np.zeros(dim)
         out[1] = f(t, xi[0], xi[1])
         return out
 
+    def F_batch(t, X):
+        out = np.zeros(X.shape)
+        out[1] = f_batch(t, X[0], X[1])
+        return out
+
     return ExpandedField(dim=dim, G=field(batched=False), F=F, problem=p,
-                         G_batch=field(batched=True))
+                         G_batch=field(batched=True), F_batch=F_batch)
 
 
 def as_state(xi, dim: int) -> np.ndarray:

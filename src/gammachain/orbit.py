@@ -2,10 +2,17 @@
 
 The integrator is an adaptive embedded Runge-Kutta 4(5) pair with dense
 output sampled on 512 uniform points per period.  T-periodic starting
-points solve xi(T) - xi(0) = 0 by damped Newton with a finite-difference
+points solve xi(T) - xi(0) = 0 by damped Newton with a forward-difference
 monodromy matrix; branches of starting points in (lambda, xi) are traced
 with pseudo-arclength continuation (secant predictor, bordered Newton
 corrector), so folds in lambda are traversed.
+
+Shooting residuals and ``integrate`` are ``solve_ivp`` solves with dense
+output.  The perturbed columns of a shooting Jacobian (the monodromy, and
+in the corrector also the lambda column) go through ``_period_maps``, which
+integrates them in one lockstep RK45 run on the column-batched field, each
+column under the step control of its own ``solve_ivp`` call;
+``period_map`` is its one-column case.
 """
 from __future__ import annotations
 
@@ -14,7 +21,7 @@ from dataclasses import dataclass, fields, replace
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import solve_ivp
+from scipy.integrate import RK45, solve_ivp
 
 from . import chain
 
@@ -29,6 +36,13 @@ DEFAULT_TOL = 1e-10
 MONODROMY_STEP = 1e-7
 SINGULAR_TOL = 1e-6  # |eig(M) - 1| below this flags the phase-shift degeneracy
 SEED_LAMBDA = 1e-3  # lambda of the first corrected point next to a zero
+
+# the Dormand-Prince 5(4) pair and step controller of solve_ivp's RK45
+_STAGES = RK45.n_stages
+_A_ROWS = [RK45.A[s, :s] for s in range(_STAGES)]
+_B, _C, _E = RK45.B, RK45.C, RK45.E
+_ERROR_EXPONENT = -1 / (RK45.error_estimator_order + 1)
+_SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
 
 
 class IntegrationError(RuntimeError):
@@ -131,7 +145,7 @@ class BranchTrace:
     reason: str = ""
 
 
-def _solve(field, lam, xi0, t0, t1, tol, dense):
+def _solve(field, lam, xi0, t0, t1, tol):
     xi0 = chain.as_state(xi0, field.dim)
     G = field.G
     F = field.F
@@ -143,7 +157,7 @@ def _solve(field, lam, xi0, t0, t1, tol, dense):
             return G(y) + lam * F(t, y)
     try:
         sol = solve_ivp(rhs, (t0, t1), xi0, method="RK45",
-                        rtol=tol, atol=tol, dense_output=dense)
+                        rtol=tol, atol=tol, dense_output=True)
     except (ZeroDivisionError, OverflowError, ValueError) as exc:
         raise IntegrationError(t0, f"field evaluation failed: {exc}") from exc
     if not sol.success:
@@ -171,32 +185,139 @@ def integrate(field, lam: float, xi0, t0: float, t1: float,
     """
     if not t1 > t0:
         raise ValueError("need t1 > t0")
-    return _trajectory(_solve(field, lam, xi0, t0, t1, tol, dense=True), t0, t1)
+    return _trajectory(_solve(field, lam, xi0, t0, t1, tol), t0, t1)
 
 
 def _shoot(field, lam, xi0):
     """One period from xi0 with dense output: the solve of a shooting
     residual, which may become a branch point (``_branch_point``)."""
-    return _solve(field, lam, xi0, 0.0, field.problem.T, DEFAULT_TOL, dense=True)
+    return _solve(field, lam, xi0, 0.0, field.problem.T, DEFAULT_TOL)
+
+
+def _rms(X):
+    """RMS norm of each column, as ``solve_ivp`` measures one state."""
+    return np.sqrt(np.einsum("ij,ij->j", X, X)) / X.shape[0] ** 0.5
+
+
+def _period_maps(field, lams, X0):
+    """xi(T) of every column of the (dim, N) array X0, column j at lambda
+    ``lams[j]``, from one lockstep RK45 run over all columns.
+
+    Each column keeps its own time, step and accept/reject state under the
+    Dormand-Prince 5(4) controller of ``solve_ivp(..., method="RK45",
+    rtol=atol=DEFAULT_TOL)`` (Hairer, Norsett & Wanner, Solving ODEs I,
+    II.4): the same initial step, tableau, error norm and step factors, so
+    each column takes the steps its own ``solve_ivp`` call would.  Every
+    attempt evaluates the field once per stage for all running columns,
+    through ``G_batch`` and ``F_batch``; a column leaves the run when it
+    reaches T.  A step below ``solve_ivp``'s minimum (also after non-finite
+    stages, whose NaN error norm shrinks the step like any rejection) or a
+    non-finite accepted state raises :class:`IntegrationError` at that
+    column's time.
+    """
+    T = float(field.problem.T)
+    tol = DEFAULT_TOL
+    lam = np.asarray(lams, dtype=float)
+    Y = np.array(X0, dtype=float)
+    dim, n = Y.shape
+    G, F = field.G_batch, field.F_batch
+    if np.any(lam):
+        def rhs(t, X):
+            return G(X) + lam * F(t, X)
+    else:
+        def rhs(t, X):
+            return G(X)
+
+    out = np.empty((dim, n))
+    cols = np.arange(n)  # the running columns, in the order of Y's columns
+    t = np.zeros(n)
+    with np.errstate(all="ignore"):
+        try:
+            f = rhs(t, Y)
+            if not np.isfinite(f).all():
+                raise IntegrationError(0.0, "non-finite field at the start")
+            # solve_ivp's initial step (scipy's select_initial_step)
+            scale = tol + np.abs(Y) * tol
+            d0, d1 = _rms(Y / scale), _rms(f / scale)
+            h0 = np.fmin(np.where((d0 < 1e-5) | (d1 < 1e-5), 1e-6, 0.01 * d0 / d1), T)
+            d2 = _rms((rhs(h0, Y + h0 * f) - f) / scale) / h0
+            h1 = np.where((d1 <= 1e-15) & (d2 <= 1e-15), np.fmax(1e-6, h0 * 1e-3),
+                          (0.01 / np.fmax(d1, d2)) ** -_ERROR_EXPONENT)
+            h = np.fmin(np.fmin(100 * h0, h1), T)
+            fresh = np.ones(n, dtype=bool)  # the last attempt was accepted
+            K = np.empty((_STAGES + 1, dim, n))
+            while cols.size:
+                m = cols.size
+                K2 = K.reshape(_STAGES + 1, dim * m)
+                min_step = 10 * np.spacing(t)
+                if not (h >= min_step).all():
+                    # min_step clips only a fresh step; a retried one fails
+                    h = np.where(fresh & (h < min_step), min_step, h)
+                    small = ~(h >= min_step)
+                    if small.any():
+                        raise IntegrationError(float(t[np.argmax(small)]),
+                                               "Required step size is less than "
+                                               "spacing between numbers.")
+                t_new = np.fmin(t + h, T)
+                step = t_new - t
+                K[0] = f
+                for s in range(1, _STAGES):
+                    dy = np.dot(K2[:s].T, _A_ROWS[s]).reshape(dim, m) * step
+                    K[s] = rhs(t + _C[s] * step, Y + dy)
+                y_new = Y + step * np.dot(K2[:_STAGES].T, _B).reshape(dim, m)
+                f_new = K[_STAGES] = rhs(t + step, y_new)
+                scale = tol + np.maximum(np.abs(Y), np.abs(y_new)) * tol
+                error_norm = _rms(np.dot(K2.T, _E).reshape(dim, m) * step / scale)
+                factor = _SAFETY * error_norm ** _ERROR_EXPONENT
+                accept = error_norm < 1
+                # scipy's min/max factor clips, NaN-safe: a NaN error norm
+                # rejects the step and shrinks it by MIN_FACTOR
+                h = step * np.where(accept,
+                                    np.fmin(np.where(fresh, _MAX_FACTOR, 1.0), factor),
+                                    np.fmax(_MIN_FACTOR, factor))
+                if not np.isfinite(y_new).all():
+                    bad = accept & ~np.isfinite(y_new).all(axis=0)
+                    if bad.any():
+                        raise IntegrationError(float(t_new[np.argmax(bad)]),
+                                               "non-finite state")
+                fresh = accept
+                if accept.all():
+                    t, Y, f = t_new, y_new, f_new
+                else:
+                    t = np.where(accept, t_new, t)
+                    Y = np.where(accept, y_new, Y)
+                    f = np.where(accept, f_new, f)
+                done = t == T
+                if done.any():
+                    out[:, cols[done]] = Y[:, done]
+                    keep = ~done
+                    cols, t, h, fresh = cols[keep], t[keep], h[keep], fresh[keep]
+                    Y, f, lam = Y[:, keep], f[:, keep], lam[keep]
+                    K = np.empty((_STAGES + 1, dim, cols.size))
+        except (ZeroDivisionError, OverflowError, ValueError) as exc:
+            raise IntegrationError(0.0, f"field evaluation failed: {exc}") from exc
+    return out
 
 
 def period_map(field, lam: float, xi0) -> np.ndarray:
-    """xi(T) for the solution starting at xi0; T from the field's problem."""
-    T = field.problem.T
-    sol = _solve(field, lam, xi0, 0.0, T, DEFAULT_TOL, dense=False)
-    return sol.y[:, -1].copy()
+    """xi(T) for the solution starting at xi0; T from the field's problem.
+
+    The one-column case of the batched shooting integrator."""
+    xi0 = chain.as_state(xi0, field.dim)
+    return _period_maps(field, [lam], xi0[:, None])[:, 0]
 
 
-def _monodromy(field, lam, xi, base):
-    """Forward-difference monodromy of the period map at (lam, xi), whose
-    value there is ``base``; one re-integration per column."""
-    n = xi.size
-    M = np.empty((n, n))
-    for j in range(n):
-        pert = xi.copy()
-        pert[j] += MONODROMY_STEP
-        M[:, j] = (period_map(field, lam, pert) - base) / MONODROMY_STEP
-    return M
+def _perturbed_maps(field, lam, xi, lam_column):
+    """Period maps at the forward-difference perturbations of (lam, xi),
+    all in one ``_period_maps`` call: column j is the map of
+    xi + MONODROMY_STEP e_j at lam, after a first column with the map of xi
+    at lam + MONODROMY_STEP when ``lam_column`` is set."""
+    dim, lead = xi.size, int(lam_column)
+    X0 = np.repeat(xi[:, None], lead + dim, axis=1)
+    X0[:, lead:] += MONODROMY_STEP * np.eye(dim)
+    lams = np.full(lead + dim, float(lam))
+    lams[:lead] += MONODROMY_STEP
+    return _period_maps(field, lams, X0)
 
 
 def newton_periodic(field, lam: float, guess,
@@ -223,7 +344,8 @@ def newton_periodic(field, lam: float, guess,
         scale = 1.0 + float(np.linalg.norm(xi, np.inf))
         if res <= tol * scale:
             return _Accepted(float(lam), xi, res, sol)
-        M = _monodromy(field, lam, xi, p_base)
+        M = (_perturbed_maps(field, lam, xi, False)
+             - p_base[:, None]) / MONODROMY_STEP
         eigs = np.linalg.eigvals(M)
         if np.min(np.abs(eigs - 1.0)) <= SINGULAR_TOL:
             raise SingularJacobianError(
@@ -310,14 +432,12 @@ def _corrector(field, z_pred, tangent, params):
         if J is None:
             J = np.empty((dim + 1, dim + 1))
             base = R + z[1:]  # = period_map at z
-            zl = z.copy()
-            zl[0] += MONODROMY_STEP
             try:
-                J[:dim, 0] = ((period_map(field, zl[0], zl[1:]) - zl[1:] - R)
-                              / MONODROMY_STEP)
-                J[:dim, 1:] = _monodromy(field, z[0], z[1:], base) - np.eye(dim)
+                P = _perturbed_maps(field, z[0], z[1:], True)
             except (IntegrationError, ValueError):
                 raise _CorrectorFail("Jacobian evaluation failed")
+            J[:dim, 0] = (P[:, 0] - z[1:] - R) / MONODROMY_STEP
+            J[:dim, 1:] = (P[:, 1:] - base[:, None]) / MONODROMY_STEP - np.eye(dim)
             J[dim, :] = tangent
         try:
             delta = np.linalg.solve(J, -full)

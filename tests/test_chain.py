@@ -159,4 +159,17 @@ def test_synthetic_field_constructor():
     f = ExpandedField.from_callables(2, lambda xi: A @ xi)
     assert f.dim == 2
     assert np.all(f.F(0.3, np.ones(2)) == 0.0)
+    X = np.arange(6.0).reshape(2, 3)
+    assert np.array_equal(f.F_batch(np.array([0.0, 0.3, 0.7]), X), np.zeros((2, 3)))
+    assert np.array_equal(f.G_batch(X), A @ X)
     assert f.problem is None
+
+
+def test_forcing_batch_matches_scalar(example_field):
+    rng = np.random.default_rng(7)
+    X = rng.uniform(-2.0, 2.0, size=(4, 9))
+    t = rng.uniform(0.0, 1.0, size=9)
+    FB = example_field.F_batch(t, X)
+    for j in range(9):
+        np.testing.assert_allclose(FB[:, j], example_field.F(t[j], X[:, j]),
+                                   rtol=1e-14, atol=1e-15)

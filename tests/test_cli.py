@@ -252,6 +252,18 @@ class TestBranch:
             assert entry["max_lambda"] > 0.02
         assert summary["lambda_star_hint"] > 0.02
 
+    def test_integration_error_escapes_the_seed_loop(self, tmp_path):
+        # the failure reproducer of perfbench/selftest.py (check 1), which
+        # counts on this error leaving cmd_branch; the seed Newton at the
+        # zero u = 1 blows up at t = 2.47632
+        doc = {"problem": {"g": "x0^5 - x0", "phi": "q-p", "f": "50",
+                           "a": 2.0, "b": 2, "T": 5.0},
+               "interval": {"alpha": -1.5, "beta": 1.5, "grid_n": 200},
+               "certify": {"radius": 0.1}}
+        cfg = load_config(write_config(tmp_path, doc))
+        with pytest.raises(orbit.IntegrationError, match="t=2.47632"):
+            cmd_branch(cfg, tmp_path / "out", seed_index=2)
+
     def test_seed_zero_restriction(self, tmp_path):
         cfg = load_config(write_config(tmp_path, SHORT_BRANCH_CONFIG))
         summary = cmd_branch(cfg, tmp_path / "out", seed_index=1)

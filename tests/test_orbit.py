@@ -1,11 +1,14 @@
 from __future__ import annotations
 
+import dataclasses
 import math
+import signal
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import solve_ivp
 
 import helpers
 from gammachain import chain, orbit
@@ -91,6 +94,141 @@ class TestPeriodMap:
         traj = integrate(example_field, 0.05, sp.xi0, 0.0, 1.0)
         assert np.linalg.norm(traj.y_end - sp.xi0, np.inf) <= 1e-8 * (
             1 + np.linalg.norm(sp.xi0, np.inf))
+
+
+def reference_solve(field, lam, xi0):
+    """One period from xi0 by solve_ivp's RK45, as each column of
+    ``orbit._period_maps`` is integrated."""
+    G, F = field.G, field.F
+    return solve_ivp(lambda t, y: G(y) + lam * F(t, y), (0.0, field.problem.T),
+                     xi0, method="RK45", rtol=orbit.DEFAULT_TOL,
+                     atol=orbit.DEFAULT_TOL)
+
+
+class TestPeriodMaps:
+    def test_nan_stages_fail_instead_of_hanging(self):
+        # x0 turns negative within the first steps, so x0^0.5 gives NaN
+        # stages; the step must shrink to failure, not stall at a NaN size
+        f = chain.expand(ProblemSpec.from_strings("x0^0.5 - x2", "q-p", "1",
+                                                  1.0, 1, 1.0))
+
+        def stalled(signum, frame):
+            raise TimeoutError("period map still running after 5 s")
+
+        previous = signal.signal(signal.SIGALRM, stalled)
+        signal.alarm(5)
+        try:
+            with pytest.raises(IntegrationError):
+                period_map(f, 1.0, np.array([0.01, -1.0, 0.0]))
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+
+    def test_blow_up_fails_where_solve_ivp_does(self):
+        p = ProblemSpec.from_strings("x0^3", "0*p", "sin(2*pi*t)", 1.0, 1, 1.0)
+        f = chain.expand(p)
+        xi0 = np.array([20.0, 20.0, 0.0])
+        sol = reference_solve(f, 0.0, xi0)
+        assert not sol.success
+        with pytest.raises(IntegrationError) as err:
+            period_map(f, 0.0, xi0)
+        assert err.value.time == pytest.approx(float(sol.t[-1]), rel=1e-12)
+        assert err.value.time == pytest.approx(0.0903137, abs=1e-7)
+
+
+@st.composite
+def lockstep_problems(draw):
+    """A cubic-g problem and the columns of one lockstep run: random states
+    at distinct lambdas, plus the equilibrium 0 at lambda = 0."""
+    c1, c2, c3, d, e = (draw(st.floats(lo, hi)) for lo, hi in
+                        ((-2.0, 1.0), (-1.0, 1.0), (0.2, 1.0), (0.0, 1.0), (-1.0, 1.0)))
+    T = draw(st.sampled_from([0.5, 1.0, 4.0]))
+    p = ProblemSpec.from_strings(
+        f"({c1:.3f})*x0 + ({c2:.3f})*x0^2 - {c3:.3f}*x0^3 - {d:.3f}*x1 + ({e:.3f})*x2",
+        "q-p", f"1 + x*sin(2*pi*t/{T})", draw(st.floats(0.5, 8.0)),
+        draw(st.integers(1, 8)), T)
+    dim = p.kernel.b + 2
+    n = draw(st.integers(1, 4))
+    lams = draw(st.lists(st.floats(0.05, 1.0), min_size=n, max_size=n, unique=True))
+    X0 = np.array([draw(st.lists(st.floats(-1.0, 1.0), min_size=dim, max_size=dim))
+                   for _ in range(n)]).T
+    return p, np.array([0.0] + lams), np.hstack([np.zeros((dim, 1)), X0])
+
+
+@settings(derandomize=True, deadline=None, max_examples=25)
+@given(case=lockstep_problems())
+def test_period_maps_match_solve_ivp_per_column(case):
+    p, lams, X0 = case
+    widths = []
+    field = chain.expand(p)
+    G_batch = field.G_batch
+
+    def recorded(X):
+        widths.append(X.shape[1])
+        return G_batch(X)
+
+    refs = [reference_solve(field, lam, x) for lam, x in zip(lams, X0.T)]
+    field = dataclasses.replace(field, G_batch=recorded)
+    if not all(sol.success for sol in refs):
+        with pytest.raises(IntegrationError):
+            orbit._period_maps(field, lams, X0)
+        return
+    P = orbit._period_maps(field, lams, X0)
+    for j, sol in enumerate(refs):
+        y = sol.y[:, -1]
+        assert np.max(np.abs(P[:, j] - y)) <= 1e-12 * (1.0 + np.max(np.abs(y)))
+    # two field calls for the initial step, then six per attempt of every
+    # column still running: the columns leave the run as their own
+    # solve_ivp would finish
+    attempts = [(sol.nfev - 2) // 6 for sol in refs]
+    expected = [len(refs)] * 2 + [w for k in range(1, max(attempts) + 1)
+                                  for w in [sum(a >= k for a in attempts)] * 6]
+    assert widths == expected
+    assert attempts[0] < min(attempts[1:])  # the equilibrium finishes first
+
+
+class TestShootingWork:
+    """Each shooting Jacobian is one batched period-map run."""
+
+    @staticmethod
+    def record(monkeypatch):
+        runs, solves = [], []
+        period_maps, solve = orbit._period_maps, orbit.solve_ivp
+
+        def recorded_maps(field, lams, X0):
+            before = len(solves)
+            out = period_maps(field, lams, X0)
+            runs.append((X0.shape[1], tuple(lams), len(solves) - before))
+            return out
+
+        def counted_solve(*args, **kwargs):
+            solves.append(args)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(orbit, "_period_maps", recorded_maps)
+        monkeypatch.setattr(orbit, "solve_ivp", counted_solve)
+        return runs, solves
+
+    def test_corrector_jacobian_is_one_run(self, example_field, monkeypatch):
+        sp = newton_periodic(example_field, 0.01, lifted_zero(example_field.problem, 0.0))
+        z = np.concatenate(([sp.lam], sp.xi0))
+        tangent = np.zeros(example_field.dim + 1)
+        tangent[0] = 1.0
+        runs, solves = self.record(monkeypatch)
+        z_new, iters, _ = orbit._corrector(example_field, z + 0.005 * tangent,
+                                           tangent, ContinuationParams())
+        assert z_new[0] == pytest.approx(0.015, abs=1e-12)
+        dim = example_field.dim
+        # the lambda column first, then the dim monodromy columns
+        assert runs == [(dim + 1, (z[0] + 0.005 + orbit.MONODROMY_STEP,)
+                         + (z[0] + 0.005,) * dim, 0)]
+        assert len(solves) == iters + 1  # the residual solves only
+
+    def test_newton_monodromy_is_one_run(self, example_field, monkeypatch):
+        runs, _ = self.record(monkeypatch)
+        newton_periodic(example_field, 0.05, np.zeros(4))
+        assert runs
+        assert all(r == (4, (0.05,) * 4, 0) for r in runs)
 
 
 class TestNewtonPeriodic:
