@@ -7,12 +7,15 @@ monodromy matrix; branches of starting points in (lambda, xi) are traced
 with pseudo-arclength continuation (secant predictor, bordered Newton
 corrector), so folds in lambda are traversed.
 
-Shooting residuals and ``integrate`` are ``solve_ivp`` solves with dense
-output.  The perturbed columns of a shooting Jacobian (the monodromy, and
-in the corrector also the lambda column) go through ``_period_maps``, which
-integrates them in one lockstep RK45 run on the column-batched field, each
-column under the step control of its own ``solve_ivp`` call;
-``period_map`` is its one-column case.
+A shooting Jacobian goes through ``_period_maps``, which integrates the
+unperturbed column, the monodromy columns and, in the corrector, the lambda
+column in one lockstep RK45 run on the column-batched field, each column
+under the step control of its own ``solve_ivp`` call.  Column 0 of the run
+is the unperturbed one and carries its dense output, so the first residual
+of each corrector and each Newton solve rides in its Jacobian run;
+``period_map`` is the one-column case.  The later residuals and
+``integrate`` are ``solve_ivp`` solves.  Both kinds of dense output are
+evaluated by one vectorized quartic interpolant (``_DenseOutput``).
 """
 from __future__ import annotations
 
@@ -40,7 +43,7 @@ SEED_LAMBDA = 1e-3  # lambda of the first corrected point next to a zero
 # the Dormand-Prince 5(4) pair and step controller of solve_ivp's RK45
 _STAGES = RK45.n_stages
 _A_ROWS = [RK45.A[s, :s] for s in range(_STAGES)]
-_B, _C, _E = RK45.B, RK45.C, RK45.E
+_B, _C, _E, _P = RK45.B, RK45.C, RK45.E, RK45.P
 _ERROR_EXPONENT = -1 / (RK45.error_estimator_order + 1)
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
 
@@ -88,11 +91,12 @@ class StartingPoint:
 
 @dataclass(frozen=True, eq=False)
 class _Accepted(StartingPoint):
-    """A starting point with the dense solution of the solve that accepted
-    it: the one-period solve from ``xi0`` at ``lam`` whose end gave
-    ``residual``."""
+    """A starting point with the dense output of the solve that accepted
+    it: the one-period solution from ``xi0`` at ``lam`` whose end gave
+    ``residual``, from ``_shoot`` or from column 0 of a ``_linearize``
+    run."""
 
-    solution: object
+    solution: _DenseOutput
 
 
 @dataclass(frozen=True)
@@ -145,35 +149,77 @@ class BranchTrace:
     reason: str = ""
 
 
-def _solve(field, lam, xi0, t0, t1, tol):
+@dataclass(frozen=True, eq=False)
+class _DenseOutput:
+    """The dense output of one RK45 solution, evaluated vectorized.
+
+    On step k, from ``ts[k]`` to ``ts[k+1]`` with h = ts[k+1] - ts[k] and
+    x = (t - ts[k]) / h, the solution is the Dormand-Prince quartic
+    interpolant ``y_old[k] + h * Q[k] @ (x, x^2, x^3, x^4)``, with
+    Q[k] = K^T ``RK45.P`` for the step's stages K (Hairer, Norsett & Wanner,
+    Solving ODEs I, II.6).  A time on a step boundary takes the earlier
+    step, and times outside [ts[0], ts[-1]] extrapolate the first or last
+    step, as in ``OdeSolution``.  ``y_end`` is the state at ``ts[-1]``.
+    """
+
+    ts: np.ndarray
+    Q: np.ndarray
+    y_old: np.ndarray
+    y_end: np.ndarray
+
+    @classmethod
+    def of(cls, sol):
+        """The dense output of a ``solve_ivp(..., dense_output=True)`` result,
+        from its ``RkDenseOutput`` pieces."""
+        pieces = sol.sol.interpolants
+        return cls(ts=np.asarray(sol.sol.ts, dtype=float),
+                   Q=np.array([piece.Q for piece in pieces]),
+                   y_old=np.array([piece.y_old for piece in pieces]),
+                   y_end=sol.y[:, -1].copy())
+
+    def __call__(self, t):
+        """y(t): shape (dim,) for a scalar t, (dim, len(t)) for an array."""
+        t = np.asarray(t, dtype=float)
+        tv = t.reshape(-1)
+        k = np.clip(np.searchsorted(self.ts, tv, side="left") - 1,
+                    0, len(self.Q) - 1)
+        t_old = self.ts[k]
+        h = self.ts[k + 1] - t_old
+        powers = np.cumprod(np.tile((tv - t_old) / h, (self.Q.shape[-1], 1)), axis=0)
+        y = h * np.einsum("mdk,km->dm", self.Q[k], powers) + self.y_old[k].T
+        return y[:, 0] if t.ndim == 0 else y
+
+
+def _solve(field, lam, xi0, t0, t1, tol) -> _DenseOutput:
     xi0 = chain.as_state(xi0, field.dim)
     G = field.G
     F = field.F
-    if lam == 0.0:
-        def rhs(t, y):
-            return G(y)
-    else:
-        def rhs(t, y):
-            return G(y) + lam * F(t, y)
+    t_stage = t0  # the time of the latest field evaluation
+
+    def rhs(t, y):
+        nonlocal t_stage
+        t_stage = t
+        return G(y) + lam * F(t, y) if lam else G(y)
+
     try:
         sol = solve_ivp(rhs, (t0, t1), xi0, method="RK45",
                         rtol=tol, atol=tol, dense_output=True)
     except (ZeroDivisionError, OverflowError, ValueError) as exc:
-        raise IntegrationError(t0, f"field evaluation failed: {exc}") from exc
+        raise IntegrationError(float(t_stage),
+                               f"field evaluation failed: {exc}") from exc
     if not sol.success:
         t_fail = float(sol.t[-1]) if sol.t.size else t0
         raise IntegrationError(t_fail, sol.message)
     if not np.all(np.isfinite(sol.y[:, -1])):
         raise IntegrationError(float(sol.t[-1]), "non-finite state")
-    return sol
+    return _DenseOutput.of(sol)
 
 
-def _trajectory(sol, t0, t1) -> Trajectory:
+def _trajectory(dense: _DenseOutput, t0, t1) -> Trajectory:
     """Sample a dense solution on ``DENSE_SAMPLES`` uniform points of [t0, t1)."""
     ts = t0 + (t1 - t0) * np.arange(DENSE_SAMPLES) / DENSE_SAMPLES
-    ys = sol.sol(ts).T
-    return Trajectory(ts=ts, ys=ys, y_end=sol.y[:, -1].copy(),
-                      t0=t0, t1=t1, _interp=sol.sol)
+    return Trajectory(ts=ts, ys=dense(ts).T, y_end=dense.y_end,
+                      t0=t0, t1=t1, _interp=dense)
 
 
 def integrate(field, lam: float, xi0, t0: float, t1: float,
@@ -188,9 +234,11 @@ def integrate(field, lam: float, xi0, t0: float, t1: float,
     return _trajectory(_solve(field, lam, xi0, t0, t1, tol), t0, t1)
 
 
-def _shoot(field, lam, xi0):
+def _shoot(field, lam, xi0) -> _DenseOutput:
     """One period from xi0 with dense output: the solve of a shooting
-    residual, which may become a branch point (``_branch_point``)."""
+    residual away from a Jacobian point (Newton iterates, backtracking
+    candidates, later corrector iterates), which may become a branch point
+    (``_branch_point``)."""
     return _solve(field, lam, xi0, 0.0, field.problem.T, DEFAULT_TOL)
 
 
@@ -201,7 +249,8 @@ def _rms(X):
 
 def _period_maps(field, lams, X0):
     """xi(T) of every column of the (dim, N) array X0, column j at lambda
-    ``lams[j]``, from one lockstep RK45 run over all columns.
+    ``lams[j]``, from one lockstep RK45 run over all columns, and the
+    :class:`_DenseOutput` of column 0 over [0, T].
 
     Each column keeps its own time, step and accept/reject state under the
     Dormand-Prince 5(4) controller of ``solve_ivp(..., method="RK45",
@@ -210,10 +259,13 @@ def _period_maps(field, lams, X0):
     each column takes the steps its own ``solve_ivp`` call would.  Every
     attempt evaluates the field once per stage for all running columns,
     through ``G_batch`` and ``F_batch``; a column leaves the run when it
-    reaches T.  A step below ``solve_ivp``'s minimum (also after non-finite
+    reaches T.  Column 0 keeps the start, state and stages of each of its
+    accepted steps, from which its dense output is built as ``solve_ivp``
+    builds it.  A step below ``solve_ivp``'s minimum (also after non-finite
     stages, whose NaN error norm shrinks the step like any rejection) or a
     non-finite accepted state raises :class:`IntegrationError` at that
-    column's time.
+    column's time; a failing field evaluation raises it at the least time
+    of the running columns.
     """
     T = float(field.problem.T)
     tol = DEFAULT_TOL
@@ -231,6 +283,7 @@ def _period_maps(field, lams, X0):
     out = np.empty((dim, n))
     cols = np.arange(n)  # the running columns, in the order of Y's columns
     t = np.zeros(n)
+    ts0, Q0, y0_old = [0.0], [], []  # column 0's accepted steps
     with np.errstate(all="ignore"):
         try:
             f = rhs(t, Y)
@@ -281,6 +334,10 @@ def _period_maps(field, lams, X0):
                         raise IntegrationError(float(t_new[np.argmax(bad)]),
                                                "non-finite state")
                 fresh = accept
+                if cols[0] == 0 and accept[0]:
+                    ts0.append(t_new[0])
+                    y0_old.append(Y[:, 0])
+                    Q0.append(K[:, :, 0].T.dot(_P))
                 if accept.all():
                     t, Y, f = t_new, y_new, f_new
                 else:
@@ -295,8 +352,10 @@ def _period_maps(field, lams, X0):
                     Y, f, lam = Y[:, keep], f[:, keep], lam[keep]
                     K = np.empty((_STAGES + 1, dim, cols.size))
         except (ZeroDivisionError, OverflowError, ValueError) as exc:
-            raise IntegrationError(0.0, f"field evaluation failed: {exc}") from exc
-    return out
+            raise IntegrationError(float(t.min()),
+                                   f"field evaluation failed: {exc}") from exc
+    return out, _DenseOutput(ts=np.array(ts0), Q=np.array(Q0),
+                             y_old=np.array(y0_old), y_end=out[:, 0].copy())
 
 
 def period_map(field, lam: float, xi0) -> np.ndarray:
@@ -304,20 +363,26 @@ def period_map(field, lam: float, xi0) -> np.ndarray:
 
     The one-column case of the batched shooting integrator."""
     xi0 = chain.as_state(xi0, field.dim)
-    return _period_maps(field, [lam], xi0[:, None])[:, 0]
+    return _period_maps(field, [lam], xi0[:, None])[0][:, 0]
 
 
-def _perturbed_maps(field, lam, xi, lam_column):
-    """Period maps at the forward-difference perturbations of (lam, xi),
-    all in one ``_period_maps`` call: column j is the map of
-    xi + MONODROMY_STEP e_j at lam, after a first column with the map of xi
-    at lam + MONODROMY_STEP when ``lam_column`` is set."""
-    dim, lead = xi.size, int(lam_column)
+def _linearize(field, lam, xi, lam_column):
+    """The period map at (lam, xi) and its forward differences, from one
+    ``_period_maps`` run.
+
+    Column 0 of the run starts at xi; then, when ``lam_column`` is set, a
+    column starts at xi with lambda lam + MONODROMY_STEP; then one starts
+    at xi + MONODROMY_STEP e_j for each j.  Returns (xi(T), the dense output
+    of column 0, and the (dim, lam_column + dim) quotients
+    (P_j - xi(T)) / MONODROMY_STEP of the other columns' maps P_j)."""
+    dim, lead = xi.size, 1 + int(lam_column)
     X0 = np.repeat(xi[:, None], lead + dim, axis=1)
     X0[:, lead:] += MONODROMY_STEP * np.eye(dim)
     lams = np.full(lead + dim, float(lam))
-    lams[:lead] += MONODROMY_STEP
-    return _period_maps(field, lams, X0)
+    lams[1:lead] += MONODROMY_STEP
+    P, dense = _period_maps(field, lams, X0)
+    base = P[:, 0]
+    return base, dense, (P[:, 1:] - base[:, None]) / MONODROMY_STEP
 
 
 def newton_periodic(field, lam: float, guess,
@@ -334,8 +399,8 @@ def newton_periodic(field, lam: float, guess,
     xi = chain.as_state(guess, field.dim)
     if np.linalg.norm(xi, np.inf) > norm_max:
         raise NoConvergenceError(f"guess norm exceeds {norm_max}")
-    sol = _shoot(field, lam, xi)
-    p_base = sol.y[:, -1]
+    # the residual at the guess is the base column of its monodromy run
+    p_base, sol, M = _linearize(field, lam, xi, False)
     res_vec = p_base - xi
     res = float(np.linalg.norm(res_vec, np.inf))
     identity = np.eye(field.dim)
@@ -344,8 +409,8 @@ def newton_periodic(field, lam: float, guess,
         scale = 1.0 + float(np.linalg.norm(xi, np.inf))
         if res <= tol * scale:
             return _Accepted(float(lam), xi, res, sol)
-        M = (_perturbed_maps(field, lam, xi, False)
-             - p_base[:, None]) / MONODROMY_STEP
+        if M is None:
+            M = _linearize(field, lam, xi, False)[2]
         eigs = np.linalg.eigvals(M)
         if np.min(np.abs(eigs - 1.0)) <= SINGULAR_TOL:
             raise SingularJacobianError(
@@ -361,11 +426,10 @@ def newton_periodic(field, lam: float, guess,
             cand = xi + step * delta
             if np.linalg.norm(cand, np.inf) <= norm_max:
                 sol_cand = _shoot(field, lam, cand)
-                p_cand = sol_cand.y[:, -1]
-                r_cand = p_cand - cand
+                r_cand = sol_cand.y_end - cand
                 rn = float(np.linalg.norm(r_cand, np.inf))
                 if rn < res:
-                    xi, sol, p_base = cand, sol_cand, p_cand
+                    xi, sol, M = cand, sol_cand, None
                     res_vec, res = r_cand, rn
                     improved = True
                     break
@@ -410,17 +474,22 @@ def _corrector(field, z_pred, tangent, params):
     Returns (z, iterations, the accepted starting point at z)."""
     dim = field.dim
 
-    def residual(z):
-        sol = _shoot(field, z[0], z[1:])
-        return sol.y[:, -1] - z[1:], sol
+    def jacobian(z):
+        try:
+            base, dense, D = _linearize(field, z[0], z[1:], True)
+        except (IntegrationError, ValueError):
+            raise _CorrectorFail("Jacobian evaluation failed")
+        J = np.empty((dim + 1, dim + 1))
+        J[:dim] = D
+        J[:dim, 1:] -= np.eye(dim)
+        J[dim] = tangent
+        return J, base, dense
 
     z = z_pred.copy()
-    try:
-        R, sol = residual(z)
-    except (IntegrationError, ValueError):
-        raise _CorrectorFail("residual evaluation failed at predictor")
+    # the residual at the predictor is the base column of its Jacobian run
+    J, base, sol = jacobian(z)
+    R = base - z[1:]
     full = np.concatenate((R, [0.0]))
-    J = None
     iters_used = 0
     for it in range(10):
         iters_used = it
@@ -430,15 +499,7 @@ def _corrector(field, z_pred, tangent, params):
             return z, it, _Accepted(z[0], z[1:], float(np.linalg.norm(R, np.inf)),
                                     sol)
         if J is None:
-            J = np.empty((dim + 1, dim + 1))
-            base = R + z[1:]  # = period_map at z
-            try:
-                P = _perturbed_maps(field, z[0], z[1:], True)
-            except (IntegrationError, ValueError):
-                raise _CorrectorFail("Jacobian evaluation failed")
-            J[:dim, 0] = (P[:, 0] - z[1:] - R) / MONODROMY_STEP
-            J[:dim, 1:] = (P[:, 1:] - base[:, None]) / MONODROMY_STEP - np.eye(dim)
-            J[dim, :] = tangent
+            J = jacobian(z)[0]
         try:
             delta = np.linalg.solve(J, -full)
         except np.linalg.LinAlgError:
@@ -447,9 +508,10 @@ def _corrector(field, z_pred, tangent, params):
         if np.linalg.norm(z[1:], np.inf) > 10.0 * params.norm_max:
             raise _CorrectorFail("corrector iterate diverged")
         try:
-            R, sol = residual(z)
+            sol = _shoot(field, z[0], z[1:])
         except (IntegrationError, ValueError):
             raise _CorrectorFail("residual evaluation failed")
+        R = sol.y_end - z[1:]
         full = np.concatenate((R, [tangent @ (z - z_pred)]))
         if it == 4 and float(np.linalg.norm(full, np.inf)) > 1e3 * params.newton_tol * scale:
             J = None  # refresh a stalling Jacobian once
@@ -591,7 +653,7 @@ def trace_from_zero(field, u_bar: float, params: ContinuationParams) -> BranchTr
 
     def trivial_only(status: str, reason: str = "") -> BranchTrace:
         sol = _shoot(field, 0.0, lifted)
-        residual = float(np.linalg.norm(sol.y[:, -1] - lifted, np.inf))
+        residual = float(np.linalg.norm(sol.y_end - lifted, np.inf))
         return BranchTrace([_branch_point(field, _Accepted(0.0, lifted, residual, sol))],
                            status, status, reason)
 

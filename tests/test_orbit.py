@@ -59,6 +59,15 @@ class TestIntegrate:
                          0.0, 1.0)
         assert np.all(np.isfinite(traj.ys))
 
+    def test_field_failure_reports_stage_time(self):
+        # x0 turns negative near t = 0.0100548; the scalar x0^0.5 raises a
+        # math domain error at the stage time 0.0101768
+        f = chain.expand(ProblemSpec.from_strings("x0^0.5 - x2", "q-p", "1",
+                                                  1.0, 1, 1.0))
+        with pytest.raises(IntegrationError, match="field evaluation failed") as err:
+            integrate(f, 1.0, np.array([0.01, -1.0, 0.0]), 0.0, 1.0)
+        assert 0.0100 < err.value.time < 0.0103
+
     def test_divergence_reports_time(self):
         # xddot = x^3: blows up in finite time from a large start
         p = ProblemSpec.from_strings("x0^3", "0*p", "sin(2*pi*t)", 1.0, 1, 1.0)
@@ -96,13 +105,40 @@ class TestPeriodMap:
             1 + np.linalg.norm(sp.xi0, np.inf))
 
 
-def reference_solve(field, lam, xi0):
+def reference_solve(field, lam, xi0, dense_output=False):
     """One period from xi0 by solve_ivp's RK45, as each column of
     ``orbit._period_maps`` is integrated."""
     G, F = field.G, field.F
     return solve_ivp(lambda t, y: G(y) + lam * F(t, y), (0.0, field.problem.T),
                      xi0, method="RK45", rtol=orbit.DEFAULT_TOL,
-                     atol=orbit.DEFAULT_TOL)
+                     atol=orbit.DEFAULT_TOL, dense_output=dense_output)
+
+
+WORKLOAD_FIELDS = {name: chain.expand(ProblemSpec.from_strings(
+    "-x0*(1+x2)", "q-p", f"1+x*sin({arg})", a, b, T))
+    for name, a, b, T, arg in (("example", 2.0, 2, 1.0, "2*pi*t"),
+                               ("long_chain", 8.0, 8, 1.0, "2*pi*t"),
+                               ("long_period", 8.0, 4, 4.0, "2*pi*t/4"))}
+
+
+class TestDenseOutput:
+    @pytest.mark.parametrize("name", sorted(WORKLOAD_FIELDS))
+    def test_matches_ode_solution(self, name):
+        field = WORKLOAD_FIELDS[name]
+        xi0 = np.linspace(0.3, -0.2, field.dim)
+        sol = reference_solve(field, 0.1, xi0, dense_output=True)
+        dense = orbit._DenseOutput.of(sol)
+        T = field.problem.T
+        # uniform samples, every step boundary and every step midpoint
+        ts = np.concatenate((T * np.arange(orbit.DENSE_SAMPLES) / orbit.DENSE_SAMPLES,
+                             sol.t, 0.5 * (sol.t[1:] + sol.t[:-1])))
+        ref = sol.sol(ts)
+        assert dense(ts).shape == ref.shape
+        assert np.max(np.abs(dense(ts) - ref)) <= 1e-13 * (1 + np.max(np.abs(ref)))
+        for t in sol.t:
+            y = sol.sol(t)
+            assert np.max(np.abs(dense(t) - y)) <= 1e-13 * (1 + np.max(np.abs(y)))
+        assert np.array_equal(dense.y_end, sol.y[:, -1])
 
 
 class TestPeriodMaps:
@@ -124,6 +160,24 @@ class TestPeriodMaps:
             signal.alarm(0)
             signal.signal(signal.SIGALRM, previous)
 
+    def test_field_failure_reports_running_time(self):
+        # a batched field that raises where x0^0.5 turns NaN: the failure
+        # is reported at the running column's time, just before x0 < 0
+        f = chain.expand(ProblemSpec.from_strings("x0^0.5 - x2", "q-p", "1",
+                                                  1.0, 1, 1.0))
+        G_batch = f.G_batch
+
+        def strict(X):
+            out = G_batch(X)
+            if not np.isfinite(out).all():
+                raise ValueError("math domain error")
+            return out
+
+        with pytest.raises(IntegrationError, match="field evaluation failed") as err:
+            period_map(dataclasses.replace(f, G_batch=strict), 1.0,
+                       np.array([0.01, -1.0, 0.0]))
+        assert 0.009 < err.value.time < 0.0100548
+
     def test_blow_up_fails_where_solve_ivp_does(self):
         p = ProblemSpec.from_strings("x0^3", "0*p", "sin(2*pi*t)", 1.0, 1, 1.0)
         f = chain.expand(p)
@@ -137,9 +191,10 @@ class TestPeriodMaps:
 
 
 @st.composite
-def lockstep_problems(draw):
+def lockstep_problems(draw, equilibrium=True):
     """A cubic-g problem and the columns of one lockstep run: random states
-    at distinct lambdas, plus the equilibrium 0 at lambda = 0."""
+    at distinct lambdas, after the equilibrium 0 at lambda = 0 in column 0
+    when ``equilibrium`` is set."""
     c1, c2, c3, d, e = (draw(st.floats(lo, hi)) for lo, hi in
                         ((-2.0, 1.0), (-1.0, 1.0), (0.2, 1.0), (0.0, 1.0), (-1.0, 1.0)))
     T = draw(st.sampled_from([0.5, 1.0, 4.0]))
@@ -152,6 +207,8 @@ def lockstep_problems(draw):
     lams = draw(st.lists(st.floats(0.05, 1.0), min_size=n, max_size=n, unique=True))
     X0 = np.array([draw(st.lists(st.floats(-1.0, 1.0), min_size=dim, max_size=dim))
                    for _ in range(n)]).T
+    if not equilibrium:
+        return p, np.array(lams), X0
     return p, np.array([0.0] + lams), np.hstack([np.zeros((dim, 1)), X0])
 
 
@@ -173,7 +230,7 @@ def test_period_maps_match_solve_ivp_per_column(case):
         with pytest.raises(IntegrationError):
             orbit._period_maps(field, lams, X0)
         return
-    P = orbit._period_maps(field, lams, X0)
+    P, _ = orbit._period_maps(field, lams, X0)
     for j, sol in enumerate(refs):
         y = sol.y[:, -1]
         assert np.max(np.abs(P[:, j] - y)) <= 1e-12 * (1.0 + np.max(np.abs(y)))
@@ -187,6 +244,25 @@ def test_period_maps_match_solve_ivp_per_column(case):
     assert attempts[0] < min(attempts[1:])  # the equilibrium finishes first
 
 
+@settings(derandomize=True, deadline=None, max_examples=25)
+@given(case=lockstep_problems(equilibrium=False))
+def test_column_zero_dense_output_matches_solve_ivp(case):
+    # column 0 is a forced random state at lambda >= 0.05, never at rest
+    p, lams, X0 = case
+    field = chain.expand(p)
+    refs = [reference_solve(field, lam, x, dense_output=True)
+            for lam, x in zip(lams, X0.T)]
+    if not all(sol.success for sol in refs):
+        with pytest.raises(IntegrationError):
+            orbit._period_maps(field, lams, X0)
+        return
+    P, dense = orbit._period_maps(field, lams, X0)
+    traj = orbit._trajectory(dense, 0.0, p.T)
+    ref = refs[0].sol(traj.ts).T
+    assert np.max(np.abs(traj.ys - ref)) <= 1e-12 * (1.0 + np.max(np.abs(ref)))
+    assert np.array_equal(dense.y_end, P[:, 0])
+
+
 class TestShootingWork:
     """Each shooting Jacobian is one batched period-map run."""
 
@@ -198,7 +274,7 @@ class TestShootingWork:
         def recorded_maps(field, lams, X0):
             before = len(solves)
             out = period_maps(field, lams, X0)
-            runs.append((X0.shape[1], tuple(lams), len(solves) - before))
+            runs.append((X0.shape[1], tuple(lams), len(solves) - before, out[1]))
             return out
 
         def counted_solve(*args, **kwargs):
@@ -209,26 +285,50 @@ class TestShootingWork:
         monkeypatch.setattr(orbit, "solve_ivp", counted_solve)
         return runs, solves
 
-    def test_corrector_jacobian_is_one_run(self, example_field, monkeypatch):
-        sp = newton_periodic(example_field, 0.01, lifted_zero(example_field.problem, 0.0))
-        z = np.concatenate(([sp.lam], sp.xi0))
-        tangent = np.zeros(example_field.dim + 1)
+    @staticmethod
+    def converged_point(field):
+        sp = newton_periodic(field, 0.01, lifted_zero(field.problem, 0.0))
+        tangent = np.zeros(field.dim + 1)
         tangent[0] = 1.0
+        return np.concatenate(([sp.lam], sp.xi0)), tangent
+
+    def test_corrector_jacobian_is_one_run(self, example_field, monkeypatch):
+        z, tangent = self.converged_point(example_field)
         runs, solves = self.record(monkeypatch)
         z_new, iters, _ = orbit._corrector(example_field, z + 0.005 * tangent,
                                            tangent, ContinuationParams())
         assert z_new[0] == pytest.approx(0.015, abs=1e-12)
+        assert iters >= 1
         dim = example_field.dim
-        # the lambda column first, then the dim monodromy columns
-        assert runs == [(dim + 1, (z[0] + 0.005 + orbit.MONODROMY_STEP,)
-                         + (z[0] + 0.005,) * dim, 0)]
-        assert len(solves) == iters + 1  # the residual solves only
+        z0 = z[0] + 0.005
+        # the unperturbed column, the lambda column, the dim monodromy columns
+        assert [r[:3] for r in runs] == [
+            (dim + 2, (z0, z0 + orbit.MONODROMY_STEP) + (z0,) * dim, 0)]
+        # the predictor's residual rode in the run; each iterate has a solve
+        assert len(solves) == iters
+
+    def test_converged_predictor_accepts_the_run_solution(self, example_field,
+                                                          monkeypatch):
+        z, tangent = self.converged_point(example_field)
+        runs, solves = self.record(monkeypatch)
+        z_new, iters, acc = orbit._corrector(example_field, z, tangent,
+                                             ContinuationParams())
+        assert iters == 0 and np.array_equal(z_new, z) and solves == []
+        assert len(runs) == 1 and acc.solution is runs[0][3]
+        bp = orbit._branch_point(example_field, acc)
+        fresh = orbit_metrics(integrate(example_field, z[0], z[1:], 0.0, 1.0))
+        assert bp.sup_norm == pytest.approx(fresh[0], abs=1e-12)
+        assert bp.diameter == pytest.approx(fresh[1], abs=1e-12)
 
     def test_newton_monodromy_is_one_run(self, example_field, monkeypatch):
-        runs, _ = self.record(monkeypatch)
+        runs, solves = self.record(monkeypatch)
         newton_periodic(example_field, 0.05, np.zeros(4))
-        assert runs
-        assert all(r == (4, (0.05,) * 4, 0) for r in runs)
+        # the unperturbed column first, then the dim monodromy columns; the
+        # guess's residual rode in the first run, and each full Newton step
+        # shoots one candidate
+        assert len(runs) >= 2
+        assert all(r[:3] == (5, (0.05,) * 5, 0) for r in runs)
+        assert len(solves) == len(runs)
 
 
 class TestNewtonPeriodic:
