@@ -6,8 +6,8 @@ R^(b+2), with state ordered (u, v0, v1, ..., vb) = (x, xdot, chain stages).
 Constant solutions of the second-order equation correspond to zeros of
 G through ``lifted_zero``.  G is the one field of a problem: the
 integrator, the Lipschitz sampler and the degree cross-check all read it,
-the last two through its column-batched form ``G_batch``; the batched
-period maps of the shooting Jacobians read ``G_batch`` and ``F_batch``.
+the last two through its column-batched form ``G_batch``; the stacked
+runs of the shooting Jacobians read ``G_batch`` and ``F_batch``.
 """
 from __future__ import annotations
 
@@ -86,8 +86,8 @@ class ExpandedField:
     (nonzero only in the xdot component).  ``G_batch`` is G on columns: it
     maps a (dim, N) array of states to the (dim, N) array of their images,
     for evaluating many states in one call (box samples, finite-difference
-    Jacobians).  ``F_batch(t, X)`` is F on columns, with one time per
-    column in the (N,) array t.
+    Jacobians).  ``F_batch(t, X)`` is F on columns at the scalar time t,
+    or with one time per column in an (N,) array t.
     """
 
     dim: int

@@ -3,7 +3,7 @@
 Subcommands: ``analyze`` (degree + multiplicity reports as JSON),
 ``branch`` (trace starting-point branches from every zero the scan finds,
 certified or not, one CSV per seed plus a summary JSON), ``verify``
-(oracle cross-check of a branch CSV).  Exit codes: 1 config,
+(oracle cross-check of a branch CSV).  Exit codes: 1 config or usage,
 2 admissibility, 3 numerical, 4 CSV schema mismatch.
 """
 from __future__ import annotations
@@ -86,9 +86,11 @@ def _integer(d: dict, key: str, path: str) -> int:
 def load_config(path) -> RunConfig:
     """Parse and validate a JSON run configuration."""
     try:
-        raw = json.loads(Path(path).read_text())
+        raw = json.loads(Path(path).read_text(encoding="utf-8"))
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}") from None
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"invalid JSON in {path}: {exc}") from exc
     _require_keys(raw, _TOP_KEYS, {"problem", "interval"}, "top level")
@@ -167,9 +169,11 @@ def write_branch_csv(path, b: int, points: list[orbit.BranchPoint]):
 def read_branch_csv(path, b: int) -> list[orbit.BranchPoint]:
     """Parse a branch CSV; raises :class:`SchemaError` on mismatch."""
     try:
-        text = Path(path).read_text()
+        text = Path(path).read_text(encoding="utf-8")
     except FileNotFoundError:
         raise SchemaError(f"branch CSV not found: {path}") from None
+    except (OSError, UnicodeDecodeError) as exc:
+        raise SchemaError(f"cannot read branch CSV {path}: {exc}") from exc
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines or lines[0].strip() != _csv_header(b):
         raise SchemaError(f"unexpected CSV header in {path}")
@@ -291,7 +295,13 @@ def main(argv=None) -> int:
     pv.add_argument("--config", required=True)
     pv.add_argument("--out", default=None, help="directory for JSON output")
 
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:
+        if exc.code != 2:  # -h
+            raise
+        # argparse printed the usage error; its code 2 is the admissibility code
+        return EXIT_CONFIG
     try:
         cfg = load_config(args.config)
         if args.command == "analyze":

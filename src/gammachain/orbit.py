@@ -7,15 +7,13 @@ monodromy matrix; branches of starting points in (lambda, xi) are traced
 with pseudo-arclength continuation (secant predictor, bordered Newton
 corrector), so folds in lambda are traversed.
 
-A shooting Jacobian goes through ``_period_maps``, which integrates the
-unperturbed column, the monodromy columns and, in the corrector, the lambda
-column in one lockstep RK45 run on the column-batched field, each column
-under the step control of its own ``solve_ivp`` call.  Column 0 of the run
-is the unperturbed one and carries its dense output, so the first residual
-of each corrector and each Newton solve rides in its Jacobian run;
-``period_map`` is the one-column case.  The later residuals and
-``integrate`` are ``solve_ivp`` solves.  Both kinds of dense output are
-evaluated by one vectorized quartic interpolant (``_DenseOutput``).
+There is one integrator, ``solve_ivp``'s RK45, behind ``_solve``.  A
+residual or ``integrate`` is one solve on the scalar field.  A shooting
+Jacobian is one solve of the unperturbed column, the monodromy columns and,
+in the corrector, the lambda column, stacked into one state and evaluated
+on the column-batched field; the first residual of each corrector and each
+Newton solve is its column 0.  Dense output of a solve, or of its column 0,
+is evaluated by one vectorized quartic interpolant (``_DenseOutput``).
 """
 from __future__ import annotations
 
@@ -24,7 +22,7 @@ from dataclasses import dataclass, fields, replace
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import RK45, solve_ivp
+from scipy.integrate import solve_ivp
 
 from . import chain
 
@@ -39,13 +37,6 @@ DEFAULT_TOL = 1e-10
 MONODROMY_STEP = 1e-7
 SINGULAR_TOL = 1e-6  # |eig(M) - 1| below this flags the phase-shift degeneracy
 SEED_LAMBDA = 1e-3  # lambda of the first corrected point next to a zero
-
-# the Dormand-Prince 5(4) pair and step controller of solve_ivp's RK45
-_STAGES = RK45.n_stages
-_A_ROWS = [RK45.A[s, :s] for s in range(_STAGES)]
-_B, _C, _E, _P = RK45.B, RK45.C, RK45.E, RK45.P
-_ERROR_EXPONENT = -1 / (RK45.error_estimator_order + 1)
-_SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
 
 
 class IntegrationError(RuntimeError):
@@ -156,10 +147,11 @@ class _DenseOutput:
     On step k, from ``ts[k]`` to ``ts[k+1]`` with h = ts[k+1] - ts[k] and
     x = (t - ts[k]) / h, the solution is the Dormand-Prince quartic
     interpolant ``y_old[k] + h * Q[k] @ (x, x^2, x^3, x^4)``, with
-    Q[k] = K^T ``RK45.P`` for the step's stages K (Hairer, Norsett & Wanner,
-    Solving ODEs I, II.6).  A time on a step boundary takes the earlier
-    step, and times outside [ts[0], ts[-1]] extrapolate the first or last
-    step, as in ``OdeSolution``.  ``y_end`` is the state at ``ts[-1]``.
+    Q[k] = K^T P for the step's stages K and RK45's interpolation matrix P
+    (Hairer, Norsett & Wanner, Solving ODEs I, II.6).  A time on a step
+    boundary takes the earlier step, and times outside [ts[0], ts[-1]]
+    extrapolate the first or last step, as in ``OdeSolution``.  ``y_end``
+    is the state at ``ts[-1]``.
     """
 
     ts: np.ndarray
@@ -168,14 +160,15 @@ class _DenseOutput:
     y_end: np.ndarray
 
     @classmethod
-    def of(cls, sol):
-        """The dense output of a ``solve_ivp(..., dense_output=True)`` result,
-        from its ``RkDenseOutput`` pieces."""
+    def of(cls, sol, dim):
+        """The dense output of the first ``dim`` components of a
+        ``solve_ivp(..., dense_output=True)`` result, from its
+        ``RkDenseOutput`` pieces."""
         pieces = sol.sol.interpolants
         return cls(ts=np.asarray(sol.sol.ts, dtype=float),
-                   Q=np.array([piece.Q for piece in pieces]),
-                   y_old=np.array([piece.y_old for piece in pieces]),
-                   y_end=sol.y[:, -1].copy())
+                   Q=np.array([piece.Q[:dim] for piece in pieces]),
+                   y_old=np.array([piece.y_old[:dim] for piece in pieces]),
+                   y_end=sol.y[:dim, -1].copy())
 
     def __call__(self, t):
         """y(t): shape (dim,) for a scalar t, (dim, len(t)) for an array."""
@@ -190,29 +183,51 @@ class _DenseOutput:
         return y[:, 0] if t.ndim == 0 else y
 
 
-def _solve(field, lam, xi0, t0, t1, tol) -> _DenseOutput:
-    xi0 = chain.as_state(xi0, field.dim)
-    G = field.G
-    F = field.F
+def _solve(fun, y0, t0, t1, tol):
+    """``solve_ivp``'s RK45 for y' = fun(t, y) from y0 over [t0, t1], with
+    dense output; every failure raises :class:`IntegrationError`.
+
+    Floating-point warnings are off, so a non-finite stage is a rejected
+    step that shrinks the step until the solve fails.  A non-finite
+    derivative at the start (from which ``solve_ivp`` would never return),
+    a field evaluation that raises (at that stage's time), an unsuccessful
+    solve (at its last time) and a non-finite end state are errors.
+    """
     t_stage = t0  # the time of the latest field evaluation
 
     def rhs(t, y):
         nonlocal t_stage
         t_stage = t
-        return G(y) + lam * F(t, y) if lam else G(y)
+        return fun(t, y)
 
-    try:
-        sol = solve_ivp(rhs, (t0, t1), xi0, method="RK45",
-                        rtol=tol, atol=tol, dense_output=True)
-    except (ZeroDivisionError, OverflowError, ValueError) as exc:
-        raise IntegrationError(float(t_stage),
-                               f"field evaluation failed: {exc}") from exc
+    with np.errstate(all="ignore"):
+        try:
+            if not np.isfinite(fun(t0, y0)).all():
+                raise IntegrationError(t0, "non-finite field at the start")
+            sol = solve_ivp(rhs, (t0, t1), y0, method="RK45",
+                            rtol=tol, atol=tol, dense_output=True)
+        except (ZeroDivisionError, OverflowError, ValueError) as exc:
+            raise IntegrationError(float(t_stage),
+                                   f"field evaluation failed: {exc}") from exc
     if not sol.success:
         t_fail = float(sol.t[-1]) if sol.t.size else t0
         raise IntegrationError(t_fail, sol.message)
     if not np.all(np.isfinite(sol.y[:, -1])):
         raise IntegrationError(float(sol.t[-1]), "non-finite state")
-    return _DenseOutput.of(sol)
+    return sol
+
+
+def _single(field, lam, xi0, t0, t1, tol) -> _DenseOutput:
+    """One solve of xi' = G(xi) + lam*F(t, xi) on the scalar field."""
+    G, F = field.G, field.F
+    if lam:
+        def fun(t, y):
+            return G(y) + lam * F(t, y)
+    else:
+        def fun(t, y):
+            return G(y)
+    sol = _solve(fun, chain.as_state(xi0, field.dim), t0, t1, tol)
+    return _DenseOutput.of(sol, field.dim)
 
 
 def _trajectory(dense: _DenseOutput, t0, t1) -> Trajectory:
@@ -231,7 +246,7 @@ def integrate(field, lam: float, xi0, t0: float, t1: float,
     """
     if not t1 > t0:
         raise ValueError("need t1 > t0")
-    return _trajectory(_solve(field, lam, xi0, t0, t1, tol), t0, t1)
+    return _trajectory(_single(field, lam, xi0, t0, t1, tol), t0, t1)
 
 
 def _shoot(field, lam, xi0) -> _DenseOutput:
@@ -239,150 +254,46 @@ def _shoot(field, lam, xi0) -> _DenseOutput:
     residual away from a Jacobian point (Newton iterates, backtracking
     candidates, later corrector iterates), which may become a branch point
     (``_branch_point``)."""
-    return _solve(field, lam, xi0, 0.0, field.problem.T, DEFAULT_TOL)
-
-
-def _rms(X):
-    """RMS norm of each column, as ``solve_ivp`` measures one state."""
-    return np.sqrt(np.einsum("ij,ij->j", X, X)) / X.shape[0] ** 0.5
-
-
-def _period_maps(field, lams, X0):
-    """xi(T) of every column of the (dim, N) array X0, column j at lambda
-    ``lams[j]``, from one lockstep RK45 run over all columns, and the
-    :class:`_DenseOutput` of column 0 over [0, T].
-
-    Each column keeps its own time, step and accept/reject state under the
-    Dormand-Prince 5(4) controller of ``solve_ivp(..., method="RK45",
-    rtol=atol=DEFAULT_TOL)`` (Hairer, Norsett & Wanner, Solving ODEs I,
-    II.4): the same initial step, tableau, error norm and step factors, so
-    each column takes the steps its own ``solve_ivp`` call would.  Every
-    attempt evaluates the field once per stage for all running columns,
-    through ``G_batch`` and ``F_batch``; a column leaves the run when it
-    reaches T.  Column 0 keeps the start, state and stages of each of its
-    accepted steps, from which its dense output is built as ``solve_ivp``
-    builds it.  A step below ``solve_ivp``'s minimum (also after non-finite
-    stages, whose NaN error norm shrinks the step like any rejection) or a
-    non-finite accepted state raises :class:`IntegrationError` at that
-    column's time; a failing field evaluation raises it at the least time
-    of the running columns.
-    """
-    T = float(field.problem.T)
-    tol = DEFAULT_TOL
-    lam = np.asarray(lams, dtype=float)
-    Y = np.array(X0, dtype=float)
-    dim, n = Y.shape
-    G, F = field.G_batch, field.F_batch
-    if np.any(lam):
-        def rhs(t, X):
-            return G(X) + lam * F(t, X)
-    else:
-        def rhs(t, X):
-            return G(X)
-
-    out = np.empty((dim, n))
-    cols = np.arange(n)  # the running columns, in the order of Y's columns
-    t = np.zeros(n)
-    ts0, Q0, y0_old = [0.0], [], []  # column 0's accepted steps
-    with np.errstate(all="ignore"):
-        try:
-            f = rhs(t, Y)
-            if not np.isfinite(f).all():
-                raise IntegrationError(0.0, "non-finite field at the start")
-            # solve_ivp's initial step (scipy's select_initial_step)
-            scale = tol + np.abs(Y) * tol
-            d0, d1 = _rms(Y / scale), _rms(f / scale)
-            h0 = np.fmin(np.where((d0 < 1e-5) | (d1 < 1e-5), 1e-6, 0.01 * d0 / d1), T)
-            d2 = _rms((rhs(h0, Y + h0 * f) - f) / scale) / h0
-            h1 = np.where((d1 <= 1e-15) & (d2 <= 1e-15), np.fmax(1e-6, h0 * 1e-3),
-                          (0.01 / np.fmax(d1, d2)) ** -_ERROR_EXPONENT)
-            h = np.fmin(np.fmin(100 * h0, h1), T)
-            fresh = np.ones(n, dtype=bool)  # the last attempt was accepted
-            K = np.empty((_STAGES + 1, dim, n))
-            while cols.size:
-                m = cols.size
-                K2 = K.reshape(_STAGES + 1, dim * m)
-                min_step = 10 * np.spacing(t)
-                if not (h >= min_step).all():
-                    # min_step clips only a fresh step; a retried one fails
-                    h = np.where(fresh & (h < min_step), min_step, h)
-                    small = ~(h >= min_step)
-                    if small.any():
-                        raise IntegrationError(float(t[np.argmax(small)]),
-                                               "Required step size is less than "
-                                               "spacing between numbers.")
-                t_new = np.fmin(t + h, T)
-                step = t_new - t
-                K[0] = f
-                for s in range(1, _STAGES):
-                    dy = np.dot(K2[:s].T, _A_ROWS[s]).reshape(dim, m) * step
-                    K[s] = rhs(t + _C[s] * step, Y + dy)
-                y_new = Y + step * np.dot(K2[:_STAGES].T, _B).reshape(dim, m)
-                f_new = K[_STAGES] = rhs(t + step, y_new)
-                scale = tol + np.maximum(np.abs(Y), np.abs(y_new)) * tol
-                error_norm = _rms(np.dot(K2.T, _E).reshape(dim, m) * step / scale)
-                factor = _SAFETY * error_norm ** _ERROR_EXPONENT
-                accept = error_norm < 1
-                # scipy's min/max factor clips, NaN-safe: a NaN error norm
-                # rejects the step and shrinks it by MIN_FACTOR
-                h = step * np.where(accept,
-                                    np.fmin(np.where(fresh, _MAX_FACTOR, 1.0), factor),
-                                    np.fmax(_MIN_FACTOR, factor))
-                if not np.isfinite(y_new).all():
-                    bad = accept & ~np.isfinite(y_new).all(axis=0)
-                    if bad.any():
-                        raise IntegrationError(float(t_new[np.argmax(bad)]),
-                                               "non-finite state")
-                fresh = accept
-                if cols[0] == 0 and accept[0]:
-                    ts0.append(t_new[0])
-                    y0_old.append(Y[:, 0])
-                    Q0.append(K[:, :, 0].T.dot(_P))
-                if accept.all():
-                    t, Y, f = t_new, y_new, f_new
-                else:
-                    t = np.where(accept, t_new, t)
-                    Y = np.where(accept, y_new, Y)
-                    f = np.where(accept, f_new, f)
-                done = t == T
-                if done.any():
-                    out[:, cols[done]] = Y[:, done]
-                    keep = ~done
-                    cols, t, h, fresh = cols[keep], t[keep], h[keep], fresh[keep]
-                    Y, f, lam = Y[:, keep], f[:, keep], lam[keep]
-                    K = np.empty((_STAGES + 1, dim, cols.size))
-        except (ZeroDivisionError, OverflowError, ValueError) as exc:
-            raise IntegrationError(float(t.min()),
-                                   f"field evaluation failed: {exc}") from exc
-    return out, _DenseOutput(ts=np.array(ts0), Q=np.array(Q0),
-                             y_old=np.array(y0_old), y_end=out[:, 0].copy())
+    return _single(field, lam, xi0, 0.0, field.problem.T, DEFAULT_TOL)
 
 
 def period_map(field, lam: float, xi0) -> np.ndarray:
-    """xi(T) for the solution starting at xi0; T from the field's problem.
-
-    The one-column case of the batched shooting integrator."""
-    xi0 = chain.as_state(xi0, field.dim)
-    return _period_maps(field, [lam], xi0[:, None])[0][:, 0]
+    """xi(T) for the solution starting at xi0; T from the field's problem."""
+    return _shoot(field, lam, xi0).y_end
 
 
 def _linearize(field, lam, xi, lam_column):
     """The period map at (lam, xi) and its forward differences, from one
-    ``_period_maps`` run.
+    solve of the stacked columns.
 
-    Column 0 of the run starts at xi; then, when ``lam_column`` is set, a
-    column starts at xi with lambda lam + MONODROMY_STEP; then one starts
-    at xi + MONODROMY_STEP e_j for each j.  Returns (xi(T), the dense output
-    of column 0, and the (dim, lam_column + dim) quotients
-    (P_j - xi(T)) / MONODROMY_STEP of the other columns' maps P_j)."""
+    Column 0 starts at xi; then, when ``lam_column`` is set, a column starts
+    at xi with lambda lam + MONODROMY_STEP; then one starts at
+    xi + MONODROMY_STEP e_j for each j.  The N columns are one state of
+    length dim*N, column after column, integrated by one ``_solve`` under
+    one step control (internal numerical differentiation, Bock 1981), and
+    each stage evaluates ``G_batch`` and ``F_batch`` once on the (dim, N)
+    view.  Returns (xi(T), the dense output of column 0, and the
+    (dim, lam_column + dim) quotients (P_j - xi(T)) / MONODROMY_STEP of the
+    other columns' maps P_j)."""
     dim, lead = xi.size, 1 + int(lam_column)
-    X0 = np.repeat(xi[:, None], lead + dim, axis=1)
+    n = lead + dim
+    X0 = np.repeat(xi[:, None], n, axis=1)
     X0[:, lead:] += MONODROMY_STEP * np.eye(dim)
-    lams = np.full(lead + dim, float(lam))
+    lams = np.full(n, float(lam))
     lams[1:lead] += MONODROMY_STEP
-    P, dense = _period_maps(field, lams, X0)
+    G, F = field.G_batch, field.F_batch
+    # the lambda column is forced even at lam = 0
+    if np.any(lams):
+        def fun(t, y):
+            X = y.reshape(dim, n, order="F")
+            return (G(X) + lams * F(t, X)).ravel(order="F")
+    else:
+        def fun(t, y):
+            return G(y.reshape(dim, n, order="F")).ravel(order="F")
+    sol = _solve(fun, X0.ravel(order="F"), 0.0, field.problem.T, DEFAULT_TOL)
+    P = sol.y[:, -1].reshape(dim, n, order="F")
     base = P[:, 0]
-    return base, dense, (P[:, 1:] - base[:, None]) / MONODROMY_STEP
+    return base, _DenseOutput.of(sol, dim), (P[:, 1:] - base[:, None]) / MONODROMY_STEP
 
 
 def newton_periodic(field, lam: float, guess,

@@ -5,8 +5,10 @@ per-sample Lipschitz estimate) that the library's fast paths are checked
 against."""
 from __future__ import annotations
 
+import contextlib
 import itertools
 import math
+import signal
 
 import numpy as np
 
@@ -20,6 +22,21 @@ EXAMPLE = dict(g="-x0*(1+x2)", phi="q-p", f="1+x*sin(2*pi*t)", a=2.0, b=2, T=1.0
 
 def example_problem() -> ProblemSpec:
     return ProblemSpec.from_strings(**EXAMPLE)
+
+
+@contextlib.contextmanager
+def deadline(seconds):
+    """Fail a call that is still running after ``seconds`` instead of hanging."""
+    def stalled(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, stalled)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def refuse_second_branch_point(monkeypatch):

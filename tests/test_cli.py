@@ -78,6 +78,19 @@ class TestLoadConfig:
         with pytest.raises(ConfigError):
             load_config(tmp_path / "nope.json")
 
+    @pytest.mark.parametrize("kind", ["directory", "not-utf8"])
+    def test_unreadable_config_is_config_error(self, tmp_path, capsys, kind):
+        if kind == "directory":
+            path = tmp_path / "config.json"
+            path.mkdir()
+        else:
+            path = tmp_path / "latin1.json"
+            path.write_bytes(b'{"problem": "\xff"}')
+        with pytest.raises(ConfigError, match="cannot read config"):
+            load_config(path)
+        assert main(["analyze", "--config", str(path)]) == 1
+        assert capsys.readouterr().err.startswith("config error: cannot read config")
+
     def test_rejects_bool_as_number(self, tmp_path):
         doc = json.loads(json.dumps(EXAMPLE_CONFIG))
         doc["problem"]["a"] = True
@@ -255,13 +268,13 @@ class TestBranch:
     def test_integration_error_escapes_the_seed_loop(self, tmp_path):
         # the failure reproducer of perfbench/selftest.py (check 1), which
         # counts on this error leaving cmd_branch; the seed Newton at the
-        # zero u = 1 blows up at t = 2.47632
+        # zero u = 1 blows up at t = 2.47631
         doc = {"problem": {"g": "x0^5 - x0", "phi": "q-p", "f": "50",
                            "a": 2.0, "b": 2, "T": 5.0},
                "interval": {"alpha": -1.5, "beta": 1.5, "grid_n": 200},
                "certify": {"radius": 0.1}}
         cfg = load_config(write_config(tmp_path, doc))
-        with pytest.raises(orbit.IntegrationError, match="t=2.47632"):
+        with pytest.raises(orbit.IntegrationError, match="t=2.47631"):
             cmd_branch(cfg, tmp_path / "out", seed_index=2)
 
     def test_seed_zero_restriction(self, tmp_path):
@@ -426,9 +439,54 @@ class TestVerify:
         doc = cmd_verify(cfg, empty)
         assert doc["rows"] == [] and doc["all_pass"]
 
+    def test_unreadable_csv_is_schema_error(self, tmp_path, capsys):
+        path = write_config(tmp_path, EXAMPLE_CONFIG)
+        not_utf8 = tmp_path / "latin1.csv"
+        not_utf8.write_bytes(b"lambda,\xff\n")
+        for bad in (tmp_path, not_utf8):  # a directory, then undecodable bytes
+            with pytest.raises(SchemaError, match="cannot read branch CSV"):
+                read_branch_csv(bad, 2)
+            assert main(["verify", str(bad), "--config", str(path)]) == 4
+            assert capsys.readouterr().err.startswith("schema error: cannot read branch CSV")
+
+    def test_nan_start_row_exits_numerical(self, tmp_path, capsys):
+        # x1/x1 is NaN at the row's state, where the integration used to hang
+        doc = {"problem": {"g": "x1/x1 - x0", "phi": "q-p", "f": "1",
+                           "a": 1.0, "b": 1, "T": 1.0},
+               "interval": {"alpha": -1.0, "beta": 1.0, "grid_n": 10}}
+        path = write_config(tmp_path, doc)
+        row = tmp_path / "nan_start.csv"
+        row.write_text("lambda,q,p0,p1,sup_norm,diameter,arclength,residual\n"
+                       "0,0.5,0,0,0.5,0,0,0\n")
+        with helpers.deadline(5):
+            assert main(["verify", str(row), "--config", str(path)]) == 3
+        assert "non-finite field at the start" in capsys.readouterr().err
+
     def test_schema_exit_code(self, tmp_path, capsys):
         path = write_config(tmp_path, EXAMPLE_CONFIG)
         bad = tmp_path / "bad.csv"
         bad.write_text("wrong,header\n")
         assert main(["verify", str(bad), "--config", str(path)]) == 4
         capsys.readouterr()
+
+
+class TestUsage:
+    """argparse's usage errors exit 1 (config), not 2, which is the
+    admissibility code."""
+
+    @pytest.mark.parametrize("argv,message", [
+        (["branch", "--config", "c.json", "--seed-zero", "abc"],
+         "argument --seed-zero: invalid int value: 'abc'"),
+        (["analyze"], "the following arguments are required: --config"),
+    ], ids=["bad-seed-zero", "missing-config"])
+    def test_usage_error_exits_config(self, capsys, argv, message):
+        assert main(argv) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage: gammachain {argv[0]} ")
+        assert f"gammachain {argv[0]}: error: {message}" in err
+
+    def test_help_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["branch", "-h"])
+        assert exc.value.code == 0
+        assert "--seed-zero" in capsys.readouterr().out

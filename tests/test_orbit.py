@@ -2,7 +2,6 @@ from __future__ import annotations
 
 import dataclasses
 import math
-import signal
 
 import numpy as np
 import pytest
@@ -68,6 +67,20 @@ class TestIntegrate:
             integrate(f, 1.0, np.array([0.01, -1.0, 0.0]), 0.0, 1.0)
         assert 0.0100 < err.value.time < 0.0103
 
+    def test_nan_start_fails_instead_of_hanging(self):
+        # x1/x1 is 0/0 = NaN at x1 = 0: solve_ivp's initial step would be
+        # NaN and its step loop would never end
+        f = chain.expand(ProblemSpec.from_strings("x1/x1 - x0", "q-p", "1",
+                                                  1.0, 1, 1.0))
+        xi0 = np.array([0.5, 0.0, 0.0])
+        with helpers.deadline(5):
+            with pytest.raises(IntegrationError, match="non-finite field at the start") as err:
+                integrate(f, 0.0, xi0, 0.0, 1.0)
+            assert err.value.time == 0.0
+            # the stacked Jacobian run: column 0 starts at the NaN
+            with pytest.raises(IntegrationError, match="non-finite field at the start"):
+                orbit._linearize(f, 0.0, xi0, True)
+
     def test_divergence_reports_time(self):
         # xddot = x^3: blows up in finite time from a large start
         p = ProblemSpec.from_strings("x0^3", "0*p", "sin(2*pi*t)", 1.0, 1, 1.0)
@@ -106,8 +119,8 @@ class TestPeriodMap:
 
 
 def reference_solve(field, lam, xi0, dense_output=False):
-    """One period from xi0 by solve_ivp's RK45, as each column of
-    ``orbit._period_maps`` is integrated."""
+    """One period from xi0 by a lone solve_ivp RK45 solve on the scalar
+    field."""
     G, F = field.G, field.F
     return solve_ivp(lambda t, y: G(y) + lam * F(t, y), (0.0, field.problem.T),
                      xi0, method="RK45", rtol=orbit.DEFAULT_TOL,
@@ -127,7 +140,7 @@ class TestDenseOutput:
         field = WORKLOAD_FIELDS[name]
         xi0 = np.linspace(0.3, -0.2, field.dim)
         sol = reference_solve(field, 0.1, xi0, dense_output=True)
-        dense = orbit._DenseOutput.of(sol)
+        dense = orbit._DenseOutput.of(sol, field.dim)
         T = field.problem.T
         # uniform samples, every step boundary and every step midpoint
         ts = np.concatenate((T * np.arange(orbit.DENSE_SAMPLES) / orbit.DENSE_SAMPLES,
@@ -142,27 +155,21 @@ class TestDenseOutput:
 
 
 class TestPeriodMaps:
+    """Failures of a stacked Jacobian run (``orbit._linearize``)."""
+
     def test_nan_stages_fail_instead_of_hanging(self):
         # x0 turns negative within the first steps, so x0^0.5 gives NaN
         # stages; the step must shrink to failure, not stall at a NaN size
         f = chain.expand(ProblemSpec.from_strings("x0^0.5 - x2", "q-p", "1",
                                                   1.0, 1, 1.0))
-
-        def stalled(signum, frame):
-            raise TimeoutError("period map still running after 5 s")
-
-        previous = signal.signal(signal.SIGALRM, stalled)
-        signal.alarm(5)
-        try:
+        with helpers.deadline(5):
             with pytest.raises(IntegrationError):
-                period_map(f, 1.0, np.array([0.01, -1.0, 0.0]))
-        finally:
-            signal.alarm(0)
-            signal.signal(signal.SIGALRM, previous)
+                orbit._linearize(f, 1.0, np.array([0.01, -1.0, 0.0]), True)
 
     def test_field_failure_reports_running_time(self):
         # a batched field that raises where x0^0.5 turns NaN: the failure
-        # is reported at the running column's time, just before x0 < 0
+        # is reported at the time of the failing stage, 0.0101768, as for
+        # a lone solve (TestIntegrate.test_field_failure_reports_stage_time)
         f = chain.expand(ProblemSpec.from_strings("x0^0.5 - x2", "q-p", "1",
                                                   1.0, 1, 1.0))
         G_batch = f.G_batch
@@ -174,9 +181,9 @@ class TestPeriodMaps:
             return out
 
         with pytest.raises(IntegrationError, match="field evaluation failed") as err:
-            period_map(dataclasses.replace(f, G_batch=strict), 1.0,
-                       np.array([0.01, -1.0, 0.0]))
-        assert 0.009 < err.value.time < 0.0100548
+            orbit._linearize(dataclasses.replace(f, G_batch=strict), 1.0,
+                             np.array([0.01, -1.0, 0.0]), True)
+        assert 0.0100 < err.value.time < 0.0103
 
     def test_blow_up_fails_where_solve_ivp_does(self):
         p = ProblemSpec.from_strings("x0^3", "0*p", "sin(2*pi*t)", 1.0, 1, 1.0)
@@ -185,16 +192,17 @@ class TestPeriodMaps:
         sol = reference_solve(f, 0.0, xi0)
         assert not sol.success
         with pytest.raises(IntegrationError) as err:
-            period_map(f, 0.0, xi0)
-        assert err.value.time == pytest.approx(float(sol.t[-1]), rel=1e-12)
+            orbit._linearize(f, 0.0, xi0, False)
+        # the stacked run's step control differs from the lone solve's by
+        # the perturbed columns: the times agree to 4.7e-10 (relative)
+        assert err.value.time == pytest.approx(float(sol.t[-1]), rel=1e-8)
         assert err.value.time == pytest.approx(0.0903137, abs=1e-7)
 
 
 @st.composite
-def lockstep_problems(draw, equilibrium=True):
-    """A cubic-g problem and the columns of one lockstep run: random states
-    at distinct lambdas, after the equilibrium 0 at lambda = 0 in column 0
-    when ``equilibrium`` is set."""
+def shooting_points(draw, forced=False):
+    """A cubic-g problem and a point (lam, xi) of its period map, at
+    lambda = 0 or in [0.05, 1]; only in [0.05, 1] when ``forced``."""
     c1, c2, c3, d, e = (draw(st.floats(lo, hi)) for lo, hi in
                         ((-2.0, 1.0), (-1.0, 1.0), (0.2, 1.0), (0.0, 1.0), (-1.0, 1.0)))
     T = draw(st.sampled_from([0.5, 1.0, 4.0]))
@@ -203,87 +211,81 @@ def lockstep_problems(draw, equilibrium=True):
         "q-p", f"1 + x*sin(2*pi*t/{T})", draw(st.floats(0.5, 8.0)),
         draw(st.integers(1, 8)), T)
     dim = p.kernel.b + 2
-    n = draw(st.integers(1, 4))
-    lams = draw(st.lists(st.floats(0.05, 1.0), min_size=n, max_size=n, unique=True))
-    X0 = np.array([draw(st.lists(st.floats(-1.0, 1.0), min_size=dim, max_size=dim))
-                   for _ in range(n)]).T
-    if not equilibrium:
-        return p, np.array(lams), X0
-    return p, np.array([0.0] + lams), np.hstack([np.zeros((dim, 1)), X0])
+    lams = st.floats(0.05, 1.0)
+    lam = draw(lams if forced else st.sampled_from([0.0]) | lams)
+    xi = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=dim, max_size=dim)))
+    return p, lam, xi
+
+
+def precise_period_map(field, lam, xi0):
+    sol = solve_ivp(lambda t, y: field.G(y) + lam * field.F(t, y),
+                    (0.0, field.problem.T), xi0, method="DOP853",
+                    rtol=1e-13, atol=1e-13)
+    assert sol.success
+    return sol.y[:, -1]
 
 
 @settings(derandomize=True, deadline=None, max_examples=25)
-@given(case=lockstep_problems())
-def test_period_maps_match_solve_ivp_per_column(case):
-    p, lams, X0 = case
-    widths = []
+@given(case=shooting_points())
+def test_jacobian_quotients_match_central_differences(case):
+    # reference: central differences of DOP853 solves at rtol = atol = 1e-13
+    # with h = 1e-5; over these examples the stacked run's quotients agree
+    # to 8.2e-5 relative to max |J| (the lambda column alone to 4.6e-5)
+    p, lam, xi = case
     field = chain.expand(p)
-    G_batch = field.G_batch
-
-    def recorded(X):
-        widths.append(X.shape[1])
-        return G_batch(X)
-
-    refs = [reference_solve(field, lam, x) for lam, x in zip(lams, X0.T)]
-    field = dataclasses.replace(field, G_batch=recorded)
-    if not all(sol.success for sol in refs):
-        with pytest.raises(IntegrationError):
-            orbit._period_maps(field, lams, X0)
-        return
-    P, _ = orbit._period_maps(field, lams, X0)
-    for j, sol in enumerate(refs):
-        y = sol.y[:, -1]
-        assert np.max(np.abs(P[:, j] - y)) <= 1e-12 * (1.0 + np.max(np.abs(y)))
-    # two field calls for the initial step, then six per attempt of every
-    # column still running: the columns leave the run as their own
-    # solve_ivp would finish
-    attempts = [(sol.nfev - 2) // 6 for sol in refs]
-    expected = [len(refs)] * 2 + [w for k in range(1, max(attempts) + 1)
-                                  for w in [sum(a >= k for a in attempts)] * 6]
-    assert widths == expected
-    assert attempts[0] < min(attempts[1:])  # the equilibrium finishes first
+    _, _, D = orbit._linearize(field, lam, xi, True)
+    h = 1e-5
+    steps = [(h, np.zeros(xi.size))] + [(0.0, h * e) for e in np.eye(xi.size)]
+    J = np.array([(precise_period_map(field, lam + dl, xi + dx)
+                   - precise_period_map(field, lam - dl, xi - dx)) / (2 * h)
+                  for dl, dx in steps]).T
+    assert D.shape == J.shape
+    assert np.max(np.abs(D - J)) <= 2e-3 * np.max(np.abs(J))
+    # the lambda column is forced also at lam = 0, where the forcing of
+    # every other column is off
+    assert np.max(np.abs(J[:, 0])) > 0.1
+    assert np.max(np.abs(D[:, 0] - J[:, 0])) <= 2e-3 * np.max(np.abs(J[:, 0]))
 
 
 @settings(derandomize=True, deadline=None, max_examples=25)
-@given(case=lockstep_problems(equilibrium=False))
+@given(case=shooting_points(forced=True))
 def test_column_zero_dense_output_matches_solve_ivp(case):
-    # column 0 is a forced random state at lambda >= 0.05, never at rest
-    p, lams, X0 = case
+    # column 0 is a forced random state at lambda >= 0.05, never at rest;
+    # the other columns share its steps, so it matches a lone solve to the
+    # solve tolerance, not to rounding: 4.4e-16 over these examples and
+    # 2.5e-10 at mid-branch rows of the benchmark workloads
+    p, lam, xi = case
     field = chain.expand(p)
-    refs = [reference_solve(field, lam, x, dense_output=True)
-            for lam, x in zip(lams, X0.T)]
-    if not all(sol.success for sol in refs):
+    ref = reference_solve(field, lam, xi, dense_output=True)
+    if not ref.success:
         with pytest.raises(IntegrationError):
-            orbit._period_maps(field, lams, X0)
+            orbit._linearize(field, lam, xi, True)
         return
-    P, dense = orbit._period_maps(field, lams, X0)
+    base, dense, _ = orbit._linearize(field, lam, xi, True)
     traj = orbit._trajectory(dense, 0.0, p.T)
-    ref = refs[0].sol(traj.ts).T
-    assert np.max(np.abs(traj.ys - ref)) <= 1e-12 * (1.0 + np.max(np.abs(ref)))
-    assert np.array_equal(dense.y_end, P[:, 0])
+    ys = ref.sol(traj.ts).T
+    assert np.max(np.abs(traj.ys - ys)) <= 1e-9 * (1.0 + np.max(np.abs(ys)))
+    y_end = ref.y[:, -1]
+    assert np.max(np.abs(base - y_end)) <= 1e-9 * (1.0 + np.max(np.abs(y_end)))
+    assert np.array_equal(dense.y_end, base)
 
 
 class TestShootingWork:
-    """Each shooting Jacobian is one batched period-map run."""
+    """Each shooting Jacobian is one solve of its stacked columns."""
 
     @staticmethod
     def record(monkeypatch):
-        runs, solves = [], []
-        period_maps, solve = orbit._period_maps, orbit.solve_ivp
+        """(start state, result) of every solve_ivp call."""
+        solves = []
+        solve = orbit.solve_ivp
 
-        def recorded_maps(field, lams, X0):
-            before = len(solves)
-            out = period_maps(field, lams, X0)
-            runs.append((X0.shape[1], tuple(lams), len(solves) - before, out[1]))
-            return out
+        def recorded(fun, t_span, y0, **kwargs):
+            sol = solve(fun, t_span, y0, **kwargs)
+            solves.append((np.array(y0), sol))
+            return sol
 
-        def counted_solve(*args, **kwargs):
-            solves.append(args)
-            return solve(*args, **kwargs)
-
-        monkeypatch.setattr(orbit, "_period_maps", recorded_maps)
-        monkeypatch.setattr(orbit, "solve_ivp", counted_solve)
-        return runs, solves
+        monkeypatch.setattr(orbit, "solve_ivp", recorded)
+        return solves
 
     @staticmethod
     def converged_point(field):
@@ -294,41 +296,52 @@ class TestShootingWork:
 
     def test_corrector_jacobian_is_one_run(self, example_field, monkeypatch):
         z, tangent = self.converged_point(example_field)
-        runs, solves = self.record(monkeypatch)
-        z_new, iters, _ = orbit._corrector(example_field, z + 0.005 * tangent,
+        solves = self.record(monkeypatch)
+        z_pred = z + 0.005 * tangent
+        z_new, iters, _ = orbit._corrector(example_field, z_pred,
                                            tangent, ContinuationParams())
         assert z_new[0] == pytest.approx(0.015, abs=1e-12)
         assert iters >= 1
         dim = example_field.dim
-        z0 = z[0] + 0.005
-        # the unperturbed column, the lambda column, the dim monodromy columns
-        assert [r[:3] for r in runs] == [
-            (dim + 2, (z0, z0 + orbit.MONODROMY_STEP) + (z0,) * dim, 0)]
-        # the predictor's residual rode in the run; each iterate has a solve
-        assert len(solves) == iters
+        # one run of dim+2 stacked columns, then one single solve per
+        # iterate: the predictor's residual rode in the run
+        assert [y0.size for y0, _ in solves] == [dim * (dim + 2)] + [dim] * iters
+        # column after column: the unperturbed one, the lambda one at the
+        # same state, then the dim monodromy columns
+        X0 = solves[0][0].reshape(dim, dim + 2, order="F")
+        xi = z_pred[1:]
+        assert np.array_equal(X0[:, :2], np.column_stack([xi, xi]))
+        assert np.array_equal(X0[:, 2:], xi[:, None] + orbit.MONODROMY_STEP * np.eye(dim))
 
     def test_converged_predictor_accepts_the_run_solution(self, example_field,
                                                           monkeypatch):
         z, tangent = self.converged_point(example_field)
-        runs, solves = self.record(monkeypatch)
+        solves = self.record(monkeypatch)
         z_new, iters, acc = orbit._corrector(example_field, z, tangent,
                                              ContinuationParams())
-        assert iters == 0 and np.array_equal(z_new, z) and solves == []
-        assert len(runs) == 1 and acc.solution is runs[0][3]
+        dim = example_field.dim
+        assert iters == 0 and np.array_equal(z_new, z)
+        assert [y0.size for y0, _ in solves] == [dim * (dim + 2)]
+        # the accepted solution is column 0 of the run: its first dim rows
+        run = solves[0][1]
+        assert np.array_equal(acc.solution.ts, run.t)
+        assert np.array_equal(acc.solution.y_end, run.y[:dim, -1])
         bp = orbit._branch_point(example_field, acc)
         fresh = orbit_metrics(integrate(example_field, z[0], z[1:], 0.0, 1.0))
         assert bp.sup_norm == pytest.approx(fresh[0], abs=1e-12)
         assert bp.diameter == pytest.approx(fresh[1], abs=1e-12)
 
     def test_newton_monodromy_is_one_run(self, example_field, monkeypatch):
-        runs, solves = self.record(monkeypatch)
+        solves = self.record(monkeypatch)
         newton_periodic(example_field, 0.05, np.zeros(4))
-        # the unperturbed column first, then the dim monodromy columns; the
-        # guess's residual rode in the first run, and each full Newton step
-        # shoots one candidate
-        assert len(runs) >= 2
-        assert all(r[:3] == (5, (0.05,) * 5, 0) for r in runs)
-        assert len(solves) == len(runs)
+        # a run of the unperturbed column and the dim monodromy columns,
+        # in which the guess's residual rides, then one candidate solve per
+        # full Newton step, which the next run starts from
+        sizes = [y0.size for y0, _ in solves]
+        assert len(sizes) >= 4
+        assert sizes == [4 * 5, 4] * (len(sizes) // 2)
+        for (run, _), (cand, _) in zip(solves[2::2], solves[1::2]):
+            assert np.array_equal(run[:4], cand)
 
 
 class TestNewtonPeriodic:
