@@ -1,19 +1,22 @@
 """Time integration, periodic shooting, and branch continuation.
 
 The integrator is an adaptive embedded Runge-Kutta 4(5) pair with dense
-output sampled on 512 uniform points per period.  T-periodic starting
-points solve xi(T) - xi(0) = 0 by damped Newton with a forward-difference
-monodromy matrix; branches of starting points in (lambda, xi) are traced
-with pseudo-arclength continuation (secant predictor, bordered Newton
-corrector), so folds in lambda are traversed.
+output sampled on 512 uniform points per period.  A T-periodic starting
+point z = (lambda, xi) solves xi(T) - xi(0) = 0.  There is one Newton
+(``_newton``): chord Newton on that residual bordered by one linear
+equation, with a forward-difference Jacobian.  Branches of starting points
+are traced with pseudo-arclength continuation (secant predictor, border row
+the unit tangent), so folds in lambda are traversed; a fixed-lambda solve
+(``newton_periodic``) is the same Newton with border row e_0 (Keller 1977;
+Allgower & Georg, Numerical Continuation Methods, 1990).
 
 There is one integrator, ``solve_ivp``'s RK45, behind ``_solve``.  A
 residual or ``integrate`` is one solve on the scalar field.  A shooting
-Jacobian is one solve of the unperturbed column, the monodromy columns and,
-in the corrector, the lambda column, stacked into one state and evaluated
-on the column-batched field; the first residual of each corrector and each
-Newton solve is its column 0.  Dense output of a solve, or of its column 0,
-is evaluated by one vectorized quartic interpolant (``_DenseOutput``).
+Jacobian is one solve of the unperturbed column, the lambda column and the
+monodromy columns, stacked into one state and evaluated on the
+column-batched field; the first residual of each Newton solve is its column
+0.  Dense output of a solve, or of its column 0, is evaluated by one
+vectorized quartic interpolant (``_DenseOutput``).
 """
 from __future__ import annotations
 
@@ -35,7 +38,7 @@ __all__ = ["Trajectory", "StartingPoint", "BranchPoint", "ContinuationParams",
 DENSE_SAMPLES = 512
 DEFAULT_TOL = 1e-10
 MONODROMY_STEP = 1e-7
-SINGULAR_TOL = 1e-6  # |eig(M) - 1| below this flags the phase-shift degeneracy
+SINGULAR_TOL = 1e-6  # least singular value of a singular bordered Jacobian
 SEED_LAMBDA = 1e-3  # lambda of the first corrected point next to a zero
 
 
@@ -52,7 +55,12 @@ class NoConvergenceError(RuntimeError):
 
 
 class SingularJacobianError(RuntimeError):
-    """Monodromy has an eigenvalue 1: periodicity Jacobian is singular."""
+    """The bordered shooting Jacobian is singular (at fixed lambda: the
+    monodromy has an eigenvalue 1)."""
+
+
+# the failures of one Newton solve that a trace survives
+_NEWTON_FAILURES = (SingularJacobianError, NoConvergenceError, IntegrationError)
 
 
 @dataclass(eq=False)
@@ -124,6 +132,8 @@ class ContinuationParams:
             raise ValueError("need 0 < min_step <= initial_step <= max_step")
         if self.max_steps < 1 or self.newton_max_iter < 1:
             raise ValueError("iteration counts must be positive")
+        if self.newton_tol <= 0:
+            raise ValueError("newton_tol must be positive")
         if not (0 < self.step_shrink < 1 < self.step_grow):
             raise ValueError("need step_shrink < 1 < step_grow")
         if self.lambda_max < 0 or self.norm_max <= 0:
@@ -251,9 +261,8 @@ def integrate(field, lam: float, xi0, t0: float, t1: float,
 
 def _shoot(field, lam, xi0) -> _DenseOutput:
     """One period from xi0 with dense output: the solve of a shooting
-    residual away from a Jacobian point (Newton iterates, backtracking
-    candidates, later corrector iterates), which may become a branch point
-    (``_branch_point``)."""
+    residual away from a Jacobian point (a Newton iterate), which may
+    become a branch point (``_branch_point``)."""
     return _single(field, lam, xi0, 0.0, field.problem.T, DEFAULT_TOL)
 
 
@@ -296,63 +305,72 @@ def _linearize(field, lam, xi, lam_column):
     return base, _DenseOutput.of(sol, dim), (P[:, 1:] - base[:, None]) / MONODROMY_STEP
 
 
-def newton_periodic(field, lam: float, guess,
-                    params: ContinuationParams = ContinuationParams()) -> StartingPoint:
-    """Damped Newton for a fixed point of the period map at fixed lambda.
+def _newton(field, z_pred, tangent, params):
+    """Chord Newton for z = (lam, xi) on [P(lam, xi) - xi ; tangent . (z -
+    z_pred)] = 0 from ``z_pred``, for a unit ``tangent``.
 
-    Uses ``params.newton_tol``, ``params.newton_max_iter`` and
-    ``params.norm_max`` (iterates beyond it are rejected).  Raises
-    :class:`SingularJacobianError` when the monodromy has an eigenvalue 1
-    (e.g. the autonomous phase-shift degeneracy on nonconstant lambda = 0
-    orbits) and :class:`NoConvergenceError` otherwise on failure.
+    The Jacobian is one ``_linearize`` run at z_pred, whose column 0 gives
+    the residual there, refreshed once if the fifth iterate stalls.  Each
+    iterate is put back on the border plane (exactly for tangent e_0, so a
+    fixed lambda stays bit-exact).  Acceptance: residual <= ``newton_tol``,
+    or <= 1e-9 after the last of ``newton_max_iter`` iterations, times
+    1 + ||z||_inf.  Returns (z, iterations, the accepted starting point).
+    Raises :class:`SingularJacobianError` (least singular value of the
+    bordered Jacobian <= ``SINGULAR_TOL``) or :class:`NoConvergenceError`
+    (xi beyond 10 ``norm_max`` or non-finite, or nothing accepted).
     """
-    tol, norm_max = params.newton_tol, params.norm_max
-    xi = chain.as_state(guess, field.dim)
-    if np.linalg.norm(xi, np.inf) > norm_max:
-        raise NoConvergenceError(f"guess norm exceeds {norm_max}")
-    # the residual at the guess is the base column of its monodromy run
-    p_base, sol, M = _linearize(field, lam, xi, False)
-    res_vec = p_base - xi
-    res = float(np.linalg.norm(res_vec, np.inf))
-    identity = np.eye(field.dim)
+    dim, tol, cap = field.dim, params.newton_tol, params.newton_max_iter
 
-    for _ in range(params.newton_max_iter):
-        scale = 1.0 + float(np.linalg.norm(xi, np.inf))
-        if res <= tol * scale:
-            return _Accepted(float(lam), xi, res, sol)
-        if M is None:
-            M = _linearize(field, lam, xi, False)[2]
-        eigs = np.linalg.eigvals(M)
-        if np.min(np.abs(eigs - 1.0)) <= SINGULAR_TOL:
-            raise SingularJacobianError(
-                f"monodromy eigenvalue within {SINGULAR_TOL} of 1 at lambda={lam}")
+    def jacobian(z):
+        base, dense, D = _linearize(field, z[0], z[1:], True)
+        J = np.vstack((D - np.eye(dim, dim + 1, 1), tangent))
+        if np.linalg.svd(J, compute_uv=False)[-1] <= SINGULAR_TOL:
+            raise SingularJacobianError(f"singular bordered Jacobian at lambda={z[0]}")
+        return J, base, dense
+
+    z = z_pred.copy()
+    J, y_end, sol = jacobian(z)
+    for it in range(cap + 1):
+        R = y_end - z[1:]
+        res = float(np.linalg.norm(R, np.inf))
+        scale = 1.0 + float(np.linalg.norm(z, np.inf))
+        if res <= tol * scale or (it == cap and res <= 1e-9 * scale):
+            return z, it, _Accepted(float(z[0]), z[1:], res, sol)
+        if it == cap:
+            break
+        if it == 5 and res > 1e3 * tol * scale:
+            J = jacobian(z)[0]  # refresh a stalling Jacobian once
         try:
-            delta = np.linalg.solve(M - identity, -res_vec)
+            delta = np.linalg.solve(J, -np.append(R, 0.0))
         except np.linalg.LinAlgError as exc:
             raise SingularJacobianError(str(exc)) from exc
-        # backtracking: insist on residual decrease
-        improved = False
-        step = 1.0
-        for _ in range(8):
-            cand = xi + step * delta
-            if np.linalg.norm(cand, np.inf) <= norm_max:
-                sol_cand = _shoot(field, lam, cand)
-                r_cand = sol_cand.y_end - cand
-                rn = float(np.linalg.norm(r_cand, np.inf))
-                if rn < res:
-                    xi, sol, M = cand, sol_cand, None
-                    res_vec, res = r_cand, rn
-                    improved = True
-                    break
-            step *= 0.5
-        if not improved:
-            break
+        z = z + delta
+        z -= (tangent @ (z - z_pred)) * tangent
+        if not np.linalg.norm(z[1:], np.inf) <= 10.0 * params.norm_max:
+            raise NoConvergenceError(f"Newton iterate diverged at lambda={z[0]}")
+        sol = _shoot(field, z[0], z[1:])
+        y_end = sol.y_end
+    raise NoConvergenceError(f"no convergence at lambda={z[0]}: residual {res:.3e}")
 
-    scale = 1.0 + float(np.linalg.norm(xi, np.inf))
-    if res <= 1e-8 * scale:
-        return _Accepted(float(lam), xi, res, sol)
-    raise NoConvergenceError(
-        f"no convergence at lambda={lam}: residual {res:.3e}")
+
+def newton_periodic(field, lam: float, guess,
+                    params: ContinuationParams = ContinuationParams()) -> StartingPoint:
+    """A fixed point of the period map at fixed lambda, from ``guess``.
+
+    This is the bordered Newton ``_newton`` with border row e_0, whose
+    equation holds lambda, so it uses ``params.newton_tol``,
+    ``params.newton_max_iter`` and ``params.norm_max``.  A guess beyond
+    ``norm_max`` is refused.  Raises :class:`SingularJacobianError` when
+    the monodromy has an eigenvalue 1, so that the bordered Jacobian, with
+    determinant +-det(M - I), is singular (e.g. the autonomous phase-shift
+    degeneracy on nonconstant lambda = 0 orbits), and
+    :class:`NoConvergenceError` otherwise on failure.
+    """
+    xi = chain.as_state(guess, field.dim)
+    if np.linalg.norm(xi, np.inf) > params.norm_max:
+        raise NoConvergenceError(f"guess norm exceeds {params.norm_max}")
+    e0 = np.eye(field.dim + 1)[0]
+    return _newton(field, np.concatenate(([float(lam)], xi)), e0, params)[2]
 
 
 def orbit_metrics(traj: Trajectory) -> tuple[float, float]:
@@ -375,70 +393,12 @@ def _z(bp: BranchPoint) -> np.ndarray:
     return np.concatenate(([bp.sp.lam], bp.sp.xi0))
 
 
-class _CorrectorFail(Exception):
-    pass
-
-
-def _corrector(field, z_pred, tangent, params):
-    """Bordered Newton: periodicity residual plus the normal-plane equation.
-
-    Returns (z, iterations, the accepted starting point at z)."""
-    dim = field.dim
-
-    def jacobian(z):
-        try:
-            base, dense, D = _linearize(field, z[0], z[1:], True)
-        except (IntegrationError, ValueError):
-            raise _CorrectorFail("Jacobian evaluation failed")
-        J = np.empty((dim + 1, dim + 1))
-        J[:dim] = D
-        J[:dim, 1:] -= np.eye(dim)
-        J[dim] = tangent
-        return J, base, dense
-
-    z = z_pred.copy()
-    # the residual at the predictor is the base column of its Jacobian run
-    J, base, sol = jacobian(z)
-    R = base - z[1:]
-    full = np.concatenate((R, [0.0]))
-    iters_used = 0
-    for it in range(10):
-        iters_used = it
-        scale = 1.0 + float(np.linalg.norm(z, np.inf))
-        resn = float(np.linalg.norm(full, np.inf))
-        if resn <= params.newton_tol * scale:
-            return z, it, _Accepted(z[0], z[1:], float(np.linalg.norm(R, np.inf)),
-                                    sol)
-        if J is None:
-            J = jacobian(z)[0]
-        try:
-            delta = np.linalg.solve(J, -full)
-        except np.linalg.LinAlgError:
-            raise _CorrectorFail("singular bordered Jacobian")
-        z = z + delta
-        if np.linalg.norm(z[1:], np.inf) > 10.0 * params.norm_max:
-            raise _CorrectorFail("corrector iterate diverged")
-        try:
-            sol = _shoot(field, z[0], z[1:])
-        except (IntegrationError, ValueError):
-            raise _CorrectorFail("residual evaluation failed")
-        R = sol.y_end - z[1:]
-        full = np.concatenate((R, [tangent @ (z - z_pred)]))
-        if it == 4 and float(np.linalg.norm(full, np.inf)) > 1e3 * params.newton_tol * scale:
-            J = None  # refresh a stalling Jacobian once
-    scale = 1.0 + float(np.linalg.norm(z, np.inf))
-    if float(np.linalg.norm(full, np.inf)) <= 1e-9 * scale:
-        return z, iters_used, _Accepted(z[0], z[1:], float(np.linalg.norm(R, np.inf)),
-                                        sol)
-    raise _CorrectorFail("corrector did not converge")
-
-
 def _land(field, xi_guess, params, points):
     """Land exactly on the trivial lambda = 0 solution if one is reachable;
     appends it to ``points`` and returns the march's final status."""
     try:
         sp = newton_periodic(field, 0.0, xi_guess, params)
-    except (SingularJacobianError, NoConvergenceError, IntegrationError):
+    except _NEWTON_FAILURES:
         return "lambda_negative"
     points.append(_branch_point(field, sp))
     return "lambda_zero"
@@ -460,8 +420,8 @@ def _march(field, z_start, tangent, params):
             status = _land(field, z_last[1:], params, points)
             break
         try:
-            z_new, iters, acc = _corrector(field, z_pred, t_hat, params)
-        except _CorrectorFail:
+            z_new, iters, acc = _newton(field, z_pred, t_hat, params)
+        except _NEWTON_FAILURES:
             ds *= params.step_shrink
             if ds < params.min_step:
                 status = "corrector_failure"
@@ -533,7 +493,7 @@ def _trace(field, seed: StartingPoint, params: ContinuationParams) -> BranchTrac
             sp2 = newton_periodic(field, min(seed.lam + dl, lam_stop), seed.xi0,
                                   params)
             break
-        except (SingularJacobianError, NoConvergenceError, IntegrationError):
+        except _NEWTON_FAILURES:
             continue
     if sp2 is None:
         return BranchTrace([seed_bp], "corrector_failure", "corrector_failure")

@@ -101,6 +101,7 @@ class TestLoadConfig:
         ("certify", "radius", math.inf),
         ("continuation", "max_steps", 10.5),
         ("continuation", "lambda_max", math.nan),
+        ("continuation", "newton_tol", 0),
     ])
     def test_rejects_nonfinite_or_mistyped_numbers(self, tmp_path, capsys,
                                                    section, key, value):
@@ -268,13 +269,13 @@ class TestBranch:
     def test_integration_error_escapes_the_seed_loop(self, tmp_path):
         # the failure reproducer of perfbench/selftest.py (check 1), which
         # counts on this error leaving cmd_branch; the seed Newton at the
-        # zero u = 1 blows up at t = 2.47631
+        # zero u = 1 blows up at t = 2.47627
         doc = {"problem": {"g": "x0^5 - x0", "phi": "q-p", "f": "50",
                            "a": 2.0, "b": 2, "T": 5.0},
                "interval": {"alpha": -1.5, "beta": 1.5, "grid_n": 200},
                "certify": {"radius": 0.1}}
         cfg = load_config(write_config(tmp_path, doc))
-        with pytest.raises(orbit.IntegrationError, match="t=2.47631"):
+        with pytest.raises(orbit.IntegrationError, match="t=2.47627"):
             cmd_branch(cfg, tmp_path / "out", seed_index=2)
 
     def test_seed_zero_restriction(self, tmp_path):

@@ -298,8 +298,8 @@ class TestShootingWork:
         z, tangent = self.converged_point(example_field)
         solves = self.record(monkeypatch)
         z_pred = z + 0.005 * tangent
-        z_new, iters, _ = orbit._corrector(example_field, z_pred,
-                                           tangent, ContinuationParams())
+        z_new, iters, _ = orbit._newton(example_field, z_pred,
+                                        tangent, ContinuationParams())
         assert z_new[0] == pytest.approx(0.015, abs=1e-12)
         assert iters >= 1
         dim = example_field.dim
@@ -317,8 +317,8 @@ class TestShootingWork:
                                                           monkeypatch):
         z, tangent = self.converged_point(example_field)
         solves = self.record(monkeypatch)
-        z_new, iters, acc = orbit._corrector(example_field, z, tangent,
-                                             ContinuationParams())
+        z_new, iters, acc = orbit._newton(example_field, z, tangent,
+                                          ContinuationParams())
         dim = example_field.dim
         assert iters == 0 and np.array_equal(z_new, z)
         assert [y0.size for y0, _ in solves] == [dim * (dim + 2)]
@@ -333,15 +333,29 @@ class TestShootingWork:
 
     def test_newton_monodromy_is_one_run(self, example_field, monkeypatch):
         solves = self.record(monkeypatch)
-        newton_periodic(example_field, 0.05, np.zeros(4))
-        # a run of the unperturbed column and the dim monodromy columns,
-        # in which the guess's residual rides, then one candidate solve per
-        # full Newton step, which the next run starts from
+        sp = newton_periodic(example_field, 0.01, np.zeros(4))
+        # one run of the unperturbed, the lambda and the dim monodromy
+        # columns at the guess, in which the guess's residual rides, then
+        # one single solve per chord iteration; the last one is accepted
         sizes = [y0.size for y0, _ in solves]
-        assert len(sizes) >= 4
-        assert sizes == [4 * 5, 4] * (len(sizes) // 2)
-        for (run, _), (cand, _) in zip(solves[2::2], solves[1::2]):
-            assert np.array_equal(run[:4], cand)
+        assert len(sizes) >= 2
+        assert sizes == [4 * 6] + [4] * (len(sizes) - 1)
+        assert np.array_equal(solves[0][0][:4], np.zeros(4))
+        assert np.array_equal(solves[-1][0], sp.xi0)
+        # from farther, the fifth iterate stalls and its Jacobian is
+        # refreshed once, by one more run from that iterate
+        solves.clear()
+        sp = newton_periodic(example_field, 0.05, np.zeros(4))
+        sizes = [y0.size for y0, _ in solves]
+        assert sizes == [4 * 6] + [4] * 5 + [4 * 6] + [4] * (len(sizes) - 7)
+        assert np.array_equal(solves[6][0][:4], solves[5][0])
+        assert np.array_equal(solves[-1][0], sp.xi0)
+
+    def test_newton_max_iter_bounds_the_march_newton(self, example_field):
+        z, tangent = self.converged_point(example_field)
+        with pytest.raises(NoConvergenceError):
+            orbit._newton(example_field, z + 0.005 * tangent, tangent,
+                          ContinuationParams(newton_max_iter=1))
 
 
 class TestNewtonPeriodic:
@@ -362,6 +376,17 @@ class TestNewtonPeriodic:
             newton_periodic(example_field, 0.05, np.full(4, 1e7),
                             ContinuationParams(norm_max=1e6))
 
+    @pytest.mark.parametrize("field,u_bar", [
+        (WORKLOAD_FIELDS["example"], 0.0), (WORKLOAD_FIELDS["example"], 1.0),
+        (WORKLOAD_FIELDS["long_period"], 0.0)],
+        ids=["example-zero0", "example-zero1", "long_period-zero0"])
+    @pytest.mark.parametrize("lam", [0.0, orbit.SEED_LAMBDA, 0.03])
+    def test_fixed_lambda_is_bit_exact(self, field, u_bar, lam):
+        # the bordered solve meets the border row e_0 only up to rounding
+        # (on long_period by about 5e-18); lambda must not drift, or a
+        # landing at lambda = 0 could end below it
+        assert newton_periodic(field, lam, lifted_zero(field.problem, u_bar)).lam == lam
+
     def test_resonant_monodromy_detected(self):
         f = chain.expand(resonant_problem())
         with pytest.raises(SingularJacobianError):
@@ -379,6 +404,9 @@ class TestContinuationParams:
             ContinuationParams(step_shrink=1.5)
         with pytest.raises(ValueError):
             ContinuationParams(norm_max=0.0)
+        for tol in (0.0, -1.0):
+            with pytest.raises(ValueError):
+                ContinuationParams(newton_tol=tol)
 
 
 class TestTraceFromZero:
