@@ -5,9 +5,11 @@ turns it into the autonomous field G and T-periodic forcing F on
 R^(b+2), with state ordered (u, v0, v1, ..., vb) = (x, xdot, chain stages).
 Constant solutions of the second-order equation correspond to zeros of
 G through ``lifted_zero``.  G is the one field of a problem: the
-integrator, the Lipschitz sampler and the degree cross-check all read it,
-the last two through its column-batched form ``G_batch``; the stacked
-runs of the shooting Jacobians read ``G_batch`` and ``F_batch``.
+Lipschitz sampler and the degree cross-check read its column-batched form
+``G_batch``, and the stacked runs of the shooting Jacobians read
+``G_batch`` and ``F_batch``.  Single solves run on the field's float
+stages: one RK45 attempt of G (+ lambda F) as straight-line float code,
+generated from the same expression code as the compiled g, phi and f.
 """
 from __future__ import annotations
 
@@ -17,7 +19,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from . import expr
+from . import expr, rk45
 from .kernel import GammaKernel
 
 __all__ = ["ProblemSpec", "ExpandedField", "expand", "lifted_zero", "as_state"]
@@ -87,7 +89,10 @@ class ExpandedField:
     maps a (dim, N) array of states to the (dim, N) array of their images,
     for evaluating many states in one call (box samples, finite-difference
     Jacobians).  ``F_batch(t, X)`` is F on columns at the scalar time t,
-    or with one time per column in an (N,) array t.
+    or with one time per column in an (N,) array t.  ``float_stages(lam,
+    tol)`` is the pair (rhs, attempt) of :func:`rk45.float_stages` for
+    G + lam F (for G alone at lam = 0); None for a field built from
+    callables.
     """
 
     dim: int
@@ -96,6 +101,7 @@ class ExpandedField:
     problem: Optional[ProblemSpec]
     G_batch: Callable[[np.ndarray], np.ndarray]
     F_batch: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    float_stages: Optional[Callable[[float, float], tuple]] = None
 
     @classmethod
     def from_callables(cls, dim: int, G, problem=None) -> "ExpandedField":
@@ -125,7 +131,8 @@ def expand(p: ProblemSpec) -> ExpandedField:
     (v0, g(u, v0, vb), a*(phi(u, v0) - v1), a*(v1 - v2), ..., a*(v_{b-1} - vb))
     with forcing (0, f(t, u, v0), 0, ..., 0).  ``G_batch`` and ``F_batch``
     evaluate G and F on the columns of a (dim, N) array with the vectorized
-    g, phi and f.
+    g, phi and f.  The float stages are compiled twice, unforced for
+    lam = 0 and forced, from the scalar code of g, phi and f.
     """
     a = p.kernel.a
     b = p.kernel.b
@@ -160,8 +167,22 @@ def expand(p: ProblemSpec) -> ExpandedField:
         out[1] = f_batch(t, X[0], X[1])
         return out
 
+    g_code = expr._code(p.g, {"x0": "w0", "x1": "w1", "x2": f"w{dim - 1}"})
+    phi_code = expr._code(p.phi, {"p": "w0", "q": "w1"})
+    f_code = expr._code(p.f, {"t": "s", "x": "w0", "v": "w1"})
+    a_code = repr(float(a))
+    cascade = ([f"{a_code} * ({phi_code} - w2)"]
+               + [f"{a_code} * (w{i - 1} - w{i})" for i in range(3, dim)])
+    unforced = rk45.float_stages(["w1", g_code] + cascade, expr._SCALAR_NS)
+    forced = rk45.float_stages(["w1", f"{g_code} + lam * {f_code}"] + cascade,
+                               expr._SCALAR_NS)
+
+    def float_stages(lam, tol):
+        return (forced if lam else unforced)(lam, tol)
+
     return ExpandedField(dim=dim, G=field(batched=False), F=F, problem=p,
-                         G_batch=field(batched=True), F_batch=F_batch)
+                         G_batch=field(batched=True), F_batch=F_batch,
+                         float_stages=float_stages)
 
 
 def as_state(xi, dim: int) -> np.ndarray:

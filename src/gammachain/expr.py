@@ -421,19 +421,20 @@ def to_string(e: Expr) -> str:
 
 # -- compilation -------------------------------------------------------------
 
-def _code(e: Expr) -> str:
+def _code(e: Expr, names: Mapping[str, str] = {}) -> str:
+    """Python source of a tree; a variable reads ``names.get(name, name)``."""
     if isinstance(e, Num):
         return repr(e.value)
     if isinstance(e, Var):
-        return e.name
+        return names.get(e.name, e.name)
     if isinstance(e, Neg):
-        return f"(-{_code(e.operand)})"
+        return f"(-{_code(e.operand, names)})"
     if isinstance(e, Call):
-        return f"{e.func}({_code(e.arg)})"
+        return f"{e.func}({_code(e.arg, names)})"
     if isinstance(e, BinOp):
         if e.op == "^":
-            return f"pow({_code(e.left)}, {_code(e.right)})"
-        return f"({_code(e.left)} {e.op} {_code(e.right)})"
+            return f"pow({_code(e.left, names)}, {_code(e.right, names)})"
+        return f"({_code(e.left, names)} {e.op} {_code(e.right, names)})"
     raise TypeError(f"not an expression node: {e!r}")
 
 

@@ -2,8 +2,8 @@
 
 The density ``a^b s^(b-1) exp(-a s) / (b-1)!`` (zero for s < 0) has mean
 ``b/a`` and variance ``b/a^2``.  Its mass beyond H is the regularized
-upper incomplete gamma function Q(b, aH); tail horizons are multiples of
-mean/100.
+upper incomplete gamma function Q(b, aH), for the integer shape b the
+Erlang tail sum; tail horizons are multiples of mean/100.
 """
 from __future__ import annotations
 
@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import gammaincc, gammainccinv, gammaln
 
 __all__ = ["GammaKernel", "gamma_eval", "tail_horizon"]
 
@@ -56,7 +55,7 @@ def gamma_eval(k: GammaKernel, s):
             logpdf = math.log(k.a) - k.a * sp
         else:
             logpdf = (k.b * math.log(k.a) + (k.b - 1) * np.log(sp)
-                      - k.a * sp - gammaln(k.b))
+                      - k.a * sp - math.lgamma(k.b))
         out[pos] = np.exp(logpdf)
     if k.b == 1:
         out[arr == 0] = k.a
@@ -65,20 +64,30 @@ def gamma_eval(k: GammaKernel, s):
     return out
 
 
+def _erlang_tail(b: int, x: float) -> float:
+    """Q(b, x) = exp(-x) sum_{k<b} x^k / k!, the mass beyond x of the unit
+    rate gamma density of integer shape b; terms in log space, summed
+    exactly rounded."""
+    if x <= 0.0:
+        return 1.0
+    log_x = math.log(x)
+    return math.fsum(math.exp(k * log_x - x - math.lgamma(k + 1)) for k in range(b))
+
+
 @lru_cache(maxsize=256)
 def tail_horizon(k: GammaKernel, eps: float) -> float:
     """Smallest grid value H (step mean/100) with tail mass <= eps.
 
-    The mass beyond H is the regularized upper incomplete gamma function
-    Q(b, aH).  Its inverse gives the starting grid index, which is then
-    corrected against Q itself in both directions.
+    The mass beyond H is the Erlang tail Q(b, aH), which decreases in H.
+    The walk starts at the mean (grid index 100) and goes down while the
+    mass one step lower is still <= eps, then up while the mass is > eps.
     """
     if not (0.0 < eps < 1.0):
         raise ValueError(f"eps must be in (0, 1), got {eps!r}")
     h = k.mean / 100.0
-    j = math.ceil(gammainccinv(k.b, eps) / (k.a * h))
-    while j > 0 and gammaincc(k.b, k.a * ((j - 1) * h)) <= eps:
+    j = 100
+    while j > 0 and _erlang_tail(k.b, k.a * ((j - 1) * h)) <= eps:
         j -= 1
-    while gammaincc(k.b, k.a * (j * h)) > eps:
+    while _erlang_tail(k.b, k.a * (j * h)) > eps:
         j += 1
     return float(j * h)

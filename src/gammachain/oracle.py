@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from . import chain, orbit
 from .kernel import GammaKernel, tail_horizon, gamma_eval
@@ -33,13 +32,13 @@ TEST_TIMES = 64
 class PeriodicTrack:
     """A T-periodic scalar signal sampled on uniform points of [0, T).
 
-    Evaluation uses periodic cubic interpolation; differentiation uses
-    4th-order central differences on the sample grid.
+    Evaluation uses the periodic cubic spline through the samples;
+    differentiation uses 4th-order central differences on the sample grid.
     """
 
     samples: np.ndarray
     period: float
-    _spline: CubicSpline = field(init=False, repr=False)
+    _coefs: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         self.samples = np.asarray(self.samples, dtype=float)
@@ -47,14 +46,30 @@ class PeriodicTrack:
             raise ValueError("need a 1-d track with at least 16 samples")
         if not self.period > 0:
             raise ValueError("period must be positive")
-        n = self.samples.size
-        ts = np.linspace(0.0, self.period, n + 1)
-        ys = np.concatenate((self.samples, self.samples[:1]))
-        self._spline = CubicSpline(ts, ys, bc_type="periodic")
+        # the second derivatives M solve the circulant system
+        # M[i-1] + 4 M[i] + M[i+1] = 6/h^2 (y[i-1] - 2 y[i] + y[i+1]),
+        # diagonal in Fourier space with eigenvalues 4 + 2 cos(2 pi k / n)
+        y = self.samples
+        n = y.size
+        h = self.period / n
+        y_next = np.roll(y, -1)
+        curvature = 6.0 / h**2 * (np.roll(y, 1) - 2.0 * y + y_next)
+        eig = 4.0 + 2.0 * np.cos(2.0 * np.pi * np.arange(n // 2 + 1) / n)
+        M = np.fft.irfft(np.fft.rfft(curvature) / eig, n)
+        M_next = np.roll(M, -1)
+        # on cell i, y[i] + c1 dx + c2 dx^2 + c3 dx^3 with dx = t - i h
+        self._coefs = np.array([(M_next - M) / (6.0 * h), 0.5 * M,
+                                (y_next - y) / h - h * (2.0 * M + M_next) / 6.0, y])
 
     def value(self, t):
         """Periodic evaluation at scalar or array times."""
-        return self._spline(np.mod(t, self.period))
+        n = self.samples.size
+        h = self.period / n
+        tm = np.mod(t, self.period)
+        i = np.minimum((tm / h).astype(int), n - 1)
+        dx = tm - i * h
+        c3, c2, c1, c0 = self._coefs[:, i]
+        return c0 + dx * (c1 + dx * (c2 + dx * c3))
 
     def derivative(self) -> "PeriodicTrack":
         """Track of the time derivative (4th-order central differences)."""

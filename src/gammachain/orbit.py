@@ -10,13 +10,15 @@ the unit tangent), so folds in lambda are traversed; a fixed-lambda solve
 (``newton_periodic``) is the same Newton with border row e_0 (Keller 1977;
 Allgower & Georg, Numerical Continuation Methods, 1990).
 
-There is one integrator, ``solve_ivp``'s RK45, behind ``_solve``.  A
-residual or ``integrate`` is one solve on the scalar field.  A shooting
-Jacobian is one solve of the unperturbed column, the lambda column and the
-monodromy columns, stacked into one state and evaluated on the
-column-batched field; the first residual of each Newton solve is its column
-0.  Dense output of a solve, or of its column 0, is evaluated by one
-vectorized quartic interpolant (``_DenseOutput``).
+There is one integrator, ``solve_ivp``: SciPy's RK45 step control over the
+Dormand-Prince pair of ``rk45``, with two stage evaluators.  A residual or
+``integrate`` is one solve on the field's float stages, straight-line float
+code generated by ``chain.expand``.  A shooting Jacobian is one solve of
+the unperturbed column, the lambda column and the monodromy columns,
+stacked into one state, on NumPy stages of the column-batched field; the
+first residual of each Newton solve is its column 0.  The dense output of
+a solve, or of its column 0, is one vectorized quartic interpolant
+(``_DenseOutput``).
 """
 from __future__ import annotations
 
@@ -25,9 +27,8 @@ from dataclasses import dataclass, fields, replace
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
-from . import chain
+from . import chain, rk45
 
 __all__ = ["Trajectory", "StartingPoint", "BranchPoint", "ContinuationParams",
            "BranchTrace", "IntegrationError", "NoConvergenceError",
@@ -169,17 +170,6 @@ class _DenseOutput:
     y_old: np.ndarray
     y_end: np.ndarray
 
-    @classmethod
-    def of(cls, sol, dim):
-        """The dense output of the first ``dim`` components of a
-        ``solve_ivp(..., dense_output=True)`` result, from its
-        ``RkDenseOutput`` pieces."""
-        pieces = sol.sol.interpolants
-        return cls(ts=np.asarray(sol.sol.ts, dtype=float),
-                   Q=np.array([piece.Q[:dim] for piece in pieces]),
-                   y_old=np.array([piece.y_old[:dim] for piece in pieces]),
-                   y_end=sol.y[:dim, -1].copy())
-
     def __call__(self, t):
         """y(t): shape (dim,) for a scalar t, (dim, len(t)) for an array."""
         t = np.asarray(t, dtype=float)
@@ -193,42 +183,145 @@ class _DenseOutput:
         return y[:, 0] if t.ndim == 0 else y
 
 
-def _solve(fun, y0, t0, t1, tol):
-    """``solve_ivp``'s RK45 for y' = fun(t, y) from y0 over [t0, t1], with
-    dense output; every failure raises :class:`IntegrationError`.
+_A = [np.array(row) for row in rk45.A]
+_B = np.array(rk45.B)
+_E = np.array(rk45.E)
+_P = np.array(rk45.P)
 
-    Floating-point warnings are off, so a non-finite stage is a rejected
-    step that shrinks the step until the solve fails.  A non-finite
-    derivative at the start (from which ``solve_ivp`` would never return),
-    a field evaluation that raises (at that stage's time), an unsuccessful
-    solve (at its last time) and a non-finite end state are errors.
-    """
-    t_stage = t0  # the time of the latest field evaluation
 
-    def rhs(t, y):
-        nonlocal t_stage
+@dataclass(frozen=True, eq=False)
+class _Run:
+    """One solve: the accepted times ``t``, the states ``y[:, k]`` at
+    ``t[k]``, the field evaluations ``nfev`` and the dense output.  A
+    failed solve raises, so ``success`` is always true."""
+
+    t: np.ndarray
+    y: np.ndarray
+    nfev: int
+    dense: _DenseOutput
+    success: bool = True
+
+
+def _numpy_stages(fun, tol, dim):
+    """One RK45 attempt of y' = fun(t, y) on arrays with SciPy's
+    ``rk_step`` arithmetic and error norm, keeping the stages of the first
+    ``dim`` components; a field evaluation that raises is an
+    :class:`IntegrationError` at its stage time."""
+    def attempt(t, y, f, h):
+        K = np.empty((7, y.size))
+        K[0] = f
         t_stage = t
-        return fun(t, y)
-
-    with np.errstate(all="ignore"):
         try:
-            if not np.isfinite(fun(t0, y0)).all():
-                raise IntegrationError(t0, "non-finite field at the start")
-            sol = solve_ivp(rhs, (t0, t1), y0, method="RK45",
-                            rtol=tol, atol=tol, dense_output=True)
+            for s in range(1, 6):
+                t_stage = t + rk45.C[s] * h
+                K[s] = fun(t_stage, y + np.dot(K[:s].T, _A[s]) * h)
+            y_new = y + h * np.dot(K[:-1].T, _B)
+            t_stage = t + h
+            K[6] = fun(t_stage, y_new)
         except (ZeroDivisionError, OverflowError, ValueError) as exc:
             raise IntegrationError(float(t_stage),
                                    f"field evaluation failed: {exc}") from exc
-    if not sol.success:
-        t_fail = float(sol.t[-1]) if sol.t.size else t0
-        raise IntegrationError(t_fail, sol.message)
-    if not np.all(np.isfinite(sol.y[:, -1])):
-        raise IntegrationError(float(sol.t[-1]), "non-finite state")
-    return sol
+        scale = tol + np.maximum(np.abs(y), np.abs(y_new)) * tol
+        return y_new, K[6], K[:, :dim], _rms(np.dot(K.T, _E) * h / scale)
+
+    return attempt
+
+
+def _rms(x):
+    return np.linalg.norm(x) / x.size ** 0.5
+
+
+def solve_ivp(fun, t_span, y0, *, attempt=None, dim=None, tol=DEFAULT_TOL) -> _Run:
+    """SciPy's RK45 for y' = fun(t, y) from y0 over t_span = (t0, t1),
+    t0 < t1, at rtol = atol = ``tol``, with the dense output of the first
+    ``dim`` components (default: all).
+
+    ``attempt`` is a float attempt of ``rk45.float_stages`` (float
+    stages, with ``fun`` its ``rhs``); without it the stages are NumPy
+    evaluations of ``fun`` (``_numpy_stages``).  The step control is
+    SciPy's: its initial step, a least step of 10 ulp(t), step factors
+    0.9 err^(-1/5) within [0.2, 10] (at most 1 after a rejection), and
+    the last step clipped to t1.  An error norm that is not below 1 (NaN
+    included) rejects the attempt, as does a ZeroDivisionError in a float
+    stage, which NumPy arithmetic would have made inf or NaN.  ``nfev``
+    counts as SciPy's: 2 + 6 per attempt.
+
+    Floating-point warnings are off.  Raises :class:`IntegrationError` on
+    a non-finite field at the start, a field evaluation that raises (at
+    its stage time), a step below the least step, and a non-finite end
+    state.
+    """
+    t0, t1 = map(float, t_span)
+    y0 = np.asarray(y0, dtype=float)
+    dim = y0.size if dim is None else dim
+    t = t0
+    with np.errstate(all="ignore"):
+        try:  # SciPy's select_initial_step
+            f0 = np.asarray(fun(t0, y0), dtype=float)
+            if not np.isfinite(f0).all():
+                raise IntegrationError(t0, "non-finite field at the start")
+            scale = tol + np.abs(y0) * tol
+            d0, d1 = _rms(y0 / scale), _rms(f0 / scale)
+            h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, t1 - t0)
+            t = t0 + h0
+            d2 = _rms((np.asarray(fun(t, y0 + h0 * f0), dtype=float) - f0) / scale) / h0
+        except (ZeroDivisionError, OverflowError, ValueError) as exc:
+            raise IntegrationError(t, f"field evaluation failed: {exc}") from exc
+        if d1 <= 1e-15 and d2 <= 1e-15:
+            h1 = max(1e-6, h0 * 1e-3)
+        else:
+            h1 = (0.01 / max(d1, d2)) ** 0.2
+        h_abs = float(min(100 * h0, h1, t1 - t0))
+
+        if attempt is None:
+            attempt, y, f = _numpy_stages(fun, tol, dim), y0, f0
+        else:
+            y, f = y0.tolist(), f0.tolist()
+        t, ts, ys, stages, nfev = t0, [t0], [y], [], 2
+        while t < t1:
+            min_step = 10 * (math.nextafter(t, math.inf) - t)
+            h_abs = max(h_abs, min_step)
+            rejected = False
+            while True:
+                if h_abs < min_step:
+                    raise IntegrationError(t, "Required step size is less than "
+                                              "spacing between numbers.")
+                t_new = min(t + h_abs, t1)
+                h = h_abs = t_new - t
+                nfev += 6
+                try:
+                    y_new, f_new, K, err = attempt(t, y, f, h)
+                except ZeroDivisionError:
+                    err = math.nan
+                except rk45.StageError as exc:
+                    raise IntegrationError(exc.time, "field evaluation failed: "
+                                                     f"{exc.__cause__}") from exc.__cause__
+                if err < 1:
+                    factor = 10.0 if err == 0 else min(10.0, 0.9 * err ** -0.2)
+                    h_abs *= min(1.0, factor) if rejected else factor
+                    break
+                h_abs *= max(0.2, 0.9 * err ** -0.2)
+                rejected = True
+            t, y, f = t_new, y_new, f_new
+            ts.append(t)
+            ys.append(y)
+            stages.append(K)
+    Y = np.array(ys)
+    if not np.isfinite(Y[-1]).all():
+        raise IntegrationError(t, "non-finite state")
+    K = np.array(stages).reshape(len(stages), 7, -1)
+    dense = _DenseOutput(ts=np.array(ts), Q=K.transpose(0, 2, 1) @ _P,
+                         y_old=Y[:-1, :dim], y_end=Y[-1, :dim].copy())
+    return _Run(t=dense.ts, y=Y.T, nfev=nfev, dense=dense)
 
 
 def _single(field, lam, xi0, t0, t1, tol) -> _DenseOutput:
-    """One solve of xi' = G(xi) + lam*F(t, xi) on the scalar field."""
+    """One solve of xi' = G(xi) + lam*F(t, xi): on the field's float stages,
+    or on NumPy stages of G and F for a field built from callables."""
+    y0 = chain.as_state(xi0, field.dim)
+    if field.float_stages is not None:
+        rhs, attempt = field.float_stages(lam, tol)
+        return solve_ivp(rhs, (t0, t1), y0, attempt=attempt, tol=tol).dense
     G, F = field.G, field.F
     if lam:
         def fun(t, y):
@@ -236,8 +329,7 @@ def _single(field, lam, xi0, t0, t1, tol) -> _DenseOutput:
     else:
         def fun(t, y):
             return G(y)
-    sol = _solve(fun, chain.as_state(xi0, field.dim), t0, t1, tol)
-    return _DenseOutput.of(sol, field.dim)
+    return solve_ivp(fun, (t0, t1), y0, tol=tol).dense
 
 
 def _trajectory(dense: _DenseOutput, t0, t1) -> Trajectory:
@@ -256,6 +348,8 @@ def integrate(field, lam: float, xi0, t0: float, t1: float,
     """
     if not t1 > t0:
         raise ValueError("need t1 > t0")
+    if not tol > 0:
+        raise ValueError("need tol > 0")
     return _trajectory(_single(field, lam, xi0, t0, t1, tol), t0, t1)
 
 
@@ -271,38 +365,35 @@ def period_map(field, lam: float, xi0) -> np.ndarray:
     return _shoot(field, lam, xi0).y_end
 
 
-def _linearize(field, lam, xi, lam_column):
+def _linearize(field, lam, xi):
     """The period map at (lam, xi) and its forward differences, from one
     solve of the stacked columns.
 
-    Column 0 starts at xi; then, when ``lam_column`` is set, a column starts
-    at xi with lambda lam + MONODROMY_STEP; then one starts at
-    xi + MONODROMY_STEP e_j for each j.  The N columns are one state of
-    length dim*N, column after column, integrated by one ``_solve`` under
-    one step control (internal numerical differentiation, Bock 1981), and
-    each stage evaluates ``G_batch`` and ``F_batch`` once on the (dim, N)
-    view.  Returns (xi(T), the dense output of column 0, and the
-    (dim, lam_column + dim) quotients (P_j - xi(T)) / MONODROMY_STEP of the
+    Column 0 starts at xi; column 1 starts at xi with lambda lam +
+    MONODROMY_STEP (forced also at lam = 0); then one column starts at
+    xi + MONODROMY_STEP e_j for each j.  The dim + 2 columns are one state,
+    column after column, integrated by one ``solve_ivp`` under one step
+    control (internal numerical differentiation, Bock 1981) on NumPy
+    stages, each of which evaluates ``G_batch`` and ``F_batch`` once on the
+    (dim, dim + 2) view.  Returns (xi(T), the dense output of column 0, and
+    the (dim, dim + 1) quotients (P_j - xi(T)) / MONODROMY_STEP of the
     other columns' maps P_j)."""
-    dim, lead = xi.size, 1 + int(lam_column)
-    n = lead + dim
+    dim = xi.size
+    n = dim + 2
     X0 = np.repeat(xi[:, None], n, axis=1)
-    X0[:, lead:] += MONODROMY_STEP * np.eye(dim)
+    X0[:, 2:] += MONODROMY_STEP * np.eye(dim)
     lams = np.full(n, float(lam))
-    lams[1:lead] += MONODROMY_STEP
+    lams[1] += MONODROMY_STEP
     G, F = field.G_batch, field.F_batch
-    # the lambda column is forced even at lam = 0
-    if np.any(lams):
-        def fun(t, y):
-            X = y.reshape(dim, n, order="F")
-            return (G(X) + lams * F(t, X)).ravel(order="F")
-    else:
-        def fun(t, y):
-            return G(y.reshape(dim, n, order="F")).ravel(order="F")
-    sol = _solve(fun, X0.ravel(order="F"), 0.0, field.problem.T, DEFAULT_TOL)
-    P = sol.y[:, -1].reshape(dim, n, order="F")
+
+    def fun(t, y):
+        X = y.reshape(dim, n, order="F")
+        return (G(X) + lams * F(t, X)).ravel(order="F")
+
+    run = solve_ivp(fun, (0.0, field.problem.T), X0.ravel(order="F"), dim=dim)
+    P = run.y[:, -1].reshape(dim, n, order="F")
     base = P[:, 0]
-    return base, _DenseOutput.of(sol, dim), (P[:, 1:] - base[:, None]) / MONODROMY_STEP
+    return base, run.dense, (P[:, 1:] - base[:, None]) / MONODROMY_STEP
 
 
 def _newton(field, z_pred, tangent, params):
@@ -322,7 +413,7 @@ def _newton(field, z_pred, tangent, params):
     dim, tol, cap = field.dim, params.newton_tol, params.newton_max_iter
 
     def jacobian(z):
-        base, dense, D = _linearize(field, z[0], z[1:], True)
+        base, dense, D = _linearize(field, z[0], z[1:])
         J = np.vstack((D - np.eye(dim, dim + 1, 1), tangent))
         if np.linalg.svd(J, compute_uv=False)[-1] <= SINGULAR_TOL:
             raise SingularJacobianError(f"singular bordered Jacobian at lambda={z[0]}")

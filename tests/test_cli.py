@@ -2,6 +2,9 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -491,3 +494,42 @@ class TestUsage:
             main(["branch", "-h"])
         assert exc.value.code == 0
         assert "--seed-zero" in capsys.readouterr().out
+
+
+NO_SCIPY_RUN = """
+import json, sys
+
+class NoScipy:
+    # refuse every scipy import, so that any use of scipy fails the run
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy" or name.startswith("scipy."):
+            raise ImportError(f"{name} is blocked")
+        return None
+
+sys.meta_path.insert(0, NoScipy())
+from gammachain import cli
+config, out = sys.argv[1:]
+for argv in (["analyze", "--config", config, "--out", out],
+             ["branch", "--config", config, "--out", out, "--seed-zero", "0"],
+             ["verify", out + "/branch_0.csv", "--config", config, "--out", out]):
+    if cli.main(argv) != 0:
+        sys.exit(f"{argv[0]} failed")
+if not json.load(open(out + "/verify.json"))["all_pass"]:
+    sys.exit("verify rows failed")
+loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+if loaded:
+    sys.exit(f"scipy modules loaded: {loaded}")
+"""
+
+
+def test_commands_run_without_scipy(tmp_path):
+    # the runtime needs NumPy alone: analyze, branch and verify run in an
+    # interpreter where every scipy import fails
+    path = write_config(tmp_path, SHORT_BRANCH_CONFIG)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    proc = subprocess.run([sys.executable, "-c", NO_SCIPY_RUN, str(path),
+                           str(tmp_path / "out")],
+                          capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr

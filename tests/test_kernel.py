@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import scipy.special as sps
 
+from gammachain import kernel
 from gammachain.kernel import GammaKernel, gamma_eval, tail_horizon
 from helpers import quadrature_mass
 
@@ -95,6 +96,32 @@ class TestTailHorizon:
         H = tail_horizon(k, 1e-10)
         assert H <= 20.0
         assert sps.gammaincc(2, 2.0 * H) <= 1e-10
+
+    def test_matches_the_gammaincc_horizon(self):
+        # the walk on the SciPy tail (start at gammainccinv, then correct
+        # against gammaincc) on 9 rates x 36 shapes x 7 eps: the same H
+        def scipy_horizon(k, eps):
+            h = k.mean / 100.0
+            j = math.ceil(sps.gammainccinv(k.b, eps) / (k.a * h))
+            while j > 0 and sps.gammaincc(k.b, k.a * ((j - 1) * h)) <= eps:
+                j -= 1
+            while sps.gammaincc(k.b, k.a * (j * h)) > eps:
+                j += 1
+            return float(j * h)
+
+        for a in (0.3, 0.5, 1.0, 2.0, 3.7, 8.0, 12.5, 30.0, 100.0):
+            for b in [*range(1, 31), 40, 60, 90, 120, 180, 250]:
+                for eps in (1e-12, 1e-10, 1e-8, 1e-6, 1e-3, 0.5, 1.0 - 1e-9):
+                    k = GammaKernel(a, b)
+                    assert tail_horizon(k, eps) == scipy_horizon(k, eps), (a, b, eps)
+
+    @pytest.mark.parametrize("b", [1, 2, 5, 13, 30, 120, 250])
+    def test_erlang_tail_is_gammaincc(self, b):
+        xs = np.array([1e-3, 0.1, 1.0, 0.5 * b, b, 1.5 * b, 2.0 * b + 30.0])
+        q = sps.gammaincc(b, xs)
+        got = np.array([kernel._erlang_tail(b, x) for x in xs])
+        assert np.max(np.abs(got - q) / q) <= 1e-12
+        assert kernel._erlang_tail(b, 0.0) == 1.0
 
     @pytest.mark.parametrize("a,b", GRID)
     def test_returned_tail_verified(self, a, b):

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.interpolate import CubicSpline
 
 import helpers
 from gammachain import chain, oracle, orbit
@@ -57,6 +58,30 @@ class TestPeriodicTrack:
         tr = cosine_track()
         ts = np.linspace(0, 1, 97)
         assert np.max(np.abs(tr.value(ts) - np.cos(2 * np.pi * ts))) <= 1e-9
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_is_the_periodic_cubic_spline(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(16, 300))
+        T = float(rng.uniform(0.2, 8.0))
+        y = rng.normal(0.0, 10.0 ** rng.uniform(-2, 2), n) + rng.uniform(-5, 5)
+        self.assert_matches_cubic_spline(y, T, rng)
+
+    def test_trajectory_track_is_the_periodic_cubic_spline(self, example_field):
+        sp = orbit.newton_periodic(example_field, 0.05, np.zeros(4))
+        traj = orbit.integrate(example_field, 0.05, sp.xi0, 0.0, 1.0)
+        for column in traj.ys.T:
+            self.assert_matches_cubic_spline(column, 1.0, np.random.default_rng(0))
+
+    @staticmethod
+    def assert_matches_cubic_spline(y, T, rng):
+        n = y.size
+        ref = CubicSpline(np.linspace(0.0, T, n + 1), np.append(y, y[0]),
+                          bc_type="periodic")
+        ts = np.concatenate((rng.uniform(-2 * T, 3 * T, 2000),
+                             T * np.arange(n) / n, [0.0, T, -T]))
+        got = PeriodicTrack(y, T).value(ts)
+        assert np.max(np.abs(got - ref(np.mod(ts, T)))) <= 1e-13 * (1 + np.max(np.abs(y)))
 
     def test_derivative_of_cosine(self):
         tr = cosine_track()

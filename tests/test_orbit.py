@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -58,6 +59,17 @@ class TestIntegrate:
                          0.0, 1.0)
         assert np.all(np.isfinite(traj.ys))
 
+    def test_callables_field_runs_solve_ivp_bit_for_bit(self):
+        # a field built from callables has no float stages: its solves
+        # take the NumPy stages, which are solve_ivp's arithmetic
+        A = np.array([[0.0, -2.0, 0.0], [2.0, -0.1, 0.0], [1.0, 0.0, -1.0]])
+        f = ExpandedField.from_callables(3, lambda xi: A @ xi)
+        xi0 = np.array([1.0, 0.0, 0.2])
+        traj = integrate(f, 0.0, xi0, 0.0, 3.0)
+        ref = solve_ivp(lambda t, y: A @ y, (0.0, 3.0), xi0, method="RK45",
+                        rtol=orbit.DEFAULT_TOL, atol=orbit.DEFAULT_TOL)
+        assert np.array_equal(traj.y_end, ref.y[:, -1])
+
     def test_field_failure_reports_stage_time(self):
         # x0 turns negative near t = 0.0100548; the scalar x0^0.5 raises a
         # math domain error at the stage time 0.0101768
@@ -79,7 +91,7 @@ class TestIntegrate:
             assert err.value.time == 0.0
             # the stacked Jacobian run: column 0 starts at the NaN
             with pytest.raises(IntegrationError, match="non-finite field at the start"):
-                orbit._linearize(f, 0.0, xi0, True)
+                orbit._linearize(f, 0.0, xi0)
 
     def test_divergence_reports_time(self):
         # xddot = x^3: blows up in finite time from a large start
@@ -137,10 +149,14 @@ WORKLOAD_FIELDS = {name: chain.expand(ProblemSpec.from_strings(
 class TestDenseOutput:
     @pytest.mark.parametrize("name", sorted(WORKLOAD_FIELDS))
     def test_matches_ode_solution(self, name):
+        # a float-stage solve against solve_ivp: the same number of steps;
+        # rounding in the error estimates moves the step ends, by up to
+        # 2.8e-10 here, but not the solution beyond rounding
         field = WORKLOAD_FIELDS[name]
         xi0 = np.linspace(0.3, -0.2, field.dim)
         sol = reference_solve(field, 0.1, xi0, dense_output=True)
-        dense = orbit._DenseOutput.of(sol, field.dim)
+        dense = orbit._shoot(field, 0.1, xi0)
+        assert dense.ts.shape == sol.t.shape
         T = field.problem.T
         # uniform samples, every step boundary and every step midpoint
         ts = np.concatenate((T * np.arange(orbit.DENSE_SAMPLES) / orbit.DENSE_SAMPLES,
@@ -151,7 +167,8 @@ class TestDenseOutput:
         for t in sol.t:
             y = sol.sol(t)
             assert np.max(np.abs(dense(t) - y)) <= 1e-13 * (1 + np.max(np.abs(y)))
-        assert np.array_equal(dense.y_end, sol.y[:, -1])
+        y_end = sol.y[:, -1]
+        assert np.max(np.abs(dense.y_end - y_end)) <= 1e-13 * (1 + np.max(np.abs(y_end)))
 
 
 class TestPeriodMaps:
@@ -164,7 +181,7 @@ class TestPeriodMaps:
                                                   1.0, 1, 1.0))
         with helpers.deadline(5):
             with pytest.raises(IntegrationError):
-                orbit._linearize(f, 1.0, np.array([0.01, -1.0, 0.0]), True)
+                orbit._linearize(f, 1.0, np.array([0.01, -1.0, 0.0]))
 
     def test_field_failure_reports_running_time(self):
         # a batched field that raises where x0^0.5 turns NaN: the failure
@@ -182,7 +199,7 @@ class TestPeriodMaps:
 
         with pytest.raises(IntegrationError, match="field evaluation failed") as err:
             orbit._linearize(dataclasses.replace(f, G_batch=strict), 1.0,
-                             np.array([0.01, -1.0, 0.0]), True)
+                             np.array([0.01, -1.0, 0.0]))
         assert 0.0100 < err.value.time < 0.0103
 
     def test_blow_up_fails_where_solve_ivp_does(self):
@@ -192,7 +209,7 @@ class TestPeriodMaps:
         sol = reference_solve(f, 0.0, xi0)
         assert not sol.success
         with pytest.raises(IntegrationError) as err:
-            orbit._linearize(f, 0.0, xi0, False)
+            orbit._linearize(f, 0.0, xi0)
         # the stacked run's step control differs from the lone solve's by
         # the perturbed columns: the times agree to 4.7e-10 (relative)
         assert err.value.time == pytest.approx(float(sol.t[-1]), rel=1e-8)
@@ -233,7 +250,7 @@ def test_jacobian_quotients_match_central_differences(case):
     # to 8.2e-5 relative to max |J| (the lambda column alone to 4.6e-5)
     p, lam, xi = case
     field = chain.expand(p)
-    _, _, D = orbit._linearize(field, lam, xi, True)
+    _, _, D = orbit._linearize(field, lam, xi)
     h = 1e-5
     steps = [(h, np.zeros(xi.size))] + [(0.0, h * e) for e in np.eye(xi.size)]
     J = np.array([(precise_period_map(field, lam + dl, xi + dx)
@@ -259,15 +276,127 @@ def test_column_zero_dense_output_matches_solve_ivp(case):
     ref = reference_solve(field, lam, xi, dense_output=True)
     if not ref.success:
         with pytest.raises(IntegrationError):
-            orbit._linearize(field, lam, xi, True)
+            orbit._linearize(field, lam, xi)
         return
-    base, dense, _ = orbit._linearize(field, lam, xi, True)
+    base, dense, _ = orbit._linearize(field, lam, xi)
     traj = orbit._trajectory(dense, 0.0, p.T)
     ys = ref.sol(traj.ts).T
     assert np.max(np.abs(traj.ys - ys)) <= 1e-9 * (1.0 + np.max(np.abs(ys)))
     y_end = ref.y[:, -1]
     assert np.max(np.abs(base - y_end)) <= 1e-9 * (1.0 + np.max(np.abs(y_end)))
     assert np.array_equal(dense.y_end, base)
+
+
+@pytest.mark.parametrize("forced", [False, True], ids=["lambda0", "forced"])
+@settings(derandomize=True, deadline=None, max_examples=25)
+@given(data=st.data())
+def test_float_stages_match_solve_ivp(forced, data):
+    # the float stages sum in stage order where solve_ivp's NumPy stages
+    # take BLAS dot products; that rounding moves the step ends (by up to
+    # about 3e-10) but not the number of steps or the solution
+    p, lam, xi = data.draw(shooting_points(forced=forced))
+    lam = lam if forced else 0.0
+    field = chain.expand(p)
+    ref = reference_solve(field, lam, xi, dense_output=True)
+    if not ref.success:
+        with pytest.raises(IntegrationError):
+            orbit._shoot(field, lam, xi)
+        return
+    dense = orbit._shoot(field, lam, xi)
+    assert dense.ts.size == ref.t.size
+    scale = 1.0 + np.max(np.abs(ref.y))
+    assert np.max(np.abs(dense.y_end - ref.y[:, -1])) <= 1e-12 * scale
+    ts = np.concatenate((p.T * np.arange(orbit.DENSE_SAMPLES) / orbit.DENSE_SAMPLES, ref.t))
+    assert np.max(np.abs(dense(ts) - ref.sol(ts))) <= 1e-13 * scale
+
+
+@settings(derandomize=True, deadline=None, max_examples=25)
+@given(case=shooting_points())
+def test_numpy_stages_are_solve_ivp(case):
+    # the stacked run of a shooting Jacobian, and the same right-hand side
+    # from the same state through solve_ivp: the same steps, states and
+    # field evaluations, bit for bit
+    p, lam, xi = case
+    field = chain.expand(p)
+    runs = []
+    solve = orbit.solve_ivp
+
+    def recorded(fun, t_span, y0, **kwargs):
+        runs.append((fun, t_span, np.array(y0)))
+        return solve(fun, t_span, y0, **kwargs)
+
+    with mock.patch.object(orbit, "solve_ivp", recorded):
+        try:
+            orbit._linearize(field, lam, xi)
+        except IntegrationError:
+            pass
+    fun, t_span, y0 = runs[0]
+    ref = solve_ivp(fun, t_span, y0, method="RK45", rtol=orbit.DEFAULT_TOL,
+                    atol=orbit.DEFAULT_TOL)
+    if not ref.success:
+        with pytest.raises(IntegrationError) as err:
+            solve(fun, t_span, y0, dim=field.dim)
+        assert err.value.time == ref.t[-1]
+        return
+    run = solve(fun, t_span, y0, dim=field.dim)
+    assert np.array_equal(run.t, ref.t)
+    assert np.array_equal(run.y, ref.y)
+    assert run.nfev == ref.nfev
+
+
+class TestFloatStageFailures:
+    """Failures in g on the float stages, against solve_ivp on the scalar
+    field, whose np.float64 arithmetic turns 1/0 into inf or NaN."""
+
+    def test_math_domain_error_at_the_stage_time(self):
+        f = chain.expand(ProblemSpec.from_strings("x0^0.5 - x2", "q-p", "1",
+                                                  1.0, 1, 1.0))
+        xi0 = np.array([0.01, -1.0, 0.0])
+        for lam in (0.0, 1.0):
+            stage_times = []
+
+            def fun(t, y):
+                stage_times.append(t)
+                return f.G(y) + lam * f.F(t, y)
+
+            with pytest.raises(ValueError, match="math domain error"):
+                solve_ivp(fun, (0.0, 1.0), xi0, method="RK45",
+                          rtol=orbit.DEFAULT_TOL, atol=orbit.DEFAULT_TOL)
+            with pytest.raises(IntegrationError, match="field evaluation failed: "
+                                                       "math domain error") as err:
+                integrate(f, lam, xi0, 0.0, 1.0)
+            assert err.value.time == pytest.approx(stage_times[-1], rel=1e-9)
+
+    def test_division_by_zero_rejects_the_attempt(self):
+        # g is 1 for x0 < 0 and 0/0 from x0 = 0 on, which x0 reaches at
+        # t = sqrt(2) - 1 unforced and (sqrt(3) - 1)/2 at lambda = 1; every
+        # attempt across it is rejected until the step underflows there
+        f = chain.expand(ProblemSpec.from_strings(
+            "(x0 - abs(x0))/(x0 - abs(x0))", "q-p", "1", 1.0, 1, 1.0))
+        xi0 = np.array([-0.5, 1.0, 0.0])
+        divisions = []
+
+        def counted(lam, tol):
+            rhs, attempt = f.float_stages(lam, tol)
+
+            def counted_attempt(*args):
+                try:
+                    return attempt(*args)
+                except ZeroDivisionError:
+                    divisions.append(args[0])
+                    raise
+            return rhs, counted_attempt
+
+        g = dataclasses.replace(f, float_stages=counted)
+        for lam, t_zero in ((0.0, math.sqrt(2) - 1), (1.0, (math.sqrt(3) - 1) / 2)):
+            with np.errstate(all="ignore"):
+                ref = reference_solve(f, lam, xi0)
+            assert not ref.success
+            with pytest.raises(IntegrationError, match="Required step size") as err:
+                integrate(g, lam, xi0, 0.0, 1.0)
+            assert err.value.time == pytest.approx(float(ref.t[-1]), rel=1e-12)
+            assert err.value.time == pytest.approx(t_zero, rel=1e-12)
+        assert divisions
 
 
 class TestShootingWork:
