@@ -7,9 +7,10 @@ Constant solutions of the second-order equation correspond to zeros of
 G through ``lifted_zero``.  G is the one field of a problem: the
 Lipschitz sampler and the degree cross-check read its column-batched form
 ``G_batch``, and the stacked runs of the shooting Jacobians read
-``G_batch`` and ``F_batch``.  Single solves run on the field's float
-stages: one RK45 attempt of G (+ lambda F) as straight-line float code,
-generated from the same expression code as the compiled g, phi and f.
+``G_batch`` and ``F_batch``.  Single solves of a chain of up to
+``FLOAT_STAGES_MAX_DIM`` components run on the field's float stages: one
+RK45 attempt of G (+ lambda F) as straight-line float code, generated from
+the same expression code as the compiled g, phi and f.
 """
 from __future__ import annotations
 
@@ -27,6 +28,12 @@ __all__ = ["ProblemSpec", "ExpandedField", "expand", "lifted_zero", "as_state"]
 _PERIODICITY_SEED = 0x5EED0001
 _PERIODICITY_SAMPLES = 50
 _PERIODICITY_TOL = 1e-9
+# Largest dim run on float stages.  Their cost per step grows with dim,
+# that of the NumPy stages hardly at all: one period of the example field
+# at lam = 0.1 takes 2.0 / 27 / 210 ms on float stages and 8.1 / 13 / 33 ms
+# on NumPy stages at dim 10 / 62 / 252 (2-vCPU x86); the two break even
+# between dim 40 and 48.
+FLOAT_STAGES_MAX_DIM = 40
 
 G_VARS = ("x0", "x1", "x2")   # (x, xdot, delayed term)
 PHI_VARS = ("p", "q")         # (x, xdot)
@@ -92,7 +99,7 @@ class ExpandedField:
     or with one time per column in an (N,) array t.  ``float_stages(lam,
     tol)`` is the pair (rhs, attempt) of :func:`rk45.float_stages` for
     G + lam F (for G alone at lam = 0); None for a field built from
-    callables.
+    callables or with dim above ``FLOAT_STAGES_MAX_DIM``.
     """
 
     dim: int
@@ -131,8 +138,9 @@ def expand(p: ProblemSpec) -> ExpandedField:
     (v0, g(u, v0, vb), a*(phi(u, v0) - v1), a*(v1 - v2), ..., a*(v_{b-1} - vb))
     with forcing (0, f(t, u, v0), 0, ..., 0).  ``G_batch`` and ``F_batch``
     evaluate G and F on the columns of a (dim, N) array with the vectorized
-    g, phi and f.  The float stages are compiled twice, unforced for
-    lam = 0 and forced, from the scalar code of g, phi and f.
+    g, phi and f.  Up to ``FLOAT_STAGES_MAX_DIM``, the float stages are
+    compiled from the scalar code of g, phi and f on first use, once
+    unforced for lam = 0 and once forced.
     """
     a = p.kernel.a
     b = p.kernel.b
@@ -167,22 +175,24 @@ def expand(p: ProblemSpec) -> ExpandedField:
         out[1] = f_batch(t, X[0], X[1])
         return out
 
-    g_code = expr._code(p.g, {"x0": "w0", "x1": "w1", "x2": f"w{dim - 1}"})
-    phi_code = expr._code(p.phi, {"p": "w0", "q": "w1"})
-    f_code = expr._code(p.f, {"t": "s", "x": "w0", "v": "w1"})
-    a_code = repr(float(a))
-    cascade = ([f"{a_code} * ({phi_code} - w2)"]
-               + [f"{a_code} * (w{i - 1} - w{i})" for i in range(3, dim)])
-    unforced = rk45.float_stages(["w1", g_code] + cascade, expr._SCALAR_NS)
-    forced = rk45.float_stages(["w1", f"{g_code} + lam * {f_code}"] + cascade,
-                               expr._SCALAR_NS)
+    @lru_cache(maxsize=None)
+    def compiled_stages(forced):
+        g_code = expr._code(p.g, {"x0": "w0", "x1": "w1", "x2": f"w{dim - 1}"})
+        if forced:
+            f_code = expr._code(p.f, {"t": "s", "x": "w0", "v": "w1"})
+            g_code = f"{g_code} + lam * {f_code}"
+        phi_code = expr._code(p.phi, {"p": "w0", "q": "w1"})
+        a_code = repr(float(a))
+        cascade = ([f"{a_code} * ({phi_code} - w2)"]
+                   + [f"{a_code} * (w{i - 1} - w{i})" for i in range(3, dim)])
+        return rk45.float_stages(["w1", g_code] + cascade, expr._SCALAR_NS)
 
     def float_stages(lam, tol):
-        return (forced if lam else unforced)(lam, tol)
+        return compiled_stages(bool(lam))(lam, tol)
 
     return ExpandedField(dim=dim, G=field(batched=False), F=F, problem=p,
                          G_batch=field(batched=True), F_batch=F_batch,
-                         float_stages=float_stages)
+                         float_stages=float_stages if dim <= FLOAT_STAGES_MAX_DIM else None)
 
 
 def as_state(xi, dim: int) -> np.ndarray:

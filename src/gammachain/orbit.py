@@ -13,12 +13,13 @@ Allgower & Georg, Numerical Continuation Methods, 1990).
 There is one integrator, ``solve_ivp``: SciPy's RK45 step control over the
 Dormand-Prince pair of ``rk45``, with two stage evaluators.  A residual or
 ``integrate`` is one solve on the field's float stages, straight-line float
-code generated by ``chain.expand``.  A shooting Jacobian is one solve of
-the unperturbed column, the lambda column and the monodromy columns,
-stacked into one state, on NumPy stages of the column-batched field; the
-first residual of each Newton solve is its column 0.  The dense output of
-a solve, or of its column 0, is one vectorized quartic interpolant
-(``_DenseOutput``).
+code generated by ``chain.expand`` (on NumPy stages of G and F for a field
+without them: one built from callables, or a long chain).  A shooting
+Jacobian is one solve of the unperturbed column, the lambda column and the
+monodromy columns, stacked into one state, on NumPy stages of the
+column-batched field; the first residual of each Newton solve is its
+column 0.  The dense output of a solve, or of its column 0, is one
+vectorized quartic interpolant (``_DenseOutput``).
 """
 from __future__ import annotations
 
@@ -202,7 +203,7 @@ class _Run:
     success: bool = True
 
 
-def _numpy_stages(fun, tol, dim):
+def _numpy_stages(fun, rtol, atol, dim):
     """One RK45 attempt of y' = fun(t, y) on arrays with SciPy's
     ``rk_step`` arithmetic and error norm, keeping the stages of the first
     ``dim`` components; a field evaluation that raises is an
@@ -221,7 +222,7 @@ def _numpy_stages(fun, tol, dim):
         except (ZeroDivisionError, OverflowError, ValueError) as exc:
             raise IntegrationError(float(t_stage),
                                    f"field evaluation failed: {exc}") from exc
-        scale = tol + np.maximum(np.abs(y), np.abs(y_new)) * tol
+        scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
         return y_new, K[6], K[:, :dim], _rms(np.dot(K.T, _E) * h / scale)
 
     return attempt
@@ -233,8 +234,9 @@ def _rms(x):
 
 def solve_ivp(fun, t_span, y0, *, attempt=None, dim=None, tol=DEFAULT_TOL) -> _Run:
     """SciPy's RK45 for y' = fun(t, y) from y0 over t_span = (t0, t1),
-    t0 < t1, at rtol = atol = ``tol``, with the dense output of the first
-    ``dim`` components (default: all).
+    t0 < t1, at rtol = atol = ``tol`` (rtol raised to at least 100
+    machine epsilons, ``rk45.tolerances``), with the dense output of the
+    first ``dim`` components (default: all).
 
     ``attempt`` is a float attempt of ``rk45.float_stages`` (float
     stages, with ``fun`` its ``rhs``); without it the stages are NumPy
@@ -254,13 +256,14 @@ def solve_ivp(fun, t_span, y0, *, attempt=None, dim=None, tol=DEFAULT_TOL) -> _R
     t0, t1 = map(float, t_span)
     y0 = np.asarray(y0, dtype=float)
     dim = y0.size if dim is None else dim
+    rtol, atol = rk45.tolerances(tol)
     t = t0
     with np.errstate(all="ignore"):
         try:  # SciPy's select_initial_step
             f0 = np.asarray(fun(t0, y0), dtype=float)
             if not np.isfinite(f0).all():
                 raise IntegrationError(t0, "non-finite field at the start")
-            scale = tol + np.abs(y0) * tol
+            scale = atol + np.abs(y0) * rtol
             d0, d1 = _rms(y0 / scale), _rms(f0 / scale)
             h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, t1 - t0)
             t = t0 + h0
@@ -274,7 +277,7 @@ def solve_ivp(fun, t_span, y0, *, attempt=None, dim=None, tol=DEFAULT_TOL) -> _R
         h_abs = float(min(100 * h0, h1, t1 - t0))
 
         if attempt is None:
-            attempt, y, f = _numpy_stages(fun, tol, dim), y0, f0
+            attempt, y, f = _numpy_stages(fun, rtol, atol, dim), y0, f0
         else:
             y, f = y0.tolist(), f0.tolist()
         t, ts, ys, stages, nfev = t0, [t0], [y], [], 2
@@ -317,7 +320,7 @@ def solve_ivp(fun, t_span, y0, *, attempt=None, dim=None, tol=DEFAULT_TOL) -> _R
 
 def _single(field, lam, xi0, t0, t1, tol) -> _DenseOutput:
     """One solve of xi' = G(xi) + lam*F(t, xi): on the field's float stages,
-    or on NumPy stages of G and F for a field built from callables."""
+    or on NumPy stages of G and F for a field without them."""
     y0 = chain.as_state(xi0, field.dim)
     if field.float_stages is not None:
         rhs, attempt = field.float_stages(lam, tol)
@@ -344,12 +347,14 @@ def integrate(field, lam: float, xi0, t0: float, t1: float,
     """Integrate xi' = G(xi) + lam*F(t, xi) over [t0, t1].
 
     Dense output is sampled on ``DENSE_SAMPLES`` uniform points of [t0, t1).
+    ``tol`` >= 0 is the absolute and relative tolerance; as in SciPy, a
+    relative tolerance below 100 machine epsilons is raised to that.
     Deterministic for fixed inputs.
     """
     if not t1 > t0:
         raise ValueError("need t1 > t0")
-    if not tol > 0:
-        raise ValueError("need tol > 0")
+    if not tol >= 0:
+        raise ValueError("need tol >= 0")
     return _trajectory(_single(field, lam, xi0, t0, t1, tol), t0, t1)
 
 

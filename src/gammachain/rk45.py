@@ -10,8 +10,9 @@ stages; ``chain.expand`` compiles the float stages of each problem's field.
 from __future__ import annotations
 
 import math
+import sys
 
-__all__ = ["C", "A", "B", "E", "P", "StageError", "float_stages"]
+__all__ = ["C", "A", "B", "E", "P", "StageError", "tolerances", "float_stages"]
 
 C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0)
 A = ((),
@@ -36,6 +37,12 @@ P = ((1.0, -8048581381 / 2820520608, 8663915743 / 2820520608,
      (0.0, -282668133 / 205662961, 2019193451 / 616988883,
       -1453857185 / 822651844),
      (0.0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423))
+
+
+def tolerances(tol: float) -> tuple[float, float]:
+    """(rtol, atol) of a solve at rtol = atol = ``tol``, as SciPy sets
+    them: rtol is raised to at least 100 machine epsilons."""
+    return max(tol, 100 * sys.float_info.epsilon), tol
 
 
 class StageError(ArithmeticError):
@@ -66,13 +73,15 @@ def float_stages(derivatives: list[str], namespace: dict):
     stage order; zero coefficients skipped, except that the error keeps
     0 * k1, so a non-finite stage still gives a non-finite error).  It
     returns (y_new, f_new, the 7n stages stage after stage, the RMS norm of
-    the error relative to tol + max(|y|, |y_new|) * tol).  A field
-    evaluation that raises OverflowError or ValueError raises
-    :class:`StageError` at its stage time; ZeroDivisionError propagates.
+    the error relative to atol + max(|y|, |y_new|) * rtol), with (rtol,
+    atol) = ``tolerances(tol)``.  A field evaluation that raises
+    OverflowError or ValueError raises :class:`StageError` at its stage
+    time; ZeroDivisionError propagates.
     """
     n = len(derivatives)
     w = ", ".join(f"w{i}" for i in range(n)) + ","
     lines = ["def make(lam, tol):",
+             "    rtol, atol = tolerances(tol)",
              "    def rhs(s, y):",
              f"        {w} = y",
              f"        return ({', '.join(derivatives)},)",
@@ -96,12 +105,13 @@ def float_stages(derivatives: list[str], namespace: dict):
         lines += [f"        a{i} = abs(y{i})",
                   f"        b{i} = abs(w{i})",
                   f"        e{i} = (({_combination(E, i, zeros=True)}) * h)"
-                  f" / (tol + (a{i} if a{i} > b{i} else b{i}) * tol)"]
+                  f" / (atol + (a{i} if a{i} > b{i} else b{i}) * rtol)"]
     stages = ", ".join(f"k{st}_{i}" for st in range(7) for i in range(n))
     lines += [f"        return ({w}), ({', '.join(f'k6_{i}' for i in range(n))},), ({stages},), "
               f"sqrt({' + '.join(f'e{i} * e{i}' for i in range(n))}) / {n ** 0.5!r}",
               "    return rhs, attempt"]
-    ns = dict(namespace, StageError=StageError, OverflowError=OverflowError,
-              ValueError=ValueError, abs=abs, sqrt=math.sqrt, __builtins__={})
+    ns = dict(namespace, StageError=StageError, tolerances=tolerances,
+              OverflowError=OverflowError, ValueError=ValueError, abs=abs,
+              sqrt=math.sqrt, __builtins__={})
     exec("\n".join(lines), ns)  # codegen from our own expressions only
     return ns["make"]

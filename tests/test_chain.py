@@ -2,10 +2,11 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+import scipy.integrate
 import scipy.optimize
 
 import helpers
-from gammachain import analysis, expr, orbit
+from gammachain import analysis, chain, expr, orbit
 from gammachain.chain import ExpandedField, ProblemSpec, expand, lifted_zero
 
 P0 = np.zeros(4)
@@ -77,6 +78,39 @@ class TestExpand:
         assert got[0] == 0.2
         assert got[1] == -0.5 * (1.0 + -0.1)
         assert got[2] == 2.0 * ((0.2 - 0.5) - -0.1)
+
+    def test_float_stages_compile_on_first_use(self, monkeypatch):
+        made = []
+        compile_stages = chain.rk45.float_stages
+        monkeypatch.setattr(chain.rk45, "float_stages",
+                            lambda *args: made.append(1) or compile_stages(*args))
+        p = ProblemSpec.from_strings("-x0*(1+x2)", "q-p", "1+x*sin(2*pi*t)", 3.0, 3, 1.0)
+        field = expand(p)
+        assert made == []
+        orbit.period_map(field, 0.0, np.full(5, 0.1))
+        orbit.period_map(field, 0.0, np.full(5, 0.2))
+        assert len(made) == 1
+        orbit.period_map(field, 0.1, np.full(5, 0.1))
+        assert len(made) == 2
+
+    @pytest.mark.parametrize("b", [chain.FLOAT_STAGES_MAX_DIM - 2,
+                                   chain.FLOAT_STAGES_MAX_DIM - 1])
+    def test_long_chains_solve_on_numpy_stages(self, b):
+        # past FLOAT_STAGES_MAX_DIM a single solve takes the NumPy stages,
+        # which are solve_ivp's arithmetic, bit for bit
+        p = ProblemSpec.from_strings("-x0*(1+x2)", "q-p", "1+x*sin(2*pi*t)",
+                                     float(b), b, 1.0)
+        field = expand(p)
+        assert (field.float_stages is None) == (field.dim > chain.FLOAT_STAGES_MAX_DIM)
+        xi0 = np.linspace(0.3, -0.2, field.dim)
+        traj = orbit.integrate(field, 0.1, xi0, 0.0, 0.1)
+        ref = scipy.integrate.solve_ivp(
+            lambda t, y: field.G(y) + 0.1 * field.F(t, y), (0.0, 0.1), xi0,
+            method="RK45", rtol=orbit.DEFAULT_TOL, atol=orbit.DEFAULT_TOL)
+        if field.float_stages is None:
+            assert np.array_equal(traj.y_end, ref.y[:, -1])
+        else:
+            assert np.max(np.abs(traj.y_end - ref.y[:, -1])) <= 1e-12
 
     def test_determinant_check_reads_G(self):
         # the degree cross-check takes det_fd from the Jacobian of G itself,

@@ -105,6 +105,30 @@ class TestIntegrate:
         with pytest.raises(ValueError):
             integrate(example_field, 0.0, P1, 1.0, 1.0)
 
+    @pytest.mark.parametrize("tol", [0.0, 1e-15])
+    def test_tiny_tolerance_is_solve_ivps(self, example_field, tol):
+        # solve_ivp raises rtol below 100 machine epsilons to that and
+        # keeps atol = tol; both stage evaluators take the same steps
+        xi0 = np.array([0.3, 0.1, -0.2, -0.1])
+        G, F = example_field.G, example_field.F
+        with pytest.warns(UserWarning, match="rtol"):
+            ref = solve_ivp(lambda t, y: G(y) + 0.1 * F(t, y), (0.0, 0.25), xi0,
+                            method="RK45", rtol=tol, atol=tol)
+        traj = integrate(example_field, 0.1, xi0, 0.0, 0.25, tol=tol)
+        assert traj._interp.ts.size == ref.t.size
+        scale = 1.0 + np.max(np.abs(ref.y))
+        assert np.max(np.abs(traj.y_end - ref.y[:, -1])) <= 1e-12 * scale
+        f = ExpandedField.from_callables(4, lambda xi: G(xi) + 0.0)
+        traj = integrate(f, 0.0, xi0, 0.0, 0.25, tol=tol)
+        with pytest.warns(UserWarning, match="rtol"):
+            ref = solve_ivp(lambda t, y: G(y), (0.0, 0.25), xi0, method="RK45",
+                            rtol=tol, atol=tol)
+        assert np.array_equal(traj.y_end, ref.y[:, -1])
+
+    def test_rejects_negative_tolerance(self, example_field):
+        with pytest.raises(ValueError):
+            integrate(example_field, 0.0, P1, 0.0, 1.0, tol=-1e-10)
+
     def test_determinism(self, example_field):
         xi0 = np.array([0.1, 0.0, -0.1, -0.1])
         a = integrate(example_field, 0.05, xi0, 0.0, 1.0)
@@ -149,15 +173,16 @@ WORKLOAD_FIELDS = {name: chain.expand(ProblemSpec.from_strings(
 class TestDenseOutput:
     @pytest.mark.parametrize("name", sorted(WORKLOAD_FIELDS))
     def test_matches_ode_solution(self, name):
-        # a float-stage solve against solve_ivp: the same number of steps;
-        # rounding in the error estimates moves the step ends, by up to
-        # 2.8e-10 here, but not the solution beyond rounding
+        # the driver on NumPy stages takes solve_ivp's steps bit for bit,
+        # so its interpolant is checked at OdeSolution's own step boundaries
+        # (float-stage parity: test_float_stages_match_solve_ivp)
         field = WORKLOAD_FIELDS[name]
+        G, F = field.G, field.F
         xi0 = np.linspace(0.3, -0.2, field.dim)
         sol = reference_solve(field, 0.1, xi0, dense_output=True)
-        dense = orbit._shoot(field, 0.1, xi0)
-        assert dense.ts.shape == sol.t.shape
         T = field.problem.T
+        dense = orbit.solve_ivp(lambda t, y: G(y) + 0.1 * F(t, y), (0.0, T), xi0).dense
+        assert np.array_equal(dense.ts, sol.t)
         # uniform samples, every step boundary and every step midpoint
         ts = np.concatenate((T * np.arange(orbit.DENSE_SAMPLES) / orbit.DENSE_SAMPLES,
                              sol.t, 0.5 * (sol.t[1:] + sol.t[:-1])))
@@ -167,8 +192,7 @@ class TestDenseOutput:
         for t in sol.t:
             y = sol.sol(t)
             assert np.max(np.abs(dense(t) - y)) <= 1e-13 * (1 + np.max(np.abs(y)))
-        y_end = sol.y[:, -1]
-        assert np.max(np.abs(dense.y_end - y_end)) <= 1e-13 * (1 + np.max(np.abs(y_end)))
+        assert np.array_equal(dense.y_end, sol.y[:, -1])
 
 
 class TestPeriodMaps:
