@@ -9,8 +9,9 @@ Lipschitz sampler and the degree cross-check read its column-batched form
 ``G_batch``, and the stacked runs of the shooting Jacobians read
 ``G_batch`` and ``F_batch``.  Single solves of a chain of up to
 ``FLOAT_STAGES_MAX_DIM`` components run on the field's float stages: one
-RK45 attempt of G (+ lambda F) as straight-line float code, generated from
-the same expression code as the compiled g, phi and f.
+RK45 attempt of G (+ lambda F) as straight-line float code, which
+``rk45.float_stages`` generates from the same expression code as the
+compiled g, phi and f.
 """
 from __future__ import annotations
 
@@ -96,10 +97,10 @@ class ExpandedField:
     maps a (dim, N) array of states to the (dim, N) array of their images,
     for evaluating many states in one call (box samples, finite-difference
     Jacobians).  ``F_batch(t, X)`` is F on columns at the scalar time t,
-    or with one time per column in an (N,) array t.  ``float_stages(lam,
-    tol)`` is the pair (rhs, attempt) of :func:`rk45.float_stages` for
-    G + lam F (for G alone at lam = 0); None for a field built from
-    callables or with dim above ``FLOAT_STAGES_MAX_DIM``.
+    or with one time per column in an (N,) array t.  ``float_stages(lam)``
+    is the pair (rhs, attempt) of :func:`rk45.float_stages` for G + lam F
+    (for G alone at lam = 0); None for a field built from callables or
+    with dim above ``FLOAT_STAGES_MAX_DIM``.
     """
 
     dim: int
@@ -108,7 +109,7 @@ class ExpandedField:
     problem: Optional[ProblemSpec]
     G_batch: Callable[[np.ndarray], np.ndarray]
     F_batch: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    float_stages: Optional[Callable[[float, float], tuple]] = None
+    float_stages: Optional[Callable[[float], tuple]] = None
 
     @classmethod
     def from_callables(cls, dim: int, G, problem=None) -> "ExpandedField":
@@ -187,8 +188,8 @@ def expand(p: ProblemSpec) -> ExpandedField:
                    + [f"{a_code} * (w{i - 1} - w{i})" for i in range(3, dim)])
         return rk45.float_stages(["w1", g_code] + cascade, expr._SCALAR_NS)
 
-    def float_stages(lam, tol):
-        return compiled_stages(bool(lam))(lam, tol)
+    def float_stages(lam):
+        return compiled_stages(bool(lam))(lam)
 
     return ExpandedField(dim=dim, G=field(batched=False), F=F, problem=p,
                          G_batch=field(batched=True), F_batch=F_batch,

@@ -79,15 +79,23 @@ def tail_horizon(k: GammaKernel, eps: float) -> float:
     """Smallest grid value H (step mean/100) with tail mass <= eps.
 
     The mass beyond H is the Erlang tail Q(b, aH), which decreases in H.
-    The walk starts at the mean (grid index 100) and goes down while the
-    mass one step lower is still <= eps, then up while the mass is > eps.
+    The grid index doubles from the mean (index 100) until the mass is
+    <= eps, then bisection finds the smallest such index.
     """
     if not (0.0 < eps < 1.0):
         raise ValueError(f"eps must be in (0, 1), got {eps!r}")
     h = k.mean / 100.0
-    j = 100
-    while j > 0 and _erlang_tail(k.b, k.a * ((j - 1) * h)) <= eps:
-        j -= 1
-    while _erlang_tail(k.b, k.a * (j * h)) > eps:
-        j += 1
-    return float(j * h)
+
+    def above(j):
+        return _erlang_tail(k.b, k.a * (j * h)) > eps
+
+    lo, hi = 0, 100  # the mass at index 0 is 1 > eps
+    while above(hi):
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if above(mid):
+            lo = mid
+        else:
+            hi = mid
+    return float(hi * h)

@@ -1,25 +1,24 @@
-"""Time integration, periodic shooting, and branch continuation.
+"""Periodic shooting and branch continuation.
 
-The integrator is an adaptive embedded Runge-Kutta 4(5) pair with dense
-output sampled on 512 uniform points per period.  A T-periodic starting
-point z = (lambda, xi) solves xi(T) - xi(0) = 0.  There is one Newton
-(``_newton``): chord Newton on that residual bordered by one linear
-equation, with a forward-difference Jacobian.  Branches of starting points
-are traced with pseudo-arclength continuation (secant predictor, border row
-the unit tangent), so folds in lambda are traversed; a fixed-lambda solve
-(``newton_periodic``) is the same Newton with border row e_0 (Keller 1977;
-Allgower & Georg, Numerical Continuation Methods, 1990).
+A T-periodic starting point z = (lambda, xi) solves xi(T) - xi(0) = 0.
+There is one Newton (``_newton``): chord Newton on that residual bordered
+by one linear equation, with a forward-difference Jacobian.  Branches of
+starting points are traced with pseudo-arclength continuation (secant
+predictor, border row the unit tangent), so folds in lambda are traversed;
+a fixed-lambda solve (``newton_periodic``) is the same Newton with border
+row e_0 (Keller 1977; Allgower & Georg, Numerical Continuation Methods,
+1990).
 
-There is one integrator, ``solve_ivp``: SciPy's RK45 step control over the
-Dormand-Prince pair of ``rk45``, with two stage evaluators.  A residual or
-``integrate`` is one solve on the field's float stages, straight-line float
-code generated by ``chain.expand`` (on NumPy stages of G and F for a field
+Every integration is one call of ``solve_ivp``, the RK45 driver of
+``rk45``, made through this module's own name ``orbit.solve_ivp``, which
+the benchmark's tracer wraps to count solves.  A residual or ``integrate``
+is one solve on the field's float stages, straight-line float code
+generated by ``chain.expand`` (on NumPy stages of G and F for a field
 without them: one built from callables, or a long chain).  A shooting
 Jacobian is one solve of the unperturbed column, the lambda column and the
 monodromy columns, stacked into one state, on NumPy stages of the
 column-batched field; the first residual of each Newton solve is its
-column 0.  The dense output of a solve, or of its column 0, is one
-vectorized quartic interpolant (``_DenseOutput``).
+column 0.  Dense output is sampled on 512 uniform points per period.
 """
 from __future__ import annotations
 
@@ -29,7 +28,8 @@ from typing import Callable
 
 import numpy as np
 
-from . import chain, rk45
+from . import chain
+from .rk45 import IntegrationError, _DenseOutput, solve_ivp
 
 __all__ = ["Trajectory", "StartingPoint", "BranchPoint", "ContinuationParams",
            "BranchTrace", "IntegrationError", "NoConvergenceError",
@@ -38,18 +38,9 @@ __all__ = ["Trajectory", "StartingPoint", "BranchPoint", "ContinuationParams",
            "orbit_metrics", "fold_lambdas"]
 
 DENSE_SAMPLES = 512
-DEFAULT_TOL = 1e-10
 MONODROMY_STEP = 1e-7
 SINGULAR_TOL = 1e-6  # least singular value of a singular bordered Jacobian
 SEED_LAMBDA = 1e-3  # lambda of the first corrected point next to a zero
-
-
-class IntegrationError(RuntimeError):
-    """Integration failed (step underflow, divergence); carries the time."""
-
-    def __init__(self, time: float, message: str):
-        super().__init__(f"integration failed at t={time:.6g}: {message}")
-        self.time = time
 
 
 class NoConvergenceError(RuntimeError):
@@ -152,179 +143,13 @@ class BranchTrace:
     reason: str = ""
 
 
-@dataclass(frozen=True, eq=False)
-class _DenseOutput:
-    """The dense output of one RK45 solution, evaluated vectorized.
-
-    On step k, from ``ts[k]`` to ``ts[k+1]`` with h = ts[k+1] - ts[k] and
-    x = (t - ts[k]) / h, the solution is the Dormand-Prince quartic
-    interpolant ``y_old[k] + h * Q[k] @ (x, x^2, x^3, x^4)``, with
-    Q[k] = K^T P for the step's stages K and RK45's interpolation matrix P
-    (Hairer, Norsett & Wanner, Solving ODEs I, II.6).  A time on a step
-    boundary takes the earlier step, and times outside [ts[0], ts[-1]]
-    extrapolate the first or last step, as in ``OdeSolution``.  ``y_end``
-    is the state at ``ts[-1]``.
-    """
-
-    ts: np.ndarray
-    Q: np.ndarray
-    y_old: np.ndarray
-    y_end: np.ndarray
-
-    def __call__(self, t):
-        """y(t): shape (dim,) for a scalar t, (dim, len(t)) for an array."""
-        t = np.asarray(t, dtype=float)
-        tv = t.reshape(-1)
-        k = np.clip(np.searchsorted(self.ts, tv, side="left") - 1,
-                    0, len(self.Q) - 1)
-        t_old = self.ts[k]
-        h = self.ts[k + 1] - t_old
-        powers = np.cumprod(np.tile((tv - t_old) / h, (self.Q.shape[-1], 1)), axis=0)
-        y = h * np.einsum("mdk,km->dm", self.Q[k], powers) + self.y_old[k].T
-        return y[:, 0] if t.ndim == 0 else y
-
-
-_A = [np.array(row) for row in rk45.A]
-_B = np.array(rk45.B)
-_E = np.array(rk45.E)
-_P = np.array(rk45.P)
-
-
-@dataclass(frozen=True, eq=False)
-class _Run:
-    """One solve: the accepted times ``t``, the states ``y[:, k]`` at
-    ``t[k]``, the field evaluations ``nfev`` and the dense output.  A
-    failed solve raises, so ``success`` is always true."""
-
-    t: np.ndarray
-    y: np.ndarray
-    nfev: int
-    dense: _DenseOutput
-    success: bool = True
-
-
-def _numpy_stages(fun, rtol, atol, dim):
-    """One RK45 attempt of y' = fun(t, y) on arrays with SciPy's
-    ``rk_step`` arithmetic and error norm, keeping the stages of the first
-    ``dim`` components; a field evaluation that raises is an
-    :class:`IntegrationError` at its stage time."""
-    def attempt(t, y, f, h):
-        K = np.empty((7, y.size))
-        K[0] = f
-        t_stage = t
-        try:
-            for s in range(1, 6):
-                t_stage = t + rk45.C[s] * h
-                K[s] = fun(t_stage, y + np.dot(K[:s].T, _A[s]) * h)
-            y_new = y + h * np.dot(K[:-1].T, _B)
-            t_stage = t + h
-            K[6] = fun(t_stage, y_new)
-        except (ZeroDivisionError, OverflowError, ValueError) as exc:
-            raise IntegrationError(float(t_stage),
-                                   f"field evaluation failed: {exc}") from exc
-        scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
-        return y_new, K[6], K[:, :dim], _rms(np.dot(K.T, _E) * h / scale)
-
-    return attempt
-
-
-def _rms(x):
-    return np.linalg.norm(x) / x.size ** 0.5
-
-
-def solve_ivp(fun, t_span, y0, *, attempt=None, dim=None, tol=DEFAULT_TOL) -> _Run:
-    """SciPy's RK45 for y' = fun(t, y) from y0 over t_span = (t0, t1),
-    t0 < t1, at rtol = atol = ``tol`` (rtol raised to at least 100
-    machine epsilons, ``rk45.tolerances``), with the dense output of the
-    first ``dim`` components (default: all).
-
-    ``attempt`` is a float attempt of ``rk45.float_stages`` (float
-    stages, with ``fun`` its ``rhs``); without it the stages are NumPy
-    evaluations of ``fun`` (``_numpy_stages``).  The step control is
-    SciPy's: its initial step, a least step of 10 ulp(t), step factors
-    0.9 err^(-1/5) within [0.2, 10] (at most 1 after a rejection), and
-    the last step clipped to t1.  An error norm that is not below 1 (NaN
-    included) rejects the attempt, as does a ZeroDivisionError in a float
-    stage, which NumPy arithmetic would have made inf or NaN.  ``nfev``
-    counts as SciPy's: 2 + 6 per attempt.
-
-    Floating-point warnings are off.  Raises :class:`IntegrationError` on
-    a non-finite field at the start, a field evaluation that raises (at
-    its stage time), a step below the least step, and a non-finite end
-    state.
-    """
-    t0, t1 = map(float, t_span)
-    y0 = np.asarray(y0, dtype=float)
-    dim = y0.size if dim is None else dim
-    rtol, atol = rk45.tolerances(tol)
-    t = t0
-    with np.errstate(all="ignore"):
-        try:  # SciPy's select_initial_step
-            f0 = np.asarray(fun(t0, y0), dtype=float)
-            if not np.isfinite(f0).all():
-                raise IntegrationError(t0, "non-finite field at the start")
-            scale = atol + np.abs(y0) * rtol
-            d0, d1 = _rms(y0 / scale), _rms(f0 / scale)
-            h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, t1 - t0)
-            t = t0 + h0
-            d2 = _rms((np.asarray(fun(t, y0 + h0 * f0), dtype=float) - f0) / scale) / h0
-        except (ZeroDivisionError, OverflowError, ValueError) as exc:
-            raise IntegrationError(t, f"field evaluation failed: {exc}") from exc
-        if d1 <= 1e-15 and d2 <= 1e-15:
-            h1 = max(1e-6, h0 * 1e-3)
-        else:
-            h1 = (0.01 / max(d1, d2)) ** 0.2
-        h_abs = float(min(100 * h0, h1, t1 - t0))
-
-        if attempt is None:
-            attempt, y, f = _numpy_stages(fun, rtol, atol, dim), y0, f0
-        else:
-            y, f = y0.tolist(), f0.tolist()
-        t, ts, ys, stages, nfev = t0, [t0], [y], [], 2
-        while t < t1:
-            min_step = 10 * (math.nextafter(t, math.inf) - t)
-            h_abs = max(h_abs, min_step)
-            rejected = False
-            while True:
-                if h_abs < min_step:
-                    raise IntegrationError(t, "Required step size is less than "
-                                              "spacing between numbers.")
-                t_new = min(t + h_abs, t1)
-                h = h_abs = t_new - t
-                nfev += 6
-                try:
-                    y_new, f_new, K, err = attempt(t, y, f, h)
-                except ZeroDivisionError:
-                    err = math.nan
-                except rk45.StageError as exc:
-                    raise IntegrationError(exc.time, "field evaluation failed: "
-                                                     f"{exc.__cause__}") from exc.__cause__
-                if err < 1:
-                    factor = 10.0 if err == 0 else min(10.0, 0.9 * err ** -0.2)
-                    h_abs *= min(1.0, factor) if rejected else factor
-                    break
-                h_abs *= max(0.2, 0.9 * err ** -0.2)
-                rejected = True
-            t, y, f = t_new, y_new, f_new
-            ts.append(t)
-            ys.append(y)
-            stages.append(K)
-    Y = np.array(ys)
-    if not np.isfinite(Y[-1]).all():
-        raise IntegrationError(t, "non-finite state")
-    K = np.array(stages).reshape(len(stages), 7, -1)
-    dense = _DenseOutput(ts=np.array(ts), Q=K.transpose(0, 2, 1) @ _P,
-                         y_old=Y[:-1, :dim], y_end=Y[-1, :dim].copy())
-    return _Run(t=dense.ts, y=Y.T, nfev=nfev, dense=dense)
-
-
-def _single(field, lam, xi0, t0, t1, tol) -> _DenseOutput:
+def _single(field, lam, xi0, t0, t1) -> _DenseOutput:
     """One solve of xi' = G(xi) + lam*F(t, xi): on the field's float stages,
     or on NumPy stages of G and F for a field without them."""
     y0 = chain.as_state(xi0, field.dim)
     if field.float_stages is not None:
-        rhs, attempt = field.float_stages(lam, tol)
-        return solve_ivp(rhs, (t0, t1), y0, attempt=attempt, tol=tol).dense
+        rhs, attempt = field.float_stages(lam)
+        return solve_ivp(rhs, (t0, t1), y0, attempt=attempt).dense
     G, F = field.G, field.F
     if lam:
         def fun(t, y):
@@ -332,7 +157,7 @@ def _single(field, lam, xi0, t0, t1, tol) -> _DenseOutput:
     else:
         def fun(t, y):
             return G(y)
-    return solve_ivp(fun, (t0, t1), y0, tol=tol).dense
+    return solve_ivp(fun, (t0, t1), y0).dense
 
 
 def _trajectory(dense: _DenseOutput, t0, t1) -> Trajectory:
@@ -342,27 +167,23 @@ def _trajectory(dense: _DenseOutput, t0, t1) -> Trajectory:
                       t0=t0, t1=t1, _interp=dense)
 
 
-def integrate(field, lam: float, xi0, t0: float, t1: float,
-              tol: float = DEFAULT_TOL) -> Trajectory:
-    """Integrate xi' = G(xi) + lam*F(t, xi) over [t0, t1].
+def integrate(field, lam: float, xi0, t0: float, t1: float) -> Trajectory:
+    """Integrate xi' = G(xi) + lam*F(t, xi) over [t0, t1], t0 < t1 with a
+    finite length t1 - t0, at the tolerance ``rk45.TOL``.
 
     Dense output is sampled on ``DENSE_SAMPLES`` uniform points of [t0, t1).
-    ``tol`` >= 0 is the absolute and relative tolerance; as in SciPy, a
-    relative tolerance below 100 machine epsilons is raised to that.
     Deterministic for fixed inputs.
     """
-    if not t1 > t0:
-        raise ValueError("need t1 > t0")
-    if not tol >= 0:
-        raise ValueError("need tol >= 0")
-    return _trajectory(_single(field, lam, xi0, t0, t1, tol), t0, t1)
+    if not (t0 < t1 and math.isfinite(t1 - t0)):  # an infinite step never ends
+        raise ValueError(f"need t0 < t1 with t1 - t0 finite, got t0={t0!r}, t1={t1!r}")
+    return _trajectory(_single(field, lam, xi0, t0, t1), t0, t1)
 
 
 def _shoot(field, lam, xi0) -> _DenseOutput:
     """One period from xi0 with dense output: the solve of a shooting
     residual away from a Jacobian point (a Newton iterate), which may
     become a branch point (``_branch_point``)."""
-    return _single(field, lam, xi0, 0.0, field.problem.T, DEFAULT_TOL)
+    return _single(field, lam, xi0, 0.0, field.problem.T)
 
 
 def period_map(field, lam: float, xi0) -> np.ndarray:

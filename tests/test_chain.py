@@ -6,7 +6,7 @@ import scipy.integrate
 import scipy.optimize
 
 import helpers
-from gammachain import analysis, chain, expr, orbit
+from gammachain import analysis, chain, expr, orbit, rk45
 from gammachain.chain import ExpandedField, ProblemSpec, expand, lifted_zero
 
 P0 = np.zeros(4)
@@ -106,7 +106,7 @@ class TestExpand:
         traj = orbit.integrate(field, 0.1, xi0, 0.0, 0.1)
         ref = scipy.integrate.solve_ivp(
             lambda t, y: field.G(y) + 0.1 * field.F(t, y), (0.0, 0.1), xi0,
-            method="RK45", rtol=orbit.DEFAULT_TOL, atol=orbit.DEFAULT_TOL)
+            method="RK45", rtol=rk45.TOL, atol=rk45.TOL)
         if field.float_stages is None:
             assert np.array_equal(traj.y_end, ref.y[:, -1])
         else:

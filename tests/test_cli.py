@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import collections
 import json
 import math
 import os
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 
 import helpers
-from gammachain import analysis, certify, cli, oracle, orbit
+from gammachain import analysis, certify, cli, oracle, orbit, rk45
 from gammachain.cli import (ConfigError, SchemaError, cmd_analyze, cmd_branch,
                             cmd_verify, load_config, main, read_branch_csv,
                             write_branch_csv)
@@ -345,6 +346,35 @@ class TestBranch:
         cmd_branch(cfg, tmp_path / "out", seed_index=0)
         doc = json.loads((tmp_path / "out" / "branch_summary.json").read_text())
         assert doc["seeds"][0]["csv"] == "branch_0.csv"
+
+
+def test_every_solve_goes_through_orbit_solve_ivp(tmp_path, monkeypatch):
+    # perfbench/tracing.py and perfbench/worker.py count and slow down the
+    # integrations by patching orbit.solve_ivp, so branch and verify must
+    # reach the integrator through that name, never as rk45.solve_ivp
+    solve = rk45.solve_ivp
+    calls = collections.Counter()
+    phase = "branch"
+
+    def counted(fun, t_span, y0, **kwargs):
+        calls[phase, "stacked" if "dim" in kwargs else "single"] += 1
+        return solve(fun, t_span, y0, **kwargs)
+
+    def bypassed(*args, **kwargs):
+        calls["bypassed"] += 1
+        raise AssertionError("rk45.solve_ivp called past orbit.solve_ivp")
+
+    monkeypatch.setattr(rk45, "solve_ivp", bypassed)
+    monkeypatch.setattr(orbit, "solve_ivp", counted)
+    cfg = load_config(write_config(tmp_path, EXAMPLE_CONFIG))
+    summary = cmd_branch(cfg, tmp_path / "out", seed_index=0)
+    phase = "verify"
+    doc = cmd_verify(cfg, tmp_path / "out" / "branch_0.csv")
+    assert calls["bypassed"] == 0
+    assert doc["all_pass"] and len(doc["rows"]) == summary["seeds"][0]["points"]
+    assert calls["branch", "single"] > 0 and calls["branch", "stacked"] > 0
+    assert calls["verify", "single"] == len(doc["rows"])
+    assert calls["verify", "stacked"] == 0
 
 
 class TestCsvRoundTrip:
