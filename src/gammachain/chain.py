@@ -9,7 +9,7 @@ Lipschitz sampler and the degree cross-check read its column-batched form
 ``G_batch``, and the stacked runs of the shooting Jacobians read
 ``G_batch`` and ``F_batch``.  Single solves of a chain of up to
 ``FLOAT_STAGES_MAX_DIM`` components run on the field's float stages: one
-RK45 attempt of G (+ lambda F) as straight-line float code, which
+RK45 attempt of G + lambda F as straight-line float code, which
 ``rk45.float_stages`` generates from the same expression code as the
 compiled g, phi and f.
 """
@@ -98,8 +98,8 @@ class ExpandedField:
     for evaluating many states in one call (box samples, finite-difference
     Jacobians).  ``F_batch(t, X)`` is F on columns at the scalar time t,
     or with one time per column in an (N,) array t.  ``float_stages(lam)``
-    is the pair (rhs, attempt) of :func:`rk45.float_stages` for G + lam F
-    (for G alone at lam = 0); None for a field built from callables or
+    is the pair (rhs, attempt) of :func:`rk45.float_stages` for G + lam F,
+    at lam = 0 too; None for a field built from callables or
     with dim above ``FLOAT_STAGES_MAX_DIM``.
     """
 
@@ -139,9 +139,9 @@ def expand(p: ProblemSpec) -> ExpandedField:
     (v0, g(u, v0, vb), a*(phi(u, v0) - v1), a*(v1 - v2), ..., a*(v_{b-1} - vb))
     with forcing (0, f(t, u, v0), 0, ..., 0).  ``G_batch`` and ``F_batch``
     evaluate G and F on the columns of a (dim, N) array with the vectorized
-    g, phi and f.  Up to ``FLOAT_STAGES_MAX_DIM``, the float stages are
-    compiled from the scalar code of g, phi and f on first use, once
-    unforced for lam = 0 and once forced.
+    g, phi and f.  Up to ``FLOAT_STAGES_MAX_DIM``, the float stages of
+    G + lam F are compiled from the scalar code of g, phi and f on first
+    use, once for every lam.
     """
     a = p.kernel.a
     b = p.kernel.b
@@ -158,8 +158,7 @@ def expand(p: ProblemSpec) -> ExpandedField:
             out[0] = v0
             out[1] = g(u, v0, xi[dim - 1])
             out[2] = a * (phi(u, v0) - xi[2])
-            if b >= 2:
-                out[3:] = a * (xi[2:dim - 1] - xi[3:dim])
+            out[3:] = a * (xi[2:dim - 1] - xi[3:dim])
             return out
         return G
 
@@ -177,19 +176,18 @@ def expand(p: ProblemSpec) -> ExpandedField:
         return out
 
     @lru_cache(maxsize=None)
-    def compiled_stages(forced):
+    def compiled_stages():
         g_code = expr._code(p.g, {"x0": "w0", "x1": "w1", "x2": f"w{dim - 1}"})
-        if forced:
-            f_code = expr._code(p.f, {"t": "s", "x": "w0", "v": "w1"})
-            g_code = f"{g_code} + lam * {f_code}"
+        f_code = expr._code(p.f, {"t": "s", "x": "w0", "v": "w1"})
         phi_code = expr._code(p.phi, {"p": "w0", "q": "w1"})
         a_code = repr(float(a))
         cascade = ([f"{a_code} * ({phi_code} - w2)"]
                    + [f"{a_code} * (w{i - 1} - w{i})" for i in range(3, dim)])
-        return rk45.float_stages(["w1", g_code] + cascade, expr._SCALAR_NS)
+        return rk45.float_stages(["w1", f"{g_code} + lam * {f_code}"] + cascade,
+                                 expr._SCALAR_NS)
 
     def float_stages(lam):
-        return compiled_stages(bool(lam))(lam)
+        return compiled_stages()(lam)
 
     return ExpandedField(dim=dim, G=field(batched=False), F=F, problem=p,
                          G_batch=field(batched=True), F_batch=F_batch,

@@ -3,8 +3,8 @@
 Subcommands: ``analyze`` (degree + multiplicity reports as JSON),
 ``branch`` (trace starting-point branches from every zero the scan finds,
 certified or not, one CSV per seed plus a summary JSON), ``verify``
-(oracle cross-check of a branch CSV).  Exit codes: 1 config or usage,
-2 admissibility, 3 numerical, 4 CSV schema mismatch.
+(oracle cross-check of a branch CSV).  Exit codes: 1 config, usage or
+output, 2 admissibility, 3 numerical, 4 CSV schema mismatch.
 """
 from __future__ import annotations
 
@@ -206,8 +206,9 @@ def cmd_branch(cfg: RunConfig, out_dir, seed_index: int | None = None) -> dict:
     out.mkdir(parents=True, exist_ok=True)
     zeros = analysis.scan_zeros(cfg.problem, cfg.alpha, cfg.beta, cfg.grid_n)
     if seed_index is not None and not 0 <= seed_index < len(zeros):
-        raise ConfigError(f"--seed-zero {seed_index}: the scan found {len(zeros)} "
-                          f"zeros, valid indices are 0 to {len(zeros) - 1}")
+        found = (f"{len(zeros)} zeros, valid indices are 0 to {len(zeros) - 1}"
+                 if zeros else "no zeros")
+        raise ConfigError(f"--seed-zero {seed_index}: the scan found {found}")
     field = chain.expand(cfg.problem)
     b = cfg.problem.kernel.b
     summary = {"seeds": [], "lambda_star_hint": None}
@@ -262,11 +263,9 @@ def cmd_verify(cfg: RunConfig, csv_path) -> dict:
 
 def _emit(doc: dict, out_dir, name: str):
     text = json.dumps(doc, indent=2)
-    print(text)
     if out_dir is not None:
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        (out / name).write_text(text + "\n")
+        (Path(out_dir) / name).write_text(text + "\n")
+    print(text)
 
 
 _NUMERICAL_ERRORS = (orbit.IntegrationError, orbit.NoConvergenceError,
@@ -304,6 +303,8 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     try:
         cfg = load_config(args.config)
+        if args.out is not None:  # before any work, so that a bad --out wastes none
+            Path(args.out).mkdir(parents=True, exist_ok=True)
         if args.command == "analyze":
             _emit(cmd_analyze(cfg), args.out, "analysis.json")
         elif args.command == "branch":
@@ -314,6 +315,9 @@ def main(argv=None) -> int:
         return 0
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except OSError as exc:  # inputs are read as ConfigError or SchemaError
+        print(f"output error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except analysis.AdmissibilityError as exc:
         print(f"admissibility error: {exc}", file=sys.stderr)

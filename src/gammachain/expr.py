@@ -1,4 +1,5 @@
-"""Scalar expression trees: parsing, evaluation, symbolic differentiation.
+"""Scalar expression trees: parsing, evaluation, symbolic differentiation,
+printing and compilation.
 
 The grammar covers decimal literals, named variables, the binary operators
 ``+ - * / ^``, unary minus, the functions ``sin cos exp abs`` and the
@@ -373,68 +374,33 @@ def diff(e: Expr, var: str) -> Expr:
     raise TypeError(f"not an expression node: {e!r}")
 
 
-# -- printing ----------------------------------------------------------------
-
-_BIN_PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "^": 4}
-
-
-def _prec(e: Expr) -> int:
-    if isinstance(e, Num):
-        return 5 if e.value >= 0 else 3
-    if isinstance(e, (Var, Call)):
-        return 5
-    if isinstance(e, Neg):
-        return 3
-    if isinstance(e, BinOp):
-        return _BIN_PREC[e.op]
-    raise TypeError(f"not an expression node: {e!r}")
-
-
-def _wrap(e: Expr, need_parens: bool) -> str:
-    s = to_string(e)
-    return f"({s})" if need_parens else s
-
+# -- printing and code generation --------------------------------------------
 
 def to_string(e: Expr) -> str:
-    """Render a tree; re-parsing the output evaluates identically."""
+    """Render a tree as grammar text; re-parsing it evaluates identically."""
+    return _code(e, grammar=True)
+
+
+def _code(e: Expr, names: Mapping[str, str] = {}, grammar: bool = False) -> str:
+    """The one writer of a tree, fully parenthesized: the Python source that
+    ``compile_expr`` and the chain's float stages compile, or with
+    ``grammar`` set grammar text (``^`` infix, not ``pow``).  A variable
+    reads ``names.get(name, name)``; a negative literal is parenthesized,
+    as the grammar has no signed literals."""
     if isinstance(e, Num):
-        return repr(e.value)
-    if isinstance(e, Var):
-        return e.name
-    if isinstance(e, Neg):
-        return "-" + _wrap(e.operand, _prec(e.operand) < 3)
-    if isinstance(e, Call):
-        return f"{e.func}({to_string(e.arg)})"
-    if isinstance(e, BinOp):
-        p = _BIN_PREC[e.op]
-        if e.op in "+-*/":
-            # parsing is left-associative: a same-precedence right operand
-            # must keep its parentheses or the float rounding order changes
-            left = _wrap(e.left, _prec(e.left) < p)
-            right = _wrap(e.right, _prec(e.right) <= p)
-        else:  # ^ is right-associative, exponent sits at unary level
-            left = _wrap(e.left, _prec(e.left) <= p)
-            right = _wrap(e.right, _prec(e.right) < 3)
-        return f"{left}{e.op}{right}"
-    raise TypeError(f"not an expression node: {e!r}")
-
-
-# -- compilation -------------------------------------------------------------
-
-def _code(e: Expr, names: Mapping[str, str] = {}) -> str:
-    """Python source of a tree; a variable reads ``names.get(name, name)``."""
-    if isinstance(e, Num):
-        return repr(e.value)
+        text = repr(e.value)
+        return f"({text})" if text.startswith("-") else text
     if isinstance(e, Var):
         return names.get(e.name, e.name)
     if isinstance(e, Neg):
-        return f"(-{_code(e.operand, names)})"
+        return f"(-{_code(e.operand, names, grammar)})"
     if isinstance(e, Call):
-        return f"{e.func}({_code(e.arg, names)})"
+        return f"{e.func}({_code(e.arg, names, grammar)})"
     if isinstance(e, BinOp):
-        if e.op == "^":
-            return f"pow({_code(e.left, names)}, {_code(e.right, names)})"
-        return f"({_code(e.left, names)} {e.op} {_code(e.right, names)})"
+        left, right = _code(e.left, names, grammar), _code(e.right, names, grammar)
+        if e.op == "^" and not grammar:
+            return f"pow({left}, {right})"
+        return f"({left} {e.op} {right})"
     raise TypeError(f"not an expression node: {e!r}")
 
 

@@ -44,19 +44,15 @@ def gamma_eval(k: GammaKernel, s):
     """Density value(s) at ``s``; scalar in, scalar out.
 
     Computed in log space so large shapes do not overflow the factorial.
-    At s = 0 the value is ``a`` for b = 1 (right limit) and 0 for b >= 2.
+    At s = 0 the value is ``a`` for b = 1 (right limit) and 0 for b >= 2;
+    at s = inf it is 0, the limit, for every b.
     """
     arr = np.asarray(s, dtype=float)
     out = np.zeros(arr.shape)
-    pos = arr > 0
-    if np.any(pos):
-        sp = arr[pos]
-        if k.b == 1:
-            logpdf = math.log(k.a) - k.a * sp
-        else:
-            logpdf = (k.b * math.log(k.a) + (k.b - 1) * np.log(sp)
+    pos = (arr > 0) & (arr < math.inf)
+    sp = arr[pos]
+    out[pos] = np.exp(k.b * math.log(k.a) + (k.b - 1) * np.log(sp)
                       - k.a * sp - math.lgamma(k.b))
-        out[pos] = np.exp(logpdf)
     if k.b == 1:
         out[arr == 0] = k.a
     if np.isscalar(s) or arr.ndim == 0:

@@ -172,7 +172,5 @@ def direct_residual(p: chain.ProblemSpec, lam: float, x: PeriodicTrack) -> float
     conv = history_convolution(p, x, xdot)[-1, ::QUAD_SUBINTERVALS // TEST_TIMES]
     xv = x.value(times)
     vv = xdot.value(times)
-    res = xddot.value(times) - g(xv, vv, conv)
-    if lam != 0.0:
-        res = res - lam * f(times, xv, vv)
+    res = xddot.value(times) - g(xv, vv, conv) - lam * f(times, xv, vv)
     return float(np.max(np.abs(res)))

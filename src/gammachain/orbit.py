@@ -151,12 +151,9 @@ def _single(field, lam, xi0, t0, t1) -> _DenseOutput:
         rhs, attempt = field.float_stages(lam)
         return solve_ivp(rhs, (t0, t1), y0, attempt=attempt).dense
     G, F = field.G, field.F
-    if lam:
-        def fun(t, y):
-            return G(y) + lam * F(t, y)
-    else:
-        def fun(t, y):
-            return G(y)
+
+    def fun(t, y):
+        return G(y) + lam * F(t, y)
     return solve_ivp(fun, (t0, t1), y0).dense
 
 

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import helpers
-from gammachain import analysis, certify, cli, oracle, orbit, rk45
+from gammachain import analysis, certify, chain, cli, oracle, orbit, rk45
 from gammachain.cli import (ConfigError, SchemaError, cmd_analyze, cmd_branch,
                             cmd_verify, load_config, main, read_branch_csv,
                             write_branch_csv)
@@ -256,6 +256,14 @@ class TestAnalyze:
         capsys.readouterr()
         assert json.loads((out / "analysis.json").read_text())["multiplicity"]["n"] == 2
 
+    def test_unwritable_report_exits_config(self, tmp_path, capsys):
+        path = write_config(tmp_path, EXAMPLE_CONFIG)
+        (tmp_path / "out" / "analysis.json").mkdir(parents=True)
+        assert main(["analyze", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("output error: ")
+
 
 class TestBranch:
     def test_short_branches(self, tmp_path):
@@ -295,6 +303,31 @@ class TestBranch:
                      str(tmp_path / "out"), "--seed-zero", str(index)])
         assert code == 1
         assert "valid indices are 0 to 1" in capsys.readouterr().err
+        # an interval without zeros has no valid index at all
+        doc = json.loads(json.dumps(SHORT_BRANCH_CONFIG))
+        doc["interval"] = {"alpha": 0.25, "beta": 0.75, "grid_n": 100}
+        path = write_config(tmp_path, doc, "no_zeros.json")
+        code = main(["branch", "--config", str(path), "--out",
+                     str(tmp_path / "out"), "--seed-zero", str(index)])
+        assert code == 1
+        assert capsys.readouterr().err == (f"config error: --seed-zero {index}: "
+                                           "the scan found no zeros\n")
+
+    def test_long_chain_branches_and_verifies_on_numpy_stages(self, tmp_path):
+        # dim 47 is past FLOAT_STAGES_MAX_DIM: every single solve, at
+        # lambda = 0 and at lambda > 0, runs on the NumPy stages of G + lam F
+        doc = json.loads(json.dumps(EXAMPLE_CONFIG))
+        doc["problem"].update(a=40.0, b=45)
+        doc["continuation"] = {"lambda_max": 0.05}
+        cfg = load_config(write_config(tmp_path, doc))
+        assert chain.expand(cfg.problem).float_stages is None
+        summary = cmd_branch(cfg, tmp_path / "out", seed_index=0)
+        entry, = summary["seeds"]
+        assert entry["points"] == 12
+        assert entry["status"] == {"backward": "lambda_zero", "forward": "lambda_max"}
+        doc = cmd_verify(cfg, tmp_path / "out" / entry["csv"])
+        assert len(doc["rows"]) == 12 and doc["all_pass"]
+        assert doc["rows"][0]["lambda"] == 0.0
 
     def test_lambda_max_zero_gives_trivial_rows(self, tmp_path):
         doc = json.loads(json.dumps(EXAMPLE_CONFIG))
@@ -524,6 +557,20 @@ class TestUsage:
             main(["branch", "-h"])
         assert exc.value.code == 0
         assert "--seed-zero" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command", ["analyze", "branch", "verify"])
+    def test_unusable_out_exits_config(self, branch_csv, tmp_path, capsys,
+                                       monkeypatch, command):
+        # --out names an existing file: fail before the command does any work
+        monkeypatch.setattr(cli, f"cmd_{command}", None)
+        path = write_config(tmp_path, SHORT_BRANCH_CONFIG)
+        out = tmp_path / "taken"
+        out.write_text("")
+        csv = [str(branch_csv[1])] if command == "verify" else []
+        assert main([command, *csv, "--config", str(path), "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("output error: ")
 
 
 NO_SCIPY_RUN = """

@@ -172,6 +172,14 @@ def test_print_parse_round_trip():
             done += 1
 
 
+def test_printing_is_fully_parenthesized():
+    assert str(parse("-u*(1+v)", ("u", "v"))) == "((-u) * (1.0 + v))"
+    # the grammar has no signed literals: (-2)^u is not -(2^u)
+    tree = BinOp("^", Num(-2.0), Var("u"))
+    assert to_string(tree) == "((-2.0) ^ u)"
+    assert evaluate(parse(to_string(tree), ("u",)), {"u": 2.0}) == 4.0
+
+
 def test_trees_are_immutable_and_hashable():
     tree = parse("u*(1-u)", ["u"])
     with pytest.raises(Exception):

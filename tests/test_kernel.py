@@ -30,6 +30,10 @@ class TestDensity:
     def test_negative_support(self):
         assert gamma_eval(GammaKernel(1.0, 3), -0.5) == 0.0
 
+    @pytest.mark.parametrize("b", [1, 2])
+    def test_zero_at_infinity(self, b):
+        assert gamma_eval(GammaKernel(2.0, b), math.inf) == 0.0
+
     def test_large_shape_no_overflow(self):
         k = GammaKernel(1.0, 180)
         v = gamma_eval(k, 180.0)  # near the mode; factorial 179! would overflow
