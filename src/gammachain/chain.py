@@ -6,12 +6,12 @@ R^(b+2), with state ordered (u, v0, v1, ..., vb) = (x, xdot, chain stages).
 Constant solutions of the second-order equation correspond to zeros of
 G through ``lifted_zero``.  G is the one field of a problem: the
 Lipschitz sampler and the degree cross-check read its column-batched form
-``G_batch``, and the stacked runs of the shooting Jacobians read
-``G_batch`` and ``F_batch``.  Single solves of a chain of up to
-``FLOAT_STAGES_MAX_DIM`` components run on the field's float stages: one
-RK45 attempt of G + lambda F as straight-line float code, which
-``rk45.float_stages`` generates from the same expression code as the
-compiled g, phi and f.
+``G_batch``, and the stacked runs of the shooting Jacobians read the fused
+field ``GF_batch``, G + lambda F with one lambda per column.  Single solves
+of a chain of up to ``FLOAT_STAGES_MAX_DIM`` components run on the field's
+float stages: one RK45 attempt of G + lambda F as straight-line float
+code, which ``rk45.float_stages`` generates from the same expression code
+as the compiled g, phi and f.
 """
 from __future__ import annotations
 
@@ -96,8 +96,10 @@ class ExpandedField:
     (nonzero only in the xdot component).  ``G_batch`` is G on columns: it
     maps a (dim, N) array of states to the (dim, N) array of their images,
     for evaluating many states in one call (box samples, finite-difference
-    Jacobians).  ``F_batch(t, X)`` is F on columns at the scalar time t,
-    or with one time per column in an (N,) array t.  ``float_stages(lam)``
+    Jacobians).  ``GF_batch(t, X, lams)`` is G + lam F on the columns of X
+    at the scalar time t, with one lam per column in the (N,) array lams:
+    the field of a stacked run, written into one F-ordered (dim, N) array
+    for a field from ``expand``.  ``float_stages(lam)``
     is the pair (rhs, attempt) of :func:`rk45.float_stages` for G + lam F,
     at lam = 0 too; None for a field built from callables or
     with dim above ``FLOAT_STAGES_MAX_DIM``.
@@ -108,20 +110,21 @@ class ExpandedField:
     F: Callable[[float, np.ndarray], np.ndarray]
     problem: Optional[ProblemSpec]
     G_batch: Callable[[np.ndarray], np.ndarray]
-    F_batch: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    GF_batch: Callable[[float, np.ndarray, np.ndarray], np.ndarray]
     float_stages: Optional[Callable[[float], tuple]] = None
 
     @classmethod
     def from_callables(cls, dim: int, G, problem=None) -> "ExpandedField":
         """An unforced field from a G that maps either one state or the
         columns of a (dim, N) array (a matrix product, or NumPy ufuncs);
-        G serves as both ``G`` and ``G_batch``, and F is zero."""
+        G serves as ``G``, ``G_batch`` and, as G(X), ``GF_batch``, and F is
+        zero."""
         def F(t, xi):
             return np.zeros(dim)
 
-        def F_batch(t, X):
-            return np.zeros(X.shape)
-        return cls(dim=dim, G=G, F=F, problem=problem, G_batch=G, F_batch=F_batch)
+        def GF_batch(t, X, lams):
+            return G(X)
+        return cls(dim=dim, G=G, F=F, problem=problem, G_batch=G, GF_batch=GF_batch)
 
 
 @lru_cache(maxsize=128)
@@ -137,11 +140,11 @@ def expand(p: ProblemSpec) -> ExpandedField:
     """Build the expanded field: componentwise
 
     (v0, g(u, v0, vb), a*(phi(u, v0) - v1), a*(v1 - v2), ..., a*(v_{b-1} - vb))
-    with forcing (0, f(t, u, v0), 0, ..., 0).  ``G_batch`` and ``F_batch``
-    evaluate G and F on the columns of a (dim, N) array with the vectorized
-    g, phi and f.  Up to ``FLOAT_STAGES_MAX_DIM``, the float stages of
-    G + lam F are compiled from the scalar code of g, phi and f on first
-    use, once for every lam.
+    with forcing (0, f(t, u, v0), 0, ..., 0).  ``G_batch`` and ``GF_batch``
+    evaluate G and G + lam F on the columns of a (dim, N) array with the
+    vectorized g, phi and f.  Up to ``FLOAT_STAGES_MAX_DIM``, the float
+    stages of G + lam F are compiled from the scalar code of g, phi and f
+    on first use, once for every lam.
     """
     a = p.kernel.a
     b = p.kernel.b
@@ -149,11 +152,13 @@ def expand(p: ProblemSpec) -> ExpandedField:
 
     def field(batched):
         """The autonomous field; with ``batched`` set it maps the columns
-        of a (dim, N) array, using the vectorized g and phi."""
+        of a (dim, N) array, using the vectorized g and phi.  It writes
+        into ``out`` when given."""
         g, phi, _ = _compiled(p, vectorized=True) if batched else _compiled(p)
 
-        def G(xi):
-            out = np.empty(xi.shape) if batched else np.empty(dim)
+        def G(xi, out=None):
+            if out is None:
+                out = np.empty(xi.shape) if batched else np.empty(dim)
             u, v0 = xi[0], xi[1]
             out[0] = v0
             out[1] = g(u, v0, xi[dim - 1])
@@ -164,15 +169,16 @@ def expand(p: ProblemSpec) -> ExpandedField:
 
     _, _, f = _compiled(p)
     _, _, f_batch = _compiled(p, vectorized=True)
+    G_batch = field(batched=True)
 
     def F(t, xi):
         out = np.zeros(dim)
         out[1] = f(t, xi[0], xi[1])
         return out
 
-    def F_batch(t, X):
-        out = np.zeros(X.shape)
-        out[1] = f_batch(t, X[0], X[1])
+    def GF_batch(t, X, lams):
+        out = G_batch(X, np.empty(X.shape, order="F"))
+        out[1] += lams * f_batch(t, X[0], X[1])
         return out
 
     @lru_cache(maxsize=None)
@@ -190,7 +196,7 @@ def expand(p: ProblemSpec) -> ExpandedField:
         return compiled_stages()(lam)
 
     return ExpandedField(dim=dim, G=field(batched=False), F=F, problem=p,
-                         G_batch=field(batched=True), F_batch=F_batch,
+                         G_batch=G_batch, GF_batch=GF_batch,
                          float_stages=float_stages if dim <= FLOAT_STAGES_MAX_DIM else None)
 
 

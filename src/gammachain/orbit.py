@@ -1,13 +1,18 @@
 """Periodic shooting and branch continuation.
 
 A T-periodic starting point z = (lambda, xi) solves xi(T) - xi(0) = 0.
-There is one Newton (``_newton``): chord Newton on that residual bordered
-by one linear equation, with a forward-difference Jacobian.  Branches of
-starting points are traced with pseudo-arclength continuation (secant
-predictor, border row the unit tangent), so folds in lambda are traversed;
-a fixed-lambda solve (``newton_periodic``) is the same Newton with border
-row e_0 (Keller 1977; Allgower & Georg, Numerical Continuation Methods,
-1990).
+There is one Newton (``_newton``) on that residual bordered by one linear
+equation: a chord Newton with a forward-difference Jacobian, preceded in
+the continuation by good-Broyden iterates on a Jacobian estimate carried
+from point to point.  Branches of starting points are traced with
+pseudo-arclength continuation (secant predictor, border row the unit
+tangent, corrector started from a quadratic extrapolation of the last
+three points), so folds in lambda are traversed; the shooting Jacobian is
+updated along the curve and recomputed only where Broyden stalls
+(predictor-corrector with Jacobian updating).  A fixed-lambda solve
+(``newton_periodic``) is the chord Newton with border row e_0 (Keller
+1977; Broyden 1965; Allgower & Georg, Numerical Continuation Methods,
+1990, ch. 7).
 
 Every integration is one call of ``solve_ivp``, the RK45 driver of
 ``rk45``, made through this module's own name ``orbit.solve_ivp``, which
@@ -16,9 +21,9 @@ is one solve on the field's float stages, straight-line float code
 generated by ``chain.expand`` (on NumPy stages of G and F for a field
 without them: one built from callables, or a long chain).  A shooting
 Jacobian is one solve of the unperturbed column, the lambda column and the
-monodromy columns, stacked into one state, on NumPy stages of the
-column-batched field; the first residual of each Newton solve is its
-column 0.  Dense output is sampled on 512 uniform points per period.
+monodromy columns, stacked into one state, on NumPy stages of the fused
+column-batched field G + lambda F; the first residual of each chord Newton
+is its column 0.  Dense output is sampled on 512 uniform points per period.
 """
 from __future__ import annotations
 
@@ -41,6 +46,8 @@ DENSE_SAMPLES = 512
 MONODROMY_STEP = 1e-7
 SINGULAR_TOL = 1e-6  # least singular value of a singular bordered Jacobian
 SEED_LAMBDA = 1e-3  # lambda of the first corrected point next to a zero
+BROYDEN_MAX_ITER = 6  # iterates of a Broyden phase, at most newton_max_iter
+BROYDEN_CONTRACTION = 0.3  # least residual contraction per Broyden iterate
 
 
 class NoConvergenceError(RuntimeError):
@@ -197,8 +204,8 @@ def _linearize(field, lam, xi):
     xi + MONODROMY_STEP e_j for each j.  The dim + 2 columns are one state,
     column after column, integrated by one ``solve_ivp`` under one step
     control (internal numerical differentiation, Bock 1981) on NumPy
-    stages, each of which evaluates ``G_batch`` and ``F_batch`` once on the
-    (dim, dim + 2) view.  Returns (xi(T), the dense output of column 0, and
+    stages, each of which evaluates the fused field ``GF_batch`` once on
+    the (dim, dim + 2) view.  Returns (xi(T), the dense output of column 0, and
     the (dim, dim + 1) quotients (P_j - xi(T)) / MONODROMY_STEP of the
     other columns' maps P_j)."""
     dim = xi.size
@@ -207,11 +214,10 @@ def _linearize(field, lam, xi):
     X0[:, 2:] += MONODROMY_STEP * np.eye(dim)
     lams = np.full(n, float(lam))
     lams[1] += MONODROMY_STEP
-    G, F = field.G_batch, field.F_batch
+    GF = field.GF_batch
 
     def fun(t, y):
-        X = y.reshape(dim, n, order="F")
-        return (G(X) + lams * F(t, X)).ravel(order="F")
+        return GF(t, y.reshape(dim, n, order="F"), lams).ravel(order="F")
 
     run = solve_ivp(fun, (0.0, field.problem.T), X0.ravel(order="F"), dim=dim)
     P = run.y[:, -1].reshape(dim, n, order="F")
@@ -219,21 +225,33 @@ def _linearize(field, lam, xi):
     return base, run.dense, (P[:, 1:] - base[:, None]) / MONODROMY_STEP
 
 
-def _newton(field, z_pred, tangent, params):
-    """Chord Newton for z = (lam, xi) on [P(lam, xi) - xi ; tangent . (z -
-    z_pred)] = 0 from ``z_pred``, for a unit ``tangent``.
+def _newton(field, z_pred, tangent, params, start=None, A=None):
+    """Newton for z = (lam, xi) on [P(lam, xi) - xi ; tangent . (z -
+    z_pred)] = 0 from ``start`` (default ``z_pred``), a point of the border
+    plane, for a unit ``tangent``.
 
-    The Jacobian is one ``_linearize`` run at z_pred, whose column 0 gives
-    the residual there, refreshed once if the fifth iterate stalls.  Each
-    iterate is put back on the border plane (exactly for tangent e_0, so a
-    fixed lambda stays bit-exact).  Acceptance: residual <= ``newton_tol``,
-    or <= 1e-9 after the last of ``newton_max_iter`` iterations, times
-    1 + ||z||_inf.  Returns (z, iterations, the accepted starting point).
-    Raises :class:`SingularJacobianError` (least singular value of the
-    bordered Jacobian <= ``SINGULAR_TOL``) or :class:`NoConvergenceError`
-    (xi beyond 10 ``norm_max`` or non-finite, or nothing accepted).
+    Given ``A``, an estimate of the state block [P(lam, xi) - xi]' (dim,
+    dim + 1), the solve first runs ``_broyden`` from the start.  Otherwise,
+    or when that phase gives up, it is a chord Newton from where that
+    phase got to: the Jacobian is one ``_linearize`` run there, whose
+    column 0 gives the residual there, refreshed once if the fifth iterate
+    stalls.  Each iterate is put back on the border plane (exactly for
+    tangent e_0, so a fixed lambda stays bit-exact).  Acceptance: residual
+    <= ``newton_tol``, or (chord only) <= 1e-9 after the last of
+    ``newton_max_iter`` iterations, times 1 + ||z||_inf.  Returns (z,
+    iterations, the accepted starting point, A): the chord iterations, 0
+    when the Broyden phase accepted, and the state block that phase
+    updated or that of the chord's last Jacobian.  Raises
+    :class:`SingularJacobianError` (least singular value of the bordered
+    Jacobian <= ``SINGULAR_TOL``) or :class:`NoConvergenceError` (xi
+    beyond 10 ``norm_max`` or non-finite, or nothing accepted).
     """
     dim, tol, cap = field.dim, params.newton_tol, params.newton_max_iter
+    z = z_pred if start is None else start
+    if A is not None and BROYDEN_MAX_ITER > 0:
+        z, acc, A = _broyden(field, z_pred, tangent, params, z, A)
+        if acc is not None:
+            return z, 0, acc, A
 
     def jacobian(z):
         base, dense, D = _linearize(field, z[0], z[1:])
@@ -242,14 +260,14 @@ def _newton(field, z_pred, tangent, params):
             raise SingularJacobianError(f"singular bordered Jacobian at lambda={z[0]}")
         return J, base, dense
 
-    z = z_pred.copy()
+    z = z.copy()
     J, y_end, sol = jacobian(z)
     for it in range(cap + 1):
         R = y_end - z[1:]
         res = float(np.linalg.norm(R, np.inf))
         scale = 1.0 + float(np.linalg.norm(z, np.inf))
         if res <= tol * scale or (it == cap and res <= 1e-9 * scale):
-            return z, it, _Accepted(float(z[0]), z[1:], res, sol)
+            return z, it, _Accepted(float(z[0]), z[1:], res, sol), J[:dim]
         if it == cap:
             break
         if it == 5 and res > 1e3 * tol * scale:
@@ -265,6 +283,56 @@ def _newton(field, z_pred, tangent, params):
         sol = _shoot(field, z[0], z[1:])
         y_end = sol.y_end
     raise NoConvergenceError(f"no convergence at lambda={z[0]}: residual {res:.3e}")
+
+
+def _broyden(field, z_pred, tangent, params, z, A):
+    """The quasi-Newton phase of ``_newton`` from z with the state block
+    estimate A: the good-Broyden method (Broyden 1965) on the bordered
+    system.
+
+    One single solve at z gives its residual R.  Each iterate solves
+    [A; tangent] delta = -[R; 0], is put back on the border plane, shoots,
+    and updates A += (dR - A delta) delta^T / ||delta||^2 with the step it
+    took.  Returns (z, the accepted starting point, A) once a residual is
+    accepted at ``newton_tol``, or (the iterate of least residual, None,
+    A) to go on with the chord Newton: after an iterate that contracts the
+    residual by less than ``BROYDEN_CONTRACTION``, after
+    min(``BROYDEN_MAX_ITER``, ``newton_max_iter``) iterates, or on a
+    singular solve, a diverged iterate or a failed integration.
+    """
+    tol = params.newton_tol
+    try:
+        sol = _shoot(field, z[0], z[1:])
+    except IntegrationError:
+        return z, None, A
+    R = sol.y_end - z[1:]
+    res = float(np.linalg.norm(R, np.inf))
+    A = A.copy()
+    limit = min(BROYDEN_MAX_ITER, params.newton_max_iter)
+    for it in range(limit + 1):
+        if res <= tol * (1.0 + float(np.linalg.norm(z, np.inf))):
+            return z, _Accepted(float(z[0]), z[1:], res, sol), A
+        if it == limit:
+            break
+        try:
+            z_new = z + np.linalg.solve(np.vstack((A, tangent)), -np.append(R, 0.0))
+        except np.linalg.LinAlgError:
+            break
+        z_new -= (tangent @ (z_new - z_pred)) * tangent
+        if not np.linalg.norm(z_new[1:], np.inf) <= 10.0 * params.norm_max:
+            break
+        try:
+            sol_new = _shoot(field, z_new[0], z_new[1:])
+        except IntegrationError:
+            break
+        R_new = sol_new.y_end - z_new[1:]
+        res_new = float(np.linalg.norm(R_new, np.inf))
+        if res_new > BROYDEN_CONTRACTION * res:
+            return (z_new if res_new < res else z), None, A
+        delta = z_new - z
+        A += np.outer(R_new - R - A @ delta, delta / (delta @ delta))
+        z, R, res, sol = z_new, R_new, res_new, sol_new
+    return z, None, A
 
 
 def newton_periodic(field, lam: float, guess,
@@ -318,23 +386,52 @@ def _land(field, xi_guess, params, points):
     return "lambda_zero"
 
 
+def _extrapolate(zs, ds, z_pred, t_hat):
+    """The quadratic through the three points ``zs`` in the chord-length
+    parameter, at ds beyond the last, put on the border plane t_hat . (z -
+    z_pred) = 0."""
+    s1 = float(np.linalg.norm(zs[1] - zs[0]))
+    s2 = s1 + float(np.linalg.norm(zs[2] - zs[1]))
+    s = s2 + ds
+    q = ((s - s1) * (s - s2) / (s1 * s2) * zs[0]
+         - s * (s - s2) / (s1 * (s2 - s1)) * zs[1]
+         + s * (s - s1) / (s2 * (s2 - s1)) * zs[2])
+    return q - (t_hat @ (q - z_pred)) * t_hat
+
+
 def _march(field, z_start, tangent, params):
-    """Trace one direction; returns (points, status)."""
+    """Trace one direction; returns (points, status).
+
+    Each step predicts z_pred = z_last + ds t_hat along the secant tangent
+    t_hat and corrects on the border plane through z_pred with ``_newton``,
+    started from z_pred while the march holds fewer than three points and
+    from ``_extrapolate`` of the last three after that.  The first solve
+    takes a full Jacobian.  Its state block A then rides along the curve
+    (predictor-corrector with Jacobian updating; Allgower & Georg 1990,
+    ch. 7): after each accepted step dz, A <- A - (A dz) dz^T / ||dz||^2,
+    the secant condition with zero residual at both ends, and the next
+    solve starts with Broyden on A.  ds grows by ``step_grow`` after a
+    solve that took at most 3 chord iterations (0 when Broyden accepted
+    without a fresh Jacobian), and shrinks by ``step_shrink`` after 7 or
+    more, and after a failed solve.
+    """
     points: list[BranchPoint] = []
-    zs = [z_start.copy()]
-    tangents = [tangent / np.linalg.norm(tangent)]
+    curve = np.empty((16, 2, z_start.size))  # accepted (z, tangent) rows
+    curve[0] = z_start, tangent / np.linalg.norm(tangent)
+    n = 1
+    A = None
     ds = params.initial_step
     status = "max_steps"
 
     for _ in range(params.max_steps):
-        t_hat = tangents[-1]
-        z_last = zs[-1]
+        z_last, t_hat = curve[n - 1]
         z_pred = z_last + ds * t_hat
         if z_pred[0] < 0.0:
             status = _land(field, z_last[1:], params, points)
             break
+        start = z_pred if n < 3 else _extrapolate(curve[n - 3:n, 0], ds, z_pred, t_hat)
         try:
-            z_new, iters, acc = _newton(field, z_pred, t_hat, params)
+            z_new, iters, acc, A_new = _newton(field, z_pred, t_hat, params, start, A)
         except _NEWTON_FAILURES:
             ds *= params.step_shrink
             if ds < params.min_step:
@@ -352,18 +449,17 @@ def _march(field, z_start, tangent, params):
             break
         step_vec = z_new - z_last
         new_tangent = step_vec / np.linalg.norm(step_vec)
-        closed = False
-        for z_old, t_old in zip(zs[:-1], tangents[:-1]):
-            if (np.linalg.norm(z_new - z_old) <= 1e-6
-                    and float(new_tangent @ t_old) > 0.9):
-                closed = True
-                break
-        if closed:
+        earlier = curve[:n - 1]
+        if np.any((np.linalg.norm(earlier[:, 0] - z_new, axis=1) <= 1e-6)
+                  & (earlier[:, 1] @ new_tangent > 0.9)):
             status = "closed_loop"
             break
         points.append(_branch_point(field, acc))
-        zs.append(z_new)
-        tangents.append(new_tangent)
+        if n == len(curve):
+            curve = np.concatenate((curve, np.empty_like(curve)))
+        curve[n] = z_new, new_tangent
+        n += 1
+        A = A_new - np.outer(A_new @ step_vec, step_vec / (step_vec @ step_vec))
         if iters <= 3:
             ds = min(ds * params.step_grow, params.max_step)
         elif iters >= 7:

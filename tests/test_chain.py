@@ -195,16 +195,28 @@ def test_synthetic_field_constructor():
     assert f.dim == 2
     assert np.all(f.F(0.3, np.ones(2)) == 0.0)
     X = np.arange(6.0).reshape(2, 3)
-    assert np.array_equal(f.F_batch(np.array([0.0, 0.3, 0.7]), X), np.zeros((2, 3)))
+    # the fused field of an unforced field is G(X) at every lambda
+    assert np.array_equal(f.GF_batch(0.3, X, np.array([0.0, 0.3, 0.7])), A @ X)
     assert np.array_equal(f.G_batch(X), A @ X)
     assert f.problem is None
 
 
 def test_forcing_batch_matches_scalar(example_field):
+    # the fused field G + lam F, one lam per column, against the scalar G
+    # and F column by column, written into one F-ordered array
+    _, _, f_batch = chain._compiled(example_field.problem, vectorized=True)
     rng = np.random.default_rng(7)
     X = rng.uniform(-2.0, 2.0, size=(4, 9))
-    t = rng.uniform(0.0, 1.0, size=9)
-    FB = example_field.F_batch(t, X)
-    for j in range(9):
-        np.testing.assert_allclose(FB[:, j], example_field.F(t[j], X[:, j]),
-                                   rtol=1e-14, atol=1e-15)
+    lams = rng.uniform(0.0, 1.0, size=9)
+    for t in rng.uniform(0.0, 1.0, size=3):
+        GF = example_field.GF_batch(t, X, lams)
+        assert GF.shape == X.shape and GF.flags.f_contiguous
+        # bit for bit the sum G(X) + lams * F(t, X) of the separate fields
+        unfused = example_field.G_batch(X)
+        unfused[1] += lams * f_batch(t, X[0], X[1])
+        assert np.array_equal(GF, unfused)
+        for j in range(9):
+            xi = X[:, j]
+            np.testing.assert_allclose(
+                GF[:, j], example_field.G(xi) + lams[j] * example_field.F(t, xi),
+                rtol=1e-14, atol=1e-15)

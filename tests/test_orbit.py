@@ -199,16 +199,16 @@ class TestPeriodMaps:
         # a lone solve (TestIntegrate.test_field_failure_reports_stage_time)
         f = chain.expand(ProblemSpec.from_strings("x0^0.5 - x2", "q-p", "1",
                                                   1.0, 1, 1.0))
-        G_batch = f.G_batch
+        GF_batch = f.GF_batch
 
-        def strict(X):
-            out = G_batch(X)
+        def strict(t, X, lams):
+            out = GF_batch(t, X, lams)
             if not np.isfinite(out).all():
                 raise ValueError("math domain error")
             return out
 
         with pytest.raises(IntegrationError, match="field evaluation failed") as err:
-            orbit._linearize(dataclasses.replace(f, G_batch=strict), 1.0,
+            orbit._linearize(dataclasses.replace(f, GF_batch=strict), 1.0,
                              np.array([0.01, -1.0, 0.0]))
         assert 0.0100 < err.value.time < 0.0103
 
@@ -435,15 +435,26 @@ class TestShootingWork:
         tangent[0] = 1.0
         return np.concatenate(([sp.lam], sp.xi0)), tangent
 
+    @staticmethod
+    def state_block(field, z):
+        """The state block [P - xi]' of one ``_linearize`` run at z."""
+        _, _, D = orbit._linearize(field, z[0], z[1:])
+        return D - np.eye(field.dim, field.dim + 1, 1)
+
     def test_corrector_jacobian_is_one_run(self, example_field, monkeypatch):
         z, tangent = self.converged_point(example_field)
-        solves = self.record(monkeypatch)
         z_pred = z + 0.005 * tangent
-        z_new, iters, _ = orbit._newton(example_field, z_pred,
-                                        tangent, ContinuationParams())
+        block = self.state_block(example_field, z_pred)
+        solves = self.record(monkeypatch)
+        z_new, iters, _, A = orbit._newton(example_field, z_pred,
+                                           tangent, ContinuationParams())
         assert z_new[0] == pytest.approx(0.015, abs=1e-12)
         assert iters >= 1
         dim = example_field.dim
+        # without a carried block the solve is the chord Newton, and the
+        # block it hands on is its Jacobian's state block at z_pred
+        assert A.shape == (dim, dim + 1)
+        assert np.array_equal(A, block)
         # one run of dim+2 stacked columns, then one single solve per
         # iterate: the predictor's residual rode in the run
         assert [y0.size for y0, _ in solves] == [dim * (dim + 2)] + [dim] * iters
@@ -458,8 +469,8 @@ class TestShootingWork:
                                                           monkeypatch):
         z, tangent = self.converged_point(example_field)
         solves = self.record(monkeypatch)
-        z_new, iters, acc = orbit._newton(example_field, z, tangent,
-                                          ContinuationParams())
+        z_new, iters, acc, _ = orbit._newton(example_field, z, tangent,
+                                             ContinuationParams())
         dim = example_field.dim
         assert iters == 0 and np.array_equal(z_new, z)
         assert [y0.size for y0, _ in solves] == [dim * (dim + 2)]
@@ -471,6 +482,90 @@ class TestShootingWork:
         fresh = orbit_metrics(integrate(example_field, z[0], z[1:], 0.0, 1.0))
         assert bp.sup_norm == pytest.approx(fresh[0], abs=1e-12)
         assert bp.diameter == pytest.approx(fresh[1], abs=1e-12)
+
+    def test_converged_start_accepts_one_single_solve(self, example_field,
+                                                     monkeypatch):
+        # with a carried block, a converged start is accepted on the one
+        # single solve that shoots from it, which gives the accepted solution
+        z, tangent = self.converged_point(example_field)
+        A = self.state_block(example_field, z)
+        solves = self.record(monkeypatch)
+        z_new, iters, acc, A_new = orbit._newton(example_field, z + 0.01 * tangent,
+                                                 tangent, ContinuationParams(), z, A)
+        dim = example_field.dim
+        assert iters == 0 and np.array_equal(z_new, z)
+        assert [y0.size for y0, _ in solves] == [dim]
+        assert np.array_equal(solves[0][0], z[1:])
+        assert np.array_equal(acc.solution.ts, solves[0][1].t)
+        assert np.array_equal(A_new, A)
+
+    def test_broyden_solve_takes_no_jacobian_run(self, example_field, monkeypatch):
+        # a good carried block: single solves only, and the same point as
+        # the chord Newton's within newton_tol
+        z, tangent = self.converged_point(example_field)
+        z_pred = z + 0.005 * tangent
+        params = ContinuationParams()
+        chord = orbit._newton(example_field, z_pred, tangent, params)[0]
+        A = self.state_block(example_field, z)
+        solves = self.record(monkeypatch)
+        z_new, iters, acc, _ = orbit._newton(example_field, z_pred, tangent,
+                                             params, z_pred, A)
+        dim = example_field.dim
+        assert iters == 0
+        sizes = [y0.size for y0, _ in solves]
+        assert 2 <= len(sizes) <= 1 + orbit.BROYDEN_MAX_ITER
+        assert sizes == [dim] * len(sizes)
+        assert np.array_equal(solves[-1][0], z_new[1:])
+        assert acc.residual <= params.newton_tol * (1 + np.linalg.norm(z_new, np.inf))
+        assert np.max(np.abs(z_new - chord)) <= params.newton_tol
+
+    @pytest.mark.parametrize("block", ["zero", "random"])
+    def test_bad_block_falls_back_to_one_jacobian_run(self, example_field,
+                                                      monkeypatch, block):
+        z, tangent = self.converged_point(example_field)
+        z_pred = z + 0.005 * tangent
+        params = ContinuationParams()
+        chord = orbit._newton(example_field, z_pred, tangent, params)
+        dim = example_field.dim
+        A = (np.zeros((dim, dim + 1)) if block == "zero"
+             else np.random.default_rng(5).normal(size=(dim, dim + 1)))
+        solves = self.record(monkeypatch)
+        z_new, iters, _, A_new = orbit._newton(example_field, z_pred, tangent,
+                                               params, z_pred, A)
+        sizes = [y0.size for y0, _ in solves]
+        assert sizes.count(dim * (dim + 2)) == 1
+        assert iters >= 1
+        assert np.max(np.abs(z_new - chord[0])) <= params.newton_tol
+        # the fresh Jacobian's state block is handed on
+        stacked = sizes.index(dim * (dim + 2))
+        start = solves[stacked][0][:dim]
+        assert np.array_equal(A_new, self.state_block(
+            example_field, np.concatenate(([z_pred[0]], start))))
+
+    def test_newton_max_iter_bounds_each_phase(self, example_field, monkeypatch):
+        # newton_max_iter = 1: one Broyden iterate after the start's solve,
+        # then the chord Newton's run and its one iterate
+        z, tangent = self.converged_point(example_field)
+        A = self.state_block(example_field, z)
+        solves = self.record(monkeypatch)
+        z_pred = z + 0.005 * tangent
+        try:
+            orbit._newton(example_field, z_pred, tangent,
+                          ContinuationParams(newton_max_iter=1), z_pred, A)
+        except NoConvergenceError:
+            pass
+        dim = example_field.dim
+        assert [y0.size for y0, _ in solves] == [dim, dim, dim * (dim + 2), dim]
+
+    def test_example_trace_takes_few_jacobian_runs(self, example_field, monkeypatch):
+        # full Jacobians: the seed, the second point, the first solve of
+        # the forward march and the two landings; every other point
+        # updates the carried block
+        solves = self.record(monkeypatch)
+        trace = trace_from_zero(example_field, 0.0, ContinuationParams())
+        assert len(trace.points) == 43
+        stacked = sum(y0.size > example_field.dim for y0, _ in solves)
+        assert stacked <= 6
 
     def test_newton_monodromy_is_one_run(self, example_field, monkeypatch):
         solves = self.record(monkeypatch)
@@ -658,6 +753,45 @@ def test_traces_stay_in_bounds(example_field, params, u_bar):
     assert all(0.0 <= lam <= params.lambda_max for lam in lams)
     arcs = [bp.arclength for bp in trace.points]
     assert all(b >= a for a, b in zip(arcs, arcs[1:]))
+
+
+def test_march_detects_a_closed_loop(monkeypatch):
+    # a corrector that walks the 40 vertices of a polygon in (lam, xi):
+    # the march is back at its start, in its first direction, at step 40
+    k = np.arange(40)
+    vertices = np.column_stack((0.5 + 0.2 * np.cos(2 * np.pi * k / 40),
+                                0.5 + 0.2 * np.sin(2 * np.pi * k / 40)))
+    steps = iter(vertices[1:].tolist() + [vertices[0]])
+
+    def corrector(field, z_pred, t_hat, params, start=None, A=None):
+        return np.array(next(steps)), 1, None, np.zeros((1, 2))
+
+    monkeypatch.setattr(orbit, "_newton", corrector)
+    monkeypatch.setattr(orbit, "_branch_point", lambda field, acc: acc)
+    points, status = orbit._march(None, vertices[0], vertices[0] - vertices[-1],
+                                  ContinuationParams())
+    assert status == "closed_loop"
+    assert len(points) == 39
+
+
+@settings(derandomize=True, deadline=None, max_examples=20)
+@given(c=st.floats(0.5, 3.0), d=st.floats(0.0, 1.0), a=st.floats(1.0, 4.0),
+       b=st.integers(1, 5), T=st.floats(0.5, 3.0), u_bar=st.sampled_from([0.0, 1.0]))
+def test_broyden_traces_the_chord_newton_curve(c, d, a, b, T, u_bar):
+    # the march's Broyden phase against the chord Newton alone (Broyden
+    # off): the same curve points, up to the Newton tolerance
+    p = ProblemSpec.from_strings(f"-{c:.4f}*x0*(1+x2) - {d:.4f}*x1", "q-p",
+                                 f"1+x*sin(2*pi*t/{T:.4f})", a, b, round(T, 4))
+    field = chain.expand(p)
+    params = ContinuationParams(lambda_max=0.1)
+    trace = trace_from_zero(field, u_bar, params)
+    with mock.patch.object(orbit, "BROYDEN_MAX_ITER", 0):
+        chord = trace_from_zero(field, u_bar, params)
+    assert (trace.status_backward, trace.status_forward) == (
+        chord.status_backward, chord.status_forward)
+    assert len(trace.points) == len(chord.points)
+    for bp, ref in zip(trace.points, chord.points):
+        assert np.max(np.abs(orbit._z(bp) - orbit._z(ref))) <= 1e-8
 
 
 class TestMetrics:
