@@ -8,10 +8,10 @@ G through ``lifted_zero``.  G is the one field of a problem: the
 Lipschitz sampler and the degree cross-check read its column-batched form
 ``G_batch``, and the stacked runs of the shooting Jacobians read the fused
 field ``GF_batch``, G + lambda F with one lambda per column.  Single solves
-of a chain of up to ``FLOAT_STAGES_MAX_DIM`` components run on the field's
-float stages: one RK45 attempt of G + lambda F as straight-line float
-code, which ``rk45.float_stages`` generates from the same expression code
-as the compiled g, phi and f.
+run on the stages the field picks: for a chain of up to
+``FLOAT_STAGES_MAX_DIM`` components, float stages, one RK45 attempt of G +
+lambda F as straight-line float code, which ``rk45.float_stages`` generates
+from the same expression code as the compiled g, phi and f.
 """
 from __future__ import annotations
 
@@ -99,10 +99,9 @@ class ExpandedField:
     Jacobians).  ``GF_batch(t, X, lams)`` is G + lam F on the columns of X
     at the scalar time t, with one lam per column in the (N,) array lams:
     the field of a stacked run, written into one F-ordered (dim, N) array
-    for a field from ``expand``.  ``float_stages(lam)``
-    is the pair (rhs, attempt) of :func:`rk45.float_stages` for G + lam F,
-    at lam = 0 too; None for a field built from callables or
-    with dim above ``FLOAT_STAGES_MAX_DIM``.
+    for a field from ``expand``.  ``stages(lam)`` is the (rhs, attempt)
+    of ``rk45.solve_ivp`` for a single solve of G + lam F, at lam = 0 too:
+    float stages, or NumPy stages of rhs with attempt None.
     """
 
     dim: int
@@ -111,20 +110,21 @@ class ExpandedField:
     problem: Optional[ProblemSpec]
     G_batch: Callable[[np.ndarray], np.ndarray]
     GF_batch: Callable[[float, np.ndarray, np.ndarray], np.ndarray]
-    float_stages: Optional[Callable[[float], tuple]] = None
+    stages: Callable[[float], tuple]
 
     @classmethod
     def from_callables(cls, dim: int, G, problem=None) -> "ExpandedField":
         """An unforced field from a G that maps either one state or the
         columns of a (dim, N) array (a matrix product, or NumPy ufuncs);
-        G serves as ``G``, ``G_batch`` and, as G(X), ``GF_batch``, and F is
-        zero."""
+        G serves as ``G``, ``G_batch`` and, as G(X), ``GF_batch``, F is
+        zero, and single solves run on NumPy stages."""
         def F(t, xi):
             return np.zeros(dim)
 
         def GF_batch(t, X, lams):
             return G(X)
-        return cls(dim=dim, G=G, F=F, problem=problem, G_batch=G, GF_batch=GF_batch)
+        return cls(dim=dim, G=G, F=F, problem=problem, G_batch=G, GF_batch=GF_batch,
+                   stages=lambda lam: (lambda t, y: G(y) + lam * F(t, y), None))
 
 
 @lru_cache(maxsize=128)
@@ -142,9 +142,9 @@ def expand(p: ProblemSpec) -> ExpandedField:
     (v0, g(u, v0, vb), a*(phi(u, v0) - v1), a*(v1 - v2), ..., a*(v_{b-1} - vb))
     with forcing (0, f(t, u, v0), 0, ..., 0).  ``G_batch`` and ``GF_batch``
     evaluate G and G + lam F on the columns of a (dim, N) array with the
-    vectorized g, phi and f.  Up to ``FLOAT_STAGES_MAX_DIM``, the float
-    stages of G + lam F are compiled from the scalar code of g, phi and f
-    on first use, once for every lam.
+    vectorized g, phi and f.  ``stages`` gives the float stages of G + lam
+    F up to ``FLOAT_STAGES_MAX_DIM``, compiled from the scalar code of g,
+    phi and f on first use, once for every lam, and NumPy stages above it.
     """
     a = p.kernel.a
     b = p.kernel.b
@@ -169,6 +169,7 @@ def expand(p: ProblemSpec) -> ExpandedField:
 
     _, _, f = _compiled(p)
     _, _, f_batch = _compiled(p, vectorized=True)
+    G = field(batched=False)
     G_batch = field(batched=True)
 
     def F(t, xi):
@@ -192,12 +193,13 @@ def expand(p: ProblemSpec) -> ExpandedField:
         return rk45.float_stages(["w1", f"{g_code} + lam * {f_code}"] + cascade,
                                  expr._SCALAR_NS)
 
-    def float_stages(lam):
+    def stages(lam):
+        if dim > FLOAT_STAGES_MAX_DIM:
+            return (lambda t, y: G(y) + lam * F(t, y)), None
         return compiled_stages()(lam)
 
-    return ExpandedField(dim=dim, G=field(batched=False), F=F, problem=p,
-                         G_batch=G_batch, GF_batch=GF_batch,
-                         float_stages=float_stages if dim <= FLOAT_STAGES_MAX_DIM else None)
+    return ExpandedField(dim=dim, G=G, F=F, problem=p, G_batch=G_batch,
+                         GF_batch=GF_batch, stages=stages)
 
 
 def as_state(xi, dim: int) -> np.ndarray:

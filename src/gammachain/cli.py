@@ -106,8 +106,11 @@ def load_config(path) -> RunConfig:
     try:
         problem = chain.ProblemSpec.from_strings(prob["g"], prob["phi"], prob["f"],
                                                  a, b, T)
+        hash(problem)  # the field caches key on it: the deepest walk of the trees
     except (expr.ParseError, ValueError) as exc:
         raise ConfigError(f"problem: {exc}") from exc
+    except RecursionError as exc:  # the parser and the tree walks recurse
+        raise ConfigError(f"problem: an expression is nested too deeply ({exc})") from exc
 
     interval = raw["interval"]
     _require_keys(interval, _INTERVAL_KEYS, _INTERVAL_KEYS, "interval")

@@ -381,12 +381,18 @@ def to_string(e: Expr) -> str:
     return _code(e, grammar=True)
 
 
+_LEVEL = {"+": 0, "-": 0, "*": 1, "/": 1}  # operators that chain left to right
+
+
 def _code(e: Expr, names: Mapping[str, str] = {}, grammar: bool = False) -> str:
-    """The one writer of a tree, fully parenthesized: the Python source that
-    ``compile_expr`` and the chain's float stages compile, or with
-    ``grammar`` set grammar text (``^`` infix, not ``pow``).  A variable
-    reads ``names.get(name, name)``; a negative literal is parenthesized,
-    as the grammar has no signed literals."""
+    """The one writer of a tree, parenthesized around every operation: the
+    Python source that ``compile_expr`` and the chain's float stages
+    compile, or with ``grammar`` set grammar text (``^`` infix, not
+    ``pow``).  A chain of ``+ -`` or of ``* /`` operations takes one pair,
+    as Python and the grammar both read it left to right, so the nesting of
+    parentheses does not grow with the chain (CPython's tokenizer stops at
+    200 levels).  A variable reads ``names.get(name, name)``; a negative
+    literal is parenthesized, as the grammar has no signed literals."""
     if isinstance(e, Num):
         text = repr(e.value)
         return f"({text})" if text.startswith("-") else text
@@ -400,6 +406,8 @@ def _code(e: Expr, names: Mapping[str, str] = {}, grammar: bool = False) -> str:
         left, right = _code(e.left, names, grammar), _code(e.right, names, grammar)
         if e.op == "^" and not grammar:
             return f"pow({left}, {right})"
+        if isinstance(e.left, BinOp) and _LEVEL.get(e.left.op, -1) == _LEVEL.get(e.op):
+            left = left[1:-1]
         return f"({left} {e.op} {right})"
     raise TypeError(f"not an expression node: {e!r}")
 

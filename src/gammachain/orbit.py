@@ -17,13 +17,13 @@ updated along the curve and recomputed only where Broyden stalls
 Every integration is one call of ``solve_ivp``, the RK45 driver of
 ``rk45``, made through this module's own name ``orbit.solve_ivp``, which
 the benchmark's tracer wraps to count solves.  A residual or ``integrate``
-is one solve on the field's float stages, straight-line float code
-generated by ``chain.expand`` (on NumPy stages of G and F for a field
-without them: one built from callables, or a long chain).  A shooting
-Jacobian is one solve of the unperturbed column, the lambda column and the
-monodromy columns, stacked into one state, on NumPy stages of the fused
-column-batched field G + lambda F; the first residual of each chord Newton
-is its column 0.  Dense output is sampled on 512 uniform points per period.
+is one solve on the stages the field picks (``field.stages(lam)``: float
+or NumPy).  A shooting Jacobian is one solve of the unperturbed column,
+the lambda column and the monodromy columns, stacked into one state, on
+NumPy stages of the fused column-batched field G + lambda F; the first
+residual of each chord Newton is its column 0.  Every solve is one
+``rk45.Solution``, whose call is its dense output, sampled on 512 uniform
+points per period.
 """
 from __future__ import annotations
 
@@ -34,7 +34,7 @@ from typing import Callable
 import numpy as np
 
 from . import chain
-from .rk45 import IntegrationError, _DenseOutput, solve_ivp
+from .rk45 import IntegrationError, Solution, solve_ivp
 
 __all__ = ["Trajectory", "StartingPoint", "BranchPoint", "ContinuationParams",
            "BranchTrace", "IntegrationError", "NoConvergenceError",
@@ -90,12 +90,11 @@ class StartingPoint:
 
 @dataclass(frozen=True, eq=False)
 class _Accepted(StartingPoint):
-    """A starting point with the dense output of the solve that accepted
-    it: the one-period solution from ``xi0`` at ``lam`` whose end gave
-    ``residual``, from ``_shoot`` or from column 0 of a ``_linearize``
-    run."""
+    """A starting point with the solve that accepted it: the one-period
+    solution from ``xi0`` at ``lam`` whose end gave ``residual``, from
+    ``_shoot`` or a ``_linearize`` run, whose column 0 it is."""
 
-    solution: _DenseOutput
+    solution: Solution
 
 
 @dataclass(frozen=True)
@@ -150,25 +149,17 @@ class BranchTrace:
     reason: str = ""
 
 
-def _single(field, lam, xi0, t0, t1) -> _DenseOutput:
-    """One solve of xi' = G(xi) + lam*F(t, xi): on the field's float stages,
-    or on NumPy stages of G and F for a field without them."""
-    y0 = chain.as_state(xi0, field.dim)
-    if field.float_stages is not None:
-        rhs, attempt = field.float_stages(lam)
-        return solve_ivp(rhs, (t0, t1), y0, attempt=attempt).dense
-    G, F = field.G, field.F
-
-    def fun(t, y):
-        return G(y) + lam * F(t, y)
-    return solve_ivp(fun, (t0, t1), y0).dense
+def _single(field, lam, xi0, t0, t1) -> Solution:
+    """One solve of xi' = G(xi) + lam*F(t, xi) on the field's stages."""
+    rhs, attempt = field.stages(lam)
+    return solve_ivp(rhs, (t0, t1), chain.as_state(xi0, field.dim), attempt=attempt)
 
 
-def _trajectory(dense: _DenseOutput, t0, t1) -> Trajectory:
-    """Sample a dense solution on ``DENSE_SAMPLES`` uniform points of [t0, t1)."""
+def _trajectory(sol: Solution, t0, t1) -> Trajectory:
+    """Sample a solution on ``DENSE_SAMPLES`` uniform points of [t0, t1)."""
     ts = t0 + (t1 - t0) * np.arange(DENSE_SAMPLES) / DENSE_SAMPLES
-    return Trajectory(ts=ts, ys=dense(ts).T, y_end=dense.y_end,
-                      t0=t0, t1=t1, _interp=dense)
+    return Trajectory(ts=ts, ys=sol(ts).T, y_end=sol.y_end,
+                      t0=t0, t1=t1, _interp=sol)
 
 
 def integrate(field, lam: float, xi0, t0: float, t1: float) -> Trajectory:
@@ -183,10 +174,10 @@ def integrate(field, lam: float, xi0, t0: float, t1: float) -> Trajectory:
     return _trajectory(_single(field, lam, xi0, t0, t1), t0, t1)
 
 
-def _shoot(field, lam, xi0) -> _DenseOutput:
-    """One period from xi0 with dense output: the solve of a shooting
-    residual away from a Jacobian point (a Newton iterate), which may
-    become a branch point (``_branch_point``)."""
+def _shoot(field, lam, xi0) -> Solution:
+    """One period from xi0: the solve of a shooting residual away from a
+    Jacobian point (a Newton iterate), which may become a branch point
+    (``_branch_point``)."""
     return _single(field, lam, xi0, 0.0, field.problem.T)
 
 
@@ -205,9 +196,10 @@ def _linearize(field, lam, xi):
     column after column, integrated by one ``solve_ivp`` under one step
     control (internal numerical differentiation, Bock 1981) on NumPy
     stages, each of which evaluates the fused field ``GF_batch`` once on
-    the (dim, dim + 2) view.  Returns (xi(T), the dense output of column 0, and
-    the (dim, dim + 1) quotients (P_j - xi(T)) / MONODROMY_STEP of the
-    other columns' maps P_j)."""
+    the (dim, dim + 2) view.  Returns (the run, whose dense output and
+    ``y_end`` are column 0's, so ``y_end`` is the base map xi(T), and the
+    (dim, dim + 1) quotients (P_j - xi(T)) / MONODROMY_STEP of the other
+    columns' maps P_j)."""
     dim = xi.size
     n = dim + 2
     X0 = np.repeat(xi[:, None], n, axis=1)
@@ -221,8 +213,7 @@ def _linearize(field, lam, xi):
 
     run = solve_ivp(fun, (0.0, field.problem.T), X0.ravel(order="F"), dim=dim)
     P = run.y[:, -1].reshape(dim, n, order="F")
-    base = P[:, 0]
-    return base, run.dense, (P[:, 1:] - base[:, None]) / MONODROMY_STEP
+    return run, (P[:, 1:] - P[:, :1]) / MONODROMY_STEP
 
 
 def _newton(field, z_pred, tangent, params, start=None, A=None):
@@ -254,16 +245,16 @@ def _newton(field, z_pred, tangent, params, start=None, A=None):
             return z, 0, acc, A
 
     def jacobian(z):
-        base, dense, D = _linearize(field, z[0], z[1:])
+        run, D = _linearize(field, z[0], z[1:])
         J = np.vstack((D - np.eye(dim, dim + 1, 1), tangent))
         if np.linalg.svd(J, compute_uv=False)[-1] <= SINGULAR_TOL:
             raise SingularJacobianError(f"singular bordered Jacobian at lambda={z[0]}")
-        return J, base, dense
+        return J, run
 
     z = z.copy()
-    J, y_end, sol = jacobian(z)
+    J, sol = jacobian(z)
     for it in range(cap + 1):
-        R = y_end - z[1:]
+        R = sol.y_end - z[1:]
         res = float(np.linalg.norm(R, np.inf))
         scale = 1.0 + float(np.linalg.norm(z, np.inf))
         if res <= tol * scale or (it == cap and res <= 1e-9 * scale):
@@ -281,7 +272,6 @@ def _newton(field, z_pred, tangent, params, start=None, A=None):
         if not np.linalg.norm(z[1:], np.inf) <= 10.0 * params.norm_max:
             raise NoConvergenceError(f"Newton iterate diverged at lambda={z[0]}")
         sol = _shoot(field, z[0], z[1:])
-        y_end = sol.y_end
     raise NoConvergenceError(f"no convergence at lambda={z[0]}: residual {res:.3e}")
 
 
@@ -363,7 +353,7 @@ def orbit_metrics(traj: Trajectory) -> tuple[float, float]:
 
 def _branch_point(field, acc: _Accepted) -> BranchPoint:
     """The branch point of an accepted starting point, its orbit metrics
-    taken from the dense solution of the solve that accepted it."""
+    taken from the dense output of the solve that accepted it."""
     sup, diam = orbit_metrics(_trajectory(acc.solution, 0.0, field.problem.T))
     return BranchPoint(sp=StartingPoint(lam=float(acc.lam),
                                         xi0=np.asarray(acc.xi0, float),

@@ -8,9 +8,9 @@ control with one of two stage evaluators: the float stages of
 ``float_stages``, straight-line float code for one RK45 attempt of a field
 given as one Python expression per component (``chain.expand`` compiles
 them for each problem's field), or NumPy stages (``_numpy_stages``) with
-SciPy's ``rk_step`` arithmetic.  The dense output of a solve is one
-vectorized quartic interpolant (``_DenseOutput``).  Every failure of a
-solve is an :class:`IntegrationError` at the time it happened.
+SciPy's ``rk_step`` arithmetic.  A solve is one :class:`Solution`, whose
+call is its vectorized quartic interpolant.  Every failure of a solve is
+an :class:`IntegrationError` at the time it happened.
 """
 from __future__ import annotations
 
@@ -19,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["TOL", "C", "A", "B", "E", "P", "IntegrationError", "float_stages",
-           "solve_ivp"]
+__all__ = ["TOL", "C", "A", "B", "E", "P", "IntegrationError", "Solution",
+           "float_stages", "solve_ivp"]
 
 TOL = 1e-10  # the relative and absolute tolerance of every solve
 
@@ -62,48 +62,46 @@ class IntegrationError(RuntimeError):
 
 
 @dataclass(frozen=True, eq=False)
-class _DenseOutput:
-    """The dense output of one RK45 solution, evaluated vectorized.
+class Solution:
+    """One solve: the accepted times ``t``, the states ``y[:, k]`` at
+    ``t[k]``, the field evaluations ``nfev``, and the stages ``K[k]`` (7,
+    dim) of step k for the first dim components.  A failed solve raises,
+    so ``success`` is always true.
 
-    On step k, from ``ts[k]`` to ``ts[k+1]`` with h = ts[k+1] - ts[k] and
-    x = (t - ts[k]) / h, the solution is the Dormand-Prince quartic
-    interpolant ``y_old[k] + h * Q[k] @ (x, x^2, x^3, x^4)``, with
-    Q[k] = K^T P for the step's stages K and RK45's interpolation matrix P
-    (Hairer, Norsett & Wanner, Solving ODEs I, II.6).  A time on a step
-    boundary takes the earlier step, and times outside [ts[0], ts[-1]]
-    extrapolate the first or last step, as in ``OdeSolution``.  ``y_end``
-    is the state at ``ts[-1]``.
+    Calling it is the dense output of those components.  On step k, from
+    ``t[k]`` to ``t[k+1]`` with h = t[k+1] - t[k] and x = (t - t[k]) / h,
+    the solution is the Dormand-Prince quartic interpolant ``y[:dim, k] +
+    h * Q[k] @ (x, x^2, x^3, x^4)`` with Q[k] = K[k]^T P (Hairer, Norsett
+    & Wanner, Solving ODEs I, II.6), formed only for the span of steps a
+    call evaluates.  A time on a step boundary takes the earlier step, and
+    times outside [t[0], t[-1]] extrapolate the first or last step, as in
+    ``OdeSolution``.
     """
 
-    ts: np.ndarray
-    Q: np.ndarray
-    y_old: np.ndarray
-    y_end: np.ndarray
+    t: np.ndarray
+    y: np.ndarray
+    nfev: int
+    K: np.ndarray
+    success: bool = True
+
+    @property
+    def y_end(self) -> np.ndarray:
+        """The state of the first dim components at ``t[-1]``."""
+        return self.y[:self.K.shape[-1], -1]
 
     def __call__(self, t):
         """y(t): shape (dim,) for a scalar t, (dim, len(t)) for an array."""
         t = np.asarray(t, dtype=float)
         tv = t.reshape(-1)
-        k = np.clip(np.searchsorted(self.ts, tv, side="left") - 1,
-                    0, len(self.Q) - 1)
-        t_old = self.ts[k]
-        h = self.ts[k + 1] - t_old
-        powers = np.cumprod(np.tile((tv - t_old) / h, (self.Q.shape[-1], 1)), axis=0)
-        y = h * np.einsum("mdk,km->dm", self.Q[k], powers) + self.y_old[k].T
+        steps, _, dim = self.K.shape
+        k = np.clip(np.searchsorted(self.t, tv, side="left") - 1, 0, steps - 1)
+        t_old = self.t[k]
+        h = self.t[k + 1] - t_old
+        lo = k.min()
+        Q = self.K[lo:k.max() + 1].transpose(0, 2, 1) @ _P
+        powers = np.cumprod(np.tile((tv - t_old) / h, (Q.shape[-1], 1)), axis=0)
+        y = h * np.einsum("mdk,km->dm", Q[k - lo], powers) + self.y[:dim, k]
         return y[:, 0] if t.ndim == 0 else y
-
-
-@dataclass(frozen=True, eq=False)
-class _Run:
-    """One solve: the accepted times ``t``, the states ``y[:, k]`` at
-    ``t[k]``, the field evaluations ``nfev`` and the dense output.  A
-    failed solve raises, so ``success`` is always true."""
-
-    t: np.ndarray
-    y: np.ndarray
-    nfev: int
-    dense: _DenseOutput
-    success: bool = True
 
 
 def _combination(coefs, i, zeros=False):
@@ -197,7 +195,7 @@ def _rms(x):
     return np.linalg.norm(x) / x.size ** 0.5
 
 
-def solve_ivp(fun, t_span, y0, *, attempt=None, dim=None) -> _Run:
+def solve_ivp(fun, t_span, y0, *, attempt=None, dim=None) -> Solution:
     """SciPy's RK45 for y' = fun(t, y) from y0 over t_span = (t0, t1),
     t0 < t1, at rtol = atol = ``TOL``, with the dense output of the first
     ``dim`` components (default: all).
@@ -272,7 +270,5 @@ def solve_ivp(fun, t_span, y0, *, attempt=None, dim=None) -> _Run:
     Y = np.array(ys)
     if not np.isfinite(Y[-1]).all():
         raise IntegrationError(t, "non-finite state")
-    K = np.array(stages).reshape(len(stages), 7, -1)
-    dense = _DenseOutput(ts=np.array(ts), Q=K.transpose(0, 2, 1) @ _P,
-                         y_old=Y[:-1, :dim], y_end=Y[-1, :dim].copy())
-    return _Run(t=dense.ts, y=Y.T, nfev=nfev, dense=dense)
+    return Solution(t=np.array(ts), y=Y.T, nfev=nfev,
+                    K=np.array(stages).reshape(len(stages), 7, -1))

@@ -102,16 +102,27 @@ class TestExpand:
         p = ProblemSpec.from_strings("-x0*(1+x2)", "q-p", "1+x*sin(2*pi*t)",
                                      float(b), b, 1.0)
         field = expand(p)
-        assert (field.float_stages is None) == (field.dim > chain.FLOAT_STAGES_MAX_DIM)
+        numpy_stages = field.stages(0.1)[1] is None
+        assert numpy_stages == (field.dim > chain.FLOAT_STAGES_MAX_DIM)
         xi0 = np.linspace(0.3, -0.2, field.dim)
         traj = orbit.integrate(field, 0.1, xi0, 0.0, 0.1)
         ref = scipy.integrate.solve_ivp(
             lambda t, y: field.G(y) + 0.1 * field.F(t, y), (0.0, 0.1), xi0,
             method="RK45", rtol=rk45.TOL, atol=rk45.TOL)
-        if field.float_stages is None:
+        if numpy_stages:
             assert np.array_equal(traj.y_end, ref.y[:, -1])
         else:
             assert np.max(np.abs(traj.y_end - ref.y[:, -1])) <= 1e-12
+
+    def test_numpy_stages_above_the_limit_and_for_callables(self):
+        for b in (1, chain.FLOAT_STAGES_MAX_DIM - 2, chain.FLOAT_STAGES_MAX_DIM - 1, 60):
+            field = expand(ProblemSpec.from_strings("-x0*(1+x2)", "q-p", "1+x*sin(2*pi*t)",
+                                                    2.0, b, 1.0))
+            for lam in (0.0, 0.1):
+                numpy_stages = field.stages(lam)[1] is None
+                assert numpy_stages == (field.dim > chain.FLOAT_STAGES_MAX_DIM)
+        field = ExpandedField.from_callables(2, lambda xi: -xi)
+        assert field.stages(0.0)[1] is None and field.stages(0.1)[1] is None
 
     def test_determinant_check_reads_G(self):
         # the degree cross-check takes det_fd from the Jacobian of G itself,

@@ -160,6 +160,23 @@ class TestAnalyze:
                      str(write_config(tmp_path, doc, "bad.json"))]) == 1
         capsys.readouterr()
 
+    @pytest.mark.parametrize("g", [
+        "(" * 400 + "x0" + ")" * 400,
+        "-" * 1200 + "x0",
+        "-x0*(1+x2)" + "+0.001*x0" * 3000,
+        # parses and validates, but too deep for the hash the caches take
+        "-x0*(1+x2)" + "+0.001*x0" * 500,
+    ], ids=["parentheses", "minuses", "sum3000", "sum500"])
+    def test_over_deep_expression_exits_config(self, tmp_path, capsys, g):
+        doc = json.loads(json.dumps(EXAMPLE_CONFIG))
+        doc["problem"]["g"] = g
+        path = write_config(tmp_path, doc)
+        for command in ("analyze", "branch"):
+            assert main([command, "--config", str(path), "--out",
+                         str(tmp_path / "out")]) == 1
+            assert capsys.readouterr().err.startswith(
+                "config error: problem: an expression is nested too deeply")
+
     def test_degenerate_zero_exits_numerical(self, tmp_path, capsys):
         cases = [
             # Phi(u) = u^2: degenerate zero
@@ -320,7 +337,7 @@ class TestBranch:
         doc["problem"].update(a=40.0, b=45)
         doc["continuation"] = {"lambda_max": 0.05}
         cfg = load_config(write_config(tmp_path, doc))
-        assert chain.expand(cfg.problem).float_stages is None
+        assert chain.expand(cfg.problem).stages(0.0)[1] is None
         summary = cmd_branch(cfg, tmp_path / "out", seed_index=0)
         entry, = summary["seeds"]
         assert entry["points"] == 12
@@ -328,6 +345,24 @@ class TestBranch:
         doc = cmd_verify(cfg, tmp_path / "out" / entry["csv"])
         assert len(doc["rows"]) == 12 and doc["all_pass"]
         assert doc["rows"][0]["lambda"] == 0.0
+
+    def test_long_expression_analyzes_and_branches(self, tmp_path, capsys):
+        # the example's g plus 300 terms that sum to zero
+        doc = json.loads(json.dumps(EXAMPLE_CONFIG))
+        doc["problem"]["g"] += "+0.001*x0" * 300 + "-0.3*x0"
+        doc["certify"] = {"radius": 0.1}
+        path = write_config(tmp_path, doc)
+        out = tmp_path / "out"
+        assert main(["analyze", "--config", str(path), "--out", str(out)]) == 0
+        report = json.loads((out / "analysis.json").read_text())
+        assert [z["u"] for z in report["degree"]["zeros"]] == [0.0, 1.0]
+        assert report["multiplicity"]["n"] == 2
+        assert main(["branch", "--config", str(path), "--out", str(out)]) == 0
+        capsys.readouterr()
+        summary = json.loads((out / "branch_summary.json").read_text())
+        assert [entry["points"] for entry in summary["seeds"]] == [43, 43]
+        for entry in summary["seeds"]:
+            assert entry["status"] == {"backward": "lambda_zero", "forward": "lambda_zero"}
 
     def test_lambda_max_zero_gives_trivial_rows(self, tmp_path):
         doc = json.loads(json.dumps(EXAMPLE_CONFIG))

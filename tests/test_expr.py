@@ -180,6 +180,21 @@ def test_printing_is_fully_parenthesized():
     assert evaluate(parse(to_string(tree), ("u",)), {"u": 2.0}) == 4.0
 
 
+def test_long_chains_compile():
+    # a left-to-right chain of + - or * / takes one pair of parentheses, so
+    # 300 terms stay below the 200 nesting levels of CPython's tokenizer
+    variables = ("x0", "x1", "x2")
+    tree = parse("-x0*(1+x2)" + "+0.001*x0" * 300 + "-0.3*x0", variables)
+    text = to_string(tree)
+    assert text.startswith("(((-x0) * (1.0 + x2)) + (0.001 * x0) + (0.001 * x0) + ")
+    assert to_string(parse(text, variables)) == text
+    assert str(parse("u/v/u*v", ("u", "v"))) == "(u / v / u * v)"
+    fn = compile_expr(tree, variables)
+    rng = np.random.default_rng(3)
+    for x in rng.uniform(-2, 2, (20, 3)):
+        assert fn(*x) == evaluate(tree, dict(zip(variables, x)))
+
+
 def test_trees_are_immutable_and_hashable():
     tree = parse("u*(1-u)", ["u"])
     with pytest.raises(Exception):

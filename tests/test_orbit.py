@@ -167,8 +167,8 @@ class TestDenseOutput:
         xi0 = np.linspace(0.3, -0.2, field.dim)
         sol = reference_solve(field, 0.1, xi0, dense_output=True)
         T = field.problem.T
-        dense = orbit.solve_ivp(lambda t, y: G(y) + 0.1 * F(t, y), (0.0, T), xi0).dense
-        assert np.array_equal(dense.ts, sol.t)
+        dense = orbit.solve_ivp(lambda t, y: G(y) + 0.1 * F(t, y), (0.0, T), xi0)
+        assert np.array_equal(dense.t, sol.t)
         # uniform samples, every step boundary and every step midpoint
         ts = np.concatenate((T * np.arange(orbit.DENSE_SAMPLES) / orbit.DENSE_SAMPLES,
                              sol.t, 0.5 * (sol.t[1:] + sol.t[:-1])))
@@ -179,6 +179,24 @@ class TestDenseOutput:
             y = sol.sol(t)
             assert np.max(np.abs(dense(t) - y)) <= 1e-13 * (1 + np.max(np.abs(y)))
         assert np.array_equal(dense.y_end, sol.y[:, -1])
+
+
+    def test_interpolant_is_the_eager_formula(self):
+        # Q[k] = K[k]^T P is formed per call, for the steps it evaluates:
+        # the values are those of Q formed once for every step, bit for bit,
+        # for a solve on float stages and for a stacked run
+        field = WORKLOAD_FIELDS["example"]
+        assert field.stages(0.1)[1] is not None
+        xi = np.linspace(0.3, -0.2, field.dim)
+        uniform = field.problem.T * np.arange(orbit.DENSE_SAMPLES) / orbit.DENSE_SAMPLES
+        for sol in (orbit._shoot(field, 0.1, xi), orbit._linearize(field, 0.1, xi)[0]):
+            Q = sol.K.transpose(0, 2, 1) @ np.array(rk45.P)
+            for ts in (uniform, sol.t):
+                k = np.clip(np.searchsorted(sol.t, ts, side="left") - 1, 0, len(Q) - 1)
+                h = sol.t[k + 1] - sol.t[k]
+                powers = np.cumprod(np.tile((ts - sol.t[k]) / h, (4, 1)), axis=0)
+                eager = h * np.einsum("mdk,km->dm", Q[k], powers) + sol.y[:field.dim, k]
+                assert np.array_equal(sol(ts), eager)
 
 
 class TestPeriodMaps:
@@ -260,7 +278,7 @@ def test_jacobian_quotients_match_central_differences(case):
     # to 8.2e-5 relative to max |J| (the lambda column alone to 4.6e-5)
     p, lam, xi = case
     field = chain.expand(p)
-    _, _, D = orbit._linearize(field, lam, xi)
+    _, D = orbit._linearize(field, lam, xi)
     h = 1e-5
     steps = [(h, np.zeros(xi.size))] + [(0.0, h * e) for e in np.eye(xi.size)]
     J = np.array([(precise_period_map(field, lam + dl, xi + dx)
@@ -288,13 +306,16 @@ def test_column_zero_dense_output_matches_solve_ivp(case):
         with pytest.raises(IntegrationError):
             orbit._linearize(field, lam, xi)
         return
-    base, dense, _ = orbit._linearize(field, lam, xi)
-    traj = orbit._trajectory(dense, 0.0, p.T)
+    run, _ = orbit._linearize(field, lam, xi)
+    base = run.y_end
+    traj = orbit._trajectory(run, 0.0, p.T)
     ys = ref.sol(traj.ts).T
     assert np.max(np.abs(traj.ys - ys)) <= 1e-9 * (1.0 + np.max(np.abs(ys)))
     y_end = ref.y[:, -1]
     assert np.max(np.abs(base - y_end)) <= 1e-9 * (1.0 + np.max(np.abs(y_end)))
-    assert np.array_equal(dense.y_end, base)
+    # the run's end state is column 0 of the stacked columns' end states
+    P = run.y[:, -1].reshape(field.dim, field.dim + 2, order="F")
+    assert np.array_equal(base, P[:, 0])
 
 
 @pytest.mark.parametrize("forced", [False, True], ids=["lambda0", "forced"])
@@ -313,7 +334,7 @@ def test_float_stages_match_solve_ivp(forced, data):
             orbit._shoot(field, lam, xi)
         return
     dense = orbit._shoot(field, lam, xi)
-    assert dense.ts.size == ref.t.size
+    assert dense.t.size == ref.t.size
     scale = 1.0 + np.max(np.abs(ref.y))
     assert np.max(np.abs(dense.y_end - ref.y[:, -1])) <= 1e-12 * scale
     ts = np.concatenate((p.T * np.arange(orbit.DENSE_SAMPLES) / orbit.DENSE_SAMPLES, ref.t))
@@ -389,7 +410,7 @@ class TestFloatStageFailures:
         divisions = []
 
         def counted(lam):
-            rhs, attempt = f.float_stages(lam)
+            rhs, attempt = f.stages(lam)
 
             def counted_attempt(*args):
                 try:
@@ -399,7 +420,7 @@ class TestFloatStageFailures:
                     raise
             return rhs, counted_attempt
 
-        g = dataclasses.replace(f, float_stages=counted)
+        g = dataclasses.replace(f, stages=counted)
         for lam, t_zero in ((0.0, math.sqrt(2) - 1), (1.0, (math.sqrt(3) - 1) / 2)):
             with np.errstate(all="ignore"):
                 ref = reference_solve(f, lam, xi0)
@@ -438,7 +459,7 @@ class TestShootingWork:
     @staticmethod
     def state_block(field, z):
         """The state block [P - xi]' of one ``_linearize`` run at z."""
-        _, _, D = orbit._linearize(field, z[0], z[1:])
+        _, D = orbit._linearize(field, z[0], z[1:])
         return D - np.eye(field.dim, field.dim + 1, 1)
 
     def test_corrector_jacobian_is_one_run(self, example_field, monkeypatch):
@@ -476,7 +497,8 @@ class TestShootingWork:
         assert [y0.size for y0, _ in solves] == [dim * (dim + 2)]
         # the accepted solution is column 0 of the run: its first dim rows
         run = solves[0][1]
-        assert np.array_equal(acc.solution.ts, run.t)
+        assert acc.solution is run
+        assert np.array_equal(acc.solution.t, run.t)
         assert np.array_equal(acc.solution.y_end, run.y[:dim, -1])
         bp = orbit._branch_point(example_field, acc)
         fresh = orbit_metrics(integrate(example_field, z[0], z[1:], 0.0, 1.0))
@@ -496,8 +518,26 @@ class TestShootingWork:
         assert iters == 0 and np.array_equal(z_new, z)
         assert [y0.size for y0, _ in solves] == [dim]
         assert np.array_equal(solves[0][0], z[1:])
-        assert np.array_equal(acc.solution.ts, solves[0][1].t)
+        assert acc.solution is solves[0][1]
+        assert np.array_equal(acc.solution.t, solves[0][1].t)
         assert np.array_equal(A_new, A)
+
+    def test_every_single_solve_takes_the_field_stages(self, example_field,
+                                                       monkeypatch):
+        z, tangent = self.converged_point(example_field)
+        lams = []
+        stages = example_field.stages
+        field = dataclasses.replace(example_field,
+                                    stages=lambda lam: lams.append(lam) or stages(lam))
+        solves = self.record(monkeypatch)
+        integrate(field, 0.1, z[1:], 0.0, 1.0)
+        _, iters, _, _ = orbit._newton(field, z + 0.005 * tangent, tangent,
+                                       ContinuationParams())
+        dim = field.dim
+        # one stacked run, which takes GF_batch, and single solves only else
+        assert [y0.size for y0, _ in solves] == [dim, dim * (dim + 2)] + [dim] * iters
+        assert len(lams) == 1 + iters >= 2
+        assert lams[0] == 0.1
 
     def test_broyden_solve_takes_no_jacobian_run(self, example_field, monkeypatch):
         # a good carried block: single solves only, and the same point as
