@@ -11,7 +11,9 @@ field ``GF_batch``, G + lambda F with one lambda per column.  Single solves
 run on the stages the field picks: for a chain of up to
 ``FLOAT_STAGES_MAX_DIM`` components, float stages, one RK45 attempt of G +
 lambda F as straight-line float code, which ``rk45.float_stages`` generates
-from the same expression code as the compiled g, phi and f.
+from the same expression code as the compiled g, phi and f, and which
+``rk45.compile_stages`` compiles to C from that code where a C compiler is
+on PATH (the same results, bit for bit).
 """
 from __future__ import annotations
 
@@ -29,11 +31,15 @@ __all__ = ["ProblemSpec", "ExpandedField", "expand", "lifted_zero", "as_state"]
 _PERIODICITY_SEED = 0x5EED0001
 _PERIODICITY_SAMPLES = 50
 _PERIODICITY_TOL = 1e-9
-# Largest dim run on float stages.  Their cost per step grows with dim,
-# that of the NumPy stages hardly at all: one period of the example field
-# at lam = 0.1 takes 2.0 / 27 / 210 ms on float stages and 8.1 / 13 / 33 ms
-# on NumPy stages at dim 10 / 62 / 252 (2-vCPU x86); the two break even
-# between dim 40 and 48.
+# Largest dim run on float stages.  The cost per step of the Python float
+# stages grows with dim, that of the NumPy stages hardly at all: one period
+# of the example field at lam = 0.1 takes 2.0 / 27 / 210 ms on Python float
+# stages and 8.1 / 13 / 33 ms on NumPy stages at dim 10 / 62 / 252 (2-vCPU
+# x86); the two break even between dim 40 and 48.  Their C kernel is
+# faster than both: from linspace(0.3, -0.2, dim) it takes 0.06 / 0.09 /
+# 0.25 ms against 2.1 / 1.8 / 2.6 ms on NumPy stages at dim 10 / 62 / 252
+# (same machine).  No benchmark workload lies above dim 40 yet, so the
+# limit stays until one measures the gain end to end.
 FLOAT_STAGES_MAX_DIM = 40
 
 G_VARS = ("x0", "x1", "x2")   # (x, xdot, delayed term)
@@ -101,7 +107,8 @@ class ExpandedField:
     the field of a stacked run, written into one F-ordered (dim, N) array
     for a field from ``expand``.  ``stages(lam)`` is the (rhs, attempt)
     of ``rk45.solve_ivp`` for a single solve of G + lam F, at lam = 0 too:
-    float stages, or NumPy stages of rhs with attempt None.
+    float stages (an ``rk45.CompiledAttempt`` where their C kernel could
+    be built), or NumPy stages of rhs with attempt None.
     """
 
     dim: int
@@ -144,7 +151,9 @@ def expand(p: ProblemSpec) -> ExpandedField:
     evaluate G and G + lam F on the columns of a (dim, N) array with the
     vectorized g, phi and f.  ``stages`` gives the float stages of G + lam
     F up to ``FLOAT_STAGES_MAX_DIM``, compiled from the scalar code of g,
-    phi and f on first use, once for every lam, and NumPy stages above it.
+    phi and f on first use, once for every lam, with their C kernel where
+    ``rk45.compile_stages`` builds it (never in ``expand`` itself), and
+    NumPy stages above it.
     """
     a = p.kernel.a
     b = p.kernel.b
@@ -190,13 +199,16 @@ def expand(p: ProblemSpec) -> ExpandedField:
         a_code = repr(float(a))
         cascade = ([f"{a_code} * ({phi_code} - w2)"]
                    + [f"{a_code} * (w{i - 1} - w{i})" for i in range(3, dim)])
-        return rk45.float_stages(["w1", f"{g_code} + lam * {f_code}"] + cascade,
-                                 expr._SCALAR_NS)
+        derivatives = ["w1", f"{g_code} + lam * {f_code}"] + cascade
+        return (rk45.float_stages(derivatives, expr._SCALAR_NS),
+                rk45.compile_stages(derivatives))
 
     def stages(lam):
         if dim > FLOAT_STAGES_MAX_DIM:
             return (lambda t, y: G(y) + lam * F(t, y)), None
-        return compiled_stages()(lam)
+        make, compiled = compiled_stages()
+        rhs, attempt = make(lam)
+        return rhs, attempt if compiled is None else compiled(lam, attempt)
 
     return ExpandedField(dim=dim, G=G, F=F, problem=p, G_batch=G_batch,
                          GF_batch=GF_batch, stages=stages)

@@ -4,23 +4,39 @@ control, at rtol = atol = ``TOL``.
 The tableau (Dormand & Prince 1980; Hairer, Norsett & Wanner, Solving
 ODEs I, II.4-II.5) is written out with the dense-output matrix ``P`` of
 Shampine (1986), as in SciPy's ``RK45``.  ``solve_ivp`` runs the step
-control with one of two stage evaluators: the float stages of
-``float_stages``, straight-line float code for one RK45 attempt of a field
-given as one Python expression per component (``chain.expand`` compiles
-them for each problem's field), or NumPy stages (``_numpy_stages``) with
-SciPy's ``rk_step`` arithmetic.  A solve is one :class:`Solution`, whose
-call is its vectorized quartic interpolant.  Every failure of a solve is
-an :class:`IntegrationError` at the time it happened.
+control with one of three stage evaluators.  The float stages of
+``float_stages`` are straight-line float code for one RK45 attempt of a
+field given as one Python expression per component (``chain.expand``
+compiles them for each problem's field).  Their C kernel
+(``compile_stages``, a :class:`CompiledAttempt` per lam) runs the whole
+step loop of a solve with the same IEEE operations in the same order, so
+its results are theirs bit for bit; it is built with ``cc`` on first use,
+cached per user, and replays a solve on the float stages wherever Python
+might part from C.  NumPy stages (``_numpy_stages``) have SciPy's
+``rk_step`` arithmetic.  A solve is one :class:`Solution`, whose call is
+its vectorized quartic interpolant.  Every failure of a solve is an
+:class:`IntegrationError` at the time it happened.
 """
 from __future__ import annotations
 
+import ast
+import contextlib
+import ctypes
+import functools
 import math
+import os
+import platform
+import shutil
+import stat
+import tempfile
 from dataclasses import dataclass
+from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
 __all__ = ["TOL", "C", "A", "B", "E", "P", "IntegrationError", "Solution",
-           "float_stages", "solve_ivp"]
+           "CompiledAttempt", "compile_stages", "float_stages", "solve_ivp"]
 
 TOL = 1e-10  # the relative and absolute tolerance of every solve
 
@@ -104,10 +120,12 @@ class Solution:
         return y[:, 0] if t.ndim == 0 else y
 
 
-def _combination(coefs, i, zeros=False):
-    """Source of sum_j coefs[j] * k<j>_<i> in stage order, over the nonzero
-    coefs unless ``zeros``."""
-    return " + ".join(f"{c!r} * k{j}_{i}" for j, c in enumerate(coefs) if c or zeros)
+def _combination(coefs, stage, zeros=False):
+    """Source of sum_j coefs[j] * stage j in stage order, over the nonzero
+    coefs unless ``zeros``; ``stage.format(j=j)`` names stage j.  The
+    float stages and their C kernel both write their sums with it."""
+    return " + ".join(f"{c!r} * {stage.format(j=j)}"
+                      for j, c in enumerate(coefs) if c or zeros)
 
 
 def float_stages(derivatives: list[str], namespace: dict):
@@ -141,11 +159,11 @@ def float_stages(derivatives: list[str], namespace: dict):
     for st in range(1, 7):
         if st < 6:
             lines.append(f"            s = t + {C[st]!r} * h")
-            lines += [f"            w{i} = y{i} + ({_combination(A[st], i)}) * h"
+            lines += [f"            w{i} = y{i} + ({_combination(A[st], f'k{{j}}_{i}')}) * h"
                       for i in range(n)]
         else:
             lines.append("            s = t + h")
-            lines += [f"            w{i} = y{i} + h * ({_combination(B, i)})"
+            lines += [f"            w{i} = y{i} + h * ({_combination(B, f'k{{j}}_{i}')})"
                       for i in range(n)]
         lines += [f"            k{st}_{i} = {d}" for i, d in enumerate(derivatives)]
     lines += ["        except (OverflowError, ValueError) as exc:",
@@ -153,7 +171,7 @@ def float_stages(derivatives: list[str], namespace: dict):
     for i in range(n):
         lines += [f"        a{i} = abs(y{i})",
                   f"        b{i} = abs(w{i})",
-                  f"        e{i} = (({_combination(E, i, zeros=True)}) * h)"
+                  f"        e{i} = (({_combination(E, f'k{{j}}_{i}', zeros=True)}) * h)"
                   f" / ({TOL!r} + (a{i} if a{i} > b{i} else b{i}) * {TOL!r})"]
     stages = ", ".join(f"k{st}_{i}" for st in range(7) for i in range(n))
     lines += [f"        return ({w}), ({', '.join(f'k6_{i}' for i in range(n))},), ({stages},), "
@@ -164,6 +182,301 @@ def float_stages(derivatives: list[str], namespace: dict):
               sqrt=math.sqrt, __builtins__={})
     exec("\n".join(lines), ns)  # codegen from our own expressions only
     return ns["make"]
+
+
+# -- the float stages compiled to C ---------------------------------------
+
+# C has no -Ofast or -ffast-math here: every operation rounds as in Python,
+# no product is fused into an add, and no libm call is inlined or folded
+_CC_FLAGS = ("-O2", "-ffp-contract=off", "-fno-fast-math", "-fno-builtin",
+             "-fPIC", "-shared")
+_COMPILE_TIMEOUT_S = 10.0
+_FIRST_CAPACITY = 128  # steps a compiled solve makes room for before growing
+_DONE, _FULL, _REPLAY, _UNDERFLOW = range(4)  # the return codes of gc_solve
+_UNDERFLOW_MESSAGE = "Required step size is less than spacing between numbers."
+_C_OPS = {ast.Add: "+", ast.Sub: "-", ast.Mult: "*", ast.Div: "/"}
+_C_CALLS = {"sin": 1, "cos": 1, "exp": 1, "pow": 2, "abs": 1}
+
+
+def _c_field(derivatives: list[str]) -> str:
+    """The body of the C field ``field(s, w, lam, out)``: one temporary per
+    operation of ``derivatives`` (as :func:`float_stages` takes them), in
+    Python's order of evaluation.  It returns 1 where Python might part
+    from C: before a division by 0, and after a sin, cos, exp or pow whose
+    argument or result is not finite (the only values for which Python's
+    math functions raise or special-case); ``abs`` is ``fabs``."""
+    lines = []
+
+    def temp(code):
+        lines.append(f"    double t{len(lines)} = {code};")
+        return f"t{len(lines) - 1}"
+
+    def emit(node):
+        if isinstance(node, ast.Constant) and type(node.value) in (int, float):
+            text = repr(float(node.value))
+            return f"({text})" if text.startswith("-") else text
+        if isinstance(node, ast.Name):
+            if node.id in ("s", "lam"):
+                return node.id
+            if node.id[:1] == "w" and node.id[1:].isdigit() and int(node.id[1:]) < len(derivatives):
+                return f"w[{int(node.id[1:])}]"
+        if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+            return temp(f"-{emit(node.operand)}")
+        if isinstance(node, ast.BinOp) and type(node.op) in _C_OPS:
+            left, right = emit(node.left), emit(node.right)
+            if isinstance(node.op, ast.Div):
+                lines.append(f"    if ({right} == 0.0) return 1;")
+            return temp(f"{left} {_C_OPS[type(node.op)]} {right}")
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and len(node.args) == _C_CALLS.get(node.func.id) and not node.keywords):
+            args = [emit(arg) for arg in node.args]
+            if node.func.id == "abs":
+                return temp(f"fabs({args[0]})")
+            value = temp(f"{node.func.id}({', '.join(args)})")
+            finite = " && ".join(f"isfinite({v})" for v in args + [value])
+            lines.append(f"    if (!({finite})) return 1;")
+            return value
+        raise ValueError(f"no C for {ast.dump(node)}")
+
+    for i, derivative in enumerate(derivatives):
+        value = emit(ast.parse(derivative, mode="eval").body)
+        lines.append(f"    out[{i}] = {value};")
+    return "\n".join(lines)
+
+
+def _c_source(derivatives: list[str]) -> str:
+    """C source of ``gc_solve``: the step loop of ``solve_ivp`` on the float
+    stages of ``derivatives``, written with the same operations in the same
+    order (``min(a, b)`` as ``b < a ? b : a`` and ``max(a, b)`` as ``b > a ?
+    b : a``, which keep Python's choice when one of them is NaN)."""
+    n = len(derivatives)
+    stage = "k[{j}][i]"
+    steps = []
+    for st in range(1, 7):
+        if st < 6:
+            steps += [f"s = t + {C[st]!r} * h;",
+                      f"for (i = 0; i < N; i++) w[i] = y[i] + ({_combination(A[st], stage)}) * h;"]
+        else:
+            steps += ["s = t + h;",
+                      f"for (i = 0; i < N; i++) w[i] = y[i] + h * ({_combination(B, stage)});"]
+        steps.append(f"if (field(s, w, lam, k[{st}])) {{ status = {_REPLAY}; goto done; }}")
+    steps = "\n            ".join(steps)
+    return f"""\
+#include <math.h>
+#include <stdint.h>
+
+enum {{ N = {n} }};
+
+static int field(double s, const double *w, double lam, double *out)
+{{
+{_c_field(derivatives)}
+    return 0;
+}}
+
+/* Steps from ts[m], ys[m] (m = counts[0]) with f the field there, until
+   t1 or until the buffers hold cap steps; counts[1] is nfev and h_io[0]
+   the next step size, both carried from call to call. */
+int gc_solve(double t1, double lam, double *h_io, int64_t *counts, int64_t cap,
+             double *ts, double *ys, double *ks, double *f)
+{{
+    int64_t m = counts[0], nfev = counts[1];
+    double h_abs = h_io[0];
+    int status = {_DONE}, i;
+    while (ts[m] < t1) {{
+        const double t = ts[m], *y = ys + m * N;
+        double *w = ys + (m + 1) * N;  /* the stage state; y_new at the end */
+        double (*k)[N] = (double (*)[N])(ks + m * 7 * N);
+        double min_step, t_new, h, s, x, sq, err, e[N];
+        int rejected = 0;
+        if (m + 1 >= cap) {{ status = {_FULL}; break; }}
+        min_step = 10.0 * (nextafter(t, INFINITY) - t);
+        h_abs = min_step > h_abs ? min_step : h_abs;
+        for (;;) {{
+            if (h_abs < min_step) {{ status = {_UNDERFLOW}; goto done; }}
+            t_new = t1 < t + h_abs ? t1 : t + h_abs;
+            h = h_abs = t_new - t;
+            nfev += 6;
+            for (i = 0; i < N; i++) k[0][i] = f[i];
+            {steps}
+            for (i = 0; i < N; i++) {{
+                double a = fabs(y[i]), b = fabs(w[i]);
+                e[i] = (({_combination(E, stage, zeros=True)}) * h)
+                       / ({TOL!r} + (a > b ? a : b) * {TOL!r});
+            }}
+            sq = e[0] * e[0];
+            for (i = 1; i < N; i++) sq = sq + e[i] * e[i];
+            err = sqrt(sq) / {n ** 0.5!r};
+            if (err < 1.0) {{
+                x = err == 0.0 ? 10.0 : 0.9 * pow(err, -0.2);
+                x = x < 10.0 ? x : 10.0;
+                h_abs *= rejected ? (x < 1.0 ? x : 1.0) : x;
+                break;
+            }}
+            x = 0.9 * pow(err, -0.2);
+            h_abs *= x > 0.2 ? x : 0.2;
+            rejected = 1;
+        }}
+        m += 1;
+        ts[m] = t_new;
+        for (i = 0; i < N; i++) f[i] = k[6][i];
+    }}
+done:
+    counts[0] = m;
+    counts[1] = nfev;
+    h_io[0] = h_abs;
+    return status;
+}}
+"""
+
+
+def _private(st: os.stat_result) -> bool:
+    """Owned by this user, and no one else may write to it."""
+    return st.st_uid == os.getuid() and not st.st_mode & (stat.S_IWGRP | stat.S_IWOTH)
+
+
+def _cache_dir() -> Path | None:
+    """``$XDG_CACHE_HOME/gammachain`` (``~/.cache/gammachain`` when that is
+    unset or relative), created with mode 0700; None unless it is a
+    directory of this user's that no one else may write to."""
+    base = os.environ.get("XDG_CACHE_HOME", "")
+    if not os.path.isabs(base):
+        base = os.path.join(os.path.expanduser("~"), ".cache")
+    path = Path(base, "gammachain")
+    try:
+        path.mkdir(mode=0o700, parents=True, exist_ok=True)
+        st = path.stat()
+    except OSError:
+        return None
+    return path if stat.S_ISDIR(st.st_mode) and _private(st) else None
+
+
+def _compile(cc: str, source: str, out: str) -> bool:
+    """Compile ``source`` into the shared library ``out``; false on a
+    compile error or after ``_COMPILE_TIMEOUT_S``.  The compiler runs in a
+    session of its own, which is killed whole unless it exited, so none of
+    its passes outlives the call."""
+    import signal  # here, as only a compile needs them
+    import subprocess
+    with subprocess.Popen([cc, *_CC_FLAGS, "-x", "c", "-", "-o", out, "-lm"],
+                          stdin=subprocess.PIPE, stdout=subprocess.DEVNULL,
+                          stderr=subprocess.DEVNULL, start_new_session=True) as proc:
+        try:
+            proc.communicate(source.encode(), timeout=_COMPILE_TIMEOUT_S)
+        except subprocess.TimeoutExpired:
+            return False
+        finally:
+            if proc.poll() is None:
+                os.killpg(proc.pid, signal.SIGKILL)
+    return proc.returncode == 0
+
+
+def _intact(path: Path) -> bool:
+    """Whether the library ends in the sha256 digest of the rest of it."""
+    import hashlib
+    try:
+        data = path.read_bytes()
+    except FileNotFoundError:
+        return False
+    return hashlib.sha256(data[:-32]).digest() == data[-32:]
+
+
+def _build(source: str) -> Path | None:
+    """The shared library of ``source`` from the cache, compiled into it
+    first unless it is there intact; None without ``cc`` on PATH, a usable
+    cache or a successful compile, and for a library others may write to.
+    The cache key is the sha256 of the source, the flags and the machine.
+    A library is compiled to a temporary name, gets the sha256 of its bytes
+    appended (the loader ignores them) and is moved into place, so no
+    process sees one half written.  One that does not end in its own
+    digest, as a cut-short one, is compiled again, never loaded: mapping
+    it can kill the process."""
+    import hashlib  # here, so that analyze, which solves nothing, does not load it
+    cc = shutil.which("cc")
+    cache = _cache_dir() if cc is not None else None
+    if cache is None:
+        return None
+    key = hashlib.sha256("\0".join((source, *_CC_FLAGS, platform.machine())).encode())
+    path = cache / f"stages-{key.hexdigest()}.so"
+    try:
+        if not _intact(path):
+            fd, tmp = tempfile.mkstemp(suffix=".tmp", dir=cache)
+            os.close(fd)
+            try:
+                if not _compile(cc, source, tmp):
+                    return None
+                with open(tmp, "r+b") as fh:
+                    fh.write(hashlib.sha256(fh.read()).digest())
+                os.chmod(tmp, 0o700)
+                os.replace(tmp, path)
+            finally:
+                with contextlib.suppress(FileNotFoundError):
+                    os.unlink(tmp)
+        return path if _private(path.stat()) else None
+    except OSError:
+        return None
+
+
+def compile_stages(derivatives: list[str]):
+    """The float stages of ``derivatives`` (as :func:`float_stages` takes
+    them) compiled to C, as a factory ``(lam, replay) ->``
+    :class:`CompiledAttempt`; None where no kernel can be had (not POSIX,
+    no ``cc`` on PATH, no usable cache, a failed compile or load).  The
+    library is cached per user, so a process after the first one loads it."""
+    if os.name != "posix":
+        return None
+    path = _build(_c_source(derivatives))
+    if path is None:
+        return None
+    try:
+        solve = ctypes.CDLL(str(path)).gc_solve
+    except (OSError, AttributeError):  # not a library, or not ours
+        return None
+    solve.argtypes = (ctypes.c_double, ctypes.c_double, ctypes.c_void_p, ctypes.c_void_p,
+                      ctypes.c_int64, ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p,
+                      ctypes.c_void_p)
+    solve.restype = ctypes.c_int
+    return functools.partial(CompiledAttempt, solve, len(derivatives))
+
+
+@dataclass(frozen=True)
+class CompiledAttempt:
+    """The compiled float stages at one ``lam``, for ``solve_ivp``: its C
+    ``solve`` runs the whole step loop of a solve of dimension ``dim``,
+    and where it stops at a value for which Python might part from C, the
+    solve replays on ``replay``, the float-stage attempt of the same lam."""
+
+    solve: Callable
+    dim: int
+    lam: float
+    replay: Callable
+
+    def run(self, t0, t1, h_abs, y0, f0):
+        """(t, Y, K, nfev) of the solve from (t0, y0) with f0 = F(t0, y0)
+        and first step ``h_abs``, or None to replay it.  The buffers double
+        whenever the C loop fills them."""
+        n = self.dim
+        f = np.array(f0, dtype=float)  # a copy: C advances it, a replay starts from f0
+        if y0.shape != (n,) or f.shape != (n,):
+            raise ValueError(f"state and field must have shape ({n},), "
+                             f"got {y0.shape} and {f.shape}")
+        cap = _FIRST_CAPACITY
+        ts, ys, ks = np.empty(cap), np.empty((cap, n)), np.empty((cap, 7, n))
+        ts[0], ys[0] = t0, y0
+        h, counts = np.array([h_abs]), np.array([0, 2], dtype=np.int64)
+        while True:
+            status = self.solve(t1, self.lam, h.ctypes.data, counts.ctypes.data, cap,
+                                ts.ctypes.data, ys.ctypes.data, ks.ctypes.data, f.ctypes.data)
+            if status != _FULL:
+                break
+            m, cap = int(counts[0]), 2 * cap
+            ts, ys, ks = (np.concatenate((a[:m + 1], np.empty((cap - m - 1,) + a.shape[1:])))
+                          for a in (ts, ys, ks))
+        m = int(counts[0])
+        if status == _REPLAY:
+            return None
+        if status == _UNDERFLOW:
+            raise IntegrationError(float(ts[m]), _UNDERFLOW_MESSAGE)
+        return ts[:m + 1], ys[:m + 1], ks[:m], int(counts[1])
 
 
 def _numpy_stages(fun, dim):
@@ -201,11 +514,13 @@ def solve_ivp(fun, t_span, y0, *, attempt=None, dim=None) -> Solution:
     ``dim`` components (default: all).
 
     ``attempt`` is a float attempt of :func:`float_stages` (float stages,
-    with ``fun`` its ``rhs``); without it the stages are NumPy evaluations
-    of ``fun`` (``_numpy_stages``).  The step control is SciPy's: its
-    initial step, a least step of 10 ulp(t), step factors 0.9 err^(-1/5)
-    within [0.2, 10] (at most 1 after a rejection), and the last step
-    clipped to t1.  An error norm that is not below 1 (NaN included)
+    with ``fun`` its ``rhs``) or a :class:`CompiledAttempt` of them, which
+    runs the step loop in C and replays the solve on its float stages
+    where it stops; without it the stages are NumPy evaluations of ``fun``
+    (``_numpy_stages``).  The step control is SciPy's: its initial step
+    (taken in Python on ``fun`` for every kind of stages), a least step of
+    10 ulp(t), step factors 0.9 err^(-1/5) within [0.2, 10] (at most 1
+    after a rejection), and the last step clipped to t1.  An error norm that is not below 1 (NaN included)
     rejects the attempt, as does a ZeroDivisionError in a float stage,
     which NumPy arithmetic would have made inf or NaN.  ``nfev`` counts as
     SciPy's: 2 + 6 per attempt.
@@ -237,38 +552,47 @@ def solve_ivp(fun, t_span, y0, *, attempt=None, dim=None) -> Solution:
             h1 = (0.01 / max(d1, d2)) ** 0.2
         h_abs = float(min(100 * h0, h1, t1 - t0))
 
-        if attempt is None:
-            attempt, y, f = _numpy_stages(fun, dim), y0, f0
-        else:
-            y, f = y0.tolist(), f0.tolist()
-        t, ts, ys, stages, nfev = t0, [t0], [y], [], 2
-        while t < t1:
-            min_step = 10 * (math.nextafter(t, math.inf) - t)
-            h_abs = max(h_abs, min_step)
-            rejected = False
-            while True:
-                if h_abs < min_step:
-                    raise IntegrationError(t, "Required step size is less than "
-                                              "spacing between numbers.")
-                t_new = min(t + h_abs, t1)
-                h = h_abs = t_new - t
-                nfev += 6
-                try:
-                    y_new, f_new, K, err = attempt(t, y, f, h)
-                except ZeroDivisionError:
-                    err = math.nan
-                if err < 1:
-                    factor = 10.0 if err == 0 else min(10.0, 0.9 * err ** -0.2)
-                    h_abs *= min(1.0, factor) if rejected else factor
-                    break
-                h_abs *= max(0.2, 0.9 * err ** -0.2)
-                rejected = True
-            t, y, f = t_new, y_new, f_new
-            ts.append(t)
-            ys.append(y)
-            stages.append(K)
-    Y = np.array(ys)
+        run = None
+        if isinstance(attempt, CompiledAttempt):
+            run = attempt.run(t0, t1, h_abs, y0, f0)
+            attempt = attempt.replay
+        if run is None and attempt is None:
+            run = _steps(_numpy_stages(fun, dim), t0, t1, h_abs, y0, f0)
+        elif run is None:
+            run = _steps(attempt, t0, t1, h_abs, y0.tolist(), f0.tolist())
+    t, Y, K, nfev = run
     if not np.isfinite(Y[-1]).all():
-        raise IntegrationError(t, "non-finite state")
-    return Solution(t=np.array(ts), y=Y.T, nfev=nfev,
-                    K=np.array(stages).reshape(len(stages), 7, -1))
+        raise IntegrationError(float(t[-1]), "non-finite state")
+    return Solution(t=t, y=Y.T, nfev=nfev, K=K)
+
+
+def _steps(attempt, t0, t1, h_abs, y, f):
+    """The step loop of ``solve_ivp`` in Python from the state y with f =
+    F(t0, y): (t, Y, K, nfev), where Y[k] is the state at t[k]."""
+    t, ts, ys, stages, nfev = t0, [t0], [y], [], 2
+    while t < t1:
+        min_step = 10 * (math.nextafter(t, math.inf) - t)
+        h_abs = max(h_abs, min_step)
+        rejected = False
+        while True:
+            if h_abs < min_step:
+                raise IntegrationError(t, _UNDERFLOW_MESSAGE)
+            t_new = min(t + h_abs, t1)
+            h = h_abs = t_new - t
+            nfev += 6
+            try:
+                y_new, f_new, K, err = attempt(t, y, f, h)
+            except ZeroDivisionError:
+                err = math.nan
+            if err < 1:
+                factor = 10.0 if err == 0 else min(10.0, 0.9 * err ** -0.2)
+                h_abs *= min(1.0, factor) if rejected else factor
+                break
+            h_abs *= max(0.2, 0.9 * err ** -0.2)
+            rejected = True
+        t, y, f = t_new, y_new, f_new
+        ts.append(t)
+        ys.append(y)
+        stages.append(K)
+    return (np.array(ts), np.array(ys),
+            np.array(stages).reshape(len(stages), 7, -1), nfev)

@@ -12,6 +12,20 @@ import helpers  # noqa: E402
 from gammachain import chain, orbit  # noqa: E402
 
 
+@pytest.fixture(scope="session", autouse=True)
+def stage_cache(request, tmp_path_factory):
+    """The compiled float stages of the suite go to a cache of its own,
+    neither read from nor left in the user's: pytest's cache directory,
+    so that a later run loads what an earlier one compiled, or a fresh
+    temporary directory without pytest's cache."""
+    cache = getattr(request.config, "cache", None)
+    path = (cache.mkdir("xdg-cache") if cache is not None
+            else tmp_path_factory.mktemp("xdg-cache"))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("XDG_CACHE_HOME", str(path))
+        yield
+
+
 @pytest.fixture(scope="session")
 def example_problem():
     return helpers.example_problem()

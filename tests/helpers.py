@@ -8,14 +8,20 @@ from __future__ import annotations
 import contextlib
 import itertools
 import math
+import shutil
 import signal
 
 import numpy as np
+import pytest
 
 from gammachain import certify, chain, expr, orbit
 from gammachain.analysis import FD_STEP
 from gammachain.chain import ProblemSpec
 from gammachain.kernel import GammaKernel, gamma_eval, tail_horizon
+
+# the float stages are compiled wherever a C compiler is on PATH
+requires_compiler = pytest.mark.skipif(shutil.which("cc") is None,
+                                       reason="no C compiler on PATH")
 
 EXAMPLE = dict(g="-x0*(1+x2)", phi="q-p", f="1+x*sin(2*pi*t)", a=2.0, b=2, T=1.0)
 

@@ -80,19 +80,35 @@ class TestExpand:
         assert got[2] == 2.0 * ((0.2 - 0.5) - -0.1)
 
     def test_float_stages_compile_on_first_use(self, monkeypatch):
-        made = []
-        compile_stages = chain.rk45.float_stages
+        # expand compiles neither the Python float stages nor their C
+        # kernel, nor starts a compiler: setup and analyze solve nothing
+        made, built, compilers = [], [], []
+        float_stages, compile_stages = chain.rk45.float_stages, chain.rk45.compile_stages
+        compile_c = chain.rk45._compile
         monkeypatch.setattr(chain.rk45, "float_stages",
-                            lambda *args: made.append(1) or compile_stages(*args))
+                            lambda *args: made.append(1) or float_stages(*args))
+        monkeypatch.setattr(chain.rk45, "compile_stages",
+                            lambda *args: built.append(1) or compile_stages(*args))
+        monkeypatch.setattr(chain.rk45, "_compile",
+                            lambda *args: compilers.append(1) or compile_c(*args))
         p = ProblemSpec.from_strings("-x0*(1+x2)", "q-p", "1+x*sin(2*pi*t)", 3.0, 3, 1.0)
         field = expand(p)
-        assert made == []
+        assert made == built == compilers == []
         orbit.period_map(field, 0.0, np.full(5, 0.1))
-        assert len(made) == 1
+        assert len(made) == len(built) == 1
+        assert len(compilers) <= 1
         # one variant, G + lam F, serves every lam, 0 included
         orbit.period_map(field, 0.0, np.full(5, 0.2))
         orbit.period_map(field, 0.1, np.full(5, 0.1))
-        assert len(made) == 1
+        assert len(made) == len(built) == 1
+        assert len(compilers) <= 1
+
+    @helpers.requires_compiler
+    def test_stages_are_compiled_where_a_compiler_is(self, example_field):
+        for lam in (0.0, 0.1):
+            rhs, attempt = example_field.stages(lam)
+            assert isinstance(attempt, rk45.CompiledAttempt)
+            assert attempt.lam == lam and attempt.dim == example_field.dim
 
     @pytest.mark.parametrize("b", [chain.FLOAT_STAGES_MAX_DIM - 2,
                                    chain.FLOAT_STAGES_MAX_DIM - 1])

@@ -403,7 +403,10 @@ class TestFloatStageFailures:
     def test_division_by_zero_rejects_the_attempt(self):
         # g is 1 for x0 < 0 and 0/0 from x0 = 0 on, which x0 reaches at
         # t = sqrt(2) - 1 unforced and (sqrt(3) - 1)/2 at lambda = 1; every
-        # attempt across it is rejected until the step underflows there
+        # attempt across it is rejected until the step underflows there.
+        # The Python float stages raise the ZeroDivisionError that rejects
+        # an attempt; compiled stages stop at the division and replay the
+        # solve on them, so both end in the same error
         f = chain.expand(ProblemSpec.from_strings(
             "(x0 - abs(x0))/(x0 - abs(x0))", "q-p", "1", 1.0, 1, 1.0))
         xi0 = np.array([-0.5, 1.0, 0.0])
@@ -411,6 +414,7 @@ class TestFloatStageFailures:
 
         def counted(lam):
             rhs, attempt = f.stages(lam)
+            attempt = getattr(attempt, "replay", attempt)
 
             def counted_attempt(*args):
                 try:
@@ -429,7 +433,94 @@ class TestFloatStageFailures:
                 integrate(g, lam, xi0, 0.0, 1.0)
             assert err.value.time == pytest.approx(float(ref.t[-1]), rel=1e-12)
             assert err.value.time == pytest.approx(t_zero, rel=1e-12)
+            with pytest.raises(IntegrationError) as on_field_stages:
+                integrate(f, lam, xi0, 0.0, 1.0)
+            assert on_field_stages.value.time == err.value.time
+            assert str(on_field_stages.value) == str(err.value)
         assert divisions
+
+
+class TestCompiledStages:
+    """The float stages compiled to C are the Python float stages, bit for
+    bit, wherever a compiler makes them."""
+
+    REPLAYS = {
+        # sqrt of a negative x0: math.pow raises ValueError at a stage time
+        "math_domain_error": (("x0^0.5 - x2", "q-p", "1", 1.0, 1, 1.0), [0.01, -1.0, 0.0]),
+        # 0/0 from x0 = 0 on: ZeroDivisionError rejects every attempt there
+        "division_by_zero": (("(x0 - abs(x0))/(x0 - abs(x0))", "q-p", "1", 1.0, 1, 1.0),
+                             [-0.5, 1.0, 0.0]),
+    }
+
+    @staticmethod
+    def solve(rhs, attempt, span, xi0):
+        """The Solution, or the IntegrationError the solve raised."""
+        try:
+            return rk45.solve_ivp(rhs, span, xi0, attempt=attempt)
+        except IntegrationError as exc:
+            return exc
+
+    @classmethod
+    def assert_same(cls, rhs, attempt, span, xi0):
+        """Compiled and Python float stages give the same solve."""
+        assert isinstance(attempt, rk45.CompiledAttempt)
+        compiled = cls.solve(rhs, attempt, span, xi0)
+        python = cls.solve(rhs, attempt.replay, span, xi0)
+        if isinstance(python, IntegrationError):
+            assert type(compiled) is IntegrationError
+            assert compiled.time == python.time
+            assert str(compiled) == str(python)
+            assert type(compiled.__cause__) is type(python.__cause__)
+            return python
+        assert np.array_equal(compiled.t, python.t)
+        assert np.array_equal(compiled.y, python.y)
+        assert np.array_equal(compiled.K, python.K)
+        assert compiled.nfev == python.nfev
+        return python
+
+    @helpers.requires_compiler
+    @pytest.mark.parametrize("forced", [False, True], ids=["lambda0", "forced"])
+    @settings(derandomize=True, deadline=None, max_examples=25)
+    @given(data=st.data())
+    def test_match_the_float_stages(self, forced, data):
+        p, lam, xi = data.draw(shooting_points(forced=forced))
+        lam = lam if forced else 0.0
+        rhs, attempt = chain.expand(p).stages(lam)
+        self.assert_same(rhs, attempt, (0.0, p.T), xi)
+
+    @helpers.requires_compiler
+    @pytest.mark.parametrize("name", sorted(REPLAYS))
+    def test_replay_on_the_float_stages(self, name, monkeypatch):
+        # C stops at the pow of a negative base and at the division by 0,
+        # and the solve replays on the Python float stages, which raise
+        args, xi0 = self.REPLAYS[name]
+        field = chain.expand(ProblemSpec.from_strings(*args))
+        replays = []
+        steps = rk45._steps
+        monkeypatch.setattr(rk45, "_steps", lambda *a: replays.append(1) or steps(*a))
+        for lam in (0.0, 1.0):
+            rhs, attempt = field.stages(lam)
+            replays.clear()
+            compiled = self.solve(rhs, attempt, (0.0, 1.0), np.array(xi0))
+            assert replays == [1]
+            python = self.assert_same(rhs, attempt, (0.0, 1.0), np.array(xi0))
+            assert isinstance(python, IntegrationError)
+            if name == "math_domain_error":
+                assert str(compiled.__cause__) == "math domain error"
+
+    @helpers.requires_compiler
+    @pytest.mark.parametrize("name", sorted(WORKLOAD_FIELDS))
+    def test_resume_when_the_buffers_fill(self, name, monkeypatch):
+        # room for 2 steps at first: the C loop returns at every doubling
+        # and picks up where it stopped
+        field = WORKLOAD_FIELDS[name]
+        xi0 = np.linspace(0.3, -0.2, field.dim)
+        rhs, attempt = field.stages(0.1)
+        whole = rk45.solve_ivp(rhs, (0.0, field.problem.T), xi0, attempt=attempt)
+        monkeypatch.setattr(rk45, "_FIRST_CAPACITY", 2)
+        python = self.assert_same(rhs, attempt, (0.0, field.problem.T), xi0)
+        assert python.t.size == whole.t.size > 8
+        assert np.array_equal(python.y, whole.y)
 
 
 class TestShootingWork:
