@@ -12,8 +12,9 @@ run on the stages the field picks: for a chain of up to
 ``FLOAT_STAGES_MAX_DIM`` components, float stages, one RK45 attempt of G +
 lambda F as straight-line float code, which ``rk45.float_stages`` generates
 from the same expression code as the compiled g, phi and f, and which
-``rk45.compile_stages`` compiles to C from that code where a C compiler is
-on PATH (the same results, bit for bit).
+``rk45.CompiledStages`` compiles to C from that code where a C compiler is
+on PATH (the same results, bit for bit), in the background, so that the
+solves before the compile is done run on the float stages.
 """
 from __future__ import annotations
 
@@ -152,7 +153,8 @@ def expand(p: ProblemSpec) -> ExpandedField:
     vectorized g, phi and f.  ``stages`` gives the float stages of G + lam
     F up to ``FLOAT_STAGES_MAX_DIM``, compiled from the scalar code of g,
     phi and f on first use, once for every lam, with their C kernel where
-    ``rk45.compile_stages`` builds it (never in ``expand`` itself), and
+    ``rk45.CompiledStages`` has it loaded (never built in ``expand``
+    itself; compiled in the background on first use), and
     NumPy stages above it.
     """
     a = p.kernel.a
@@ -201,13 +203,14 @@ def expand(p: ProblemSpec) -> ExpandedField:
                    + [f"{a_code} * (w{i - 1} - w{i})" for i in range(3, dim)])
         derivatives = ["w1", f"{g_code} + lam * {f_code}"] + cascade
         return (rk45.float_stages(derivatives, expr._SCALAR_NS),
-                rk45.compile_stages(derivatives))
+                rk45.CompiledStages(derivatives))
 
     def stages(lam):
         if dim > FLOAT_STAGES_MAX_DIM:
             return (lambda t, y: G(y) + lam * F(t, y)), None
-        make, compiled = compiled_stages()
+        make, kernel = compiled_stages()
         rhs, attempt = make(lam)
+        compiled = kernel()
         return rhs, attempt if compiled is None else compiled(lam, attempt)
 
     return ExpandedField(dim=dim, G=G, F=F, problem=p, G_batch=G_batch,

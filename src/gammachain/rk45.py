@@ -8,11 +8,12 @@ control with one of three stage evaluators.  The float stages of
 ``float_stages`` are straight-line float code for one RK45 attempt of a
 field given as one Python expression per component (``chain.expand``
 compiles them for each problem's field).  Their C kernel
-(``compile_stages``, a :class:`CompiledAttempt` per lam) runs the whole
-step loop of a solve with the same IEEE operations in the same order, so
-its results are theirs bit for bit; it is built with ``cc`` on first use,
-cached per user, and replays a solve on the float stages wherever Python
-might part from C.  NumPy stages (``_numpy_stages``) have SciPy's
+(:class:`CompiledStages`, a :class:`CompiledAttempt` per lam) runs the
+whole step loop of a solve with the same IEEE operations in the same
+order, so its results are theirs bit for bit; it is cached per user,
+compiled with ``cc`` in the background on first use while solves run on
+the float stages, and replays a solve on them wherever Python might part
+from C.  NumPy stages (``_numpy_stages``) have SciPy's
 ``rk_step`` arithmetic.  A solve is one :class:`Solution`, whose call is
 its vectorized quartic interpolant.  Every failure of a solve is an
 :class:`IntegrationError` at the time it happened.
@@ -20,6 +21,7 @@ its vectorized quartic interpolant.  Every failure of a solve is an
 from __future__ import annotations
 
 import ast
+import atexit
 import contextlib
 import ctypes
 import functools
@@ -29,6 +31,7 @@ import platform
 import shutil
 import stat
 import tempfile
+import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
@@ -36,7 +39,8 @@ from typing import Callable
 import numpy as np
 
 __all__ = ["TOL", "C", "A", "B", "E", "P", "IntegrationError", "Solution",
-           "CompiledAttempt", "compile_stages", "float_stages", "solve_ivp"]
+           "CompiledAttempt", "CompiledStages", "finish_compiles", "float_stages",
+           "solve_ivp"]
 
 TOL = 1e-10  # the relative and absolute tolerance of every solve
 
@@ -191,6 +195,8 @@ def float_stages(derivatives: list[str], namespace: dict):
 _CC_FLAGS = ("-O2", "-ffp-contract=off", "-fno-fast-math", "-fno-builtin",
              "-fPIC", "-shared")
 _COMPILE_TIMEOUT_S = 10.0
+_CACHE_KEEP = 256       # libraries the cache keeps, about 16 KB each
+_STALE_TMP_S = 3600.0   # a temporary file this old is a killed compile's
 _FIRST_CAPACITY = 128  # steps a compiled solve makes room for before growing
 _DONE, _FULL, _REPLAY, _UNDERFLOW = range(4)  # the return codes of gc_solve
 _UNDERFLOW_MESSAGE = "Required step size is less than spacing between numbers."
@@ -337,10 +343,13 @@ def _private(st: os.stat_result) -> bool:
 def _cache_dir() -> Path | None:
     """``$XDG_CACHE_HOME/gammachain`` (``~/.cache/gammachain`` when that is
     unset or relative), created with mode 0700; None unless it is a
-    directory of this user's that no one else may write to."""
+    directory of this user's that no one else may write to, and where no
+    home directory can be found, as a relative base is never used."""
     base = os.environ.get("XDG_CACHE_HOME", "")
     if not os.path.isabs(base):
         base = os.path.join(os.path.expanduser("~"), ".cache")
+    if not os.path.isabs(base):  # "~" unexpanded: no HOME and no passwd entry
+        return None
     path = Path(base, "gammachain")
     try:
         path.mkdir(mode=0o700, parents=True, exist_ok=True)
@@ -350,24 +359,21 @@ def _cache_dir() -> Path | None:
     return path if stat.S_ISDIR(st.st_mode) and _private(st) else None
 
 
-def _compile(cc: str, source: str, out: str) -> bool:
-    """Compile ``source`` into the shared library ``out``; false on a
-    compile error or after ``_COMPILE_TIMEOUT_S``.  The compiler runs in a
-    session of its own, which is killed whole unless it exited, so none of
-    its passes outlives the call."""
-    import signal  # here, as only a compile needs them
-    import subprocess
-    with subprocess.Popen([cc, *_CC_FLAGS, "-x", "c", "-", "-o", out, "-lm"],
-                          stdin=subprocess.PIPE, stdout=subprocess.DEVNULL,
-                          stderr=subprocess.DEVNULL, start_new_session=True) as proc:
-        try:
-            proc.communicate(source.encode(), timeout=_COMPILE_TIMEOUT_S)
-        except subprocess.TimeoutExpired:
-            return False
-        finally:
-            if proc.poll() is None:
-                os.killpg(proc.pid, signal.SIGKILL)
-    return proc.returncode == 0
+def _compile(cc: str, source: str, out: str) -> int:
+    """Start compiling ``source`` into the shared library ``out``; the
+    compiler's pid.  It runs in a session of its own, so that
+    :meth:`CompiledStages.poll` can kill it whole, none of its passes
+    outliving it.  ``os.posix_spawn``, not ``subprocess``, whose import
+    alone costs a few milliseconds, which a short command would pay for a
+    compile it ends before."""
+    with tempfile.TemporaryFile() as src:  # a file, so the compiler never blocks us
+        src.write(source.encode())
+        src.seek(0)
+        return os.posix_spawn(cc, [cc, *_CC_FLAGS, "-x", "c", "-", "-o", out, "-lm"],
+                              os.environ, setsid=True,
+                              file_actions=[(os.POSIX_SPAWN_DUP2, src.fileno(), 0),
+                                            (os.POSIX_SPAWN_OPEN, 1, os.devnull, os.O_WRONLY, 0),
+                                            (os.POSIX_SPAWN_DUP2, 1, 2)])
 
 
 def _intact(path: Path) -> bool:
@@ -380,62 +386,147 @@ def _intact(path: Path) -> bool:
     return hashlib.sha256(data[:-32]).digest() == data[-32:]
 
 
-def _build(source: str) -> Path | None:
-    """The shared library of ``source`` from the cache, compiled into it
-    first unless it is there intact; None without ``cc`` on PATH, a usable
-    cache or a successful compile, and for a library others may write to.
-    The cache key is the sha256 of the source, the flags and the machine.
-    A library is compiled to a temporary name, gets the sha256 of its bytes
-    appended (the loader ignores them) and is moved into place, so no
-    process sees one half written.  One that does not end in its own
-    digest, as a cut-short one, is compiled again, never loaded: mapping
-    it can kill the process."""
-    import hashlib  # here, so that analyze, which solves nothing, does not load it
-    cc = shutil.which("cc")
-    cache = _cache_dir() if cc is not None else None
-    if cache is None:
-        return None
-    key = hashlib.sha256("\0".join((source, *_CC_FLAGS, platform.machine())).encode())
-    path = cache / f"stages-{key.hexdigest()}.so"
-    try:
-        if not _intact(path):
-            fd, tmp = tempfile.mkstemp(suffix=".tmp", dir=cache)
-            os.close(fd)
-            try:
-                if not _compile(cc, source, tmp):
-                    return None
-                with open(tmp, "r+b") as fh:
-                    fh.write(hashlib.sha256(fh.read()).digest())
-                os.chmod(tmp, 0o700)
-                os.replace(tmp, path)
-            finally:
-                with contextlib.suppress(FileNotFoundError):
-                    os.unlink(tmp)
-        return path if _private(path.stat()) else None
-    except OSError:
-        return None
+def _seal(tmp: str, path: Path):
+    """Append the sha256 of the compiled library ``tmp`` to it (the loader
+    ignores them) and move it to ``path``, so that no process sees one
+    half written, then prune the cache."""
+    import hashlib
+    with open(tmp, "r+b") as fh:
+        fh.write(hashlib.sha256(fh.read()).digest())
+    os.chmod(tmp, 0o700)
+    os.replace(tmp, path)
+    _prune(path.parent)
 
 
-def compile_stages(derivatives: list[str]):
+def _prune(cache: Path):
+    """Keep the ``_CACHE_KEEP`` most recently used libraries of the cache
+    (a load marks one used), and delete a temporary file older than
+    ``_STALE_TMP_S``, which a killed process left."""
+    now, libraries = time.time(), []
+    for entry in os.scandir(cache):
+        with contextlib.suppress(OSError):
+            mtime = entry.stat().st_mtime
+            if entry.name.endswith(".tmp") and now - mtime > _STALE_TMP_S:
+                os.unlink(entry.path)
+            elif entry.name.startswith("stages-") and entry.name.endswith(".so"):
+                libraries.append((mtime, entry.path))
+    for _, old in sorted(libraries, reverse=True)[_CACHE_KEEP:]:
+        with contextlib.suppress(OSError):
+            os.unlink(old)
+
+
+_compiling: set[CompiledStages] = set()  # the builds whose compiler may still run
+
+
+class CompiledStages:
     """The float stages of ``derivatives`` (as :func:`float_stages` takes
-    them) compiled to C, as a factory ``(lam, replay) ->``
-    :class:`CompiledAttempt`; None where no kernel can be had (not POSIX,
-    no ``cc`` on PATH, no usable cache, a failed compile or load).  The
-    library is cached per user, so a process after the first one loads it."""
-    if os.name != "posix":
-        return None
-    path = _build(_c_source(derivatives))
-    if path is None:
-        return None
-    try:
-        solve = ctypes.CDLL(str(path)).gc_solve
-    except (OSError, AttributeError):  # not a library, or not ours
-        return None
-    solve.argtypes = (ctypes.c_double, ctypes.c_double, ctypes.c_void_p, ctypes.c_void_p,
-                      ctypes.c_int64, ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p,
-                      ctypes.c_void_p)
-    solve.restype = ctypes.c_int
-    return functools.partial(CompiledAttempt, solve, len(derivatives))
+    them) compiled to C.  Called, it is the factory ``(lam, replay) ->``
+    :class:`CompiledAttempt` once the kernel is loaded, and None before and
+    wherever none can be had (not POSIX, no ``cc`` on PATH, no usable
+    cache, a failed compile or load, a library others may write to).
+
+    The library is cached per user, keyed by the sha256 of the source, the
+    flags and the machine; one in the cache is loaded at once.  Otherwise
+    ``cc`` compiles it in the background while single solves run on the
+    Python float stages, whose results are the kernel's, and each call
+    checks whether the compile is done; so a solve never waits for the
+    compiler, and a short command pays nothing for it.  A compile still
+    running after ``_COMPILE_TIMEOUT_S`` or at exit is killed.  A library
+    that does not end in its own digest, as a cut-short one, is compiled
+    again, never loaded: mapping it can kill the process."""
+
+    def __init__(self, derivatives: list[str]):
+        import hashlib  # here, so that analyze, which solves nothing, does not load it
+        self.dim = len(derivatives)
+        self.factory = None
+        self.compiler = None  # the pid of the running compile
+        cc = shutil.which("cc") if os.name == "posix" else None
+        cache = _cache_dir() if cc is not None else None
+        if cache is None:
+            return
+        source = _c_source(derivatives)
+        key = hashlib.sha256("\0".join((source, *_CC_FLAGS, platform.machine())).encode())
+        self.path = cache / f"stages-{key.hexdigest()}.so"
+        try:
+            if _intact(self.path):
+                self._load()
+                return
+            fd, self.tmp = tempfile.mkstemp(suffix=".tmp", dir=cache)
+            os.close(fd)
+        except OSError:
+            return
+        try:
+            self.compiler = _compile(cc, source, self.tmp)
+        except (OSError, NotImplementedError):  # NotImplementedError: no setsid
+            os.unlink(self.tmp)
+            return
+        self.deadline = time.monotonic() + _COMPILE_TIMEOUT_S
+        self.pid = os.getpid()
+        _compiling.add(self)
+
+    def __call__(self):
+        if self.compiler is not None:
+            self.poll()
+        return self.factory
+
+    def poll(self, wait: float = 0.0):
+        """Finish the build if the compiler is done, waiting for it up to
+        ``wait`` seconds; past its deadline, kill it."""
+        if os.getpid() != self.pid:  # a forked child: the compiler is not its own
+            return
+        until = min(self.deadline, time.monotonic() + wait)
+        pid, status = os.waitpid(self.compiler, os.WNOHANG)
+        while not pid and time.monotonic() < until:
+            time.sleep(0.01)
+            pid, status = os.waitpid(self.compiler, os.WNOHANG)
+        if not pid:  # still running
+            if time.monotonic() < self.deadline:
+                return
+            import signal
+            os.killpg(self.compiler, signal.SIGKILL)
+            os.waitpid(self.compiler, 0)
+        self.compiler = None
+        _compiling.discard(self)
+        try:
+            if pid and status == 0:  # exited with code 0
+                _seal(self.tmp, self.path)
+                self._load()
+        except OSError:
+            pass
+        finally:
+            with contextlib.suppress(FileNotFoundError):
+                os.unlink(self.tmp)
+
+    def _load(self):
+        if not _private(self.path.stat()):
+            return
+        try:
+            solve = ctypes.CDLL(str(self.path)).gc_solve
+        except (OSError, AttributeError):  # not a library, or not ours
+            return
+        with contextlib.suppress(OSError):
+            os.utime(self.path)  # used now, for _prune
+        solve.argtypes = (ctypes.c_double, ctypes.c_double, ctypes.c_void_p,
+                          ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p,
+                          ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p)
+        solve.restype = ctypes.c_int
+        self.factory = functools.partial(CompiledAttempt, solve, self.dim)
+
+
+def finish_compiles():
+    """Wait for every compile this process started to end (each until its
+    timeout at most), and load what they built."""
+    for build in list(_compiling):
+        build.poll(_COMPILE_TIMEOUT_S)
+
+
+@atexit.register
+def _kill_compiles():
+    """No compiler outlives the process that started it: at exit every
+    compile is past its deadline, so it is used if done and killed if not."""
+    for build in list(_compiling):
+        build.deadline = -math.inf
+        build.poll()
 
 
 @dataclass(frozen=True)

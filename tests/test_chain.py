@@ -83,12 +83,12 @@ class TestExpand:
         # expand compiles neither the Python float stages nor their C
         # kernel, nor starts a compiler: setup and analyze solve nothing
         made, built, compilers = [], [], []
-        float_stages, compile_stages = chain.rk45.float_stages, chain.rk45.compile_stages
+        float_stages, compiled = chain.rk45.float_stages, chain.rk45.CompiledStages
         compile_c = chain.rk45._compile
         monkeypatch.setattr(chain.rk45, "float_stages",
                             lambda *args: made.append(1) or float_stages(*args))
-        monkeypatch.setattr(chain.rk45, "compile_stages",
-                            lambda *args: built.append(1) or compile_stages(*args))
+        monkeypatch.setattr(chain.rk45, "CompiledStages",
+                            lambda *args: built.append(1) or compiled(*args))
         monkeypatch.setattr(chain.rk45, "_compile",
                             lambda *args: compilers.append(1) or compile_c(*args))
         p = ProblemSpec.from_strings("-x0*(1+x2)", "q-p", "1+x*sin(2*pi*t)", 3.0, 3, 1.0)
@@ -106,7 +106,7 @@ class TestExpand:
     @helpers.requires_compiler
     def test_stages_are_compiled_where_a_compiler_is(self, example_field):
         for lam in (0.0, 0.1):
-            rhs, attempt = example_field.stages(lam)
+            rhs, attempt = helpers.compiled_stages(example_field, lam)
             assert isinstance(attempt, rk45.CompiledAttempt)
             assert attempt.lam == lam and attempt.dim == example_field.dim
 

@@ -485,7 +485,7 @@ class TestCompiledStages:
     def test_match_the_float_stages(self, forced, data):
         p, lam, xi = data.draw(shooting_points(forced=forced))
         lam = lam if forced else 0.0
-        rhs, attempt = chain.expand(p).stages(lam)
+        rhs, attempt = helpers.compiled_stages(chain.expand(p), lam)
         self.assert_same(rhs, attempt, (0.0, p.T), xi)
 
     @helpers.requires_compiler
@@ -499,7 +499,7 @@ class TestCompiledStages:
         steps = rk45._steps
         monkeypatch.setattr(rk45, "_steps", lambda *a: replays.append(1) or steps(*a))
         for lam in (0.0, 1.0):
-            rhs, attempt = field.stages(lam)
+            rhs, attempt = helpers.compiled_stages(field, lam)
             replays.clear()
             compiled = self.solve(rhs, attempt, (0.0, 1.0), np.array(xi0))
             assert replays == [1]
@@ -515,7 +515,7 @@ class TestCompiledStages:
         # and picks up where it stopped
         field = WORKLOAD_FIELDS[name]
         xi0 = np.linspace(0.3, -0.2, field.dim)
-        rhs, attempt = field.stages(0.1)
+        rhs, attempt = helpers.compiled_stages(field, 0.1)
         whole = rk45.solve_ivp(rhs, (0.0, field.problem.T), xi0, attempt=attempt)
         monkeypatch.setattr(rk45, "_FIRST_CAPACITY", 2)
         python = self.assert_same(rhs, attempt, (0.0, field.problem.T), xi0)

@@ -1,11 +1,14 @@
 """The build of the compiled float stages and its cache: wherever no kernel
-can be had, single solves run on the Python float stages, with the same
-results and no exception."""
+can be had, and while the compiler runs, single solves run on the Python
+float stages, with the same results and no exception."""
 from __future__ import annotations
 
 import os
 import stat
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,10 +22,12 @@ XI0 = np.full(5, 0.1)
 LAM = 0.3
 
 
-def fresh_stages():
+def fresh_stages(finished=True):
     """stages(LAM) of PROBLEM's field expanded afresh, so that its stages
-    are built now, under the environment the test set."""
-    return chain.expand.__wrapped__(ProblemSpec.from_strings(*PROBLEM)).stages(LAM)
+    are built now, under the environment the test set; unless
+    ``finished`` is false, once the compile this starts has ended."""
+    field = chain.expand.__wrapped__(ProblemSpec.from_strings(*PROBLEM))
+    return helpers.compiled_stages(field, LAM) if finished else field.stages(LAM)
 
 
 def solve(rhs, attempt):
@@ -74,6 +79,13 @@ def cut_short_library(cache, monkeypatch):
     return library
 
 
+def wait_until_ended(pid):
+    deadline = time.monotonic() + 10
+    while running(pid) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    return not running(pid)
+
+
 def running(pid):
     """Whether the process is alive; a zombie counts as ended."""
     try:
@@ -106,11 +118,51 @@ class TestFallback:
         stages = fresh_stages()
         assert time.monotonic() - start < 30
         assert_python_stages(*stages)
-        pid = int((tmp_path / "pid").read_text())
-        deadline = time.monotonic() + 10
-        while running(pid) and time.monotonic() < deadline:
-            time.sleep(0.05)
-        assert not running(pid)
+        assert wait_until_ended(int((tmp_path / "pid").read_text()))
+        assert [p.name for p in cache.iterdir()] == []
+
+    def test_solves_do_not_wait_for_the_compiler(self, cache, fake_cc, tmp_path):
+        # the first stages run on the Python float stages while the compiler
+        # runs, and a process that exits kills it and deletes what it wrote
+        pid_file = tmp_path / "pid"
+        fake_cc(f"sleep 60 & echo $! > {pid_file}\nwait")
+        script = f"""if True:
+            import os, time
+            from gammachain import chain, rk45
+            from gammachain.chain import ProblemSpec
+            field = chain.expand(ProblemSpec.from_strings(*{PROBLEM!r}))
+            start = time.monotonic()
+            rhs, attempt = field.stages({LAM!r})
+            assert time.monotonic() - start < 5
+            assert not isinstance(attempt, rk45.CompiledAttempt)
+            while not os.path.exists({str(pid_file)!r}):
+                time.sleep(0.01)
+            """
+        src = str(Path(rk45.__file__).parents[1])
+        subprocess.run([sys.executable, "-c", script], check=True, timeout=60,
+                       env=dict(os.environ, PYTHONPATH=src))
+        assert wait_until_ended(int(pid_file.read_text()))
+        assert [p.name for p in cache.iterdir()] == []
+
+    def test_forked_child_leaves_the_compile_alone(self, cache, fake_cc):
+        # the compiler is not a forked child's own: it cannot wait for it,
+        # so it keeps the Python float stages and seals nothing
+        fake_cc("sleep 1\nexit 1")
+        field = chain.expand.__wrapped__(ProblemSpec.from_strings(*PROBLEM))
+        field.stages(LAM)
+        pid = os.fork()
+        if pid == 0:  # never returns into pytest
+            code = 1
+            try:
+                field.stages(LAM)
+                time.sleep(1.5)
+                rhs, attempt = field.stages(LAM)
+                sealed = any(cache.glob("stages-*.so"))
+                code = int(sealed or isinstance(attempt, rk45.CompiledAttempt))
+            finally:
+                os._exit(code)
+        assert os.waitpid(pid, 0)[1] == 0
+        rk45.finish_compiles()
         assert [p.name for p in cache.iterdir()] == []
 
     def test_cache_is_a_file(self, tmp_path, monkeypatch):
@@ -171,3 +223,38 @@ class TestCache:
             else:
                 monkeypatch.setenv("XDG_CACHE_HOME", value)
             assert rk45._cache_dir() == tmp_path / ".cache" / "gammachain"
+
+    def test_no_home(self, tmp_path, monkeypatch):
+        # "~" that cannot be expanded is no cache, not one below the
+        # working directory
+        import pwd
+
+        def no_entry(uid):
+            raise KeyError(uid)
+        monkeypatch.delenv("HOME", raising=False)
+        monkeypatch.delenv("XDG_CACHE_HOME", raising=False)
+        monkeypatch.setattr(pwd, "getpwuid", no_entry)
+        monkeypatch.chdir(tmp_path)
+        assert rk45._cache_dir() is None
+        assert list(tmp_path.iterdir()) == []
+
+    @helpers.requires_compiler
+    def test_pruned_to_the_most_recently_used(self, cache, monkeypatch):
+        # a compile keeps the _CACHE_KEEP libraries last used, itself
+        # included, and deletes temporary files a killed compile left
+        monkeypatch.setattr(rk45, "_CACHE_KEEP", 3)
+        cache.mkdir(parents=True, mode=0o700)
+        now = time.time()
+        old = [cache / f"stages-{i:064x}.so" for i in range(4)]
+        for age, path in enumerate(reversed(old), start=1):
+            path.write_bytes(b"")
+            os.utime(path, (now - age * 60, now - age * 60))
+        stale, live = cache / "tmpstale.tmp", cache / "tmplive.tmp"
+        stale.write_bytes(b"")
+        live.write_bytes(b"")
+        os.utime(stale, (now - 2 * rk45._STALE_TMP_S, now - 2 * rk45._STALE_TMP_S))
+        assert isinstance(fresh_stages()[1], rk45.CompiledAttempt)
+        built = {p.name for p in cache.glob("stages-*.so")} - {p.name for p in old}
+        assert len(built) == 1
+        assert sorted(p.name for p in cache.iterdir()) == sorted(
+            [*built, old[-1].name, old[-2].name, live.name])
