@@ -6,15 +6,18 @@ R^(b+2), with state ordered (u, v0, v1, ..., vb) = (x, xdot, chain stages).
 Constant solutions of the second-order equation correspond to zeros of
 G through ``lifted_zero``.  G is the one field of a problem: the
 Lipschitz sampler and the degree cross-check read its column-batched form
-``G_batch``, and the stacked runs of the shooting Jacobians read the fused
-field ``GF_batch``, G + lambda F with one lambda per column.  Single solves
-run on the stages the field picks: for a chain of up to
+``G_batch``.  Single solves and the stacked runs of the shooting
+Jacobians run on the stages the field picks: for a chain of up to
 ``FLOAT_STAGES_MAX_DIM`` components, float stages, one RK45 attempt of G +
 lambda F as straight-line float code, which ``rk45.float_stages`` generates
-from the same expression code as the compiled g, phi and f, and which
-``rk45.CompiledStages`` compiles to C from that code where a C compiler is
-on PATH (the same results, bit for bit), in the background, so that the
-solves before the compile is done run on the float stages.
+from the same expression code as the compiled g, phi and f, and whose
+stacked runs call it once per column (``rk45.stacked_stages``); where a C
+compiler is on PATH, ``rk45.CompiledStages`` compiles that code to one C
+step loop for both (the same results, bit for bit), in the background, so
+that the solves before the compile is done run on the float stages.
+Above that limit, and for fields built from callables, NumPy stages: of G
++ lambda F for single solves, and of the fused field ``GF_batch``, G +
+lambda F with one lambda per column, for stacked runs.
 """
 from __future__ import annotations
 
@@ -32,15 +35,19 @@ __all__ = ["ProblemSpec", "ExpandedField", "expand", "lifted_zero", "as_state"]
 _PERIODICITY_SEED = 0x5EED0001
 _PERIODICITY_SAMPLES = 50
 _PERIODICITY_TOL = 1e-9
-# Largest dim run on float stages.  The cost per step of the Python float
-# stages grows with dim, that of the NumPy stages hardly at all: one period
-# of the example field at lam = 0.1 takes 2.0 / 27 / 210 ms on Python float
-# stages and 8.1 / 13 / 33 ms on NumPy stages at dim 10 / 62 / 252 (2-vCPU
-# x86); the two break even between dim 40 and 48.  Their C kernel is
-# faster than both: from linspace(0.3, -0.2, dim) it takes 0.06 / 0.09 /
-# 0.25 ms against 2.1 / 1.8 / 2.6 ms on NumPy stages at dim 10 / 62 / 252
-# (same machine).  No benchmark workload lies above dim 40 yet, so the
-# limit stays until one measures the gain end to end.
+# Largest dim run on float stages, single solves and stacked runs alike.
+# The cost per step of the Python float stages grows with dim, that of the
+# NumPy stages hardly at all: one period of the example field at lam = 0.1
+# takes 2.0 / 27 / 210 ms on Python float stages and 8.1 / 13 / 33 ms on
+# NumPy stages at dim 10 / 62 / 252 (2-vCPU x86); the two break even
+# between dim 40 and 48.  Their C kernel is faster than both: from
+# linspace(0.3, -0.2, dim) it takes 0.06 / 0.09 / 0.25 ms against 2.1 /
+# 1.8 / 2.6 ms on NumPy stages at dim 10 / 62 / 252 (same machine).  One
+# Jacobian run (dim + 2 stacked columns) at the mid-branch reference rows
+# of the benchmark workloads (dim 4 / 10 / 6) takes 0.08 / 0.24 / 0.26 ms
+# in C, 2.6 / 7.9 / 12.5 ms on the NumPy twin of the float stages and 2.9
+# / 5.2 / 12.3 ms on NumPy stages.  No benchmark workload lies above dim 40
+# yet, so the limit stays until one measures the gain end to end.
 FLOAT_STAGES_MAX_DIM = 40
 
 G_VARS = ("x0", "x1", "x2")   # (x, xdot, delayed term)
@@ -109,7 +116,11 @@ class ExpandedField:
     for a field from ``expand``.  ``stages(lam)`` is the (rhs, attempt)
     of ``rk45.solve_ivp`` for a single solve of G + lam F, at lam = 0 too:
     float stages (an ``rk45.CompiledAttempt`` where their C kernel could
-    be built), or NumPy stages of rhs with attempt None.
+    be built), or NumPy stages of rhs with attempt None.  ``stacked(lams)``
+    is the same for a stacked run of the columns of a (dim, N) array,
+    column after column, of G + lams[j] F in column j: float stages
+    (``rk45.stacked_stages``, or their C kernel), or NumPy stages of
+    ``GF_batch`` with attempt None.
     """
 
     dim: int
@@ -119,6 +130,7 @@ class ExpandedField:
     G_batch: Callable[[np.ndarray], np.ndarray]
     GF_batch: Callable[[float, np.ndarray, np.ndarray], np.ndarray]
     stages: Callable[[float], tuple]
+    stacked: Callable[[np.ndarray], tuple]
 
     @classmethod
     def from_callables(cls, dim: int, G, problem=None) -> "ExpandedField":
@@ -132,7 +144,18 @@ class ExpandedField:
         def GF_batch(t, X, lams):
             return G(X)
         return cls(dim=dim, G=G, F=F, problem=problem, G_batch=G, GF_batch=GF_batch,
-                   stages=lambda lam: (lambda t, y: G(y) + lam * F(t, y), None))
+                   stages=lambda lam: (lambda t, y: G(y) + lam * F(t, y), None),
+                   stacked=lambda lams: (_batched_rhs(GF_batch, dim, lams), None))
+
+
+def _batched_rhs(GF_batch, dim, lams):
+    """The right-hand side of a stacked solve on NumPy stages: ``GF_batch``
+    on the (dim, len(lams)) view of the state, column after column."""
+    lams = np.asarray(lams, dtype=float)
+
+    def rhs(t, y):
+        return GF_batch(t, y.reshape(dim, lams.size, order="F"), lams).ravel(order="F")
+    return rhs
 
 
 @lru_cache(maxsize=128)
@@ -150,12 +173,12 @@ def expand(p: ProblemSpec) -> ExpandedField:
     (v0, g(u, v0, vb), a*(phi(u, v0) - v1), a*(v1 - v2), ..., a*(v_{b-1} - vb))
     with forcing (0, f(t, u, v0), 0, ..., 0).  ``G_batch`` and ``GF_batch``
     evaluate G and G + lam F on the columns of a (dim, N) array with the
-    vectorized g, phi and f.  ``stages`` gives the float stages of G + lam
-    F up to ``FLOAT_STAGES_MAX_DIM``, compiled from the scalar code of g,
-    phi and f on first use, once for every lam, with their C kernel where
-    ``rk45.CompiledStages`` has it loaded (never built in ``expand``
-    itself; compiled in the background on first use), and
-    NumPy stages above it.
+    vectorized g, phi and f.  ``stages`` and ``stacked`` give the float
+    stages of G + lam F up to ``FLOAT_STAGES_MAX_DIM``, compiled from the
+    scalar code of g, phi and f on first use, once for every lam, with
+    their C kernel where ``rk45.CompiledStages`` has it loaded (never
+    built in ``expand`` itself; compiled in the background on first use),
+    and NumPy stages above it.
     """
     a = p.kernel.a
     b = p.kernel.b
@@ -205,16 +228,25 @@ def expand(p: ProblemSpec) -> ExpandedField:
         return (rk45.float_stages(derivatives, expr._SCALAR_NS),
                 rk45.CompiledStages(derivatives))
 
+    def on_kernel(lams, rhs, attempt):
+        """(rhs, attempt), the attempt in C once the kernel is loaded."""
+        compiled = compiled_stages()[1]()
+        return rhs, attempt if compiled is None else compiled(lams, attempt)
+
     def stages(lam):
         if dim > FLOAT_STAGES_MAX_DIM:
             return (lambda t, y: G(y) + lam * F(t, y)), None
-        make, kernel = compiled_stages()
-        rhs, attempt = make(lam)
-        compiled = kernel()
-        return rhs, attempt if compiled is None else compiled(lam, attempt)
+        return on_kernel((lam,), *compiled_stages()[0](lam))
+
+    def stacked(lams):
+        if dim > FLOAT_STAGES_MAX_DIM:
+            return _batched_rhs(GF_batch, dim, lams), None
+        lams = tuple(float(lam) for lam in lams)
+        make = compiled_stages()[0]
+        return on_kernel(lams, *rk45.stacked_stages([make(lam)[0] for lam in lams], dim))
 
     return ExpandedField(dim=dim, G=G, F=F, problem=p, G_batch=G_batch,
-                         GF_batch=GF_batch, stages=stages)
+                         GF_batch=GF_batch, stages=stages, stacked=stacked)
 
 
 def as_state(xi, dim: int) -> np.ndarray:

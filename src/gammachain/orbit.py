@@ -20,8 +20,9 @@ the benchmark's tracer wraps to count solves.  A residual or ``integrate``
 is one solve on the stages the field picks (``field.stages(lam)``: float
 or NumPy).  A shooting Jacobian is one solve of the unperturbed column,
 the lambda column and the monodromy columns, stacked into one state, on
-NumPy stages of the fused column-batched field G + lambda F; the first
-residual of each chord Newton is its column 0.  Every solve is one
+the stages the field picks for them (``field.stacked(lams)``: float or
+NumPy); the first residual of each chord Newton is its column 0.  Every
+solve is one
 ``rk45.Solution``, whose call is its dense output, sampled on 512 uniform
 points per period.
 """
@@ -194,24 +195,20 @@ def _linearize(field, lam, xi):
     MONODROMY_STEP (forced also at lam = 0); then one column starts at
     xi + MONODROMY_STEP e_j for each j.  The dim + 2 columns are one state,
     column after column, integrated by one ``solve_ivp`` under one step
-    control (internal numerical differentiation, Bock 1981) on NumPy
-    stages, each of which evaluates the fused field ``GF_batch`` once on
-    the (dim, dim + 2) view.  Returns (the run, whose dense output and
-    ``y_end`` are column 0's, so ``y_end`` is the base map xi(T), and the
-    (dim, dim + 1) quotients (P_j - xi(T)) / MONODROMY_STEP of the other
-    columns' maps P_j)."""
+    control (internal numerical differentiation, Bock 1981) on the stages
+    the field picks for them (``field.stacked``).  Returns (the run, whose
+    dense output and ``y_end`` are column 0's, so ``y_end`` is the base
+    map xi(T), and the (dim, dim + 1) quotients (P_j - xi(T)) /
+    MONODROMY_STEP of the other columns' maps P_j)."""
     dim = xi.size
     n = dim + 2
     X0 = np.repeat(xi[:, None], n, axis=1)
     X0[:, 2:] += MONODROMY_STEP * np.eye(dim)
     lams = np.full(n, float(lam))
     lams[1] += MONODROMY_STEP
-    GF = field.GF_batch
-
-    def fun(t, y):
-        return GF(t, y.reshape(dim, n, order="F"), lams).ravel(order="F")
-
-    run = solve_ivp(fun, (0.0, field.problem.T), X0.ravel(order="F"), dim=dim)
+    rhs, attempt = field.stacked(lams)
+    run = solve_ivp(rhs, (0.0, field.problem.T), X0.ravel(order="F"), attempt=attempt,
+                    dim=dim)
     P = run.y[:, -1].reshape(dim, n, order="F")
     return run, (P[:, 1:] - P[:, :1]) / MONODROMY_STEP
 

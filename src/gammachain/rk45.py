@@ -4,19 +4,21 @@ control, at rtol = atol = ``TOL``.
 The tableau (Dormand & Prince 1980; Hairer, Norsett & Wanner, Solving
 ODEs I, II.4-II.5) is written out with the dense-output matrix ``P`` of
 Shampine (1986), as in SciPy's ``RK45``.  ``solve_ivp`` runs the step
-control with one of three stage evaluators.  The float stages of
+control with one of four stage evaluators.  The float stages of
 ``float_stages`` are straight-line float code for one RK45 attempt of a
 field given as one Python expression per component (``chain.expand``
-compiles them for each problem's field).  Their C kernel
-(:class:`CompiledStages`, a :class:`CompiledAttempt` per lam) runs the
-whole step loop of a solve with the same IEEE operations in the same
-order, so its results are theirs bit for bit; it is cached per user,
-compiled with ``cc`` in the background on first use while solves run on
-the float stages, and replays a solve on them wherever Python might part
-from C.  NumPy stages (``_numpy_stages``) have SciPy's
-``rk_step`` arithmetic.  A solve is one :class:`Solution`, whose call is
-its vectorized quartic interpolant.  Every failure of a solve is an
-:class:`IntegrationError` at the time it happened.
+compiles them for each problem's field); ``stacked_stages``, their twin
+in NumPy, makes the same attempt for many columns stacked into one state,
+each at its own lam.  Their C kernel (:class:`CompiledStages`, a
+:class:`CompiledAttempt` per solve) runs the whole step loop of a solve of
+one column or of many with the same IEEE operations in the same order,
+so its results are theirs bit for bit; it is cached per user, compiled
+with ``cc`` in the background on first use while solves run on the float
+stages, and replays a solve on them wherever Python might part from C.
+NumPy stages (``_numpy_stages``) have SciPy's ``rk_step`` arithmetic.  A
+solve is one :class:`Solution`, whose call is its vectorized quartic
+interpolant.  Every failure of a solve is an :class:`IntegrationError` at
+the time it happened.
 """
 from __future__ import annotations
 
@@ -40,7 +42,7 @@ import numpy as np
 
 __all__ = ["TOL", "C", "A", "B", "E", "P", "IntegrationError", "Solution",
            "CompiledAttempt", "CompiledStages", "finish_compiles", "float_stages",
-           "solve_ivp"]
+           "stacked_stages", "solve_ivp"]
 
 TOL = 1e-10  # the relative and absolute tolerance of every solve
 
@@ -191,8 +193,11 @@ def float_stages(derivatives: list[str], namespace: dict):
 # -- the float stages compiled to C ---------------------------------------
 
 # C has no -Ofast or -ffast-math here: every operation rounds as in Python,
-# no product is fused into an add, and no libm call is inlined or folded
-_CC_FLAGS = ("-O2", "-ffp-contract=off", "-fno-fast-math", "-fno-builtin",
+# no product is fused into an add, and no libm call is inlined or folded.
+# -O1, not -O2: the step loop runs as fast, and compiles in 0.12-0.13 s
+# instead of 0.17-0.23 s, time that a first run on a problem spends on the
+# Python float stages (gcc 12, the benchmark workloads' fields)
+_CC_FLAGS = ("-O1", "-ffp-contract=off", "-fno-fast-math", "-fno-builtin",
              "-fPIC", "-shared")
 _COMPILE_TIMEOUT_S = 10.0
 _CACHE_KEEP = 256       # libraries the cache keeps, about 16 KB each
@@ -252,26 +257,28 @@ def _c_field(derivatives: list[str]) -> str:
 
 def _c_source(derivatives: list[str]) -> str:
     """C source of ``gc_solve``: the step loop of ``solve_ivp`` on the float
-    stages of ``derivatives``, written with the same operations in the same
-    order (``min(a, b)`` as ``b < a ? b : a`` and ``max(a, b)`` as ``b > a ?
-    b : a``, which keep Python's choice when one of them is NaN)."""
-    n = len(derivatives)
-    stage = "k[{j}][i]"
+    stages of ``derivatives`` for a state of one or more columns, written
+    with the same operations in the same order as the Python float stages
+    (one column) and :func:`stacked_stages` (``min(a, b)`` as ``b < a ? b :
+    a`` and ``max(a, b)`` as ``b > a ? b : a``, which keep Python's choice
+    when one of them is NaN)."""
+    stage = "k[{j} * n + i]"
     steps = []
     for st in range(1, 7):
         if st < 6:
             steps += [f"s = t + {C[st]!r} * h;",
-                      f"for (i = 0; i < N; i++) w[i] = y[i] + ({_combination(A[st], stage)}) * h;"]
+                      f"for (i = 0; i < n; i++) w[i] = y[i] + ({_combination(A[st], stage)}) * h;"]
         else:
             steps += ["s = t + h;",
-                      f"for (i = 0; i < N; i++) w[i] = y[i] + h * ({_combination(B, stage)});"]
-        steps.append(f"if (field(s, w, lam, k[{st}])) {{ status = {_REPLAY}; goto done; }}")
+                      f"for (i = 0; i < n; i++) w[i] = y[i] + h * ({_combination(B, stage)});"]
+        steps.append(f"for (c = 0; c < cols; c++) if (field(s, w + c * N, lams[c], "
+                     f"k + {st} * n + c * N)) {{ status = {_REPLAY}; goto done; }}")
     steps = "\n            ".join(steps)
     return f"""\
 #include <math.h>
 #include <stdint.h>
 
-enum {{ N = {n} }};
+enum {{ N = {len(derivatives)} }};
 
 static int field(double s, const double *w, double lam, double *out)
 {{
@@ -279,20 +286,23 @@ static int field(double s, const double *w, double lam, double *out)
     return 0;
 }}
 
-/* Steps from ts[m], ys[m] (m = counts[0]) with f the field there, until
-   t1 or until the buffers hold cap steps; counts[1] is nfev and h_io[0]
+/* Steps the state of cols columns of N, column after column, column c at
+   lams[c], from ts[m], ys[m] (m = counts[0]) with k[0] the field there,
+   until t1 or until the buffers hold cap steps; k holds the 7 stages of
+   the state, of which column 0's go to ks.  counts[1] is nfev and h_io[0]
    the next step size, both carried from call to call. */
-int gc_solve(double t1, double lam, double *h_io, int64_t *counts, int64_t cap,
-             double *ts, double *ys, double *ks, double *f)
+int gc_solve(double t1, int64_t cols, const double *lams, double *h_io, int64_t *counts,
+             int64_t cap, double *ts, double *ys, double *ks, double *k)
 {{
-    int64_t m = counts[0], nfev = counts[1];
+    const int64_t n = N * cols;
+    const double root = pow((double)n, 0.5);
+    int64_t m = counts[0], nfev = counts[1], i, j, c;
     double h_abs = h_io[0];
-    int status = {_DONE}, i;
+    int status = {_DONE};
     while (ts[m] < t1) {{
-        const double t = ts[m], *y = ys + m * N;
-        double *w = ys + (m + 1) * N;  /* the stage state; y_new at the end */
-        double (*k)[N] = (double (*)[N])(ks + m * 7 * N);
-        double min_step, t_new, h, s, x, sq, err, e[N];
+        const double t = ts[m], *y = ys + m * n;
+        double *w = ys + (m + 1) * n;  /* the stage state; y_new at the end */
+        double min_step, t_new, h, s, x, sq, err;
         int rejected = 0;
         if (m + 1 >= cap) {{ status = {_FULL}; break; }}
         min_step = 10.0 * (nextafter(t, INFINITY) - t);
@@ -302,16 +312,15 @@ int gc_solve(double t1, double lam, double *h_io, int64_t *counts, int64_t cap,
             t_new = t1 < t + h_abs ? t1 : t + h_abs;
             h = h_abs = t_new - t;
             nfev += 6;
-            for (i = 0; i < N; i++) k[0][i] = f[i];
             {steps}
-            for (i = 0; i < N; i++) {{
+            sq = 0.0;
+            for (i = 0; i < n; i++) {{
                 double a = fabs(y[i]), b = fabs(w[i]);
-                e[i] = (({_combination(E, stage, zeros=True)}) * h)
-                       / ({TOL!r} + (a > b ? a : b) * {TOL!r});
+                double e = (({_combination(E, stage, zeros=True)}) * h)
+                           / ({TOL!r} + (a > b ? a : b) * {TOL!r});
+                sq += e * e;
             }}
-            sq = e[0] * e[0];
-            for (i = 1; i < N; i++) sq = sq + e[i] * e[i];
-            err = sqrt(sq) / {n ** 0.5!r};
+            err = sqrt(sq) / root;
             if (err < 1.0) {{
                 x = err == 0.0 ? 10.0 : 0.9 * pow(err, -0.2);
                 x = x < 10.0 ? x : 10.0;
@@ -322,9 +331,11 @@ int gc_solve(double t1, double lam, double *h_io, int64_t *counts, int64_t cap,
             h_abs *= x > 0.2 ? x : 0.2;
             rejected = 1;
         }}
+        for (j = 0; j < 7; j++)
+            for (i = 0; i < N; i++) ks[(m * 7 + j) * N + i] = k[j * n + i];
         m += 1;
         ts[m] = t_new;
-        for (i = 0; i < N; i++) f[i] = k[6][i];
+        for (i = 0; i < n; i++) k[i] = k[6 * n + i];
     }}
 done:
     counts[0] = m;
@@ -420,20 +431,21 @@ _compiling: set[CompiledStages] = set()  # the builds whose compiler may still r
 
 class CompiledStages:
     """The float stages of ``derivatives`` (as :func:`float_stages` takes
-    them) compiled to C.  Called, it is the factory ``(lam, replay) ->``
+    them) compiled to C.  Called, it is the factory ``(lams, replay) ->``
     :class:`CompiledAttempt` once the kernel is loaded, and None before and
     wherever none can be had (not POSIX, no ``cc`` on PATH, no usable
     cache, a failed compile or load, a library others may write to).
 
     The library is cached per user, keyed by the sha256 of the source, the
     flags and the machine; one in the cache is loaded at once.  Otherwise
-    ``cc`` compiles it in the background while single solves run on the
-    Python float stages, whose results are the kernel's, and each call
-    checks whether the compile is done; so a solve never waits for the
-    compiler, and a short command pays nothing for it.  A compile still
-    running after ``_COMPILE_TIMEOUT_S`` or at exit is killed.  A library
-    that does not end in its own digest, as a cut-short one, is compiled
-    again, never loaded: mapping it can kill the process."""
+    ``cc`` compiles it in the background while solves run on the Python
+    float stages and their stacked twin, whose results are the kernel's,
+    and each call checks whether the compile is done; so a solve never
+    waits for the compiler, and a short command pays nothing for it.  A
+    compile still running after ``_COMPILE_TIMEOUT_S`` or at exit is
+    killed.  A library that does not end in its own digest, as a cut-short
+    one, is compiled again, never loaded: mapping it can kill the
+    process."""
 
     def __init__(self, derivatives: list[str]):
         import hashlib  # here, so that analyze, which solves nothing, does not load it
@@ -506,9 +518,10 @@ class CompiledStages:
             return
         with contextlib.suppress(OSError):
             os.utime(self.path)  # used now, for _prune
-        solve.argtypes = (ctypes.c_double, ctypes.c_double, ctypes.c_void_p,
-                          ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p,
-                          ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p)
+        solve.argtypes = (ctypes.c_double, ctypes.c_int64, ctypes.c_void_p,
+                          ctypes.c_void_p, ctypes.c_void_p, ctypes.c_int64,
+                          ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p,
+                          ctypes.c_void_p)
         solve.restype = ctypes.c_int
         self.factory = functools.partial(CompiledAttempt, solve, self.dim)
 
@@ -529,34 +542,40 @@ def _kill_compiles():
         build.poll()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CompiledAttempt:
-    """The compiled float stages at one ``lam``, for ``solve_ivp``: its C
-    ``solve`` runs the whole step loop of a solve of dimension ``dim``,
-    and where it stops at a value for which Python might part from C, the
-    solve replays on ``replay``, the float-stage attempt of the same lam."""
+    """The compiled float stages for ``solve_ivp`` of a state of
+    ``len(lams)`` columns of dimension ``dim``, column c at ``lams[c]``
+    (one column for a single solve): its C ``solve`` runs the whole step
+    loop, and where it stops at a value for which Python might part from
+    C, the solve replays on ``replay``, the Python attempt of the same
+    columns (the float stages of one column, :func:`stacked_stages` of
+    more)."""
 
     solve: Callable
     dim: int
-    lam: float
+    lams: tuple
     replay: Callable
 
     def run(self, t0, t1, h_abs, y0, f0):
         """(t, Y, K, nfev) of the solve from (t0, y0) with f0 = F(t0, y0)
         and first step ``h_abs``, or None to replay it.  The buffers double
         whenever the C loop fills them."""
-        n = self.dim
-        f = np.array(f0, dtype=float)  # a copy: C advances it, a replay starts from f0
-        if y0.shape != (n,) or f.shape != (n,):
-            raise ValueError(f"state and field must have shape ({n},), "
-                             f"got {y0.shape} and {f.shape}")
+        n, cols = self.dim, len(self.lams)
+        if y0.shape != (n * cols,) or f0.shape != (n * cols,):
+            raise ValueError(f"state and field must have shape ({n * cols},), "
+                             f"got {y0.shape} and {f0.shape}")
+        k = np.empty((7, n * cols))  # the stages of a step; C advances k[0], the field
+        k[0] = f0
+        lams = np.array(self.lams, dtype=float)
         cap = _FIRST_CAPACITY
-        ts, ys, ks = np.empty(cap), np.empty((cap, n)), np.empty((cap, 7, n))
+        ts, ys, ks = np.empty(cap), np.empty((cap, n * cols)), np.empty((cap, 7, n))
         ts[0], ys[0] = t0, y0
         h, counts = np.array([h_abs]), np.array([0, 2], dtype=np.int64)
         while True:
-            status = self.solve(t1, self.lam, h.ctypes.data, counts.ctypes.data, cap,
-                                ts.ctypes.data, ys.ctypes.data, ks.ctypes.data, f.ctypes.data)
+            status = self.solve(t1, cols, lams.ctypes.data, h.ctypes.data, counts.ctypes.data,
+                                cap, ts.ctypes.data, ys.ctypes.data, ks.ctypes.data,
+                                k.ctypes.data)
             if status != _FULL:
                 break
             m, cap = int(counts[0]), 2 * cap
@@ -568,6 +587,51 @@ class CompiledAttempt:
         if status == _UNDERFLOW:
             raise IntegrationError(float(ts[m]), _UNDERFLOW_MESSAGE)
         return ts[:m + 1], ys[:m + 1], ks[:m], int(counts[1])
+
+
+def _sum(coefs, K, zeros=False):
+    """sum_j coefs[j] * K[j] as :func:`_combination` writes it."""
+    total = None
+    for c, k in zip(coefs, K):
+        if c or zeros:
+            total = c * k if total is None else total + c * k
+    return total
+
+
+def stacked_stages(rhss, dim):
+    """(rhs, attempt) of ``solve_ivp`` for columns of ``dim`` components
+    stacked into one state, column after column, column c solving y' =
+    rhss[c](t, y), a float-stage ``rhs``: the twin in NumPy of the C loop
+    on many columns, with the float stages' IEEE operations in their
+    order, so its results are the C loop's bit for bit.  ``rhs`` calls
+    each column's field on its slice of the state, a list of floats in an
+    attempt; the stage sums are elementwise in stage order, max(|y|,
+    |y_new|) takes the float stages' choice on a NaN, and the error's sum
+    of squares is sequential.  The attempt keeps column 0's stages and
+    fails as the float stages do."""
+    root = (dim * len(rhss)) ** 0.5
+
+    def rhs(s, y):
+        out = []
+        for c, field in enumerate(rhss):
+            out += field(s, y[c * dim:c * dim + dim])
+        return out
+
+    def attempt(t, y, f, h):
+        K = np.empty((7, len(f)))
+        K[0], y = f, np.asarray(y, dtype=float)
+        try:  # stage 6 is y + h * (sum) in the float stages; IEEE products commute
+            for st, (c, row) in enumerate(zip(C[1:] + (1.0,), A[1:] + (B,)), 1):
+                s = t + c * h
+                w = y + _sum(row, K) * h
+                K[st] = rhs(s, w.tolist())
+        except (OverflowError, ValueError) as exc:
+            raise IntegrationError(s, f"field evaluation failed: {exc}") from exc
+        a, b = np.abs(y), np.abs(w)
+        e = (_sum(E, K, zeros=True) * h) / (TOL + np.where(a > b, a, b) * TOL)
+        return w, K[6], K[:, :dim], math.sqrt(np.cumsum(e * e)[-1]) / root
+
+    return rhs, attempt
 
 
 def _numpy_stages(fun, dim):
@@ -604,10 +668,11 @@ def solve_ivp(fun, t_span, y0, *, attempt=None, dim=None) -> Solution:
     t0 < t1, at rtol = atol = ``TOL``, with the dense output of the first
     ``dim`` components (default: all).
 
-    ``attempt`` is a float attempt of :func:`float_stages` (float stages,
-    with ``fun`` its ``rhs``) or a :class:`CompiledAttempt` of them, which
-    runs the step loop in C and replays the solve on its float stages
-    where it stops; without it the stages are NumPy evaluations of ``fun``
+    ``attempt`` is a float attempt of :func:`float_stages` or
+    :func:`stacked_stages` (float stages, with ``fun`` its ``rhs``) or a
+    :class:`CompiledAttempt` of them, which runs the step loop in C and
+    replays the solve on its float stages where it stops; without it the
+    stages are NumPy evaluations of ``fun``
     (``_numpy_stages``).  The step control is SciPy's: its initial step
     (taken in Python on ``fun`` for every kind of stages), a least step of
     10 ulp(t), step factors 0.9 err^(-1/5) within [0.2, 10] (at most 1

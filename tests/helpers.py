@@ -31,6 +31,14 @@ def compiled_stages(field, lam):
     rk45.finish_compiles()
     return field.stages(lam)
 
+
+def compiled_stacked(field, lams):
+    """``field.stacked(lams)`` once the compile that the first call starts
+    in the background has ended."""
+    field.stacked(lams)
+    rk45.finish_compiles()
+    return field.stacked(lams)
+
 EXAMPLE = dict(g="-x0*(1+x2)", phi="q-p", f="1+x*sin(2*pi*t)", a=2.0, b=2, T=1.0)
 
 

@@ -108,7 +108,11 @@ class TestExpand:
         for lam in (0.0, 0.1):
             rhs, attempt = helpers.compiled_stages(example_field, lam)
             assert isinstance(attempt, rk45.CompiledAttempt)
-            assert attempt.lam == lam and attempt.dim == example_field.dim
+            assert attempt.lams == (lam,) and attempt.dim == example_field.dim
+            lams = [lam, lam + 1e-7]
+            rhs, attempt = helpers.compiled_stacked(example_field, lams)
+            assert isinstance(attempt, rk45.CompiledAttempt)
+            assert attempt.lams == tuple(lams) and attempt.dim == example_field.dim
 
     @pytest.mark.parametrize("b", [chain.FLOAT_STAGES_MAX_DIM - 2,
                                    chain.FLOAT_STAGES_MAX_DIM - 1])
@@ -137,8 +141,15 @@ class TestExpand:
             for lam in (0.0, 0.1):
                 numpy_stages = field.stages(lam)[1] is None
                 assert numpy_stages == (field.dim > chain.FLOAT_STAGES_MAX_DIM)
+            # the stacked runs share the limit
+            lams = np.full(field.dim + 2, 0.1)
+            assert (field.stacked(lams)[1] is None) == (field.dim > chain.FLOAT_STAGES_MAX_DIM)
         field = ExpandedField.from_callables(2, lambda xi: -xi)
         assert field.stages(0.0)[1] is None and field.stages(0.1)[1] is None
+        rhs, attempt = field.stacked(np.zeros(3))
+        X = np.arange(6.0).reshape(2, 3)
+        assert attempt is None and np.array_equal(rhs(0.0, X.ravel(order="F")),
+                                                  -X.ravel(order="F"))
 
     def test_determinant_check_reads_G(self):
         # the degree cross-check takes det_fd from the Jacobian of G itself,

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
 import helpers
-from gammachain import chain, orbit, rk45
+from gammachain import chain, cli, orbit, rk45
 from gammachain.chain import ExpandedField, ProblemSpec, lifted_zero
 from gammachain.orbit import (ContinuationParams, IntegrationError,
                               NoConvergenceError, SingularJacobianError,
@@ -19,6 +20,7 @@ from gammachain.orbit import (ContinuationParams, IntegrationError,
                               orbit_metrics, period_map, trace_from_zero)
 
 P1 = np.array([1.0, 0.0, -1.0, -1.0])
+REFERENCE = Path(__file__).parents[1] / "perfbench" / "reference"
 
 STATUSES = {"lambda_zero", "lambda_negative", "lambda_max", "norm_max",
             "max_steps", "corrector_failure", "closed_loop", "degenerate_slice"}
@@ -156,6 +158,31 @@ WORKLOAD_FIELDS = {name: chain.expand(ProblemSpec.from_strings(
                                ("long_period", 8.0, 4, 4.0, "2*pi*t/4"))}
 
 
+def jacobian_start(lam, xi):
+    """The column lams and the stacked start state of the Jacobian run of
+    ``orbit._linearize`` at (lam, xi)."""
+    n = xi.size + 2
+    X0 = np.repeat(xi[:, None], n, axis=1)
+    X0[:, 2:] += orbit.MONODROMY_STEP * np.eye(xi.size)
+    lams = np.full(n, float(lam))
+    lams[1] += orbit.MONODROMY_STEP
+    return lams, X0.ravel(order="F")
+
+
+def numpy_stacked(field):
+    """``field`` with its stacked runs on NumPy stages of ``GF_batch``."""
+    return dataclasses.replace(field, stacked=lambda lams: (
+        chain._batched_rhs(field.GF_batch, field.dim, lams), None))
+
+
+def mid_branch_row(name):
+    """(lam, xi) of the middle row of the workload's seed-0 reference CSV."""
+    field = WORKLOAD_FIELDS[name]
+    points = cli.read_branch_csv(REFERENCE / name / "branch_0.csv", field.problem.kernel.b)
+    sp = points[len(points) // 2].sp
+    return sp.lam, sp.xi0
+
+
 class TestDenseOutput:
     @pytest.mark.parametrize("name", sorted(WORKLOAD_FIELDS))
     def test_matches_ode_solution(self, name):
@@ -199,36 +226,49 @@ class TestDenseOutput:
                 assert np.array_equal(sol(ts), eager)
 
 
+def on_numpy_stages(field, lam):
+    """A field of G + lam F at t = 0 of ``field`` built from callables, so
+    that its stacked runs take NumPy stages; it is ``field`` wherever lam
+    = 0 or F does not depend on t."""
+    return ExpandedField.from_callables(
+        field.dim, lambda X: field.GF_batch(0.0, X, lam), field.problem)
+
+
 class TestPeriodMaps:
-    """Failures of a stacked Jacobian run (``orbit._linearize``)."""
+    """Failures of a stacked Jacobian run (``orbit._linearize``), each on
+    both kinds of stacked stages: the float stages of an expanded field,
+    and NumPy stages of a field built from callables."""
 
     def test_nan_stages_fail_instead_of_hanging(self):
-        # x0 turns negative within the first steps, so x0^0.5 gives NaN
-        # stages; the step must shrink to failure, not stall at a NaN size
+        # x0 turns negative within the first steps, so x0^0.5 gives a math
+        # domain error (float stages) or NaN stages (NumPy); the step must
+        # shrink to failure, not stall at a NaN size
         f = chain.expand(ProblemSpec.from_strings("x0^0.5 - x2", "q-p", "1",
                                                   1.0, 1, 1.0))
-        with helpers.deadline(5):
-            with pytest.raises(IntegrationError):
-                orbit._linearize(f, 1.0, np.array([0.01, -1.0, 0.0]))
+        for field in (f, on_numpy_stages(f, 1.0)):
+            with helpers.deadline(5):
+                with pytest.raises(IntegrationError):
+                    orbit._linearize(field, 1.0, np.array([0.01, -1.0, 0.0]))
 
     def test_field_failure_reports_running_time(self):
-        # a batched field that raises where x0^0.5 turns NaN: the failure
-        # is reported at the time of the failing stage, 0.0101768, as for
-        # a lone solve (TestIntegrate.test_field_failure_reports_stage_time)
+        # a field that raises where x0^0.5 turns NaN (the float stages, or
+        # a strict batched field): the failure is reported at the time of
+        # the failing stage, 0.0101768, as for a lone solve
+        # (TestIntegrate.test_field_failure_reports_stage_time)
         f = chain.expand(ProblemSpec.from_strings("x0^0.5 - x2", "q-p", "1",
                                                   1.0, 1, 1.0))
-        GF_batch = f.GF_batch
+        G = on_numpy_stages(f, 1.0).G
 
-        def strict(t, X, lams):
-            out = GF_batch(t, X, lams)
+        def strict(X):
+            out = G(X)
             if not np.isfinite(out).all():
                 raise ValueError("math domain error")
             return out
 
-        with pytest.raises(IntegrationError, match="field evaluation failed") as err:
-            orbit._linearize(dataclasses.replace(f, GF_batch=strict), 1.0,
-                             np.array([0.01, -1.0, 0.0]))
-        assert 0.0100 < err.value.time < 0.0103
+        for field in (f, ExpandedField.from_callables(f.dim, strict, f.problem)):
+            with pytest.raises(IntegrationError, match="field evaluation failed") as err:
+                orbit._linearize(field, 1.0, np.array([0.01, -1.0, 0.0]))
+            assert 0.0100 < err.value.time < 0.0103
 
     def test_blow_up_fails_where_solve_ivp_does(self):
         p = ProblemSpec.from_strings("x0^3", "0*p", "sin(2*pi*t)", 1.0, 1, 1.0)
@@ -236,12 +276,13 @@ class TestPeriodMaps:
         xi0 = np.array([20.0, 20.0, 0.0])
         sol = reference_solve(f, 0.0, xi0)
         assert not sol.success
-        with pytest.raises(IntegrationError) as err:
-            orbit._linearize(f, 0.0, xi0)
-        # the stacked run's step control differs from the lone solve's by
-        # the perturbed columns: the times agree to 4.7e-10 (relative)
-        assert err.value.time == pytest.approx(float(sol.t[-1]), rel=1e-8)
-        assert err.value.time == pytest.approx(0.0903137, abs=1e-7)
+        for field in (f, on_numpy_stages(f, 0.0)):
+            with pytest.raises(IntegrationError) as err:
+                orbit._linearize(field, 0.0, xi0)
+            # the stacked run's step control differs from the lone solve's
+            # by the perturbed columns: the times agree to 4.7e-9 (relative)
+            assert err.value.time == pytest.approx(float(sol.t[-1]), rel=1e-8)
+            assert err.value.time == pytest.approx(0.0903137, abs=1e-7)
 
 
 @st.composite
@@ -344,11 +385,12 @@ def test_float_stages_match_solve_ivp(forced, data):
 @settings(derandomize=True, deadline=None, max_examples=25)
 @given(case=shooting_points())
 def test_numpy_stages_are_solve_ivp(case):
-    # the stacked run of a shooting Jacobian, and the same right-hand side
-    # from the same state through solve_ivp: the same steps, states and
-    # field evaluations, bit for bit
+    # the stacked run of a shooting Jacobian on NumPy stages (as above
+    # FLOAT_STAGES_MAX_DIM), and the same right-hand side from the same
+    # state through solve_ivp: the same steps, states and field
+    # evaluations, bit for bit
     p, lam, xi = case
-    field = chain.expand(p)
+    field = numpy_stacked(chain.expand(p))
     runs = []
     solve = orbit.solve_ivp
 
@@ -373,6 +415,19 @@ def test_numpy_stages_are_solve_ivp(case):
     assert np.array_equal(run.t, ref.t)
     assert np.array_equal(run.y, ref.y)
     assert run.nfev == ref.nfev
+
+
+@pytest.mark.parametrize("name", sorted(WORKLOAD_FIELDS))
+def test_quotients_match_the_numpy_stages(name):
+    # the float stages sum in stage order where the NumPy stages take BLAS
+    # dot products, and evaluate f with math's sin, not NumPy's: at the
+    # mid-branch reference rows the quotients agree to 3.3e-9 / 4.1e-9 /
+    # 1.3e-9 of max |D| (example / long_chain / long_period)
+    field = WORKLOAD_FIELDS[name]
+    lam, xi = mid_branch_row(name)
+    _, D = orbit._linearize(field, lam, xi)
+    _, D_numpy = orbit._linearize(numpy_stacked(field), lam, xi)
+    assert np.max(np.abs(D - D_numpy)) <= 1e-7 * np.max(np.abs(D_numpy))
 
 
 class TestFloatStageFailures:
@@ -442,7 +497,9 @@ class TestFloatStageFailures:
 
 class TestCompiledStages:
     """The float stages compiled to C are the Python float stages, bit for
-    bit, wherever a compiler makes them."""
+    bit, wherever a compiler makes them: for a single solve, and for the
+    stacked run of a shooting Jacobian, whose Python float stages are the
+    twin ``rk45.stacked_stages``."""
 
     REPLAYS = {
         # sqrt of a negative x0: math.pow raises ValueError at a stage time
@@ -451,21 +508,24 @@ class TestCompiledStages:
         "division_by_zero": (("(x0 - abs(x0))/(x0 - abs(x0))", "q-p", "1", 1.0, 1, 1.0),
                              [-0.5, 1.0, 0.0]),
     }
+    # a start of each REPLAYS field from which a solve over [0, 1] meets
+    # no failure: x0 stays positive, or negative
+    SAFE = {"math_domain_error": [1.0, 0.0, 0.0], "division_by_zero": [-5.0, 0.0, 0.0]}
 
     @staticmethod
-    def solve(rhs, attempt, span, xi0):
+    def solve(rhs, attempt, span, y0, dim=None):
         """The Solution, or the IntegrationError the solve raised."""
         try:
-            return rk45.solve_ivp(rhs, span, xi0, attempt=attempt)
+            return rk45.solve_ivp(rhs, span, y0, attempt=attempt, dim=dim)
         except IntegrationError as exc:
             return exc
 
     @classmethod
-    def assert_same(cls, rhs, attempt, span, xi0):
+    def assert_same(cls, rhs, attempt, span, y0, dim=None):
         """Compiled and Python float stages give the same solve."""
         assert isinstance(attempt, rk45.CompiledAttempt)
-        compiled = cls.solve(rhs, attempt, span, xi0)
-        python = cls.solve(rhs, attempt.replay, span, xi0)
+        compiled = cls.solve(rhs, attempt, span, y0, dim)
+        python = cls.solve(rhs, attempt.replay, span, y0, dim)
         if isinstance(python, IntegrationError):
             assert type(compiled) is IntegrationError
             assert compiled.time == python.time
@@ -483,10 +543,13 @@ class TestCompiledStages:
     @settings(derandomize=True, deadline=None, max_examples=25)
     @given(data=st.data())
     def test_match_the_float_stages(self, forced, data):
+        # a single solve, and the stacked run of the Jacobian at the point
         p, lam, xi = data.draw(shooting_points(forced=forced))
         lam = lam if forced else 0.0
-        rhs, attempt = helpers.compiled_stages(chain.expand(p), lam)
-        self.assert_same(rhs, attempt, (0.0, p.T), xi)
+        field = chain.expand(p)
+        self.assert_same(*helpers.compiled_stages(field, lam), (0.0, p.T), xi)
+        lams, y0 = jacobian_start(lam, xi)
+        self.assert_same(*helpers.compiled_stacked(field, lams), (0.0, p.T), y0, field.dim)
 
     @helpers.requires_compiler
     @pytest.mark.parametrize("name", sorted(REPLAYS))
@@ -509,18 +572,49 @@ class TestCompiledStages:
                 assert str(compiled.__cause__) == "math domain error"
 
     @helpers.requires_compiler
+    @pytest.mark.parametrize("name", sorted(REPLAYS))
+    def test_stacked_replay_when_one_column_fails(self, name, monkeypatch):
+        # two columns, of which only column 1 meets the failure: C stops
+        # there, and the whole run replays on the twin, which raises; two
+        # safe columns run in C to the end
+        args, xi0 = self.REPLAYS[name]
+        field = chain.expand(ProblemSpec.from_strings(*args))
+        safe = np.array(self.SAFE[name])
+        replays = []
+        steps = rk45._steps
+        monkeypatch.setattr(rk45, "_steps", lambda *a: replays.append(1) or steps(*a))
+        for lams in ((0.0, 0.0), (1.0, 1.0), (0.0, 1.0)):
+            rhs, attempt = helpers.compiled_stacked(field, lams)
+            replays.clear()
+            assert isinstance(self.solve(rhs, attempt, (0.0, 1.0),
+                                         np.concatenate((safe, safe)), 3), rk45.Solution)
+            assert replays == []
+            y0 = np.concatenate((safe, xi0))
+            compiled = self.solve(rhs, attempt, (0.0, 1.0), y0, 3)
+            assert replays == [1]
+            python = self.assert_same(rhs, attempt, (0.0, 1.0), y0, 3)
+            assert isinstance(python, IntegrationError)
+            if name == "math_domain_error":
+                assert str(compiled.__cause__) == "math domain error"
+
+    @helpers.requires_compiler
     @pytest.mark.parametrize("name", sorted(WORKLOAD_FIELDS))
     def test_resume_when_the_buffers_fill(self, name, monkeypatch):
         # room for 2 steps at first: the C loop returns at every doubling
-        # and picks up where it stopped
+        # and picks up where it stopped, in a single solve and a stacked run
         field = WORKLOAD_FIELDS[name]
         xi0 = np.linspace(0.3, -0.2, field.dim)
-        rhs, attempt = helpers.compiled_stages(field, 0.1)
-        whole = rk45.solve_ivp(rhs, (0.0, field.problem.T), xi0, attempt=attempt)
+        lams, y0 = jacobian_start(0.1, xi0)
+        span = (0.0, field.problem.T)
+        runs = [(helpers.compiled_stages(field, 0.1), xi0, None),
+                (helpers.compiled_stacked(field, lams), y0, field.dim)]
+        wholes = [rk45.solve_ivp(rhs, span, start, attempt=attempt, dim=dim)
+                  for (rhs, attempt), start, dim in runs]
         monkeypatch.setattr(rk45, "_FIRST_CAPACITY", 2)
-        python = self.assert_same(rhs, attempt, (0.0, field.problem.T), xi0)
-        assert python.t.size == whole.t.size > 8
-        assert np.array_equal(python.y, whole.y)
+        for ((rhs, attempt), start, dim), whole in zip(runs, wholes):
+            python = self.assert_same(rhs, attempt, span, start, dim)
+            assert python.t.size == whole.t.size > 8
+            assert np.array_equal(python.y, whole.y)
 
 
 class TestShootingWork:
@@ -625,7 +719,7 @@ class TestShootingWork:
         _, iters, _, _ = orbit._newton(field, z + 0.005 * tangent, tangent,
                                        ContinuationParams())
         dim = field.dim
-        # one stacked run, which takes GF_batch, and single solves only else
+        # one stacked run, which takes field.stacked, and single solves only else
         assert [y0.size for y0, _ in solves] == [dim, dim * (dim + 2)] + [dim] * iters
         assert len(lams) == 1 + iters >= 2
         assert lams[0] == 0.1
