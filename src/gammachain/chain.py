@@ -46,8 +46,19 @@ _PERIODICITY_TOL = 1e-9
 # Jacobian run (dim + 2 stacked columns) at the mid-branch reference rows
 # of the benchmark workloads (dim 4 / 10 / 6) takes 0.08 / 0.24 / 0.26 ms
 # in C, 2.6 / 7.9 / 12.5 ms on the NumPy twin of the float stages and 2.9
-# / 5.2 / 12.3 ms on NumPy stages.  No benchmark workload lies above dim 40
-# yet, so the limit stays until one measures the gain end to end.
+# / 5.2 / 12.3 ms on NumPy stages.  The twin, whose cost grows with dim *
+# (dim + 2), loses to NumPy stages from about dim 6: with b = a = dim - 2,
+# from linspace(0.3, -0.2, dim) at lam = 0.1, a Jacobian run takes 0.6 /
+# 1.4 / 6.1 / 14 ms in C, 19 / 49 / 120 / 336 ms on the twin and 12 / 22
+# / 29 / 49 ms on NumPy stages at dim 10 / 16 / 28 / 40 (1-vCPU x86).
+# Stacked runs still share the limit: one `branch` of that field at dim
+# 16 / 28 / 40 spends about 0.05 / 0.07 / 0.1 s in stacked runs on NumPy
+# stages, 0.15 / 0.36 / 0.68 s on the twin without cc (of 1.5 / 3.3 / 6.2
+# s) and 0.013 / 0.022 / 0.043 s in C with the library compiled before
+# (of about 0.2 / 0.3 / 0.4 s; medians of 3-4).  So without cc dims 11 to
+# 40 lose 6-9% of `branch` to the twin, and with the library compiled C
+# saves 11-18% of it.  No benchmark workload lies above dim 40 yet, so the
+# limit stays until one measures the gain end to end.
 FLOAT_STAGES_MAX_DIM = 40
 
 G_VARS = ("x0", "x1", "x2")   # (x, xdot, delayed term)
@@ -236,6 +247,7 @@ def expand(p: ProblemSpec) -> ExpandedField:
     def stages(lam):
         if dim > FLOAT_STAGES_MAX_DIM:
             return (lambda t, y: G(y) + lam * F(t, y)), None
+        lam = float(lam)
         return on_kernel((lam,), *compiled_stages()[0](lam))
 
     def stacked(lams):

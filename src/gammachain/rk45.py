@@ -129,7 +129,7 @@ class Solution:
 def _combination(coefs, stage, zeros=False):
     """Source of sum_j coefs[j] * stage j in stage order, over the nonzero
     coefs unless ``zeros``; ``stage.format(j=j)`` names stage j.  The
-    float stages and their C kernel both write their sums with it."""
+    float stages, their C kernel and their twin write their sums with it."""
     return " + ".join(f"{c!r} * {stage.format(j=j)}"
                       for j, c in enumerate(coefs) if c or zeros)
 
@@ -589,13 +589,13 @@ class CompiledAttempt:
         return ts[:m + 1], ys[:m + 1], ks[:m], int(counts[1])
 
 
-def _sum(coefs, K, zeros=False):
-    """sum_j coefs[j] * K[j] as :func:`_combination` writes it."""
-    total = None
-    for c, k in zip(coefs, K):
-        if c or zeros:
-            total = c * k if total is None else total + c * k
-    return total
+# The stage states of stages 1-6 and the error sum of the twin, f(y, K, h)
+# on the rows K[j] of its stages, written by _combination as the float
+# stages write theirs
+_TWIN_SUMS = eval("(" + "".join(f"lambda y, K, h: {code}, " for code in (
+    [f"y + ({_combination(A[st], 'K[{j}]')}) * h" for st in range(1, 6)]
+    + [f"y + h * ({_combination(B, 'K[{j}]')})",
+       f"({_combination(E, 'K[{j}]', zeros=True)}) * h"])) + ")", {"__builtins__": {}})
 
 
 def stacked_stages(rhss, dim):
@@ -605,10 +605,10 @@ def stacked_stages(rhss, dim):
     on many columns, with the float stages' IEEE operations in their
     order, so its results are the C loop's bit for bit.  ``rhs`` calls
     each column's field on its slice of the state, a list of floats in an
-    attempt; the stage sums are elementwise in stage order, max(|y|,
-    |y_new|) takes the float stages' choice on a NaN, and the error's sum
-    of squares is sequential.  The attempt keeps column 0's stages and
-    fails as the float stages do."""
+    attempt; the stage sums are :func:`_combination`'s, elementwise on
+    the rows of the stages, max(|y|, |y_new|) takes the float stages'
+    choice on a NaN, and the error's sum of squares is sequential.  The
+    attempt keeps column 0's stages and fails as the float stages do."""
     root = (dim * len(rhss)) ** 0.5
 
     def rhs(s, y):
@@ -620,15 +620,15 @@ def stacked_stages(rhss, dim):
     def attempt(t, y, f, h):
         K = np.empty((7, len(f)))
         K[0], y = f, np.asarray(y, dtype=float)
-        try:  # stage 6 is y + h * (sum) in the float stages; IEEE products commute
-            for st, (c, row) in enumerate(zip(C[1:] + (1.0,), A[1:] + (B,)), 1):
+        try:
+            for st, (c, stage) in enumerate(zip(C[1:] + (1.0,), _TWIN_SUMS), 1):
                 s = t + c * h
-                w = y + _sum(row, K) * h
+                w = stage(y, K, h)
                 K[st] = rhs(s, w.tolist())
         except (OverflowError, ValueError) as exc:
             raise IntegrationError(s, f"field evaluation failed: {exc}") from exc
         a, b = np.abs(y), np.abs(w)
-        e = (_sum(E, K, zeros=True) * h) / (TOL + np.where(a > b, a, b) * TOL)
+        e = _TWIN_SUMS[6](y, K, h) / (TOL + np.where(a > b, a, b) * TOL)
         return w, K[6], K[:, :dim], math.sqrt(np.cumsum(e * e)[-1]) / root
 
     return rhs, attempt

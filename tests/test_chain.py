@@ -103,6 +103,13 @@ class TestExpand:
         assert len(made) == len(built) == 1
         assert len(compilers) <= 1
 
+    def test_float_stages_take_lam_as_a_float(self, example_field):
+        # Newton iterates hand stages a NumPy lam; the float stages still
+        # compute in Python floats, not NumPy scalars, so a 1/0 raises as
+        # the replay of the C kernel expects
+        rhs, _ = example_field.stages(np.float64(0.1))
+        assert all(type(v) is float for v in rhs(0.5, [0.1] * example_field.dim))
+
     @helpers.requires_compiler
     def test_stages_are_compiled_where_a_compiler_is(self, example_field):
         for lam in (0.0, 0.1):
