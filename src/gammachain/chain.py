@@ -10,11 +10,12 @@ Lipschitz sampler and the degree cross-check read its column-batched form
 Jacobians run on the stages the field picks: for a chain of up to
 ``FLOAT_STAGES_MAX_DIM`` components, float stages, one RK45 attempt of G +
 lambda F as straight-line float code, which ``rk45.float_stages`` generates
-from the same expression code as the compiled g, phi and f, and whose
-stacked runs call it once per column (``rk45.stacked_stages``); where a C
-compiler is on PATH, ``rk45.CompiledStages`` compiles that code to one C
-step loop for both (the same results, bit for bit), in the background, so
-that the solves before the compile is done run on the float stages.
+from the same expression code as the compiled g, phi and f, and which a
+stacked run makes once per column, column after column, at the column's
+lambda (``rk45.stacked_stages``); where a C compiler is on PATH,
+``rk45.CompiledStages`` compiles that code to one C step loop for both
+(the same results, bit for bit), in the background, so that the solves
+before the compile is done run on the float stages.
 Above that limit, and for fields built from callables, NumPy stages: of G
 + lambda F for single solves, and of the fused field ``GF_batch``, G +
 lambda F with one lambda per column, for stacked runs.
@@ -42,23 +43,20 @@ _PERIODICITY_TOL = 1e-9
 # NumPy stages at dim 10 / 62 / 252 (2-vCPU x86); the two break even
 # between dim 40 and 48.  Their C kernel is faster than both: from
 # linspace(0.3, -0.2, dim) it takes 0.06 / 0.09 / 0.25 ms against 2.1 /
-# 1.8 / 2.6 ms on NumPy stages at dim 10 / 62 / 252 (same machine).  One
-# Jacobian run (dim + 2 stacked columns) at the mid-branch reference rows
-# of the benchmark workloads (dim 4 / 10 / 6) takes 0.08 / 0.24 / 0.26 ms
-# in C, 2.6 / 7.9 / 12.5 ms on the NumPy twin of the float stages and 2.9
-# / 5.2 / 12.3 ms on NumPy stages.  The twin, whose cost grows with dim *
-# (dim + 2), loses to NumPy stages from about dim 6: with b = a = dim - 2,
-# from linspace(0.3, -0.2, dim) at lam = 0.1, a Jacobian run takes 0.6 /
-# 1.4 / 6.1 / 14 ms in C, 19 / 49 / 120 / 336 ms on the twin and 12 / 22
-# / 29 / 49 ms on NumPy stages at dim 10 / 16 / 28 / 40 (1-vCPU x86).
-# Stacked runs still share the limit: one `branch` of that field at dim
-# 16 / 28 / 40 spends about 0.05 / 0.07 / 0.1 s in stacked runs on NumPy
-# stages, 0.15 / 0.36 / 0.68 s on the twin without cc (of 1.5 / 3.3 / 6.2
-# s) and 0.013 / 0.022 / 0.043 s in C with the library compiled before
-# (of about 0.2 / 0.3 / 0.4 s; medians of 3-4).  So without cc dims 11 to
-# 40 lose 6-9% of `branch` to the twin, and with the library compiled C
-# saves 11-18% of it.  No benchmark workload lies above dim 40 yet, so the
-# limit stays until one measures the gain end to end.
+# 1.8 / 2.6 ms on NumPy stages at dim 10 / 62 / 252 (same machine).  A
+# stacked run makes the float stages' attempt once per column, so its cost
+# grows with dim * (dim + 2): one Jacobian run (dim + 2 columns) from
+# linspace(0.3, -0.2, dim) at lam = 0.1, on the fields of the example,
+# long_period and long_chain workloads at dim 4 / 6 / 10 and with b = a =
+# dim - 2 at dim 16 / 28 / 40, takes 1.1 / 11 / 13 / 36 / 147 / 372 ms on
+# the Python float stages, 2.6 / 14 / 7.9 / 11 / 18 / 32 ms on NumPy
+# stages and 0.1 / 0.3 / 0.3 / 0.8 / 2.9 / 6.0 ms in C (2-vCPU x86,
+# medians of 3-4).  Stacked runs still share the limit: without cc they
+# lose to NumPy stages from dim 10 on (one `branch` of that field takes
+# 0.99 / 2.56 s at dim 16 / 28 without cc, medians of 6), and with the
+# library compiled C saves 11-18% of `branch` at dims 16 to 40 against
+# NumPy stages.  No benchmark workload lies above dim 10 yet, so the limit
+# stays until one measures the gain end to end.
 FLOAT_STAGES_MAX_DIM = 40
 
 G_VARS = ("x0", "x1", "x2")   # (x, xdot, delayed term)
@@ -130,8 +128,8 @@ class ExpandedField:
     be built), or NumPy stages of rhs with attempt None.  ``stacked(lams)``
     is the same for a stacked run of the columns of a (dim, N) array,
     column after column, of G + lams[j] F in column j: float stages
-    (``rk45.stacked_stages``, or their C kernel), or NumPy stages of
-    ``GF_batch`` with attempt None.
+    (``rk45.stacked_stages`` of the float stages of each column, or their
+    C kernel), or NumPy stages of ``GF_batch`` with attempt None.
     """
 
     dim: int
@@ -255,7 +253,7 @@ def expand(p: ProblemSpec) -> ExpandedField:
             return _batched_rhs(GF_batch, dim, lams), None
         lams = tuple(float(lam) for lam in lams)
         make = compiled_stages()[0]
-        return on_kernel(lams, *rk45.stacked_stages([make(lam)[0] for lam in lams], dim))
+        return on_kernel(lams, *rk45.stacked_stages([make(lam) for lam in lams], dim))
 
     return ExpandedField(dim=dim, G=G, F=F, problem=p, G_batch=G_batch,
                          GF_batch=GF_batch, stages=stages, stacked=stacked)

@@ -4,21 +4,22 @@ control, at rtol = atol = ``TOL``.
 The tableau (Dormand & Prince 1980; Hairer, Norsett & Wanner, Solving
 ODEs I, II.4-II.5) is written out with the dense-output matrix ``P`` of
 Shampine (1986), as in SciPy's ``RK45``.  ``solve_ivp`` runs the step
-control with one of four stage evaluators.  The float stages of
+control with one of three stage evaluators.  The float stages of
 ``float_stages`` are straight-line float code for one RK45 attempt of a
 field given as one Python expression per component (``chain.expand``
-compiles them for each problem's field); ``stacked_stages``, their twin
-in NumPy, makes the same attempt for many columns stacked into one state,
-each at its own lam.  Their C kernel (:class:`CompiledStages`, a
-:class:`CompiledAttempt` per solve) runs the whole step loop of a solve of
-one column or of many with the same IEEE operations in the same order,
-so its results are theirs bit for bit; it is cached per user, compiled
-with ``cc`` in the background on first use while solves run on the float
-stages, and replays a solve on them wherever Python might part from C.
-NumPy stages (``_numpy_stages``) have SciPy's ``rk_step`` arithmetic.  A
-solve is one :class:`Solution`, whose call is its vectorized quartic
-interpolant.  Every failure of a solve is an :class:`IntegrationError` at
-the time it happened.
+compiles them for each problem's field); ``stacked_stages`` makes that
+attempt for many columns stacked into one state, each at its own lam, by
+calling each column's attempt in turn.  Their C kernel
+(:class:`CompiledStages`, a :class:`CompiledAttempt` per solve) runs the
+whole step loop of a solve of one column or of many, generated from the
+same code with the same IEEE operations in the same order, so its results
+are theirs bit for bit; it is cached per user, compiled with ``cc`` in
+the background on first use while solves run on the float stages, and
+replays a solve on them wherever Python might part from C.  NumPy stages
+(``_numpy_stages``) have SciPy's ``rk_step`` arithmetic.  A solve is one
+:class:`Solution`, whose call is its vectorized quartic interpolant.
+Every failure of a solve is an :class:`IntegrationError` at the time it
+happened.
 """
 from __future__ import annotations
 
@@ -129,7 +130,7 @@ class Solution:
 def _combination(coefs, stage, zeros=False):
     """Source of sum_j coefs[j] * stage j in stage order, over the nonzero
     coefs unless ``zeros``; ``stage.format(j=j)`` names stage j.  The
-    float stages, their C kernel and their twin write their sums with it."""
+    float stages and their C kernel write their sums with it."""
     return " + ".join(f"{c!r} * {stage.format(j=j)}"
                       for j, c in enumerate(coefs) if c or zeros)
 
@@ -141,13 +142,15 @@ def float_stages(derivatives: list[str], namespace: dict):
     ``derivatives[i]`` is a Python expression for component i of F over
     the stage state ``w0 .. w<n-1>``, the stage time ``s`` and ``lam``;
     ``namespace`` holds the functions it calls.  ``rhs(s, y)`` is the tuple
-    F(s, y) for any sequence y.  ``attempt(t, y, f, h)`` takes the state y
-    and f = F(t, y) as float tuples or lists and makes one RK45 attempt of
-    step h with SciPy's arithmetic written out per component (sums in
-    stage order; zero coefficients skipped, except that the error keeps
-    0 * k1, so a non-finite stage still gives a non-finite error).  It
-    returns (y_new, f_new, the 7n stages stage after stage, the RMS norm of
-    the error relative to TOL + max(|y|, |y_new|) * TOL).  A field
+    F(s, y) for any sequence y.  ``attempt(t, y, f, h, sq=0.0)`` takes the
+    state y and f = F(t, y) as float tuples or lists and makes one RK45
+    attempt of step h with SciPy's arithmetic written out per component
+    (sums in stage order; zero coefficients skipped, except that the error
+    keeps 0 * k1, so a non-finite stage still gives a non-finite error).
+    It returns (y_new, f_new, the 7n stages stage after stage, sq plus the
+    squares of the error relative to TOL + max(|y|, |y_new|) * TOL, added
+    one component after another): the running sum of squares of a stacked
+    run, whose root ``solve_ivp``'s step loop takes.  A field
     evaluation that raises OverflowError or ValueError raises
     :class:`IntegrationError` at its stage time; ZeroDivisionError
     propagates.
@@ -158,7 +161,7 @@ def float_stages(derivatives: list[str], namespace: dict):
              "    def rhs(s, y):",
              f"        {w} = y",
              f"        return ({', '.join(derivatives)},)",
-             "    def attempt(t, y, f, h):",
+             "    def attempt(t, y, f, h, sq=0.0):",
              f"        {', '.join(f'y{i}' for i in range(n))}, = y",
              f"        {', '.join(f'k0_{i}' for i in range(n))}, = f",
              "        try:"]
@@ -181,11 +184,11 @@ def float_stages(derivatives: list[str], namespace: dict):
                   f" / ({TOL!r} + (a{i} if a{i} > b{i} else b{i}) * {TOL!r})"]
     stages = ", ".join(f"k{st}_{i}" for st in range(7) for i in range(n))
     lines += [f"        return ({w}), ({', '.join(f'k6_{i}' for i in range(n))},), ({stages},), "
-              f"sqrt({' + '.join(f'e{i} * e{i}' for i in range(n))}) / {n ** 0.5!r}",
+              f"sq + {' + '.join(f'e{i} * e{i}' for i in range(n))}",
               "    return rhs, attempt"]
     ns = dict(namespace, IntegrationError=IntegrationError,
               OverflowError=OverflowError, ValueError=ValueError, abs=abs,
-              sqrt=math.sqrt, __builtins__={})
+              __builtins__={})
     exec("\n".join(lines), ns)  # codegen from our own expressions only
     return ns["make"]
 
@@ -258,10 +261,11 @@ def _c_field(derivatives: list[str]) -> str:
 def _c_source(derivatives: list[str]) -> str:
     """C source of ``gc_solve``: the step loop of ``solve_ivp`` on the float
     stages of ``derivatives`` for a state of one or more columns, written
-    with the same operations in the same order as the Python float stages
-    (one column) and :func:`stacked_stages` (``min(a, b)`` as ``b < a ? b :
-    a`` and ``max(a, b)`` as ``b > a ? b : a``, which keep Python's choice
-    when one of them is NaN)."""
+    with the same operations in the same order as the Python float stages,
+    whose attempts :func:`stacked_stages` makes column after column, the
+    error's sum of squares running on from one to the next (``min(a, b)``
+    as ``b < a ? b : a`` and ``max(a, b)`` as ``b > a ? b : a``, which keep
+    Python's choice when one of them is NaN)."""
     stage = "k[{j} * n + i]"
     steps = []
     for st in range(1, 7):
@@ -439,7 +443,7 @@ class CompiledStages:
     The library is cached per user, keyed by the sha256 of the source, the
     flags and the machine; one in the cache is loaded at once.  Otherwise
     ``cc`` compiles it in the background while solves run on the Python
-    float stages and their stacked twin, whose results are the kernel's,
+    float stages, one column or many, whose results are the kernel's,
     and each call checks whether the compile is done; so a solve never
     waits for the compiler, and a short command pays nothing for it.  A
     compile still running after ``_COMPILE_TIMEOUT_S`` or at exit is
@@ -550,7 +554,8 @@ class CompiledAttempt:
     loop, and where it stops at a value for which Python might part from
     C, the solve replays on ``replay``, the Python attempt of the same
     columns (the float stages of one column, :func:`stacked_stages` of
-    more)."""
+    theirs for more).  Where two columns would fail differently, the
+    replay raises the failure of the lower one."""
 
     solve: Callable
     dim: int
@@ -589,55 +594,43 @@ class CompiledAttempt:
         return ts[:m + 1], ys[:m + 1], ks[:m], int(counts[1])
 
 
-# The stage states of stages 1-6 and the error sum of the twin, f(y, K, h)
-# on the rows K[j] of its stages, written by _combination as the float
-# stages write theirs
-_TWIN_SUMS = eval("(" + "".join(f"lambda y, K, h: {code}, " for code in (
-    [f"y + ({_combination(A[st], 'K[{j}]')}) * h" for st in range(1, 6)]
-    + [f"y + h * ({_combination(B, 'K[{j}]')})",
-       f"({_combination(E, 'K[{j}]', zeros=True)}) * h"])) + ")", {"__builtins__": {}})
-
-
-def stacked_stages(rhss, dim):
+def stacked_stages(columns, dim):
     """(rhs, attempt) of ``solve_ivp`` for columns of ``dim`` components
     stacked into one state, column after column, column c solving y' =
-    rhss[c](t, y), a float-stage ``rhs``: the twin in NumPy of the C loop
-    on many columns, with the float stages' IEEE operations in their
-    order, so its results are the C loop's bit for bit.  ``rhs`` calls
-    each column's field on its slice of the state, a list of floats in an
-    attempt; the stage sums are :func:`_combination`'s, elementwise on
-    the rows of the stages, max(|y|, |y_new|) takes the float stages'
-    choice on a NaN, and the error's sum of squares is sequential.  The
-    attempt keeps column 0's stages and fails as the float stages do."""
-    root = (dim * len(rhss)) ** 0.5
-
+    F_c(t, y) on its float stages ``columns[c]``, an (rhs, attempt) of
+    :func:`float_stages`.  ``rhs`` calls each column's on its slice of the
+    state.  The attempt makes each column's attempt in column order,
+    handing the error's sum of squares on from one to the next, so that it
+    sums as the C loop does and its results are the C loop's bit for bit;
+    it keeps column 0's stages.  Each column's attempt ends before the
+    next one starts, so where two columns would fail differently, the
+    lower one's failure is raised (the C loop stops at either and replays
+    the run here)."""
     def rhs(s, y):
         out = []
-        for c, field in enumerate(rhss):
+        for c, (field, _) in enumerate(columns):
             out += field(s, y[c * dim:c * dim + dim])
         return out
 
-    def attempt(t, y, f, h):
-        K = np.empty((7, len(f)))
-        K[0], y = f, np.asarray(y, dtype=float)
-        try:
-            for st, (c, stage) in enumerate(zip(C[1:] + (1.0,), _TWIN_SUMS), 1):
-                s = t + c * h
-                w = stage(y, K, h)
-                K[st] = rhs(s, w.tolist())
-        except (OverflowError, ValueError) as exc:
-            raise IntegrationError(s, f"field evaluation failed: {exc}") from exc
-        a, b = np.abs(y), np.abs(w)
-        e = _TWIN_SUMS[6](y, K, h) / (TOL + np.where(a > b, a, b) * TOL)
-        return w, K[6], K[:, :dim], math.sqrt(np.cumsum(e * e)[-1]) / root
+    def attempt(t, y, f, h, sq=0.0):
+        y_new, f_new = [], []
+        for c, (_, step) in enumerate(columns):
+            w, k6, K, sq = step(t, y[c * dim:c * dim + dim], f[c * dim:c * dim + dim], h, sq)
+            y_new += w
+            f_new += k6
+            if c == 0:
+                stages = K
+        return y_new, f_new, stages, sq
 
     return rhs, attempt
 
 
 def _numpy_stages(fun, dim):
     """One RK45 attempt of y' = fun(t, y) on arrays with SciPy's
-    ``rk_step`` arithmetic and error norm, keeping the stages of the first
-    ``dim`` components; a field evaluation that raises is an
+    ``rk_step`` arithmetic, keeping the stages of the first ``dim``
+    components; it returns the error's sum of squares as the ``x.dot(x)``
+    of which ``np.linalg.norm`` takes the root, so the step loop's norm
+    is SciPy's bit for bit.  A field evaluation that raises is an
     :class:`IntegrationError` at its stage time."""
     def attempt(t, y, f, h):
         K = np.empty((7, y.size))
@@ -653,8 +646,8 @@ def _numpy_stages(fun, dim):
         except (ZeroDivisionError, OverflowError, ValueError) as exc:
             raise IntegrationError(float(t_stage),
                                    f"field evaluation failed: {exc}") from exc
-        scale = TOL + np.maximum(np.abs(y), np.abs(y_new)) * TOL
-        return y_new, K[6], K[:, :dim], _rms(np.dot(K.T, _E) * h / scale)
+        e = np.dot(K.T, _E) * h / (TOL + np.maximum(np.abs(y), np.abs(y_new)) * TOL)
+        return y_new, K[6], K[:, :dim], e.dot(e)
 
     return attempt
 
@@ -672,11 +665,13 @@ def solve_ivp(fun, t_span, y0, *, attempt=None, dim=None) -> Solution:
     :func:`stacked_stages` (float stages, with ``fun`` its ``rhs``) or a
     :class:`CompiledAttempt` of them, which runs the step loop in C and
     replays the solve on its float stages where it stops; without it the
-    stages are NumPy evaluations of ``fun``
-    (``_numpy_stages``).  The step control is SciPy's: its initial step
-    (taken in Python on ``fun`` for every kind of stages), a least step of
-    10 ulp(t), step factors 0.9 err^(-1/5) within [0.2, 10] (at most 1
-    after a rejection), and the last step clipped to t1.  An error norm that is not below 1 (NaN included)
+    stages are NumPy evaluations of ``fun`` (``_numpy_stages``).  Every
+    attempt returns the error's sum of squares, and the step loop takes
+    the RMS norm, sqrt(sq) / sqrt(n), for every kind of stages.  The step
+    control is SciPy's: its initial step (taken in Python on ``fun`` for
+    every kind of stages), a least step of 10 ulp(t), step factors 0.9
+    err^(-1/5) within [0.2, 10] (at most 1 after a rejection), and the last
+    step clipped to t1.  An error norm that is not below 1 (NaN included)
     rejects the attempt, as does a ZeroDivisionError in a float stage,
     which NumPy arithmetic would have made inf or NaN.  ``nfev`` counts as
     SciPy's: 2 + 6 per attempt.
@@ -726,6 +721,7 @@ def _steps(attempt, t0, t1, h_abs, y, f):
     """The step loop of ``solve_ivp`` in Python from the state y with f =
     F(t0, y): (t, Y, K, nfev), where Y[k] is the state at t[k]."""
     t, ts, ys, stages, nfev = t0, [t0], [y], [], 2
+    root = len(y) ** 0.5
     while t < t1:
         min_step = 10 * (math.nextafter(t, math.inf) - t)
         h_abs = max(h_abs, min_step)
@@ -737,9 +733,10 @@ def _steps(attempt, t0, t1, h_abs, y, f):
             h = h_abs = t_new - t
             nfev += 6
             try:
-                y_new, f_new, K, err = attempt(t, y, f, h)
+                y_new, f_new, K, sq = attempt(t, y, f, h)
             except ZeroDivisionError:
-                err = math.nan
+                sq = math.nan
+            err = math.sqrt(sq) / root
             if err < 1:
                 factor = 10.0 if err == 0 else min(10.0, 0.9 * err ** -0.2)
                 h_abs *= min(1.0, factor) if rejected else factor

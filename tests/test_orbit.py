@@ -495,11 +495,27 @@ class TestFloatStageFailures:
         assert divisions
 
 
+@pytest.mark.parametrize("name", sorted(WORKLOAD_FIELDS))
+def test_one_stacked_column_is_the_single_solve(name):
+    # a stacked run of one column makes the Python float stages' own
+    # attempts, so it is their single solve, bit for bit
+    field = WORKLOAD_FIELDS[name]
+    rhs, attempt = field.stages(0.1)
+    column = (rhs, getattr(attempt, "replay", attempt))
+    xi0 = np.linspace(0.3, -0.2, field.dim)
+    single, stacked = (rk45.solve_ivp(rhs, (0.0, field.problem.T), xi0, attempt=attempt)
+                       for rhs, attempt in (column, rk45.stacked_stages([column], field.dim)))
+    assert np.array_equal(stacked.t, single.t)
+    assert np.array_equal(stacked.y, single.y)
+    assert np.array_equal(stacked.K, single.K)
+    assert stacked.nfev == single.nfev
+
+
 class TestCompiledStages:
     """The float stages compiled to C are the Python float stages, bit for
     bit, wherever a compiler makes them: for a single solve, and for the
-    stacked run of a shooting Jacobian, whose Python float stages are the
-    twin ``rk45.stacked_stages``."""
+    stacked run of a shooting Jacobian, whose Python float stages are one
+    column's float stages after another (``rk45.stacked_stages``)."""
 
     REPLAYS = {
         # sqrt of a negative x0: math.pow raises ValueError at a stage time
@@ -552,6 +568,17 @@ class TestCompiledStages:
         self.assert_same(*helpers.compiled_stacked(field, lams), (0.0, p.T), y0, field.dim)
 
     @helpers.requires_compiler
+    def test_match_the_float_stages_at_dim_28(self):
+        # shooting_points draws b <= 8: a Jacobian run of 30 columns at b
+        # = a = 26, from linspace(0.3, -0.2, dim) at lambda = 0.1
+        field = chain.expand(ProblemSpec.from_strings(
+            "-x0*(1+x2)", "q-p", "1+x*sin(2*pi*t)", 26.0, 26, 1.0))
+        lams, y0 = jacobian_start(0.1, np.linspace(0.3, -0.2, field.dim))
+        python = self.assert_same(*helpers.compiled_stacked(field, lams), (0.0, 1.0), y0,
+                                  field.dim)
+        assert isinstance(python, rk45.Solution)
+
+    @helpers.requires_compiler
     @pytest.mark.parametrize("name", sorted(REPLAYS))
     def test_replay_on_the_float_stages(self, name, monkeypatch):
         # C stops at the pow of a negative base and at the division by 0,
@@ -575,8 +602,9 @@ class TestCompiledStages:
     @pytest.mark.parametrize("name", sorted(REPLAYS))
     def test_stacked_replay_when_one_column_fails(self, name, monkeypatch):
         # two columns, of which only column 1 meets the failure: C stops
-        # there, and the whole run replays on the twin, which raises; two
-        # safe columns run in C to the end
+        # there, and the whole run replays on the Python float stages,
+        # column 0's attempt and then column 1's, which raises; two safe
+        # columns run in C to the end
         args, xi0 = self.REPLAYS[name]
         field = chain.expand(ProblemSpec.from_strings(*args))
         safe = np.array(self.SAFE[name])
