@@ -9,9 +9,12 @@ it.  The multiplicity verdict certifies the zeros of an
 computed, without scanning Phi again.  The Lipschitz constant is estimated
 as the sampled maximum of the Jacobian operator 2-norm over a box; this is
 a lower estimate, so the certification comparison applies a safety factor
-on top of it.  The samples are taken in chunks of ``SAMPLE_CHUNK`` points,
-and each chunk's central-difference Jacobians come from one call of the
-column-batched field ``G_batch``.
+on top of it.  The Jacobian of a chain field varies only with (u, v0, vb),
+so the box is sampled on a tensor grid over those three axes alone
+(``ExpandedField.jacobian_axes``); a field from callables is sampled over
+the whole box.  The samples are taken in chunks of ``SAMPLE_CHUNK``
+points, and each chunk's central-difference Jacobians come from one call
+of the column-batched field ``G_batch``.
 """
 from __future__ import annotations
 
@@ -74,24 +77,31 @@ class MultiplicityReport:
         }
 
 
-def _box_samples(center: np.ndarray, radius: float, grid_per_axis: int):
+def _box_samples(center: np.ndarray, radius: float, grid_per_axis: int, axes):
     """The samples of the box center +- radius as (dim, k) column chunks
-    of at most ``SAMPLE_CHUNK`` points: the tensor grid in
-    ``itertools.product`` order up to ``DENSE_AXES_CAP`` axes, else
-    ``MC_POINTS`` uniform draws from a generator seeded with ``MC_SEED``."""
+    of at most ``SAMPLE_CHUNK`` points: the tensor grid over ``axes`` in
+    ``itertools.product`` order, every other coordinate at the center;
+    with ``axes`` None, the grid over every axis up to ``DENSE_AXES_CAP``
+    axes, else ``MC_POINTS`` uniform draws from a generator seeded with
+    ``MC_SEED``."""
     dim = center.size
-    if dim <= DENSE_AXES_CAP:
-        axes = [np.linspace(c - radius, c + radius, grid_per_axis) for c in center]
-        total = grid_per_axis ** dim
-        for start in range(0, total, SAMPLE_CHUNK):
-            flat = np.arange(start, min(start + SAMPLE_CHUNK, total))
-            idx = np.unravel_index(flat, (grid_per_axis,) * dim)
-            yield np.stack([ax[i] for ax, i in zip(axes, idx)])
-    else:
+    if axes is None and dim > DENSE_AXES_CAP:
         rng = np.random.default_rng(MC_SEED)
         for start in range(0, MC_POINTS, SAMPLE_CHUNK):
             k = min(SAMPLE_CHUNK, MC_POINTS - start)
             yield center[:, None] + rng.uniform(-radius, radius, size=(k, dim)).T
+        return
+    axes = range(dim) if axes is None else axes
+    values = [np.linspace(center[i] - radius, center[i] + radius, grid_per_axis)
+              for i in axes]
+    total = grid_per_axis ** len(values)
+    for start in range(0, total, SAMPLE_CHUNK):
+        flat = np.arange(start, min(start + SAMPLE_CHUNK, total))
+        idx = np.unravel_index(flat, (grid_per_axis,) * len(values))
+        X = np.repeat(center[:, None], flat.size, axis=1)
+        for i, v, j in zip(axes, values, idx):
+            X[i] = v[j]
+        yield X
 
 
 def lipschitz_estimate(field: chain.ExpandedField, center, radius: float,
@@ -99,10 +109,16 @@ def lipschitz_estimate(field: chain.ExpandedField, center, radius: float,
     """Sampled lower estimate of the local Lipschitz constant of G.
 
     Maximum of the operator 2-norm of the finite-difference Jacobian over
-    the box center +- radius: a full tensor grid up to 5 axes, Monte Carlo
-    with 10^4 points (fixed seed) beyond.  The Jacobians of each chunk of
-    at most ``SAMPLE_CHUNK`` samples come from one ``analysis.jacobian_fd``
-    call on ``field.G_batch``, which raises ``ArithmeticError`` naming the
+    the box center +- radius.  For a field from ``chain.expand``, whose
+    Jacobian varies only with (u, v0, vb), the samples are the tensor grid
+    of ``grid_per_axis`` points on each of those three axes, the other
+    coordinates at the center: the same Jacobians as the full-box grid, up
+    to finite-difference rounding.  A field from ``from_callables`` does
+    not say which coordinates its Jacobian reads, so it is sampled on the
+    full tensor grid up to 5 axes, and by Monte Carlo with 10^4 points
+    (fixed seed) beyond.  The Jacobians of each chunk of at most
+    ``SAMPLE_CHUNK`` samples come from one ``analysis.jacobian_fd`` call
+    on ``field.G_batch``, which raises ``ArithmeticError`` naming the
     first sample whose Jacobian has a non-finite entry (a pole of the
     field in the box, or overflow).
     """
@@ -112,7 +128,7 @@ def lipschitz_estimate(field: chain.ExpandedField, center, radius: float,
         raise ValueError("grid_per_axis must be >= 2")
     center = chain.as_state(center, field.dim)
     best = 0.0
-    for X in _box_samples(center, radius, grid_per_axis):
+    for X in _box_samples(center, radius, grid_per_axis, field.jacobian_axes):
         J = analysis.jacobian_fd(field.G_batch, X)
         best = max(best, float(np.max(np.linalg.norm(J, 2, axis=(1, 2)))))
     return best
@@ -141,7 +157,7 @@ def certify_ejecting(p: chain.ProblemSpec, z: analysis.ZeroRecord,
     _, passes_safe = yorke_check(SAFETY_FACTOR * L, p.T)
     certified = passes_safe and z.nondegenerate and z.sign_change
     notes = (f"Lipschitz value is a sampled lower estimate "
-             f"(grid {grid_per_axis} per axis, radius {radius:.6g}); "
+             f"(grid {grid_per_axis} per axis on (u, v0, vb), radius {radius:.6g}); "
              f"certification compares T against 2*pi/({SAFETY_FACTOR}*L).")
     return CertReport(zero=z, box_radius=float(radius), lipschitz=L,
                       yorke_period_bound=bound, T=p.T,

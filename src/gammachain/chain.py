@@ -130,6 +130,9 @@ class ExpandedField:
     column after column, of G + lams[j] F in column j: float stages
     (``rk45.stacked_stages`` of the float stages of each column, or their
     C kernel), or NumPy stages of ``GF_batch`` with attempt None.
+    ``jacobian_axes`` are the coordinates that the Jacobian of G varies
+    with: (u, v0, vb) for a field from ``expand``, None (unknown) for one
+    from ``from_callables``.
     """
 
     dim: int
@@ -141,8 +144,12 @@ class ExpandedField:
     stages: Callable[[float], tuple]
     stacked: Callable[[np.ndarray], tuple]
 
-    @classmethod
-    def from_callables(cls, dim: int, G, problem=None) -> "ExpandedField":
+    @property
+    def jacobian_axes(self) -> Optional[tuple]:
+        return None
+
+    @staticmethod
+    def from_callables(dim: int, G, problem=None) -> "ExpandedField":
         """An unforced field from a G that maps either one state or the
         columns of a (dim, N) array (a matrix product, or NumPy ufuncs);
         G serves as ``G``, ``G_batch`` and, as G(X), ``GF_batch``, F is
@@ -152,9 +159,20 @@ class ExpandedField:
 
         def GF_batch(t, X, lams):
             return G(X)
-        return cls(dim=dim, G=G, F=F, problem=problem, G_batch=G, GF_batch=GF_batch,
-                   stages=lambda lam: (lambda t, y: G(y) + lam * F(t, y), None),
-                   stacked=lambda lams: (_batched_rhs(GF_batch, dim, lams), None))
+        return ExpandedField(dim=dim, G=G, F=F, problem=problem, G_batch=G,
+                             GF_batch=GF_batch,
+                             stages=lambda lam: (lambda t, y: G(y) + lam * F(t, y), None),
+                             stacked=lambda lams: (_batched_rhs(GF_batch, dim, lams), None))
+
+
+class _ChainField(ExpandedField):
+    """A field built by ``expand``, whose Jacobian reads only (u, v0, vb):
+    the cascade rows are constant.  The class is the mark, so that
+    ``dataclasses.replace`` keeps it and ``from_callables`` never has it."""
+
+    @property
+    def jacobian_axes(self) -> tuple:
+        return (0, 1, self.dim - 1)
 
 
 def _batched_rhs(GF_batch, dim, lams):
@@ -255,8 +273,8 @@ def expand(p: ProblemSpec) -> ExpandedField:
         make = compiled_stages()[0]
         return on_kernel(lams, *rk45.stacked_stages([make(lam) for lam in lams], dim))
 
-    return ExpandedField(dim=dim, G=G, F=F, problem=p, G_batch=G_batch,
-                         GF_batch=GF_batch, stages=stages, stacked=stacked)
+    return _ChainField(dim=dim, G=G, F=F, problem=p, G_batch=G_batch,
+                       GF_batch=GF_batch, stages=stages, stacked=stacked)
 
 
 def as_state(xi, dim: int) -> np.ndarray:

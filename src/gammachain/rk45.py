@@ -565,33 +565,52 @@ class CompiledAttempt:
     def run(self, t0, t1, h_abs, y0, f0):
         """(t, Y, K, nfev) of the solve from (t0, y0) with f0 = F(t0, y0)
         and first step ``h_abs``, or None to replay it.  The buffers double
-        whenever the C loop fills them."""
+        whenever the C loop fills them.  Each C call reads the addresses of
+        two float64 blocks: the loop state, which the calls carry on (the
+        counts (m, nfev) as int64, the step size, lams and the 7 stages of
+        a step, k[0] the field, which C advances), and the steps written
+        (ts, ys, ks), which a new block replaces when it grows."""
         n, cols = self.dim, len(self.lams)
-        if y0.shape != (n * cols,) or f0.shape != (n * cols,):
-            raise ValueError(f"state and field must have shape ({n * cols},), "
+        size = n * cols
+        if y0.shape != (size,) or f0.shape != (size,):
+            raise ValueError(f"state and field must have shape ({size},), "
                              f"got {y0.shape} and {f0.shape}")
-        k = np.empty((7, n * cols))  # the stages of a step; C advances k[0], the field
-        k[0] = f0
-        lams = np.array(self.lams, dtype=float)
+        state = np.empty(3 + cols + 7 * size)
+        counts = state[:2].view(np.int64)
+        counts[:] = 0, 2
+        state[2] = h_abs
+        state[3:3 + cols] = self.lams
+        state[3 + cols:3 + cols + size] = f0
+        at = state.ctypes.data  # bytes: counts at 0, h at 16, lams at 24, k after them
         cap = _FIRST_CAPACITY
-        ts, ys, ks = np.empty(cap), np.empty((cap, n * cols)), np.empty((cap, 7, n))
+        block, ts, ys, ks = _steps_block(cap, size, n)
         ts[0], ys[0] = t0, y0
-        h, counts = np.array([h_abs]), np.array([0, 2], dtype=np.int64)
         while True:
-            status = self.solve(t1, cols, lams.ctypes.data, h.ctypes.data, counts.ctypes.data,
-                                cap, ts.ctypes.data, ys.ctypes.data, ks.ctypes.data,
-                                k.ctypes.data)
+            base = block.ctypes.data
+            status = self.solve(t1, cols, at + 24, at + 16, at, cap, base, base + 8 * cap,
+                                base + 8 * cap * (1 + size), at + 8 * (3 + cols))
             if status != _FULL:
                 break
             m, cap = int(counts[0]), 2 * cap
-            ts, ys, ks = (np.concatenate((a[:m + 1], np.empty((cap - m - 1,) + a.shape[1:])))
-                          for a in (ts, ys, ks))
+            grown = _steps_block(cap, size, n)
+            for old, new in zip((ts, ys, ks), grown[1:]):
+                new[:m + 1] = old[:m + 1]
+            block, ts, ys, ks = grown
         m = int(counts[0])
         if status == _REPLAY:
             return None
         if status == _UNDERFLOW:
             raise IntegrationError(float(ts[m]), _UNDERFLOW_MESSAGE)
         return ts[:m + 1], ys[:m + 1], ks[:m], int(counts[1])
+
+
+def _steps_block(cap, size, n):
+    """One float64 block of room for ``cap`` steps of a compiled solve of
+    a state of ``size``, with its views ts (cap,), ys (cap, size) and ks
+    (cap, 7, n), laid out in that order."""
+    block = np.empty(cap * (1 + size + 7 * n))
+    return (block, block[:cap], block[cap:cap * (1 + size)].reshape(cap, size),
+            block[cap * (1 + size):].reshape(cap, 7, n))
 
 
 def stacked_stages(columns, dim):

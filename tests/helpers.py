@@ -109,17 +109,27 @@ def reference_jacobian(fun, x: np.ndarray) -> np.ndarray:
 def reference_lipschitz(field: chain.ExpandedField, center, radius: float,
                         grid_per_axis: int = certify.DEFAULT_GRID) -> float:
     """The Lipschitz estimate one sample at a time with the scalar G: the
-    tensor grid by ``itertools.product``, or one generator draw of ``dim``
-    uniforms per Monte Carlo point."""
+    tensor grid by ``itertools.product`` over the field's
+    ``jacobian_axes``, the other coordinates at the center; for a field
+    without them, over every axis up to ``DENSE_AXES_CAP`` axes, or one
+    generator draw of ``dim`` uniforms per Monte Carlo point beyond."""
     center = np.asarray(center, dtype=float)
     dim = field.dim
-    if dim <= certify.DENSE_AXES_CAP:
-        axes = [np.linspace(c - radius, c + radius, grid_per_axis) for c in center]
-        samples = (np.array(pt) for pt in itertools.product(*axes))
-    else:
+    axes = field.jacobian_axes
+    if axes is None and dim > certify.DENSE_AXES_CAP:
         rng = np.random.default_rng(certify.MC_SEED)
         samples = (center + rng.uniform(-radius, radius, size=dim)
                    for _ in range(certify.MC_POINTS))
+    else:
+        axes = list(range(dim) if axes is None else axes)
+
+        def sample(values):
+            pt = center.copy()
+            pt[axes] = values
+            return pt
+        samples = (sample(values) for values in itertools.product(
+            *(np.linspace(center[i] - radius, center[i] + radius, grid_per_axis)
+              for i in axes)))
     best = 0.0
     for pt in samples:
         J = reference_jacobian(field.G, pt)

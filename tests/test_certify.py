@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -81,10 +82,22 @@ class TestBatchedLipschitz:
             got = lipschitz_estimate(example_field, z.lifted, 0.1)
             assert got == helpers.reference_lipschitz(example_field, z.lifted, 0.1)
 
-    def test_monte_carlo_matches_reference(self):
+    def test_three_axis_grid_matches_reference_beyond_five_axes(self):
         p = ProblemSpec.from_strings("-x0*(1+x2)", "q-p", "1+x*sin(2*pi*t)",
                                      8.0, 8, 1.0)
         field = chain.expand(p)
+        center = chain.lifted_zero(p, 0.0)
+        got = lipschitz_estimate(field, center, 0.1)
+        assert got == helpers.reference_lipschitz(field, center, 0.1)
+
+    def test_monte_carlo_matches_reference(self):
+        # a field from callables does not say which coordinates its
+        # Jacobian reads, so beyond five axes it is sampled by Monte Carlo;
+        # the batched chain field maps one state as well as columns
+        p = ProblemSpec.from_strings("-x0*(1+x2)", "q-p", "1+x*sin(2*pi*t)",
+                                     8.0, 8, 1.0)
+        field = ExpandedField.from_callables(10, chain.expand(p).G_batch, p)
+        assert field.jacobian_axes is None
         center = chain.lifted_zero(p, 0.0)
         got = lipschitz_estimate(field, center, 0.1)
         assert got == helpers.reference_lipschitz(field, center, 0.1)
@@ -100,6 +113,7 @@ class TestBatchedLipschitz:
         assert got == pytest.approx(want, rel=1e-9, abs=0.0)
 
     def test_samples_go_through_bounded_batches(self, example_field, monkeypatch):
+        # the three-axis grid of the chain field: grid_per_axis^3 points
         calls = {"G": 0, "widths": [], "points": []}
 
         def scalar_G(xi):
@@ -120,10 +134,50 @@ class TestBatchedLipschitz:
         field = dataclasses.replace(example_field, G=scalar_G, G_batch=batch_G)
         lipschitz_estimate(field, np.zeros(4), 0.1)
         assert calls["G"] == 0
-        assert sum(calls["points"]) == certify.DEFAULT_GRID ** 4
+        assert sum(calls["points"]) == certify.DEFAULT_GRID ** 3
         assert max(calls["points"]) <= certify.SAMPLE_CHUNK
         assert max(calls["widths"]) <= 2 * 4 * certify.SAMPLE_CHUNK
         assert len(calls["widths"]) == len(calls["points"])
+
+    def test_callables_field_samples_the_full_box(self, example_problem,
+                                                  example_field, monkeypatch):
+        # a problem does not mark a field from callables: its Jacobian may
+        # read every coordinate
+        points = []
+        jacobian_fd = analysis.jacobian_fd
+
+        def recorded_jacobian(fun, X):
+            points.append(X.shape[1])
+            return jacobian_fd(fun, X)
+
+        monkeypatch.setattr(analysis, "jacobian_fd", recorded_jacobian)
+        field = ExpandedField.from_callables(4, example_field.G_batch, example_problem)
+        assert field.jacobian_axes is None
+        assert example_field.jacobian_axes == (0, 1, 3)
+        lipschitz_estimate(field, np.zeros(4), 0.1)
+        assert sum(points) == certify.DEFAULT_GRID ** 4
+
+    def test_example_grid_holds_the_full_box_grid_points(self, example_problem,
+                                                         example_field, monkeypatch):
+        # the distinct (u, v0, vb) of the 7^4 full-box grid, each once,
+        # with v1 at the center
+        seen = []
+        jacobian_fd = analysis.jacobian_fd
+
+        def recorded_jacobian(fun, X):
+            seen.append(X.copy())
+            return jacobian_fd(fun, X)
+
+        monkeypatch.setattr(analysis, "jacobian_fd", recorded_jacobian)
+        center = chain.lifted_zero(example_problem, 1.0)
+        lipschitz_estimate(example_field, center, 0.1)
+        X = np.hstack(seen)
+        assert np.all(X[2] == center[2])
+        grid = {(u, v0, vb) for u, v0, _, vb in itertools.product(
+            *(np.linspace(c - 0.1, c + 0.1, certify.DEFAULT_GRID) for c in center))}
+        points = [tuple(col) for col in X[[0, 1, 3]].T]
+        assert len(points) == len(set(points)) == certify.DEFAULT_GRID ** 3
+        assert set(points) == grid
 
     def test_pole_on_grid_point_raises(self):
         # g has a pole at x2 = 0.1, the top grid value of the x2 axis of
@@ -137,7 +191,7 @@ class TestBatchedLipschitz:
 
 
 @st.composite
-def cubic_problems(draw):
+def cubic_problems(draw, max_b=8):
     c = [draw(st.floats(-2.0, 2.0)) for _ in range(6)]
     d = [draw(st.floats(-2.0, 2.0)) for _ in range(3)]
     g = (f"({c[0]!r})*x0 + ({c[1]!r})*x0^3 + ({c[2]!r})*x1"
@@ -145,7 +199,7 @@ def cubic_problems(draw):
     phi = f"({d[0]!r}) + ({d[1]!r})*p + ({d[2]!r})*q"
     return ProblemSpec.from_strings(g, phi, "sin(2*pi*t)",
                                     draw(st.floats(0.5, 8.0)),
-                                    draw(st.integers(1, 8)), 1.0)
+                                    draw(st.integers(1, max_b)), 1.0)
 
 
 @settings(derandomize=True, deadline=None, max_examples=40)
@@ -167,6 +221,42 @@ def test_batched_jacobian_matches_per_point(p, seed):
         # 1.8e-9, and g has three power terms
         want = helpers.reference_jacobian(field.G, X[:, k])
         assert np.max(np.abs(J[k] - want)) <= 1e-8
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(p=cubic_problems(max_b=6), seed=st.integers(0, 2**32 - 1))
+def test_jacobian_ignores_the_inner_chain_stages(p, seed):
+    # DG varies with (u, v0, vb) only: moving v1 ... v_{b-1} changes the
+    # batched Jacobian by finite-difference rounding alone
+    field = chain.expand(p)
+    rng = np.random.default_rng(seed)
+    X = rng.uniform(-2.0, 2.0, (field.dim, 32))
+    moved = X.copy()
+    moved[2:field.dim - 1] = rng.uniform(-2.0, 2.0, (field.dim - 3, 32))
+    J, J_moved = (analysis.jacobian_fd(field.G_batch, Y) for Y in (X, moved))
+    # a cascade row is a * (x - y) with |x|, |y| <= m; rounding the step,
+    # the difference and the product moves its quotients by a few
+    # eps * a * m / FD_STEP
+    a = p.kernel.a
+    m = 2.0 + max(np.max(np.abs(field.G_batch(Y)[2])) for Y in (X, moved)) / a
+    tol = 8.0 * a * np.finfo(float).eps * m / analysis.FD_STEP
+    assert np.max(np.abs(J - J_moved)) <= tol
+    # the rows of v0 and g read none of the moved coordinates
+    assert np.array_equal(J[:, :2], J_moved[:, :2])
+
+
+@settings(derandomize=True, deadline=None, max_examples=15)
+@given(p=cubic_problems(max_b=3), seed=st.integers(0, 2**32 - 1),
+       radius=st.floats(0.05, 0.5))
+def test_three_axis_estimate_is_the_full_box_estimate(p, seed, radius):
+    # up to five axes the full-box tensor grid is affordable: the chain
+    # field's three-axis estimate is the estimate over the whole box
+    field = chain.expand(p)
+    center = np.random.default_rng(seed).uniform(-1.0, 1.0, field.dim)
+    full_box = ExpandedField.from_callables(field.dim, field.G_batch, p)
+    got = lipschitz_estimate(field, center, radius)
+    assert got == pytest.approx(lipschitz_estimate(full_box, center, radius),
+                                rel=1e-8, abs=0.0)
 
 
 class TestYorkeCheck:
