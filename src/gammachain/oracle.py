@@ -8,6 +8,10 @@ convolution of phi(x, xdot) with the kernel folded modulo T, integrated by
 composite Simpson on 4096 cells per period and evaluated by FFT.  This
 path never reuses the cascade ODEs, so agreement with the integrated
 chain coordinates is a genuine cross-check of the reduction.
+
+Tracks may hold several rows (solutions) on their leading axes; every
+function here then works on all rows in one pass of array calls, and each
+row's result is the value a one-row call gives.
 """
 from __future__ import annotations
 
@@ -30,10 +34,12 @@ TEST_TIMES = 64
 
 @dataclass(eq=False)
 class PeriodicTrack:
-    """A T-periodic scalar signal sampled on uniform points of [0, T).
+    """T-periodic scalar signals sampled on uniform points of [0, T).
 
-    Evaluation uses the periodic cubic spline through the samples;
-    differentiation uses 4th-order central differences on the sample grid.
+    ``samples`` has shape (..., n): one track per index of the leading
+    axes, sampled along the last.  Evaluation uses the periodic cubic
+    spline through the samples; differentiation uses 4th-order central
+    differences on the sample grid.
     """
 
     samples: np.ndarray
@@ -42,49 +48,67 @@ class PeriodicTrack:
 
     def __post_init__(self):
         self.samples = np.asarray(self.samples, dtype=float)
-        if self.samples.ndim != 1 or self.samples.size < 16:
-            raise ValueError("need a 1-d track with at least 16 samples")
+        if self.samples.ndim == 0 or self.samples.shape[-1] < 16:
+            raise ValueError("need tracks with at least 16 samples")
         if not self.period > 0:
             raise ValueError("period must be positive")
         # the second derivatives M solve the circulant system
         # M[i-1] + 4 M[i] + M[i+1] = 6/h^2 (y[i-1] - 2 y[i] + y[i+1]),
         # diagonal in Fourier space with eigenvalues 4 + 2 cos(2 pi k / n)
         y = self.samples
-        n = y.size
+        n = y.shape[-1]
         h = self.period / n
-        y_next = np.roll(y, -1)
-        curvature = 6.0 / h**2 * (np.roll(y, 1) - 2.0 * y + y_next)
+        y_next = np.roll(y, -1, axis=-1)
+        curvature = 6.0 / h**2 * (np.roll(y, 1, axis=-1) - 2.0 * y + y_next)
         eig = 4.0 + 2.0 * np.cos(2.0 * np.pi * np.arange(n // 2 + 1) / n)
         M = np.fft.irfft(np.fft.rfft(curvature) / eig, n)
-        M_next = np.roll(M, -1)
+        M_next = np.roll(M, -1, axis=-1)
         # on cell i, y[i] + c1 dx + c2 dx^2 + c3 dx^3 with dx = t - i h
         self._coefs = np.array([(M_next - M) / (6.0 * h), 0.5 * M,
                                 (y_next - y) / h - h * (2.0 * M + M_next) / 6.0, y])
 
     def value(self, t):
-        """Periodic evaluation at scalar or array times."""
-        n = self.samples.size
+        """Periodic evaluation at scalar or array times, shape
+        (..., *t.shape) for samples of shape (..., n)."""
+        n = self.samples.shape[-1]
         h = self.period / n
         tm = np.mod(t, self.period)
         i = np.minimum((tm / h).astype(int), n - 1)
         dx = tm - i * h
-        c3, c2, c1, c0 = self._coefs[:, i]
-        return c0 + dx * (c1 + dx * (c2 + dx * c3))
+        # c0 + dx * (c1 + dx * (c2 + dx * c3)), one gathered coefficient at a time
+        c3, c2, c1, c0 = self._coefs
+        y = np.multiply(dx, np.take(c3, i, axis=-1))
+        for c in (c2, c1):
+            y += np.take(c, i, axis=-1)
+            y *= dx
+        y += np.take(c0, i, axis=-1)
+        return y
 
     def derivative(self) -> "PeriodicTrack":
         """Track of the time derivative (4th-order central differences)."""
         x = self.samples
-        h = self.period / x.size
-        d = (-np.roll(x, -2) + 8.0 * np.roll(x, -1)
-             - 8.0 * np.roll(x, 1) + np.roll(x, 2)) / (12.0 * h)
+        h = self.period / x.shape[-1]
+        d = (-np.roll(x, -2, axis=-1) + 8.0 * np.roll(x, -1, axis=-1)
+             - 8.0 * np.roll(x, 1, axis=-1) + np.roll(x, 2, axis=-1)) / (12.0 * h)
         return PeriodicTrack(d, self.period)
 
 
-def tracks_from_trajectory(traj: orbit.Trajectory) -> tuple[PeriodicTrack, PeriodicTrack]:
-    """(x, xdot) tracks from a one-period dense trajectory."""
-    period = traj.t1 - traj.t0
-    return (PeriodicTrack(traj.ys[:, 0], period),
-            PeriodicTrack(traj.ys[:, 1], period))
+def _trajectories(traj) -> list[orbit.Trajectory]:
+    return [traj] if isinstance(traj, orbit.Trajectory) else list(traj)
+
+
+def tracks_from_trajectory(traj) -> tuple[PeriodicTrack, PeriodicTrack]:
+    """(x, xdot) tracks from a one-period dense trajectory, or from a
+    sequence of them over the same period, one row each."""
+    trajs = _trajectories(traj)
+    periods = {tr.t1 - tr.t0 for tr in trajs}
+    if len(periods) != 1:
+        raise ValueError(f"need trajectories over one period, got {sorted(periods)}")
+    (period,) = periods
+    x, xdot = (np.array([tr.ys[:, k] for tr in trajs]) for k in (0, 1))
+    if isinstance(traj, orbit.Trajectory):
+        x, xdot = x[0], xdot[0]
+    return PeriodicTrack(x, period), PeriodicTrack(xdot, period)
 
 
 def _simpson_weights(n: int) -> np.ndarray:
@@ -118,59 +142,108 @@ def _kernel_spectrum(a: float, i: int, period: float,
     return spectrum
 
 
-def history_convolution(p: chain.ProblemSpec, x: PeriodicTrack,
-                        xdot: PeriodicTrack, t: float = 0.0,
-                        horizon: float | None = None) -> np.ndarray:
-    """Every chain coordinate as an explicit history integral, at the
-    4096 times t + jT/4096 (row i - 1 holds stage i, shape (b, 4096)):
+def _phi_spectrum(p: chain.ProblemSpec, x: PeriodicTrack, xdot: PeriodicTrack,
+                  ts: np.ndarray) -> np.ndarray:
+    """rFFT of phi(x, xdot) at the times ts, along the last axis;
+    ArithmeticError where it is not finite, as it is wherever a phi sample
+    is (bin 0 sums them)."""
+    _, phi, _ = chain._compiled(p, vectorized=True)
+    xv = x.value(ts)
+    z = np.zeros(xv.shape)  # broadcasts a phi without variables, a scalar
+    z += phi(xv, xdot.value(ts))
+    spectrum = np.fft.rfft(z)
+    if not np.all(np.isfinite(spectrum)):
+        raise ArithmeticError("non-finite history convolution")
+    return spectrum
 
-        y_i(t) = integral_0^T  K_i(tau) * phi(x(t - tau), xdot(t - tau)) dtau
 
-    with the kernel folded modulo T, K_i(tau) = sum_m gamma_a^i(tau + mT),
-    over the whole periods covering the tail horizon of mass 1e-12 (or
-    ``horizon``), and composite Simpson on 4096 cells per period.  phi is
-    evaluated once on that grid; each stage is a product with its cached
-    kernel spectrum, and one inverse FFT gives all stages at all times.
+def _convolutions(p: chain.ProblemSpec, x: PeriodicTrack, xdot: PeriodicTrack,
+                  stages, m: int, t: float = 0.0,
+                  horizon: float | None = None) -> np.ndarray:
+    """The history convolutions of ``stages`` at the m times t + jT/m (m
+    divides 4096), shape (..., len(stages), m) for tracks of shape (..., n).
+
+    phi is evaluated once on the 4096-point grid t + jT/4096 and
+    transformed once.  One stage at a time, its product with the cached
+    kernel spectrum is extended to the full spectrum by symmetry and summed
+    over the frequencies congruent modulo m: sampling every (4096/m)-th
+    time aliases them, and at m = 4096 the sum is the identity.  One
+    inverse FFT of size m then gives every stage at the m times.
+    ArithmeticError if phi's spectrum or a result is not finite.
     """
     T = x.period
     n = QUAD_SUBINTERVALS
-    ts = t + T * np.arange(n) / n
-    _, phi, _ = chain._compiled(p, vectorized=True)
-    z = phi(x.value(ts), xdot.value(ts)) + np.zeros(n)
-    a = p.kernel.a
-    spectra = np.array([_kernel_spectrum(a, i, T, horizon)
-                        for i in range(1, p.kernel.b + 1)])
-    y = np.fft.irfft(spectra * np.fft.rfft(z), n, axis=-1)
+    spectrum = _phi_spectrum(p, x, xdot, t + T * np.arange(n) / n)
+    rows = spectrum.shape[:-1]
+    full = np.empty(rows + (n,), complex)
+    half, mirror = full[..., :n // 2 + 1], full[..., n // 2 + 1:]
+    aliases = full.reshape(rows + (n // m, m))
+    folded = np.empty(rows + (len(stages), m // 2 + 1), complex)
+    for s, i in enumerate(stages):
+        np.multiply(_kernel_spectrum(p.kernel.a, i, T, horizon), spectrum, out=half)
+        np.conj(half[..., -2:0:-1], out=mirror)
+        folded[..., s, :] = aliases.sum(axis=-2)[..., :m // 2 + 1]
+    y = np.fft.irfft(folded, m) / (n // m)
     if not np.all(np.isfinite(y)):
         raise ArithmeticError("non-finite history convolution")
     return y
 
 
-def verify_lift(p: chain.ProblemSpec, traj: orbit.Trajectory,
-                x: PeriodicTrack, xdot: PeriodicTrack) -> float:
+def history_convolution(p: chain.ProblemSpec, x: PeriodicTrack,
+                        xdot: PeriodicTrack, t: float = 0.0,
+                        horizon: float | None = None) -> np.ndarray:
+    """Every chain coordinate as an explicit history integral, at the
+    4096 times t + jT/4096 (row i - 1 holds stage i, shape (b, 4096) for
+    one-row tracks):
+
+        y_i(t) = integral_0^T  K_i(tau) * phi(x(t - tau), xdot(t - tau)) dtau
+
+    with the kernel folded modulo T, K_i(tau) = sum_m gamma_a^i(tau + mT),
+    over the whole periods covering the tail horizon of mass 1e-12 (or
+    ``horizon``), and composite Simpson on 4096 cells per period.
+    """
+    return _convolutions(p, x, xdot, range(1, p.kernel.b + 1),
+                         QUAD_SUBINTERVALS, t, horizon)
+
+
+def _max_per_row(d: np.ndarray, axes):
+    worst = np.max(np.abs(d), axis=axes)
+    return float(worst) if worst.ndim == 0 else worst
+
+
+def verify_lift(p: chain.ProblemSpec, traj, x: PeriodicTrack,
+                xdot: PeriodicTrack):
     """Max discrepancy between the chain coordinates of a one-period
     trajectory and the history convolutions of its (x, xdot) tracks, over
-    all stages and 64 test times."""
+    all stages and 64 test times.
+
+    Given a sequence of trajectories with their tracks stacked one row
+    each (``tracks_from_trajectory`` of the sequence), an array with the
+    max of each row.
+    """
+    b = p.kernel.b
+    conv = _convolutions(p, x, xdot, range(1, b + 1), TEST_TIMES)
     times = np.linspace(0.0, p.T, TEST_TIMES, endpoint=False)
-    conv = history_convolution(p, x, xdot)[:, ::QUAD_SUBINTERVALS // TEST_TIMES]
-    Y = traj.at(times)
-    return float(np.max(np.abs(Y[2:p.kernel.b + 2, :] - conv)))
+    Y = np.array([tr.at(times)[2:b + 2] for tr in _trajectories(traj)])
+    return _max_per_row(Y.reshape(conv.shape) - conv, (-2, -1))
 
 
-def direct_residual(p: chain.ProblemSpec, lam: float, x: PeriodicTrack) -> float:
+def direct_residual(p: chain.ProblemSpec, lam, x: PeriodicTrack):
     """Max residual of the original second-order equation over 64 times:
 
         | xddot - g(x, xdot, conv_b) - lam * f(t, x, xdot) |
 
     with xdot, xddot from finite differences of the track and conv_b the
-    b-th history convolution.
+    b-th history convolution.  For tracks of several rows, ``lam`` holds
+    one value per row, and the result is an array with the max of each.
     """
     g, _, f = chain._compiled(p, vectorized=True)
     xdot = x.derivative()
     xddot = xdot.derivative()
+    conv = _convolutions(p, x, xdot, (p.kernel.b,), TEST_TIMES)[..., 0, :]
     times = np.linspace(0.0, p.T, TEST_TIMES, endpoint=False)
-    conv = history_convolution(p, x, xdot)[-1, ::QUAD_SUBINTERVALS // TEST_TIMES]
     xv = x.value(times)
     vv = xdot.value(times)
+    lam = np.asarray(lam, dtype=float)[..., None]
     res = xddot.value(times) - g(xv, vv, conv) - lam * f(times, xv, vv)
-    return float(np.max(np.abs(res)))
+    return _max_per_row(res, -1)

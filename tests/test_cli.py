@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -517,7 +518,8 @@ class TestVerify:
         capsys.readouterr()
 
     def test_row_builds_four_tracks(self, branch_csv, tmp_path, monkeypatch):
-        # x and xdot from the trajectory, then xdot and xddot of the residual
+        # x and xdot from the trajectories, then xdot and xddot of the
+        # residual: four tracks per chunk of rows, whatever its size
         cfg, csv = branch_csv
         lines = csv.read_text().splitlines()
         one_row = tmp_path / "one_row.csv"
@@ -533,6 +535,57 @@ class TestVerify:
         doc = cmd_verify(cfg, one_row)
         assert doc["all_pass"] and len(doc["rows"]) == 1
         assert len(built) == 4
+        built.clear()
+        doc = cmd_verify(cfg, csv)
+        rows = len(lines) - 1
+        assert rows > cli.VERIFY_CHUNK and len(doc["rows"]) == rows
+        assert len(built) == 4 * math.ceil(rows / cli.VERIFY_CHUNK)
+
+    @staticmethod
+    def assert_rows_are_one_row_calls(cfg, csv):
+        """cmd_verify's values are, bit for bit, those of one-row oracle
+        calls on each row's own tracks."""
+        p = cfg.problem
+        points = read_branch_csv(csv, p.kernel.b)
+        assert len(points) > cli.VERIFY_CHUNK and len(points) % cli.VERIFY_CHUNK
+        doc = cmd_verify(cfg, csv)
+        field = chain.expand(p)
+        for bp, row in zip(points, doc["rows"], strict=True):
+            traj = orbit.integrate(field, bp.sp.lam, bp.sp.xi0, 0.0, p.T)
+            x, xd = oracle.tracks_from_trajectory(traj)
+            assert row["verify_lift"] == oracle.verify_lift(p, traj, x, xd)
+            assert row["direct_residual"] == oracle.direct_residual(p, bp.sp.lam, x)
+
+    def test_chunks_do_not_change_a_value(self, branch_csv):
+        self.assert_rows_are_one_row_calls(*branch_csv)
+
+    def test_chunks_do_not_change_a_value_for_a_constant_phi(self, tmp_path):
+        # phi is a scalar, broadcast over the rows of the chunk and the grid
+        doc = {"problem": {"g": "-x0 - x1 + x2", "phi": "0.5", "f": "sin(2*pi*t)",
+                           "a": 2.0, "b": 2, "T": 1.0},
+               "interval": {"alpha": -1.0, "beta": 1.0, "grid_n": 10}}
+        cfg = load_config(write_config(tmp_path, doc))
+        rows = [f"{lam},{q},0.1,0.5,0.5,0,0,0,0"
+                for lam, q in zip(np.linspace(0.0, 0.2, 7), np.linspace(-0.3, 0.3, 7))]
+        csv = tmp_path / "constant_phi.csv"
+        csv.write_text("\n".join([cli._csv_header(2)] + rows) + "\n")
+        self.assert_rows_are_one_row_calls(cfg, csv)
+
+    def test_memory_flat_in_the_rows(self, branch_csv, tmp_path):
+        cfg, csv = branch_csv
+        header, *rows = csv.read_text().splitlines()
+        peaks = []
+        for count in (4, 40):
+            path = tmp_path / f"rows_{count}.csv"
+            path.write_text("\n".join([header] + (rows * count)[:count]) + "\n")
+            cmd_verify(cfg, path)  # caches filled before the measurement
+            tracemalloc.start()
+            try:
+                cmd_verify(cfg, path)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.5 * peaks[0]
 
     def test_empty_csv(self, branch_csv, tmp_path):
         cfg, _ = branch_csv
@@ -563,6 +616,25 @@ class TestVerify:
         with helpers.deadline(5):
             assert main(["verify", str(row), "--config", str(path)]) == 3
         assert "non-finite field at the start" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("position", [2, 5])
+    def test_nan_row_among_several_exits_numerical(self, tmp_path, capsys, position):
+        # the field is NaN beyond |x| = 1; the other rows stay inside
+        doc = {"problem": {"g": "0*(1 - x0^2)^0.5 - x0", "phi": "q-p", "f": "1",
+                           "a": 1.0, "b": 1, "T": 1.0},
+               "interval": {"alpha": -0.5, "beta": 0.5, "grid_n": 10}}
+        path = write_config(tmp_path, doc)
+        header = "lambda,q,p0,p1,sup_norm,diameter,arclength,residual"
+        rows = [f"0,{q},0,0,0.5,0,0,0" for q in (0.1, -0.2, 0.3, 0.15, -0.1, 0.25, 0.05)]
+        good = tmp_path / "good.csv"
+        good.write_text("\n".join([header] + rows) + "\n")
+        assert main(["verify", str(good), "--config", str(path)]) == 0
+        rows[position] = "0,2.0,0,0,2.0,0,0,0"
+        bad = tmp_path / "nan_row.csv"
+        bad.write_text("\n".join([header] + rows) + "\n")
+        capsys.readouterr()
+        assert main(["verify", str(bad), "--config", str(path)]) == 3
+        assert "integration failed at t=0" in capsys.readouterr().err
 
     def test_schema_exit_code(self, tmp_path, capsys):
         path = write_config(tmp_path, EXAMPLE_CONFIG)

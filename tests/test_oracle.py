@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import collections
 import math
 
 import numpy as np
@@ -190,23 +191,30 @@ class TestHistoryConvolution:
                 assert np.max(np.abs(got - want)) <= 1e-9
 
 
-class TestOracleWork:
-    """One verify_lift evaluates each track once on the quadrature grid and
-    reuses the cached kernel spectra on the next call."""
+def chunk_of_trajectories(p, rows=3):
+    """One-period trajectories from the forced point at lambda = 0.05 and
+    from rows - 1 perturbations of it."""
+    fld = chain.expand(p)
+    sp = orbit.newton_periodic(fld, 0.05, np.zeros(p.kernel.b + 2))
+    return [orbit.integrate(fld, sp.lam, sp.xi0 + 0.01 * r, 0.0, p.T)
+            for r in range(rows)], [sp.lam] * rows
 
-    @pytest.mark.parametrize("b", [2, 8])
-    def test_verify_lift_work(self, monkeypatch, b):
-        p = ProblemSpec.from_strings(**dict(helpers.EXAMPLE, b=b))
-        fld = chain.expand(p)
-        sp = orbit.newton_periodic(fld, 0.05, np.zeros(b + 2))
-        traj = orbit.integrate(fld, sp.lam, sp.xi0, 0.0, p.T)
-        x, xd = tracks_from_trajectory(traj)
-        work = {"track_calls": 0, "track_points": 0, "gamma_calls": 0}
+
+class TestOracleWork:
+    """One verify_lift or direct_residual on a chunk of rows evaluates each
+    track at most once on the quadrature grid, and reuses the cached
+    kernel spectra on the next call."""
+
+    @pytest.fixture()
+    def counted(self, monkeypatch):
+        work = {"grid_evals": collections.Counter(), "track_calls": 0,
+                "gamma_calls": 0}
         value, gamma_eval = PeriodicTrack.value, oracle.gamma_eval
 
         def counted_value(track, t):
             work["track_calls"] += 1
-            work["track_points"] += np.size(t)
+            if np.size(t) == oracle.QUAD_SUBINTERVALS:
+                work["grid_evals"][id(track)] += 1
             return value(track, t)
 
         def counted_gamma_eval(k, s):
@@ -215,12 +223,100 @@ class TestOracleWork:
 
         monkeypatch.setattr(PeriodicTrack, "value", counted_value)
         monkeypatch.setattr(oracle, "gamma_eval", counted_gamma_eval)
-        verify_lift(p, traj, x, xd)
-        assert work["track_calls"] <= 2
-        assert work["track_points"] <= 2 * 4096
-        work["gamma_calls"] = 0
-        verify_lift(p, traj, x, xd)
-        assert work["gamma_calls"] == 0
+        return work
+
+    @pytest.mark.parametrize("b", [2, 8])
+    def test_verify_lift_work(self, counted, b):
+        p = ProblemSpec.from_strings(**dict(helpers.EXAMPLE, b=b))
+        for rows in (1, 4):
+            trajs, _ = chunk_of_trajectories(p, rows)
+            x, xd = tracks_from_trajectory(trajs)
+            counted["track_calls"] = 0
+            counted["grid_evals"].clear()
+            verify_lift(p, trajs, x, xd)
+            assert counted["track_calls"] <= 2
+            assert sorted(counted["grid_evals"].values()) == [1, 1]
+            counted["gamma_calls"] = 0
+            verify_lift(p, trajs, x, xd)
+            assert counted["gamma_calls"] == 0
+
+    @pytest.mark.parametrize("rows", [1, 4])
+    def test_direct_residual_work(self, counted, example_problem, rows):
+        trajs, lams = chunk_of_trajectories(example_problem, rows)
+        x, _ = tracks_from_trajectory(trajs)
+        direct_residual(example_problem, lams, x)
+        assert sorted(counted["grid_evals"].values()) == [1, 1]  # x and its xdot
+
+
+class TestChunks:
+    """Tracks of several rows give each row the value of a one-row call,
+    bit for bit."""
+
+    def test_track_rows(self):
+        rng = np.random.default_rng(3)
+        rows = rng.normal(size=(5, 64))
+        batch = PeriodicTrack(rows, 2.5)
+        ts = rng.uniform(-3.0, 6.0, 200)
+        for r, y in enumerate(rows):
+            one = PeriodicTrack(y, 2.5)
+            assert np.array_equal(batch.value(ts)[r], one.value(ts))
+            assert batch.value(0.7)[r] == one.value(0.7)
+            assert np.array_equal(batch.derivative().samples[r], one.derivative().samples)
+
+    def test_oracle_rows(self, long_period_point):
+        p = long_period_point[0]
+        trajs, lams = chunk_of_trajectories(p, 5)
+        lams = np.linspace(0.03, 0.07, 5)
+        x, xd = tracks_from_trajectory(trajs)
+        assert x.samples.shape == (5, orbit.DENSE_SAMPLES)
+        lifts = verify_lift(p, trajs, x, xd)
+        residuals = direct_residual(p, lams, x)
+        conv = history_convolution(p, x, xd, 0.3)
+        assert lifts.shape == residuals.shape == (5,) and conv.shape == (5, 4, 4096)
+        for r, traj in enumerate(trajs):
+            x1, xd1 = tracks_from_trajectory(traj)
+            assert lifts[r] == verify_lift(p, traj, x1, xd1)
+            assert residuals[r] == direct_residual(p, lams[r], x1)
+            assert np.array_equal(conv[r], history_convolution(p, x1, xd1, 0.3))
+
+    def test_test_times_are_the_full_grid_decimated(self, example_problem,
+                                                    long_period_point):
+        # folding the spectrum modulo 64 samples the 4096-time result
+        for p, traj in ((example_problem, chunk_of_trajectories(example_problem, 1)[0][0]),
+                        long_period_point):
+            x, xd = tracks_from_trajectory(traj)
+            step = oracle.QUAD_SUBINTERVALS // oracle.TEST_TIMES
+            full = history_convolution(p, x, xd)
+            folded = oracle._convolutions(p, x, xd, range(1, p.kernel.b + 1),
+                                          oracle.TEST_TIMES)
+            assert np.max(np.abs(folded - full[:, ::step])) <= 1e-15
+
+    def test_trajectories_over_different_periods(self, example_problem):
+        trajs, _ = chunk_of_trajectories(example_problem, 2)
+        fld = chain.expand(example_problem)
+        other = orbit.integrate(fld, 0.0, np.zeros(4), 0.0, 2.0)
+        with pytest.raises(ValueError, match="one period"):
+            tracks_from_trajectory(trajs + [other])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_nonfinite_row_raises(self, example_problem, bad):
+        trajs, lams = chunk_of_trajectories(example_problem, 4)
+        x, xd = tracks_from_trajectory(trajs)
+        x.samples[2, 100] = bad  # the third row of four
+        with np.errstate(invalid="ignore"):
+            x = PeriodicTrack(x.samples, x.period)
+            with pytest.raises(ArithmeticError, match="non-finite"):
+                verify_lift(example_problem, trajs, x, xd)
+            with pytest.raises(ArithmeticError, match="non-finite"):
+                direct_residual(example_problem, lams, x)
+
+    def test_overflowing_phi_raises(self, example_problem):
+        # finite samples whose spectrum overflows
+        x = PeriodicTrack(np.full((2, 512), 1e306), 1.0)
+        xd = PeriodicTrack(np.zeros((2, 512)), 1.0)
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(ArithmeticError, match="non-finite"):
+            history_convolution(example_problem, x, xd)
 
 
 class TestVerifyLift:
