@@ -13,15 +13,18 @@ lambda F as straight-line float code, which ``rk45.float_stages`` generates
 from the same expression code as the compiled g, phi and f, and which a
 stacked run makes once per column, column after column, at the column's
 lambda (``rk45.stacked_stages``); where a C compiler is on PATH,
-``rk45.CompiledStages`` compiles that code to one C step loop for both
-(the same results, bit for bit), in the background, so that the solves
-before the compile is done run on the float stages.
+``rk45.CompiledStages`` compiles that code to one C solve for both,
+initial step and step loop (the same results, bit for bit), in the
+background, so that the solves before the compile is done run on the
+float stages.  Once it is loaded, the Python float stages are generated
+only for a solve that C replays on them.
 Above that limit, and for fields built from callables, NumPy stages: of G
 + lambda F for single solves, and of the fused field ``GF_batch``, G +
 lambda F with one lambda per column, for stacked runs.
 """
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Optional
@@ -90,7 +93,9 @@ class ProblemSpec:
         self._check_periodicity()
 
     def _check_periodicity(self):
-        rng = np.random.default_rng(_PERIODICITY_SEED)
+        # the standard library's generator: numpy.random alone would cost
+        # every command its import
+        rng = random.Random(_PERIODICITY_SEED)
         for _ in range(_PERIODICITY_SAMPLES):
             t = rng.uniform(0.0, self.T)
             x = rng.uniform(-5.0, 5.0)
@@ -124,8 +129,9 @@ class ExpandedField:
     the field of a stacked run, written into one F-ordered (dim, N) array
     for a field from ``expand``.  ``stages(lam)`` is the (rhs, attempt)
     of ``rk45.solve_ivp`` for a single solve of G + lam F, at lam = 0 too:
-    float stages (an ``rk45.CompiledAttempt`` where their C kernel could
-    be built), or NumPy stages of rhs with attempt None.  ``stacked(lams)``
+    float stages (an ``rk45.CompiledAttempt`` where their C kernel is
+    loaded, whose rhs and replay build the Python float stages when first
+    called), or NumPy stages of rhs with attempt None.  ``stacked(lams)``
     is the same for a stacked run of the columns of a (dim, N) array,
     column after column, of G + lams[j] F in column j: float stages
     (``rk45.stacked_stages`` of the float stages of each column, or their
@@ -201,11 +207,13 @@ def expand(p: ProblemSpec) -> ExpandedField:
     with forcing (0, f(t, u, v0), 0, ..., 0).  ``G_batch`` and ``GF_batch``
     evaluate G and G + lam F on the columns of a (dim, N) array with the
     vectorized g, phi and f.  ``stages`` and ``stacked`` give the float
-    stages of G + lam F up to ``FLOAT_STAGES_MAX_DIM``, compiled from the
-    scalar code of g, phi and f on first use, once for every lam, with
-    their C kernel where ``rk45.CompiledStages`` has it loaded (never
-    built in ``expand`` itself; compiled in the background on first use),
-    and NumPy stages above it.
+    stages of G + lam F up to ``FLOAT_STAGES_MAX_DIM``, from the scalar
+    code of g, phi and f, and NumPy stages above it.  Their C kernel is
+    built on the first call (``rk45.CompiledStages``: loaded from the
+    cache, or compiled in the background), never in ``expand`` itself.
+    While it is not loaded, the solves run on the Python float stages,
+    which ``rk45.float_stages`` generates once for every lam; once it is,
+    they are generated only on the first replay.
     """
     a = p.kernel.a
     b = p.kernel.b
@@ -244,34 +252,45 @@ def expand(p: ProblemSpec) -> ExpandedField:
         return out
 
     @lru_cache(maxsize=None)
-    def compiled_stages():
+    def derivatives():
         g_code = expr._code(p.g, {"x0": "w0", "x1": "w1", "x2": f"w{dim - 1}"})
         f_code = expr._code(p.f, {"t": "s", "x": "w0", "v": "w1"})
         phi_code = expr._code(p.phi, {"p": "w0", "q": "w1"})
         a_code = repr(float(a))
         cascade = ([f"{a_code} * ({phi_code} - w2)"]
                    + [f"{a_code} * (w{i - 1} - w{i})" for i in range(3, dim)])
-        derivatives = ["w1", f"{g_code} + lam * {f_code}"] + cascade
-        return (rk45.float_stages(derivatives, expr._SCALAR_NS),
-                rk45.CompiledStages(derivatives))
+        return ["w1", f"{g_code} + lam * {f_code}"] + cascade
 
-    def on_kernel(lams, rhs, attempt):
-        """(rhs, attempt), the attempt in C once the kernel is loaded."""
-        compiled = compiled_stages()[1]()
-        return rhs, attempt if compiled is None else compiled(lams, attempt)
+    @lru_cache(maxsize=None)
+    def python_stages():
+        return rk45.float_stages(derivatives(), expr._SCALAR_NS)
+
+    @lru_cache(maxsize=None)
+    def kernel():
+        return rk45.CompiledStages(derivatives())
+
+    def on_kernel(lams, build):
+        """(rhs, attempt): in C once the kernel is loaded, with the Python
+        float stages that ``build`` makes left to its first replay, and
+        ``build()`` until then."""
+        compiled = kernel()()
+        if compiled is None:
+            return build()
+        attempt = compiled(lams, build)
+        return attempt.rhs, attempt
 
     def stages(lam):
         if dim > FLOAT_STAGES_MAX_DIM:
             return (lambda t, y: G(y) + lam * F(t, y)), None
         lam = float(lam)
-        return on_kernel((lam,), *compiled_stages()[0](lam))
+        return on_kernel((lam,), lambda: python_stages()(lam))
 
     def stacked(lams):
         if dim > FLOAT_STAGES_MAX_DIM:
             return _batched_rhs(GF_batch, dim, lams), None
         lams = tuple(float(lam) for lam in lams)
-        make = compiled_stages()[0]
-        return on_kernel(lams, *rk45.stacked_stages([make(lam) for lam in lams], dim))
+        return on_kernel(lams, lambda: rk45.stacked_stages(
+            [python_stages()(lam) for lam in lams], dim))
 
     return _ChainField(dim=dim, G=G, F=F, problem=p, G_batch=G_batch,
                        GF_batch=GF_batch, stages=stages, stacked=stacked)

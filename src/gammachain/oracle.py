@@ -215,7 +215,8 @@ def verify_lift(p: chain.ProblemSpec, traj, x: PeriodicTrack,
                 xdot: PeriodicTrack):
     """Max discrepancy between the chain coordinates of a one-period
     trajectory and the history convolutions of its (x, xdot) tracks, over
-    all stages and 64 test times.
+    all stages and 64 test times, whose chain coordinates are every
+    ``DENSE_SAMPLES // TEST_TIMES``-th of the trajectory's samples.
 
     Given a sequence of trajectories with their tracks stacked one row
     each (``tracks_from_trajectory`` of the sequence), an array with the
@@ -223,8 +224,8 @@ def verify_lift(p: chain.ProblemSpec, traj, x: PeriodicTrack,
     """
     b = p.kernel.b
     conv = _convolutions(p, x, xdot, range(1, b + 1), TEST_TIMES)
-    times = np.linspace(0.0, p.T, TEST_TIMES, endpoint=False)
-    Y = np.array([tr.at(times)[2:b + 2] for tr in _trajectories(traj)])
+    Y = np.array([tr.ys[::orbit.DENSE_SAMPLES // TEST_TIMES, 2:b + 2].T
+                  for tr in _trajectories(traj)])
     return _max_per_row(Y.reshape(conv.shape) - conv, (-2, -1))
 
 

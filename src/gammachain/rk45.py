@@ -10,16 +10,16 @@ field given as one Python expression per component (``chain.expand``
 compiles them for each problem's field); ``stacked_stages`` makes that
 attempt for many columns stacked into one state, each at its own lam, by
 calling each column's attempt in turn.  Their C kernel
-(:class:`CompiledStages`, a :class:`CompiledAttempt` per solve) runs the
-whole step loop of a solve of one column or of many, generated from the
-same code with the same IEEE operations in the same order, so its results
-are theirs bit for bit; it is cached per user, compiled with ``cc`` in
-the background on first use while solves run on the float stages, and
-replays a solve on them wherever Python might part from C.  NumPy stages
-(``_numpy_stages``) have SciPy's ``rk_step`` arithmetic.  A solve is one
-:class:`Solution`, whose call is its vectorized quartic interpolant.
-Every failure of a solve is an :class:`IntegrationError` at the time it
-happened.
+(:class:`CompiledStages`, a :class:`CompiledAttempt` per solve) runs a
+whole solve of one column or of many, initial step and step loop, in one
+call, generated from the same code with the same IEEE operations in the
+same order, so its results are theirs bit for bit; it is cached per user,
+compiled with ``cc`` in the background on first use while solves run on
+the float stages, and replays a solve on them wherever Python might part
+from C.  NumPy stages (``_numpy_stages``) have SciPy's ``rk_step``
+arithmetic.  A solve is one :class:`Solution`, whose call is its
+vectorized quartic interpolant.  Every failure of a solve is an
+:class:`IntegrationError` at the time it happened.
 """
 from __future__ import annotations
 
@@ -259,13 +259,15 @@ def _c_field(derivatives: list[str]) -> str:
 
 
 def _c_source(derivatives: list[str]) -> str:
-    """C source of ``gc_solve``: the step loop of ``solve_ivp`` on the float
-    stages of ``derivatives`` for a state of one or more columns, written
-    with the same operations in the same order as the Python float stages,
-    whose attempts :func:`stacked_stages` makes column after column, the
-    error's sum of squares running on from one to the next (``min(a, b)``
-    as ``b < a ? b : a`` and ``max(a, b)`` as ``b > a ? b : a``, which keep
-    Python's choice when one of them is NaN)."""
+    """C source of ``gc_solve``: ``solve_ivp`` on the float stages of
+    ``derivatives`` for a state of one or more columns, its initial step
+    (:func:`_float_initial_step`) and its step loop, written with the same
+    operations in the same order as the Python float stages, whose
+    attempts :func:`stacked_stages` makes column after column, the error's
+    sum of squares running on from one to the next (``min(a, b)`` as ``b <
+    a ? b : a`` and ``max(a, b)`` as ``b > a ? b : a``, which keep Python's
+    choice when one of them is NaN).  A field check that fires, or a
+    non-finite field at the start, returns ``_REPLAY``."""
     stage = "k[{j} * n + i]"
     steps = []
     for st in range(1, 7):
@@ -294,7 +296,10 @@ static int field(double s, const double *w, double lam, double *out)
    lams[c], from ts[m], ys[m] (m = counts[0]) with k[0] the field there,
    until t1 or until the buffers hold cap steps; k holds the 7 stages of
    the state, of which column 0's go to ks.  counts[1] is nfev and h_io[0]
-   the next step size, both carried from call to call. */
+   the next step size, both carried from call to call.  A call with nfev
+   = 0 starts the solve at ts[0], ys[0]: it evaluates k[0] there and takes
+   the initial step, with f(t0 + h0, y0 + h0 k[0]) in stage 1 and y0 + h0
+   k[0] in stage 2 as scratch. */
 int gc_solve(double t1, int64_t cols, const double *lams, double *h_io, int64_t *counts,
              int64_t cap, double *ts, double *ys, double *ks, double *k)
 {{
@@ -303,6 +308,45 @@ int gc_solve(double t1, int64_t cols, const double *lams, double *h_io, int64_t 
     int64_t m = counts[0], nfev = counts[1], i, j, c;
     double h_abs = h_io[0];
     int status = {_DONE};
+    if (nfev == 0) {{
+        const double t0 = ts[0], *y = ys, span = t1 - t0;
+        double *f1 = k + n, *y1 = k + 2 * n;
+        double sq0 = 0.0, sq1 = 0.0, sq2 = 0.0, d0, d1, d2, h0, h1, x;
+        for (c = 0; c < cols; c++) if (field(t0, y + c * N, lams[c], k + c * N)) {{
+            status = {_REPLAY}; goto done;
+        }}
+        for (i = 0; i < n; i++) if (!isfinite(k[i])) {{ status = {_REPLAY}; goto done; }}
+        for (i = 0; i < n; i++) {{
+            const double scale = {TOL!r} + fabs(y[i]) * {TOL!r};
+            x = y[i] / scale;
+            sq0 += x * x;
+            x = k[i] / scale;
+            sq1 += x * x;
+        }}
+        d0 = sqrt(sq0) / root;
+        d1 = sqrt(sq1) / root;
+        h0 = d0 < 1e-05 || d1 < 1e-05 ? 1e-06 : 0.01 * d0 / d1;
+        h0 = span < h0 ? span : h0;
+        for (i = 0; i < n; i++) y1[i] = y[i] + h0 * k[i];
+        for (c = 0; c < cols; c++) if (field(t0 + h0, y1 + c * N, lams[c], f1 + c * N)) {{
+            status = {_REPLAY}; goto done;
+        }}
+        for (i = 0; i < n; i++) {{
+            x = (f1[i] - k[i]) / ({TOL!r} + fabs(y[i]) * {TOL!r});
+            sq2 += x * x;
+        }}
+        d2 = sqrt(sq2) / root / h0;
+        if (d1 <= 1e-15 && d2 <= 1e-15) {{
+            x = h0 * 0.001;
+            h1 = x > 1e-06 ? x : 1e-06;
+        }} else {{
+            h1 = pow(0.01 / (d2 > d1 ? d2 : d1), 0.2);
+        }}
+        h_abs = 100.0 * h0;
+        h_abs = h1 < h_abs ? h1 : h_abs;
+        h_abs = span < h_abs ? span : h_abs;
+        nfev = 2;
+    }}
     while (ts[m] < t1) {{
         const double t = ts[m], *y = ys + m * n;
         double *w = ys + (m + 1) * n;  /* the stage state; y_new at the end */
@@ -435,7 +479,7 @@ _compiling: set[CompiledStages] = set()  # the builds whose compiler may still r
 
 class CompiledStages:
     """The float stages of ``derivatives`` (as :func:`float_stages` takes
-    them) compiled to C.  Called, it is the factory ``(lams, replay) ->``
+    them) compiled to C.  Called, it is the factory ``(lams, build) ->``
     :class:`CompiledAttempt` once the kernel is loaded, and None before and
     wherever none can be had (not POSIX, no ``cc`` on PATH, no usable
     cache, a failed compile or load, a library others may write to).
@@ -550,37 +594,48 @@ def _kill_compiles():
 class CompiledAttempt:
     """The compiled float stages for ``solve_ivp`` of a state of
     ``len(lams)`` columns of dimension ``dim``, column c at ``lams[c]``
-    (one column for a single solve): its C ``solve`` runs the whole step
-    loop, and where it stops at a value for which Python might part from
-    C, the solve replays on ``replay``, the Python attempt of the same
-    columns (the float stages of one column, :func:`stacked_stages` of
-    theirs for more).  Where two columns would fail differently, the
-    replay raises the failure of the lower one."""
+    (one column for a single solve): its C ``solve`` runs the whole solve,
+    initial step and step loop, and where it stops at a value for which
+    Python might part from C, the solve replays on the Python float stages
+    of the same columns, (rhs, attempt) of the float stages of one column
+    or :func:`stacked_stages` of theirs for more, which ``build`` makes on
+    the first replay: ``rhs`` and ``replay``.  Where two columns would fail
+    differently, the replay raises the failure of the lower one."""
 
     solve: Callable
     dim: int
     lams: tuple
-    replay: Callable
+    build: Callable
 
-    def run(self, t0, t1, h_abs, y0, f0):
-        """(t, Y, K, nfev) of the solve from (t0, y0) with f0 = F(t0, y0)
-        and first step ``h_abs``, or None to replay it.  The buffers double
-        whenever the C loop fills them.  Each C call reads the addresses of
-        two float64 blocks: the loop state, which the calls carry on (the
-        counts (m, nfev) as int64, the step size, lams and the 7 stages of
-        a step, k[0] the field, which C advances), and the steps written
-        (ts, ys, ks), which a new block replaces when it grows."""
+    @functools.cached_property
+    def _python(self):
+        return self.build()
+
+    def rhs(self, s, y):
+        """The right-hand side of the Python float stages."""
+        return self._python[0](s, y)
+
+    @property
+    def replay(self):
+        """The attempt of the Python float stages."""
+        return self._python[1]
+
+    def run(self, t0, t1, y0):
+        """(t, Y, K, nfev) of the solve from (t0, y0), or None to replay it.
+        The buffers double whenever the C loop fills them.  Each C call
+        reads the addresses of two float64 blocks: the loop state, which
+        the calls carry on (the counts (m, nfev) as int64, nfev = 0 telling
+        C to start the solve, the step size, lams and the 7 stages of a
+        step, k[0] the field, which C advances), and the steps written (ts,
+        ys, ks), which a new block replaces when it grows."""
         n, cols = self.dim, len(self.lams)
         size = n * cols
-        if y0.shape != (size,) or f0.shape != (size,):
-            raise ValueError(f"state and field must have shape ({size},), "
-                             f"got {y0.shape} and {f0.shape}")
+        if y0.shape != (size,):
+            raise ValueError(f"state must have shape ({size},), got {y0.shape}")
         state = np.empty(3 + cols + 7 * size)
         counts = state[:2].view(np.int64)
-        counts[:] = 0, 2
-        state[2] = h_abs
+        counts[:] = 0, 0
         state[3:3 + cols] = self.lams
-        state[3 + cols:3 + cols + size] = f0
         at = state.ctypes.data  # bytes: counts at 0, h at 16, lams at 24, k after them
         cap = _FIRST_CAPACITY
         block, ts, ys, ks = _steps_block(cap, size, n)
@@ -675,6 +730,79 @@ def _rms(x):
     return np.linalg.norm(x) / x.size ** 0.5
 
 
+def _initial_step(fun, t0, t1, y0):
+    """(h_abs, f0) of SciPy's ``select_initial_step`` for the NumPy stages,
+    its arithmetic and norms bit for bit."""
+    t = t0
+    try:
+        f0 = np.asarray(fun(t0, y0), dtype=float)
+        if not np.isfinite(f0).all():
+            raise IntegrationError(t0, "non-finite field at the start")
+        scale = TOL + np.abs(y0) * TOL
+        d0, d1 = _rms(y0 / scale), _rms(f0 / scale)
+        h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, t1 - t0)
+        t = t0 + h0
+        d2 = _rms((np.asarray(fun(t, y0 + h0 * f0), dtype=float) - f0) / scale) / h0
+    except (ZeroDivisionError, OverflowError, ValueError) as exc:
+        raise IntegrationError(t, f"field evaluation failed: {exc}") from exc
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** 0.2
+    return float(min(100 * h0, h1, t1 - t0)), f0
+
+
+def _quotient(a, b):
+    """a / b for a, b >= 0 as IEEE arithmetic rounds it, as C does: inf or
+    NaN where b is 0, not the ZeroDivisionError of Python floats."""
+    return a / b if b else (math.inf if a > 0 else math.nan)
+
+
+def _float_rms(xs):
+    """The RMS norm of the floats ``xs``, their squares summed in order."""
+    sq = 0.0
+    for x in xs:
+        sq += x * x
+    return math.sqrt(sq) / len(xs) ** 0.5
+
+
+def _float_field(fun, t, y):
+    """fun(t, y) of the float stages, as a list.  Where it divides by 0, it
+    is evaluated again on a state of NumPy scalars, whose inf or NaN the
+    initial step then reads, as it reads the NumPy stages' field; a
+    division by 0 of floats alone, as of the time, still raises."""
+    try:
+        return list(fun(t, y))
+    except ZeroDivisionError:
+        with np.errstate(all="ignore"):
+            return [float(v) for v in fun(t, list(np.array(y)))]
+
+
+def _float_initial_step(fun, t0, t1, y):
+    """(h_abs, f0) of SciPy's initial step for the float stages, on the
+    float list y: its formula, with the norms' squares summed in component
+    order, as ``gc_solve`` does, so that C and Python agree bit for bit."""
+    t = t0
+    try:
+        f = _float_field(fun, t0, y)
+        if not all(map(math.isfinite, f)):
+            raise IntegrationError(t0, "non-finite field at the start")
+        scale = [TOL + abs(v) * TOL for v in y]
+        d0 = _float_rms([v / s for v, s in zip(y, scale)])
+        d1 = _float_rms([v / s for v, s in zip(f, scale)])
+        h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, t1 - t0)
+        t = t0 + h0
+        f1 = _float_field(fun, t, [v + h0 * g for v, g in zip(y, f)])
+    except (ZeroDivisionError, OverflowError, ValueError) as exc:
+        raise IntegrationError(t, f"field evaluation failed: {exc}") from exc
+    d2 = _quotient(_float_rms([(a - b) / s for a, b, s in zip(f1, f, scale)]), h0)
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = _quotient(0.01, max(d1, d2)) ** 0.2
+    return min(100 * h0, h1, t1 - t0), f
+
+
 def solve_ivp(fun, t_span, y0, *, attempt=None, dim=None) -> Solution:
     """SciPy's RK45 for y' = fun(t, y) from y0 over t_span = (t0, t1),
     t0 < t1, at rtol = atol = ``TOL``, with the dense output of the first
@@ -682,18 +810,20 @@ def solve_ivp(fun, t_span, y0, *, attempt=None, dim=None) -> Solution:
 
     ``attempt`` is a float attempt of :func:`float_stages` or
     :func:`stacked_stages` (float stages, with ``fun`` its ``rhs``) or a
-    :class:`CompiledAttempt` of them, which runs the step loop in C and
-    replays the solve on its float stages where it stops; without it the
+    :class:`CompiledAttempt` of them, whose C call runs the whole solve
+    and which replays it on its float stages where C stops; without it the
     stages are NumPy evaluations of ``fun`` (``_numpy_stages``).  Every
     attempt returns the error's sum of squares, and the step loop takes
     the RMS norm, sqrt(sq) / sqrt(n), for every kind of stages.  The step
-    control is SciPy's: its initial step (taken in Python on ``fun`` for
-    every kind of stages), a least step of 10 ulp(t), step factors 0.9
-    err^(-1/5) within [0.2, 10] (at most 1 after a rejection), and the last
-    step clipped to t1.  An error norm that is not below 1 (NaN included)
-    rejects the attempt, as does a ZeroDivisionError in a float stage,
-    which NumPy arithmetic would have made inf or NaN.  ``nfev`` counts as
-    SciPy's: 2 + 6 per attempt.
+    control is SciPy's: its initial step, a least step of 10 ulp(t), step
+    factors 0.9 err^(-1/5) within [0.2, 10] (at most 1 after a rejection),
+    and the last step clipped to t1.  The initial step has one formula per
+    kind of stages: SciPy's own norms on the NumPy stages, and the same
+    formula with the squares summed in component order on the float stages
+    (``_float_initial_step``) and in C.  An error norm that is not below 1
+    (NaN included) rejects the attempt, as does a ZeroDivisionError in a
+    float stage, which NumPy arithmetic would have made inf or NaN.
+    ``nfev`` counts as SciPy's: 2 + 6 per attempt.
 
     Floating-point warnings are off.  Raises :class:`IntegrationError` on
     a non-finite field at the start, a field evaluation that raises (at
@@ -702,34 +832,19 @@ def solve_ivp(fun, t_span, y0, *, attempt=None, dim=None) -> Solution:
     """
     t0, t1 = map(float, t_span)
     y0 = np.asarray(y0, dtype=float)
-    dim = y0.size if dim is None else dim
-    t = t0
-    with np.errstate(all="ignore"):
-        try:  # SciPy's select_initial_step
-            f0 = np.asarray(fun(t0, y0), dtype=float)
-            if not np.isfinite(f0).all():
-                raise IntegrationError(t0, "non-finite field at the start")
-            scale = TOL + np.abs(y0) * TOL
-            d0, d1 = _rms(y0 / scale), _rms(f0 / scale)
-            h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, t1 - t0)
-            t = t0 + h0
-            d2 = _rms((np.asarray(fun(t, y0 + h0 * f0), dtype=float) - f0) / scale) / h0
-        except (ZeroDivisionError, OverflowError, ValueError) as exc:
-            raise IntegrationError(t, f"field evaluation failed: {exc}") from exc
-        if d1 <= 1e-15 and d2 <= 1e-15:
-            h1 = max(1e-6, h0 * 1e-3)
-        else:
-            h1 = (0.01 / max(d1, d2)) ** 0.2
-        h_abs = float(min(100 * h0, h1, t1 - t0))
-
-        run = None
-        if isinstance(attempt, CompiledAttempt):
-            run = attempt.run(t0, t1, h_abs, y0, f0)
-            attempt = attempt.replay
-        if run is None and attempt is None:
-            run = _steps(_numpy_stages(fun, dim), t0, t1, h_abs, y0, f0)
-        elif run is None:
-            run = _steps(attempt, t0, t1, h_abs, y0.tolist(), f0.tolist())
+    run = None
+    if isinstance(attempt, CompiledAttempt):
+        run = attempt.run(t0, t1, y0)
+        attempt = None if run is not None else attempt.replay
+    if attempt is not None:
+        y = y0.tolist()
+        h_abs, f0 = _float_initial_step(fun, t0, t1, y)
+        run = _steps(attempt, t0, t1, h_abs, y, f0)
+    elif run is None:
+        with np.errstate(all="ignore"):
+            h_abs, f0 = _initial_step(fun, t0, t1, y0)
+            run = _steps(_numpy_stages(fun, y0.size if dim is None else dim),
+                         t0, t1, h_abs, y0, f0)
     t, Y, K, nfev = run
     if not np.isfinite(Y[-1]).all():
         raise IntegrationError(float(t[-1]), "non-finite state")

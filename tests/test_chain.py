@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import shutil
+
 import numpy as np
 import pytest
 import scipy.integrate
@@ -79,29 +81,50 @@ class TestExpand:
         assert got[1] == -0.5 * (1.0 + -0.1)
         assert got[2] == 2.0 * ((0.2 - 0.5) - -0.1)
 
-    def test_float_stages_compile_on_first_use(self, monkeypatch):
-        # expand compiles neither the Python float stages nor their C
-        # kernel, nor starts a compiler: setup and analyze solve nothing
+    @staticmethod
+    def first_solves(cached, tmp_path, monkeypatch):
+        """Expand a problem and solve it: with its kernel in a cache of the
+        test's own if ``cached``, an empty one if not.  Expand compiles
+        neither the Python float stages nor their C kernel, nor starts a
+        compiler: setup and analyze solve nothing.  The first solve builds
+        the kernel, which loads at once from a cache that holds it, and
+        the Python float stages only where it runs on them: while no kernel
+        is loaded."""
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+        p = ProblemSpec.from_strings("-x0*(1+x2)", "q-p", "1+x*sin(2*pi*t)", 3.0, 3, 1.0)
+        if cached:
+            helpers.compiled_stages(expand.__wrapped__(p), 0.0)
         made, built, compilers = [], [], []
         float_stages, compiled = chain.rk45.float_stages, chain.rk45.CompiledStages
         compile_c = chain.rk45._compile
         monkeypatch.setattr(chain.rk45, "float_stages",
                             lambda *args: made.append(1) or float_stages(*args))
         monkeypatch.setattr(chain.rk45, "CompiledStages",
-                            lambda *args: built.append(1) or compiled(*args))
+                            lambda *args: built.append(compiled(*args)) or built[-1])
         monkeypatch.setattr(chain.rk45, "_compile",
                             lambda *args: compilers.append(1) or compile_c(*args))
-        p = ProblemSpec.from_strings("-x0*(1+x2)", "q-p", "1+x*sin(2*pi*t)", 3.0, 3, 1.0)
-        field = expand(p)
+        field = expand.__wrapped__(p)
         assert made == built == compilers == []
         orbit.period_map(field, 0.0, np.full(5, 0.1))
-        assert len(made) == len(built) == 1
-        assert len(compilers) <= 1
+        kernel, = built
+        # the solve's one look at the kernel: in C with it loaded, on the
+        # Python float stages, made once, without it
+        on_kernel = kernel.factory is not None
+        started = shutil.which("cc") is not None and not cached
+        assert on_kernel == (cached and shutil.which("cc") is not None)
+        assert len(made) == (not on_kernel)
+        assert len(compilers) == started
         # one variant, G + lam F, serves every lam, 0 included
         orbit.period_map(field, 0.0, np.full(5, 0.2))
         orbit.period_map(field, 0.1, np.full(5, 0.1))
-        assert len(made) == len(built) == 1
-        assert len(compilers) <= 1
+        assert len(made) == (not on_kernel) and len(built) == 1
+        assert len(compilers) == started
+
+    def test_float_stages_compile_on_first_use(self, tmp_path, monkeypatch):
+        self.first_solves(False, tmp_path, monkeypatch)
+
+    def test_float_stages_of_a_cached_kernel(self, tmp_path, monkeypatch):
+        self.first_solves(True, tmp_path, monkeypatch)
 
     def test_float_stages_take_lam_as_a_float(self, example_field):
         # Newton iterates hand stages a NumPy lam; the float stages still

@@ -706,14 +706,44 @@ if loaded:
 """
 
 
+def run_script(script, *args):
+    """Run ``script`` with ``args`` in a fresh interpreter that imports this
+    checkout's gammachain."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    return subprocess.run([sys.executable, "-c", script, *map(str, args)],
+                          capture_output=True, text=True, env=env, timeout=300)
+
+
 def test_commands_run_without_scipy(tmp_path):
     # the runtime needs NumPy alone: analyze, branch and verify run in an
     # interpreter where every scipy import fails
     path = write_config(tmp_path, SHORT_BRANCH_CONFIG)
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, (src, os.environ.get("PYTHONPATH"))))}
-    proc = subprocess.run([sys.executable, "-c", NO_SCIPY_RUN, str(path),
-                           str(tmp_path / "out")],
-                          capture_output=True, text=True, env=env, timeout=300)
+    proc = run_script(NO_SCIPY_RUN, path, tmp_path / "out")
+    assert proc.returncode == 0, proc.stderr
+
+
+NO_NUMPY_RANDOM_RUN = """
+import sys
+from pathlib import Path
+from gammachain import cli
+config, out = sys.argv[1:]
+cli.load_config(Path(config))
+for argv in (["analyze", "--config", config, "--out", out],
+             ["branch", "--config", config, "--out", out],
+             ["verify", out + "/branch_0.csv", "--config", config, "--out", out]):
+    if cli.main(argv) != 0:
+        sys.exit(f"{argv[0]} failed")
+loaded = sorted(m for m in sys.modules if m.split(".")[:2] == ["numpy", "random"])
+if loaded:
+    sys.exit(f"numpy.random modules loaded: {loaded}")
+"""
+
+
+def test_commands_leave_numpy_random_unloaded(tmp_path):
+    # the periodicity check of load_config draws its samples from the
+    # standard library's generator, and no command imports numpy.random
+    proc = run_script(NO_NUMPY_RANDOM_RUN, Path(__file__).parents[1] / "configs" / "example.json",
+                      tmp_path / "out")
     assert proc.returncode == 0, proc.stderr

@@ -332,6 +332,17 @@ class TestVerifyLift:
         _, traj = forced_point
         assert lift_of(example_problem, traj) <= 1e-4
 
+    def test_matches_scalar_reference(self, example_problem, forced_point,
+                                      long_period_point):
+        # the chain coordinates of the dense output against each stage's
+        # quadrature, one of the 64 test times at a time
+        for p, tr in ((example_problem, forced_point[1]), long_period_point):
+            x, xd = tracks_from_trajectory(tr)
+            worst = max(abs(tr.at(t)[1 + i] - helpers.reference_history_convolution(p, x, xd, i, t))
+                        for t in np.linspace(0.0, p.T, 64, endpoint=False)
+                        for i in range(1, p.kernel.b + 1))
+            assert abs(lift_of(p, tr) - worst) <= 1e-9
+
     def test_lift_then_project_consistency(self, example_problem, forced_point):
         sp, traj = forced_point
         x, xd = tracks_from_trajectory(traj)

@@ -644,6 +644,156 @@ class TestCompiledStages:
             assert python.t.size == whole.t.size > 8
             assert np.array_equal(python.y, whole.y)
 
+    @helpers.requires_compiler
+    def test_python_float_stages_only_for_a_replay(self, monkeypatch):
+        # with the kernel loaded, a period map and a shooting Jacobian are
+        # each one C call and build no Python float stages; the first
+        # replay builds them, once for the field
+        args, xi0 = self.REPLAYS["math_domain_error"]
+        p = ProblemSpec.from_strings(*args)
+        helpers.compiled_stages(chain.expand.__wrapped__(p), 0.0)
+        made = []
+        float_stages = rk45.float_stages
+        monkeypatch.setattr(rk45, "float_stages",
+                            lambda *a: made.append(1) or float_stages(*a))
+        field = chain.expand.__wrapped__(p)
+        assert isinstance(field.stages(0.0)[1], rk45.CompiledAttempt)
+        assert isinstance(field.stacked((0.0, 0.0))[1], rk45.CompiledAttempt)
+        safe = np.array(self.SAFE["math_domain_error"])
+        for lam in (0.0, 1.0):
+            orbit.period_map(field, lam, safe)
+            orbit._linearize(field, lam, safe)
+        assert made == []
+        for lam in (0.0, 1.0):
+            with pytest.raises(IntegrationError, match="math domain error"):
+                orbit.period_map(field, lam, np.array(xi0))
+            with pytest.raises(IntegrationError, match="math domain error"):
+                orbit._linearize(field, lam, np.array(xi0))
+        assert made == [1]
+
+
+class TestInitialStep:
+    """SciPy's initial step of a compiled solve is taken in C, and on the
+    Python float stages in Python floats, with the same sums in component
+    order: the two agree bit for bit on each branch of its formula, for a
+    single solve and for a stacked run."""
+
+    FIELD = WORKLOAD_FIELDS["example"]
+    # (lam, start, span, the initial step) on each branch
+    BRANCHES = {
+        # y0 = 0: d0 < 1e-5, so h0 = 1e-6 and the step is 100 h0
+        "small_state": (0.1, np.zeros(4), (0.0, 1.0), 100 * 1e-6),
+        # the zero P1 of G, unforced: f0 = f1 = 0, so d1 and d2 are 0 and
+        # the step is h1 = max(1e-6, h0 / 1000) = 1e-6
+        "equilibrium": (0.0, P1, (0.0, 1.0), 1e-6),
+        # a span of 1e-9, shorter than h0: the step is the span
+        "short_span": (0.1, np.linspace(0.3, -0.2, 4), (0.0, 1e-9), 1e-9),
+    }
+
+    @staticmethod
+    def compiled(derivatives, namespace={}):
+        """The compiled attempts of one and of two columns, each at lam =
+        0, of the field of ``derivatives`` (as ``rk45.float_stages`` takes
+        them), with its Python float stages as the replay."""
+        make = rk45.float_stages(derivatives, namespace)
+        kernel = rk45.CompiledStages(derivatives)
+        rk45.finish_compiles()
+        return [kernel()(lams, lambda lams=lams: rk45.stacked_stages(
+            [make(lam) for lam in lams], len(derivatives))) for lams in ((0.0,), (0.0, 0.0))]
+
+    @pytest.mark.parametrize("case", sorted(BRANCHES))
+    def test_branches(self, case):
+        lam, xi, span, h_abs = self.BRANCHES[case]
+        for columns in (1, 2):
+            rhs, _ = self.FIELD.stacked((lam,) * columns)
+            got, _ = rk45._float_initial_step(rhs, *span, np.tile(xi, columns).tolist())
+            assert got == h_abs
+
+    @helpers.requires_compiler
+    @pytest.mark.parametrize("case", sorted(BRANCHES))
+    def test_branches_match_the_float_stages(self, case):
+        lam, xi, span, _ = self.BRANCHES[case]
+        TestCompiledStages.assert_same(*helpers.compiled_stages(self.FIELD, lam), span, xi)
+        TestCompiledStages.assert_same(*helpers.compiled_stacked(self.FIELD, (lam, lam)),
+                                       span, np.tile(xi, 2), self.FIELD.dim)
+
+    # unforced (lam = 0), f0 is 0 at (0.5, 0.5), and at t0 + h0 its first
+    # component is 0 * inf = NaN: d1 = 0 and d2 is NaN, so 0.01 / max(d1,
+    # d2) divides by 0, which makes h1 = inf
+    ZERO_FIELD = ["lam * (s * 1e300 * 1e300)", "w0 - w1"]
+
+    def test_zero_field_and_a_non_finite_second_evaluation(self):
+        rhs, _ = rk45.float_stages(self.ZERO_FIELD, {})(0.0)
+        h_abs, f0 = rk45._float_initial_step(rhs, 0.0, 1.0, [0.5, 0.5])
+        assert f0 == [0.0, 0.0] and h_abs == 100 * 1e-6
+        with np.errstate(all="ignore"):
+            numpy_step = rk45._initial_step(lambda t, y: np.array(rhs(t, y.tolist())),
+                                            0.0, 1.0, np.array([0.5, 0.5]))
+        assert numpy_step[0] == h_abs
+
+    @helpers.requires_compiler
+    def test_zero_field_matches_the_float_stages(self):
+        for attempt in self.compiled(self.ZERO_FIELD):
+            TestCompiledStages.assert_same(attempt.rhs, attempt, (0.0, 1e-3),
+                                           np.tile([0.5, 0.5], len(attempt.lams)), 2)
+
+    @helpers.requires_compiler
+    @pytest.mark.parametrize("field, message", [
+        (["w0 / (w0 - w0)"], "non-finite field at the start"),
+        (["1.0 / (s - s) - w0"], "field evaluation failed: float division by zero")],
+        ids=["state", "time"])
+    def test_division_by_zero_at_the_start(self, field, message):
+        # 0/0 of the state is NaN, as in NumPy arithmetic: a non-finite
+        # field at the start; 1/0 of the time alone raises, as it did
+        # before the float stages; C stops at either and replays
+        for attempt in self.compiled(field):
+            python = TestCompiledStages.assert_same(attempt.rhs, attempt, (0.0, 1.0),
+                                                    np.ones(len(attempt.lams)), 1)
+            assert type(python) is IntegrationError and python.time == 0.0
+            assert str(python).endswith(message)
+
+    @helpers.requires_compiler
+    def test_second_evaluation_at_the_end_of_a_short_span(self, monkeypatch):
+        # a field defined up to s = 1e-9 only: from y0 = 1, h0 would be
+        # 0.01, but clipped to the span of 1e-9 the second evaluation is
+        # at t1, as is the last stage of the one step, so the solve runs in
+        # C to the end and replays nothing
+        attempts = self.compiled(["pow(1e-09 - s, 0.5) - w0"], {"pow": math.pow})
+        replays = []
+        initial_step = rk45._float_initial_step
+        monkeypatch.setattr(rk45, "_float_initial_step",
+                            lambda *a: replays.append(1) or initial_step(*a))
+        for attempt in attempts:
+            y0 = np.ones(len(attempt.lams))
+            compiled = rk45.solve_ivp(attempt.rhs, (0.0, 1e-9), y0, attempt=attempt)
+            assert replays == [] and compiled.t.size == 2
+            python = TestCompiledStages.assert_same(attempt.rhs, attempt, (0.0, 1e-9), y0, 1)
+            assert isinstance(python, rk45.Solution)
+            replays.clear()
+
+    @helpers.requires_compiler
+    def test_replay_at_the_second_evaluation(self, monkeypatch):
+        # from x0 = 0, x1 = -1, the second evaluation at t0 + h0 takes the
+        # root of x0 = -h0: C stops there and replays, and the Python float
+        # stages raise the math domain error at t0 + h0
+        field = chain.expand(ProblemSpec.from_strings("x0^0.5 - x2", "q-p", "1", 1.0, 1, 1.0))
+        xi0 = np.array([0.0, -1.0, 0.0])
+        steps = []
+        initial_step = rk45._float_initial_step
+        monkeypatch.setattr(rk45, "_float_initial_step",
+                            lambda *a: steps.append(1) or initial_step(*a))
+        for lam in (0.0, 1.0):
+            for (rhs, attempt), y0, dim in (
+                    (helpers.compiled_stages(field, lam), xi0, None),
+                    (helpers.compiled_stacked(field, (lam, lam)), np.tile(xi0, 2), 3)):
+                steps.clear()
+                with pytest.raises(IntegrationError, match="math domain error") as err:
+                    rk45.solve_ivp(rhs, (0.0, 1.0), y0, attempt=attempt, dim=dim)
+                assert steps == [1]
+                assert 0.0 < err.value.time < 0.01
+                python = TestCompiledStages.assert_same(rhs, attempt, (0.0, 1.0), y0, dim)
+                assert python.time == err.value.time
+
 
 class TestShootingWork:
     """Each shooting Jacobian is one solve of its stacked columns."""
