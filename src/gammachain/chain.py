@@ -13,11 +13,10 @@ lambda F as straight-line float code, which ``rk45.float_stages`` generates
 from the same expression code as the compiled g, phi and f, and which a
 stacked run makes once per column, column after column, at the column's
 lambda (``rk45.stacked_stages``); where a C compiler is on PATH,
-``rk45.CompiledStages`` compiles that code to one C solve for both,
-initial step and step loop (the same results, bit for bit), in the
-background, so that the solves before the compile is done run on the
-float stages.  Once it is loaded, the Python float stages are generated
-only for a solve that C replays on them.
+``rk45.compiled_stages`` compiles that code to one C solve for both,
+initial step and step loop (the same results, bit for bit), on the first
+solve, which waits for it.  With the kernel loaded, the Python float
+stages are generated only for a solve that C replays on them.
 Above that limit, and for fields built from callables, NumPy stages: of G
 + lambda F for single solves, and of the fused field ``GF_batch``, G +
 lambda F with one lambda per column, for stacked runs.
@@ -209,11 +208,12 @@ def expand(p: ProblemSpec) -> ExpandedField:
     vectorized g, phi and f.  ``stages`` and ``stacked`` give the float
     stages of G + lam F up to ``FLOAT_STAGES_MAX_DIM``, from the scalar
     code of g, phi and f, and NumPy stages above it.  Their C kernel is
-    built on the first call (``rk45.CompiledStages``: loaded from the
-    cache, or compiled in the background), never in ``expand`` itself.
-    While it is not loaded, the solves run on the Python float stages,
-    which ``rk45.float_stages`` generates once for every lam; once it is,
-    they are generated only on the first replay.
+    built on the first call (``rk45.compiled_stages``: loaded from the
+    cache, or compiled then), never in ``expand`` itself, and that call's
+    answer holds for the life of the field.  Without a kernel the solves
+    run on the Python float stages, which ``rk45.float_stages`` generates
+    once for every lam; with one, they are generated only on the first
+    replay.
     """
     a = p.kernel.a
     b = p.kernel.b
@@ -267,13 +267,13 @@ def expand(p: ProblemSpec) -> ExpandedField:
 
     @lru_cache(maxsize=None)
     def kernel():
-        return rk45.CompiledStages(derivatives())
+        return rk45.compiled_stages(derivatives())
 
     def on_kernel(lams, build):
-        """(rhs, attempt): in C once the kernel is loaded, with the Python
+        """(rhs, attempt): in C where the kernel is loaded, with the Python
         float stages that ``build`` makes left to its first replay, and
-        ``build()`` until then."""
-        compiled = kernel()()
+        ``build()`` where it is not."""
+        compiled = kernel()
         if compiled is None:
             return build()
         attempt = compiled(lams, build)

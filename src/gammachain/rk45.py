@@ -10,12 +10,12 @@ field given as one Python expression per component (``chain.expand``
 compiles them for each problem's field); ``stacked_stages`` makes that
 attempt for many columns stacked into one state, each at its own lam, by
 calling each column's attempt in turn.  Their C kernel
-(:class:`CompiledStages`, a :class:`CompiledAttempt` per solve) runs a
+(:func:`compiled_stages`, a :class:`CompiledAttempt` per solve) runs a
 whole solve of one column or of many, initial step and step loop, in one
 call, generated from the same code with the same IEEE operations in the
 same order, so its results are theirs bit for bit; it is cached per user,
-compiled with ``cc`` in the background on first use while solves run on
-the float stages, and replays a solve on them wherever Python might part
+compiled with ``cc`` by the first solve that needs it, which waits for
+it, and replays a solve on the float stages wherever Python might part
 from C.  NumPy stages (``_numpy_stages``) have SciPy's ``rk_step``
 arithmetic.  A solve is one :class:`Solution`, whose call is its
 vectorized quartic interpolant.  Every failure of a solve is an
@@ -24,7 +24,6 @@ vectorized quartic interpolant.  Every failure of a solve is an
 from __future__ import annotations
 
 import ast
-import atexit
 import contextlib
 import ctypes
 import functools
@@ -42,7 +41,7 @@ from typing import Callable
 import numpy as np
 
 __all__ = ["TOL", "C", "A", "B", "E", "P", "IntegrationError", "Solution",
-           "CompiledAttempt", "CompiledStages", "finish_compiles", "float_stages",
+           "CompiledAttempt", "compiled_stages", "float_stages",
            "stacked_stages", "solve_ivp"]
 
 TOL = 1e-10  # the relative and absolute tolerance of every solve
@@ -198,8 +197,8 @@ def float_stages(derivatives: list[str], namespace: dict):
 # C has no -Ofast or -ffast-math here: every operation rounds as in Python,
 # no product is fused into an add, and no libm call is inlined or folded.
 # -O1, not -O2: the step loop runs as fast, and compiles in 0.12-0.13 s
-# instead of 0.17-0.23 s, time that a first run on a problem spends on the
-# Python float stages (gcc 12, the benchmark workloads' fields)
+# instead of 0.17-0.23 s, time that a first run on a problem waits for
+# (gcc 12, the benchmark workloads' fields)
 _CC_FLAGS = ("-O1", "-ffp-contract=off", "-fno-fast-math", "-fno-builtin",
              "-fPIC", "-shared")
 _COMPILE_TIMEOUT_S = 10.0
@@ -418,21 +417,34 @@ def _cache_dir() -> Path | None:
     return path if stat.S_ISDIR(st.st_mode) and _private(st) else None
 
 
-def _compile(cc: str, source: str, out: str) -> int:
-    """Start compiling ``source`` into the shared library ``out``; the
-    compiler's pid.  It runs in a session of its own, so that
-    :meth:`CompiledStages.poll` can kill it whole, none of its passes
-    outliving it.  ``os.posix_spawn``, not ``subprocess``, whose import
-    alone costs a few milliseconds, which a short command would pay for a
-    compile it ends before."""
+def _compile(cc: str, source: str, out: str) -> bool:
+    """Compile ``source`` into the shared library ``out``: whether the
+    compiler exited with 0 within ``_COMPILE_TIMEOUT_S``.  It runs in a
+    session of its own, so that it is killed whole, none of its passes
+    outliving it, when it runs past that time or the wait for it ends in
+    an exception (a KeyboardInterrupt too).  ``os.posix_spawn``, not
+    ``subprocess``, whose import alone costs a few milliseconds."""
     with tempfile.TemporaryFile() as src:  # a file, so the compiler never blocks us
         src.write(source.encode())
         src.seek(0)
-        return os.posix_spawn(cc, [cc, *_CC_FLAGS, "-x", "c", "-", "-o", out, "-lm"],
-                              os.environ, setsid=True,
-                              file_actions=[(os.POSIX_SPAWN_DUP2, src.fileno(), 0),
-                                            (os.POSIX_SPAWN_OPEN, 1, os.devnull, os.O_WRONLY, 0),
-                                            (os.POSIX_SPAWN_DUP2, 1, 2)])
+        pid = os.posix_spawn(cc, [cc, *_CC_FLAGS, "-x", "c", "-", "-o", out, "-lm"],
+                             os.environ, setsid=True,
+                             file_actions=[(os.POSIX_SPAWN_DUP2, src.fileno(), 0),
+                                           (os.POSIX_SPAWN_OPEN, 1, os.devnull, os.O_WRONLY, 0),
+                                           (os.POSIX_SPAWN_DUP2, 1, 2)])
+    deadline = time.monotonic() + _COMPILE_TIMEOUT_S
+    done = 0
+    try:
+        done, status = os.waitpid(pid, os.WNOHANG)
+        while not done and time.monotonic() < deadline:
+            time.sleep(0.01)
+            done, status = os.waitpid(pid, os.WNOHANG)
+    finally:
+        if not done:
+            import signal
+            os.killpg(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    return bool(done) and status == 0
 
 
 def _intact(path: Path) -> bool:
@@ -474,120 +486,51 @@ def _prune(cache: Path):
             os.unlink(old)
 
 
-_compiling: set[CompiledStages] = set()  # the builds whose compiler may still run
-
-
-class CompiledStages:
+def compiled_stages(derivatives: list[str]):
     """The float stages of ``derivatives`` (as :func:`float_stages` takes
-    them) compiled to C.  Called, it is the factory ``(lams, build) ->``
-    :class:`CompiledAttempt` once the kernel is loaded, and None before and
-    wherever none can be had (not POSIX, no ``cc`` on PATH, no usable
-    cache, a failed compile or load, a library others may write to).
+    them) compiled to C: the factory ``(lams, build) ->``
+    :class:`CompiledAttempt`, or None wherever none can be had (not POSIX,
+    no ``cc`` on PATH, no usable cache, a failed or timed-out compile or
+    load, a library others may write to).
 
     The library is cached per user, keyed by the sha256 of the source, the
     flags and the machine; one in the cache is loaded at once.  Otherwise
-    ``cc`` compiles it in the background while solves run on the Python
-    float stages, one column or many, whose results are the kernel's,
-    and each call checks whether the compile is done; so a solve never
-    waits for the compiler, and a short command pays nothing for it.  A
-    compile still running after ``_COMPILE_TIMEOUT_S`` or at exit is
-    killed.  A library that does not end in its own digest, as a cut-short
-    one, is compiled again, never loaded: mapping it can kill the
-    process."""
-
-    def __init__(self, derivatives: list[str]):
-        import hashlib  # here, so that analyze, which solves nothing, does not load it
-        self.dim = len(derivatives)
-        self.factory = None
-        self.compiler = None  # the pid of the running compile
-        cc = shutil.which("cc") if os.name == "posix" else None
-        cache = _cache_dir() if cc is not None else None
-        if cache is None:
-            return
-        source = _c_source(derivatives)
-        key = hashlib.sha256("\0".join((source, *_CC_FLAGS, platform.machine())).encode())
-        self.path = cache / f"stages-{key.hexdigest()}.so"
-        try:
-            if _intact(self.path):
-                self._load()
-                return
-            fd, self.tmp = tempfile.mkstemp(suffix=".tmp", dir=cache)
+    ``cc`` compiles it now, and the call waits for it.  A library that does
+    not end in its own digest, as a cut-short one, is compiled again, never
+    loaded: mapping it can kill the process."""
+    import hashlib  # here, so that analyze, which solves nothing, does not load it
+    cc = shutil.which("cc") if os.name == "posix" else None
+    cache = _cache_dir() if cc is not None else None
+    if cache is None:
+        return None
+    source = _c_source(derivatives)
+    key = hashlib.sha256("\0".join((source, *_CC_FLAGS, platform.machine())).encode())
+    path = cache / f"stages-{key.hexdigest()}.so"
+    try:
+        if not _intact(path):
+            fd, tmp = tempfile.mkstemp(suffix=".tmp", dir=cache)
             os.close(fd)
-        except OSError:
-            return
-        try:
-            self.compiler = _compile(cc, source, self.tmp)
-        except (OSError, NotImplementedError):  # NotImplementedError: no setsid
-            os.unlink(self.tmp)
-            return
-        self.deadline = time.monotonic() + _COMPILE_TIMEOUT_S
-        self.pid = os.getpid()
-        _compiling.add(self)
-
-    def __call__(self):
-        if self.compiler is not None:
-            self.poll()
-        return self.factory
-
-    def poll(self, wait: float = 0.0):
-        """Finish the build if the compiler is done, waiting for it up to
-        ``wait`` seconds; past its deadline, kill it."""
-        if os.getpid() != self.pid:  # a forked child: the compiler is not its own
-            return
-        until = min(self.deadline, time.monotonic() + wait)
-        pid, status = os.waitpid(self.compiler, os.WNOHANG)
-        while not pid and time.monotonic() < until:
-            time.sleep(0.01)
-            pid, status = os.waitpid(self.compiler, os.WNOHANG)
-        if not pid:  # still running
-            if time.monotonic() < self.deadline:
-                return
-            import signal
-            os.killpg(self.compiler, signal.SIGKILL)
-            os.waitpid(self.compiler, 0)
-        self.compiler = None
-        _compiling.discard(self)
-        try:
-            if pid and status == 0:  # exited with code 0
-                _seal(self.tmp, self.path)
-                self._load()
-        except OSError:
-            pass
-        finally:
-            with contextlib.suppress(FileNotFoundError):
-                os.unlink(self.tmp)
-
-    def _load(self):
-        if not _private(self.path.stat()):
-            return
-        try:
-            solve = ctypes.CDLL(str(self.path)).gc_solve
-        except (OSError, AttributeError):  # not a library, or not ours
-            return
-        with contextlib.suppress(OSError):
-            os.utime(self.path)  # used now, for _prune
-        solve.argtypes = (ctypes.c_double, ctypes.c_int64, ctypes.c_void_p,
-                          ctypes.c_void_p, ctypes.c_void_p, ctypes.c_int64,
-                          ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p,
-                          ctypes.c_void_p)
-        solve.restype = ctypes.c_int
-        self.factory = functools.partial(CompiledAttempt, solve, self.dim)
-
-
-def finish_compiles():
-    """Wait for every compile this process started to end (each until its
-    timeout at most), and load what they built."""
-    for build in list(_compiling):
-        build.poll(_COMPILE_TIMEOUT_S)
-
-
-@atexit.register
-def _kill_compiles():
-    """No compiler outlives the process that started it: at exit every
-    compile is past its deadline, so it is used if done and killed if not."""
-    for build in list(_compiling):
-        build.deadline = -math.inf
-        build.poll()
+            try:
+                if not _compile(cc, source, tmp):
+                    return None
+                _seal(tmp, path)
+            finally:
+                with contextlib.suppress(FileNotFoundError):
+                    os.unlink(tmp)
+        if not _private(path.stat()):
+            return None
+        solve = ctypes.CDLL(str(path)).gc_solve
+    # NotImplementedError: no setsid; AttributeError: a library not ours
+    except (OSError, NotImplementedError, AttributeError):
+        return None
+    with contextlib.suppress(OSError):
+        os.utime(path)  # used now, for _prune
+    solve.argtypes = (ctypes.c_double, ctypes.c_int64, ctypes.c_void_p,
+                      ctypes.c_void_p, ctypes.c_void_p, ctypes.c_int64,
+                      ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p,
+                      ctypes.c_void_p)
+    solve.restype = ctypes.c_int
+    return functools.partial(CompiledAttempt, solve, len(derivatives))
 
 
 @dataclass(frozen=True, eq=False)

@@ -14,7 +14,7 @@ import signal
 import numpy as np
 import pytest
 
-from gammachain import certify, chain, expr, orbit, rk45
+from gammachain import certify, chain, expr, orbit
 from gammachain.analysis import FD_STEP
 from gammachain.chain import ProblemSpec
 from gammachain.kernel import GammaKernel, gamma_eval, tail_horizon
@@ -23,21 +23,6 @@ from gammachain.kernel import GammaKernel, gamma_eval, tail_horizon
 requires_compiler = pytest.mark.skipif(shutil.which("cc") is None,
                                        reason="no C compiler on PATH")
 
-
-def compiled_stages(field, lam):
-    """``field.stages(lam)`` once the compile that the first call starts
-    in the background has ended."""
-    field.stages(lam)
-    rk45.finish_compiles()
-    return field.stages(lam)
-
-
-def compiled_stacked(field, lams):
-    """``field.stacked(lams)`` once the compile that the first call starts
-    in the background has ended."""
-    field.stacked(lams)
-    rk45.finish_compiles()
-    return field.stacked(lams)
 
 EXAMPLE = dict(g="-x0*(1+x2)", phi="q-p", f="1+x*sin(2*pi*t)", a=2.0, b=2, T=1.0)
 

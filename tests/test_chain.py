@@ -84,41 +84,41 @@ class TestExpand:
     @staticmethod
     def first_solves(cached, tmp_path, monkeypatch):
         """Expand a problem and solve it: with its kernel in a cache of the
-        test's own if ``cached``, an empty one if not.  Expand compiles
+        test's own if ``cached``, an empty one if not.  Expand makes
         neither the Python float stages nor their C kernel, nor starts a
         compiler: setup and analyze solve nothing.  The first solve builds
-        the kernel, which loads at once from a cache that holds it, and
-        the Python float stages only where it runs on them: while no kernel
-        is loaded."""
+        the kernel, compiling it where a compiler is and the cache does
+        not hold it, and runs in C; the Python float stages are made, once,
+        only where no compiler is.  Later solves start nothing."""
         monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
         p = ProblemSpec.from_strings("-x0*(1+x2)", "q-p", "1+x*sin(2*pi*t)", 3.0, 3, 1.0)
         if cached:
-            helpers.compiled_stages(expand.__wrapped__(p), 0.0)
-        made, built, compilers = [], [], []
-        float_stages, compiled = chain.rk45.float_stages, chain.rk45.CompiledStages
-        compile_c = chain.rk45._compile
-        monkeypatch.setattr(chain.rk45, "float_stages",
+            expand.__wrapped__(p).stages(0.0)
+        made, kernels, compilers, python_runs = [], [], [], []
+        float_stages, compiled_stages = rk45.float_stages, rk45.compiled_stages
+        compile_c, steps = rk45._compile, rk45._steps
+        monkeypatch.setattr(rk45, "float_stages",
                             lambda *args: made.append(1) or float_stages(*args))
-        monkeypatch.setattr(chain.rk45, "CompiledStages",
-                            lambda *args: built.append(compiled(*args)) or built[-1])
-        monkeypatch.setattr(chain.rk45, "_compile",
+        monkeypatch.setattr(rk45, "compiled_stages",
+                            lambda *args: kernels.append(compiled_stages(*args)) or kernels[-1])
+        monkeypatch.setattr(rk45, "_compile",
                             lambda *args: compilers.append(1) or compile_c(*args))
+        monkeypatch.setattr(rk45, "_steps",
+                            lambda *args: python_runs.append(1) or steps(*args))
         field = expand.__wrapped__(p)
-        assert made == built == compilers == []
+        assert made == kernels == compilers == []
+        cc = shutil.which("cc") is not None
         orbit.period_map(field, 0.0, np.full(5, 0.1))
-        kernel, = built
-        # the solve's one look at the kernel: in C with it loaded, on the
-        # Python float stages, made once, without it
-        on_kernel = kernel.factory is not None
-        started = shutil.which("cc") is not None and not cached
-        assert on_kernel == (cached and shutil.which("cc") is not None)
-        assert len(made) == (not on_kernel)
-        assert len(compilers) == started
+        kernel, = kernels
+        assert (kernel is not None) == cc
+        assert len(compilers) == (cc and not cached)
+        assert len(python_runs) == len(made) == (not cc)
         # one variant, G + lam F, serves every lam, 0 included
         orbit.period_map(field, 0.0, np.full(5, 0.2))
         orbit.period_map(field, 0.1, np.full(5, 0.1))
-        assert len(made) == (not on_kernel) and len(built) == 1
-        assert len(compilers) == started
+        assert len(made) == (not cc) and len(kernels) == 1
+        assert len(compilers) == (cc and not cached)
+        assert len(python_runs) == 3 * (not cc)
 
     def test_float_stages_compile_on_first_use(self, tmp_path, monkeypatch):
         self.first_solves(False, tmp_path, monkeypatch)
@@ -136,11 +136,11 @@ class TestExpand:
     @helpers.requires_compiler
     def test_stages_are_compiled_where_a_compiler_is(self, example_field):
         for lam in (0.0, 0.1):
-            rhs, attempt = helpers.compiled_stages(example_field, lam)
+            rhs, attempt = example_field.stages(lam)
             assert isinstance(attempt, rk45.CompiledAttempt)
             assert attempt.lams == (lam,) and attempt.dim == example_field.dim
             lams = [lam, lam + 1e-7]
-            rhs, attempt = helpers.compiled_stacked(example_field, lams)
+            rhs, attempt = example_field.stacked(lams)
             assert isinstance(attempt, rk45.CompiledAttempt)
             assert attempt.lams == tuple(lams) and attempt.dim == example_field.dim
 

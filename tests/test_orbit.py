@@ -563,9 +563,9 @@ class TestCompiledStages:
         p, lam, xi = data.draw(shooting_points(forced=forced))
         lam = lam if forced else 0.0
         field = chain.expand(p)
-        self.assert_same(*helpers.compiled_stages(field, lam), (0.0, p.T), xi)
+        self.assert_same(*field.stages(lam), (0.0, p.T), xi)
         lams, y0 = jacobian_start(lam, xi)
-        self.assert_same(*helpers.compiled_stacked(field, lams), (0.0, p.T), y0, field.dim)
+        self.assert_same(*field.stacked(lams), (0.0, p.T), y0, field.dim)
 
     @helpers.requires_compiler
     def test_match_the_float_stages_at_dim_28(self):
@@ -574,8 +574,7 @@ class TestCompiledStages:
         field = chain.expand(ProblemSpec.from_strings(
             "-x0*(1+x2)", "q-p", "1+x*sin(2*pi*t)", 26.0, 26, 1.0))
         lams, y0 = jacobian_start(0.1, np.linspace(0.3, -0.2, field.dim))
-        python = self.assert_same(*helpers.compiled_stacked(field, lams), (0.0, 1.0), y0,
-                                  field.dim)
+        python = self.assert_same(*field.stacked(lams), (0.0, 1.0), y0, field.dim)
         assert isinstance(python, rk45.Solution)
 
     @helpers.requires_compiler
@@ -589,7 +588,7 @@ class TestCompiledStages:
         steps = rk45._steps
         monkeypatch.setattr(rk45, "_steps", lambda *a: replays.append(1) or steps(*a))
         for lam in (0.0, 1.0):
-            rhs, attempt = helpers.compiled_stages(field, lam)
+            rhs, attempt = field.stages(lam)
             replays.clear()
             compiled = self.solve(rhs, attempt, (0.0, 1.0), np.array(xi0))
             assert replays == [1]
@@ -612,7 +611,7 @@ class TestCompiledStages:
         steps = rk45._steps
         monkeypatch.setattr(rk45, "_steps", lambda *a: replays.append(1) or steps(*a))
         for lams in ((0.0, 0.0), (1.0, 1.0), (0.0, 1.0)):
-            rhs, attempt = helpers.compiled_stacked(field, lams)
+            rhs, attempt = field.stacked(lams)
             replays.clear()
             assert isinstance(self.solve(rhs, attempt, (0.0, 1.0),
                                          np.concatenate((safe, safe)), 3), rk45.Solution)
@@ -634,8 +633,8 @@ class TestCompiledStages:
         xi0 = np.linspace(0.3, -0.2, field.dim)
         lams, y0 = jacobian_start(0.1, xi0)
         span = (0.0, field.problem.T)
-        runs = [(helpers.compiled_stages(field, 0.1), xi0, None),
-                (helpers.compiled_stacked(field, lams), y0, field.dim)]
+        runs = [(field.stages(0.1), xi0, None),
+                (field.stacked(lams), y0, field.dim)]
         wholes = [rk45.solve_ivp(rhs, span, start, attempt=attempt, dim=dim)
                   for (rhs, attempt), start, dim in runs]
         monkeypatch.setattr(rk45, "_FIRST_CAPACITY", 2)
@@ -651,7 +650,7 @@ class TestCompiledStages:
         # replay builds them, once for the field
         args, xi0 = self.REPLAYS["math_domain_error"]
         p = ProblemSpec.from_strings(*args)
-        helpers.compiled_stages(chain.expand.__wrapped__(p), 0.0)
+        chain.expand.__wrapped__(p).stages(0.0)
         made = []
         float_stages = rk45.float_stages
         monkeypatch.setattr(rk45, "float_stages",
@@ -696,9 +695,8 @@ class TestInitialStep:
         0, of the field of ``derivatives`` (as ``rk45.float_stages`` takes
         them), with its Python float stages as the replay."""
         make = rk45.float_stages(derivatives, namespace)
-        kernel = rk45.CompiledStages(derivatives)
-        rk45.finish_compiles()
-        return [kernel()(lams, lambda lams=lams: rk45.stacked_stages(
+        kernel = rk45.compiled_stages(derivatives)
+        return [kernel(lams, lambda lams=lams: rk45.stacked_stages(
             [make(lam) for lam in lams], len(derivatives))) for lams in ((0.0,), (0.0, 0.0))]
 
     @pytest.mark.parametrize("case", sorted(BRANCHES))
@@ -713,8 +711,8 @@ class TestInitialStep:
     @pytest.mark.parametrize("case", sorted(BRANCHES))
     def test_branches_match_the_float_stages(self, case):
         lam, xi, span, _ = self.BRANCHES[case]
-        TestCompiledStages.assert_same(*helpers.compiled_stages(self.FIELD, lam), span, xi)
-        TestCompiledStages.assert_same(*helpers.compiled_stacked(self.FIELD, (lam, lam)),
+        TestCompiledStages.assert_same(*self.FIELD.stages(lam), span, xi)
+        TestCompiledStages.assert_same(*self.FIELD.stacked((lam, lam)),
                                        span, np.tile(xi, 2), self.FIELD.dim)
 
     # unforced (lam = 0), f0 is 0 at (0.5, 0.5), and at t0 + h0 its first
@@ -784,8 +782,8 @@ class TestInitialStep:
                             lambda *a: steps.append(1) or initial_step(*a))
         for lam in (0.0, 1.0):
             for (rhs, attempt), y0, dim in (
-                    (helpers.compiled_stages(field, lam), xi0, None),
-                    (helpers.compiled_stacked(field, (lam, lam)), np.tile(xi0, 2), 3)):
+                    (field.stages(lam), xi0, None),
+                    (field.stacked((lam, lam)), np.tile(xi0, 2), 3)):
                 steps.clear()
                 with pytest.raises(IntegrationError, match="math domain error") as err:
                     rk45.solve_ivp(rhs, (0.0, 1.0), y0, attempt=attempt, dim=dim)

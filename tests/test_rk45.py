@@ -1,6 +1,7 @@
 """The build of the compiled float stages and its cache: wherever no kernel
-can be had, and while the compiler runs, single solves run on the Python
-float stages, with the same results and no exception."""
+can be had, single solves run on the Python float stages, with the same
+results and no exception; where one can, the first solve compiles it,
+waiting for the compiler, and no compiler outlives that wait."""
 from __future__ import annotations
 
 import os
@@ -22,12 +23,10 @@ XI0 = np.full(5, 0.1)
 LAM = 0.3
 
 
-def fresh_stages(finished=True):
+def fresh_stages():
     """stages(LAM) of PROBLEM's field expanded afresh, so that its stages
-    are built now, under the environment the test set; unless
-    ``finished`` is false, once the compile this starts has ended."""
-    field = chain.expand.__wrapped__(ProblemSpec.from_strings(*PROBLEM))
-    return helpers.compiled_stages(field, LAM) if finished else field.stages(LAM)
+    are built now, under the environment the test set."""
+    return chain.expand.__wrapped__(ProblemSpec.from_strings(*PROBLEM)).stages(LAM)
 
 
 def solve(rhs, attempt):
@@ -121,48 +120,24 @@ class TestFallback:
         assert wait_until_ended(int((tmp_path / "pid").read_text()))
         assert [p.name for p in cache.iterdir()] == []
 
-    def test_solves_do_not_wait_for_the_compiler(self, cache, fake_cc, tmp_path):
-        # the first stages run on the Python float stages while the compiler
-        # runs, and a process that exits kills it and deletes what it wrote
+    def test_interrupted_compile(self, cache, fake_cc, tmp_path, monkeypatch):
+        # an exception in the wait for the compiler, here a KeyboardInterrupt,
+        # kills it with its own child, deletes what it wrote, and propagates
         pid_file = tmp_path / "pid"
         fake_cc(f"sleep 60 & echo $! > {pid_file}\nwait")
-        script = f"""if True:
-            import os, time
-            from gammachain import chain, rk45
-            from gammachain.chain import ProblemSpec
-            field = chain.expand(ProblemSpec.from_strings(*{PROBLEM!r}))
-            start = time.monotonic()
-            rhs, attempt = field.stages({LAM!r})
-            assert time.monotonic() - start < 5
-            assert not isinstance(attempt, rk45.CompiledAttempt)
-            while not os.path.exists({str(pid_file)!r}):
-                time.sleep(0.01)
-            """
-        src = str(Path(rk45.__file__).parents[1])
-        subprocess.run([sys.executable, "-c", script], check=True, timeout=60,
-                       env=dict(os.environ, PYTHONPATH=src))
-        assert wait_until_ended(int(pid_file.read_text()))
-        assert [p.name for p in cache.iterdir()] == []
+        sleep = time.sleep
 
-    def test_forked_child_leaves_the_compile_alone(self, cache, fake_cc):
-        # the compiler is not a forked child's own: it cannot wait for it,
-        # so it keeps the Python float stages and seals nothing
-        fake_cc("sleep 1\nexit 1")
-        field = chain.expand.__wrapped__(ProblemSpec.from_strings(*PROBLEM))
-        field.stages(LAM)
-        pid = os.fork()
-        if pid == 0:  # never returns into pytest
-            code = 1
-            try:
-                field.stages(LAM)
-                time.sleep(1.5)
-                rhs, attempt = field.stages(LAM)
-                sealed = any(cache.glob("stages-*.so"))
-                code = int(sealed or isinstance(attempt, rk45.CompiledAttempt))
-            finally:
-                os._exit(code)
-        assert os.waitpid(pid, 0)[1] == 0
-        rk45.finish_compiles()
+        def interrupt(seconds):
+            deadline = time.monotonic() + 10
+            while not (pid_file.exists() and pid_file.read_text().strip()):
+                assert time.monotonic() < deadline
+                sleep(0.01)
+            raise KeyboardInterrupt
+        with monkeypatch.context() as mp:
+            mp.setattr(rk45.time, "sleep", interrupt)
+            with pytest.raises(KeyboardInterrupt):
+                fresh_stages()
+        assert wait_until_ended(int(pid_file.read_text()))
         assert [p.name for p in cache.iterdir()] == []
 
     def test_cache_is_a_file(self, tmp_path, monkeypatch):
@@ -203,6 +178,45 @@ class TestCache:
         # a later build loads the cached library and compiles nothing
         monkeypatch.setattr(rk45, "_compile", None)
         assert isinstance(fresh_stages()[1], rk45.CompiledAttempt)
+
+    @helpers.requires_compiler
+    def test_first_run_leaves_the_library_cached(self, cache):
+        # one period map of a fresh interpreter on an empty cache compiles
+        # the library, seals it into the cache and leaves no compiler
+        # running; a second interpreter runs in C and compiles nothing
+        first = f"""if True:
+            import os, sys
+            import numpy as np
+            from gammachain import chain, orbit
+            from gammachain.chain import ProblemSpec
+            spawn, pids = os.posix_spawn, []
+            os.posix_spawn = lambda *args, **kwargs: pids.append(spawn(*args, **kwargs)) or pids[-1]
+            field = chain.expand(ProblemSpec.from_strings(*{PROBLEM!r}))
+            orbit.period_map(field, {LAM!r}, np.full(5, 0.1))
+            assert len(pids) == 1
+            try:
+                os.killpg(pids[0], 0)
+            except ProcessLookupError:
+                sys.exit(0)
+            sys.exit("a compiler process remains")
+            """
+        second = f"""if True:
+            import sys
+            import numpy as np
+            from gammachain import chain, orbit, rk45
+            from gammachain.chain import ProblemSpec
+            rk45._compile = lambda *args: sys.exit("compiled again")
+            rk45._steps = lambda *args: sys.exit("solved in Python")
+            field = chain.expand(ProblemSpec.from_strings(*{PROBLEM!r}))
+            assert isinstance(field.stages({LAM!r})[1], rk45.CompiledAttempt)
+            orbit.period_map(field, {LAM!r}, np.full(5, 0.1))
+            """
+        env = dict(os.environ, PYTHONPATH=str(Path(rk45.__file__).parents[1]))
+        subprocess.run([sys.executable, "-c", first], check=True, timeout=60, env=env)
+        library, = cache.iterdir()
+        assert library.name.startswith("stages-") and library.suffix == ".so"
+        assert rk45._intact(library)
+        subprocess.run([sys.executable, "-c", second], check=True, timeout=60, env=env)
 
     @helpers.requires_compiler
     def test_truncated_library_is_compiled_again(self, cache, monkeypatch):
