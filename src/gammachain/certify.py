@@ -11,10 +11,9 @@ as the sampled maximum of the Jacobian operator 2-norm over a box; this is
 a lower estimate, so the certification comparison applies a safety factor
 on top of it.  The Jacobian of a chain field varies only with (u, v0, vb),
 so the box is sampled on a tensor grid over those three axes alone
-(``ExpandedField.jacobian_axes``); a field from callables is sampled over
-the whole box.  The samples are taken in chunks of ``SAMPLE_CHUNK``
-points, and each chunk's central-difference Jacobians come from one call
-of the column-batched field ``G_batch``.
+(``ExpandedField.jacobian_axes``).  The samples are taken in chunks of
+``SAMPLE_CHUNK`` points, and each chunk's central-difference Jacobians
+come from one call of the column-batched field ``G_batch``.
 """
 from __future__ import annotations
 
@@ -30,9 +29,6 @@ __all__ = ["CertReport", "MultiplicityReport", "lipschitz_estimate",
 
 SAFETY_FACTOR = 1.1
 DEFAULT_GRID = 7
-DENSE_AXES_CAP = 5
-MC_POINTS = 10_000
-MC_SEED = 0x5EED
 SAMPLE_CHUNK = 128  # box samples per batched Jacobian call
 
 
@@ -80,18 +76,7 @@ class MultiplicityReport:
 def _box_samples(center: np.ndarray, radius: float, grid_per_axis: int, axes):
     """The samples of the box center +- radius as (dim, k) column chunks
     of at most ``SAMPLE_CHUNK`` points: the tensor grid over ``axes`` in
-    ``itertools.product`` order, every other coordinate at the center;
-    with ``axes`` None, the grid over every axis up to ``DENSE_AXES_CAP``
-    axes, else ``MC_POINTS`` uniform draws from a generator seeded with
-    ``MC_SEED``."""
-    dim = center.size
-    if axes is None and dim > DENSE_AXES_CAP:
-        rng = np.random.default_rng(MC_SEED)
-        for start in range(0, MC_POINTS, SAMPLE_CHUNK):
-            k = min(SAMPLE_CHUNK, MC_POINTS - start)
-            yield center[:, None] + rng.uniform(-radius, radius, size=(k, dim)).T
-        return
-    axes = range(dim) if axes is None else axes
+    ``itertools.product`` order, every other coordinate at the center."""
     values = [np.linspace(center[i] - radius, center[i] + radius, grid_per_axis)
               for i in axes]
     total = grid_per_axis ** len(values)
@@ -109,14 +94,11 @@ def lipschitz_estimate(field: chain.ExpandedField, center, radius: float,
     """Sampled lower estimate of the local Lipschitz constant of G.
 
     Maximum of the operator 2-norm of the finite-difference Jacobian over
-    the box center +- radius.  For a field from ``chain.expand``, whose
-    Jacobian varies only with (u, v0, vb), the samples are the tensor grid
-    of ``grid_per_axis`` points on each of those three axes, the other
+    the box center +- radius.  The Jacobian of a chain field varies only
+    with (u, v0, vb), so the samples are the tensor grid of
+    ``grid_per_axis`` points on each of those three axes, the other
     coordinates at the center: the same Jacobians as the full-box grid, up
-    to finite-difference rounding.  A field from ``from_callables`` does
-    not say which coordinates its Jacobian reads, so it is sampled on the
-    full tensor grid up to 5 axes, and by Monte Carlo with 10^4 points
-    (fixed seed) beyond.  The Jacobians of each chunk of at most
+    to finite-difference rounding.  The Jacobians of each chunk of at most
     ``SAMPLE_CHUNK`` samples come from one ``analysis.jacobian_fd`` call
     on ``field.G_batch``, which raises ``ArithmeticError`` naming the
     first sample whose Jacobian has a non-finite entry (a pole of the

@@ -17,16 +17,16 @@ lambda (``rk45.stacked_stages``); where a C compiler is on PATH,
 initial step and step loop (the same results, bit for bit), on the first
 solve, which waits for it.  With the kernel loaded, the Python float
 stages are generated only for a solve that C replays on them.
-Above that limit, and for fields built from callables, NumPy stages: of G
-+ lambda F for single solves, and of the fused field ``GF_batch``, G +
-lambda F with one lambda per column, for stacked runs.
+Above that limit, NumPy stages: of G + lambda F for single solves, and of
+the fused field ``GF_batch``, G + lambda F with one lambda per column, for
+stacked runs.
 """
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -125,55 +125,29 @@ class ExpandedField:
     for evaluating many states in one call (box samples, finite-difference
     Jacobians).  ``GF_batch(t, X, lams)`` is G + lam F on the columns of X
     at the scalar time t, with one lam per column in the (N,) array lams:
-    the field of a stacked run, written into one F-ordered (dim, N) array
-    for a field from ``expand``.  ``stages(lam)`` is the (rhs, attempt)
-    of ``rk45.solve_ivp`` for a single solve of G + lam F, at lam = 0 too:
-    float stages (an ``rk45.CompiledAttempt`` where their C kernel is
-    loaded, whose rhs and replay build the Python float stages when first
-    called), or NumPy stages of rhs with attempt None.  ``stacked(lams)``
-    is the same for a stacked run of the columns of a (dim, N) array,
-    column after column, of G + lams[j] F in column j: float stages
-    (``rk45.stacked_stages`` of the float stages of each column, or their
-    C kernel), or NumPy stages of ``GF_batch`` with attempt None.
+    the field of a stacked run, written into one F-ordered (dim, N) array.
+    ``stages(lam)`` is the (rhs, attempt) of ``rk45.solve_ivp`` for a
+    single solve of G + lam F, at lam = 0 too: float stages (an
+    ``rk45.CompiledAttempt`` where their C kernel is loaded, whose rhs and
+    replay build the Python float stages when first called), or NumPy
+    stages of rhs with attempt None.  ``stacked(lams)`` is the same for a
+    stacked run of the columns of a (dim, N) array, column after column,
+    of G + lams[j] F in column j: float stages (``rk45.stacked_stages`` of
+    the float stages of each column, or their C kernel), or NumPy stages
+    of ``GF_batch`` with attempt None.
     ``jacobian_axes`` are the coordinates that the Jacobian of G varies
-    with: (u, v0, vb) for a field from ``expand``, None (unknown) for one
-    from ``from_callables``.
+    with, (u, v0, vb): the cascade rows are constant.  Every field is
+    built by ``expand``.
     """
 
     dim: int
     G: Callable[[np.ndarray], np.ndarray]
     F: Callable[[float, np.ndarray], np.ndarray]
-    problem: Optional[ProblemSpec]
+    problem: ProblemSpec
     G_batch: Callable[[np.ndarray], np.ndarray]
     GF_batch: Callable[[float, np.ndarray, np.ndarray], np.ndarray]
     stages: Callable[[float], tuple]
     stacked: Callable[[np.ndarray], tuple]
-
-    @property
-    def jacobian_axes(self) -> Optional[tuple]:
-        return None
-
-    @staticmethod
-    def from_callables(dim: int, G, problem=None) -> "ExpandedField":
-        """An unforced field from a G that maps either one state or the
-        columns of a (dim, N) array (a matrix product, or NumPy ufuncs);
-        G serves as ``G``, ``G_batch`` and, as G(X), ``GF_batch``, F is
-        zero, and single solves run on NumPy stages."""
-        def F(t, xi):
-            return np.zeros(dim)
-
-        def GF_batch(t, X, lams):
-            return G(X)
-        return ExpandedField(dim=dim, G=G, F=F, problem=problem, G_batch=G,
-                             GF_batch=GF_batch,
-                             stages=lambda lam: (lambda t, y: G(y) + lam * F(t, y), None),
-                             stacked=lambda lams: (_batched_rhs(GF_batch, dim, lams), None))
-
-
-class _ChainField(ExpandedField):
-    """A field built by ``expand``, whose Jacobian reads only (u, v0, vb):
-    the cascade rows are constant.  The class is the mark, so that
-    ``dataclasses.replace`` keeps it and ``from_callables`` never has it."""
 
     @property
     def jacobian_axes(self) -> tuple:
@@ -292,8 +266,8 @@ def expand(p: ProblemSpec) -> ExpandedField:
         return on_kernel(lams, lambda: rk45.stacked_stages(
             [python_stages()(lam) for lam in lams], dim))
 
-    return _ChainField(dim=dim, G=G, F=F, problem=p, G_batch=G_batch,
-                       GF_batch=GF_batch, stages=stages, stacked=stacked)
+    return ExpandedField(dim=dim, G=G, F=F, problem=p, G_batch=G_batch,
+                         GF_batch=GF_batch, stages=stages, stacked=stacked)
 
 
 def as_state(xi, dim: int) -> np.ndarray:

@@ -31,6 +31,13 @@ def example_problem() -> ProblemSpec:
     return ProblemSpec.from_strings(**EXAMPLE)
 
 
+def rotation_problem() -> ProblemSpec:
+    """xddot = -x, unforced, with a two-stage chain fed by phi = 0: the
+    chain field turns (u, v0) at rate 1 with period 2*pi and lets (v1, v2)
+    decay, so its Jacobian has operator 2-norm 1, the rotation rate."""
+    return ProblemSpec.from_strings("-x0", "0*p", "0", 0.5, 2, 2 * math.pi)
+
+
 @contextlib.contextmanager
 def deadline(seconds):
     """Fail a call that is still running after ``seconds`` instead of hanging."""
@@ -95,28 +102,15 @@ def reference_lipschitz(field: chain.ExpandedField, center, radius: float,
                         grid_per_axis: int = certify.DEFAULT_GRID) -> float:
     """The Lipschitz estimate one sample at a time with the scalar G: the
     tensor grid by ``itertools.product`` over the field's
-    ``jacobian_axes``, the other coordinates at the center; for a field
-    without them, over every axis up to ``DENSE_AXES_CAP`` axes, or one
-    generator draw of ``dim`` uniforms per Monte Carlo point beyond."""
+    ``jacobian_axes``, the other coordinates at the center."""
     center = np.asarray(center, dtype=float)
-    dim = field.dim
-    axes = field.jacobian_axes
-    if axes is None and dim > certify.DENSE_AXES_CAP:
-        rng = np.random.default_rng(certify.MC_SEED)
-        samples = (center + rng.uniform(-radius, radius, size=dim)
-                   for _ in range(certify.MC_POINTS))
-    else:
-        axes = list(range(dim) if axes is None else axes)
-
-        def sample(values):
-            pt = center.copy()
-            pt[axes] = values
-            return pt
-        samples = (sample(values) for values in itertools.product(
-            *(np.linspace(center[i] - radius, center[i] + radius, grid_per_axis)
-              for i in axes)))
+    axes = list(field.jacobian_axes)
     best = 0.0
-    for pt in samples:
+    for values in itertools.product(
+            *(np.linspace(center[i] - radius, center[i] + radius, grid_per_axis)
+              for i in axes)):
+        pt = center.copy()
+        pt[axes] = values
         J = reference_jacobian(field.G, pt)
         best = max(best, float(np.linalg.norm(J, 2)))
     return best

@@ -214,15 +214,11 @@ def test_criterion_06_branch_reproduction(example_problem, example_field,
 
 def test_criterion_07_yorke_saturation():
     start = time.perf_counter()
-    omega = 2.0
-    dim = 4
-    A = np.zeros((dim, dim))
-    A[0, 1] = -omega
-    A[1, 0] = omega
-    field = chain.ExpandedField.from_callables(dim, lambda xi: A @ xi)
-    L = certify.lipschitz_estimate(field, np.zeros(dim), radius=0.5)
+    omega = 1.0
+    field = chain.expand(helpers.rotation_problem())
+    L = certify.lipschitz_estimate(field, np.zeros(field.dim), radius=0.5)
     T_rot = 2 * math.pi / omega
-    xi0 = np.array([1.0, 0.0, 0.2, -0.1])
+    xi0 = np.array([1.0, 0.0, 0.0, 0.0])
     traj = orbit.integrate(field, 0.0, xi0, 0.0, T_rot)
     return_err = float(np.linalg.norm(traj.y_end - xi0, np.inf))
     interior = float(np.min(np.linalg.norm(traj.ys[32:-32] - xi0, axis=1)))

@@ -13,35 +13,37 @@ import helpers
 from gammachain import analysis, certify, chain, expr, orbit
 from gammachain.certify import (certify_ejecting, lipschitz_estimate,
                                 multiplicity_report, yorke_check)
-from gammachain.chain import ExpandedField, ProblemSpec
+from gammachain.chain import ProblemSpec
 
 
-def linear_field(A: np.ndarray) -> ExpandedField:
-    return ExpandedField.from_callables(A.shape[0], lambda xi: A @ xi)
-
-
-def rotation_field(omega: float, dim: int = 4) -> ExpandedField:
-    A = np.zeros((dim, dim))
-    A[0, 1] = -omega
-    A[1, 0] = omega
-    return linear_field(A)
+def linear_problem(rng: np.random.Generator):
+    """A random chain problem with linear g and phi, and the constant
+    Jacobian of its field written out by hand."""
+    c = rng.uniform(-2.0, 2.0, 3).tolist()
+    d = rng.uniform(-2.0, 2.0, 2).tolist()
+    a = float(rng.uniform(0.5, 4.0))
+    b = int(rng.integers(1, 9))
+    p = ProblemSpec.from_strings(f"({c[0]!r})*x0 + ({c[1]!r})*x1 + ({c[2]!r})*x2",
+                                 f"({d[0]!r})*p + ({d[1]!r})*q", "0", a, b, 1.0)
+    dim = b + 2
+    DG = np.zeros((dim, dim))
+    DG[0, 1] = 1.0
+    DG[1, [0, 1]] = c[:2]
+    DG[1, dim - 1] += c[2]
+    DG[2, [0, 1, 2]] = a * d[0], a * d[1], -a
+    for i in range(3, dim):
+        DG[i, [i - 1, i]] = a, -a
+    return p, DG
 
 
 class TestLipschitzEstimate:
     def test_linear_field_is_exact(self):
         rng = np.random.default_rng(11)
         for _ in range(5):
-            A = rng.uniform(-2, 2, (4, 4))
-            f = linear_field(A)
-            got = lipschitz_estimate(f, np.zeros(4), radius=0.7)
-            assert got == pytest.approx(np.linalg.norm(A, 2), abs=1e-6)
-
-    def test_zero_field(self):
-        f = linear_field(np.zeros((3, 3)))
-        L = lipschitz_estimate(f, np.zeros(3), radius=1.0)
-        assert L == 0.0
-        bound, passes = yorke_check(L, 123.0)
-        assert bound == math.inf and passes
+            p, DG = linear_problem(rng)
+            f = chain.expand(p)
+            got = lipschitz_estimate(f, np.zeros(f.dim), radius=0.7)
+            assert got == pytest.approx(np.linalg.norm(DG, 2), abs=1e-6)
 
     def test_example_boxes(self, example_problem, example_field):
         # the operator-2-norm of the Jacobian at the origin already exceeds
@@ -52,19 +54,12 @@ class TestLipschitzEstimate:
             assert 2.2 <= L <= 5.5
 
     def test_monotone_under_nested_grids(self):
-        def G(xi):
-            x, y = xi
-            return np.array([np.sin(3 * x) + y * y, np.cos(x * y)])
-        f = ExpandedField.from_callables(2, G)
-        center = np.array([0.3, -0.4])
+        p = ProblemSpec.from_strings("sin(3*x0) + x1*x1 + cos(x0*x2)",
+                                     "exp(-p)*q", "sin(2*pi*t)", 2.0, 2, 1.0)
+        f = chain.expand(p)
+        center = np.array([0.3, -0.4, 0.2, 0.1])
         estimates = [lipschitz_estimate(f, center, 0.5, g) for g in (7, 13, 25)]
         assert estimates[0] <= estimates[1] <= estimates[2]
-
-    def test_monte_carlo_beyond_five_axes(self):
-        A = np.diag([1.0, 2.0, 3.0, 0.5, 0.25, 0.1, 0.7])
-        f = linear_field(A)
-        got = lipschitz_estimate(f, np.zeros(7), radius=0.3)
-        assert got == pytest.approx(3.0, abs=1e-6)
 
     def test_bad_arguments(self, example_field):
         with pytest.raises(ValueError):
@@ -90,18 +85,6 @@ class TestBatchedLipschitz:
         got = lipschitz_estimate(field, center, 0.1)
         assert got == helpers.reference_lipschitz(field, center, 0.1)
 
-    def test_monte_carlo_matches_reference(self):
-        # a field from callables does not say which coordinates its
-        # Jacobian reads, so beyond five axes it is sampled by Monte Carlo;
-        # the batched chain field maps one state as well as columns
-        p = ProblemSpec.from_strings("-x0*(1+x2)", "q-p", "1+x*sin(2*pi*t)",
-                                     8.0, 8, 1.0)
-        field = ExpandedField.from_callables(10, chain.expand(p).G_batch, p)
-        assert field.jacobian_axes is None
-        center = chain.lifted_zero(p, 0.0)
-        got = lipschitz_estimate(field, center, 0.1)
-        assert got == helpers.reference_lipschitz(field, center, 0.1)
-
     def test_transcendental_field_matches_reference(self):
         # np.sin and math.sin may differ in the last bit
         p = ProblemSpec.from_strings("-sin(3*x0)*(1+x2) + cos(x1*x2)",
@@ -113,49 +96,35 @@ class TestBatchedLipschitz:
         assert got == pytest.approx(want, rel=1e-9, abs=0.0)
 
     def test_samples_go_through_bounded_batches(self, example_field, monkeypatch):
-        # the three-axis grid of the chain field: grid_per_axis^3 points
-        calls = {"G": 0, "widths": [], "points": []}
-
-        def scalar_G(xi):
-            calls["G"] += 1
-            return example_field.G(xi)
-
-        def batch_G(X):
-            calls["widths"].append(X.shape[1])
-            return example_field.G_batch(X)
-
+        # the three-axis grid of a chain field at any dim: grid_per_axis^3
+        # points in batched chunks
+        long_chain = chain.expand(ProblemSpec.from_strings(
+            "-x0*(1+x2)", "q-p", "1+x*sin(2*pi*t)", 8.0, 45, 1.0))
+        assert long_chain.dim == 47
         jacobian_fd = analysis.jacobian_fd
+        for chain_field in (example_field, long_chain):
+            calls = {"G": 0, "widths": [], "points": []}
 
-        def recorded_jacobian(fun, X):
-            calls["points"].append(X.shape[1])
-            return jacobian_fd(fun, X)
+            def scalar_G(xi):
+                calls["G"] += 1
+                return chain_field.G(xi)
 
-        monkeypatch.setattr(analysis, "jacobian_fd", recorded_jacobian)
-        field = dataclasses.replace(example_field, G=scalar_G, G_batch=batch_G)
-        lipschitz_estimate(field, np.zeros(4), 0.1)
-        assert calls["G"] == 0
-        assert sum(calls["points"]) == certify.DEFAULT_GRID ** 3
-        assert max(calls["points"]) <= certify.SAMPLE_CHUNK
-        assert max(calls["widths"]) <= 2 * 4 * certify.SAMPLE_CHUNK
-        assert len(calls["widths"]) == len(calls["points"])
+            def batch_G(X):
+                calls["widths"].append(X.shape[1])
+                return chain_field.G_batch(X)
 
-    def test_callables_field_samples_the_full_box(self, example_problem,
-                                                  example_field, monkeypatch):
-        # a problem does not mark a field from callables: its Jacobian may
-        # read every coordinate
-        points = []
-        jacobian_fd = analysis.jacobian_fd
+            def recorded_jacobian(fun, X):
+                calls["points"].append(X.shape[1])
+                return jacobian_fd(fun, X)
 
-        def recorded_jacobian(fun, X):
-            points.append(X.shape[1])
-            return jacobian_fd(fun, X)
-
-        monkeypatch.setattr(analysis, "jacobian_fd", recorded_jacobian)
-        field = ExpandedField.from_callables(4, example_field.G_batch, example_problem)
-        assert field.jacobian_axes is None
-        assert example_field.jacobian_axes == (0, 1, 3)
-        lipschitz_estimate(field, np.zeros(4), 0.1)
-        assert sum(points) == certify.DEFAULT_GRID ** 4
+            monkeypatch.setattr(analysis, "jacobian_fd", recorded_jacobian)
+            field = dataclasses.replace(chain_field, G=scalar_G, G_batch=batch_G)
+            lipschitz_estimate(field, np.zeros(field.dim), 0.1)
+            assert calls["G"] == 0
+            assert sum(calls["points"]) == certify.DEFAULT_GRID ** 3
+            assert max(calls["points"]) <= certify.SAMPLE_CHUNK
+            assert max(calls["widths"]) <= 2 * field.dim * certify.SAMPLE_CHUNK
+            assert len(calls["widths"]) == len(calls["points"])
 
     def test_example_grid_holds_the_full_box_grid_points(self, example_problem,
                                                          example_field, monkeypatch):
@@ -253,10 +222,12 @@ def test_three_axis_estimate_is_the_full_box_estimate(p, seed, radius):
     # field's three-axis estimate is the estimate over the whole box
     field = chain.expand(p)
     center = np.random.default_rng(seed).uniform(-1.0, 1.0, field.dim)
-    full_box = ExpandedField.from_callables(field.dim, field.G_batch, p)
+    X = np.array(list(itertools.product(
+        *(np.linspace(c - radius, c + radius, certify.DEFAULT_GRID) for c in center)))).T
+    J = analysis.jacobian_fd(field.G_batch, X)
+    full_box = float(np.max(np.linalg.norm(J, 2, axis=(1, 2))))
     got = lipschitz_estimate(field, center, radius)
-    assert got == pytest.approx(lipschitz_estimate(full_box, center, radius),
-                                rel=1e-8, abs=0.0)
+    assert got == pytest.approx(full_box, rel=1e-8, abs=0.0)
 
 
 class TestYorkeCheck:
@@ -291,12 +262,12 @@ class TestYorkeCheck:
 
 class TestRotationSaturation:
     def test_estimate_equals_rate_and_period_saturates(self):
-        omega = 2.0
-        f = rotation_field(omega)
+        omega = 1.0
+        f = chain.expand(helpers.rotation_problem())
         L = lipschitz_estimate(f, np.zeros(4), radius=0.5)
         assert L == pytest.approx(omega, abs=1e-6)
         T_rot = 2 * math.pi / omega
-        xi0 = np.array([1.0, 0.0, 0.3, -0.2])
+        xi0 = np.array([1.0, 0.0, 0.0, 0.0])
         traj = orbit.integrate(f, 0.0, xi0, 0.0, T_rot)
         assert np.linalg.norm(traj.y_end - xi0, np.inf) <= 1e-6
         # no earlier return: interior samples stay away from the start

@@ -9,7 +9,7 @@ import scipy.optimize
 
 import helpers
 from gammachain import analysis, chain, expr, orbit, rk45
-from gammachain.chain import ExpandedField, ProblemSpec, expand, lifted_zero
+from gammachain.chain import ProblemSpec, expand, lifted_zero
 
 P0 = np.zeros(4)
 P1 = np.array([1.0, 0.0, -1.0, -1.0])
@@ -164,7 +164,7 @@ class TestExpand:
         else:
             assert np.max(np.abs(traj.y_end - ref.y[:, -1])) <= 1e-12
 
-    def test_numpy_stages_above_the_limit_and_for_callables(self):
+    def test_numpy_stages_above_the_limit(self):
         for b in (1, chain.FLOAT_STAGES_MAX_DIM - 2, chain.FLOAT_STAGES_MAX_DIM - 1, 60):
             field = expand(ProblemSpec.from_strings("-x0*(1+x2)", "q-p", "1+x*sin(2*pi*t)",
                                                     2.0, b, 1.0))
@@ -174,12 +174,6 @@ class TestExpand:
             # the stacked runs share the limit
             lams = np.full(field.dim + 2, 0.1)
             assert (field.stacked(lams)[1] is None) == (field.dim > chain.FLOAT_STAGES_MAX_DIM)
-        field = ExpandedField.from_callables(2, lambda xi: -xi)
-        assert field.stages(0.0)[1] is None and field.stages(0.1)[1] is None
-        rhs, attempt = field.stacked(np.zeros(3))
-        X = np.arange(6.0).reshape(2, 3)
-        assert attempt is None and np.array_equal(rhs(0.0, X.ravel(order="F")),
-                                                  -X.ravel(order="F"))
 
     def test_determinant_check_reads_G(self):
         # the degree cross-check takes det_fd from the Jacobian of G itself,
@@ -255,18 +249,6 @@ class TestProject:
         traj = orbit.integrate(example_field, 0.0, P1, 0.0, 1.0)
         assert np.all(traj.ys[:, 0] == 1.0)
         assert np.all(traj.ys[:, 1] == 0.0)
-
-
-def test_synthetic_field_constructor():
-    A = np.array([[0.0, -1.0], [1.0, 0.0]])
-    f = ExpandedField.from_callables(2, lambda xi: A @ xi)
-    assert f.dim == 2
-    assert np.all(f.F(0.3, np.ones(2)) == 0.0)
-    X = np.arange(6.0).reshape(2, 3)
-    # the fused field of an unforced field is G(X) at every lambda
-    assert np.array_equal(f.GF_batch(0.3, X, np.array([0.0, 0.3, 0.7])), A @ X)
-    assert np.array_equal(f.G_batch(X), A @ X)
-    assert f.problem is None
 
 
 def test_forcing_batch_matches_scalar(example_field):

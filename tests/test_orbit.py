@@ -13,7 +13,7 @@ from scipy.integrate import solve_ivp
 
 import helpers
 from gammachain import chain, cli, orbit, rk45
-from gammachain.chain import ExpandedField, ProblemSpec, lifted_zero
+from gammachain.chain import ProblemSpec, lifted_zero
 from gammachain.orbit import (ContinuationParams, IntegrationError,
                               NoConvergenceError, SingularJacobianError,
                               fold_lambdas, integrate, newton_periodic,
@@ -60,17 +60,6 @@ class TestIntegrate:
         traj = integrate(example_field, 0.1, np.array([0.2, 0.0, -0.2, -0.2]),
                          0.0, 1.0)
         assert np.all(np.isfinite(traj.ys))
-
-    def test_callables_field_runs_solve_ivp_bit_for_bit(self):
-        # a field built from callables has no float stages: its solves
-        # take the NumPy stages, which are solve_ivp's arithmetic
-        A = np.array([[0.0, -2.0, 0.0], [2.0, -0.1, 0.0], [1.0, 0.0, -1.0]])
-        f = ExpandedField.from_callables(3, lambda xi: A @ xi)
-        xi0 = np.array([1.0, 0.0, 0.2])
-        traj = integrate(f, 0.0, xi0, 0.0, 3.0)
-        ref = solve_ivp(lambda t, y: A @ y, (0.0, 3.0), xi0, method="RK45",
-                        rtol=rk45.TOL, atol=rk45.TOL)
-        assert np.array_equal(traj.y_end, ref.y[:, -1])
 
     def test_field_failure_reports_stage_time(self):
         # x0 turns negative near t = 0.0100548; the scalar x0^0.5 raises a
@@ -226,18 +215,10 @@ class TestDenseOutput:
                 assert np.array_equal(sol(ts), eager)
 
 
-def on_numpy_stages(field, lam):
-    """A field of G + lam F at t = 0 of ``field`` built from callables, so
-    that its stacked runs take NumPy stages; it is ``field`` wherever lam
-    = 0 or F does not depend on t."""
-    return ExpandedField.from_callables(
-        field.dim, lambda X: field.GF_batch(0.0, X, lam), field.problem)
-
-
 class TestPeriodMaps:
     """Failures of a stacked Jacobian run (``orbit._linearize``), each on
     both kinds of stacked stages: the float stages of an expanded field,
-    and NumPy stages of a field built from callables."""
+    and NumPy stages of its ``GF_batch`` (``numpy_stacked``)."""
 
     def test_nan_stages_fail_instead_of_hanging(self):
         # x0 turns negative within the first steps, so x0^0.5 gives a math
@@ -245,27 +226,26 @@ class TestPeriodMaps:
         # shrink to failure, not stall at a NaN size
         f = chain.expand(ProblemSpec.from_strings("x0^0.5 - x2", "q-p", "1",
                                                   1.0, 1, 1.0))
-        for field in (f, on_numpy_stages(f, 1.0)):
+        for field in (f, numpy_stacked(f)):
             with helpers.deadline(5):
                 with pytest.raises(IntegrationError):
                     orbit._linearize(field, 1.0, np.array([0.01, -1.0, 0.0]))
 
     def test_field_failure_reports_running_time(self):
         # a field that raises where x0^0.5 turns NaN (the float stages, or
-        # a strict batched field): the failure is reported at the time of
-        # the failing stage, 0.0101768, as for a lone solve
+        # a strict fused field on NumPy stages): the failure is reported at
+        # the time of the failing stage, 0.0101768, as for a lone solve
         # (TestIntegrate.test_field_failure_reports_stage_time)
         f = chain.expand(ProblemSpec.from_strings("x0^0.5 - x2", "q-p", "1",
                                                   1.0, 1, 1.0))
-        G = on_numpy_stages(f, 1.0).G
 
-        def strict(X):
-            out = G(X)
+        def strict(t, X, lams):
+            out = f.GF_batch(t, X, lams)
             if not np.isfinite(out).all():
                 raise ValueError("math domain error")
             return out
 
-        for field in (f, ExpandedField.from_callables(f.dim, strict, f.problem)):
+        for field in (f, numpy_stacked(dataclasses.replace(f, GF_batch=strict))):
             with pytest.raises(IntegrationError, match="field evaluation failed") as err:
                 orbit._linearize(field, 1.0, np.array([0.01, -1.0, 0.0]))
             assert 0.0100 < err.value.time < 0.0103
@@ -276,7 +256,7 @@ class TestPeriodMaps:
         xi0 = np.array([20.0, 20.0, 0.0])
         sol = reference_solve(f, 0.0, xi0)
         assert not sol.success
-        for field in (f, on_numpy_stages(f, 0.0)):
+        for field in (f, numpy_stacked(f)):
             with pytest.raises(IntegrationError) as err:
                 orbit._linearize(field, 0.0, xi0)
             # the stacked run's step control differs from the lone solve's
