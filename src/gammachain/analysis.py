@@ -11,6 +11,7 @@ and the Lipschitz sampler alike.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -44,13 +45,16 @@ class CrossCheckError(ArithmeticError):
 
 @dataclass(frozen=True)
 class ZeroRecord:
-    """A refined zero of Phi with its lifted point and Jacobian data."""
+    """A refined zero of Phi with its lifted point and Jacobian data;
+    ``det_sign`` is the sign of det DG, which the degree count reads, as
+    ``det_fd`` may be a string (:func:`_det`)."""
 
     u_bar: float
     phi_prime: float
     lifted: np.ndarray
-    det_fd: float
-    det_formula: float
+    det_fd: float | str
+    det_formula: float | str
+    det_sign: int
     nondegenerate: bool
     sign_change: bool
 
@@ -177,23 +181,56 @@ def _bisect(fun, lo: float, hi: float, flo: float) -> float:
     return mid
 
 
+def _det(value: float, sign: float, log_abs: float):
+    """A determinant as the JSON reports it: ``value`` where it is a finite
+    normal float or the determinant is 0, otherwise, where it overflows or
+    underflows, the string ``"<sign>d.ddddddddddde<exponent>"`` of
+    ``sign * exp(log_abs)`` to 12 significant digits."""
+    if sign == 0:
+        return value if math.isfinite(value) else 0.0
+    if math.isfinite(value) and abs(value) >= np.finfo(float).tiny:
+        return value
+    exponent = math.floor(log_abs / math.log(10))
+    mantissa = math.exp(log_abs - exponent * math.log(10))
+    if round(mantissa, 11) >= 10.0:
+        mantissa, exponent = mantissa / 10.0, exponent + 1
+    return f"{'-' if sign < 0 else ''}{mantissa:.11f}e{exponent:+d}"
+
+
 def _make_record(p: chain.ProblemSpec, u: float) -> ZeroRecord:
+    """The record of the zero ``u`` of Phi.  det DG and its formula
+    (-1)^(b-1) * a^b * Phi'(u) are cross-checked as floats where both are
+    finite normal floats; where either overflows or underflows, as a^b
+    does for large b, by their signs and log|det| (``np.linalg.slogdet``
+    against b log a + log|Phi'|)."""
     a = p.kernel.a
     b = p.kernel.b
     dphi = phi_prime(p, u)
     lifted = chain.lifted_zero(p, u)
-    det_formula = (-1.0) ** (b - 1) * a**b * dphi
     J = jacobian_fd(chain.expand(p).G_batch, lifted[:, None])[0]
-    det_fd = float(np.linalg.det(J))
+    sign_fd, log_fd = np.linalg.slogdet(J)
+    sign_formula = (-1) ** (b - 1) * _sign(dphi)
+    log_formula = b * math.log(a) + (math.log(abs(dphi)) if dphi else -math.inf)
+    try:
+        det_formula = (-1.0) ** (b - 1) * a**b * dphi
+    except OverflowError:
+        det_formula = math.inf
+    with np.errstate(over="ignore", under="ignore"):
+        det_fd = float(np.linalg.det(J))
+    det_fd = _det(det_fd, sign_fd, log_fd)
+    det_formula = _det(det_formula, sign_formula, log_formula)
     nondeg = abs(dphi) > DEGENERACY_TOL
     delta = 1e-6 * (1.0 + abs(u))
     sign_change = phi_eval(p, u - delta) * phi_eval(p, u + delta) < 0.0
-    if nondeg and abs(det_fd - det_formula) > DET_CHECK_TOL * (1.0 + abs(det_formula)):
+    if isinstance(det_fd, float) and isinstance(det_formula, float):
+        mismatch = abs(det_fd - det_formula) > DET_CHECK_TOL * (1.0 + abs(det_formula))
+    else:
+        mismatch = sign_fd != sign_formula or abs(log_fd - log_formula) > DET_CHECK_TOL
+    if nondeg and mismatch:
         raise CrossCheckError(
-            f"determinant mismatch at u={u:.12g}: fd={det_fd:.6e} "
-            f"formula={det_formula:.6e}")
+            f"determinant mismatch at u={u:.12g}: fd={det_fd} formula={det_formula}")
     return ZeroRecord(u_bar=float(u), phi_prime=float(dphi), lifted=lifted,
-                      det_fd=det_fd, det_formula=det_formula,
+                      det_fd=det_fd, det_formula=det_formula, det_sign=int(sign_fd),
                       nondegenerate=nondeg, sign_change=sign_change)
 
 
@@ -259,7 +296,7 @@ def degree_G(p: chain.ProblemSpec, alpha: float, beta: float,
         raise CrossCheckError(
             f"sign-count degree {dphi} disagrees with boundary formula {boundary}")
     deg_g = (-1) ** (p.kernel.b - 1) * dphi
-    jac_sum = sum(_sign(z.det_fd) for z in records)
+    jac_sum = sum(z.det_sign for z in records)
     if jac_sum != deg_g:
         raise CrossCheckError(
             f"Jacobian-sign degree {jac_sum} disagrees with "

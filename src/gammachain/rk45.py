@@ -34,6 +34,7 @@ import shutil
 import stat
 import tempfile
 import time
+import zlib
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
@@ -447,23 +448,28 @@ def _compile(cc: str, source: str, out: str) -> bool:
     return bool(done) and status == 0
 
 
-def _intact(path: Path) -> bool:
-    """Whether the library ends in the sha256 digest of the rest of it."""
-    import hashlib
+def _intact(path: Path, key: bytes) -> bool:
+    """Whether the library ends in the trailer :func:`_seal` gave it for
+    ``key``: these very key bytes, their length, and the CRC-32 of all
+    that comes before the CRC."""
     try:
         data = path.read_bytes()
     except FileNotFoundError:
         return False
-    return hashlib.sha256(data[:-32]).digest() == data[-32:]
+    body = data[:-4]
+    return (body.endswith(key + len(key).to_bytes(8, "little"))
+            and zlib.crc32(body).to_bytes(4, "little") == data[-4:])
 
 
-def _seal(tmp: str, path: Path):
-    """Append the sha256 of the compiled library ``tmp`` to it (the loader
-    ignores them) and move it to ``path``, so that no process sees one
-    half written, then prune the cache."""
-    import hashlib
+def _seal(tmp: str, path: Path, key: bytes):
+    """Append to the compiled library ``tmp`` the trailer that
+    :func:`_intact` checks (the loader ignores it): ``key``, its length as
+    8 little-endian bytes, and the CRC-32 of the library and both, as 4.
+    Then move it to ``path``, so that no process sees one half written,
+    and prune the cache."""
+    trailer = key + len(key).to_bytes(8, "little")
     with open(tmp, "r+b") as fh:
-        fh.write(hashlib.sha256(fh.read()).digest())
+        fh.write(trailer + zlib.crc32(trailer, zlib.crc32(fh.read())).to_bytes(4, "little"))
     os.chmod(tmp, 0o700)
     os.replace(tmp, path)
     _prune(path.parent)
@@ -493,27 +499,31 @@ def compiled_stages(derivatives: list[str]):
     no ``cc`` on PATH, no usable cache, a failed or timed-out compile or
     load, a library others may write to).
 
-    The library is cached per user, keyed by the sha256 of the source, the
-    flags and the machine; one in the cache is loaded at once.  Otherwise
-    ``cc`` compiles it now, and the call waits for it.  A library that does
-    not end in its own digest, as a cut-short one, is compiled again, never
-    loaded: mapping it can kill the process."""
-    import hashlib  # here, so that analyze, which solves nothing, does not load it
+    The library is cached per user.  Its key bytes are the source, the
+    flags and the machine; the file is named by their CRC-32 and Adler-32,
+    and sealed with the key bytes themselves (:func:`_seal`).  One in the
+    cache is loaded at once.  Otherwise ``cc`` compiles it now, and the
+    call waits for it.  A library whose trailer does not hold these very
+    key bytes and the CRC of the rest, as a cut-short or altered one, or
+    one of other source under the same name, is compiled again, never
+    loaded: mapping it can kill the process.  The checksums are ``zlib``'s,
+    not ``hashlib``'s, whose import maps OpenSSL's libcrypto into each
+    command (about 3.5 MB of peak RSS)."""
     cc = shutil.which("cc") if os.name == "posix" else None
     cache = _cache_dir() if cc is not None else None
     if cache is None:
         return None
     source = _c_source(derivatives)
-    key = hashlib.sha256("\0".join((source, *_CC_FLAGS, platform.machine())).encode())
-    path = cache / f"stages-{key.hexdigest()}.so"
+    key = "\0".join((source, *_CC_FLAGS, platform.machine())).encode()
+    path = cache / f"stages-{zlib.crc32(key):08x}{zlib.adler32(key):08x}.so"
     try:
-        if not _intact(path):
+        if not _intact(path, key):
             fd, tmp = tempfile.mkstemp(suffix=".tmp", dir=cache)
             os.close(fd)
             try:
                 if not _compile(cc, source, tmp):
                     return None
-                _seal(tmp, path)
+                _seal(tmp, path, key)
             finally:
                 with contextlib.suppress(FileNotFoundError):
                     os.unlink(tmp)

@@ -56,6 +56,36 @@ class TestScanZeros:
         for z in recs:
             assert abs(z.det_fd - z.det_formula) <= 1e-4 * (1 + abs(z.det_formula))
 
+    @pytest.mark.parametrize("a, b", [(145.0, 145), (0.01, 160)],
+                             ids=["overflow", "underflow"])
+    def test_determinants_beyond_float_range(self, a, b):
+        # a^b over- or underflows a float: each determinant is the string of
+        # its sign and log|det|, cross-checked by them, and its sign counts
+        problem = ProblemSpec.from_strings("-x0*(1+x2)", "q-p", "1+x*sin(2*pi*t)", a, b, 1.0)
+        recs = scan_zeros(problem, -0.5, 1.5, 200)
+        assert len(recs) == 2
+        for z in recs:
+            sign = (-1) ** (b - 1) * int(np.sign(z.phi_prime))
+            assert z.det_sign == sign
+            log10 = b * np.log10(a) + np.log10(abs(z.phi_prime))
+            for det in (z.det_fd, z.det_formula):
+                mantissa, exponent = det.split("e")
+                assert np.sign(float(mantissa)) == sign and 1 <= abs(float(mantissa)) < 10
+                assert np.log10(abs(float(mantissa))) + int(exponent) == pytest.approx(log10, abs=1e-7)
+        report = analysis.degree_G(problem, -0.5, 1.5, 200)
+        assert report.deg_phi == 0 and report.deg_G == 0
+
+    @pytest.mark.parametrize("factor", [2.0, -1.0], ids=["log", "sign"])
+    @pytest.mark.parametrize("a, b", [(2.0, 2), (145.0, 145)], ids=["float", "beyond"])
+    def test_determinant_mismatch_raises(self, monkeypatch, a, b, factor):
+        # a formula off by a factor of 2 or of the wrong sign fails the
+        # cross-check, within and beyond the float range alike
+        problem = ProblemSpec.from_strings("-x0*(1+x2)", "q-p", "1+x*sin(2*pi*t)", a, b, 1.0)
+        true_phi_prime = analysis.phi_prime
+        monkeypatch.setattr(analysis, "phi_prime", lambda p, u: factor * true_phi_prime(p, u))
+        with pytest.raises(analysis.CrossCheckError, match="determinant mismatch"):
+            scan_zeros(problem, -0.5, 1.5, 200)
+
     def test_interior_without_zeros(self, example_problem):
         assert scan_zeros(example_problem, 0.25, 0.75, 100) == []
 

@@ -145,6 +145,24 @@ class TestAnalyze:
         assert doc["degree"]["deg_phi"] == 0 and doc["degree"]["deg_G"] == 0
         assert doc["multiplicity"]["n"] == 2
 
+    def test_determinants_beyond_float_range(self, tmp_path, capsys):
+        # at a = b = 145, a^b = 145^145 overflows a float: the two
+        # determinants are reported as strings and the degree is read from
+        # their signs
+        doc = json.loads(json.dumps(EXAMPLE_CONFIG))
+        doc["problem"].update(a=145.0, b=145)
+        out = tmp_path / "out"
+        out.mkdir()
+        assert main(["analyze", "--config", str(write_config(tmp_path, doc)),
+                     "--out", str(out)]) == 0
+        capsys.readouterr()
+        report = json.loads((out / "analysis.json").read_text())
+        assert report["degree"]["deg_phi"] == 0 and report["degree"]["deg_G"] == 0
+        assert report["multiplicity"]["n"] == 0
+        dets = [(z["det_fd"], z["det_formula"]) for z in report["degree"]["zeros"]]
+        assert [d[:8] for pair in dets for d in pair] == ["-2.50242"] * 2 + ["2.502420"] * 2
+        assert all(d.endswith("e+313") for pair in dets for d in pair)
+
     def test_exit_codes(self, tmp_path, capsys):
         path = write_config(tmp_path, EXAMPLE_CONFIG)
         assert main(["analyze", "--config", str(path)]) == 0
@@ -745,5 +763,40 @@ def test_commands_leave_numpy_random_unloaded(tmp_path):
     # the periodicity check of load_config draws its samples from the
     # standard library's generator, and no command imports numpy.random
     proc = run_script(NO_NUMPY_RANDOM_RUN, Path(__file__).parents[1] / "configs" / "example.json",
+                      tmp_path / "out")
+    assert proc.returncode == 0, proc.stderr
+
+
+NO_OPENSSL_RUN = """
+import sys
+from pathlib import Path
+from gammachain import chain, cli, rk45
+config, out = sys.argv[1:]
+
+def refuse(*args):
+    sys.exit("the kernel was compiled, not loaded from the cache")
+rk45._compile = refuse
+if not isinstance(chain.expand(cli.load_config(Path(config)).problem).stages(0.1)[1],
+                  rk45.CompiledAttempt):
+    sys.exit("no compiled float stages")
+for argv in (["analyze", "--config", config, "--out", out],
+             ["branch", "--config", config, "--out", out],
+             ["verify", out + "/branch_0.csv", "--config", config, "--out", out]):
+    if cli.main(argv) != 0:
+        sys.exit(f"{argv[0]} failed")
+loaded = sorted({"hashlib", "_hashlib"} & set(sys.modules))
+if loaded:
+    sys.exit(f"OpenSSL's hashing modules loaded: {loaded}")
+"""
+
+
+@helpers.requires_compiler
+def test_commands_leave_openssl_unloaded(tmp_path, example_field):
+    # the kernel cache names and seals its libraries with zlib's checksums:
+    # loading a cached kernel, analyze, a compiled branch and verify import
+    # neither hashlib nor _hashlib, which maps OpenSSL's libcrypto; in a
+    # fresh interpreter, as pytest itself may have imported hashlib
+    assert isinstance(example_field.stages(0.1)[1], rk45.CompiledAttempt)  # now in the cache
+    proc = run_script(NO_OPENSSL_RUN, Path(__file__).parents[1] / "configs" / "example.json",
                       tmp_path / "out")
     assert proc.returncode == 0, proc.stderr

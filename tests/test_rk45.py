@@ -5,10 +5,12 @@ waiting for the compiler, and no compiler outlives that wait."""
 from __future__ import annotations
 
 import os
+import platform
 import stat
 import subprocess
 import sys
 import time
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -65,15 +67,39 @@ def fake_cc(tmp_path, monkeypatch):
     return install
 
 
-def cut_short_library(cache, monkeypatch):
-    """PROBLEM's library compiled into the cache, never loaded by this
-    process, then cut to its first 1000 bytes."""
+def problem_key(problem=PROBLEM):
+    """The key bytes that the library of ``problem`` is named by and sealed
+    with: its C source, the compiler flags and the machine."""
+    seen = []
+    field = chain.expand.__wrapped__(ProblemSpec.from_strings(*problem))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(rk45, "compiled_stages", seen.append)
+        field.stages(LAM)
+    derivatives, = seen
+    return "\0".join((rk45._c_source(derivatives), *rk45._CC_FLAGS,
+                      platform.machine())).encode()
+
+
+def library_name(key):
+    """The file name of the library sealed for the key bytes ``key``."""
+    return f"stages-{zlib.crc32(key):08x}{zlib.adler32(key):08x}.so"
+
+
+def cached_library(cache, monkeypatch, problem=PROBLEM):
+    """The library of ``problem`` compiled into the cache, never loaded by
+    this process."""
     def not_loaded(path):
         raise OSError("not loaded")
     with monkeypatch.context() as mp:
         mp.setattr(rk45.ctypes, "CDLL", not_loaded)
-        fresh_stages()
-    library, = cache.iterdir()
+        chain.expand.__wrapped__(ProblemSpec.from_strings(*problem)).stages(LAM)
+    return cache / library_name(problem_key(problem))
+
+
+def cut_short_library(cache, monkeypatch):
+    """PROBLEM's library compiled into the cache, never loaded by this
+    process, then cut to its first 1000 bytes."""
+    library = cached_library(cache, monkeypatch)
     library.write_bytes(library.read_bytes()[:1000])
     return library
 
@@ -164,6 +190,7 @@ class TestFallback:
         fake_cc("exit 1")
         assert_python_stages(*fresh_stages())
         assert library.stat().st_size == 1000
+        assert not rk45._intact(library, problem_key())
 
 
 class TestCache:
@@ -213,9 +240,10 @@ class TestCache:
             """
         env = dict(os.environ, PYTHONPATH=str(Path(rk45.__file__).parents[1]))
         subprocess.run([sys.executable, "-c", first], check=True, timeout=60, env=env)
+        key = problem_key()
         library, = cache.iterdir()
-        assert library.name.startswith("stages-") and library.suffix == ".so"
-        assert rk45._intact(library)
+        assert library.name == library_name(key)
+        assert rk45._intact(library, key)
         subprocess.run([sys.executable, "-c", second], check=True, timeout=60, env=env)
 
     @helpers.requires_compiler
@@ -223,10 +251,44 @@ class TestCache:
         library = cut_short_library(cache, monkeypatch)
         rhs, attempt = fresh_stages()
         assert isinstance(attempt, rk45.CompiledAttempt)
-        assert rk45._intact(library)
+        assert rk45._intact(library, problem_key())
         compiled = solve(rhs, attempt)
         python = solve(rhs, attempt.replay)
         assert np.array_equal(compiled.y, python.y)
+
+    @helpers.requires_compiler
+    @pytest.mark.parametrize("damage", ["cut by one byte", "cut to half", "one byte flipped",
+                                        "sealed for other key bytes"])
+    def test_damaged_library_is_compiled_again(self, cache, monkeypatch, damage):
+        # a library whose trailer does not hold PROBLEM's key bytes and the
+        # CRC of the rest is never mapped: the one library mapped is the
+        # one compiled again, sealed for PROBLEM's key
+        key = problem_key()
+        library = cached_library(cache, monkeypatch)
+        data = library.read_bytes()
+        if damage == "cut by one byte":
+            library.write_bytes(data[:-1])
+        elif damage == "cut to half":
+            library.write_bytes(data[:len(data) // 2])
+        elif damage == "one byte flipped":
+            # in the code, before the trailer: only the CRC tells
+            flipped = bytearray(data)
+            flipped[len(data) - len(key) - 1000] ^= 0x01
+            library.write_bytes(bytes(flipped))
+        else:
+            # a name collision: another problem's library, sealed for its
+            # own key bytes, at PROBLEM's path
+            other = (*PROBLEM[:3], 2.5, *PROBLEM[4:])
+            library.write_bytes(cached_library(cache, monkeypatch, other).read_bytes())
+        assert not rk45._intact(library, key)
+        compiles, mapped = [], []
+        compile_, cdll = rk45._compile, rk45.ctypes.CDLL
+        monkeypatch.setattr(rk45, "_compile",
+                            lambda *args: compiles.append(args) or compile_(*args))
+        monkeypatch.setattr(rk45.ctypes, "CDLL",
+                            lambda path: mapped.append(rk45._intact(Path(path), key)) or cdll(path))
+        assert isinstance(fresh_stages()[1], rk45.CompiledAttempt)
+        assert len(compiles) == 1 and mapped == [True]
 
     def test_default_location(self, tmp_path, monkeypatch):
         # an unset or relative XDG_CACHE_HOME means ~/.cache
@@ -255,7 +317,9 @@ class TestCache:
     @helpers.requires_compiler
     def test_pruned_to_the_most_recently_used(self, cache, monkeypatch):
         # a compile keeps the _CACHE_KEEP libraries last used, itself
-        # included, and deletes temporary files a killed compile left
+        # included, and deletes temporary files a killed compile left;
+        # the old ones are named as sha256-keyed libraries were, which age
+        # out the same way
         monkeypatch.setattr(rk45, "_CACHE_KEEP", 3)
         cache.mkdir(parents=True, mode=0o700)
         now = time.time()
@@ -268,7 +332,7 @@ class TestCache:
         live.write_bytes(b"")
         os.utime(stale, (now - 2 * rk45._STALE_TMP_S, now - 2 * rk45._STALE_TMP_S))
         assert isinstance(fresh_stages()[1], rk45.CompiledAttempt)
-        built = {p.name for p in cache.glob("stages-*.so")} - {p.name for p in old}
-        assert len(built) == 1
+        built, = {p.name for p in cache.glob("stages-*.so")} - {p.name for p in old}
+        assert rk45._intact(cache / built, problem_key())
         assert sorted(p.name for p in cache.iterdir()) == sorted(
-            [*built, old[-1].name, old[-2].name, live.name])
+            [built, old[-1].name, old[-2].name, live.name])
