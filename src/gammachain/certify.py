@@ -12,8 +12,9 @@ a lower estimate, so the certification comparison applies a safety factor
 on top of it.  The Jacobian of a chain field varies only with (u, v0, vb),
 so the box is sampled on a tensor grid over those three axes alone
 (``ExpandedField.jacobian_axes``).  The samples are taken in chunks of
-``SAMPLE_CHUNK`` points, and each chunk's central-difference Jacobians
-come from one call of the column-batched field ``G_batch``.
+``SAMPLE_CHUNK`` points up to dim 40, fewer above it so that a chunk holds
+no more floats than at dim 40, and each chunk's central-difference
+Jacobians come from one call of the column-batched field ``G_batch``.
 """
 from __future__ import annotations
 
@@ -29,7 +30,7 @@ __all__ = ["CertReport", "MultiplicityReport", "lipschitz_estimate",
 
 SAFETY_FACTOR = 1.1
 DEFAULT_GRID = 7
-SAMPLE_CHUNK = 128  # box samples per batched Jacobian call
+SAMPLE_CHUNK = 128  # box samples per batched Jacobian call, up to dim 40
 
 
 @dataclass(frozen=True)
@@ -74,14 +75,19 @@ class MultiplicityReport:
 
 
 def _box_samples(center: np.ndarray, radius: float, grid_per_axis: int, axes):
-    """The samples of the box center +- radius as (dim, k) column chunks
-    of at most ``SAMPLE_CHUNK`` points: the tensor grid over ``axes`` in
-    ``itertools.product`` order, every other coordinate at the center."""
+    """The samples of the box center +- radius as (dim, k) column chunks:
+    the tensor grid over ``axes`` in ``itertools.product`` order, every
+    other coordinate at the center.  A chunk takes ``SAMPLE_CHUNK`` points
+    up to dim 40 and ``SAMPLE_CHUNK`` * (40 / dim)^2 (at least 1) above it,
+    so that its finite differences (2 dim shifted states and a dim x dim
+    Jacobian per sample) hold no more floats than at dim 40."""
+    dim = center.size
+    chunk = min(SAMPLE_CHUNK, max(1, SAMPLE_CHUNK * 40**2 // dim**2))
     values = [np.linspace(center[i] - radius, center[i] + radius, grid_per_axis)
               for i in axes]
     total = grid_per_axis ** len(values)
-    for start in range(0, total, SAMPLE_CHUNK):
-        flat = np.arange(start, min(start + SAMPLE_CHUNK, total))
+    for start in range(0, total, chunk):
+        flat = np.arange(start, min(start + chunk, total))
         idx = np.unravel_index(flat, (grid_per_axis,) * len(values))
         X = np.repeat(center[:, None], flat.size, axis=1)
         for i, v, j in zip(axes, values, idx):

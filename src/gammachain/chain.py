@@ -6,20 +6,18 @@ R^(b+2), with state ordered (u, v0, v1, ..., vb) = (x, xdot, chain stages).
 Constant solutions of the second-order equation correspond to zeros of
 G through ``lifted_zero``.  G is the one field of a problem: the
 Lipschitz sampler and the degree cross-check read its column-batched form
-``G_batch``.  Single solves and the stacked runs of the shooting
-Jacobians run on the stages the field picks: for a chain of up to
-``FLOAT_STAGES_MAX_DIM`` components, float stages, one RK45 attempt of G +
-lambda F as straight-line float code, which ``rk45.float_stages`` generates
-from the same expression code as the compiled g, phi and f, and which a
-stacked run makes once per column, column after column, at the column's
-lambda (``rk45.stacked_stages``); where a C compiler is on PATH,
-``rk45.compiled_stages`` compiles that code to one C solve for both,
-initial step and step loop (the same results, bit for bit), on the first
-solve, which waits for it.  With the kernel loaded, the Python float
-stages are generated only for a solve that C replays on them.
-Above that limit, NumPy stages: of G + lambda F for single solves, and of
-the fused field ``GF_batch``, G + lambda F with one lambda per column, for
-stacked runs.
+``G_batch``.  Every solve, single or the stacked run of a shooting
+Jacobian, runs on float stages at every dim: one RK45 attempt of G +
+lambda F as straight-line float code, which ``rk45.float_stages``
+generates from the same expression code as the compiled g, phi and f.
+Where a C compiler is on PATH, ``rk45.compiled_stages`` compiles that code
+to one C solve, initial step and step loop, on the first solve, which
+waits for it, and the Python float stages are generated only for a solve
+that C replays on them.  On Python float stages a stacked run makes each
+column's attempt in turn (``rk45.stacked_stages``) below
+``VECTOR_STAGES_MIN_DIM`` and the attempt of all columns at once on an
+array (``rk45.vector_stages``) from there on.  Each gives the same
+results bit for bit, so which one runs never moves an output.
 """
 from __future__ import annotations
 
@@ -38,28 +36,13 @@ __all__ = ["ProblemSpec", "ExpandedField", "expand", "lifted_zero", "as_state"]
 _PERIODICITY_SEED = 0x5EED0001
 _PERIODICITY_SAMPLES = 50
 _PERIODICITY_TOL = 1e-9
-# Largest dim run on float stages, single solves and stacked runs alike.
-# The cost per step of the Python float stages grows with dim, that of the
-# NumPy stages hardly at all: one period of the example field at lam = 0.1
-# takes 2.0 / 27 / 210 ms on Python float stages and 8.1 / 13 / 33 ms on
-# NumPy stages at dim 10 / 62 / 252 (2-vCPU x86); the two break even
-# between dim 40 and 48.  Their C kernel is faster than both: from
-# linspace(0.3, -0.2, dim) it takes 0.06 / 0.09 / 0.25 ms against 2.1 /
-# 1.8 / 2.6 ms on NumPy stages at dim 10 / 62 / 252 (same machine).  A
-# stacked run makes the float stages' attempt once per column, so its cost
-# grows with dim * (dim + 2): one Jacobian run (dim + 2 columns) from
-# linspace(0.3, -0.2, dim) at lam = 0.1, on the fields of the example,
-# long_period and long_chain workloads at dim 4 / 6 / 10 and with b = a =
-# dim - 2 at dim 16 / 28 / 40, takes 1.1 / 11 / 13 / 36 / 147 / 372 ms on
-# the Python float stages, 2.6 / 14 / 7.9 / 11 / 18 / 32 ms on NumPy
-# stages and 0.1 / 0.3 / 0.3 / 0.8 / 2.9 / 6.0 ms in C (2-vCPU x86,
-# medians of 3-4).  Stacked runs still share the limit: without cc they
-# lose to NumPy stages from dim 10 on (one `branch` of that field takes
-# 0.99 / 2.56 s at dim 16 / 28 without cc, medians of 6), and with the
-# library compiled C saves 11-18% of `branch` at dims 16 to 40 against
-# NumPy stages.  No benchmark workload lies above dim 10 yet, so the limit
-# stays until one measures the gain end to end.
-FLOAT_STAGES_MAX_DIM = 40
+# Least dim whose stacked runs on the Python float stages are vectorized.
+# One stacked run of dim + 2 columns over a period, from linspace(0.3,
+# -0.2, dim) at lam = 0.1, takes 5.4 / 7.0 / 8.9 / 13.8 / 27 ms column
+# after column and 6.9 / 7.7 / 8.5 / 10.4 / 13.5 ms vectorized at dim 8 / 9
+# / 10 / 12 / 16 (the workload fields with a = b = dim - 2, T = 1; 2-vCPU
+# x86, medians of 7).  Both give the same bits.
+VECTOR_STAGES_MIN_DIM = 10
 
 G_VARS = ("x0", "x1", "x2")   # (x, xdot, delayed term)
 PHI_VARS = ("p", "q")         # (x, xdot)
@@ -123,18 +106,13 @@ class ExpandedField:
     (nonzero only in the xdot component).  ``G_batch`` is G on columns: it
     maps a (dim, N) array of states to the (dim, N) array of their images,
     for evaluating many states in one call (box samples, finite-difference
-    Jacobians).  ``GF_batch(t, X, lams)`` is G + lam F on the columns of X
-    at the scalar time t, with one lam per column in the (N,) array lams:
-    the field of a stacked run, written into one F-ordered (dim, N) array.
-    ``stages(lam)`` is the (rhs, attempt) of ``rk45.solve_ivp`` for a
-    single solve of G + lam F, at lam = 0 too: float stages (an
-    ``rk45.CompiledAttempt`` where their C kernel is loaded, whose rhs and
-    replay build the Python float stages when first called), or NumPy
-    stages of rhs with attempt None.  ``stacked(lams)`` is the same for a
-    stacked run of the columns of a (dim, N) array, column after column,
-    of G + lams[j] F in column j: float stages (``rk45.stacked_stages`` of
-    the float stages of each column, or their C kernel), or NumPy stages
-    of ``GF_batch`` with attempt None.
+    Jacobians).  ``stages(lam)`` is the (rhs, attempt) of
+    ``rk45.solve_ivp`` for a single solve of G + lam F, at lam = 0 too,
+    and ``stacked(lams)`` the same for a stacked run of the columns of a
+    (dim, N) array, column after column, of G + lams[j] F in column j.
+    Both are float stages at every dim: an ``rk45.CompiledAttempt`` where
+    their C kernel is loaded, whose rhs and replay build the Python float
+    stages when first called, and the Python float stages otherwise.
     ``jacobian_axes`` are the coordinates that the Jacobian of G varies
     with, (u, v0, vb): the cascade rows are constant.  Every field is
     built by ``expand``.
@@ -145,23 +123,12 @@ class ExpandedField:
     F: Callable[[float, np.ndarray], np.ndarray]
     problem: ProblemSpec
     G_batch: Callable[[np.ndarray], np.ndarray]
-    GF_batch: Callable[[float, np.ndarray, np.ndarray], np.ndarray]
     stages: Callable[[float], tuple]
     stacked: Callable[[np.ndarray], tuple]
 
     @property
     def jacobian_axes(self) -> tuple:
         return (0, 1, self.dim - 1)
-
-
-def _batched_rhs(GF_batch, dim, lams):
-    """The right-hand side of a stacked solve on NumPy stages: ``GF_batch``
-    on the (dim, len(lams)) view of the state, column after column."""
-    lams = np.asarray(lams, dtype=float)
-
-    def rhs(t, y):
-        return GF_batch(t, y.reshape(dim, lams.size, order="F"), lams).ravel(order="F")
-    return rhs
 
 
 @lru_cache(maxsize=128)
@@ -177,17 +144,15 @@ def expand(p: ProblemSpec) -> ExpandedField:
     """Build the expanded field: componentwise
 
     (v0, g(u, v0, vb), a*(phi(u, v0) - v1), a*(v1 - v2), ..., a*(v_{b-1} - vb))
-    with forcing (0, f(t, u, v0), 0, ..., 0).  ``G_batch`` and ``GF_batch``
-    evaluate G and G + lam F on the columns of a (dim, N) array with the
-    vectorized g, phi and f.  ``stages`` and ``stacked`` give the float
-    stages of G + lam F up to ``FLOAT_STAGES_MAX_DIM``, from the scalar
-    code of g, phi and f, and NumPy stages above it.  Their C kernel is
-    built on the first call (``rk45.compiled_stages``: loaded from the
-    cache, or compiled then), never in ``expand`` itself, and that call's
-    answer holds for the life of the field.  Without a kernel the solves
-    run on the Python float stages, which ``rk45.float_stages`` generates
-    once for every lam; with one, they are generated only on the first
-    replay.
+    with forcing (0, f(t, u, v0), 0, ..., 0).  ``G_batch`` evaluates G on
+    the columns of a (dim, N) array with the vectorized g and phi.
+    ``stages`` and ``stacked`` give the float stages of G + lam F, from the
+    scalar code of g, phi and f.  Their C kernel is built on the first
+    call (``rk45.compiled_stages``: loaded from the cache, or compiled
+    then), never in ``expand`` itself, and that call's answer holds for the
+    life of the field.  Without a kernel the solves run on the Python float
+    stages, which ``rk45.float_stages`` generates once for every lam; with
+    one, they are generated only on the first replay.
     """
     a = p.kernel.a
     b = p.kernel.b
@@ -210,8 +175,7 @@ def expand(p: ProblemSpec) -> ExpandedField:
             return out
         return G
 
-    _, _, f = _compiled(p)
-    _, _, f_batch = _compiled(p, vectorized=True)
+    g, phi, f = _compiled(p)
     G = field(batched=False)
     G_batch = field(batched=True)
 
@@ -220,10 +184,19 @@ def expand(p: ProblemSpec) -> ExpandedField:
         out[1] = f(t, xi[0], xi[1])
         return out
 
-    def GF_batch(t, X, lams):
-        out = G_batch(X, np.empty(X.shape, order="F"))
-        out[1] += lams * f_batch(t, X[0], X[1])
-        return out
+    def vector_field(lams):
+        """G + lams[c] F on row c of a (columns, dim) array of states, for
+        ``rk45.vector_stages``: the cascade rows elementwise, rows 1 and 2
+        column after column with the scalar g, phi and f, since NumPy's
+        sin, cos and exp need not round as the float stages' libm does."""
+        def field(s, W, out):
+            u, v0 = W[:, 0].tolist(), W[:, 1].tolist()
+            out[:, 0] = W[:, 1]
+            out[:, 1] = [g(x, v, w) + lam * f(s, x, v)
+                         for x, v, w, lam in zip(u, v0, W[:, dim - 1].tolist(), lams)]
+            out[:, 2] = a * (np.array([phi(x, v) for x, v in zip(u, v0)]) - W[:, 2])
+            out[:, 3:] = a * (W[:, 2:dim - 1] - W[:, 3:])
+        return field
 
     @lru_cache(maxsize=None)
     def derivatives():
@@ -253,21 +226,24 @@ def expand(p: ProblemSpec) -> ExpandedField:
         attempt = compiled(lams, build)
         return attempt.rhs, attempt
 
+    def python_stacked(lams):
+        """The Python float stages of a stacked run: column after column
+        below ``VECTOR_STAGES_MIN_DIM``, vectorized from there on."""
+        columns = [python_stages()(lam) for lam in lams]
+        if dim < VECTOR_STAGES_MIN_DIM:
+            return rk45.stacked_stages(columns, dim)
+        return rk45.vector_stages(vector_field(lams), columns, dim)
+
     def stages(lam):
-        if dim > FLOAT_STAGES_MAX_DIM:
-            return (lambda t, y: G(y) + lam * F(t, y)), None
         lam = float(lam)
         return on_kernel((lam,), lambda: python_stages()(lam))
 
     def stacked(lams):
-        if dim > FLOAT_STAGES_MAX_DIM:
-            return _batched_rhs(GF_batch, dim, lams), None
         lams = tuple(float(lam) for lam in lams)
-        return on_kernel(lams, lambda: rk45.stacked_stages(
-            [python_stages()(lam) for lam in lams], dim))
+        return on_kernel(lams, lambda: python_stacked(lams))
 
     return ExpandedField(dim=dim, G=G, F=F, problem=p, G_batch=G_batch,
-                         GF_batch=GF_batch, stages=stages, stacked=stacked)
+                         stages=stages, stacked=stacked)
 
 
 def as_state(xi, dim: int) -> np.ndarray:

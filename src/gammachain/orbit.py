@@ -17,14 +17,12 @@ updated along the curve and recomputed only where Broyden stalls
 Every integration is one call of ``solve_ivp``, the RK45 driver of
 ``rk45``, made through this module's own name ``orbit.solve_ivp``, which
 the benchmark's tracer wraps to count solves.  A residual or ``integrate``
-is one solve on the stages the field picks (``field.stages(lam)``: float
-or NumPy).  A shooting Jacobian is one solve of the unperturbed column,
-the lambda column and the monodromy columns, stacked into one state, on
-the stages the field picks for them (``field.stacked(lams)``: float or
-NumPy); the first residual of each chord Newton is its column 0.  Every
-solve is one
-``rk45.Solution``, whose call is its dense output, sampled on 512 uniform
-points per period.
+is one solve on the field's float stages (``field.stages(lam)``).  A
+shooting Jacobian is one solve of the unperturbed column, the lambda
+column and the monodromy columns, stacked into one state, on the field's
+float stages for them (``field.stacked(lams)``); the first residual of
+each chord Newton is its column 0.  Every solve is one ``rk45.Solution``,
+whose call is its dense output, sampled on 512 uniform points per period.
 """
 from __future__ import annotations
 
@@ -151,7 +149,7 @@ class BranchTrace:
 
 
 def _single(field, lam, xi0, t0, t1) -> Solution:
-    """One solve of xi' = G(xi) + lam*F(t, xi) on the field's stages."""
+    """One solve of xi' = G(xi) + lam*F(t, xi) on the field's float stages."""
     rhs, attempt = field.stages(lam)
     return solve_ivp(rhs, (t0, t1), chain.as_state(xi0, field.dim), attempt=attempt)
 
@@ -195,8 +193,8 @@ def _linearize(field, lam, xi):
     MONODROMY_STEP (forced also at lam = 0); then one column starts at
     xi + MONODROMY_STEP e_j for each j.  The dim + 2 columns are one state,
     column after column, integrated by one ``solve_ivp`` under one step
-    control (internal numerical differentiation, Bock 1981) on the stages
-    the field picks for them (``field.stacked``).  Returns (the run, whose
+    control (internal numerical differentiation, Bock 1981) on the field's
+    float stages for them (``field.stacked``).  Returns (the run, whose
     dense output and ``y_end`` are column 0's, so ``y_end`` is the base
     map xi(T), and the (dim, dim + 1) quotients (P_j - xi(T)) /
     MONODROMY_STEP of the other columns' maps P_j)."""
@@ -207,8 +205,7 @@ def _linearize(field, lam, xi):
     lams = np.full(n, float(lam))
     lams[1] += MONODROMY_STEP
     rhs, attempt = field.stacked(lams)
-    run = solve_ivp(rhs, (0.0, field.problem.T), X0.ravel(order="F"), attempt=attempt,
-                    dim=dim)
+    run = solve_ivp(rhs, (0.0, field.problem.T), X0.ravel(order="F"), attempt=attempt)
     P = run.y[:, -1].reshape(dim, n, order="F")
     return run, (P[:, 1:] - P[:, :1]) / MONODROMY_STEP
 

@@ -4,20 +4,20 @@ control, at rtol = atol = ``TOL``.
 The tableau (Dormand & Prince 1980; Hairer, Norsett & Wanner, Solving
 ODEs I, II.4-II.5) is written out with the dense-output matrix ``P`` of
 Shampine (1986), as in SciPy's ``RK45``.  ``solve_ivp`` runs the step
-control with one of three stage evaluators.  The float stages of
-``float_stages`` are straight-line float code for one RK45 attempt of a
-field given as one Python expression per component (``chain.expand``
-compiles them for each problem's field); ``stacked_stages`` makes that
-attempt for many columns stacked into one state, each at its own lam, by
-calling each column's attempt in turn.  Their C kernel
+control on float stages.  The float stages of ``float_stages`` are
+straight-line float code for one RK45 attempt of a field given as one
+Python expression per component (``chain.expand`` compiles them for each
+problem's field); ``stacked_stages`` makes that attempt for many columns
+stacked into one state, each at its own lam, by calling each column's
+attempt in turn, and ``vector_stages`` makes it on the array of the
+columns at once, with the same results bit for bit.  Their C kernel
 (:func:`compiled_stages`, a :class:`CompiledAttempt` per solve) runs a
 whole solve of one column or of many, initial step and step loop, in one
 call, generated from the same code with the same IEEE operations in the
 same order, so its results are theirs bit for bit; it is cached per user,
 compiled with ``cc`` by the first solve that needs it, which waits for
 it, and replays a solve on the float stages wherever Python might part
-from C.  NumPy stages (``_numpy_stages``) have SciPy's ``rk_step``
-arithmetic.  A solve is one :class:`Solution`, whose call is its
+from C.  A solve is one :class:`Solution`, whose call is its
 vectorized quartic interpolant.  Every failure of a solve is an
 :class:`IntegrationError` at the time it happened.
 """
@@ -43,7 +43,7 @@ import numpy as np
 
 __all__ = ["TOL", "C", "A", "B", "E", "P", "IntegrationError", "Solution",
            "CompiledAttempt", "compiled_stages", "float_stages",
-           "stacked_stages", "solve_ivp"]
+           "stacked_stages", "vector_stages", "solve_ivp"]
 
 TOL = 1e-10  # the relative and absolute tolerance of every solve
 
@@ -54,13 +54,10 @@ A = ((),
      (44 / 45, -56 / 15, 32 / 9),
      (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
      (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656))
-_A = [np.array(row) for row in A]
 B = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84)
-_B = np.array(B)
 # error weights of the 7 stages, the last one being f at the new state
 E = (-71 / 57600, 0.0, 71 / 16695, -71 / 1920, 17253 / 339200, -22 / 525,
      1 / 40)
-_E = np.array(E)
 P = ((1.0, -8048581381 / 2820520608, 8663915743 / 2820520608,
       -12715105075 / 11282082432),
      (0.0, 0.0, 0.0, 0.0),
@@ -652,57 +649,55 @@ def stacked_stages(columns, dim):
     return rhs, attempt
 
 
-def _numpy_stages(fun, dim):
-    """One RK45 attempt of y' = fun(t, y) on arrays with SciPy's
-    ``rk_step`` arithmetic, keeping the stages of the first ``dim``
-    components; it returns the error's sum of squares as the ``x.dot(x)``
-    of which ``np.linalg.norm`` takes the root, so the step loop's norm
-    is SciPy's bit for bit.  A field evaluation that raises is an
-    :class:`IntegrationError` at its stage time."""
+def _vector_sum(coefs, K, zeros=False):
+    """sum_j coefs[j] * K[j] of the stage arrays K[j], elementwise, as
+    :func:`_combination` writes it."""
+    total = None
+    for j, c in enumerate(coefs):
+        if c or zeros:
+            total = c * K[j] if total is None else total + c * K[j]
+    return total
+
+
+def vector_stages(field, columns, dim):
+    """(rhs, attempt) of ``solve_ivp`` for the stacked run of
+    :func:`stacked_stages` ``(columns, dim)``, its attempt made on the
+    (columns, dim) array of the state at once, with the same results bit
+    for bit.  ``field(s, W, out)`` writes into the (columns, dim) array
+    ``out`` the field of each row of W, at the stage time s and its
+    column's lam, rounding as the float stages do.  The stage sums are
+    :func:`_combination`'s, elementwise, and the error's squares add in
+    column then component order (``np.add.accumulate``), the larger of
+    |y| and |y_new| taken as ``a if a > b else b``.  The state stays an
+    array from attempt to attempt.  ``rhs`` is that of
+    :func:`stacked_stages`.  Wherever ``field`` raises, the attempt is made
+    again on :func:`stacked_stages`, so that the lower column's failure is
+    the one raised."""
+    rhs, replay = stacked_stages(columns, dim)
+    shape = (len(columns), dim)
+
     def attempt(t, y, f, h):
-        K = np.empty((7, y.size))
-        K[0] = f
-        t_stage = t
-        try:
-            for s in range(1, 6):
-                t_stage = t + C[s] * h
-                K[s] = fun(t_stage, y + np.dot(K[:s].T, _A[s]) * h)
-            y_new = y + h * np.dot(K[:-1].T, _B)
-            t_stage = t + h
-            K[6] = fun(t_stage, y_new)
-        except (ZeroDivisionError, OverflowError, ValueError) as exc:
-            raise IntegrationError(float(t_stage),
-                                   f"field evaluation failed: {exc}") from exc
-        e = np.dot(K.T, _E) * h / (TOL + np.maximum(np.abs(y), np.abs(y_new)) * TOL)
-        return y_new, K[6], K[:, :dim], e.dot(e)
+        Y = np.reshape(y, shape)
+        K = np.empty((7, *shape))
+        K[0] = np.reshape(f, shape)
+        with np.errstate(all="ignore"):
+            try:
+                for st in range(1, 7):
+                    if st < 6:
+                        s = t + C[st] * h
+                        W = Y + _vector_sum(A[st], K) * h
+                    else:
+                        s = t + h
+                        W = Y + h * _vector_sum(B, K)
+                    field(s, W, K[st])
+            except (ZeroDivisionError, OverflowError, ValueError):
+                return replay(t, np.asarray(y).tolist(), np.asarray(f).tolist(), h)
+            a, b = np.abs(Y), np.abs(W)
+            e = (_vector_sum(E, K, zeros=True) * h) / (TOL + np.where(a > b, a, b) * TOL)
+            sq = np.add.accumulate((e * e).ravel())[-1]
+        return W.ravel(), K[6].ravel(), K[:, 0].ravel(), float(sq)
 
-    return attempt
-
-
-def _rms(x):
-    return np.linalg.norm(x) / x.size ** 0.5
-
-
-def _initial_step(fun, t0, t1, y0):
-    """(h_abs, f0) of SciPy's ``select_initial_step`` for the NumPy stages,
-    its arithmetic and norms bit for bit."""
-    t = t0
-    try:
-        f0 = np.asarray(fun(t0, y0), dtype=float)
-        if not np.isfinite(f0).all():
-            raise IntegrationError(t0, "non-finite field at the start")
-        scale = TOL + np.abs(y0) * TOL
-        d0, d1 = _rms(y0 / scale), _rms(f0 / scale)
-        h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, t1 - t0)
-        t = t0 + h0
-        d2 = _rms((np.asarray(fun(t, y0 + h0 * f0), dtype=float) - f0) / scale) / h0
-    except (ZeroDivisionError, OverflowError, ValueError) as exc:
-        raise IntegrationError(t, f"field evaluation failed: {exc}") from exc
-    if d1 <= 1e-15 and d2 <= 1e-15:
-        h1 = max(1e-6, h0 * 1e-3)
-    else:
-        h1 = (0.01 / max(d1, d2)) ** 0.2
-    return float(min(100 * h0, h1, t1 - t0)), f0
+    return rhs, attempt
 
 
 def _quotient(a, b):
@@ -722,8 +717,9 @@ def _float_rms(xs):
 def _float_field(fun, t, y):
     """fun(t, y) of the float stages, as a list.  Where it divides by 0, it
     is evaluated again on a state of NumPy scalars, whose inf or NaN the
-    initial step then reads, as it reads the NumPy stages' field; a
-    division by 0 of floats alone, as of the time, still raises."""
+    initial step then reads, as SciPy's initial step reads the inf or NaN
+    of NumPy arithmetic at its probes; a division by 0 of floats alone, as
+    of the time, still raises."""
     try:
         return list(fun(t, y))
     except ZeroDivisionError:
@@ -756,27 +752,25 @@ def _float_initial_step(fun, t0, t1, y):
     return min(100 * h0, h1, t1 - t0), f
 
 
-def solve_ivp(fun, t_span, y0, *, attempt=None, dim=None) -> Solution:
+def solve_ivp(fun, t_span, y0, *, attempt) -> Solution:
     """SciPy's RK45 for y' = fun(t, y) from y0 over t_span = (t0, t1),
-    t0 < t1, at rtol = atol = ``TOL``, with the dense output of the first
-    ``dim`` components (default: all).
+    t0 < t1, at rtol = atol = ``TOL``, on float stages.
 
-    ``attempt`` is a float attempt of :func:`float_stages` or
-    :func:`stacked_stages` (float stages, with ``fun`` its ``rhs``) or a
-    :class:`CompiledAttempt` of them, whose C call runs the whole solve
-    and which replays it on its float stages where C stops; without it the
-    stages are NumPy evaluations of ``fun`` (``_numpy_stages``).  Every
-    attempt returns the error's sum of squares, and the step loop takes
-    the RMS norm, sqrt(sq) / sqrt(n), for every kind of stages.  The step
-    control is SciPy's: its initial step, a least step of 10 ulp(t), step
-    factors 0.9 err^(-1/5) within [0.2, 10] (at most 1 after a rejection),
-    and the last step clipped to t1.  The initial step has one formula per
-    kind of stages: SciPy's own norms on the NumPy stages, and the same
-    formula with the squares summed in component order on the float stages
-    (``_float_initial_step``) and in C.  An error norm that is not below 1
-    (NaN included) rejects the attempt, as does a ZeroDivisionError in a
-    float stage, which NumPy arithmetic would have made inf or NaN.
-    ``nfev`` counts as SciPy's: 2 + 6 per attempt.
+    ``attempt`` is an attempt of :func:`float_stages`, :func:`stacked_stages`
+    or :func:`vector_stages`, with ``fun`` its ``rhs``, or a
+    :class:`CompiledAttempt` of them, whose C call runs the whole solve and
+    which replays it on its float stages where C stops.  The dense output
+    is that of the stages the attempt keeps: every component of a single
+    solve, column 0's of a stacked run.  Every attempt returns the error's
+    sum of squares, and the step loop takes the RMS norm, sqrt(sq) /
+    sqrt(n).  The step control is SciPy's: its initial step, with the
+    norms' squares summed in component order (``_float_initial_step``, as
+    in C), a least step of 10 ulp(t), step factors 0.9 err^(-1/5) within
+    [0.2, 10] (at most 1 after a rejection), and the last step clipped to
+    t1.  An error norm that is not below 1 (NaN included) rejects the
+    attempt, as does a ZeroDivisionError in a float stage, which NumPy
+    arithmetic would have made inf or NaN.  ``nfev`` counts as SciPy's: 2 +
+    6 per attempt.
 
     Floating-point warnings are off.  Raises :class:`IntegrationError` on
     a non-finite field at the start, a field evaluation that raises (at
@@ -789,15 +783,10 @@ def solve_ivp(fun, t_span, y0, *, attempt=None, dim=None) -> Solution:
     if isinstance(attempt, CompiledAttempt):
         run = attempt.run(t0, t1, y0)
         attempt = None if run is not None else attempt.replay
-    if attempt is not None:
+    if run is None:
         y = y0.tolist()
         h_abs, f0 = _float_initial_step(fun, t0, t1, y)
         run = _steps(attempt, t0, t1, h_abs, y, f0)
-    elif run is None:
-        with np.errstate(all="ignore"):
-            h_abs, f0 = _initial_step(fun, t0, t1, y0)
-            run = _steps(_numpy_stages(fun, y0.size if dim is None else dim),
-                         t0, t1, h_abs, y0, f0)
     t, Y, K, nfev = run
     if not np.isfinite(Y[-1]).all():
         raise IntegrationError(float(t[-1]), "non-finite state")

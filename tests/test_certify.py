@@ -97,12 +97,13 @@ class TestBatchedLipschitz:
 
     def test_samples_go_through_bounded_batches(self, example_field, monkeypatch):
         # the three-axis grid of a chain field at any dim: grid_per_axis^3
-        # points in batched chunks
-        long_chain = chain.expand(ProblemSpec.from_strings(
-            "-x0*(1+x2)", "q-p", "1+x*sin(2*pi*t)", 8.0, 45, 1.0))
-        assert long_chain.dim == 47
+        # points in batched chunks, whose block of shifted states (dim x
+        # width floats) never exceeds its size at dim 40
+        long_chains = [chain.expand(ProblemSpec.from_strings(
+            "-x0*(1+x2)", "q-p", "1+x*sin(2*pi*t)", 8.0, b, 1.0)) for b in (45, 118)]
+        assert [field.dim for field in long_chains] == [47, 120]
         jacobian_fd = analysis.jacobian_fd
-        for chain_field in (example_field, long_chain):
+        for chain_field in (example_field, *long_chains):
             calls = {"G": 0, "widths": [], "points": []}
 
             def scalar_G(xi):
@@ -111,6 +112,7 @@ class TestBatchedLipschitz:
 
             def batch_G(X):
                 calls["widths"].append(X.shape[1])
+                assert X.size <= 40 * 2 * 40 * certify.SAMPLE_CHUNK
                 return chain_field.G_batch(X)
 
             def recorded_jacobian(fun, X):

@@ -144,36 +144,31 @@ class TestExpand:
             assert isinstance(attempt, rk45.CompiledAttempt)
             assert attempt.lams == tuple(lams) and attempt.dim == example_field.dim
 
-    @pytest.mark.parametrize("b", [chain.FLOAT_STAGES_MAX_DIM - 2,
-                                   chain.FLOAT_STAGES_MAX_DIM - 1])
-    def test_long_chains_solve_on_numpy_stages(self, b):
-        # past FLOAT_STAGES_MAX_DIM a single solve takes the NumPy stages,
-        # which are solve_ivp's arithmetic, bit for bit
+    @pytest.mark.parametrize("b", [38, 39])
+    def test_long_chains_solve_on_float_stages(self, b):
+        # dims 40 and 41, on both sides of the dim up to which float stages
+        # once ran: a single solve agrees with solve_ivp to 1e-12
         p = ProblemSpec.from_strings("-x0*(1+x2)", "q-p", "1+x*sin(2*pi*t)",
                                      float(b), b, 1.0)
         field = expand(p)
-        numpy_stages = field.stages(0.1)[1] is None
-        assert numpy_stages == (field.dim > chain.FLOAT_STAGES_MAX_DIM)
+        assert field.stages(0.1)[1] is not None
         xi0 = np.linspace(0.3, -0.2, field.dim)
         traj = orbit.integrate(field, 0.1, xi0, 0.0, 0.1)
         ref = scipy.integrate.solve_ivp(
             lambda t, y: field.G(y) + 0.1 * field.F(t, y), (0.0, 0.1), xi0,
             method="RK45", rtol=rk45.TOL, atol=rk45.TOL)
-        if numpy_stages:
-            assert np.array_equal(traj.y_end, ref.y[:, -1])
-        else:
-            assert np.max(np.abs(traj.y_end - ref.y[:, -1])) <= 1e-12
+        assert np.max(np.abs(traj.y_end - ref.y[:, -1])) <= 1e-12
 
-    def test_numpy_stages_above_the_limit(self):
-        for b in (1, chain.FLOAT_STAGES_MAX_DIM - 2, chain.FLOAT_STAGES_MAX_DIM - 1, 60):
+    def test_float_stages_at_every_dim(self):
+        # single solves and stacked runs alike, in C wherever a compiler is
+        cc = shutil.which("cc") is not None
+        for b in (1, 38, 39, 60):
             field = expand(ProblemSpec.from_strings("-x0*(1+x2)", "q-p", "1+x*sin(2*pi*t)",
                                                     2.0, b, 1.0))
-            for lam in (0.0, 0.1):
-                numpy_stages = field.stages(lam)[1] is None
-                assert numpy_stages == (field.dim > chain.FLOAT_STAGES_MAX_DIM)
-            # the stacked runs share the limit
             lams = np.full(field.dim + 2, 0.1)
-            assert (field.stacked(lams)[1] is None) == (field.dim > chain.FLOAT_STAGES_MAX_DIM)
+            for _, attempt in (field.stages(0.0), field.stages(0.1), field.stacked(lams)):
+                assert attempt is not None
+                assert isinstance(attempt, rk45.CompiledAttempt) == cc
 
     def test_determinant_check_reads_G(self):
         # the degree cross-check takes det_fd from the Jacobian of G itself,
@@ -251,22 +246,28 @@ class TestProject:
         assert np.all(traj.ys[:, 1] == 0.0)
 
 
-def test_forcing_batch_matches_scalar(example_field):
-    # the fused field G + lam F, one lam per column, against the scalar G
-    # and F column by column, written into one F-ordered array
-    _, _, f_batch = chain._compiled(example_field.problem, vectorized=True)
+def test_forcing_batch_matches_scalar(example_field, monkeypatch):
+    # the field of a vectorized stacked run, G + lams[c] F on row c of an
+    # array of states, against the float stages' rhs of each column alone,
+    # bit for bit
+    fields = []
+    vector_stages = rk45.vector_stages
+    monkeypatch.setattr(rk45, "vector_stages",
+                        lambda field, *args: fields.append(field) or vector_stages(field, *args))
+    monkeypatch.setattr(chain, "VECTOR_STAGES_MIN_DIM", 0)
     rng = np.random.default_rng(7)
-    X = rng.uniform(-2.0, 2.0, size=(4, 9))
     lams = rng.uniform(0.0, 1.0, size=9)
+    _, attempt = example_field.stacked(lams)
+    getattr(attempt, "replay", attempt)  # the Python float stages
+    field, = fields
+    W = rng.uniform(-2.0, 2.0, size=(9, 4))
+    out = np.empty_like(W)
     for t in rng.uniform(0.0, 1.0, size=3):
-        GF = example_field.GF_batch(t, X, lams)
-        assert GF.shape == X.shape and GF.flags.f_contiguous
-        # bit for bit the sum G(X) + lams * F(t, X) of the separate fields
-        unfused = example_field.G_batch(X)
-        unfused[1] += lams * f_batch(t, X[0], X[1])
-        assert np.array_equal(GF, unfused)
+        field(t, W, out)
         for j in range(9):
-            xi = X[:, j]
+            rhs = example_field.stages(lams[j])[0]
+            assert out[j].tobytes() == np.array(rhs(t, W[j].tolist())).tobytes()
+            xi = W[j]
             np.testing.assert_allclose(
-                GF[:, j], example_field.G(xi) + lams[j] * example_field.F(t, xi),
+                out[j], example_field.G(xi) + lams[j] * example_field.F(t, xi),
                 rtol=1e-14, atol=1e-15)

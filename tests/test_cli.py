@@ -349,14 +349,14 @@ class TestBranch:
         assert capsys.readouterr().err == (f"config error: --seed-zero {index}: "
                                            "the scan found no zeros\n")
 
-    def test_long_chain_branches_and_verifies_on_numpy_stages(self, tmp_path):
-        # dim 47 is past FLOAT_STAGES_MAX_DIM: every single solve, at
-        # lambda = 0 and at lambda > 0, runs on the NumPy stages of G + lam F
+    def test_long_chain_branches_and_verifies_above_dim_40(self, tmp_path, monkeypatch):
+        # dim 47, above the dim up to which float stages once ran: every
+        # solve runs on the float stages, in C wherever a compiler is, and
+        # with no kernel to load the Python float stages write the same CSV
         doc = json.loads(json.dumps(EXAMPLE_CONFIG))
         doc["problem"].update(a=40.0, b=45)
         doc["continuation"] = {"lambda_max": 0.05}
         cfg = load_config(write_config(tmp_path, doc))
-        assert chain.expand(cfg.problem).stages(0.0)[1] is None
         summary = cmd_branch(cfg, tmp_path / "out", seed_index=0)
         entry, = summary["seeds"]
         assert entry["points"] == 12
@@ -364,6 +364,16 @@ class TestBranch:
         doc = cmd_verify(cfg, tmp_path / "out" / entry["csv"])
         assert len(doc["rows"]) == 12 and doc["all_pass"]
         assert doc["rows"][0]["lambda"] == 0.0
+        monkeypatch.setattr(rk45, "_compile", lambda *args: False)
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "empty-cache"))
+        chain.expand.cache_clear()
+        try:
+            assert not isinstance(chain.expand(cfg.problem).stages(0.0)[1], rk45.CompiledAttempt)
+            assert cmd_branch(cfg, tmp_path / "python", seed_index=0) == summary
+        finally:
+            chain.expand.cache_clear()
+        csv = (tmp_path / "python" / entry["csv"]).read_bytes()
+        assert csv == (tmp_path / "out" / entry["csv"]).read_bytes()
 
     def test_long_expression_analyzes_and_branches(self, tmp_path, capsys):
         # the example's g plus 300 terms that sum to zero
@@ -444,7 +454,8 @@ def test_every_solve_goes_through_orbit_solve_ivp(tmp_path, monkeypatch):
     phase = "branch"
 
     def counted(fun, t_span, y0, **kwargs):
-        calls[phase, "stacked" if "dim" in kwargs else "single"] += 1
+        # the example's state has 4 components, a stacked run's 4 per column
+        calls[phase, "stacked" if np.size(y0) > 4 else "single"] += 1
         return solve(fun, t_span, y0, **kwargs)
 
     def bypassed(*args, **kwargs):

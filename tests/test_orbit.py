@@ -158,10 +158,14 @@ def jacobian_start(lam, xi):
     return lams, X0.ravel(order="F")
 
 
-def numpy_stacked(field):
-    """``field`` with its stacked runs on NumPy stages of ``GF_batch``."""
-    return dataclasses.replace(field, stacked=lambda lams: (
-        chain._batched_rhs(field.GF_batch, field.dim, lams), None))
+def python_builders():
+    """Yields twice: with the Python float stages of every stacked run
+    made column after column (``rk45.stacked_stages``), then vectorized
+    (``rk45.vector_stages``), whatever its dim.  A compiled stacked run
+    replays on them."""
+    for min_dim in (math.inf, 0):
+        with mock.patch.object(chain, "VECTOR_STAGES_MIN_DIM", min_dim):
+            yield
 
 
 def mid_branch_row(name):
@@ -175,16 +179,16 @@ def mid_branch_row(name):
 class TestDenseOutput:
     @pytest.mark.parametrize("name", sorted(WORKLOAD_FIELDS))
     def test_matches_ode_solution(self, name):
-        # the driver on NumPy stages takes solve_ivp's steps bit for bit,
-        # so its interpolant is checked at OdeSolution's own step boundaries
-        # (float-stage parity: test_float_stages_match_solve_ivp)
+        # the float stages take as many steps as solve_ivp, their ends
+        # moved by the rounding of sums in stage order against BLAS dot
+        # products, so the interpolant is checked at OdeSolution's own step
+        # boundaries and midpoints to the rounding of the solve
         field = WORKLOAD_FIELDS[name]
-        G, F = field.G, field.F
         xi0 = np.linspace(0.3, -0.2, field.dim)
         sol = reference_solve(field, 0.1, xi0, dense_output=True)
         T = field.problem.T
-        dense = orbit.solve_ivp(lambda t, y: G(y) + 0.1 * F(t, y), (0.0, T), xi0)
-        assert np.array_equal(dense.t, sol.t)
+        dense = orbit._shoot(field, 0.1, xi0)
+        assert dense.t.size == sol.t.size
         # uniform samples, every step boundary and every step midpoint
         ts = np.concatenate((T * np.arange(orbit.DENSE_SAMPLES) / orbit.DENSE_SAMPLES,
                              sol.t, 0.5 * (sol.t[1:] + sol.t[:-1])))
@@ -194,7 +198,7 @@ class TestDenseOutput:
         for t in sol.t:
             y = sol.sol(t)
             assert np.max(np.abs(dense(t) - y)) <= 1e-13 * (1 + np.max(np.abs(y)))
-        assert np.array_equal(dense.y_end, sol.y[:, -1])
+        assert np.max(np.abs(dense.y_end - sol.y[:, -1])) <= 1e-13 * (1 + np.max(np.abs(sol.y)))
 
 
     def test_interpolant_is_the_eager_formula(self):
@@ -216,38 +220,30 @@ class TestDenseOutput:
 
 
 class TestPeriodMaps:
-    """Failures of a stacked Jacobian run (``orbit._linearize``), each on
-    both kinds of stacked stages: the float stages of an expanded field,
-    and NumPy stages of its ``GF_batch`` (``numpy_stacked``)."""
+    """Failures of a stacked Jacobian run (``orbit._linearize``), each with
+    the Python float stages of the run column after column and vectorized
+    (``python_builders``)."""
 
     def test_nan_stages_fail_instead_of_hanging(self):
         # x0 turns negative within the first steps, so x0^0.5 gives a math
-        # domain error (float stages) or NaN stages (NumPy); the step must
-        # shrink to failure, not stall at a NaN size
+        # domain error; the step must shrink to failure, not stall at a NaN
+        # size
         f = chain.expand(ProblemSpec.from_strings("x0^0.5 - x2", "q-p", "1",
                                                   1.0, 1, 1.0))
-        for field in (f, numpy_stacked(f)):
+        for _ in python_builders():
             with helpers.deadline(5):
                 with pytest.raises(IntegrationError):
-                    orbit._linearize(field, 1.0, np.array([0.01, -1.0, 0.0]))
+                    orbit._linearize(f, 1.0, np.array([0.01, -1.0, 0.0]))
 
     def test_field_failure_reports_running_time(self):
-        # a field that raises where x0^0.5 turns NaN (the float stages, or
-        # a strict fused field on NumPy stages): the failure is reported at
-        # the time of the failing stage, 0.0101768, as for a lone solve
+        # the failure is reported at the time of the failing stage,
+        # 0.0101768, as for a lone solve
         # (TestIntegrate.test_field_failure_reports_stage_time)
         f = chain.expand(ProblemSpec.from_strings("x0^0.5 - x2", "q-p", "1",
                                                   1.0, 1, 1.0))
-
-        def strict(t, X, lams):
-            out = f.GF_batch(t, X, lams)
-            if not np.isfinite(out).all():
-                raise ValueError("math domain error")
-            return out
-
-        for field in (f, numpy_stacked(dataclasses.replace(f, GF_batch=strict))):
+        for _ in python_builders():
             with pytest.raises(IntegrationError, match="field evaluation failed") as err:
-                orbit._linearize(field, 1.0, np.array([0.01, -1.0, 0.0]))
+                orbit._linearize(f, 1.0, np.array([0.01, -1.0, 0.0]))
             assert 0.0100 < err.value.time < 0.0103
 
     def test_blow_up_fails_where_solve_ivp_does(self):
@@ -256,9 +252,9 @@ class TestPeriodMaps:
         xi0 = np.array([20.0, 20.0, 0.0])
         sol = reference_solve(f, 0.0, xi0)
         assert not sol.success
-        for field in (f, numpy_stacked(f)):
+        for _ in python_builders():
             with pytest.raises(IntegrationError) as err:
-                orbit._linearize(field, 0.0, xi0)
+                orbit._linearize(f, 0.0, xi0)
             # the stacked run's step control differs from the lone solve's
             # by the perturbed columns: the times agree to 4.7e-9 (relative)
             assert err.value.time == pytest.approx(float(sol.t[-1]), rel=1e-8)
@@ -362,51 +358,30 @@ def test_float_stages_match_solve_ivp(forced, data):
     assert np.max(np.abs(dense(ts) - ref.sol(ts))) <= 1e-13 * scale
 
 
-@settings(derandomize=True, deadline=None, max_examples=25)
-@given(case=shooting_points())
-def test_numpy_stages_are_solve_ivp(case):
-    # the stacked run of a shooting Jacobian on NumPy stages (as above
-    # FLOAT_STAGES_MAX_DIM), and the same right-hand side from the same
-    # state through solve_ivp: the same steps, states and field
-    # evaluations, bit for bit
-    p, lam, xi = case
-    field = numpy_stacked(chain.expand(p))
-    runs = []
-    solve = orbit.solve_ivp
-
-    def recorded(fun, t_span, y0, **kwargs):
-        runs.append((fun, t_span, np.array(y0)))
-        return solve(fun, t_span, y0, **kwargs)
-
-    with mock.patch.object(orbit, "solve_ivp", recorded):
-        try:
-            orbit._linearize(field, lam, xi)
-        except IntegrationError:
-            pass
-    fun, t_span, y0 = runs[0]
-    ref = solve_ivp(fun, t_span, y0, method="RK45", rtol=rk45.TOL,
-                    atol=rk45.TOL)
-    if not ref.success:
-        with pytest.raises(IntegrationError) as err:
-            solve(fun, t_span, y0, dim=field.dim)
-        assert err.value.time == ref.t[-1]
-        return
-    run = solve(fun, t_span, y0, dim=field.dim)
-    assert np.array_equal(run.t, ref.t)
-    assert np.array_equal(run.y, ref.y)
-    assert run.nfev == ref.nfev
-
-
 @pytest.mark.parametrize("name", sorted(WORKLOAD_FIELDS))
 def test_quotients_match_the_numpy_stages(name):
-    # the float stages sum in stage order where the NumPy stages take BLAS
-    # dot products, and evaluate f with math's sin, not NumPy's: at the
-    # mid-branch reference rows the quotients agree to 3.3e-9 / 4.1e-9 /
-    # 1.3e-9 of max |D| (example / long_chain / long_period)
+    # the float stages sum in stage order where the NumPy stages of
+    # SciPy's RK45 take BLAS dot products, and evaluate f with math's sin,
+    # not NumPy's: at the mid-branch reference rows the quotients of one
+    # stacked run agree with those of solve_ivp on the same columns to
+    # 3.3e-9 / 4.1e-9 / 1.3e-9 of max |D| (example / long_chain /
+    # long_period)
     field = WORKLOAD_FIELDS[name]
     lam, xi = mid_branch_row(name)
     _, D = orbit._linearize(field, lam, xi)
-    _, D_numpy = orbit._linearize(numpy_stacked(field), lam, xi)
+    lams, y0 = jacobian_start(lam, xi)
+    _, _, f = chain._compiled(field.problem, vectorized=True)
+
+    def fun(t, y):
+        X = y.reshape(field.dim, lams.size, order="F")
+        out = field.G_batch(X)
+        out[1] += lams * f(t, X[0], X[1])
+        return out.ravel(order="F")
+
+    ref = solve_ivp(fun, (0.0, field.problem.T), y0, method="RK45", rtol=rk45.TOL,
+                    atol=rk45.TOL)
+    P = ref.y[:, -1].reshape(field.dim, lams.size, order="F")
+    D_numpy = (P[:, 1:] - P[:, :1]) / orbit.MONODROMY_STEP
     assert np.max(np.abs(D - D_numpy)) <= 1e-7 * np.max(np.abs(D_numpy))
 
 
@@ -491,6 +466,98 @@ def test_one_stacked_column_is_the_single_solve(name):
     assert stacked.nfev == single.nfev
 
 
+def python_stacked(field, lams, vectorized):
+    """(rhs, attempt) of the Python float stages of the stacked run of
+    ``field`` at ``lams``, column after column or vectorized."""
+    with mock.patch.object(chain, "VECTOR_STAGES_MIN_DIM", 0 if vectorized else math.inf):
+        rhs, attempt = field.stacked(lams)
+        return rhs, getattr(attempt, "replay", attempt)
+
+
+def same_bits(a, b):
+    return np.asarray(a, dtype=float).tobytes() == np.asarray(b, dtype=float).tobytes()
+
+
+@st.composite
+def vector_attempts(draw):
+    """A chain problem of dim 3 to 64 whose g, phi and f call sin, cos and
+    pow, the lams of a stacked run of 1 to 12 columns, and the time, state
+    and step of one attempt."""
+    c1, c2, c3, d, e, k = (draw(st.floats(-1.0, 1.0)) for _ in range(6))
+    T = draw(st.sampled_from([0.5, 1.0, 4.0]))
+    p = ProblemSpec.from_strings(
+        f"({c1:.3f})*x0 + ({c2:.3f})*sin(x0) - ({c3:.3f})*x0^3 - ({d:.3f})*x1 + ({e:.3f})*x2",
+        f"q - p + ({k:.3f})*cos(p)", f"1 + x*sin(2*pi*t/{T})",
+        draw(st.floats(0.5, 8.0)), draw(st.integers(1, 62)), T)
+    lams = draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    y = rng.uniform(-1.0, 1.0, len(lams) * (p.kernel.b + 2))
+    return p, lams, draw(st.floats(0.0, T)), y, draw(st.floats(1e-4, 0.5))
+
+
+class TestVectorStages:
+    """The vectorized attempt of a stacked run (``rk45.vector_stages``) is
+    the attempt of the float stages made column after column
+    (``rk45.stacked_stages``), bit for bit, its failures included."""
+
+    @settings(derandomize=True, deadline=None, max_examples=25)
+    @given(case=vector_attempts())
+    def test_one_attempt_is_the_column_attempts(self, case):
+        p, lams, t, y, h = case
+        field = chain.expand(p)
+        rhs, columns = python_stacked(field, lams, vectorized=False)
+        _, vector = python_stacked(field, lams, vectorized=True)
+        f = rhs(t, y.tolist())
+        want = columns(t, y.tolist(), f, h)
+        got = vector(t, y, np.array(f), h)
+        assert len(got) == len(want) == 4
+        for a, b in zip(got, want):
+            assert same_bits(a, b)
+
+    @helpers.requires_compiler
+    @pytest.mark.parametrize("b", [6, 45])
+    def test_stacked_runs_are_the_c_solve(self, b):
+        # dims 8 and 47, below chain.VECTOR_STAGES_MIN_DIM and above it: the
+        # Jacobian run from linspace(0.3, -0.2, dim) at lambda = 0.1 on
+        # either Python float stages is its C solve
+        field = chain.expand(ProblemSpec.from_strings(
+            "-x0*(1+x2)", "q-p", "1+x*sin(2*pi*t)", float(b), b, 1.0))
+        lams, y0 = jacobian_start(0.1, np.linspace(0.3, -0.2, field.dim))
+        for _ in python_builders():
+            python = TestCompiledStages.assert_same(*field.stacked(lams), (0.0, 1.0), y0)
+            assert isinstance(python, rk45.Solution)
+
+    def test_the_lower_column_fails_first(self):
+        # three unforced columns: column 2 starts at x0 = 0 with x2 = 1, so
+        # x0 turns negative and x0^0.5 fails at stage 2 (s = 0.3 h) of every
+        # attempt, and f has a pole at the first step size H, where column
+        # 0 divides by 0 at stage 5 (s = h) of the first attempt.  Column
+        # after column, that division rejects the first attempt before
+        # column 2 runs, and the root fails in the next one, at 0.2 * 0.3 H;
+        # the vectorized attempt meets the root first, and makes the
+        # attempt again column after column
+        y0 = np.array([1.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 1.0])
+        lams = (0.0, 0.0, 0.0)
+        smooth = chain.expand(ProblemSpec.from_strings("x0^0.5 - x2", "q-p", "1", 1.0, 1, 1.0))
+        H, _ = rk45._float_initial_step(smooth.stacked(lams)[0], 0.0, 1.0, y0.tolist())
+        field = chain.expand(ProblemSpec.from_strings(
+            "x0^0.5 - x2", "q-p", f"1/sin(2*pi*(t - {H!r}))", 1.0, 1, 1.0))
+        rhs, _ = field.stacked(lams)
+        assert rk45._float_initial_step(rhs, 0.0, 1.0, y0.tolist())[0] == H
+        errors = []
+        for vectorized in (False, True):
+            rhs, attempt = python_stacked(field, lams, vectorized)
+            errors.append(TestCompiledStages.solve(rhs, attempt, (0.0, 1.0), y0))
+        for _ in python_builders():
+            rhs, attempt = field.stacked(lams)
+            errors.append(TestCompiledStages.solve(rhs, attempt, (0.0, 1.0), y0))
+        for err in errors:
+            assert type(err) is IntegrationError
+            assert err.time == pytest.approx(0.06 * H, rel=1e-12)
+            assert err.time == errors[0].time and str(err) == str(errors[0])
+            assert str(err).endswith("field evaluation failed: math domain error")
+
+
 class TestCompiledStages:
     """The float stages compiled to C are the Python float stages, bit for
     bit, wherever a compiler makes them: for a single solve, and for the
@@ -509,19 +576,19 @@ class TestCompiledStages:
     SAFE = {"math_domain_error": [1.0, 0.0, 0.0], "division_by_zero": [-5.0, 0.0, 0.0]}
 
     @staticmethod
-    def solve(rhs, attempt, span, y0, dim=None):
+    def solve(rhs, attempt, span, y0):
         """The Solution, or the IntegrationError the solve raised."""
         try:
-            return rk45.solve_ivp(rhs, span, y0, attempt=attempt, dim=dim)
+            return rk45.solve_ivp(rhs, span, y0, attempt=attempt)
         except IntegrationError as exc:
             return exc
 
     @classmethod
-    def assert_same(cls, rhs, attempt, span, y0, dim=None):
+    def assert_same(cls, rhs, attempt, span, y0):
         """Compiled and Python float stages give the same solve."""
         assert isinstance(attempt, rk45.CompiledAttempt)
-        compiled = cls.solve(rhs, attempt, span, y0, dim)
-        python = cls.solve(rhs, attempt.replay, span, y0, dim)
+        compiled = cls.solve(rhs, attempt, span, y0)
+        python = cls.solve(rhs, attempt.replay, span, y0)
         if isinstance(python, IntegrationError):
             assert type(compiled) is IntegrationError
             assert compiled.time == python.time
@@ -545,7 +612,7 @@ class TestCompiledStages:
         field = chain.expand(p)
         self.assert_same(*field.stages(lam), (0.0, p.T), xi)
         lams, y0 = jacobian_start(lam, xi)
-        self.assert_same(*field.stacked(lams), (0.0, p.T), y0, field.dim)
+        self.assert_same(*field.stacked(lams), (0.0, p.T), y0)
 
     @helpers.requires_compiler
     def test_match_the_float_stages_at_dim_28(self):
@@ -554,7 +621,7 @@ class TestCompiledStages:
         field = chain.expand(ProblemSpec.from_strings(
             "-x0*(1+x2)", "q-p", "1+x*sin(2*pi*t)", 26.0, 26, 1.0))
         lams, y0 = jacobian_start(0.1, np.linspace(0.3, -0.2, field.dim))
-        python = self.assert_same(*field.stacked(lams), (0.0, 1.0), y0, field.dim)
+        python = self.assert_same(*field.stacked(lams), (0.0, 1.0), y0)
         assert isinstance(python, rk45.Solution)
 
     @helpers.requires_compiler
@@ -594,12 +661,12 @@ class TestCompiledStages:
             rhs, attempt = field.stacked(lams)
             replays.clear()
             assert isinstance(self.solve(rhs, attempt, (0.0, 1.0),
-                                         np.concatenate((safe, safe)), 3), rk45.Solution)
+                                         np.concatenate((safe, safe))), rk45.Solution)
             assert replays == []
             y0 = np.concatenate((safe, xi0))
-            compiled = self.solve(rhs, attempt, (0.0, 1.0), y0, 3)
+            compiled = self.solve(rhs, attempt, (0.0, 1.0), y0)
             assert replays == [1]
-            python = self.assert_same(rhs, attempt, (0.0, 1.0), y0, 3)
+            python = self.assert_same(rhs, attempt, (0.0, 1.0), y0)
             assert isinstance(python, IntegrationError)
             if name == "math_domain_error":
                 assert str(compiled.__cause__) == "math domain error"
@@ -613,13 +680,12 @@ class TestCompiledStages:
         xi0 = np.linspace(0.3, -0.2, field.dim)
         lams, y0 = jacobian_start(0.1, xi0)
         span = (0.0, field.problem.T)
-        runs = [(field.stages(0.1), xi0, None),
-                (field.stacked(lams), y0, field.dim)]
-        wholes = [rk45.solve_ivp(rhs, span, start, attempt=attempt, dim=dim)
-                  for (rhs, attempt), start, dim in runs]
+        runs = [(field.stages(0.1), xi0), (field.stacked(lams), y0)]
+        wholes = [rk45.solve_ivp(rhs, span, start, attempt=attempt)
+                  for (rhs, attempt), start in runs]
         monkeypatch.setattr(rk45, "_FIRST_CAPACITY", 2)
-        for ((rhs, attempt), start, dim), whole in zip(runs, wholes):
-            python = self.assert_same(rhs, attempt, span, start, dim)
+        for ((rhs, attempt), start), whole in zip(runs, wholes):
+            python = self.assert_same(rhs, attempt, span, start)
             assert python.t.size == whole.t.size > 8
             assert np.array_equal(python.y, whole.y)
 
@@ -692,8 +758,7 @@ class TestInitialStep:
     def test_branches_match_the_float_stages(self, case):
         lam, xi, span, _ = self.BRANCHES[case]
         TestCompiledStages.assert_same(*self.FIELD.stages(lam), span, xi)
-        TestCompiledStages.assert_same(*self.FIELD.stacked((lam, lam)),
-                                       span, np.tile(xi, 2), self.FIELD.dim)
+        TestCompiledStages.assert_same(*self.FIELD.stacked((lam, lam)), span, np.tile(xi, 2))
 
     # unforced (lam = 0), f0 is 0 at (0.5, 0.5), and at t0 + h0 its first
     # component is 0 * inf = NaN: d1 = 0 and d2 is NaN, so 0.01 / max(d1,
@@ -704,16 +769,12 @@ class TestInitialStep:
         rhs, _ = rk45.float_stages(self.ZERO_FIELD, {})(0.0)
         h_abs, f0 = rk45._float_initial_step(rhs, 0.0, 1.0, [0.5, 0.5])
         assert f0 == [0.0, 0.0] and h_abs == 100 * 1e-6
-        with np.errstate(all="ignore"):
-            numpy_step = rk45._initial_step(lambda t, y: np.array(rhs(t, y.tolist())),
-                                            0.0, 1.0, np.array([0.5, 0.5]))
-        assert numpy_step[0] == h_abs
 
     @helpers.requires_compiler
     def test_zero_field_matches_the_float_stages(self):
         for attempt in self.compiled(self.ZERO_FIELD):
             TestCompiledStages.assert_same(attempt.rhs, attempt, (0.0, 1e-3),
-                                           np.tile([0.5, 0.5], len(attempt.lams)), 2)
+                                           np.tile([0.5, 0.5], len(attempt.lams)))
 
     @helpers.requires_compiler
     @pytest.mark.parametrize("field, message", [
@@ -726,7 +787,7 @@ class TestInitialStep:
         # before the float stages; C stops at either and replays
         for attempt in self.compiled(field):
             python = TestCompiledStages.assert_same(attempt.rhs, attempt, (0.0, 1.0),
-                                                    np.ones(len(attempt.lams)), 1)
+                                                    np.ones(len(attempt.lams)))
             assert type(python) is IntegrationError and python.time == 0.0
             assert str(python).endswith(message)
 
@@ -745,7 +806,7 @@ class TestInitialStep:
             y0 = np.ones(len(attempt.lams))
             compiled = rk45.solve_ivp(attempt.rhs, (0.0, 1e-9), y0, attempt=attempt)
             assert replays == [] and compiled.t.size == 2
-            python = TestCompiledStages.assert_same(attempt.rhs, attempt, (0.0, 1e-9), y0, 1)
+            python = TestCompiledStages.assert_same(attempt.rhs, attempt, (0.0, 1e-9), y0)
             assert isinstance(python, rk45.Solution)
             replays.clear()
 
@@ -761,15 +822,14 @@ class TestInitialStep:
         monkeypatch.setattr(rk45, "_float_initial_step",
                             lambda *a: steps.append(1) or initial_step(*a))
         for lam in (0.0, 1.0):
-            for (rhs, attempt), y0, dim in (
-                    (field.stages(lam), xi0, None),
-                    (field.stacked((lam, lam)), np.tile(xi0, 2), 3)):
+            for (rhs, attempt), y0 in ((field.stages(lam), xi0),
+                                       (field.stacked((lam, lam)), np.tile(xi0, 2))):
                 steps.clear()
                 with pytest.raises(IntegrationError, match="math domain error") as err:
-                    rk45.solve_ivp(rhs, (0.0, 1.0), y0, attempt=attempt, dim=dim)
+                    rk45.solve_ivp(rhs, (0.0, 1.0), y0, attempt=attempt)
                 assert steps == [1]
                 assert 0.0 < err.value.time < 0.01
-                python = TestCompiledStages.assert_same(rhs, attempt, (0.0, 1.0), y0, dim)
+                python = TestCompiledStages.assert_same(rhs, attempt, (0.0, 1.0), y0)
                 assert python.time == err.value.time
 
 
