@@ -8,9 +8,9 @@ from .analysis import (ZeroRecord, DegreeReport, phi_eval, phi_prime,
                        scan_zeros, degree_G)
 from .certify import (CertReport, MultiplicityReport, lipschitz_estimate,
                       yorke_check, certify_ejecting, multiplicity_report)
-from .orbit import (Trajectory, StartingPoint, BranchPoint, ContinuationParams,
+from .orbit import (StartingPoint, BranchPoint, ContinuationParams,
                     integrate, period_map, newton_periodic, trace_from_zero,
-                    orbit_metrics)
+                    dense_samples, orbit_metrics)
 from .oracle import PeriodicTrack, history_convolution, verify_lift, direct_residual
 
 __version__ = "0.1.0"

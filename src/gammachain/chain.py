@@ -7,17 +7,18 @@ Constant solutions of the second-order equation correspond to zeros of
 G through ``lifted_zero``.  G is the one field of a problem: the
 Lipschitz sampler and the degree cross-check read its column-batched form
 ``G_batch``.  Every solve, single or the stacked run of a shooting
-Jacobian, runs on float stages at every dim: one RK45 attempt of G +
-lambda F as straight-line float code, which ``rk45.float_stages``
-generates from the same expression code as the compiled g, phi and f.
-Where a C compiler is on PATH, ``rk45.compiled_stages`` compiles that code
-to one C solve, initial step and step loop, on the first solve, which
-waits for it, and the Python float stages are generated only for a solve
-that C replays on them.  On Python float stages a stacked run makes each
-column's attempt in turn (``rk45.stacked_stages``) below
-``VECTOR_STAGES_MIN_DIM`` and the attempt of all columns at once on an
-array (``rk45.vector_stages``) from there on.  Each gives the same
-results bit for bit, so which one runs never moves an output.
+Jacobian, takes its stages from ``stages(lams)``, one lambda per column,
+and runs on float stages at every dim: one RK45 attempt of G + lambda F
+as straight-line float code, which ``rk45.float_stages`` generates from
+the same expression code as the compiled g, phi and f.  Where a C compiler
+is on PATH, ``rk45.compiled_stages`` compiles that code to one C solve,
+initial step and step loop, on the first solve, which waits for it, and
+the Python float stages are generated only for a solve that C replays on
+them.  On Python float stages a stacked run makes each column's attempt
+in turn (``rk45.stacked_stages``) below ``VECTOR_STAGES_MIN_DIM`` and the
+attempt of all columns at once on an array (``rk45.vector_stages``) from
+there on.  Each gives the same results bit for bit, so which one runs
+never moves an output.
 """
 from __future__ import annotations
 
@@ -106,13 +107,13 @@ class ExpandedField:
     (nonzero only in the xdot component).  ``G_batch`` is G on columns: it
     maps a (dim, N) array of states to the (dim, N) array of their images,
     for evaluating many states in one call (box samples, finite-difference
-    Jacobians).  ``stages(lam)`` is the (rhs, attempt) of
-    ``rk45.solve_ivp`` for a single solve of G + lam F, at lam = 0 too,
-    and ``stacked(lams)`` the same for a stacked run of the columns of a
-    (dim, N) array, column after column, of G + lams[j] F in column j.
-    Both are float stages at every dim: an ``rk45.CompiledAttempt`` where
-    their C kernel is loaded, whose rhs and replay build the Python float
-    stages when first called, and the Python float stages otherwise.
+    Jacobians).  ``stages(lams)`` is the (rhs, attempt) of
+    ``rk45.solve_ivp`` for the columns of a (dim, N) array stacked into
+    one state, column after column, of G + lams[j] F in column j, at
+    lams[j] = 0 too; ``(lam,)`` gives a single solve.  They are float
+    stages at every dim: an ``rk45.CompiledAttempt`` where their C kernel
+    is loaded, whose rhs and replay build the Python float stages when
+    first called, and the Python float stages otherwise.
     ``jacobian_axes`` are the coordinates that the Jacobian of G varies
     with, (u, v0, vb): the cascade rows are constant.  Every field is
     built by ``expand``.
@@ -123,8 +124,7 @@ class ExpandedField:
     F: Callable[[float, np.ndarray], np.ndarray]
     problem: ProblemSpec
     G_batch: Callable[[np.ndarray], np.ndarray]
-    stages: Callable[[float], tuple]
-    stacked: Callable[[np.ndarray], tuple]
+    stages: Callable[[tuple], tuple]
 
     @property
     def jacobian_axes(self) -> tuple:
@@ -146,8 +146,8 @@ def expand(p: ProblemSpec) -> ExpandedField:
     (v0, g(u, v0, vb), a*(phi(u, v0) - v1), a*(v1 - v2), ..., a*(v_{b-1} - vb))
     with forcing (0, f(t, u, v0), 0, ..., 0).  ``G_batch`` evaluates G on
     the columns of a (dim, N) array with the vectorized g and phi.
-    ``stages`` and ``stacked`` give the float stages of G + lam F, from the
-    scalar code of g, phi and f.  Their C kernel is built on the first
+    ``stages`` gives the float stages of G + lam F, from the scalar code
+    of g, phi and f.  Their C kernel is built on the first
     call (``rk45.compiled_stages``: loaded from the cache, or compiled
     then), never in ``expand`` itself, and that call's answer holds for the
     life of the field.  Without a kernel the solves run on the Python float
@@ -209,41 +209,33 @@ def expand(p: ProblemSpec) -> ExpandedField:
         return ["w1", f"{g_code} + lam * {f_code}"] + cascade
 
     @lru_cache(maxsize=None)
-    def python_stages():
+    def column_stages():
         return rk45.float_stages(derivatives(), expr._SCALAR_NS)
 
     @lru_cache(maxsize=None)
     def kernel():
         return rk45.compiled_stages(derivatives())
 
-    def on_kernel(lams, build):
-        """(rhs, attempt): in C where the kernel is loaded, with the Python
-        float stages that ``build`` makes left to its first replay, and
-        ``build()`` where it is not."""
-        compiled = kernel()
-        if compiled is None:
-            return build()
-        attempt = compiled(lams, build)
-        return attempt.rhs, attempt
-
-    def python_stacked(lams):
-        """The Python float stages of a stacked run: column after column
-        below ``VECTOR_STAGES_MIN_DIM``, vectorized from there on."""
-        columns = [python_stages()(lam) for lam in lams]
+    def python_stages(lams):
+        """The Python float stages of the columns at ``lams``: a lone
+        column's own, and for more, column after column below
+        ``VECTOR_STAGES_MIN_DIM``, vectorized from there on."""
+        columns = [column_stages()(lam) for lam in lams]
+        if len(columns) == 1:
+            return columns[0]
         if dim < VECTOR_STAGES_MIN_DIM:
             return rk45.stacked_stages(columns, dim)
         return rk45.vector_stages(vector_field(lams), columns, dim)
 
-    def stages(lam):
-        lam = float(lam)
-        return on_kernel((lam,), lambda: python_stages()(lam))
-
-    def stacked(lams):
+    def stages(lams):
         lams = tuple(float(lam) for lam in lams)
-        return on_kernel(lams, lambda: python_stacked(lams))
+        compiled = kernel()
+        if compiled is None:
+            return python_stages(lams)
+        attempt = compiled(lams, lambda: python_stages(lams))
+        return attempt.rhs, attempt
 
-    return ExpandedField(dim=dim, G=G, F=F, problem=p, G_batch=G_batch,
-                         stages=stages, stacked=stacked)
+    return ExpandedField(dim=dim, G=G, F=F, problem=p, G_batch=G_batch, stages=stages)
 
 
 def as_state(xi, dim: int) -> np.ndarray:

@@ -30,10 +30,11 @@ EXIT_SCHEMA = 4
 
 LIFT_THRESHOLD = 1e-4
 RESIDUAL_THRESHOLD = 1e-3
-# rows per oracle pass in ``verify``.  A pass holds about 0.33 MB per row
-# (tracemalloc peak, trajectories included); over row-by-row checks, chunks
-# of 4 rows added 0.5-0.9 MB to the peak RSS of a cold verify of a
-# benchmark reference CSV, chunks of 8 2.1-3.0 MB and chunks of 16 4.2-6.1 MB
+# rows per oracle pass in ``verify``.  A pass holds about 0.22 MB per row
+# (tracemalloc peak, dense samples included); over row-by-row checks, chunks
+# of 4 rows added 0.6-0.7 MB to the peak RSS of a cold verify of a
+# benchmark reference CSV, chunks of 8 1.6-1.9 MB and chunks of 16 3.7-4.3 MB
+# (medians of 5, x86)
 VERIFY_CHUNK = 4
 
 
@@ -249,16 +250,19 @@ def cmd_branch(cfg: RunConfig, out_dir, seed_index: int | None = None) -> dict:
 
 def cmd_verify(cfg: RunConfig, csv_path) -> dict:
     """Oracle cross-check of every row of a branch CSV, ``VERIFY_CHUNK``
-    rows per pass of the oracle's array calls."""
+    rows per pass of the oracle's array calls: each row's solve is sampled
+    once on ``orbit.DENSE_SAMPLES`` points of the period and dropped, its
+    x and xdot samples the tracks and the rest the chain coordinates."""
     p = cfg.problem
     points = read_branch_csv(csv_path, p.kernel.b)
     field = chain.expand(p)
     rows = []
     for start in range(0, len(points), VERIFY_CHUNK):
         chunk = points[start:start + VERIFY_CHUNK]
-        trajs = [orbit.integrate(field, bp.sp.lam, bp.sp.xi0, 0.0, p.T) for bp in chunk]
-        x_track, xdot_track = oracle.tracks_from_trajectory(trajs)
-        lifts = oracle.verify_lift(p, trajs, x_track, xdot_track)
+        Y = np.array([orbit.dense_samples(orbit.integrate(field, bp.sp.lam, bp.sp.xi0,
+                                                          0.0, p.T)) for bp in chunk])
+        x_track, xdot_track = (oracle.PeriodicTrack(Y[:, k], p.T) for k in (0, 1))
+        lifts = oracle.verify_lift(p, Y[:, 2:], x_track, xdot_track)
         dres = oracle.direct_residual(p, [bp.sp.lam for bp in chunk], x_track)
         for bp, lift, res in zip(chunk, lifts.tolist(), dres.tolist()):
             rows.append({"lambda": bp.sp.lam, "verify_lift": lift, "direct_residual": res,

@@ -7,7 +7,9 @@ The tracks are T-periodic, so each history integral is a circular
 convolution of phi(x, xdot) with the kernel folded modulo T, integrated by
 composite Simpson on 4096 cells per period and evaluated by FFT.  This
 path never reuses the cascade ODEs, so agreement with the integrated
-chain coordinates is a genuine cross-check of the reduction.
+chain coordinates is a genuine cross-check of the reduction.  The oracle
+reads sample arrays only: it neither integrates nor imports the
+integrator.
 
 Tracks may hold several rows (solutions) on their leading axes; every
 function here then works on all rows in one pass of array calls, and each
@@ -21,11 +23,11 @@ from functools import lru_cache
 
 import numpy as np
 
-from . import chain, orbit
+from . import chain
 from .kernel import GammaKernel, tail_horizon, gamma_eval
 
 __all__ = ["PeriodicTrack", "history_convolution", "verify_lift",
-           "direct_residual", "tracks_from_trajectory"]
+           "direct_residual"]
 
 TRUNCATION_MASS = 1e-12
 QUAD_SUBINTERVALS = 4096  # Simpson cells per period
@@ -91,24 +93,6 @@ class PeriodicTrack:
         d = (-np.roll(x, -2, axis=-1) + 8.0 * np.roll(x, -1, axis=-1)
              - 8.0 * np.roll(x, 1, axis=-1) + np.roll(x, 2, axis=-1)) / (12.0 * h)
         return PeriodicTrack(d, self.period)
-
-
-def _trajectories(traj) -> list[orbit.Trajectory]:
-    return [traj] if isinstance(traj, orbit.Trajectory) else list(traj)
-
-
-def tracks_from_trajectory(traj) -> tuple[PeriodicTrack, PeriodicTrack]:
-    """(x, xdot) tracks from a one-period dense trajectory, or from a
-    sequence of them over the same period, one row each."""
-    trajs = _trajectories(traj)
-    periods = {tr.t1 - tr.t0 for tr in trajs}
-    if len(periods) != 1:
-        raise ValueError(f"need trajectories over one period, got {sorted(periods)}")
-    (period,) = periods
-    x, xdot = (np.array([tr.ys[:, k] for tr in trajs]) for k in (0, 1))
-    if isinstance(traj, orbit.Trajectory):
-        x, xdot = x[0], xdot[0]
-    return PeriodicTrack(x, period), PeriodicTrack(xdot, period)
 
 
 def _simpson_weights(n: int) -> np.ndarray:
@@ -211,22 +195,27 @@ def _max_per_row(d: np.ndarray, axes):
     return float(worst) if worst.ndim == 0 else worst
 
 
-def verify_lift(p: chain.ProblemSpec, traj, x: PeriodicTrack,
+def verify_lift(p: chain.ProblemSpec, coords, x: PeriodicTrack,
                 xdot: PeriodicTrack):
-    """Max discrepancy between the chain coordinates of a one-period
-    trajectory and the history convolutions of its (x, xdot) tracks, over
-    all stages and 64 test times, whose chain coordinates are every
-    ``DENSE_SAMPLES // TEST_TIMES``-th of the trajectory's samples.
+    """Max discrepancy between chain coordinates and the history
+    convolutions of the (x, xdot) tracks, over all stages and 64 test
+    times.
 
-    Given a sequence of trajectories with their tracks stacked one row
-    each (``tracks_from_trajectory`` of the sequence), an array with the
-    max of each row.
+    ``coords`` holds y_1 .. y_b sampled on the tracks' grid, shape (...,
+    b, n) for tracks of shape (..., n); every (n // 64)-th sample is
+    compared.  For tracks of several rows, an array with the max of each.
+    Raises ValueError on coordinates of another shape, and when n is not
+    a multiple of 64.
     """
     b = p.kernel.b
+    coords = np.asarray(coords, dtype=float)
+    n = x.samples.shape[-1]
+    shape = x.samples.shape[:-1] + (b, n)
+    if coords.shape != shape or n % TEST_TIMES:
+        raise ValueError(f"need chain coordinates of shape {shape}, with a multiple "
+                         f"of {TEST_TIMES} samples, got {coords.shape}")
     conv = _convolutions(p, x, xdot, range(1, b + 1), TEST_TIMES)
-    Y = np.array([tr.ys[::orbit.DENSE_SAMPLES // TEST_TIMES, 2:b + 2].T
-                  for tr in _trajectories(traj)])
-    return _max_per_row(Y.reshape(conv.shape) - conv, (-2, -1))
+    return _max_per_row(coords[..., ::n // TEST_TIMES] - conv, (-2, -1))
 
 
 def direct_residual(p: chain.ProblemSpec, lam, x: PeriodicTrack):

@@ -16,30 +16,29 @@ updated along the curve and recomputed only where Broyden stalls
 
 Every integration is one call of ``solve_ivp``, the RK45 driver of
 ``rk45``, made through this module's own name ``orbit.solve_ivp``, which
-the benchmark's tracer wraps to count solves.  A residual or ``integrate``
-is one solve on the field's float stages (``field.stages(lam)``).  A
-shooting Jacobian is one solve of the unperturbed column, the lambda
-column and the monodromy columns, stacked into one state, on the field's
-float stages for them (``field.stacked(lams)``); the first residual of
-each chord Newton is its column 0.  Every solve is one ``rk45.Solution``,
-whose call is its dense output, sampled on 512 uniform points per period.
+the benchmark's tracer wraps to count solves, made by ``_solve`` on the
+field's float stages for its columns (``field.stages(lams)``).  A residual
+or ``integrate`` is one solve of one column.  A shooting Jacobian is one
+solve of the unperturbed column, the lambda column and the monodromy
+columns, stacked into one state; the first residual of each chord Newton
+is its column 0.  Every solve is one ``rk45.Solution``, whose call is its
+dense output; ``dense_samples`` samples it on 512 uniform points.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields, replace
-from typing import Callable
 
 import numpy as np
 
 from . import chain
 from .rk45 import IntegrationError, Solution, solve_ivp
 
-__all__ = ["Trajectory", "StartingPoint", "BranchPoint", "ContinuationParams",
+__all__ = ["StartingPoint", "BranchPoint", "ContinuationParams",
            "BranchTrace", "IntegrationError", "NoConvergenceError",
            "SingularJacobianError",
            "integrate", "period_map", "newton_periodic", "trace_from_zero",
-           "orbit_metrics", "fold_lambdas"]
+           "dense_samples", "orbit_metrics", "fold_lambdas"]
 
 DENSE_SAMPLES = 512
 MONODROMY_STEP = 1e-7
@@ -60,22 +59,6 @@ class SingularJacobianError(RuntimeError):
 
 # the failures of one Newton solve that a trace survives
 _NEWTON_FAILURES = (SingularJacobianError, NoConvergenceError, IntegrationError)
-
-
-@dataclass(eq=False)
-class Trajectory:
-    """Dense solution of one integration; ``ys[k] = xi(ts[k])``."""
-
-    ts: np.ndarray
-    ys: np.ndarray
-    y_end: np.ndarray
-    t0: float
-    t1: float
-    _interp: Callable
-
-    def at(self, t):
-        """Evaluate the dense output; accepts scalars or arrays."""
-        return np.asarray(self._interp(t))
 
 
 @dataclass(frozen=True)
@@ -148,41 +131,45 @@ class BranchTrace:
     reason: str = ""
 
 
-def _single(field, lam, xi0, t0, t1) -> Solution:
-    """One solve of xi' = G(xi) + lam*F(t, xi) on the field's float stages."""
-    rhs, attempt = field.stages(lam)
-    return solve_ivp(rhs, (t0, t1), chain.as_state(xi0, field.dim), attempt=attempt)
+def _solve(field, lams, y0, t0, t1) -> Solution:
+    """One solve of the columns of y0, stacked column after column, of
+    xi' = G(xi) + lams[c]*F(t, xi) in column c, on the field's float
+    stages for them; its dense output and ``y_end`` are column 0's."""
+    rhs, attempt = field.stages(lams)
+    return solve_ivp(rhs, (t0, t1), y0, attempt=attempt)
 
 
-def _trajectory(sol: Solution, t0, t1) -> Trajectory:
-    """Sample a solution on ``DENSE_SAMPLES`` uniform points of [t0, t1)."""
-    ts = t0 + (t1 - t0) * np.arange(DENSE_SAMPLES) / DENSE_SAMPLES
-    return Trajectory(ts=ts, ys=sol(ts).T, y_end=sol.y_end,
-                      t0=t0, t1=t1, _interp=sol)
-
-
-def integrate(field, lam: float, xi0, t0: float, t1: float) -> Trajectory:
+def integrate(field, lam: float, xi0, t0: float, t1: float) -> Solution:
     """Integrate xi' = G(xi) + lam*F(t, xi) over [t0, t1], t0 < t1 with a
-    finite length t1 - t0, at the tolerance ``rk45.TOL``.
+    finite length t1 - t0, at the tolerance ``rk45.TOL``, from a state xi0
+    of shape (dim,) with finite entries.
 
-    Dense output is sampled on ``DENSE_SAMPLES`` uniform points of [t0, t1).
-    Deterministic for fixed inputs.
+    Returns the solve: called, it is the dense output; ``y_end`` is
+    xi(t1).  Deterministic for fixed inputs.
     """
     if not (t0 < t1 and math.isfinite(t1 - t0)):  # an infinite step never ends
         raise ValueError(f"need t0 < t1 with t1 - t0 finite, got t0={t0!r}, t1={t1!r}")
-    return _trajectory(_single(field, lam, xi0, t0, t1), t0, t1)
+    return _solve(field, (lam,), chain.as_state(xi0, field.dim), t0, t1)
+
+
+def dense_samples(sol: Solution) -> np.ndarray:
+    """The solve at ``DENSE_SAMPLES`` uniform points of [t0, t1), shape
+    (dim, DENSE_SAMPLES)."""
+    t0, t1 = sol.t[0], sol.t[-1]
+    return sol(t0 + (t1 - t0) * np.arange(DENSE_SAMPLES) / DENSE_SAMPLES)
 
 
 def _shoot(field, lam, xi0) -> Solution:
-    """One period from xi0: the solve of a shooting residual away from a
-    Jacobian point (a Newton iterate), which may become a branch point
-    (``_branch_point``)."""
-    return _single(field, lam, xi0, 0.0, field.problem.T)
+    """One period from the finite state xi0: the solve of a shooting
+    residual away from a Jacobian point (a Newton iterate), which may
+    become a branch point (``_branch_point``)."""
+    return _solve(field, (lam,), xi0, 0.0, field.problem.T)
 
 
 def period_map(field, lam: float, xi0) -> np.ndarray:
-    """xi(T) for the solution starting at xi0; T from the field's problem."""
-    return _shoot(field, lam, xi0).y_end
+    """xi(T) for the solution starting at xi0, a state of shape (dim,)
+    with finite entries; T from the field's problem."""
+    return _shoot(field, lam, chain.as_state(xi0, field.dim)).y_end
 
 
 def _linearize(field, lam, xi):
@@ -192,11 +179,10 @@ def _linearize(field, lam, xi):
     Column 0 starts at xi; column 1 starts at xi with lambda lam +
     MONODROMY_STEP (forced also at lam = 0); then one column starts at
     xi + MONODROMY_STEP e_j for each j.  The dim + 2 columns are one state,
-    column after column, integrated by one ``solve_ivp`` under one step
-    control (internal numerical differentiation, Bock 1981) on the field's
-    float stages for them (``field.stacked``).  Returns (the run, whose
-    dense output and ``y_end`` are column 0's, so ``y_end`` is the base
-    map xi(T), and the (dim, dim + 1) quotients (P_j - xi(T)) /
+    column after column, integrated by one ``_solve`` under one step
+    control (internal numerical differentiation, Bock 1981).  Returns (the
+    run, whose dense output and ``y_end`` are column 0's, so ``y_end`` is
+    the base map xi(T), and the (dim, dim + 1) quotients (P_j - xi(T)) /
     MONODROMY_STEP of the other columns' maps P_j)."""
     dim = xi.size
     n = dim + 2
@@ -204,8 +190,7 @@ def _linearize(field, lam, xi):
     X0[:, 2:] += MONODROMY_STEP * np.eye(dim)
     lams = np.full(n, float(lam))
     lams[1] += MONODROMY_STEP
-    rhs, attempt = field.stacked(lams)
-    run = solve_ivp(rhs, (0.0, field.problem.T), X0.ravel(order="F"), attempt=attempt)
+    run = _solve(field, lams, X0.ravel(order="F"), 0.0, field.problem.T)
     P = run.y[:, -1].reshape(dim, n, order="F")
     return run, (P[:, 1:] - P[:, :1]) / MONODROMY_STEP
 
@@ -339,16 +324,16 @@ def newton_periodic(field, lam: float, guess,
     return _newton(field, np.concatenate(([float(lam)], xi)), e0, params)[2]
 
 
-def orbit_metrics(traj: Trajectory) -> tuple[float, float]:
-    """(sup |x|, max x - min x) of the first coordinate over the period."""
-    x = traj.ys[:, 0]
+def orbit_metrics(x) -> tuple[float, float]:
+    """(sup |x|, max x - min x) of the samples x of the first coordinate
+    over the period."""
     return float(np.max(np.abs(x))), float(np.max(x) - np.min(x))
 
 
 def _branch_point(field, acc: _Accepted) -> BranchPoint:
     """The branch point of an accepted starting point, its orbit metrics
-    taken from the dense output of the solve that accepted it."""
-    sup, diam = orbit_metrics(_trajectory(acc.solution, 0.0, field.problem.T))
+    taken from the dense samples of the solve that accepted it."""
+    sup, diam = orbit_metrics(dense_samples(acc.solution)[0])
     return BranchPoint(sp=StartingPoint(lam=float(acc.lam),
                                         xi0=np.asarray(acc.xi0, float),
                                         residual=float(acc.residual)),

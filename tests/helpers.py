@@ -14,7 +14,7 @@ import signal
 import numpy as np
 import pytest
 
-from gammachain import certify, chain, expr, orbit
+from gammachain import certify, chain, expr, oracle, orbit
 from gammachain.analysis import FD_STEP
 from gammachain.chain import ProblemSpec
 from gammachain.kernel import GammaKernel, gamma_eval, tail_horizon
@@ -134,6 +134,20 @@ def reference_history_convolution(p: ProblemSpec, x, xdot, i: int,
     phi = expr.compile_expr(p.phi, chain.PHI_VARS, vectorized=True)
     z = phi(x.value(t - s), xdot.value(t - s)) + np.zeros_like(s)
     return float(H / n / 3.0 * np.dot(w, gamma_eval(k, s) * z))
+
+
+def sampled_tracks(sol):
+    """(chain coordinates, x track, xdot track) from the dense samples of
+    a one-period solve, or of a list of them over one period, one row
+    each, as ``verify`` builds them: the arguments of
+    ``oracle.verify_lift`` after the problem."""
+    sols = sol if isinstance(sol, list) else [sol]
+    Y = np.array([orbit.dense_samples(s) for s in sols])
+    if not isinstance(sol, list):
+        Y = Y[0]
+    period = sols[0].t[-1] - sols[0].t[0]
+    return (Y[..., 2:, :], oracle.PeriodicTrack(Y[..., 0, :], period),
+            oracle.PeriodicTrack(Y[..., 1, :], period))
 
 
 def central_fd(fun, x: float, h: float = 1e-6) -> float:

@@ -155,8 +155,8 @@ def test_criterion_05_chain_trick_equivalence(example_problem, example_field,
     worst_res = 0.0
     for bp in points:
         traj = orbit.integrate(example_field, bp.sp.lam, bp.sp.xi0, 0.0, 1.0)
-        x, xd = oracle.tracks_from_trajectory(traj)
-        worst_lift = max(worst_lift, oracle.verify_lift(example_problem, traj, x, xd))
+        coords, x, xd = helpers.sampled_tracks(traj)
+        worst_lift = max(worst_lift, oracle.verify_lift(example_problem, coords, x, xd))
         worst_res = max(worst_res, oracle.direct_residual(example_problem,
                                                           bp.sp.lam, x))
     elapsed = time.perf_counter() - start
@@ -192,8 +192,8 @@ def test_criterion_06_branch_reproduction(example_problem, example_field,
                                    chain.lifted_zero(example_problem, u))
         for lam in np.linspace(0.01, 0.05, 5):
             sp = orbit.newton_periodic(example_field, float(lam), sp.xi0)
-        traj = orbit.integrate(example_field, 0.05, sp.xi0, 0.0, 1.0)
-        images.append((float(traj.ys[:, 0].min()), float(traj.ys[:, 0].max())))
+        x = orbit.dense_samples(orbit.integrate(example_field, 0.05, sp.xi0, 0.0, 1.0))[0]
+        images.append((float(x.min()), float(x.max())))
     gap = images[1][0] - images[0][1]
     ok = ok and gap > 0.0
     details.append(f"image gap at lambda=0.05: {gap:.3f}")
@@ -221,7 +221,8 @@ def test_criterion_07_yorke_saturation():
     xi0 = np.array([1.0, 0.0, 0.0, 0.0])
     traj = orbit.integrate(field, 0.0, xi0, 0.0, T_rot)
     return_err = float(np.linalg.norm(traj.y_end - xi0, np.inf))
-    interior = float(np.min(np.linalg.norm(traj.ys[32:-32] - xi0, axis=1)))
+    inner = orbit.dense_samples(traj)[:, 32:-32]
+    interior = float(np.min(np.linalg.norm(inner - xi0[:, None], axis=0)))
     bound, _ = certify.yorke_check(L, T_rot)
     ok = (abs(L - omega) <= 1e-6 and return_err <= 1e-6 and interior > 0.1
           and abs(bound - T_rot) <= 1e-6)

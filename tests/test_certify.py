@@ -273,8 +273,8 @@ class TestRotationSaturation:
         traj = orbit.integrate(f, 0.0, xi0, 0.0, T_rot)
         assert np.linalg.norm(traj.y_end - xi0, np.inf) <= 1e-6
         # no earlier return: interior samples stay away from the start
-        inner = traj.ys[32:-32]
-        assert np.min(np.linalg.norm(inner - xi0, axis=1)) > 0.1
+        inner = orbit.dense_samples(traj)[:, 32:-32]
+        assert np.min(np.linalg.norm(inner - xi0[:, None], axis=0)) > 0.1
         bound, _ = yorke_check(L, T_rot)
         assert bound == pytest.approx(T_rot, abs=1e-6)
 

@@ -93,7 +93,7 @@ class TestExpand:
         monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
         p = ProblemSpec.from_strings("-x0*(1+x2)", "q-p", "1+x*sin(2*pi*t)", 3.0, 3, 1.0)
         if cached:
-            expand.__wrapped__(p).stages(0.0)
+            expand.__wrapped__(p).stages((0.0,))
         made, kernels, compilers, python_runs = [], [], [], []
         float_stages, compiled_stages = rk45.float_stages, rk45.compiled_stages
         compile_c, steps = rk45._compile, rk45._steps
@@ -130,17 +130,17 @@ class TestExpand:
         # Newton iterates hand stages a NumPy lam; the float stages still
         # compute in Python floats, not NumPy scalars, so a 1/0 raises as
         # the replay of the C kernel expects
-        rhs, _ = example_field.stages(np.float64(0.1))
+        rhs, _ = example_field.stages((np.float64(0.1),))
         assert all(type(v) is float for v in rhs(0.5, [0.1] * example_field.dim))
 
     @helpers.requires_compiler
     def test_stages_are_compiled_where_a_compiler_is(self, example_field):
         for lam in (0.0, 0.1):
-            rhs, attempt = example_field.stages(lam)
+            rhs, attempt = example_field.stages((lam,))
             assert isinstance(attempt, rk45.CompiledAttempt)
             assert attempt.lams == (lam,) and attempt.dim == example_field.dim
             lams = [lam, lam + 1e-7]
-            rhs, attempt = example_field.stacked(lams)
+            rhs, attempt = example_field.stages(lams)
             assert isinstance(attempt, rk45.CompiledAttempt)
             assert attempt.lams == tuple(lams) and attempt.dim == example_field.dim
 
@@ -151,7 +151,7 @@ class TestExpand:
         p = ProblemSpec.from_strings("-x0*(1+x2)", "q-p", "1+x*sin(2*pi*t)",
                                      float(b), b, 1.0)
         field = expand(p)
-        assert field.stages(0.1)[1] is not None
+        assert field.stages((0.1,))[1] is not None
         xi0 = np.linspace(0.3, -0.2, field.dim)
         traj = orbit.integrate(field, 0.1, xi0, 0.0, 0.1)
         ref = scipy.integrate.solve_ivp(
@@ -166,7 +166,7 @@ class TestExpand:
             field = expand(ProblemSpec.from_strings("-x0*(1+x2)", "q-p", "1+x*sin(2*pi*t)",
                                                     2.0, b, 1.0))
             lams = np.full(field.dim + 2, 0.1)
-            for _, attempt in (field.stages(0.0), field.stages(0.1), field.stacked(lams)):
+            for _, attempt in (field.stages((0.0,)), field.stages((0.1,)), field.stages(lams)):
                 assert attempt is not None
                 assert isinstance(attempt, rk45.CompiledAttempt) == cc
 
@@ -235,15 +235,15 @@ def test_lambda_zero_is_independent_of_forcing(example_problem):
     xi0 = np.array([0.2, -0.1, 0.05, 0.3])
     t1 = orbit.integrate(f1, 0.0, xi0, 0.0, 1.0)
     t2 = orbit.integrate(f2, 0.0, xi0, 0.0, 1.0)
-    assert np.array_equal(t1.ys, t2.ys)
+    assert np.array_equal(orbit.dense_samples(t1), orbit.dense_samples(t2))
     assert np.array_equal(t1.y_end, t2.y_end)
 
 
 class TestProject:
     def test_constant_trajectory(self, example_field):
-        traj = orbit.integrate(example_field, 0.0, P1, 0.0, 1.0)
-        assert np.all(traj.ys[:, 0] == 1.0)
-        assert np.all(traj.ys[:, 1] == 0.0)
+        Y = orbit.dense_samples(orbit.integrate(example_field, 0.0, P1, 0.0, 1.0))
+        assert np.all(Y[0] == 1.0)
+        assert np.all(Y[1] == 0.0)
 
 
 def test_forcing_batch_matches_scalar(example_field, monkeypatch):
@@ -257,7 +257,7 @@ def test_forcing_batch_matches_scalar(example_field, monkeypatch):
     monkeypatch.setattr(chain, "VECTOR_STAGES_MIN_DIM", 0)
     rng = np.random.default_rng(7)
     lams = rng.uniform(0.0, 1.0, size=9)
-    _, attempt = example_field.stacked(lams)
+    _, attempt = example_field.stages(lams)
     getattr(attempt, "replay", attempt)  # the Python float stages
     field, = fields
     W = rng.uniform(-2.0, 2.0, size=(9, 4))
@@ -265,7 +265,7 @@ def test_forcing_batch_matches_scalar(example_field, monkeypatch):
     for t in rng.uniform(0.0, 1.0, size=3):
         field(t, W, out)
         for j in range(9):
-            rhs = example_field.stages(lams[j])[0]
+            rhs = example_field.stages((lams[j],))[0]
             assert out[j].tobytes() == np.array(rhs(t, W[j].tolist())).tobytes()
             xi = W[j]
             np.testing.assert_allclose(

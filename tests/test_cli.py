@@ -368,7 +368,8 @@ class TestBranch:
         monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "empty-cache"))
         chain.expand.cache_clear()
         try:
-            assert not isinstance(chain.expand(cfg.problem).stages(0.0)[1], rk45.CompiledAttempt)
+            _, attempt = chain.expand(cfg.problem).stages((0.0,))
+            assert not isinstance(attempt, rk45.CompiledAttempt)
             assert cmd_branch(cfg, tmp_path / "python", seed_index=0) == summary
         finally:
             chain.expand.cache_clear()
@@ -547,7 +548,7 @@ class TestVerify:
         capsys.readouterr()
 
     def test_row_builds_four_tracks(self, branch_csv, tmp_path, monkeypatch):
-        # x and xdot from the trajectories, then xdot and xddot of the
+        # x and xdot from the dense samples, then xdot and xddot of the
         # residual: four tracks per chunk of rows, whatever its size
         cfg, csv = branch_csv
         lines = csv.read_text().splitlines()
@@ -581,8 +582,8 @@ class TestVerify:
         field = chain.expand(p)
         for bp, row in zip(points, doc["rows"], strict=True):
             traj = orbit.integrate(field, bp.sp.lam, bp.sp.xi0, 0.0, p.T)
-            x, xd = oracle.tracks_from_trajectory(traj)
-            assert row["verify_lift"] == oracle.verify_lift(p, traj, x, xd)
+            coords, x, xd = helpers.sampled_tracks(traj)
+            assert row["verify_lift"] == oracle.verify_lift(p, coords, x, xd)
             assert row["direct_residual"] == oracle.direct_residual(p, bp.sp.lam, x)
 
     def test_chunks_do_not_change_a_value(self, branch_csv):
@@ -787,7 +788,7 @@ config, out = sys.argv[1:]
 def refuse(*args):
     sys.exit("the kernel was compiled, not loaded from the cache")
 rk45._compile = refuse
-if not isinstance(chain.expand(cli.load_config(Path(config)).problem).stages(0.1)[1],
+if not isinstance(chain.expand(cli.load_config(Path(config)).problem).stages((0.1,))[1],
                   rk45.CompiledAttempt):
     sys.exit("no compiled float stages")
 for argv in (["analyze", "--config", config, "--out", out],
@@ -807,7 +808,7 @@ def test_commands_leave_openssl_unloaded(tmp_path, example_field):
     # loading a cached kernel, analyze, a compiled branch and verify import
     # neither hashlib nor _hashlib, which maps OpenSSL's libcrypto; in a
     # fresh interpreter, as pytest itself may have imported hashlib
-    assert isinstance(example_field.stages(0.1)[1], rk45.CompiledAttempt)  # now in the cache
+    assert isinstance(example_field.stages((0.1,))[1], rk45.CompiledAttempt)  # now in the cache
     proc = run_script(NO_OPENSSL_RUN, Path(__file__).parents[1] / "configs" / "example.json",
                       tmp_path / "out")
     assert proc.returncode == 0, proc.stderr

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import ast
 import collections
+import inspect
 import math
 
 import numpy as np
@@ -12,8 +14,7 @@ from gammachain import chain, oracle, orbit
 from gammachain.chain import ProblemSpec, lifted_zero
 from gammachain.kernel import GammaKernel, tail_horizon
 from gammachain.oracle import (PeriodicTrack, direct_residual,
-                               history_convolution, tracks_from_trajectory,
-                               verify_lift)
+                               history_convolution, verify_lift)
 
 P1 = np.array([1.0, 0.0, -1.0, -1.0])
 
@@ -23,9 +24,10 @@ def cosine_track(amplitude=1.0, cycles=1, n=512, T=1.0):
     return PeriodicTrack(amplitude * np.cos(2 * math.pi * cycles * ts / T), T)
 
 
-def lift_of(p, traj):
-    """verify_lift of a one-period trajectory and its own (x, xdot) tracks."""
-    return verify_lift(p, traj, *tracks_from_trajectory(traj))
+def lift_of(p, sol):
+    """verify_lift of a one-period solve's samples and its own (x, xdot)
+    tracks."""
+    return verify_lift(p, *helpers.sampled_tracks(sol))
 
 
 def trivial_trajectory(p, xi0):
@@ -70,8 +72,8 @@ class TestPeriodicTrack:
 
     def test_trajectory_track_is_the_periodic_cubic_spline(self, example_field):
         sp = orbit.newton_periodic(example_field, 0.05, np.zeros(4))
-        traj = orbit.integrate(example_field, 0.05, sp.xi0, 0.0, 1.0)
-        for column in traj.ys.T:
+        sol = orbit.integrate(example_field, 0.05, sp.xi0, 0.0, 1.0)
+        for column in orbit.dense_samples(sol):
             self.assert_matches_cubic_spline(column, 1.0, np.random.default_rng(0))
 
     @staticmethod
@@ -183,7 +185,7 @@ class TestHistoryConvolution:
                                         long_period_point):
         _, traj = forced_point
         for p, tr in ((example_problem, traj), long_period_point):
-            x, xd = tracks_from_trajectory(tr)
+            _, x, xd = helpers.sampled_tracks(tr)
             for t in (0.0, 0.23, 0.71 * p.T):
                 got = history_convolution(p, x, xd, t)[:, 0]
                 want = [helpers.reference_history_convolution(p, x, xd, i, t)
@@ -230,20 +232,20 @@ class TestOracleWork:
         p = ProblemSpec.from_strings(**dict(helpers.EXAMPLE, b=b))
         for rows in (1, 4):
             trajs, _ = chunk_of_trajectories(p, rows)
-            x, xd = tracks_from_trajectory(trajs)
+            coords, x, xd = helpers.sampled_tracks(trajs)
             counted["track_calls"] = 0
             counted["grid_evals"].clear()
-            verify_lift(p, trajs, x, xd)
+            verify_lift(p, coords, x, xd)
             assert counted["track_calls"] <= 2
             assert sorted(counted["grid_evals"].values()) == [1, 1]
             counted["gamma_calls"] = 0
-            verify_lift(p, trajs, x, xd)
+            verify_lift(p, coords, x, xd)
             assert counted["gamma_calls"] == 0
 
     @pytest.mark.parametrize("rows", [1, 4])
     def test_direct_residual_work(self, counted, example_problem, rows):
         trajs, lams = chunk_of_trajectories(example_problem, rows)
-        x, _ = tracks_from_trajectory(trajs)
+        _, x, _ = helpers.sampled_tracks(trajs)
         direct_residual(example_problem, lams, x)
         assert sorted(counted["grid_evals"].values()) == [1, 1]  # x and its xdot
 
@@ -267,15 +269,15 @@ class TestChunks:
         p = long_period_point[0]
         trajs, lams = chunk_of_trajectories(p, 5)
         lams = np.linspace(0.03, 0.07, 5)
-        x, xd = tracks_from_trajectory(trajs)
+        coords, x, xd = helpers.sampled_tracks(trajs)
         assert x.samples.shape == (5, orbit.DENSE_SAMPLES)
-        lifts = verify_lift(p, trajs, x, xd)
+        lifts = verify_lift(p, coords, x, xd)
         residuals = direct_residual(p, lams, x)
         conv = history_convolution(p, x, xd, 0.3)
         assert lifts.shape == residuals.shape == (5,) and conv.shape == (5, 4, 4096)
         for r, traj in enumerate(trajs):
-            x1, xd1 = tracks_from_trajectory(traj)
-            assert lifts[r] == verify_lift(p, traj, x1, xd1)
+            coords1, x1, xd1 = helpers.sampled_tracks(traj)
+            assert lifts[r] == verify_lift(p, coords1, x1, xd1)
             assert residuals[r] == direct_residual(p, lams[r], x1)
             assert np.array_equal(conv[r], history_convolution(p, x1, xd1, 0.3))
 
@@ -284,29 +286,22 @@ class TestChunks:
         # folding the spectrum modulo 64 samples the 4096-time result
         for p, traj in ((example_problem, chunk_of_trajectories(example_problem, 1)[0][0]),
                         long_period_point):
-            x, xd = tracks_from_trajectory(traj)
+            _, x, xd = helpers.sampled_tracks(traj)
             step = oracle.QUAD_SUBINTERVALS // oracle.TEST_TIMES
             full = history_convolution(p, x, xd)
             folded = oracle._convolutions(p, x, xd, range(1, p.kernel.b + 1),
                                           oracle.TEST_TIMES)
             assert np.max(np.abs(folded - full[:, ::step])) <= 1e-15
 
-    def test_trajectories_over_different_periods(self, example_problem):
-        trajs, _ = chunk_of_trajectories(example_problem, 2)
-        fld = chain.expand(example_problem)
-        other = orbit.integrate(fld, 0.0, np.zeros(4), 0.0, 2.0)
-        with pytest.raises(ValueError, match="one period"):
-            tracks_from_trajectory(trajs + [other])
-
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_nonfinite_row_raises(self, example_problem, bad):
         trajs, lams = chunk_of_trajectories(example_problem, 4)
-        x, xd = tracks_from_trajectory(trajs)
+        coords, x, xd = helpers.sampled_tracks(trajs)
         x.samples[2, 100] = bad  # the third row of four
         with np.errstate(invalid="ignore"):
             x = PeriodicTrack(x.samples, x.period)
             with pytest.raises(ArithmeticError, match="non-finite"):
-                verify_lift(example_problem, trajs, x, xd)
+                verify_lift(example_problem, coords, x, xd)
             with pytest.raises(ArithmeticError, match="non-finite"):
                 direct_residual(example_problem, lams, x)
 
@@ -337,17 +332,45 @@ class TestVerifyLift:
         # the chain coordinates of the dense output against each stage's
         # quadrature, one of the 64 test times at a time
         for p, tr in ((example_problem, forced_point[1]), long_period_point):
-            x, xd = tracks_from_trajectory(tr)
-            worst = max(abs(tr.at(t)[1 + i] - helpers.reference_history_convolution(p, x, xd, i, t))
+            _, x, xd = helpers.sampled_tracks(tr)
+            worst = max(abs(tr(t)[1 + i] - helpers.reference_history_convolution(p, x, xd, i, t))
                         for t in np.linspace(0.0, p.T, 64, endpoint=False)
                         for i in range(1, p.kernel.b + 1))
             assert abs(lift_of(p, tr) - worst) <= 1e-9
 
     def test_lift_then_project_consistency(self, example_problem, forced_point):
         sp, traj = forced_point
-        x, xd = tracks_from_trajectory(traj)
-        assert np.array_equal(x.samples, traj.ys[:, 0])
-        assert np.array_equal(xd.samples, traj.ys[:, 1])
+        coords, x, xd = helpers.sampled_tracks(traj)
+        Y = traj(np.arange(orbit.DENSE_SAMPLES) / orbit.DENSE_SAMPLES)
+        assert np.array_equal(x.samples, Y[0])
+        assert np.array_equal(xd.samples, Y[1])
+        assert np.array_equal(coords, Y[2:])
+
+    def test_coordinates_off_the_track_grid(self, example_problem, forced_point):
+        # the test times are every (n // 64)-th sample of coordinates on
+        # the tracks' own grid of n samples, so any other grid is refused
+        coords, x, xd = helpers.sampled_tracks(forced_point[1])
+        for bad in (coords[:, ::2], coords[:, :-1], coords[:1], coords[None]):
+            with pytest.raises(ValueError, match="chain coordinates"):
+                verify_lift(example_problem, bad, x, xd)
+        # tracks of 96 samples are valid, but 64 test times are not every
+        # k-th of them
+        flat = PeriodicTrack(np.zeros(96), 1.0)
+        with pytest.raises(ValueError, match="multiple of 64"):
+            verify_lift(example_problem, np.zeros((2, 96)), flat, flat)
+
+    def test_the_oracle_never_reaches_the_integrator(self):
+        # the cross-check reads sample arrays only: no solve, no cascade
+        tree = ast.parse(inspect.getsource(oracle))
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                imported.add(node.module or "")
+                imported.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.Import):
+                imported.update(alias.name for alias in node.names)
+        names = {part for name in imported for part in name.split(".")}
+        assert not names & {"orbit", "rk45"}
 
 
 class TestDirectResidual:
@@ -364,7 +387,7 @@ class TestDirectResidual:
 
     def test_forced_point(self, example_problem, forced_point):
         sp, traj = forced_point
-        x, _ = tracks_from_trajectory(traj)
+        _, x, _ = helpers.sampled_tracks(traj)
         assert direct_residual(example_problem, sp.lam, x) <= 1e-3
 
     def test_perturbed_point_fails(self, example_problem, example_field):
@@ -372,7 +395,7 @@ class TestDirectResidual:
         bad = sp.xi0.copy()
         bad[0] += 0.1
         traj = orbit.integrate(example_field, sp.lam, bad, 0.0, 1.0)
-        x, _ = tracks_from_trajectory(traj)
+        _, x, _ = helpers.sampled_tracks(traj)
         assert direct_residual(example_problem, sp.lam, x) > 1e-3
 
     def test_matches_scalar_reference(self, example_problem, forced_point,
@@ -382,7 +405,7 @@ class TestDirectResidual:
         lam = 0.05
         for p, tr in ((example_problem, forced_point[1]), long_period_point):
             g, _, f = chain._compiled(p)
-            x, _ = tracks_from_trajectory(tr)
+            _, x, _ = helpers.sampled_tracks(tr)
             xd = x.derivative()
             xdd = xd.derivative()
             worst = 0.0

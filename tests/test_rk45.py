@@ -28,7 +28,7 @@ LAM = 0.3
 def fresh_stages():
     """stages(LAM) of PROBLEM's field expanded afresh, so that its stages
     are built now, under the environment the test set."""
-    return chain.expand.__wrapped__(ProblemSpec.from_strings(*PROBLEM)).stages(LAM)
+    return chain.expand.__wrapped__(ProblemSpec.from_strings(*PROBLEM)).stages((LAM,))
 
 
 def solve(rhs, attempt):
@@ -74,7 +74,7 @@ def problem_key(problem=PROBLEM):
     field = chain.expand.__wrapped__(ProblemSpec.from_strings(*problem))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(rk45, "compiled_stages", seen.append)
-        field.stages(LAM)
+        field.stages((LAM,))
     derivatives, = seen
     return "\0".join((rk45._c_source(derivatives), *rk45._CC_FLAGS,
                       platform.machine())).encode()
@@ -92,7 +92,7 @@ def cached_library(cache, monkeypatch, problem=PROBLEM):
         raise OSError("not loaded")
     with monkeypatch.context() as mp:
         mp.setattr(rk45.ctypes, "CDLL", not_loaded)
-        chain.expand.__wrapped__(ProblemSpec.from_strings(*problem)).stages(LAM)
+        chain.expand.__wrapped__(ProblemSpec.from_strings(*problem)).stages((LAM,))
     return cache / library_name(problem_key(problem))
 
 
@@ -235,7 +235,7 @@ class TestCache:
             rk45._compile = lambda *args: sys.exit("compiled again")
             rk45._steps = lambda *args: sys.exit("solved in Python")
             field = chain.expand(ProblemSpec.from_strings(*{PROBLEM!r}))
-            assert isinstance(field.stages({LAM!r})[1], rk45.CompiledAttempt)
+            assert isinstance(field.stages(({LAM!r},))[1], rk45.CompiledAttempt)
             orbit.period_map(field, {LAM!r}, np.full(5, 0.1))
             """
         env = dict(os.environ, PYTHONPATH=str(Path(rk45.__file__).parents[1]))
