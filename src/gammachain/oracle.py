@@ -5,11 +5,15 @@ convolutions of the gamma density against phi(x, xdot), and the residual
 of the original second-order equation is evaluated from sampled tracks.
 The tracks are T-periodic, so each history integral is a circular
 convolution of phi(x, xdot) with the kernel folded modulo T, integrated by
-composite Simpson on 4096 cells per period and evaluated by FFT.  This
-path never reuses the cascade ODEs, so agreement with the integrated
-chain coordinates is a genuine cross-check of the reduction.  The oracle
-reads sample arrays only: it neither integrates nor imports the
-integrator.
+composite Simpson on 4096 cells per period and evaluated by FFT.  The
+tracks reach that grid spectrally: their periodic cubic spline (and the
+spline of their central-difference derivative) on the 4096 times is one
+inverse FFT of the samples' spectrum times a cached upsampling response,
+so no spline coefficients are built; ``PeriodicTrack.value`` builds them
+on its first call, for evaluation at arbitrary times.  This path never
+reuses the cascade ODEs, so agreement with the integrated chain
+coordinates is a genuine cross-check of the reduction.  The oracle reads
+sample arrays only: it neither integrates nor imports the integrator.
 
 Tracks may hold several rows (solutions) on their leading axes; every
 function here then works on all rows in one pass of array calls, and each
@@ -18,8 +22,8 @@ row's result is the value a one-row call gives.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from functools import lru_cache
+from dataclasses import dataclass
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -40,13 +44,13 @@ class PeriodicTrack:
 
     ``samples`` has shape (..., n): one track per index of the leading
     axes, sampled along the last.  Evaluation uses the periodic cubic
-    spline through the samples; differentiation uses 4th-order central
+    spline through the samples, whose per-cell coefficients are built on
+    the first ``value`` call; differentiation uses 4th-order central
     differences on the sample grid.
     """
 
     samples: np.ndarray
     period: float
-    _coefs: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         self.samples = np.asarray(self.samples, dtype=float)
@@ -54,20 +58,10 @@ class PeriodicTrack:
             raise ValueError("need tracks with at least 16 samples")
         if not self.period > 0:
             raise ValueError("period must be positive")
-        # the second derivatives M solve the circulant system
-        # M[i-1] + 4 M[i] + M[i+1] = 6/h^2 (y[i-1] - 2 y[i] + y[i+1]),
-        # diagonal in Fourier space with eigenvalues 4 + 2 cos(2 pi k / n)
-        y = self.samples
-        n = y.shape[-1]
-        h = self.period / n
-        y_next = np.roll(y, -1, axis=-1)
-        curvature = 6.0 / h**2 * (np.roll(y, 1, axis=-1) - 2.0 * y + y_next)
-        eig = 4.0 + 2.0 * np.cos(2.0 * np.pi * np.arange(n // 2 + 1) / n)
-        M = np.fft.irfft(np.fft.rfft(curvature) / eig, n)
-        M_next = np.roll(M, -1, axis=-1)
-        # on cell i, y[i] + c1 dx + c2 dx^2 + c3 dx^3 with dx = t - i h
-        self._coefs = np.array([(M_next - M) / (6.0 * h), 0.5 * M,
-                                (y_next - y) / h - h * (2.0 * M + M_next) / 6.0, y])
+
+    @cached_property
+    def _coefs(self) -> np.ndarray:
+        return _spline_coefficients(self.samples, self.period)
 
     def value(self, t):
         """Periodic evaluation at scalar or array times, shape
@@ -90,9 +84,85 @@ class PeriodicTrack:
         """Track of the time derivative (4th-order central differences)."""
         x = self.samples
         h = self.period / x.shape[-1]
-        d = (-np.roll(x, -2, axis=-1) + 8.0 * np.roll(x, -1, axis=-1)
-             - 8.0 * np.roll(x, 1, axis=-1) + np.roll(x, 2, axis=-1)) / (12.0 * h)
+        # x[i - 2] .. x[i + 2] are wrapped[i] .. wrapped[i + 4]
+        wrapped = np.concatenate((x[..., -2:], x, x[..., :2]), axis=-1)
+        d = (-wrapped[..., 4:] + 8.0 * wrapped[..., 3:-1]
+             - 8.0 * wrapped[..., 1:-3] + wrapped[..., :-4]) / (12.0 * h)
         return PeriodicTrack(d, self.period)
+
+
+def _spline_coefficients(y: np.ndarray, period: float) -> np.ndarray:
+    """(c3, c2, c1, c0) of the periodic cubic spline through samples y of
+    shape (..., n): on cell i, y[i] + c1 dx + c2 dx^2 + c3 dx^3 with
+    dx = t - i h."""
+    # the second derivatives M solve the circulant system
+    # M[i-1] + 4 M[i] + M[i+1] = 6/h^2 (y[i-1] - 2 y[i] + y[i+1]),
+    # diagonal in Fourier space with eigenvalues 4 + 2 cos(2 pi k / n)
+    n = y.shape[-1]
+    h = period / n
+    y_next = np.roll(y, -1, axis=-1)
+    curvature = 6.0 / h**2 * (np.roll(y, 1, axis=-1) - 2.0 * y + y_next)
+    eig = 4.0 + 2.0 * np.cos(2.0 * np.pi * np.arange(n // 2 + 1) / n)
+    M = np.fft.irfft(np.fft.rfft(curvature) / eig, n)
+    M_next = np.roll(M, -1, axis=-1)
+    return np.array([(M_next - M) / (6.0 * h), 0.5 * M,
+                     (y_next - y) / h - h * (2.0 * M + M_next) / 6.0, y])
+
+
+def _cubic_bspline(u: np.ndarray) -> np.ndarray:
+    """The centred cubic B-spline, 2/3 at 0 and 1/6 at +-1, zero from |u| = 2."""
+    u = np.abs(u)
+    return np.where(u < 1.0, (4.0 - 6.0 * u**2 + 3.0 * u**3) / 6.0,
+                    np.maximum(2.0 - u, 0.0) ** 3 / 6.0)
+
+
+@lru_cache(maxsize=8)
+def _upsampling_response(n: int, period: float, t: float) -> np.ndarray:
+    """Multipliers that take the spectrum of n samples to the spectrum of
+    their periodic cubic spline (row 0) and of their derivative()'s spline
+    (row 1) at the 4096 times t + jT/4096, shape (2, 2049).
+
+    The spline is sum_i c_i B(s/h - i) with B the cubic B-spline, and the
+    spectrum of c is that of the samples over (4 + 2 cos w) / 6, w = 2 pi
+    k / n.  At r = 4096 / n times per cell, the spline on the grid is the
+    coefficients spread r steps apart (whose spectrum repeats every n
+    bins) convolved with B sampled at (l + s) / r, s = t 4096 / T the
+    grid's offset in steps: the whole steps of s shift the kernel and the
+    rest shifts its samples.  The central differences of derivative() are
+    the multiplier i (8 sin w - sin 2w) / (6h).
+    """
+    m = QUAD_SUBINTERVALS
+    r = m // n
+    s = t * m / period
+    whole = math.floor(s)
+    steps = np.arange(-2 * r - 1, 2 * r + 2)
+    kernel = np.zeros(m)
+    kernel[(steps - whole) % m] = _cubic_bspline((steps + (s - whole)) / r)
+    w = 2.0 * np.pi * np.arange(m // 2 + 1) / n
+    response = np.empty((2, m // 2 + 1), complex)
+    response[0] = np.fft.rfft(kernel) * 6.0 / (4.0 + 2.0 * np.cos(w))
+    response[1] = (response[0] * (1j * n / (6.0 * period))
+                   * (8.0 * np.sin(w) - np.sin(2.0 * w)))
+    response.flags.writeable = False
+    return response
+
+
+def _on_grid(track: PeriodicTrack, t: float, derivative: bool = False):
+    """The track at the 4096 times t + jT/4096, shape (..., 4096) for
+    samples of shape (..., n), and with ``derivative`` then also
+    track.derivative() there: each one inverse FFT of the samples' one
+    rFFT times the upsampling response.  ValueError unless n divides 4096.
+    """
+    m = QUAD_SUBINTERVALS
+    n = track.samples.shape[-1]
+    if m % n:
+        raise ValueError(f"need tracks whose sample count divides {m}, got {n}")
+    spectrum = np.fft.rfft(track.samples)
+    full = np.concatenate((spectrum, np.conj(spectrum[..., -2:0:-1])), axis=-1)
+    # bin k of the grid's spectrum holds the samples' bin k mod n
+    repeated = np.take(full, np.arange(m // 2 + 1) % n, axis=-1)
+    response = _upsampling_response(n, track.period, t)
+    return [np.fft.irfft(repeated * response[d], m) for d in range(1 + derivative)]
 
 
 def _simpson_weights(n: int) -> np.ndarray:
@@ -102,50 +172,57 @@ def _simpson_weights(n: int) -> np.ndarray:
     return w
 
 
-@lru_cache(maxsize=128)
-def _kernel_spectrum(a: float, i: int, period: float,
-                     horizon: float | None) -> np.ndarray:
-    """rFFT of the Simpson weights of gamma_a^i folded modulo the period.
+@lru_cache(maxsize=4)
+def _kernel_spectra(a: float, b: int, period: float,
+                    horizon: float | None) -> np.ndarray:
+    """rFFT of the Simpson weights of gamma_a^i folded modulo the period,
+    row i - 1 for stage i = 1 .. b, shape (b, 2049).
 
     The fold sums the density over the whole periods that cover the tail
     horizon (or ``horizon``); the weight at tau = T joins tau = 0, where
     the periodic integrand takes the same value.
     """
-    k = GammaKernel(a, i)
-    H = tail_horizon(k, TRUNCATION_MASS) if horizon is None else float(horizon)
     n = QUAD_SUBINTERVALS
-    periods = max(1, math.ceil(H / period))
     tau = np.linspace(0.0, period, n + 1)
-    folded = np.zeros(n + 1)
-    for m in range(periods):  # one period at a time keeps the peak memory flat
-        folded += gamma_eval(k, tau + m * period)
-    w = folded * _simpson_weights(n) * (period / n / 3.0)
-    w[0] += w[n]
-    spectrum = np.fft.rfft(w[:n])
-    spectrum.flags.writeable = False
-    return spectrum
+    spectra = np.empty((b, n // 2 + 1), complex)
+    for i in range(1, b + 1):
+        k = GammaKernel(a, i)
+        H = tail_horizon(k, TRUNCATION_MASS) if horizon is None else float(horizon)
+        folded = np.zeros(n + 1)
+        # one period at a time keeps the peak memory flat
+        for m in range(max(1, math.ceil(H / period))):
+            folded += gamma_eval(k, tau + m * period)
+        w = folded * _simpson_weights(n) * (period / n / 3.0)
+        w[0] += w[n]
+        spectra[i - 1] = np.fft.rfft(w[:n])
+    spectra.flags.writeable = False
+    return spectra
 
 
-def _phi_spectrum(p: chain.ProblemSpec, x: PeriodicTrack, xdot: PeriodicTrack,
-                  ts: np.ndarray) -> np.ndarray:
-    """rFFT of phi(x, xdot) at the times ts, along the last axis;
-    ArithmeticError where it is not finite, as it is wherever a phi sample
-    is (bin 0 sums them)."""
+def _phi_spectrum(p: chain.ProblemSpec, x: PeriodicTrack,
+                  xdot: PeriodicTrack | None, t: float) -> np.ndarray:
+    """rFFT of phi(x, xdot) at the 4096 times t + jT/4096, along the last
+    axis, with xdot x.derivative() where it is None; ArithmeticError where
+    it is not finite, as it is wherever a phi sample is (bin 0 sums them)."""
     _, phi, _ = chain._compiled(p, vectorized=True)
-    xv = x.value(ts)
+    if xdot is None:
+        xv, vv = _on_grid(x, t, derivative=True)
+    else:
+        (xv,), (vv,) = _on_grid(x, t), _on_grid(xdot, t)
     z = np.zeros(xv.shape)  # broadcasts a phi without variables, a scalar
-    z += phi(xv, xdot.value(ts))
+    z += phi(xv, vv)
     spectrum = np.fft.rfft(z)
     if not np.all(np.isfinite(spectrum)):
         raise ArithmeticError("non-finite history convolution")
     return spectrum
 
 
-def _convolutions(p: chain.ProblemSpec, x: PeriodicTrack, xdot: PeriodicTrack,
-                  stages, m: int, t: float = 0.0,
+def _convolutions(p: chain.ProblemSpec, x: PeriodicTrack,
+                  xdot: PeriodicTrack | None, stages, m: int, t: float = 0.0,
                   horizon: float | None = None) -> np.ndarray:
     """The history convolutions of ``stages`` at the m times t + jT/m (m
-    divides 4096), shape (..., len(stages), m) for tracks of shape (..., n).
+    divides 4096), shape (..., len(stages), m) for tracks of shape (..., n),
+    with xdot x.derivative() where it is None.
 
     phi is evaluated once on the 4096-point grid t + jT/4096 and
     transformed once.  One stage at a time, its product with the cached
@@ -157,14 +234,15 @@ def _convolutions(p: chain.ProblemSpec, x: PeriodicTrack, xdot: PeriodicTrack,
     """
     T = x.period
     n = QUAD_SUBINTERVALS
-    spectrum = _phi_spectrum(p, x, xdot, t + T * np.arange(n) / n)
+    spectrum = _phi_spectrum(p, x, xdot, t)
+    kernels = _kernel_spectra(p.kernel.a, p.kernel.b, T, horizon)
     rows = spectrum.shape[:-1]
     full = np.empty(rows + (n,), complex)
     half, mirror = full[..., :n // 2 + 1], full[..., n // 2 + 1:]
     aliases = full.reshape(rows + (n // m, m))
     folded = np.empty(rows + (len(stages), m // 2 + 1), complex)
     for s, i in enumerate(stages):
-        np.multiply(_kernel_spectrum(p.kernel.a, i, T, horizon), spectrum, out=half)
+        np.multiply(kernels[i - 1], spectrum, out=half)
         np.conj(half[..., -2:0:-1], out=mirror)
         folded[..., s, :] = aliases.sum(axis=-2)[..., :m // 2 + 1]
     y = np.fft.irfft(folded, m) / (n // m)
@@ -184,7 +262,8 @@ def history_convolution(p: chain.ProblemSpec, x: PeriodicTrack,
 
     with the kernel folded modulo T, K_i(tau) = sum_m gamma_a^i(tau + mT),
     over the whole periods covering the tail horizon of mass 1e-12 (or
-    ``horizon``), and composite Simpson on 4096 cells per period.
+    ``horizon``), and composite Simpson on 4096 cells per period.  Raises
+    ValueError unless the tracks' sample count divides 4096.
     """
     return _convolutions(p, x, xdot, range(1, p.kernel.b + 1),
                          QUAD_SUBINTERVALS, t, horizon)
@@ -223,17 +302,21 @@ def direct_residual(p: chain.ProblemSpec, lam, x: PeriodicTrack):
 
         | xddot - g(x, xdot, conv_b) - lam * f(t, x, xdot) |
 
-    with xdot, xddot from finite differences of the track and conv_b the
-    b-th history convolution.  For tracks of several rows, ``lam`` holds
-    one value per row, and the result is an array with the max of each.
+    with xdot, xddot the finite differences of the track's samples and
+    conv_b the b-th history convolution of (x, xdot).  The times are every
+    (n // 64)-th sample.  For tracks of several rows, ``lam`` holds one
+    value per row, and the result is an array with the max of each.
+    Raises ValueError when n is not a multiple of 64.
     """
+    n = x.samples.shape[-1]
+    if n % TEST_TIMES:
+        raise ValueError(f"need tracks with a multiple of {TEST_TIMES} samples, got {n}")
     g, _, f = chain._compiled(p, vectorized=True)
+    conv = _convolutions(p, x, None, (p.kernel.b,), TEST_TIMES)[..., 0, :]
     xdot = x.derivative()
-    xddot = xdot.derivative()
-    conv = _convolutions(p, x, xdot, (p.kernel.b,), TEST_TIMES)[..., 0, :]
+    xv, vv, av = (track.samples[..., ::n // TEST_TIMES]
+                  for track in (x, xdot, xdot.derivative()))
     times = np.linspace(0.0, p.T, TEST_TIMES, endpoint=False)
-    xv = x.value(times)
-    vv = xdot.value(times)
     lam = np.asarray(lam, dtype=float)[..., None]
-    res = xddot.value(times) - g(xv, vv, conv) - lam * f(times, xv, vv)
+    res = av - g(xv, vv, conv) - lam * f(times, xv, vv)
     return _max_per_row(res, -1)

@@ -7,6 +7,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.interpolate import CubicSpline
 
 import helpers
@@ -150,6 +152,13 @@ class TestHistoryConvolution:
             p = ProblemSpec.from_strings("-x0", "q-p", "sin(2*pi*t)", 2.0, b, 1.0)
             assert history_convolution(p, x, x.derivative()).shape == (b, 4096)
 
+    def test_tracks_off_the_quadrature_grid(self, example_problem):
+        # the grid's 4096 times hold a whole number of them per sample cell
+        for n in (96, 8192):
+            x = PeriodicTrack(np.zeros(n), 1.0)
+            with pytest.raises(ValueError, match="divides 4096"):
+                history_convolution(example_problem, x, x)
+
     def test_periodicity(self, example_problem):
         x = cosine_track(amplitude=0.4)
         xd = x.derivative()
@@ -203,51 +212,103 @@ def chunk_of_trajectories(p, rows=3):
 
 
 class TestOracleWork:
-    """One verify_lift or direct_residual on a chunk of rows evaluates each
-    track at most once on the quadrature grid, and reuses the cached
-    kernel spectra on the next call."""
+    """One verify_lift or direct_residual on a chunk of rows takes each
+    track to the quadrature grid by one inverse FFT, builds no spline
+    coefficients, and reuses the cached kernel spectra on the next call."""
 
     @pytest.fixture()
     def counted(self, monkeypatch):
-        work = {"grid_evals": collections.Counter(), "track_calls": 0,
+        work = {"grid_irffts": 0, "track_rffts": 0, "spline_builds": 0,
                 "gamma_calls": 0}
-        value, gamma_eval = PeriodicTrack.value, oracle.gamma_eval
+        rfft, irfft = np.fft.rfft, np.fft.irfft
+        coefficients, gamma_eval = oracle._spline_coefficients, oracle.gamma_eval
 
-        def counted_value(track, t):
-            work["track_calls"] += 1
-            if np.size(t) == oracle.QUAD_SUBINTERVALS:
-                work["grid_evals"][id(track)] += 1
-            return value(track, t)
+        def counted_rfft(a, *args, **kwargs):
+            work["track_rffts"] += np.shape(a)[-1] == orbit.DENSE_SAMPLES
+            return rfft(a, *args, **kwargs)
+
+        def counted_irfft(a, n=None, *args, **kwargs):
+            work["grid_irffts"] += n == oracle.QUAD_SUBINTERVALS
+            return irfft(a, n, *args, **kwargs)
+
+        def counted_coefficients(y, period):
+            work["spline_builds"] += 1
+            return coefficients(y, period)
 
         def counted_gamma_eval(k, s):
             work["gamma_calls"] += 1
             return gamma_eval(k, s)
 
-        monkeypatch.setattr(PeriodicTrack, "value", counted_value)
+        monkeypatch.setattr(np.fft, "rfft", counted_rfft)
+        monkeypatch.setattr(np.fft, "irfft", counted_irfft)
+        monkeypatch.setattr(oracle, "_spline_coefficients", counted_coefficients)
         monkeypatch.setattr(oracle, "gamma_eval", counted_gamma_eval)
         return work
 
     @pytest.mark.parametrize("b", [2, 8])
     def test_verify_lift_work(self, counted, b):
+        # x and xdot: one inverse FFT each
         p = ProblemSpec.from_strings(**dict(helpers.EXAMPLE, b=b))
         for rows in (1, 4):
             trajs, _ = chunk_of_trajectories(p, rows)
             coords, x, xd = helpers.sampled_tracks(trajs)
-            counted["track_calls"] = 0
-            counted["grid_evals"].clear()
+            counted.update(grid_irffts=0, spline_builds=0)
             verify_lift(p, coords, x, xd)
-            assert counted["track_calls"] <= 2
-            assert sorted(counted["grid_evals"].values()) == [1, 1]
+            assert counted["grid_irffts"] == 2 and counted["spline_builds"] == 0
             counted["gamma_calls"] = 0
             verify_lift(p, coords, x, xd)
             assert counted["gamma_calls"] == 0
 
+    def test_kernel_spectra_stay_cached_above_128_stages(self, counted):
+        # every stage's spectrum is one cache entry of the problem, so a
+        # walk over 150 stages does not evict the stages it comes back to
+        b = 150
+        p = ProblemSpec.from_strings(**dict(helpers.EXAMPLE, a=150.0, b=b))
+        x = cosine_track(amplitude=0.3)
+        coords = np.zeros((b, x.samples.size))
+        verify_lift(p, coords, x, x.derivative())
+        assert counted["gamma_calls"] >= b
+        counted["gamma_calls"] = 0
+        verify_lift(p, coords, x, x.derivative())
+        direct_residual(p, 0.0, x)
+        assert counted["gamma_calls"] == 0
+
     @pytest.mark.parametrize("rows", [1, 4])
     def test_direct_residual_work(self, counted, example_problem, rows):
+        # x and its xdot from one rFFT of x's samples, an inverse FFT each
         trajs, lams = chunk_of_trajectories(example_problem, rows)
         _, x, _ = helpers.sampled_tracks(trajs)
+        counted.update(track_rffts=0, grid_irffts=0)
         direct_residual(example_problem, lams, x)
-        assert sorted(counted["grid_evals"].values()) == [1, 1]  # x and its xdot
+        assert counted["track_rffts"] == 1 and counted["grid_irffts"] == 2
+        assert counted["spline_builds"] == 0
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(rows=st.integers(1, 5), n=st.sampled_from([64, 128, 512]),
+       period=st.floats(0.2, 8.0),
+       offset=st.one_of(st.floats(-2.0, 3.0),
+                        st.integers(-2 * 4096, 3 * 4096).map(lambda j: j / 4096)),
+       seed=st.integers(0, 2**32 - 1))
+def test_grid_route_is_the_periodic_cubic_spline(rows, n, period, offset, seed):
+    # t = offset * T, on the grid's own times when offset is a multiple of
+    # 1/4096
+    rng = np.random.default_rng(seed)
+    y = rng.normal(0.0, 10.0 ** rng.uniform(-2, 2), (rows, n)) + rng.uniform(-5, 5)
+    t = offset * period
+    track = PeriodicTrack(y, period)
+    xv, dv = oracle._on_grid(track, t, derivative=True)
+    ts = t + period * np.arange(oracle.QUAD_SUBINTERVALS) / oracle.QUAD_SUBINTERVALS
+    bound = 1e-12 * np.max(np.abs(y))
+    assert np.max(np.abs(xv - track.value(ts))) <= bound
+    ref = CubicSpline(np.linspace(0.0, period, n + 1), np.append(y, y[:, :1], axis=-1),
+                      bc_type="periodic", axis=-1)
+    assert np.max(np.abs(xv - ref(np.mod(ts, period)))) <= bound
+    d = track.derivative()
+    assert np.max(np.abs(dv - d.value(ts))) <= 1e-12 * np.max(np.abs(d.samples))
+    for r in range(rows):
+        one = oracle._on_grid(PeriodicTrack(y[r], period), t, derivative=True)
+        assert np.array_equal(one[0], xv[r]) and np.array_equal(one[1], dv[r])
 
 
 class TestChunks:
@@ -397,6 +458,14 @@ class TestDirectResidual:
         traj = orbit.integrate(example_field, sp.lam, bad, 0.0, 1.0)
         _, x, _ = helpers.sampled_tracks(traj)
         assert direct_residual(example_problem, sp.lam, x) > 1e-3
+
+    def test_samples_off_the_test_times(self, example_problem):
+        # the test times are every (n // 64)-th sample, as in verify_lift
+        flat = PeriodicTrack(np.zeros(96), 1.0)
+        with pytest.raises(ValueError, match="multiple of 64"):
+            direct_residual(example_problem, 0.0, flat)
+        with pytest.raises(ValueError, match="multiple of 64"):
+            verify_lift(example_problem, np.zeros((2, 96)), flat, flat)
 
     def test_matches_scalar_reference(self, example_problem, forced_point,
                                       long_period_point):
