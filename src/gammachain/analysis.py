@@ -12,7 +12,6 @@ and the Lipschitz sampler alike.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -43,20 +42,25 @@ class CrossCheckError(ArithmeticError):
     """The two independent degree/determinant paths disagree."""
 
 
-@dataclass(frozen=True)
 class ZeroRecord:
     """A refined zero of Phi with its lifted point and Jacobian data;
     ``det_sign`` is the sign of det DG, which the degree count reads, as
     ``det_fd`` may be a string (:func:`_det`)."""
 
-    u_bar: float
-    phi_prime: float
-    lifted: np.ndarray
-    det_fd: float | str
-    det_formula: float | str
-    det_sign: int
-    nondegenerate: bool
-    sign_change: bool
+    __slots__ = ("u_bar", "phi_prime", "lifted", "det_fd", "det_formula",
+                 "det_sign", "nondegenerate", "sign_change")
+
+    def __init__(self, u_bar: float, phi_prime: float, lifted: np.ndarray,
+                 det_fd: float | str, det_formula: float | str, det_sign: int,
+                 nondegenerate: bool, sign_change: bool):
+        self.u_bar = u_bar
+        self.phi_prime = phi_prime
+        self.lifted = lifted
+        self.det_fd = det_fd
+        self.det_formula = det_formula
+        self.det_sign = det_sign
+        self.nondegenerate = nondegenerate
+        self.sign_change = sign_change
 
     def to_dict(self) -> dict:
         return {
@@ -70,14 +74,17 @@ class ZeroRecord:
         }
 
 
-@dataclass(frozen=True)
 class DegreeReport:
-    alpha: float
-    beta: float
-    zeros: tuple[ZeroRecord, ...]
-    deg_phi: int
-    deg_G: int
-    admissible: bool
+    __slots__ = ("alpha", "beta", "zeros", "deg_phi", "deg_G", "admissible")
+
+    def __init__(self, alpha: float, beta: float, zeros: tuple[ZeroRecord, ...],
+                 deg_phi: int, deg_G: int, admissible: bool):
+        self.alpha = alpha
+        self.beta = beta
+        self.zeros = zeros
+        self.deg_phi = deg_phi
+        self.deg_G = deg_G
+        self.admissible = admissible
 
     def to_dict(self) -> dict:
         return {
@@ -101,14 +108,16 @@ def phi_eval(p: chain.ProblemSpec, u: float) -> float:
 @lru_cache(maxsize=128)
 def _phi_prime_parts(p: chain.ProblemSpec):
     """Compiled partials for Phi'(u) = d1 g + d3 g * d1 phi, or None if the
-    symbolic derivative is unavailable."""
+    symbolic derivative is unavailable or deeper than ``expr.MAX_DEPTH``
+    levels (that of a product chain is about twice as deep as the chain)."""
     try:
-        dg0 = expr.compile_expr(expr.diff(p.g, "x0"), chain.G_VARS)
-        dg2 = expr.compile_expr(expr.diff(p.g, "x2"), chain.G_VARS)
-        dphi = expr.compile_expr(expr.diff(p.phi, "p"), chain.PHI_VARS)
+        trees = (expr.diff(p.g, "x0"), expr.diff(p.g, "x2"), expr.diff(p.phi, "p"))
     except expr.DifferentiationError:
         return None
-    return dg0, dg2, dphi
+    if max(map(expr.depth, trees)) > expr.MAX_DEPTH:
+        return None
+    return tuple(expr.compile_expr(tree, names)
+                 for tree, names in zip(trees, (chain.G_VARS, chain.G_VARS, chain.PHI_VARS)))
 
 
 def phi_prime(p: chain.ProblemSpec, u: float) -> float:

@@ -19,7 +19,6 @@ Jacobians come from one call of the column-batched field ``G_batch``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,17 +32,22 @@ DEFAULT_GRID = 7
 SAMPLE_CHUNK = 128  # box samples per batched Jacobian call, up to dim 40
 
 
-@dataclass(frozen=True)
 class CertReport:
     """Certification data for one zero."""
 
-    zero: analysis.ZeroRecord
-    box_radius: float
-    lipschitz: float
-    yorke_period_bound: float
-    T: float
-    ejecting_certified: bool
-    notes: str
+    __slots__ = ("zero", "box_radius", "lipschitz", "yorke_period_bound", "T",
+                 "ejecting_certified", "notes")
+
+    def __init__(self, zero: analysis.ZeroRecord, box_radius: float, lipschitz: float,
+                 yorke_period_bound: float, T: float, ejecting_certified: bool,
+                 notes: str):
+        self.zero = zero
+        self.box_radius = box_radius
+        self.lipschitz = lipschitz
+        self.yorke_period_bound = yorke_period_bound
+        self.T = T
+        self.ejecting_certified = ejecting_certified
+        self.notes = notes
 
     def to_dict(self) -> dict:
         return {
@@ -57,13 +61,16 @@ class CertReport:
         }
 
 
-@dataclass(frozen=True)
 class MultiplicityReport:
-    alpha: float
-    beta: float
-    certified_zeros: tuple[CertReport, ...]
-    n: int
-    verdict: str
+    __slots__ = ("alpha", "beta", "certified_zeros", "n", "verdict")
+
+    def __init__(self, alpha: float, beta: float, certified_zeros: tuple[CertReport, ...],
+                 n: int, verdict: str):
+        self.alpha = alpha
+        self.beta = beta
+        self.certified_zeros = certified_zeros
+        self.n = n
+        self.verdict = verdict
 
     def to_dict(self) -> dict:
         return {

@@ -50,30 +50,49 @@ PHI_VARS = ("p", "q")         # (x, xdot)
 F_VARS = ("t", "x", "v")      # (time, x, xdot)
 
 
-@dataclass(frozen=True)
 class ProblemSpec:
     """The triple (g, phi, f) with kernel parameters and forcing period.
 
     g: Expr over (x0, x1, x2); phi: Expr over (p, q); f: Expr over (t, x, v),
-    T-periodic in t (validated by sampling at construction).
+    T-periodic in t (validated by sampling at construction), none of them
+    deeper than ``expr.MAX_DEPTH`` levels.  Immutable, equal and hashed by
+    value; the hash, which the field caches key on, is taken once, at
+    construction.
     """
 
-    g: expr.Expr
-    phi: expr.Expr
-    f: expr.Expr
-    kernel: GammaKernel
-    T: float
+    __slots__ = ("g", "phi", "f", "kernel", "T", "_hash")
 
-    def __post_init__(self):
-        if not (np.isfinite(self.T) and self.T > 0):
-            raise ValueError(f"period T must be positive and finite, got {self.T!r}")
-        for tree, allowed, label in ((self.g, G_VARS, "g"),
-                                     (self.phi, PHI_VARS, "phi"),
-                                     (self.f, F_VARS, "f")):
+    def __init__(self, g: expr.Expr, phi: expr.Expr, f: expr.Expr,
+                 kernel: GammaKernel, T: float):
+        if not (np.isfinite(T) and T > 0):
+            raise ValueError(f"period T must be positive and finite, got {T!r}")
+        for tree, allowed, label in ((g, G_VARS, "g"), (phi, PHI_VARS, "phi"),
+                                     (f, F_VARS, "f")):
+            levels = expr.depth(tree)
+            if levels > expr.MAX_DEPTH:
+                raise ValueError(f"an expression is nested too deeply: {label} has "
+                                 f"{levels} levels, more than {expr.MAX_DEPTH}")
             extra = expr.free_vars(tree) - set(allowed)
             if extra:
                 raise ValueError(f"{label} may only use {allowed}, found {sorted(extra)}")
+        values = (g, phi, f, kernel, T)
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
         self._check_periodicity()
+        object.__setattr__(self, "_hash", hash(values))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to {name!r}: a problem is immutable")
+
+    def __hash__(self):
+        return self._hash
+
+    def __eq__(self, other):
+        if type(other) is not ProblemSpec:
+            return NotImplemented
+        return self is other or (self._hash == other._hash and (
+            (self.g, self.phi, self.f, self.kernel, self.T)
+            == (other.g, other.phi, other.f, other.kernel, other.T)))
 
     def _check_periodicity(self):
         # the standard library's generator: numpy.random alone would cost

@@ -8,11 +8,9 @@ output, 2 admissibility, 3 numerical, 4 CSV schema mismatch.
 """
 from __future__ import annotations
 
-import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Optional
 
@@ -46,20 +44,25 @@ class SchemaError(ValueError):
     """Branch CSV does not match the expected schema."""
 
 
-@dataclass(frozen=True)
 class RunConfig:
-    problem: chain.ProblemSpec
-    alpha: float
-    beta: float
-    grid_n: int
-    continuation: orbit.ContinuationParams
-    cert_radius: Optional[float]
-    cert_grid: int
+    __slots__ = ("problem", "alpha", "beta", "grid_n", "continuation", "cert_radius",
+                 "cert_grid")
+
+    def __init__(self, problem: chain.ProblemSpec, alpha: float, beta: float, grid_n: int,
+                 continuation: orbit.ContinuationParams, cert_radius: Optional[float],
+                 cert_grid: int):
+        self.problem = problem
+        self.alpha = alpha
+        self.beta = beta
+        self.grid_n = grid_n
+        self.continuation = continuation
+        self.cert_radius = cert_radius
+        self.cert_grid = cert_grid
 
 
 _PROBLEM_KEYS = {"g", "phi", "f", "a", "b", "T"}
 _INTERVAL_KEYS = {"alpha", "beta", "grid_n"}
-_CONTINUATION_KEYS = {f.name for f in fields(orbit.ContinuationParams)}
+_CONTINUATION_KEYS = set(orbit.ContinuationParams.__slots__)
 _CERTIFY_KEYS = {"radius", "grid_per_axis"}
 _TOP_KEYS = {"problem", "interval", "continuation", "certify"}
 
@@ -110,12 +113,12 @@ def load_config(path) -> RunConfig:
         if not isinstance(prob[key], str):
             raise ConfigError(f"problem.{key}: expected an expression string")
     try:
+        # refuses a tree deeper than the walks of the commands can go
         problem = chain.ProblemSpec.from_strings(prob["g"], prob["phi"], prob["f"],
                                                  a, b, T)
-        hash(problem)  # the field caches key on it: the deepest walk of the trees
     except (expr.ParseError, ValueError) as exc:
         raise ConfigError(f"problem: {exc}") from exc
-    except RecursionError as exc:  # the parser and the tree walks recurse
+    except RecursionError as exc:  # the parser recurses
         raise ConfigError(f"problem: an expression is nested too deeply ({exc})") from exc
 
     interval = raw["interval"]
@@ -284,6 +287,8 @@ _NUMERICAL_ERRORS = (orbit.IntegrationError, orbit.NoConvergenceError,
 
 
 def main(argv=None) -> int:
+    import argparse  # only main parses arguments, so importing cli does not load it
+
     parser = argparse.ArgumentParser(
         prog="gammachain",
         description="Chain-trick reduction, degree certificates, and periodic "

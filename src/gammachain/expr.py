@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping
 
 import numpy as np
@@ -20,10 +19,16 @@ import numpy as np
 __all__ = [
     "Expr", "Num", "Var", "Neg", "BinOp", "Call",
     "ParseError", "UnknownIdentifierError", "EvalError", "DifferentiationError",
-    "parse", "evaluate", "diff", "free_vars", "to_string", "compile_expr",
+    "parse", "evaluate", "diff", "free_vars", "depth", "to_string", "compile_expr",
 ]
 
 FUNCTION_NAMES = ("sin", "cos", "exp", "abs")
+# The deepest tree a problem takes (``chain.ProblemSpec``).  The walks of a
+# tree (``free_vars``, ``evaluate``, ``diff``, the writers of Python and C
+# code) recurse once per level, the deepest of them about 20 frames below a
+# command's entry: 800 levels leave them 200 frames of Python's default
+# recursion limit of 1000.
+MAX_DEPTH = 800
 
 _SCALAR_NS = {"sin": math.sin, "cos": math.cos, "exp": math.exp,
               "abs": abs, "pow": math.pow}
@@ -55,44 +60,82 @@ class DifferentiationError(ValueError):
     """Derivative not representable in the expression grammar."""
 
 
-@dataclass(frozen=True)
 class Expr:
-    """Base class for expression nodes."""
+    """Base class for expression nodes: immutable, equal and hashed by
+    value.  Each node takes its hash from its children's at construction,
+    and equality compares two trees node by node without recursion, so no
+    hash or comparison walks a tree recursively."""
+
+    __slots__ = ("_hash",)
+
+    def __init__(self, *values):
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+        object.__setattr__(self, "_hash", hash((type(self), *values)))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to {name!r}: expression trees are immutable")
+
+    def __hash__(self):
+        return self._hash
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        pairs = [(self, other)]
+        while pairs:
+            a, b = pairs.pop()
+            if a is b:
+                continue
+            if type(a) is not type(b) or a._hash != b._hash:
+                return False
+            for name in a.__slots__:
+                u, v = getattr(a, name), getattr(b, name)
+                if isinstance(u, Expr):
+                    pairs.append((u, v))
+                elif u != v:
+                    return False
+        return True
 
     def __str__(self) -> str:
         return to_string(self)
 
 
-@dataclass(frozen=True)
 class Num(Expr):
-    value: float
+    __slots__ = ("value",)
 
-    def __post_init__(self):
-        if not math.isfinite(self.value):
+    def __init__(self, value: float):
+        if not math.isfinite(value):
             raise ValueError("numeric literals must be finite")
+        super().__init__(value)
 
 
-@dataclass(frozen=True)
 class Var(Expr):
-    name: str
+    __slots__ = ("name",)
+
+    def __init__(self, name: str):
+        super().__init__(name)
 
 
-@dataclass(frozen=True)
 class Neg(Expr):
-    operand: Expr
+    __slots__ = ("operand",)
+
+    def __init__(self, operand: Expr):
+        super().__init__(operand)
 
 
-@dataclass(frozen=True)
 class BinOp(Expr):
-    op: str
-    left: Expr
-    right: Expr
+    __slots__ = ("op", "left", "right")
+
+    def __init__(self, op: str, left: Expr, right: Expr):
+        super().__init__(op, left, right)
 
 
-@dataclass(frozen=True)
 class Call(Expr):
-    func: str
-    arg: Expr
+    __slots__ = ("func", "arg")
+
+    def __init__(self, func: str, arg: Expr):
+        super().__init__(func, arg)
 
 
 _TOKEN_RE = re.compile(
@@ -232,6 +275,20 @@ def free_vars(e: Expr) -> frozenset[str]:
     if isinstance(e, BinOp):
         return free_vars(e.left) | free_vars(e.right)
     raise TypeError(f"not an expression node: {e!r}")
+
+
+def depth(e: Expr) -> int:
+    """The number of levels of the tree, 1 for a leaf; without recursion."""
+    deepest = 0
+    stack = [(e, 1)]
+    while stack:
+        node, level = stack.pop()
+        deepest = max(deepest, level)
+        for name in node.__slots__:
+            child = getattr(node, name)
+            if isinstance(child, Expr):
+                stack.append((child, level + 1))
+    return deepest
 
 
 def _finite(v: float) -> float:

@@ -8,7 +8,6 @@ Erlang tail sum; tail horizons are multiples of mean/100.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -16,20 +15,32 @@ import numpy as np
 __all__ = ["GammaKernel", "gamma_eval", "tail_horizon"]
 
 
-@dataclass(frozen=True)
 class GammaKernel:
-    """Rate a > 0 (1/time) and integer shape b >= 1."""
+    """Rate a > 0 (1/time) and integer shape b >= 1; immutable, equal and
+    hashed by value."""
 
-    a: float
-    b: int
+    __slots__ = ("a", "b")
 
-    def __post_init__(self):
-        if not (isinstance(self.b, int) and not isinstance(self.b, bool)):
-            raise ValueError(f"shape b must be an integer, got {self.b!r}")
-        if self.b < 1:
-            raise ValueError(f"shape b must be >= 1, got {self.b}")
-        if not (math.isfinite(self.a) and self.a > 0):
-            raise ValueError(f"rate a must be positive and finite, got {self.a!r}")
+    def __init__(self, a: float, b: int):
+        if not (isinstance(b, int) and not isinstance(b, bool)):
+            raise ValueError(f"shape b must be an integer, got {b!r}")
+        if b < 1:
+            raise ValueError(f"shape b must be >= 1, got {b}")
+        if not (math.isfinite(a) and a > 0):
+            raise ValueError(f"rate a must be positive and finite, got {a!r}")
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to {name!r}: a kernel is immutable")
+
+    def __eq__(self, other):
+        if type(other) is not GammaKernel:
+            return NotImplemented
+        return (self.a, self.b) == (other.a, other.b)
+
+    def __hash__(self):
+        return hash((self.a, self.b))
 
     @property
     def mean(self) -> float:

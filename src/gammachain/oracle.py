@@ -22,7 +22,6 @@ row's result is the value a one-row call gives.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -38,7 +37,6 @@ QUAD_SUBINTERVALS = 4096  # Simpson cells per period
 TEST_TIMES = 64
 
 
-@dataclass(eq=False)
 class PeriodicTrack:
     """T-periodic scalar signals sampled on uniform points of [0, T).
 
@@ -49,11 +47,11 @@ class PeriodicTrack:
     differences on the sample grid.
     """
 
-    samples: np.ndarray
-    period: float
+    __slots__ = ("samples", "period", "__dict__")
 
-    def __post_init__(self):
-        self.samples = np.asarray(self.samples, dtype=float)
+    def __init__(self, samples: np.ndarray, period: float):
+        self.samples = np.asarray(samples, dtype=float)
+        self.period = period
         if self.samples.ndim == 0 or self.samples.shape[-1] < 16:
             raise ValueError("need tracks with at least 16 samples")
         if not self.period > 0:

@@ -27,7 +27,6 @@ dense output; ``dense_samples`` samples it on 512 uniform points.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -61,74 +60,85 @@ class SingularJacobianError(RuntimeError):
 _NEWTON_FAILURES = (SingularJacobianError, NoConvergenceError, IntegrationError)
 
 
-@dataclass(frozen=True)
 class StartingPoint:
     """(lambda, xi(0)) of a T-periodic solution; residual = ||xi(T)-xi(0)||_inf."""
 
-    lam: float
-    xi0: np.ndarray
-    residual: float
+    __slots__ = ("lam", "xi0", "residual")
+
+    def __init__(self, lam: float, xi0: np.ndarray, residual: float):
+        self.lam = lam
+        self.xi0 = xi0
+        self.residual = residual
 
 
-@dataclass(frozen=True, eq=False)
 class _Accepted(StartingPoint):
     """A starting point with the solve that accepted it: the one-period
     solution from ``xi0`` at ``lam`` whose end gave ``residual``, from
     ``_shoot`` or a ``_linearize`` run, whose column 0 it is."""
 
-    solution: Solution
+    __slots__ = ("solution",)
+
+    def __init__(self, lam: float, xi0: np.ndarray, residual: float, solution: Solution):
+        super().__init__(lam, xi0, residual)
+        self.solution = solution
 
 
-@dataclass(frozen=True)
 class BranchPoint:
-    sp: StartingPoint
-    sup_norm: float
-    diameter: float
-    arclength: float
+    __slots__ = ("sp", "sup_norm", "diameter", "arclength")
+
+    def __init__(self, sp: StartingPoint, sup_norm: float, diameter: float,
+                 arclength: float):
+        self.sp = sp
+        self.sup_norm = sup_norm
+        self.diameter = diameter
+        self.arclength = arclength
 
 
-@dataclass(frozen=True)
 class ContinuationParams:
-    initial_step: float = 0.01
-    min_step: float = 1e-6
-    max_step: float = 0.05
-    max_steps: int = 600
-    newton_tol: float = 1e-10
-    newton_max_iter: int = 25
-    step_shrink: float = 0.5
-    step_grow: float = 1.3
-    lambda_max: float = 1.0
-    norm_max: float = 100.0
+    """The continuation's settings; the keyword names are the config's
+    ``continuation`` keys (``__slots__``), the two counts integers and the
+    rest finite numbers."""
 
-    def __post_init__(self):
-        for f in fields(self):
-            v = getattr(self, f.name)
-            if f.type == "int":
+    __slots__ = ("initial_step", "min_step", "max_step", "max_steps", "newton_tol",
+                 "newton_max_iter", "step_shrink", "step_grow", "lambda_max", "norm_max")
+
+    def __init__(self, initial_step: float = 0.01, min_step: float = 1e-6,
+                 max_step: float = 0.05, max_steps: int = 600, newton_tol: float = 1e-10,
+                 newton_max_iter: int = 25, step_shrink: float = 0.5,
+                 step_grow: float = 1.3, lambda_max: float = 1.0, norm_max: float = 100.0):
+        values = (initial_step, min_step, max_step, max_steps, newton_tol,
+                  newton_max_iter, step_shrink, step_grow, lambda_max, norm_max)
+        for name, v in zip(self.__slots__, values):
+            if name in ("max_steps", "newton_max_iter"):
                 if isinstance(v, bool) or not isinstance(v, int):
-                    raise ValueError(f"{f.name} must be an integer, got {v!r}")
+                    raise ValueError(f"{name} must be an integer, got {v!r}")
             elif (isinstance(v, bool) or not isinstance(v, (int, float))
                   or not math.isfinite(v)):
-                raise ValueError(f"{f.name} must be a finite number, got {v!r}")
-        if not (0 < self.min_step <= self.initial_step <= self.max_step):
+                raise ValueError(f"{name} must be a finite number, got {v!r}")
+            setattr(self, name, v)
+        if not (0 < min_step <= initial_step <= max_step):
             raise ValueError("need 0 < min_step <= initial_step <= max_step")
-        if self.max_steps < 1 or self.newton_max_iter < 1:
+        if max_steps < 1 or newton_max_iter < 1:
             raise ValueError("iteration counts must be positive")
-        if self.newton_tol <= 0:
+        if newton_tol <= 0:
             raise ValueError("newton_tol must be positive")
-        if not (0 < self.step_shrink < 1 < self.step_grow):
+        if not (0 < step_shrink < 1 < step_grow):
             raise ValueError("need step_shrink < 1 < step_grow")
-        if self.lambda_max < 0 or self.norm_max <= 0:
+        if lambda_max < 0 or norm_max <= 0:
             raise ValueError("lambda_max must be >= 0 and norm_max > 0")
 
 
-@dataclass
 class BranchTrace:
     """Ordered branch points plus the two march termination statuses."""
 
-    points: list
-    status_backward: str
-    status_forward: str
-    reason: str = ""
+    __slots__ = ("points", "status_backward", "status_forward", "reason")
+
+    def __init__(self, points: list, status_backward: str, status_forward: str,
+                 reason: str = ""):
+        self.points = points
+        self.status_backward = status_backward
+        self.status_forward = status_forward
+        self.reason = reason
 
 
 def _solve(field, lams, y0, t0, t1) -> Solution:
@@ -152,11 +162,12 @@ def integrate(field, lam: float, xi0, t0: float, t1: float) -> Solution:
     return _solve(field, (lam,), chain.as_state(xi0, field.dim), t0, t1)
 
 
-def dense_samples(sol: Solution) -> np.ndarray:
+def dense_samples(sol: Solution, components=None) -> np.ndarray:
     """The solve at ``DENSE_SAMPLES`` uniform points of [t0, t1), shape
-    (dim, DENSE_SAMPLES)."""
+    (dim, DENSE_SAMPLES), or (components, DENSE_SAMPLES) for the first
+    ``components`` components only."""
     t0, t1 = sol.t[0], sol.t[-1]
-    return sol(t0 + (t1 - t0) * np.arange(DENSE_SAMPLES) / DENSE_SAMPLES)
+    return sol(t0 + (t1 - t0) * np.arange(DENSE_SAMPLES) / DENSE_SAMPLES, components)
 
 
 def _shoot(field, lam, xi0) -> Solution:
@@ -332,8 +343,8 @@ def orbit_metrics(x) -> tuple[float, float]:
 
 def _branch_point(field, acc: _Accepted) -> BranchPoint:
     """The branch point of an accepted starting point, its orbit metrics
-    taken from the dense samples of the solve that accepted it."""
-    sup, diam = orbit_metrics(dense_samples(acc.solution)[0])
+    taken from the dense samples of x of the solve that accepted it."""
+    sup, diam = orbit_metrics(dense_samples(acc.solution, 1)[0])
     return BranchPoint(sp=StartingPoint(lam=float(acc.lam),
                                         xi0=np.asarray(acc.xi0, float),
                                         residual=float(acc.residual)),
@@ -445,7 +456,7 @@ def _with_arclengths(points: list[BranchPoint]) -> list[BranchPoint]:
         if prev is not None:
             arc += float(np.linalg.norm(z - prev))
         prev = z
-        out.append(replace(bp, arclength=arc))
+        out.append(BranchPoint(bp.sp, bp.sup_norm, bp.diameter, arc))
     return out
 
 

@@ -35,7 +35,6 @@ import stat
 import tempfile
 import time
 import zlib
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
 
@@ -81,7 +80,6 @@ class IntegrationError(RuntimeError):
         self.time = time
 
 
-@dataclass(frozen=True, eq=False)
 class Solution:
     """One solve: the accepted times ``t``, the states ``y[:, k]`` at
     ``t[k]``, the field evaluations ``nfev``, and the stages ``K[k]`` (7,
@@ -98,27 +96,33 @@ class Solution:
     ``OdeSolution``.
     """
 
-    t: np.ndarray
-    y: np.ndarray
-    nfev: int
-    K: np.ndarray
-    success: bool = True
+    __slots__ = ("t", "y", "nfev", "K", "success")
+
+    def __init__(self, t: np.ndarray, y: np.ndarray, nfev: int, K: np.ndarray,
+                 success: bool = True):
+        self.t = t
+        self.y = y
+        self.nfev = nfev
+        self.K = K
+        self.success = success
 
     @property
     def y_end(self) -> np.ndarray:
         """The state of the first dim components at ``t[-1]``."""
         return self.y[:self.K.shape[-1], -1]
 
-    def __call__(self, t):
-        """y(t): shape (dim,) for a scalar t, (dim, len(t)) for an array."""
+    def __call__(self, t, components=None):
+        """y(t): shape (dim,) for a scalar t, (dim, len(t)) for an array;
+        only the first ``components`` components where given."""
         t = np.asarray(t, dtype=float)
         tv = t.reshape(-1)
         steps, _, dim = self.K.shape
+        dim = dim if components is None else components
         k = np.clip(np.searchsorted(self.t, tv, side="left") - 1, 0, steps - 1)
         t_old = self.t[k]
         h = self.t[k + 1] - t_old
         lo = k.min()
-        Q = self.K[lo:k.max() + 1].transpose(0, 2, 1) @ _P
+        Q = self.K[lo:k.max() + 1, :, :dim].transpose(0, 2, 1) @ _P
         powers = np.cumprod(np.tile((tv - t_old) / h, (Q.shape[-1], 1)), axis=0)
         y = h * np.einsum("mdk,km->dm", Q[k - lo], powers) + self.y[:dim, k]
         return y[:, 0] if t.ndim == 0 else y
@@ -540,7 +544,6 @@ def compiled_stages(derivatives: list[str]):
     return functools.partial(CompiledAttempt, solve, len(derivatives))
 
 
-@dataclass(frozen=True, eq=False)
 class CompiledAttempt:
     """The compiled float stages for ``solve_ivp`` of a state of
     ``len(lams)`` columns of dimension ``dim``, column c at ``lams[c]``
@@ -552,10 +555,13 @@ class CompiledAttempt:
     the first replay: ``rhs`` and ``replay``.  Where two columns would fail
     differently, the replay raises the failure of the lower one."""
 
-    solve: Callable
-    dim: int
-    lams: tuple
-    build: Callable
+    __slots__ = ("solve", "dim", "lams", "build", "__dict__")
+
+    def __init__(self, solve: Callable, dim: int, lams: tuple, build: Callable):
+        self.solve = solve
+        self.dim = dim
+        self.lams = lams
+        self.build = build
 
     @functools.cached_property
     def _python(self):

@@ -34,6 +34,14 @@ class TestPhi:
         v = phi_prime(p, 0.0)
         assert abs(v) <= 1e-3  # central FD of |u| at the kink is 0
 
+    def test_prime_fd_fallback_for_a_derivative_too_deep(self):
+        # the derivative of a 500-factor product chain has about 1000
+        # levels, more than expr.MAX_DEPTH, so it is not compiled
+        p = ProblemSpec.from_strings("-x0*(1+x2)" + "*(1+0.0001*x0)" * 500, "q-p",
+                                     "sin(2*pi*t)", 2.0, 2, 1.0)
+        assert analysis._phi_prime_parts(p) is None
+        assert phi_prime(p, 0.0) == pytest.approx(-1.0, abs=1e-6)
+
 
 class TestScanZeros:
     def test_example_zeros(self, example_problem):

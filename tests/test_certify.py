@@ -357,8 +357,8 @@ def transversal_problems(draw):
     b = draw(st.sampled_from([1, 2, 3]))
     T = draw(st.sampled_from([0.5, 1.0, 2.0, 4.0]))
     p, _, _ = helpers.make_transversal_problem(np.random.default_rng(seed), b)
-    return dataclasses.replace(
-        p, f=expr.parse(f"sin(2*pi*t/{T!r})", chain.F_VARS), T=T)
+    return chain.ProblemSpec(p.g, p.phi, expr.parse(f"sin(2*pi*t/{T!r})", chain.F_VARS),
+                             p.kernel, T)
 
 
 @settings(derandomize=True, deadline=None, max_examples=25)

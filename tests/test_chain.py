@@ -42,6 +42,29 @@ class TestProblemSpec:
     def test_hashable(self, example_problem):
         assert hash(example_problem) == hash(helpers.example_problem())
 
+    def test_compares_by_value_and_refuses_assignment(self, example_problem):
+        same = helpers.example_problem()
+        assert same is not example_problem and same == example_problem
+        assert {example_problem: 1}[same] == 1
+        p = example_problem
+        other = ProblemSpec(p.g, p.phi, p.f, p.kernel, 2.0)
+        assert other != p and ProblemSpec(p.g, expr.parse("p-q", ["p", "q"]), p.f,
+                                          p.kernel, p.T) != p
+        with pytest.raises(AttributeError):
+            p.T = 2.0
+        with pytest.raises(AttributeError):
+            p.g = p.phi
+
+    def test_refuses_trees_deeper_than_max_depth(self):
+        # -x0*(1+x2) is 3 levels deep, q-p 2, and each added term one more
+        n = expr.MAX_DEPTH
+        ProblemSpec.from_strings("-x0*(1+x2)" + "+0.001*x0" * (n - 3), "q-p",
+                                 "sin(2*pi*t)", 2.0, 2, 1.0)
+        with pytest.raises(ValueError, match="an expression is nested too deeply: "
+                           f"phi has {n + 1} levels, more than {n}"):
+            ProblemSpec.from_strings("-x0", "q-p" + "+0.001*p" * (n - 1), "sin(2*pi*t)",
+                                     2.0, 2, 1.0)
+
 
 class TestExpand:
     def test_example_field_componentwise_exact(self, example_problem, example_field):

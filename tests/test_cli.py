@@ -182,10 +182,9 @@ class TestAnalyze:
     @pytest.mark.parametrize("g", [
         "(" * 400 + "x0" + ")" * 400,
         "-" * 1200 + "x0",
+        # parses, but deeper than expr.MAX_DEPTH
         "-x0*(1+x2)" + "+0.001*x0" * 3000,
-        # parses and validates, but too deep for the hash the caches take
-        "-x0*(1+x2)" + "+0.001*x0" * 500,
-    ], ids=["parentheses", "minuses", "sum3000", "sum500"])
+    ], ids=["parentheses", "minuses", "sum3000"])
     def test_over_deep_expression_exits_config(self, tmp_path, capsys, g):
         doc = json.loads(json.dumps(EXAMPLE_CONFIG))
         doc["problem"]["g"] = g
@@ -195,6 +194,18 @@ class TestAnalyze:
                          str(tmp_path / "out")]) == 1
             assert capsys.readouterr().err.startswith(
                 "config error: problem: an expression is nested too deeply")
+
+    def test_sum_of_500_terms_exits_0(self, tmp_path, capsys):
+        # 503 levels, within expr.MAX_DEPTH; the problem hashes without a
+        # walk.  Its Phi = -u (u + 0.5) vanishes at the example's alpha
+        doc = json.loads(json.dumps(SHORT_BRANCH_CONFIG))
+        doc["problem"]["g"] = "-x0*(1+x2)" + "+0.001*x0" * 500
+        doc["interval"]["alpha"] = -0.3
+        path = write_config(tmp_path, doc)
+        for command in ("analyze", "branch"):
+            assert main([command, "--config", str(path), "--out",
+                         str(tmp_path / "out")]) == 0
+        capsys.readouterr()
 
     def test_degenerate_zero_exits_numerical(self, tmp_path, capsys):
         cases = [
@@ -759,6 +770,25 @@ def test_commands_run_without_scipy(tmp_path):
     path = write_config(tmp_path, SHORT_BRANCH_CONFIG)
     proc = run_script(NO_SCIPY_RUN, path, tmp_path / "out")
     assert proc.returncode == 0, proc.stderr
+
+
+IMPORT_CLI = """
+import dataclasses, inspect, sys
+import gammachain.cli
+classes = {c for name, module in list(sys.modules.items()) if name.split(".")[0] == "gammachain"
+           for c in vars(module).values()
+           if inspect.isclass(c) and c.__module__.split(".")[0] == "gammachain"}
+print(sorted(c.__qualname__ for c in classes if dataclasses.is_dataclass(c)))
+print("argparse" in sys.modules)
+"""
+
+
+def test_import_processes_one_dataclass_and_no_argparse():
+    # the records are plain classes, so importing generates no code but the
+    # tracer's ExpandedField; argparse loads in main alone
+    proc = run_script(IMPORT_CLI)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["['ExpandedField']", "False"]
 
 
 NO_NUMPY_RANDOM_RUN = """

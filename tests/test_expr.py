@@ -203,6 +203,33 @@ def test_trees_are_immutable_and_hashable():
     assert tree == parse("u*(1-u)", ["u"])
 
 
+@pytest.mark.parametrize("make, other", [
+    (lambda: Num(2.0), lambda: Num(3.0)),
+    (lambda: Var("u"), lambda: Var("v")),
+    (lambda: Neg(Var("u")), lambda: Neg(Num(1.0))),
+    (lambda: BinOp("+", Var("u"), Num(1.0)), lambda: BinOp("-", Var("u"), Num(1.0))),
+    (lambda: Call("sin", Var("u")), lambda: Call("cos", Var("u"))),
+], ids=["Num", "Var", "Neg", "BinOp", "Call"])
+def test_each_node_compares_and_hashes_by_value(make, other):
+    a, b = make(), make()
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert a != other() and not a == Var("w") and a != "u"
+    assert {a: 1}[b] == 1
+    for name in type(a).__slots__:
+        with pytest.raises(AttributeError):
+            setattr(a, name, getattr(b, name))
+
+
+def test_deep_trees_hash_and_compare_without_recursion():
+    # a sum of 3000 terms is deeper than the recursion limit
+    text = "u" + "+0.001*u" * 3000
+    a, b = parse(text, ["u"]), parse(text, ["u"])
+    assert a == b and hash(a) == hash(b)
+    assert a != parse(text + "+u", ["u"]) and a != parse(text[:-1] + "2", ["u"])
+    assert expr.depth(a) == 3002 and expr.depth(Var("u")) == 1
+    assert expr.depth(parse("-(u*sin(u))", ["u"])) == 4
+
+
 def test_compiled_matches_tree_walker_bitwise():
     rng = np.random.default_rng(55)
     variables = ("u", "v")

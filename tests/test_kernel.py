@@ -167,3 +167,12 @@ def test_chain_recurrence_of_densities(a, i):
         fd = (gamma_eval(ki, s + h) - gamma_eval(ki, s - h)) / (2 * h)
         want = a * (gamma_eval(km, s) - gamma_eval(ki, s))
         assert abs(fd - want) <= 1e-6 * (1.0 + abs(want))
+
+
+def test_kernel_compares_by_value_and_refuses_assignment():
+    k = GammaKernel(2.0, 3)
+    assert k == GammaKernel(2.0, 3) and hash(k) == hash(GammaKernel(2.0, 3))
+    assert k != GammaKernel(2.0, 2) and k != GammaKernel(3.0, 3) and k != (2.0, 3)
+    for name in ("a", "b"):
+        with pytest.raises(AttributeError):
+            setattr(k, name, 1)

@@ -1107,6 +1107,34 @@ class TestContinuationParams:
             with pytest.raises(ValueError):
                 ContinuationParams(newton_tol=tol)
 
+    def test_keys_and_defaults(self):
+        defaults = {"initial_step": 0.01, "min_step": 1e-6, "max_step": 0.05,
+                    "max_steps": 600, "newton_tol": 1e-10, "newton_max_iter": 25,
+                    "step_shrink": 0.5, "step_grow": 1.3, "lambda_max": 1.0,
+                    "norm_max": 100.0}
+        assert cli._CONTINUATION_KEYS == set(defaults)
+        params = ContinuationParams()
+        assert {key: getattr(params, key) for key in defaults} == defaults
+        given = ContinuationParams(**{**defaults, "max_steps": 7, "lambda_max": 0.5})
+        assert (given.max_steps, given.lambda_max) == (7, 0.5)
+
+    @pytest.mark.parametrize("changes, message", [
+        ({"max_steps": 1.0}, "max_steps must be an integer, got 1.0"),
+        ({"newton_max_iter": True}, "newton_max_iter must be an integer, got True"),
+        ({"initial_step": math.nan}, "initial_step must be a finite number, got nan"),
+        ({"norm_max": "1"}, "norm_max must be a finite number, got '1'"),
+        ({"lambda_max": False}, "lambda_max must be a finite number, got False"),
+        ({"min_step": 0.1}, "need 0 < min_step <= initial_step <= max_step"),
+        ({"max_steps": 0}, "iteration counts must be positive"),
+        ({"newton_tol": 0.0}, "newton_tol must be positive"),
+        ({"step_grow": 1.0}, "need step_shrink < 1 < step_grow"),
+        ({"lambda_max": -1.0}, "lambda_max must be >= 0 and norm_max > 0"),
+    ])
+    def test_value_errors(self, changes, message):
+        with pytest.raises(ValueError) as info:
+            ContinuationParams(**changes)
+        assert str(info.value) == message
+
 
 class TestTraceFromZero:
     def test_short_branch(self, example_field):
@@ -1132,8 +1160,9 @@ class TestTraceFromZero:
             assert res <= 1e-8 * (1 + np.linalg.norm(bp.sp.xi0, np.inf))
 
     def test_metrics_equal_a_fresh_integration(self, example_field):
-        # sup_norm and diameter come from the dense output of the solve
-        # that accepted each point; integrating it again gives the same bits
+        # sup_norm and diameter come from the dense output of x of the solve
+        # that accepted each point; integrating it again gives the same bits.
+        # x alone rounds apart from x among every component by an ulp or so
         params = ContinuationParams(lambda_max=0.05, max_steps=40)
         fields = [(example_field, trace_from_zero(example_field, 0.0, params))]
         resonant = chain.expand(resonant_problem())
@@ -1142,8 +1171,10 @@ class TestTraceFromZero:
             for bp in trace.points:
                 fresh = integrate(field, bp.sp.lam, bp.sp.xi0, 0.0,
                                   field.problem.T)
-                assert orbit_metrics(orbit.dense_samples(fresh)[0]) == (bp.sup_norm,
-                                                                        bp.diameter)
+                x = orbit.dense_samples(fresh, 1)[0]
+                assert orbit_metrics(x) == (bp.sup_norm, bp.diameter)
+                np.testing.assert_allclose(x, orbit.dense_samples(fresh)[0],
+                                           rtol=1e-14, atol=1e-14)
 
     def test_arclength_monotone(self, example_field):
         params = ContinuationParams(lambda_max=0.05, max_steps=40)
