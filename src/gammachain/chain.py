@@ -50,14 +50,25 @@ PHI_VARS = ("p", "q")         # (x, xdot)
 F_VARS = ("t", "x", "v")      # (time, x, xdot)
 
 
+def _nesting(e: expr.Expr) -> int:
+    """The deepest parenthesis nesting of e's Python source,
+    ``expr._code(e)``: at most one pair per level, so at most depth(e)."""
+    level = deepest = 0
+    for c in expr._code(e):
+        level += (c == "(") - (c == ")")
+        deepest = max(deepest, level)
+    return deepest
+
+
 class ProblemSpec:
     """The triple (g, phi, f) with kernel parameters and forcing period.
 
     g: Expr over (x0, x1, x2); phi: Expr over (p, q); f: Expr over (t, x, v),
     T-periodic in t (validated by sampling at construction), none of them
-    deeper than ``expr.MAX_DEPTH`` levels.  Immutable, equal and hashed by
-    value; the hash, which the field caches key on, is taken once, at
-    construction.
+    deeper than ``expr.MAX_DEPTH`` levels or with its Python source nested
+    deeper than ``expr.MAX_NESTING`` parentheses.  Immutable, equal and
+    hashed by value; the hash, which the field caches key on, is taken
+    once, at construction.
     """
 
     __slots__ = ("g", "phi", "f", "kernel", "T", "_hash")
@@ -72,6 +83,9 @@ class ProblemSpec:
             if levels > expr.MAX_DEPTH:
                 raise ValueError(f"an expression is nested too deeply: {label} has "
                                  f"{levels} levels, more than {expr.MAX_DEPTH}")
+            if levels > expr.MAX_NESTING and (nested := _nesting(tree)) > expr.MAX_NESTING:
+                raise ValueError(f"an expression is nested too deeply: {label} has "
+                                 f"{nested} nested parentheses, more than {expr.MAX_NESTING}")
             extra = expr.free_vars(tree) - set(allowed)
             if extra:
                 raise ValueError(f"{label} may only use {allowed}, found {sorted(extra)}")

@@ -29,6 +29,10 @@ FUNCTION_NAMES = ("sin", "cos", "exp", "abs")
 # command's entry: 800 levels leave them 200 frames of Python's default
 # recursion limit of 1000.
 MAX_DEPTH = 800
+# The deepest parenthesis nesting of a problem's Python source: CPython
+# stops at 200, and the float stages' ``rhs`` tuple holds phi's inside the
+# chain's ``a * (phi - w2)``, two more pairs.
+MAX_NESTING = 198
 
 _SCALAR_NS = {"sin": math.sin, "cos": math.cos, "exp": math.exp,
               "abs": abs, "pow": math.pow}
@@ -447,9 +451,11 @@ def _code(e: Expr, names: Mapping[str, str] = {}, grammar: bool = False) -> str:
     compile, or with ``grammar`` set grammar text (``^`` infix, not
     ``pow``).  A chain of ``+ -`` or of ``* /`` operations takes one pair,
     as Python and the grammar both read it left to right, so the nesting of
-    parentheses does not grow with the chain (CPython's tokenizer stops at
-    200 levels).  A variable reads ``names.get(name, name)``; a negative
-    literal is parenthesized, as the grammar has no signed literals."""
+    parentheses does not grow with the chain; other operations nest one
+    pair per level, which ``MAX_NESTING`` bounds below CPython's limit of
+    200 (``chain._nesting``).  A variable reads ``names.get(name, name)``;
+    a negative literal is parenthesized, as the grammar has no signed
+    literals."""
     if isinstance(e, Num):
         text = repr(e.value)
         return f"({text})" if text.startswith("-") else text

@@ -6,14 +6,15 @@ of the original second-order equation is evaluated from sampled tracks.
 The tracks are T-periodic, so each history integral is a circular
 convolution of phi(x, xdot) with the kernel folded modulo T, integrated by
 composite Simpson on 4096 cells per period and evaluated by FFT.  The
-tracks reach that grid spectrally: their periodic cubic spline (and the
-spline of their central-difference derivative) on the 4096 times is one
-inverse FFT of the samples' spectrum times a cached upsampling response,
-so no spline coefficients are built; ``PeriodicTrack.value`` builds them
-on its first call, for evaluation at arbitrary times.  This path never
-reuses the cascade ODEs, so agreement with the integrated chain
-coordinates is a genuine cross-check of the reduction.  The oracle reads
-sample arrays only: it neither integrates nor imports the integrator.
+tracks reach that grid spectrally: their periodic cubic spline in
+B-spline form (and the spline of their central-difference derivative) on
+the 4096 times jT/4096 is one inverse FFT of the samples' spectrum times a
+cached upsampling response, so no spline coefficients are built;
+``PeriodicTrack.value`` builds them, for evaluation at arbitrary times.
+This path never reuses the cascade ODEs, so agreement with the integrated
+chain coordinates is a genuine cross-check of the reduction.  The oracle
+reads sample arrays only: it neither integrates nor imports the
+integrator.
 
 Tracks may hold several rows (solutions) on their leading axes; every
 function here then works on all rows in one pass of array calls, and each
@@ -22,7 +23,7 @@ row's result is the value a one-row call gives.
 from __future__ import annotations
 
 import math
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
@@ -42,12 +43,11 @@ class PeriodicTrack:
 
     ``samples`` has shape (..., n): one track per index of the leading
     axes, sampled along the last.  Evaluation uses the periodic cubic
-    spline through the samples, whose per-cell coefficients are built on
-    the first ``value`` call; differentiation uses 4th-order central
-    differences on the sample grid.
+    spline through the samples in B-spline form; differentiation uses
+    4th-order central differences on the sample grid.
     """
 
-    __slots__ = ("samples", "period", "__dict__")
+    __slots__ = ("samples", "period")
 
     def __init__(self, samples: np.ndarray, period: float):
         self.samples = np.asarray(samples, dtype=float)
@@ -57,26 +57,17 @@ class PeriodicTrack:
         if not self.period > 0:
             raise ValueError("period must be positive")
 
-    @cached_property
-    def _coefs(self) -> np.ndarray:
-        return _spline_coefficients(self.samples, self.period)
-
     def value(self, t):
-        """Periodic evaluation at scalar or array times, shape
-        (..., *t.shape) for samples of shape (..., n)."""
+        """The spline sum_i c_i B(t/h - i) over the four B-splines that
+        reach t, shape (..., *t.shape) for samples of shape (..., n)."""
         n = self.samples.shape[-1]
         h = self.period / n
         tm = np.mod(t, self.period)
         i = np.minimum((tm / h).astype(int), n - 1)
-        dx = tm - i * h
-        # c0 + dx * (c1 + dx * (c2 + dx * c3)), one gathered coefficient at a time
-        c3, c2, c1, c0 = self._coefs
-        y = np.multiply(dx, np.take(c3, i, axis=-1))
-        for c in (c2, c1):
-            y += np.take(c, i, axis=-1)
-            y *= dx
-        y += np.take(c0, i, axis=-1)
-        return y
+        u = (tm - i * h) / h  # t/h - i, with the cell's offset taken in time
+        c = _bspline_coefficients(self.samples)
+        return sum(np.take(c, (i + k) % n, axis=-1) * _cubic_bspline(u - k)
+                   for k in (-1, 0, 1, 2))
 
     def derivative(self) -> "PeriodicTrack":
         """Track of the time derivative (4th-order central differences)."""
@@ -89,22 +80,13 @@ class PeriodicTrack:
         return PeriodicTrack(d, self.period)
 
 
-def _spline_coefficients(y: np.ndarray, period: float) -> np.ndarray:
-    """(c3, c2, c1, c0) of the periodic cubic spline through samples y of
-    shape (..., n): on cell i, y[i] + c1 dx + c2 dx^2 + c3 dx^3 with
-    dx = t - i h."""
-    # the second derivatives M solve the circulant system
-    # M[i-1] + 4 M[i] + M[i+1] = 6/h^2 (y[i-1] - 2 y[i] + y[i+1]),
-    # diagonal in Fourier space with eigenvalues 4 + 2 cos(2 pi k / n)
+def _bspline_coefficients(y: np.ndarray) -> np.ndarray:
+    """The c of the periodic cubic spline sum_i c_i B(s - i) through the
+    samples y[k] at s = k, shape (..., n): B at the integers is the
+    circulant (1, 4, 1) / 6, of eigenvalues (4 + 2 cos 2 pi k / n) / 6."""
     n = y.shape[-1]
-    h = period / n
-    y_next = np.roll(y, -1, axis=-1)
-    curvature = 6.0 / h**2 * (np.roll(y, 1, axis=-1) - 2.0 * y + y_next)
-    eig = 4.0 + 2.0 * np.cos(2.0 * np.pi * np.arange(n // 2 + 1) / n)
-    M = np.fft.irfft(np.fft.rfft(curvature) / eig, n)
-    M_next = np.roll(M, -1, axis=-1)
-    return np.array([(M_next - M) / (6.0 * h), 0.5 * M,
-                     (y_next - y) / h - h * (2.0 * M + M_next) / 6.0, y])
+    w = 2.0 * np.pi * np.arange(n // 2 + 1) / n
+    return np.fft.irfft(np.fft.rfft(y) * 6.0 / (4.0 + 2.0 * np.cos(w)), n)
 
 
 def _cubic_bspline(u: np.ndarray) -> np.ndarray:
@@ -115,27 +97,23 @@ def _cubic_bspline(u: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=8)
-def _upsampling_response(n: int, period: float, t: float) -> np.ndarray:
+def _upsampling_response(n: int, period: float) -> np.ndarray:
     """Multipliers that take the spectrum of n samples to the spectrum of
     their periodic cubic spline (row 0) and of their derivative()'s spline
-    (row 1) at the 4096 times t + jT/4096, shape (2, 2049).
+    (row 1) at the 4096 times jT/4096, shape (2, 2049).
 
-    The spline is sum_i c_i B(s/h - i) with B the cubic B-spline, and the
-    spectrum of c is that of the samples over (4 + 2 cos w) / 6, w = 2 pi
-    k / n.  At r = 4096 / n times per cell, the spline on the grid is the
-    coefficients spread r steps apart (whose spectrum repeats every n
-    bins) convolved with B sampled at (l + s) / r, s = t 4096 / T the
-    grid's offset in steps: the whole steps of s shift the kernel and the
-    rest shifts its samples.  The central differences of derivative() are
-    the multiplier i (8 sin w - sin 2w) / (6h).
+    The spline's coefficients c have the samples' spectrum over (4 + 2 cos
+    w) / 6 (``_bspline_coefficients``).  At r = 4096 / n times per cell,
+    the spline on the grid is c spread r steps apart (whose spectrum
+    repeats every n bins) convolved with B sampled at l / r.  The central
+    differences of derivative() are the multiplier i (8 sin w - sin 2w) /
+    (6h).
     """
     m = QUAD_SUBINTERVALS
     r = m // n
-    s = t * m / period
-    whole = math.floor(s)
     steps = np.arange(-2 * r - 1, 2 * r + 2)
     kernel = np.zeros(m)
-    kernel[(steps - whole) % m] = _cubic_bspline((steps + (s - whole)) / r)
+    kernel[steps % m] = _cubic_bspline(steps / r)
     w = 2.0 * np.pi * np.arange(m // 2 + 1) / n
     response = np.empty((2, m // 2 + 1), complex)
     response[0] = np.fft.rfft(kernel) * 6.0 / (4.0 + 2.0 * np.cos(w))
@@ -145,11 +123,11 @@ def _upsampling_response(n: int, period: float, t: float) -> np.ndarray:
     return response
 
 
-def _on_grid(track: PeriodicTrack, t: float, derivative: bool = False):
-    """The track at the 4096 times t + jT/4096, shape (..., 4096) for
-    samples of shape (..., n), and with ``derivative`` then also
-    track.derivative() there: each one inverse FFT of the samples' one
-    rFFT times the upsampling response.  ValueError unless n divides 4096.
+def _on_grid(track: PeriodicTrack, derivative: bool = False):
+    """The track at the 4096 times jT/4096, shape (..., 4096) for samples
+    of shape (..., n), and with ``derivative`` then also track.derivative()
+    there: each one inverse FFT of the samples' one rFFT times the
+    upsampling response.  ValueError unless n divides 4096.
     """
     m = QUAD_SUBINTERVALS
     n = track.samples.shape[-1]
@@ -159,7 +137,7 @@ def _on_grid(track: PeriodicTrack, t: float, derivative: bool = False):
     full = np.concatenate((spectrum, np.conj(spectrum[..., -2:0:-1])), axis=-1)
     # bin k of the grid's spectrum holds the samples' bin k mod n
     repeated = np.take(full, np.arange(m // 2 + 1) % n, axis=-1)
-    response = _upsampling_response(n, track.period, t)
+    response = _upsampling_response(n, track.period)
     return [np.fft.irfft(repeated * response[d], m) for d in range(1 + derivative)]
 
 
@@ -171,21 +149,20 @@ def _simpson_weights(n: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=4)
-def _kernel_spectra(a: float, b: int, period: float,
-                    horizon: float | None) -> np.ndarray:
+def _kernel_spectra(a: float, b: int, period: float) -> np.ndarray:
     """rFFT of the Simpson weights of gamma_a^i folded modulo the period,
     row i - 1 for stage i = 1 .. b, shape (b, 2049).
 
     The fold sums the density over the whole periods that cover the tail
-    horizon (or ``horizon``); the weight at tau = T joins tau = 0, where
-    the periodic integrand takes the same value.
+    horizon of mass TRUNCATION_MASS; the weight at tau = T joins tau = 0,
+    where the periodic integrand takes the same value.
     """
     n = QUAD_SUBINTERVALS
     tau = np.linspace(0.0, period, n + 1)
     spectra = np.empty((b, n // 2 + 1), complex)
     for i in range(1, b + 1):
         k = GammaKernel(a, i)
-        H = tail_horizon(k, TRUNCATION_MASS) if horizon is None else float(horizon)
+        H = tail_horizon(k, TRUNCATION_MASS)
         folded = np.zeros(n + 1)
         # one period at a time keeps the peak memory flat
         for m in range(max(1, math.ceil(H / period))):
@@ -198,15 +175,15 @@ def _kernel_spectra(a: float, b: int, period: float,
 
 
 def _phi_spectrum(p: chain.ProblemSpec, x: PeriodicTrack,
-                  xdot: PeriodicTrack | None, t: float) -> np.ndarray:
-    """rFFT of phi(x, xdot) at the 4096 times t + jT/4096, along the last
+                  xdot: PeriodicTrack | None) -> np.ndarray:
+    """rFFT of phi(x, xdot) at the 4096 times jT/4096, along the last
     axis, with xdot x.derivative() where it is None; ArithmeticError where
     it is not finite, as it is wherever a phi sample is (bin 0 sums them)."""
     _, phi, _ = chain._compiled(p, vectorized=True)
     if xdot is None:
-        xv, vv = _on_grid(x, t, derivative=True)
+        xv, vv = _on_grid(x, derivative=True)
     else:
-        (xv,), (vv,) = _on_grid(x, t), _on_grid(xdot, t)
+        (xv,), (vv,) = _on_grid(x), _on_grid(xdot)
     z = np.zeros(xv.shape)  # broadcasts a phi without variables, a scalar
     z += phi(xv, vv)
     spectrum = np.fft.rfft(z)
@@ -216,13 +193,12 @@ def _phi_spectrum(p: chain.ProblemSpec, x: PeriodicTrack,
 
 
 def _convolutions(p: chain.ProblemSpec, x: PeriodicTrack,
-                  xdot: PeriodicTrack | None, stages, m: int, t: float = 0.0,
-                  horizon: float | None = None) -> np.ndarray:
-    """The history convolutions of ``stages`` at the m times t + jT/m (m
+                  xdot: PeriodicTrack | None, stages, m: int) -> np.ndarray:
+    """The history convolutions of ``stages`` at the m times jT/m (m
     divides 4096), shape (..., len(stages), m) for tracks of shape (..., n),
     with xdot x.derivative() where it is None.
 
-    phi is evaluated once on the 4096-point grid t + jT/4096 and
+    phi is evaluated once on the 4096-point grid jT/4096 and
     transformed once.  One stage at a time, its product with the cached
     kernel spectrum is extended to the full spectrum by symmetry and summed
     over the frequencies congruent modulo m: sampling every (4096/m)-th
@@ -232,8 +208,8 @@ def _convolutions(p: chain.ProblemSpec, x: PeriodicTrack,
     """
     T = x.period
     n = QUAD_SUBINTERVALS
-    spectrum = _phi_spectrum(p, x, xdot, t)
-    kernels = _kernel_spectra(p.kernel.a, p.kernel.b, T, horizon)
+    spectrum = _phi_spectrum(p, x, xdot)
+    kernels = _kernel_spectra(p.kernel.a, p.kernel.b, T)
     rows = spectrum.shape[:-1]
     full = np.empty(rows + (n,), complex)
     half, mirror = full[..., :n // 2 + 1], full[..., n // 2 + 1:]
@@ -250,21 +226,19 @@ def _convolutions(p: chain.ProblemSpec, x: PeriodicTrack,
 
 
 def history_convolution(p: chain.ProblemSpec, x: PeriodicTrack,
-                        xdot: PeriodicTrack, t: float = 0.0,
-                        horizon: float | None = None) -> np.ndarray:
+                        xdot: PeriodicTrack) -> np.ndarray:
     """Every chain coordinate as an explicit history integral, at the
-    4096 times t + jT/4096 (row i - 1 holds stage i, shape (b, 4096) for
+    4096 times t = jT/4096 (row i - 1 holds stage i, shape (b, 4096) for
     one-row tracks):
 
         y_i(t) = integral_0^T  K_i(tau) * phi(x(t - tau), xdot(t - tau)) dtau
 
     with the kernel folded modulo T, K_i(tau) = sum_m gamma_a^i(tau + mT),
-    over the whole periods covering the tail horizon of mass 1e-12 (or
-    ``horizon``), and composite Simpson on 4096 cells per period.  Raises
+    over the whole periods covering the tail horizon of mass 1e-12, and
+    composite Simpson on 4096 cells per period.  Raises
     ValueError unless the tracks' sample count divides 4096.
     """
-    return _convolutions(p, x, xdot, range(1, p.kernel.b + 1),
-                         QUAD_SUBINTERVALS, t, horizon)
+    return _convolutions(p, x, xdot, range(1, p.kernel.b + 1), QUAD_SUBINTERVALS)
 
 
 def _max_per_row(d: np.ndarray, axes):

@@ -42,6 +42,15 @@ class TestPhi:
         assert analysis._phi_prime_parts(p) is None
         assert phi_prime(p, 0.0) == pytest.approx(-1.0, abs=1e-6)
 
+    def test_prime_fd_fallback_for_a_derivative_nested_too_deeply(self):
+        # a 150-factor product chain is within expr.MAX_DEPTH, but its
+        # derivative's Python source nests more than expr.MAX_NESTING pairs
+        # of parentheses, which CPython would not compile
+        p = ProblemSpec.from_strings("-x0*(1+x2)" + "*(1+0.0001*x0)" * 150, "q-p",
+                                     "sin(2*pi*t)", 2.0, 2, 1.0)
+        assert analysis._phi_prime_parts(p) is None
+        assert phi_prime(p, 0.0) == pytest.approx(-1.0, abs=1e-6)
+
 
 class TestScanZeros:
     def test_example_zeros(self, example_problem):

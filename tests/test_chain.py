@@ -65,6 +65,17 @@ class TestProblemSpec:
             ProblemSpec.from_strings("-x0", "q-p" + "+0.001*p" * (n - 1), "sin(2*pi*t)",
                                      2.0, 2, 1.0)
 
+    def test_refuses_sources_nested_deeper_than_max_nesting(self):
+        # each unary minus nests the Python source one pair deeper
+        n = expr.MAX_NESTING
+        g, phi, f = "-x0", "-" * (n - 1) + "(q-p)", "-" * (n - 2) + "sin(2*pi*t)"
+        p = ProblemSpec.from_strings(g, phi, f, 2.0, 2, 1.0)
+        assert [chain._nesting(tree) for tree in (p.phi, p.f)] == [n, n]
+        for args, label in (((g, "-" + phi, f), "phi"), ((g, phi, "-" + f), "f")):
+            with pytest.raises(ValueError, match="an expression is nested too deeply: "
+                               f"{label} has {n + 1} nested parentheses, more than {n}"):
+                ProblemSpec.from_strings(*args, 2.0, 2, 1.0)
+
 
 class TestExpand:
     def test_example_field_componentwise_exact(self, example_problem, example_field):

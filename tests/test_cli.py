@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import collections
+import importlib.util
 import json
 import math
 import os
@@ -14,7 +15,8 @@ import numpy as np
 import pytest
 
 import helpers
-from gammachain import analysis, certify, chain, cli, oracle, orbit, rk45
+from gammachain import (analysis, certify, chain, cli, expr, kernel, oracle, orbit,
+                        rk45)
 from gammachain.cli import (ConfigError, SchemaError, cmd_analyze, cmd_branch,
                             cmd_verify, load_config, main, read_branch_csv,
                             write_branch_csv)
@@ -184,7 +186,10 @@ class TestAnalyze:
         "-" * 1200 + "x0",
         # parses, but deeper than expr.MAX_DEPTH
         "-x0*(1+x2)" + "+0.001*x0" * 3000,
-    ], ids=["parentheses", "minuses", "sum3000"])
+        # within expr.MAX_DEPTH, but its Python source nests 251 pairs of
+        # parentheses, past CPython's 200
+        "-" * 250 + "x0*(1+x2)",
+    ], ids=["parentheses", "minuses", "sum3000", "minuses250"])
     def test_over_deep_expression_exits_config(self, tmp_path, capsys, g):
         doc = json.loads(json.dumps(EXAMPLE_CONFIG))
         doc["problem"]["g"] = g
@@ -192,8 +197,60 @@ class TestAnalyze:
         for command in ("analyze", "branch"):
             assert main([command, "--config", str(path), "--out",
                          str(tmp_path / "out")]) == 1
-            assert capsys.readouterr().err.startswith(
+            err = capsys.readouterr().err
+            assert err.startswith(
                 "config error: problem: an expression is nested too deeply")
+            assert "Traceback" not in err
+
+    def test_derivative_nested_too_deeply_exits_0(self, tmp_path, capsys):
+        # g nests 3 pairs of parentheses, but its symbolic derivative more
+        # than expr.MAX_NESTING: Phi' falls back to finite differences
+        doc = json.loads(json.dumps(EXAMPLE_CONFIG))
+        doc["problem"]["g"] = "-x0*(1+x2)" + "*(1+0.0001*x0)" * 150
+        path = write_config(tmp_path, doc)
+        assert main(["analyze", "--config", str(path), "--out", str(tmp_path)]) == 0
+        assert "Traceback" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("compiler", [
+        pytest.param(True, marks=helpers.requires_compiler), False], ids=["cc", "no-cc"])
+    def test_deepest_nesting_runs_every_command(self, tmp_path, monkeypatch, capsys,
+                                                compiler):
+        # the example's own g and phi written expr.MAX_NESTING pairs of
+        # parentheses deep: phi's is the deepest source of every writer,
+        # two pairs more in the rhs of the Python float stages.  One pair
+        # more is refused
+        n = expr.MAX_NESTING
+        doc = json.loads(json.dumps(SHORT_BRANCH_CONFIG))
+        doc["problem"].update(g="-" * (n - 1) + "x0*(1+x2)", phi="-" * (n - 2) + "(1*(q-p))")
+        p = load_config(write_config(tmp_path, doc)).problem
+        assert [chain._nesting(tree) for tree in (p.g, p.phi)] == [n, n]
+        if not compiler:
+            (tmp_path / "empty").mkdir()
+            monkeypatch.setenv("PATH", str(tmp_path / "empty"))
+        chain.expand.cache_clear()
+        try:
+            for name, deep in (("deep", doc), ("example", SHORT_BRANCH_CONFIG)):
+                path = write_config(tmp_path, deep, f"{name}.json")
+                out = tmp_path / name
+                assert main(["analyze", "--config", str(path), "--out", str(out)]) == 0
+                assert main(["branch", "--config", str(path), "--out", str(out),
+                             "--seed-zero", "0"]) == 0
+                assert main(["verify", str(out / "branch_0.csv"), "--config", str(path),
+                             "--out", str(out)]) == 0
+        finally:
+            chain.expand.cache_clear()
+        for name in ("analysis.json", "branch_0.csv", "verify.json"):
+            assert (tmp_path / "deep" / name).read_bytes() == \
+                (tmp_path / "example" / name).read_bytes()
+        capsys.readouterr()
+        for key in ("g", "phi"):
+            deeper = json.loads(json.dumps(doc))
+            deeper["problem"][key] = "-" + doc["problem"][key]
+            path = write_config(tmp_path, deeper, "deeper.json")
+            assert main(["analyze", "--config", str(path)]) == 1
+            assert capsys.readouterr().err.startswith(
+                "config error: problem: an expression is nested too deeply: "
+                f"{key} has {n + 1} nested parentheses, more than {n}")
 
     def test_sum_of_500_terms_exits_0(self, tmp_path, capsys):
         # 503 levels, within expr.MAX_DEPTH; the problem hashes without a
@@ -487,6 +544,38 @@ def test_every_solve_goes_through_orbit_solve_ivp(tmp_path, monkeypatch):
     assert calls["verify", "stacked"] == 0
 
 
+def test_the_benchmark_tracer_finds_every_name_it_patches(example_problem):
+    # perfbench/tracing.py wraps library functions by module attribute
+    # (orbit.solve_ivp, orbit.period_map, oracle.history_convolution,
+    # PeriodicTrack.value ...) and copies each expanded field with
+    # dataclasses.replace, wrapping its G and F; uninstall puts back the
+    # very objects it replaced
+    spec = importlib.util.spec_from_file_location(
+        "tracing", Path(__file__).parents[1] / "perfbench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    owners = [analysis, certify, chain, cli, expr, kernel, oracle, orbit,
+              oracle.PeriodicTrack]
+    before = {(owner, name): value for owner in owners
+              for name, value in vars(owner).items()}
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        patched = {key for key, value in before.items() if getattr(*key) is not value}
+        field = chain.expand(example_problem)
+        xi = np.array([0.3, -0.2, 0.1, 0.05])
+        original = before[chain, "expand"](example_problem)
+        assert field is not original and np.array_equal(field.G(xi), original.G(xi))
+        assert np.array_equal(field.F(0.25, xi), original.F(0.25, xi))
+        assert tracer.calls["chain.G"] == tracer.calls["chain.F"] == 1
+    finally:
+        tracer.uninstall()
+    assert patched >= {(orbit, "solve_ivp"), (orbit, "period_map"),
+                       (oracle, "history_convolution"), (oracle.PeriodicTrack, "value"),
+                       (chain, "expand")}
+    assert all(getattr(owner, name) is value for (owner, name), value in before.items())
+
+
 class TestCsvRoundTrip:
     def test_write_read(self, tmp_path, example_field):
         params = orbit.ContinuationParams(lambda_max=0.02, max_steps=12)
@@ -567,18 +656,18 @@ class TestVerify:
         one_row = tmp_path / "one_row.csv"
         one_row.write_text("\n".join([lines[0], lines[-1]]) + "\n")
         work = {"grid_irffts": 0, "spline_builds": 0}
-        irfft, coefficients = np.fft.irfft, oracle._spline_coefficients
+        irfft, coefficients = np.fft.irfft, oracle._bspline_coefficients
 
         def counted_irfft(a, n=None, *args, **kwargs):
             work["grid_irffts"] += n == oracle.QUAD_SUBINTERVALS
             return irfft(a, n, *args, **kwargs)
 
-        def counted_coefficients(y, period):
+        def counted_coefficients(y):
             work["spline_builds"] += 1
-            return coefficients(y, period)
+            return coefficients(y)
 
         monkeypatch.setattr(np.fft, "irfft", counted_irfft)
-        monkeypatch.setattr(oracle, "_spline_coefficients", counted_coefficients)
+        monkeypatch.setattr(oracle, "_bspline_coefficients", counted_coefficients)
         doc = cmd_verify(cfg, one_row)
         assert doc["all_pass"] and len(doc["rows"]) == 1
         assert work == {"grid_irffts": 4, "spline_builds": 0}

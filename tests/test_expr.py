@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import helpers
-from gammachain import expr
+from gammachain import chain, expr
 from gammachain.expr import (BinOp, Call, DifferentiationError, EvalError, Neg,
                              Num, ParseError, UnknownIdentifierError, Var,
                              compile_expr, diff, evaluate, parse, to_string)
@@ -193,6 +193,21 @@ def test_long_chains_compile():
     rng = np.random.default_rng(3)
     for x in rng.uniform(-2, 2, (20, 3)):
         assert fn(*x) == evaluate(tree, dict(zip(variables, x)))
+
+
+def test_source_nests_at_most_one_pair_per_level():
+    # ProblemSpec and Phi' measure a tree's nesting only when it is more
+    # than expr.MAX_NESTING levels deep
+    variables = ("u", "v")
+    assert [chain._nesting(parse(text, variables)) for text in
+            ("u", "-u*(1+v)", "-(-(-u))", "u^v^u", "sin(u)+v+v")] == [0, 2, 3, 2, 2]
+    assert chain._nesting(Num(-2.0)) == 1
+    rng = np.random.default_rng(55)
+    for _ in range(200):
+        tree = helpers.random_expr(rng, variables)
+        for t in (tree, *(diff(tree, var) for var in variables
+                          if var in expr.free_vars(tree))):
+            assert chain._nesting(t) <= expr.depth(t), to_string(t)
 
 
 def test_trees_are_immutable_and_hashable():

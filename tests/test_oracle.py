@@ -26,6 +26,11 @@ def cosine_track(amplitude=1.0, cycles=1, n=512, T=1.0):
     return PeriodicTrack(amplitude * np.cos(2 * math.pi * cycles * ts / T), T)
 
 
+def grid_times(T):
+    """The quadrature grid's times jT/4096 at which the oracle convolves."""
+    return T * np.arange(oracle.QUAD_SUBINTERVALS) / oracle.QUAD_SUBINTERVALS
+
+
 def lift_of(p, sol):
     """verify_lift of a one-period solve's samples and its own (x, xdot)
     tracks."""
@@ -106,18 +111,14 @@ class TestHistoryConvolution:
     def test_constant_history_has_unit_mass(self, example_problem):
         p = ProblemSpec.from_strings("-x0", "1+0*p", "sin(2*pi*t)", 2.0, 2, 1.0)
         x = cosine_track()
-        xd = x.derivative()
-        for i in (1, 2):
-            for t in (0.0, 0.37, 0.9):
-                assert history_convolution(p, x, xd, t)[i - 1, 0] == pytest.approx(
-                    1.0, abs=1e-9)
+        conv = history_convolution(p, x, x.derivative())
+        assert np.max(np.abs(conv - 1.0)) <= 1e-9
 
     def test_constant_solution_matches_lifted_coordinates(self, example_problem):
         x = PeriodicTrack(np.ones(512), 1.0)
         xd = PeriodicTrack(np.zeros(512), 1.0)
-        for i in (1, 2):
-            got = history_convolution(example_problem, x, xd, 0.3)[i - 1, 0]
-            assert got == pytest.approx(-1.0, abs=1e-10)
+        conv = history_convolution(example_problem, x, xd)
+        assert np.max(np.abs(conv + 1.0)) <= 1e-10
 
     def test_exponential_smoothing_closed_form(self):
         # phi(x, xdot) = x with x(s) = cos(omega s):
@@ -127,10 +128,10 @@ class TestHistoryConvolution:
         x = cosine_track()
         xd = x.derivative()
         w = 2 * math.pi
-        for t in np.linspace(0.0, 1.0, 9):
-            want = a * (a * math.cos(w * t) + w * math.sin(w * t)) / (a * a + w * w)
-            got = history_convolution(p, x, xd, t)[0, 0]
-            assert got == pytest.approx(want, abs=1e-6)
+        t = grid_times(1.0)
+        want = a * (a * np.cos(w * t) + w * np.sin(w * t)) / (a * a + w * w)
+        got = history_convolution(p, x, xd)[0]
+        assert np.max(np.abs(got - want)) <= 1e-6
 
     def test_every_stage_closed_form(self):
         # phi(x, xdot) = x with x(s) = cos(omega s), omega = 2 pi / T:
@@ -140,11 +141,11 @@ class TestHistoryConvolution:
         x = cosine_track(T=T)
         xd = x.derivative()
         w = 2 * math.pi / T
-        for t in np.linspace(0.0, T, 7, endpoint=False) + 0.1:
-            got = history_convolution(p, x, xd, t)[:, 0]
-            want = [((a / (a + 1j * w)) ** i * np.exp(1j * w * t)).real
-                    for i in range(1, b + 1)]
-            assert np.max(np.abs(got - want)) <= 1e-9
+        t = grid_times(T)
+        got = history_convolution(p, x, xd)
+        want = [((a / (a + 1j * w)) ** i * np.exp(1j * w * t)).real
+                for i in range(1, b + 1)]
+        assert np.max(np.abs(got - want)) <= 1e-9
 
     def test_shape(self):
         x = cosine_track()
@@ -159,47 +160,47 @@ class TestHistoryConvolution:
             with pytest.raises(ValueError, match="divides 4096"):
                 history_convolution(example_problem, x, x)
 
-    def test_periodicity(self, example_problem):
-        x = cosine_track(amplitude=0.4)
-        xd = x.derivative()
-        for t in (0.1, 0.62):
-            a = history_convolution(example_problem, x, xd, t)[1, 0]
-            b = history_convolution(example_problem, x, xd, t + 1.0)[1, 0]
-            assert abs(a - b) <= 1e-8
-
-    def test_horizon_doubling_converged(self, example_problem):
+    def test_horizon_doubling_converged(self, example_problem, monkeypatch):
+        # a tail mass of 1e-24 about doubles the folded horizon
         x = cosine_track(amplitude=0.3)
         xd = x.derivative()
-        H = tail_horizon(GammaKernel(2.0, 2), 1e-12)
-        a = history_convolution(example_problem, x, xd, 0.4)[1, 0]
-        b = history_convolution(example_problem, x, xd, 0.4, horizon=2 * H)[1, 0]
-        assert abs(a - b) < 1e-9
+        k = GammaKernel(2.0, 2)
+        assert tail_horizon(k, 1e-24) >= 1.9 * tail_horizon(k, oracle.TRUNCATION_MASS)
+        a = history_convolution(example_problem, x, xd)
+        monkeypatch.setattr(oracle, "TRUNCATION_MASS", 1e-24)
+        oracle._kernel_spectra.cache_clear()
+        try:
+            b = history_convolution(example_problem, x, xd)
+        finally:
+            oracle._kernel_spectra.cache_clear()
+        assert np.max(np.abs(a - b)) < 1e-9
 
     def test_chain_recurrence_closure(self, example_problem):
         # d/dt y_i = a (y_{i-1} - y_i), with y_0-level input phi(x, xdot)
         p = example_problem
         x = cosine_track(amplitude=0.3)
         xd = x.derivative()
-        phi = lambda t: float(xd.value(t) - x.value(t))
-        h = 1e-5
-        for t in (0.15, 0.5, 0.83):
-            y1 = lambda s: history_convolution(p, x, xd, s)[0, 0]
-            y2 = lambda s: history_convolution(p, x, xd, s)[1, 0]
-            d1 = (y1(t + h) - y1(t - h)) / (2 * h)
-            d2 = (y2(t + h) - y2(t - h)) / (2 * h)
-            assert abs(d1 - 2.0 * (phi(t) - y1(t))) <= 1e-5
-            assert abs(d2 - 2.0 * (y1(t) - y2(t))) <= 1e-5
+        t = grid_times(1.0)
+        phi = xd.value(t) - x.value(t)
+        y1, y2 = history_convolution(p, x, xd)
+        # central differences across one grid step either side
+        h = t[1]
+        d1, d2 = ((np.roll(y, -1) - np.roll(y, 1)) / (2 * h) for y in (y1, y2))
+        assert np.max(np.abs(d1 - 2.0 * (phi - y1))) <= 1e-5
+        assert np.max(np.abs(d2 - 2.0 * (y1 - y2))) <= 1e-5
 
     def test_matches_unfolded_reference(self, example_problem, forced_point,
                                         long_period_point):
         _, traj = forced_point
         for p, tr in ((example_problem, traj), long_period_point):
             _, x, xd = helpers.sampled_tracks(tr)
-            for t in (0.0, 0.23, 0.71 * p.T):
-                got = history_convolution(p, x, xd, t)[:, 0]
-                want = [helpers.reference_history_convolution(p, x, xd, i, t)
+            conv = history_convolution(p, x, xd)
+            t = grid_times(p.T)
+            # about the times 0, 0.23 T and 0.71 T
+            for j in (0, 942, 2908):
+                want = [helpers.reference_history_convolution(p, x, xd, i, t[j])
                         for i in range(1, p.kernel.b + 1)]
-                assert np.max(np.abs(got - want)) <= 1e-9
+                assert np.max(np.abs(conv[:, j] - want)) <= 1e-9
 
 
 def chunk_of_trajectories(p, rows=3):
@@ -221,7 +222,7 @@ class TestOracleWork:
         work = {"grid_irffts": 0, "track_rffts": 0, "spline_builds": 0,
                 "gamma_calls": 0}
         rfft, irfft = np.fft.rfft, np.fft.irfft
-        coefficients, gamma_eval = oracle._spline_coefficients, oracle.gamma_eval
+        coefficients, gamma_eval = oracle._bspline_coefficients, oracle.gamma_eval
 
         def counted_rfft(a, *args, **kwargs):
             work["track_rffts"] += np.shape(a)[-1] == orbit.DENSE_SAMPLES
@@ -231,9 +232,9 @@ class TestOracleWork:
             work["grid_irffts"] += n == oracle.QUAD_SUBINTERVALS
             return irfft(a, n, *args, **kwargs)
 
-        def counted_coefficients(y, period):
+        def counted_coefficients(y):
             work["spline_builds"] += 1
-            return coefficients(y, period)
+            return coefficients(y)
 
         def counted_gamma_eval(k, s):
             work["gamma_calls"] += 1
@@ -241,7 +242,7 @@ class TestOracleWork:
 
         monkeypatch.setattr(np.fft, "rfft", counted_rfft)
         monkeypatch.setattr(np.fft, "irfft", counted_irfft)
-        monkeypatch.setattr(oracle, "_spline_coefficients", counted_coefficients)
+        monkeypatch.setattr(oracle, "_bspline_coefficients", counted_coefficients)
         monkeypatch.setattr(oracle, "gamma_eval", counted_gamma_eval)
         return work
 
@@ -286,19 +287,17 @@ class TestOracleWork:
 
 @settings(derandomize=True, deadline=None, max_examples=40)
 @given(rows=st.integers(1, 5), n=st.sampled_from([64, 128, 512]),
-       period=st.floats(0.2, 8.0),
-       offset=st.one_of(st.floats(-2.0, 3.0),
-                        st.integers(-2 * 4096, 3 * 4096).map(lambda j: j / 4096)),
+       period=st.floats(0.2, 8.0), shift=st.integers(-2 * 4096, 3 * 4096),
        seed=st.integers(0, 2**32 - 1))
-def test_grid_route_is_the_periodic_cubic_spline(rows, n, period, offset, seed):
-    # t = offset * T, on the grid's own times when offset is a multiple of
-    # 1/4096
+def test_grid_route_is_the_periodic_cubic_spline(rows, n, period, shift, seed):
+    # the grid's values rolled by ``shift`` steps are the spline's at the
+    # grid times shifted by shift T / 4096, which wrap outside [0, T)
     rng = np.random.default_rng(seed)
     y = rng.normal(0.0, 10.0 ** rng.uniform(-2, 2), (rows, n)) + rng.uniform(-5, 5)
-    t = offset * period
     track = PeriodicTrack(y, period)
-    xv, dv = oracle._on_grid(track, t, derivative=True)
-    ts = t + period * np.arange(oracle.QUAD_SUBINTERVALS) / oracle.QUAD_SUBINTERVALS
+    xv, dv = (np.roll(v, -shift, axis=-1)
+              for v in oracle._on_grid(track, derivative=True))
+    ts = grid_times(period) + shift * period / oracle.QUAD_SUBINTERVALS
     bound = 1e-12 * np.max(np.abs(y))
     assert np.max(np.abs(xv - track.value(ts))) <= bound
     ref = CubicSpline(np.linspace(0.0, period, n + 1), np.append(y, y[:, :1], axis=-1),
@@ -307,8 +306,9 @@ def test_grid_route_is_the_periodic_cubic_spline(rows, n, period, offset, seed):
     d = track.derivative()
     assert np.max(np.abs(dv - d.value(ts))) <= 1e-12 * np.max(np.abs(d.samples))
     for r in range(rows):
-        one = oracle._on_grid(PeriodicTrack(y[r], period), t, derivative=True)
-        assert np.array_equal(one[0], xv[r]) and np.array_equal(one[1], dv[r])
+        one = oracle._on_grid(PeriodicTrack(y[r], period), derivative=True)
+        assert np.array_equal(np.roll(one[0], -shift), xv[r])
+        assert np.array_equal(np.roll(one[1], -shift), dv[r])
 
 
 class TestChunks:
@@ -334,13 +334,13 @@ class TestChunks:
         assert x.samples.shape == (5, orbit.DENSE_SAMPLES)
         lifts = verify_lift(p, coords, x, xd)
         residuals = direct_residual(p, lams, x)
-        conv = history_convolution(p, x, xd, 0.3)
+        conv = history_convolution(p, x, xd)
         assert lifts.shape == residuals.shape == (5,) and conv.shape == (5, 4, 4096)
         for r, traj in enumerate(trajs):
             coords1, x1, xd1 = helpers.sampled_tracks(traj)
             assert lifts[r] == verify_lift(p, coords1, x1, xd1)
             assert residuals[r] == direct_residual(p, lams[r], x1)
-            assert np.array_equal(conv[r], history_convolution(p, x1, xd1, 0.3))
+            assert np.array_equal(conv[r], history_convolution(p, x1, xd1))
 
     def test_test_times_are_the_full_grid_decimated(self, example_problem,
                                                     long_period_point):
