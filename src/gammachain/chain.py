@@ -11,10 +11,10 @@ Jacobian, takes its stages from ``stages(lams)``, one lambda per column,
 and runs on float stages at every dim: one RK45 attempt of G + lambda F
 as straight-line float code, which ``rk45.float_stages`` generates from
 the same expression code as the compiled g, phi and f.  Where a C compiler
-is on PATH, ``rk45.compiled_stages`` compiles that code to one C solve,
-initial step and step loop, on the first solve, which waits for it, and
-the Python float stages are generated only for a solve that C replays on
-them.  On Python float stages a stacked run makes each column's attempt
+is on PATH, ``rk45.compiled_stages`` compiles the C that the same writer
+makes of the same trees to one C solve, initial step and step loop, on
+the first solve, which waits for it, and the Python float stages are
+generated only for a solve that C replays on them.  On Python float stages a stacked run makes each column's attempt
 in turn (``rk45.stacked_stages``) below ``VECTOR_STAGES_MIN_DIM`` and the
 attempt of all columns at once on an array (``rk45.vector_stages``) from
 there on.  Each gives the same results bit for bit, so which one runs
@@ -140,13 +140,13 @@ class ExpandedField:
     (nonzero only in the xdot component).  ``G_batch`` is G on columns: it
     maps a (dim, N) array of states to the (dim, N) array of their images,
     for evaluating many states in one call (box samples, finite-difference
-    Jacobians).  ``stages(lams)`` is the (rhs, attempt) of
+    Jacobians).  ``stages(lams)`` is the stages value of
     ``rk45.solve_ivp`` for the columns of a (dim, N) array stacked into
     one state, column after column, of G + lams[j] F in column j, at
     lams[j] = 0 too; ``(lam,)`` gives a single solve.  They are float
     stages at every dim: an ``rk45.CompiledAttempt`` where their C kernel
-    is loaded, whose rhs and replay build the Python float stages when
-    first called, and the Python float stages otherwise.
+    is loaded, which builds the (rhs, attempt) of the Python float stages
+    for a replay, and that (rhs, attempt) otherwise.
     ``jacobian_axes`` are the coordinates that the Jacobian of G varies
     with, (u, v0, vb): the cascade rows are constant.  Every field is
     built by ``expand``.
@@ -179,9 +179,10 @@ def expand(p: ProblemSpec) -> ExpandedField:
     (v0, g(u, v0, vb), a*(phi(u, v0) - v1), a*(v1 - v2), ..., a*(v_{b-1} - vb))
     with forcing (0, f(t, u, v0), 0, ..., 0).  ``G_batch`` evaluates G on
     the columns of a (dim, N) array with the vectorized g and phi.
-    ``stages`` gives the float stages of G + lam F, from the scalar code
-    of g, phi and f.  Their C kernel is built on the first
-    call (``rk45.compiled_stages``: loaded from the cache, or compiled
+    ``stages`` gives the float stages of G + lam F, from the Python and
+    the C that ``expr._code`` writes of g, phi and f, in the same chain
+    glue.  Their C kernel is built on the first call
+    (``rk45.compiled_stages``: loaded from the cache, or compiled
     then), never in ``expand`` itself, and that call's answer holds for the
     life of the field.  Without a kernel the solves run on the Python float
     stages, which ``rk45.float_stages`` generates once for every lam; with
@@ -193,13 +194,11 @@ def expand(p: ProblemSpec) -> ExpandedField:
 
     def field(batched):
         """The autonomous field; with ``batched`` set it maps the columns
-        of a (dim, N) array, using the vectorized g and phi.  It writes
-        into ``out`` when given."""
+        of a (dim, N) array, using the vectorized g and phi."""
         g, phi, _ = _compiled(p, vectorized=True) if batched else _compiled(p)
 
-        def G(xi, out=None):
-            if out is None:
-                out = np.empty(xi.shape) if batched else np.empty(dim)
+        def G(xi):
+            out = np.empty(xi.shape) if batched else np.empty(dim)
             u, v0 = xi[0], xi[1]
             out[0] = v0
             out[1] = g(u, v0, xi[dim - 1])
@@ -231,23 +230,24 @@ def expand(p: ProblemSpec) -> ExpandedField:
             out[:, 3:] = a * (W[:, 2:dim - 1] - W[:, 3:])
         return field
 
-    @lru_cache(maxsize=None)
-    def derivatives():
-        g_code = expr._code(p.g, {"x0": "w0", "x1": "w1", "x2": f"w{dim - 1}"})
-        f_code = expr._code(p.f, {"t": "s", "x": "w0", "v": "w1"})
-        phi_code = expr._code(p.phi, {"p": "w0", "q": "w1"})
+    def derivatives(c):
+        """The components of G + lam F over the stage state w, the stage
+        time s and lam: Python expressions, or C ones with ``c`` set."""
+        w = [f"w[{i}]" if c else f"w{i}" for i in range(dim)]
+        g_code = expr._code(p.g, {"x0": w[0], "x1": w[1], "x2": w[-1]}, c=c)
+        f_code = expr._code(p.f, {"t": "s", "x": w[0], "v": w[1]}, c=c)
+        phi_code = expr._code(p.phi, {"p": w[0], "q": w[1]}, c=c)
         a_code = repr(float(a))
-        cascade = ([f"{a_code} * ({phi_code} - w2)"]
-                   + [f"{a_code} * (w{i - 1} - w{i})" for i in range(3, dim)])
-        return ["w1", f"{g_code} + lam * {f_code}"] + cascade
+        return ([w[1], f"{g_code} + lam * ({f_code})", f"{a_code} * ({phi_code} - {w[2]})"]
+                + [f"{a_code} * ({w[i - 1]} - {w[i]})" for i in range(3, dim)])
 
     @lru_cache(maxsize=None)
     def column_stages():
-        return rk45.float_stages(derivatives(), expr._SCALAR_NS)
+        return rk45.float_stages(derivatives(c=False), expr._SCALAR_NS)
 
     @lru_cache(maxsize=None)
     def kernel():
-        return rk45.compiled_stages(derivatives())
+        return rk45.compiled_stages(derivatives(c=True))
 
     def python_stages(lams):
         """The Python float stages of the columns at ``lams``: a lone
@@ -265,8 +265,7 @@ def expand(p: ProblemSpec) -> ExpandedField:
         compiled = kernel()
         if compiled is None:
             return python_stages(lams)
-        attempt = compiled(lams, lambda: python_stages(lams))
-        return attempt.rhs, attempt
+        return compiled(lams, lambda: python_stages(lams))
 
     return ExpandedField(dim=dim, G=G, F=F, problem=p, G_batch=G_batch, stages=stages)
 

@@ -30,8 +30,9 @@ FUNCTION_NAMES = ("sin", "cos", "exp", "abs")
 # recursion limit of 1000.
 MAX_DEPTH = 800
 # The deepest parenthesis nesting of a problem's Python source: CPython
-# stops at 200, and the float stages' ``rhs`` tuple holds phi's inside the
-# chain's ``a * (phi - w2)``, two more pairs.
+# stops at 200, and the float stages' ``rhs`` tuple holds phi's and f's
+# inside the chain's ``a * (phi - w2)`` and ``lam * (f)``, two more pairs.
+# Its C nests no deeper (``_code``), below clang's default of 256.
 MAX_NESTING = 198
 
 _SCALAR_NS = {"sin": math.sin, "cos": math.cos, "exp": math.exp,
@@ -443,34 +444,56 @@ def to_string(e: Expr) -> str:
 
 
 _LEVEL = {"+": 0, "-": 0, "*": 1, "/": 1}  # operators that chain left to right
+_C_FUNCTIONS = {"sin": "SIN", "cos": "COS", "exp": "EXP", "abs": "fabs"}
 
 
-def _code(e: Expr, names: Mapping[str, str] = {}, grammar: bool = False) -> str:
+def _code(e: Expr, names: Mapping[str, str] = {}, grammar: bool = False,
+          c: bool = False) -> str:
     """The one writer of a tree, parenthesized around every operation: the
     Python source that ``compile_expr`` and the chain's float stages
-    compile, or with ``grammar`` set grammar text (``^`` infix, not
-    ``pow``).  A chain of ``+ -`` or of ``* /`` operations takes one pair,
-    as Python and the grammar both read it left to right, so the nesting of
-    parentheses does not grow with the chain; other operations nest one
-    pair per level, which ``MAX_NESTING`` bounds below CPython's limit of
-    200 (``chain._nesting``).  A variable reads ``names.get(name, name)``;
-    a negative literal is parenthesized, as the grammar has no signed
-    literals."""
+    compile, with ``grammar`` set grammar text (``^`` infix, not ``pow``),
+    and with ``c`` set the C of the compiled float stages.  A chain of ``+
+    -`` or of ``* /`` operations takes one pair, as all three read it left
+    to right, so the nesting of parentheses does not grow with the chain;
+    other operations nest one pair per level, which ``MAX_NESTING`` bounds
+    below CPython's limit of 200 (``chain._nesting``).  A variable reads
+    ``names.get(name, name)``; a negative literal is parenthesized, as the
+    grammar has no signed literals.  C spells ``^`` ``POW(a, b)``, sin,
+    cos and exp ``SIN``, ``COS`` and ``EXP``, abs ``fabs`` and a divisor
+    ``DIVISOR(b)``, the checks of ``rk45._c_source``, and drops the pair
+    around the whole tree and around each argument of a call, so that it
+    nests no deeper than the Python source though a divisor that is a
+    call or a leaf takes a pair of its own."""
+    text = _write(e, names, grammar, c)
+    return _bare(text) if c else text
+
+
+def _bare(text: str) -> str:
+    """``text`` of ``_write`` without the pair of parentheses around the
+    whole of it, if any: one that starts with one ends with its match."""
+    return text[1:-1] if text[:1] == "(" else text
+
+
+def _write(e: Expr, names: Mapping[str, str], grammar: bool, c: bool) -> str:
+    """``_code`` of an operand, one pair around every operation."""
     if isinstance(e, Num):
         text = repr(e.value)
         return f"({text})" if text.startswith("-") else text
     if isinstance(e, Var):
         return names.get(e.name, e.name)
     if isinstance(e, Neg):
-        return f"(-{_code(e.operand, names, grammar)})"
+        return f"(-{_write(e.operand, names, grammar, c)})"
     if isinstance(e, Call):
-        return f"{e.func}({_code(e.arg, names, grammar)})"
+        arg = _write(e.arg, names, grammar, c)
+        return f"{_C_FUNCTIONS[e.func]}({_bare(arg)})" if c else f"{e.func}({arg})"
     if isinstance(e, BinOp):
-        left, right = _code(e.left, names, grammar), _code(e.right, names, grammar)
+        left, right = _write(e.left, names, grammar, c), _write(e.right, names, grammar, c)
         if e.op == "^" and not grammar:
-            return f"pow({left}, {right})"
+            return f"POW({_bare(left)}, {_bare(right)})" if c else f"pow({left}, {right})"
         if isinstance(e.left, BinOp) and _LEVEL.get(e.left.op, -1) == _LEVEL.get(e.op):
             left = left[1:-1]
+        if e.op == "/" and c:
+            right = f"DIVISOR{right}" if right[:1] == "(" else f"DIVISOR({right})"
         return f"({left} {e.op} {right})"
     raise TypeError(f"not an expression node: {e!r}")
 

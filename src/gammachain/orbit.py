@@ -145,8 +145,7 @@ def _solve(field, lams, y0, t0, t1) -> Solution:
     """One solve of the columns of y0, stacked column after column, of
     xi' = G(xi) + lams[c]*F(t, xi) in column c, on the field's float
     stages for them; its dense output and ``y_end`` are column 0's."""
-    rhs, attempt = field.stages(lams)
-    return solve_ivp(rhs, (t0, t1), y0, attempt=attempt)
+    return solve_ivp(field.stages(lams), (t0, t1), y0)
 
 
 def integrate(field, lam: float, xi0, t0: float, t1: float) -> Solution:

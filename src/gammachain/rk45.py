@@ -13,17 +13,17 @@ attempt in turn, and ``vector_stages`` makes it on the array of the
 columns at once, with the same results bit for bit.  Their C kernel
 (:func:`compiled_stages`, a :class:`CompiledAttempt` per solve) runs a
 whole solve of one column or of many, initial step and step loop, in one
-call, generated from the same code with the same IEEE operations in the
-same order, so its results are theirs bit for bit; it is cached per user,
-compiled with ``cc`` by the first solve that needs it, which waits for
-it, and replays a solve on the float stages wherever Python might part
-from C.  A solve is one :class:`Solution`, whose call is its
-vectorized quartic interpolant.  Every failure of a solve is an
-:class:`IntegrationError` at the time it happened.
+call, generated from the C spelling of the same field with the same IEEE
+operations in the same order, so its results are theirs bit for bit; it
+is cached per user, compiled with ``cc`` by the first solve that needs
+it, which waits for it, and replays a solve on the float stages wherever
+Python might part from C.  ``solve_ivp`` takes either as one stages value.
+A solve is one :class:`Solution`, whose call is its vectorized quartic
+interpolant.  Every failure of a solve is an :class:`IntegrationError` at
+the time it happened.
 """
 from __future__ import annotations
 
-import ast
 import contextlib
 import ctypes
 import functools
@@ -96,15 +96,14 @@ class Solution:
     ``OdeSolution``.
     """
 
-    __slots__ = ("t", "y", "nfev", "K", "success")
+    __slots__ = ("t", "y", "nfev", "K")
+    success = True
 
-    def __init__(self, t: np.ndarray, y: np.ndarray, nfev: int, K: np.ndarray,
-                 success: bool = True):
+    def __init__(self, t: np.ndarray, y: np.ndarray, nfev: int, K: np.ndarray):
         self.t = t
         self.y = y
         self.nfev = nfev
         self.K = K
-        self.success = success
 
     @property
     def y_end(self) -> np.ndarray:
@@ -209,66 +208,25 @@ _STALE_TMP_S = 3600.0   # a temporary file this old is a killed compile's
 _FIRST_CAPACITY = 128  # steps a compiled solve makes room for before growing
 _DONE, _FULL, _REPLAY, _UNDERFLOW = range(4)  # the return codes of gc_solve
 _UNDERFLOW_MESSAGE = "Required step size is less than spacing between numbers."
-_C_OPS = {ast.Add: "+", ast.Sub: "-", ast.Mult: "*", ast.Div: "/"}
-_C_CALLS = {"sin": 1, "cos": 1, "exp": 1, "pow": 2, "abs": 1}
-
-
-def _c_field(derivatives: list[str]) -> str:
-    """The body of the C field ``field(s, w, lam, out)``: one temporary per
-    operation of ``derivatives`` (as :func:`float_stages` takes them), in
-    Python's order of evaluation.  It returns 1 where Python might part
-    from C: before a division by 0, and after a sin, cos, exp or pow whose
-    argument or result is not finite (the only values for which Python's
-    math functions raise or special-case); ``abs`` is ``fabs``."""
-    lines = []
-
-    def temp(code):
-        lines.append(f"    double t{len(lines)} = {code};")
-        return f"t{len(lines) - 1}"
-
-    def emit(node):
-        if isinstance(node, ast.Constant) and type(node.value) in (int, float):
-            text = repr(float(node.value))
-            return f"({text})" if text.startswith("-") else text
-        if isinstance(node, ast.Name):
-            if node.id in ("s", "lam"):
-                return node.id
-            if node.id[:1] == "w" and node.id[1:].isdigit() and int(node.id[1:]) < len(derivatives):
-                return f"w[{int(node.id[1:])}]"
-        if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
-            return temp(f"-{emit(node.operand)}")
-        if isinstance(node, ast.BinOp) and type(node.op) in _C_OPS:
-            left, right = emit(node.left), emit(node.right)
-            if isinstance(node.op, ast.Div):
-                lines.append(f"    if ({right} == 0.0) return 1;")
-            return temp(f"{left} {_C_OPS[type(node.op)]} {right}")
-        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
-                and len(node.args) == _C_CALLS.get(node.func.id) and not node.keywords):
-            args = [emit(arg) for arg in node.args]
-            if node.func.id == "abs":
-                return temp(f"fabs({args[0]})")
-            value = temp(f"{node.func.id}({', '.join(args)})")
-            finite = " && ".join(f"isfinite({v})" for v in args + [value])
-            lines.append(f"    if (!({finite})) return 1;")
-            return value
-        raise ValueError(f"no C for {ast.dump(node)}")
-
-    for i, derivative in enumerate(derivatives):
-        value = emit(ast.parse(derivative, mode="eval").body)
-        lines.append(f"    out[{i}] = {value};")
-    return "\n".join(lines)
 
 
 def _c_source(derivatives: list[str]) -> str:
     """C source of ``gc_solve``: ``solve_ivp`` on the float stages of
-    ``derivatives`` for a state of one or more columns, its initial step
+    ``derivatives``, C expressions over the stage state ``w[0] ..
+    w[n-1]``, the stage time ``s`` and ``lam`` as ``expr._code`` writes
+    them, for a state of one or more columns: its initial step
     (:func:`_float_initial_step`) and its step loop, written with the same
     operations in the same order as the Python float stages, whose
     attempts :func:`stacked_stages` makes column after column, the error's
     sum of squares running on from one to the next (``min(a, b)`` as ``b <
     a ? b : a`` and ``max(a, b)`` as ``b > a ? b : a``, which keep Python's
-    choice when one of them is NaN).  A field check that fires, or a
-    non-finite field at the start, returns ``_REPLAY``."""
+    choice when one of them is NaN).  The field computes the expressions
+    as written and returns the flag that its checks set where Python might
+    part from C: a divisor of 0 (``DIVISOR``), and a sin, cos, exp or pow
+    whose argument or result is not finite (``SIN``, ``COS``, ``EXP``,
+    ``POW``), the only values for which Python's math functions raise or
+    special-case.  A flag that is set, or a non-finite field at the
+    start, returns ``_REPLAY``."""
     stage = "k[{j} * n + i]"
     steps = []
     for st in range(1, 7):
@@ -287,10 +245,33 @@ def _c_source(derivatives: list[str]) -> str:
 
 enum {{ N = {len(derivatives)} }};
 
+static inline double divisor(double x, int *bad) {{ *bad |= x == 0.0; return x; }}
+
+static inline double call(double (*f)(double), double x, int *bad)
+{{
+    const double y = f(x);
+    *bad |= !(isfinite(x) && isfinite(y));
+    return y;
+}}
+
+static inline double power(double x, double p, int *bad)
+{{
+    const double y = pow(x, p);
+    *bad |= !(isfinite(x) && isfinite(p) && isfinite(y));
+    return y;
+}}
+
+#define DIVISOR(x) divisor(x, &bad)
+#define SIN(x) call(sin, x, &bad)
+#define COS(x) call(cos, x, &bad)
+#define EXP(x) call(exp, x, &bad)
+#define POW(x, p) power(x, p, &bad)
+
 static int field(double s, const double *w, double lam, double *out)
 {{
-{_c_field(derivatives)}
-    return 0;
+    int bad = 0;
+{chr(10).join(f"    out[{i}] = {d};" for i, d in enumerate(derivatives))}
+    return bad;
 }}
 
 /* Steps the state of cols columns of N, column after column, column c at
@@ -494,8 +475,9 @@ def _prune(cache: Path):
 
 
 def compiled_stages(derivatives: list[str]):
-    """The float stages of ``derivatives`` (as :func:`float_stages` takes
-    them) compiled to C: the factory ``(lams, build) ->``
+    """The float stages of the C expressions ``derivatives`` (as
+    :func:`_c_source` takes them) compiled to C: the factory ``(lams,
+    build) ->``
     :class:`CompiledAttempt`, or None wherever none can be had (not POSIX,
     no ``cc`` on PATH, no usable cache, a failed or timed-out compile or
     load, a library others may write to).
@@ -550,31 +532,18 @@ class CompiledAttempt:
     (one column for a single solve): its C ``solve`` runs the whole solve,
     initial step and step loop, and where it stops at a value for which
     Python might part from C, the solve replays on the Python float stages
-    of the same columns, (rhs, attempt) of the float stages of one column
-    or :func:`stacked_stages` of theirs for more, which ``build`` makes on
-    the first replay: ``rhs`` and ``replay``.  Where two columns would fail
-    differently, the replay raises the failure of the lower one."""
+    of the same columns, which ``build()`` makes: the (rhs, attempt) of
+    the float stages of one column, or of :func:`stacked_stages` of theirs
+    for more.  Where two columns would fail differently, the replay raises
+    the failure of the lower one."""
 
-    __slots__ = ("solve", "dim", "lams", "build", "__dict__")
+    __slots__ = ("solve", "dim", "lams", "build")
 
     def __init__(self, solve: Callable, dim: int, lams: tuple, build: Callable):
         self.solve = solve
         self.dim = dim
         self.lams = lams
         self.build = build
-
-    @functools.cached_property
-    def _python(self):
-        return self.build()
-
-    def rhs(self, s, y):
-        """The right-hand side of the Python float stages."""
-        return self._python[0](s, y)
-
-    @property
-    def replay(self):
-        """The attempt of the Python float stages."""
-        return self._python[1]
 
     def run(self, t0, t1, y0):
         """(t, Y, K, nfev) of the solve from (t0, y0), or None to replay it.
@@ -758,14 +727,14 @@ def _float_initial_step(fun, t0, t1, y):
     return min(100 * h0, h1, t1 - t0), f
 
 
-def solve_ivp(fun, t_span, y0, *, attempt) -> Solution:
-    """SciPy's RK45 for y' = fun(t, y) from y0 over t_span = (t0, t1),
-    t0 < t1, at rtol = atol = ``TOL``, on float stages.
+def solve_ivp(stages, t_span, y0) -> Solution:
+    """SciPy's RK45 for y' = F(t, y) from y0 over t_span = (t0, t1), t0 <
+    t1, at rtol = atol = ``TOL``, on the float stages ``stages`` of F.
 
-    ``attempt`` is an attempt of :func:`float_stages`, :func:`stacked_stages`
-    or :func:`vector_stages`, with ``fun`` its ``rhs``, or a
+    ``stages`` is the (rhs, attempt) of :func:`float_stages`,
+    :func:`stacked_stages` or :func:`vector_stages`, or a
     :class:`CompiledAttempt` of them, whose C call runs the whole solve and
-    which replays it on its float stages where C stops.  The dense output
+    which builds them to replay it where C stops.  The dense output
     is that of the stages the attempt keeps: every component of a single
     solve, column 0's of a stacked run.  Every attempt returns the error's
     sum of squares, and the step loop takes the RMS norm, sqrt(sq) /
@@ -785,11 +754,10 @@ def solve_ivp(fun, t_span, y0, *, attempt) -> Solution:
     """
     t0, t1 = map(float, t_span)
     y0 = np.asarray(y0, dtype=float)
-    run = None
-    if isinstance(attempt, CompiledAttempt):
-        run = attempt.run(t0, t1, y0)
-        attempt = None if run is not None else attempt.replay
+    compiled = isinstance(stages, CompiledAttempt)
+    run = stages.run(t0, t1, y0) if compiled else None
     if run is None:
+        fun, attempt = stages.build() if compiled else stages
         y = y0.tolist()
         h_abs, f0 = _float_initial_step(fun, t0, t1, y)
         run = _steps(attempt, t0, t1, h_abs, y, f0)

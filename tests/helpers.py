@@ -14,7 +14,7 @@ import signal
 import numpy as np
 import pytest
 
-from gammachain import certify, chain, expr, oracle, orbit
+from gammachain import certify, chain, expr, oracle, orbit, rk45
 from gammachain.analysis import FD_STEP
 from gammachain.chain import ProblemSpec
 from gammachain.kernel import GammaKernel, gamma_eval, tail_horizon
@@ -22,6 +22,12 @@ from gammachain.kernel import GammaKernel, gamma_eval, tail_horizon
 # the float stages are compiled wherever a C compiler is on PATH
 requires_compiler = pytest.mark.skipif(shutil.which("cc") is None,
                                        reason="no C compiler on PATH")
+
+
+def python_stages(stages):
+    """The (rhs, attempt) of the Python float stages of the stages value
+    ``stages``: a compiled one's replay, built now."""
+    return stages.build() if isinstance(stages, rk45.CompiledAttempt) else stages
 
 
 EXAMPLE = dict(g="-x0*(1+x2)", phi="q-p", f="1+x*sin(2*pi*t)", a=2.0, b=2, T=1.0)

@@ -215,15 +215,16 @@ class TestAnalyze:
         pytest.param(True, marks=helpers.requires_compiler), False], ids=["cc", "no-cc"])
     def test_deepest_nesting_runs_every_command(self, tmp_path, monkeypatch, capsys,
                                                 compiler):
-        # the example's own g and phi written expr.MAX_NESTING pairs of
-        # parentheses deep: phi's is the deepest source of every writer,
-        # two pairs more in the rhs of the Python float stages.  One pair
-        # more is refused
+        # the example's own g, phi and f written expr.MAX_NESTING pairs of
+        # parentheses deep: phi's and f's are the deepest sources of every
+        # writer, two pairs more in the rhs of the Python float stages.
+        # One pair more is refused
         n = expr.MAX_NESTING
         doc = json.loads(json.dumps(SHORT_BRANCH_CONFIG))
-        doc["problem"].update(g="-" * (n - 1) + "x0*(1+x2)", phi="-" * (n - 2) + "(1*(q-p))")
+        doc["problem"].update(g="-" * (n - 1) + "x0*(1+x2)", phi="-" * (n - 2) + "(1*(q-p))",
+                              f="-" * (n - 4) + "(1+x*sin(2*pi*t))")
         p = load_config(write_config(tmp_path, doc)).problem
-        assert [chain._nesting(tree) for tree in (p.g, p.phi)] == [n, n]
+        assert [chain._nesting(tree) for tree in (p.g, p.phi, p.f)] == [n, n, n]
         if not compiler:
             (tmp_path / "empty").mkdir()
             monkeypatch.setenv("PATH", str(tmp_path / "empty"))
@@ -243,7 +244,7 @@ class TestAnalyze:
             assert (tmp_path / "deep" / name).read_bytes() == \
                 (tmp_path / "example" / name).read_bytes()
         capsys.readouterr()
-        for key in ("g", "phi"):
+        for key in ("g", "phi", "f"):
             deeper = json.loads(json.dumps(doc))
             deeper["problem"][key] = "-" + doc["problem"][key]
             path = write_config(tmp_path, deeper, "deeper.json")
@@ -436,8 +437,7 @@ class TestBranch:
         monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "empty-cache"))
         chain.expand.cache_clear()
         try:
-            _, attempt = chain.expand(cfg.problem).stages((0.0,))
-            assert not isinstance(attempt, rk45.CompiledAttempt)
+            assert not isinstance(chain.expand(cfg.problem).stages((0.0,)), rk45.CompiledAttempt)
             assert cmd_branch(cfg, tmp_path / "python", seed_index=0) == summary
         finally:
             chain.expand.cache_clear()
@@ -914,7 +914,7 @@ config, out = sys.argv[1:]
 def refuse(*args):
     sys.exit("the kernel was compiled, not loaded from the cache")
 rk45._compile = refuse
-if not isinstance(chain.expand(cli.load_config(Path(config)).problem).stages((0.1,))[1],
+if not isinstance(chain.expand(cli.load_config(Path(config)).problem).stages((0.1,)),
                   rk45.CompiledAttempt):
     sys.exit("no compiled float stages")
 for argv in (["analyze", "--config", config, "--out", out],
@@ -934,7 +934,7 @@ def test_commands_leave_openssl_unloaded(tmp_path, example_field):
     # loading a cached kernel, analyze, a compiled branch and verify import
     # neither hashlib nor _hashlib, which maps OpenSSL's libcrypto; in a
     # fresh interpreter, as pytest itself may have imported hashlib
-    assert isinstance(example_field.stages((0.1,))[1], rk45.CompiledAttempt)  # now in the cache
+    assert isinstance(example_field.stages((0.1,)), rk45.CompiledAttempt)  # now in the cache
     proc = run_script(NO_OPENSSL_RUN, Path(__file__).parents[1] / "configs" / "example.json",
                       tmp_path / "out")
     assert proc.returncode == 0, proc.stderr

@@ -195,12 +195,26 @@ def test_long_chains_compile():
         assert fn(*x) == evaluate(tree, dict(zip(variables, x)))
 
 
+def c_nesting(e):
+    """The deepest parenthesis nesting of e's C, ``expr._code(e, c=True)``."""
+    level = deepest = 0
+    for c in expr._code(e, c=True):
+        level += (c == "(") - (c == ")")
+        deepest = max(deepest, level)
+    return deepest
+
+
 def test_source_nests_at_most_one_pair_per_level():
     # ProblemSpec and Phi' measure a tree's nesting only when it is more
-    # than expr.MAX_NESTING levels deep
+    # than expr.MAX_NESTING levels deep; the C of a tree nests no deeper
+    # than its Python source, which keeps the compiled float stages below
+    # clang's default bracket depth of 256
     variables = ("u", "v")
-    assert [chain._nesting(parse(text, variables)) for text in
-            ("u", "-u*(1+v)", "-(-(-u))", "u^v^u", "sin(u)+v+v")] == [0, 2, 3, 2, 2]
+    texts = ("u", "-u*(1+v)", "-(-(-u))", "u^v^u", "sin(u)+v+v", "u/v/u", "u/v*u/sin(v)",
+             "u/sin(v/cos(u/v))", "-(u/v)", "exp(u/v)/v")
+    trees = [parse(text, variables) for text in texts]
+    assert [chain._nesting(t) for t in trees] == [0, 2, 3, 2, 2, 1, 2, 5, 2, 3]
+    assert [c_nesting(t) for t in trees] == [0, 1, 2, 2, 1, 1, 2, 5, 2, 2]
     assert chain._nesting(Num(-2.0)) == 1
     rng = np.random.default_rng(55)
     for _ in range(200):
@@ -208,6 +222,18 @@ def test_source_nests_at_most_one_pair_per_level():
         for t in (tree, *(diff(tree, var) for var in variables
                           if var in expr.free_vars(tree))):
             assert chain._nesting(t) <= expr.depth(t), to_string(t)
+            assert c_nesting(t) <= chain._nesting(t), to_string(t)
+
+
+def test_c_spelling():
+    # the C of the compiled float stages: a check around each divisor and
+    # each sin, cos, exp and pow, C's fabs for abs, no pair around the
+    # whole or around an argument, and the names given for the variables
+    tree = parse("u/v/2 - u^v + exp(-u)*abs(v)/sin(u+v) - (-1.5)", ("u", "v"))
+    assert expr._code(tree, {"u": "w[0]"}, c=True) == (
+        "(w[0] / DIVISOR(v) / DIVISOR(2.0)) - POW(w[0], v)"
+        " + (EXP(-w[0]) * fabs(v) / DIVISOR(SIN(w[0] + v))) - (-1.5)")
+    assert expr._code(parse("cos(u/(v - 1))", ("u", "v")), c=True) == "COS(u / DIVISOR(v - 1.0))"
 
 
 def test_trees_are_immutable_and_hashable():

@@ -7,13 +7,14 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
 import helpers
-from gammachain import chain, cli, orbit, rk45
+from gammachain import chain, cli, expr, orbit, rk45
 from gammachain.chain import ProblemSpec, lifted_zero
+from gammachain.kernel import GammaKernel
 from gammachain.orbit import (ContinuationParams, IntegrationError,
                               NoConvergenceError, SingularJacobianError,
                               fold_lambdas, integrate, newton_periodic,
@@ -227,7 +228,7 @@ class TestDenseOutput:
         # the values are those of Q formed once for every step, bit for bit,
         # for a solve on float stages and for a stacked run
         field = WORKLOAD_FIELDS["example"]
-        assert field.stages((0.1,))[1] is not None
+        assert field.stages((0.1,)) is not None
         xi = np.linspace(0.3, -0.2, field.dim)
         uniform = field.problem.T * np.arange(orbit.DENSE_SAMPLES) / orbit.DENSE_SAMPLES
         for sol in (orbit._shoot(field, 0.1, xi), orbit._linearize(field, 0.1, xi)[0]):
@@ -443,8 +444,7 @@ class TestFloatStageFailures:
         divisions = []
 
         def counted(lams):
-            rhs, attempt = f.stages(lams)
-            attempt = getattr(attempt, "replay", attempt)
+            rhs, attempt = helpers.python_stages(f.stages(lams))
 
             def counted_attempt(*args):
                 try:
@@ -475,11 +475,10 @@ def test_one_stacked_column_is_the_single_solve(name):
     # a stacked run of one column makes the Python float stages' own
     # attempts, so it is their single solve, bit for bit
     field = WORKLOAD_FIELDS[name]
-    rhs, attempt = field.stages((0.1,))
-    column = (rhs, getattr(attempt, "replay", attempt))
+    column = helpers.python_stages(field.stages((0.1,)))
     xi0 = np.linspace(0.3, -0.2, field.dim)
-    single, stacked = (rk45.solve_ivp(rhs, (0.0, field.problem.T), xi0, attempt=attempt)
-                       for rhs, attempt in (column, rk45.stacked_stages([column], field.dim)))
+    single, stacked = (rk45.solve_ivp(stages, (0.0, field.problem.T), xi0)
+                       for stages in (column, rk45.stacked_stages([column], field.dim)))
     assert np.array_equal(stacked.t, single.t)
     assert np.array_equal(stacked.y, single.y)
     assert np.array_equal(stacked.K, single.K)
@@ -490,8 +489,7 @@ def python_stacked(field, lams, vectorized):
     """(rhs, attempt) of the Python float stages of the stacked run of
     ``field`` at ``lams``, column after column or vectorized."""
     with mock.patch.object(chain, "VECTOR_STAGES_MIN_DIM", 0 if vectorized else math.inf):
-        rhs, attempt = field.stages(lams)
-        return rhs, getattr(attempt, "replay", attempt)
+        return helpers.python_stages(field.stages(lams))
 
 
 def same_bits(a, b):
@@ -544,7 +542,7 @@ class TestVectorStages:
             "-x0*(1+x2)", "q-p", "1+x*sin(2*pi*t)", float(b), b, 1.0))
         lams, y0 = jacobian_start(0.1, np.linspace(0.3, -0.2, field.dim))
         for _ in python_builders():
-            python = TestCompiledStages.assert_same(*field.stages(lams), (0.0, 1.0), y0)
+            python = TestCompiledStages.assert_same(field.stages(lams), (0.0, 1.0), y0)
             assert isinstance(python, rk45.Solution)
 
     def test_the_lower_column_fails_first(self):
@@ -559,23 +557,49 @@ class TestVectorStages:
         y0 = np.array([1.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 1.0])
         lams = (0.0, 0.0, 0.0)
         smooth = chain.expand(ProblemSpec.from_strings("x0^0.5 - x2", "q-p", "1", 1.0, 1, 1.0))
-        H, _ = rk45._float_initial_step(smooth.stages(lams)[0], 0.0, 1.0, y0.tolist())
+        rhs, _ = helpers.python_stages(smooth.stages(lams))
+        H, _ = rk45._float_initial_step(rhs, 0.0, 1.0, y0.tolist())
         field = chain.expand(ProblemSpec.from_strings(
             "x0^0.5 - x2", "q-p", f"1/sin(2*pi*(t - {H!r}))", 1.0, 1, 1.0))
-        rhs, _ = field.stages(lams)
+        rhs, _ = helpers.python_stages(field.stages(lams))
         assert rk45._float_initial_step(rhs, 0.0, 1.0, y0.tolist())[0] == H
         errors = []
         for vectorized in (False, True):
-            rhs, attempt = python_stacked(field, lams, vectorized)
-            errors.append(TestCompiledStages.solve(rhs, attempt, (0.0, 1.0), y0))
+            errors.append(TestCompiledStages.solve(python_stacked(field, lams, vectorized),
+                                                   (0.0, 1.0), y0))
         for _ in python_builders():
-            rhs, attempt = field.stages(lams)
-            errors.append(TestCompiledStages.solve(rhs, attempt, (0.0, 1.0), y0))
+            errors.append(TestCompiledStages.solve(field.stages(lams), (0.0, 1.0), y0))
         for err in errors:
             assert type(err) is IntegrationError
             assert err.time == pytest.approx(0.06 * H, rel=1e-12)
             assert err.time == errors[0].time and str(err) == str(errors[0])
             assert str(err).endswith("field evaluation failed: math domain error")
+
+
+# terms of g that fail on some states: a divisor of 0, exp and pow
+# overflowing, and pow out of its domain
+HAZARDS = ("0", "1/(x0 - x0)", "x1/(x0 - abs(x0))", "exp(1000*x0)", "(x0 - x2)^0.5",
+           "exp(x1)^400", "0.001*x0^-1")
+
+
+@st.composite
+def random_fields(draw):
+    """A chain problem of dim 3 to 6 whose g, phi and the amplitude of f
+    are random trees of the whole grammar (``helpers.random_expr``), g
+    with a term of HAZARDS added, the lams of a stacked run of 2 or 3
+    columns, column 0's those of a single solve, and its start state."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    g = expr.BinOp("+", helpers.random_expr(rng, chain.G_VARS),
+                   expr.parse(draw(st.sampled_from(HAZARDS)), chain.G_VARS))
+    f = expr.BinOp("*", helpers.random_expr(rng, ("x", "v")),
+                   expr.parse("sin(2*pi*t)", chain.F_VARS))
+    kernel = GammaKernel(draw(st.floats(0.5, 4.0)), draw(st.integers(1, 4)))
+    try:
+        p = ProblemSpec(g, helpers.random_expr(rng, chain.PHI_VARS), f, kernel, 1.0)
+    except ValueError:  # f fails or is not periodic on one of its samples
+        assume(False)
+    lams = draw(st.lists(st.floats(0.0, 1.0), min_size=2, max_size=3))
+    return p, lams, rng.uniform(-1.0, 1.0, len(lams) * (kernel.b + 2))
 
 
 class TestCompiledStages:
@@ -596,19 +620,19 @@ class TestCompiledStages:
     SAFE = {"math_domain_error": [1.0, 0.0, 0.0], "division_by_zero": [-5.0, 0.0, 0.0]}
 
     @staticmethod
-    def solve(rhs, attempt, span, y0):
+    def solve(stages, span, y0):
         """The Solution, or the IntegrationError the solve raised."""
         try:
-            return rk45.solve_ivp(rhs, span, y0, attempt=attempt)
+            return rk45.solve_ivp(stages, span, y0)
         except IntegrationError as exc:
             return exc
 
     @classmethod
-    def assert_same(cls, rhs, attempt, span, y0):
+    def assert_same(cls, stages, span, y0):
         """Compiled and Python float stages give the same solve."""
-        assert isinstance(attempt, rk45.CompiledAttempt)
-        compiled = cls.solve(rhs, attempt, span, y0)
-        python = cls.solve(rhs, attempt.replay, span, y0)
+        assert isinstance(stages, rk45.CompiledAttempt)
+        compiled = cls.solve(stages, span, y0)
+        python = cls.solve(stages.build(), span, y0)
         if isinstance(python, IntegrationError):
             assert type(compiled) is IntegrationError
             assert compiled.time == python.time
@@ -630,9 +654,9 @@ class TestCompiledStages:
         p, lam, xi = data.draw(shooting_points(forced=forced))
         lam = lam if forced else 0.0
         field = chain.expand(p)
-        self.assert_same(*field.stages((lam,)), (0.0, p.T), xi)
+        self.assert_same(field.stages((lam,)), (0.0, p.T), xi)
         lams, y0 = jacobian_start(lam, xi)
-        self.assert_same(*field.stages(lams), (0.0, p.T), y0)
+        self.assert_same(field.stages(lams), (0.0, p.T), y0)
 
     @helpers.requires_compiler
     def test_match_the_float_stages_at_dim_28(self):
@@ -641,8 +665,20 @@ class TestCompiledStages:
         field = chain.expand(ProblemSpec.from_strings(
             "-x0*(1+x2)", "q-p", "1+x*sin(2*pi*t)", 26.0, 26, 1.0))
         lams, y0 = jacobian_start(0.1, np.linspace(0.3, -0.2, field.dim))
-        python = self.assert_same(*field.stages(lams), (0.0, 1.0), y0)
+        python = self.assert_same(field.stages(lams), (0.0, 1.0), y0)
         assert isinstance(python, rk45.Solution)
+
+    @helpers.requires_compiler
+    @settings(derandomize=True, deadline=None, max_examples=30)
+    @given(case=random_fields())
+    def test_random_trees_match_the_float_stages(self, case):
+        # every operator and function, C's checks firing on some states and
+        # not on others: a single solve and a stacked run are the Python
+        # float stages' own, or end in their failure
+        p, lams, y0 = case
+        field = chain.expand(p)
+        self.assert_same(field.stages(lams[:1]), (0.0, 0.5), y0[:field.dim])
+        self.assert_same(field.stages(lams), (0.0, 0.5), y0)
 
     @helpers.requires_compiler
     @pytest.mark.parametrize("name", sorted(REPLAYS))
@@ -655,11 +691,11 @@ class TestCompiledStages:
         steps = rk45._steps
         monkeypatch.setattr(rk45, "_steps", lambda *a: replays.append(1) or steps(*a))
         for lam in (0.0, 1.0):
-            rhs, attempt = field.stages((lam,))
+            stages = field.stages((lam,))
             replays.clear()
-            compiled = self.solve(rhs, attempt, (0.0, 1.0), np.array(xi0))
+            compiled = self.solve(stages, (0.0, 1.0), np.array(xi0))
             assert replays == [1]
-            python = self.assert_same(rhs, attempt, (0.0, 1.0), np.array(xi0))
+            python = self.assert_same(stages, (0.0, 1.0), np.array(xi0))
             assert isinstance(python, IntegrationError)
             if name == "math_domain_error":
                 assert str(compiled.__cause__) == "math domain error"
@@ -678,15 +714,15 @@ class TestCompiledStages:
         steps = rk45._steps
         monkeypatch.setattr(rk45, "_steps", lambda *a: replays.append(1) or steps(*a))
         for lams in ((0.0, 0.0), (1.0, 1.0), (0.0, 1.0)):
-            rhs, attempt = field.stages(lams)
+            stages = field.stages(lams)
             replays.clear()
-            assert isinstance(self.solve(rhs, attempt, (0.0, 1.0),
-                                         np.concatenate((safe, safe))), rk45.Solution)
+            assert isinstance(self.solve(stages, (0.0, 1.0), np.concatenate((safe, safe))),
+                              rk45.Solution)
             assert replays == []
             y0 = np.concatenate((safe, xi0))
-            compiled = self.solve(rhs, attempt, (0.0, 1.0), y0)
+            compiled = self.solve(stages, (0.0, 1.0), y0)
             assert replays == [1]
-            python = self.assert_same(rhs, attempt, (0.0, 1.0), y0)
+            python = self.assert_same(stages, (0.0, 1.0), y0)
             assert isinstance(python, IntegrationError)
             if name == "math_domain_error":
                 assert str(compiled.__cause__) == "math domain error"
@@ -701,11 +737,10 @@ class TestCompiledStages:
         lams, y0 = jacobian_start(0.1, xi0)
         span = (0.0, field.problem.T)
         runs = [(field.stages((0.1,)), xi0), (field.stages(lams), y0)]
-        wholes = [rk45.solve_ivp(rhs, span, start, attempt=attempt)
-                  for (rhs, attempt), start in runs]
+        wholes = [rk45.solve_ivp(stages, span, start) for stages, start in runs]
         monkeypatch.setattr(rk45, "_FIRST_CAPACITY", 2)
-        for ((rhs, attempt), start), whole in zip(runs, wholes):
-            python = self.assert_same(rhs, attempt, span, start)
+        for (stages, start), whole in zip(runs, wholes):
+            python = self.assert_same(stages, span, start)
             assert python.t.size == whole.t.size > 8
             assert np.array_equal(python.y, whole.y)
 
@@ -722,8 +757,8 @@ class TestCompiledStages:
         monkeypatch.setattr(rk45, "float_stages",
                             lambda *a: made.append(1) or float_stages(*a))
         field = chain.expand.__wrapped__(p)
-        assert isinstance(field.stages((0.0,))[1], rk45.CompiledAttempt)
-        assert isinstance(field.stages((0.0, 0.0))[1], rk45.CompiledAttempt)
+        assert isinstance(field.stages((0.0,)), rk45.CompiledAttempt)
+        assert isinstance(field.stages((0.0, 0.0)), rk45.CompiledAttempt)
         safe = np.array(self.SAFE["math_domain_error"])
         for lam in (0.0, 1.0):
             orbit.period_map(field, lam, safe)
@@ -756,20 +791,22 @@ class TestInitialStep:
     }
 
     @staticmethod
-    def compiled(derivatives, namespace={}):
-        """The compiled attempts of one and of two columns, each at lam =
-        0, of the field of ``derivatives`` (as ``rk45.float_stages`` takes
-        them), with its Python float stages as the replay."""
-        make = rk45.float_stages(derivatives, namespace)
-        kernel = rk45.compiled_stages(derivatives)
+    def compiled(python, c, namespace={}):
+        """The compiled stages of one and of two columns, each at lam = 0,
+        of the field whose components are the Python expressions
+        ``python`` (as ``rk45.float_stages`` takes them) and the same in C,
+        ``c`` (as ``rk45.compiled_stages`` takes them), with its Python
+        float stages as the replay."""
+        make = rk45.float_stages(python, namespace)
+        kernel = rk45.compiled_stages(c)
         return [kernel(lams, lambda lams=lams: rk45.stacked_stages(
-            [make(lam) for lam in lams], len(derivatives))) for lams in ((0.0,), (0.0, 0.0))]
+            [make(lam) for lam in lams], len(python))) for lams in ((0.0,), (0.0, 0.0))]
 
     @pytest.mark.parametrize("case", sorted(BRANCHES))
     def test_branches(self, case):
         lam, xi, span, h_abs = self.BRANCHES[case]
         for columns in (1, 2):
-            rhs, _ = self.FIELD.stages((lam,) * columns)
+            rhs, _ = helpers.python_stages(self.FIELD.stages((lam,) * columns))
             got, _ = rk45._float_initial_step(rhs, *span, np.tile(xi, columns).tolist())
             assert got == h_abs
 
@@ -777,13 +814,14 @@ class TestInitialStep:
     @pytest.mark.parametrize("case", sorted(BRANCHES))
     def test_branches_match_the_float_stages(self, case):
         lam, xi, span, _ = self.BRANCHES[case]
-        TestCompiledStages.assert_same(*self.FIELD.stages((lam,)), span, xi)
-        TestCompiledStages.assert_same(*self.FIELD.stages((lam, lam)), span, np.tile(xi, 2))
+        TestCompiledStages.assert_same(self.FIELD.stages((lam,)), span, xi)
+        TestCompiledStages.assert_same(self.FIELD.stages((lam, lam)), span, np.tile(xi, 2))
 
     # unforced (lam = 0), f0 is 0 at (0.5, 0.5), and at t0 + h0 its first
     # component is 0 * inf = NaN: d1 = 0 and d2 is NaN, so 0.01 / max(d1,
     # d2) divides by 0, which makes h1 = inf
     ZERO_FIELD = ["lam * (s * 1e300 * 1e300)", "w0 - w1"]
+    ZERO_FIELD_C = ["lam * (s * 1e300 * 1e300)", "w[0] - w[1]"]
 
     def test_zero_field_and_a_non_finite_second_evaluation(self):
         rhs, _ = rk45.float_stages(self.ZERO_FIELD, {})(0.0)
@@ -792,22 +830,22 @@ class TestInitialStep:
 
     @helpers.requires_compiler
     def test_zero_field_matches_the_float_stages(self):
-        for attempt in self.compiled(self.ZERO_FIELD):
-            TestCompiledStages.assert_same(attempt.rhs, attempt, (0.0, 1e-3),
+        for attempt in self.compiled(self.ZERO_FIELD, self.ZERO_FIELD_C):
+            TestCompiledStages.assert_same(attempt, (0.0, 1e-3),
                                            np.tile([0.5, 0.5], len(attempt.lams)))
 
     @helpers.requires_compiler
-    @pytest.mark.parametrize("field, message", [
-        (["w0 / (w0 - w0)"], "non-finite field at the start"),
-        (["1.0 / (s - s) - w0"], "field evaluation failed: float division by zero")],
+    @pytest.mark.parametrize("field, c, message", [
+        (["w0 / (w0 - w0)"], ["w[0] / DIVISOR(w[0] - w[0])"], "non-finite field at the start"),
+        (["1.0 / (s - s) - w0"], ["1.0 / DIVISOR(s - s) - w[0]"],
+         "field evaluation failed: float division by zero")],
         ids=["state", "time"])
-    def test_division_by_zero_at_the_start(self, field, message):
+    def test_division_by_zero_at_the_start(self, field, c, message):
         # 0/0 of the state is NaN, as in NumPy arithmetic: a non-finite
         # field at the start; 1/0 of the time alone raises, as it did
         # before the float stages; C stops at either and replays
-        for attempt in self.compiled(field):
-            python = TestCompiledStages.assert_same(attempt.rhs, attempt, (0.0, 1.0),
-                                                    np.ones(len(attempt.lams)))
+        for attempt in self.compiled(field, c):
+            python = TestCompiledStages.assert_same(attempt, (0.0, 1.0), np.ones(len(attempt.lams)))
             assert type(python) is IntegrationError and python.time == 0.0
             assert str(python).endswith(message)
 
@@ -817,16 +855,17 @@ class TestInitialStep:
         # 0.01, but clipped to the span of 1e-9 the second evaluation is
         # at t1, as is the last stage of the one step, so the solve runs in
         # C to the end and replays nothing
-        attempts = self.compiled(["pow(1e-09 - s, 0.5) - w0"], {"pow": math.pow})
+        attempts = self.compiled(["pow(1e-09 - s, 0.5) - w0"], ["POW(1e-09 - s, 0.5) - w[0]"],
+                                 {"pow": math.pow})
         replays = []
         initial_step = rk45._float_initial_step
         monkeypatch.setattr(rk45, "_float_initial_step",
                             lambda *a: replays.append(1) or initial_step(*a))
         for attempt in attempts:
             y0 = np.ones(len(attempt.lams))
-            compiled = rk45.solve_ivp(attempt.rhs, (0.0, 1e-9), y0, attempt=attempt)
+            compiled = rk45.solve_ivp(attempt, (0.0, 1e-9), y0)
             assert replays == [] and compiled.t.size == 2
-            python = TestCompiledStages.assert_same(attempt.rhs, attempt, (0.0, 1e-9), y0)
+            python = TestCompiledStages.assert_same(attempt, (0.0, 1e-9), y0)
             assert isinstance(python, rk45.Solution)
             replays.clear()
 
@@ -842,14 +881,14 @@ class TestInitialStep:
         monkeypatch.setattr(rk45, "_float_initial_step",
                             lambda *a: steps.append(1) or initial_step(*a))
         for lam in (0.0, 1.0):
-            for (rhs, attempt), y0 in ((field.stages((lam,)), xi0),
-                                       (field.stages((lam, lam)), np.tile(xi0, 2))):
+            for stages, y0 in ((field.stages((lam,)), xi0),
+                               (field.stages((lam, lam)), np.tile(xi0, 2))):
                 steps.clear()
                 with pytest.raises(IntegrationError, match="math domain error") as err:
-                    rk45.solve_ivp(rhs, (0.0, 1.0), y0, attempt=attempt)
+                    rk45.solve_ivp(stages, (0.0, 1.0), y0)
                 assert steps == [1]
                 assert 0.0 < err.value.time < 0.01
-                python = TestCompiledStages.assert_same(rhs, attempt, (0.0, 1.0), y0)
+                python = TestCompiledStages.assert_same(stages, (0.0, 1.0), y0)
                 assert python.time == err.value.time
 
 
@@ -862,8 +901,8 @@ class TestShootingWork:
         solves = []
         solve = orbit.solve_ivp
 
-        def recorded(fun, t_span, y0, **kwargs):
-            sol = solve(fun, t_span, y0, **kwargs)
+        def recorded(stages, t_span, y0):
+            sol = solve(stages, t_span, y0)
             solves.append((np.array(y0), sol))
             return sol
 

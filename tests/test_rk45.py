@@ -31,16 +31,15 @@ def fresh_stages():
     return chain.expand.__wrapped__(ProblemSpec.from_strings(*PROBLEM)).stages((LAM,))
 
 
-def solve(rhs, attempt):
-    return rk45.solve_ivp(rhs, (0.0, 1.0), XI0, attempt=attempt)
+def solve(stages):
+    return rk45.solve_ivp(stages, (0.0, 1.0), XI0)
 
 
-def assert_python_stages(rhs, attempt):
+def assert_python_stages(stages):
     """The stages are the Python float stages, and solve as they do."""
-    assert callable(attempt) and not isinstance(attempt, rk45.CompiledAttempt)
-    rhs_ref, ref = fresh_stages()
-    expected = solve(rhs_ref, getattr(ref, "replay", ref))
-    got = solve(rhs, attempt)
+    assert not isinstance(stages, rk45.CompiledAttempt)
+    expected = solve(helpers.python_stages(fresh_stages()))
+    got = solve(stages)
     assert np.array_equal(got.t, expected.t)
     assert np.array_equal(got.y, expected.y)
     assert np.array_equal(got.K, expected.K)
@@ -128,11 +127,11 @@ class TestFallback:
     def test_no_compiler(self, cache, tmp_path, monkeypatch):
         (tmp_path / "empty").mkdir()
         monkeypatch.setenv("PATH", str(tmp_path / "empty"))
-        assert_python_stages(*fresh_stages())
+        assert_python_stages(fresh_stages())
 
     def test_compile_error(self, cache, fake_cc):
         fake_cc("exit 1")
-        assert_python_stages(*fresh_stages())
+        assert_python_stages(fresh_stages())
         assert [p.name for p in cache.iterdir()] == []
 
     def test_compile_timeout(self, cache, fake_cc, tmp_path, monkeypatch):
@@ -142,7 +141,7 @@ class TestFallback:
         start = time.monotonic()
         stages = fresh_stages()
         assert time.monotonic() - start < 30
-        assert_python_stages(*stages)
+        assert_python_stages(stages)
         assert wait_until_ended(int((tmp_path / "pid").read_text()))
         assert [p.name for p in cache.iterdir()] == []
 
@@ -169,26 +168,26 @@ class TestFallback:
     def test_cache_is_a_file(self, tmp_path, monkeypatch):
         (tmp_path / "xdg").write_text("")
         monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "xdg"))
-        assert_python_stages(*fresh_stages())
+        assert_python_stages(fresh_stages())
 
     def test_cache_others_may_write(self, cache):
         cache.mkdir(parents=True)
         cache.chmod(0o777)
-        assert_python_stages(*fresh_stages())
+        assert_python_stages(fresh_stages())
         assert [p.name for p in cache.iterdir()] == []
 
     @helpers.requires_compiler
     def test_library_others_may_write(self, cache):
-        assert isinstance(fresh_stages()[1], rk45.CompiledAttempt)
+        assert isinstance(fresh_stages(), rk45.CompiledAttempt)
         library, = cache.iterdir()
         library.chmod(0o722)
-        assert_python_stages(*fresh_stages())
+        assert_python_stages(fresh_stages())
 
     @helpers.requires_compiler
     def test_truncated_library_without_a_compiler(self, cache, fake_cc, monkeypatch):
         library = cut_short_library(cache, monkeypatch)
         fake_cc("exit 1")
-        assert_python_stages(*fresh_stages())
+        assert_python_stages(fresh_stages())
         assert library.stat().st_size == 1000
         assert not rk45._intact(library, problem_key())
 
@@ -196,15 +195,14 @@ class TestFallback:
 class TestCache:
     @helpers.requires_compiler
     def test_private_and_reused(self, cache, monkeypatch):
-        rhs, attempt = fresh_stages()
-        assert isinstance(attempt, rk45.CompiledAttempt)
+        assert isinstance(fresh_stages(), rk45.CompiledAttempt)
         assert stat.S_IMODE(cache.stat().st_mode) == 0o700
         library, = cache.iterdir()
         assert library.name.startswith("stages-") and library.suffix == ".so"
         assert not library.stat().st_mode & (stat.S_IWGRP | stat.S_IWOTH)
         # a later build loads the cached library and compiles nothing
         monkeypatch.setattr(rk45, "_compile", None)
-        assert isinstance(fresh_stages()[1], rk45.CompiledAttempt)
+        assert isinstance(fresh_stages(), rk45.CompiledAttempt)
 
     @helpers.requires_compiler
     def test_first_run_leaves_the_library_cached(self, cache):
@@ -235,7 +233,7 @@ class TestCache:
             rk45._compile = lambda *args: sys.exit("compiled again")
             rk45._steps = lambda *args: sys.exit("solved in Python")
             field = chain.expand(ProblemSpec.from_strings(*{PROBLEM!r}))
-            assert isinstance(field.stages(({LAM!r},))[1], rk45.CompiledAttempt)
+            assert isinstance(field.stages(({LAM!r},)), rk45.CompiledAttempt)
             orbit.period_map(field, {LAM!r}, np.full(5, 0.1))
             """
         env = dict(os.environ, PYTHONPATH=str(Path(rk45.__file__).parents[1]))
@@ -249,11 +247,11 @@ class TestCache:
     @helpers.requires_compiler
     def test_truncated_library_is_compiled_again(self, cache, monkeypatch):
         library = cut_short_library(cache, monkeypatch)
-        rhs, attempt = fresh_stages()
-        assert isinstance(attempt, rk45.CompiledAttempt)
+        stages = fresh_stages()
+        assert isinstance(stages, rk45.CompiledAttempt)
         assert rk45._intact(library, problem_key())
-        compiled = solve(rhs, attempt)
-        python = solve(rhs, attempt.replay)
+        compiled = solve(stages)
+        python = solve(stages.build())
         assert np.array_equal(compiled.y, python.y)
 
     @helpers.requires_compiler
@@ -287,7 +285,7 @@ class TestCache:
                             lambda *args: compiles.append(args) or compile_(*args))
         monkeypatch.setattr(rk45.ctypes, "CDLL",
                             lambda path: mapped.append(rk45._intact(Path(path), key)) or cdll(path))
-        assert isinstance(fresh_stages()[1], rk45.CompiledAttempt)
+        assert isinstance(fresh_stages(), rk45.CompiledAttempt)
         assert len(compiles) == 1 and mapped == [True]
 
     def test_default_location(self, tmp_path, monkeypatch):
@@ -331,7 +329,7 @@ class TestCache:
         stale.write_bytes(b"")
         live.write_bytes(b"")
         os.utime(stale, (now - 2 * rk45._STALE_TMP_S, now - 2 * rk45._STALE_TMP_S))
-        assert isinstance(fresh_stages()[1], rk45.CompiledAttempt)
+        assert isinstance(fresh_stages(), rk45.CompiledAttempt)
         built, = {p.name for p in cache.glob("stages-*.so")} - {p.name for p in old}
         assert rk45._intact(cache / built, problem_key())
         assert sorted(p.name for p in cache.iterdir()) == sorted(
