@@ -107,17 +107,14 @@ def phi_eval(p: chain.ProblemSpec, u: float) -> float:
 
 @lru_cache(maxsize=128)
 def _phi_prime_parts(p: chain.ProblemSpec):
-    """Compiled partials for Phi'(u) = d1 g + d3 g * d1 phi, or None if the
-    symbolic derivative is unavailable, deeper than ``expr.MAX_DEPTH``
-    levels (that of a product chain is about twice as deep as the chain) or
-    nested deeper than ``expr.MAX_NESTING`` parentheses."""
+    """Compiled partials for Phi'(u) = d1 g + d3 g * d1 phi, or None if a
+    symbolic derivative is unavailable or too deep (``chain._too_deep``;
+    that of a product chain is about twice as deep as the chain)."""
     try:
         trees = (expr.diff(p.g, "x0"), expr.diff(p.g, "x2"), expr.diff(p.phi, "p"))
     except expr.DifferentiationError:
         return None
-    levels = max(map(expr.depth, trees))
-    if levels > expr.MAX_DEPTH or (levels > expr.MAX_NESTING
-                                   and max(map(chain._nesting, trees)) > expr.MAX_NESTING):
+    if any(map(chain._too_deep, trees)):
         return None
     return tuple(expr.compile_expr(tree, names)
                  for tree, names in zip(trees, (chain.G_VARS, chain.G_VARS, chain.PHI_VARS)))

@@ -60,15 +60,25 @@ def _nesting(e: expr.Expr) -> int:
     return deepest
 
 
+def _too_deep(e: expr.Expr) -> str:
+    """Why e is too deep to run, or "": more than ``expr.MAX_DEPTH``
+    levels, or Python source nested deeper than ``expr.MAX_NESTING``
+    parentheses, which only a tree of more levels than that can be."""
+    levels = expr.depth(e)
+    if levels > expr.MAX_DEPTH:
+        return f"{levels} levels, more than {expr.MAX_DEPTH}"
+    if levels > expr.MAX_NESTING and (nested := _nesting(e)) > expr.MAX_NESTING:
+        return f"{nested} nested parentheses, more than {expr.MAX_NESTING}"
+    return ""
+
+
 class ProblemSpec:
     """The triple (g, phi, f) with kernel parameters and forcing period.
 
     g: Expr over (x0, x1, x2); phi: Expr over (p, q); f: Expr over (t, x, v),
     T-periodic in t (validated by sampling at construction), none of them
-    deeper than ``expr.MAX_DEPTH`` levels or with its Python source nested
-    deeper than ``expr.MAX_NESTING`` parentheses.  Immutable, equal and
-    hashed by value; the hash, which the field caches key on, is taken
-    once, at construction.
+    too deep (``_too_deep``).  Immutable, equal and hashed by value; the
+    hash, which the field caches key on, is taken once, at construction.
     """
 
     __slots__ = ("g", "phi", "f", "kernel", "T", "_hash")
@@ -79,13 +89,8 @@ class ProblemSpec:
             raise ValueError(f"period T must be positive and finite, got {T!r}")
         for tree, allowed, label in ((g, G_VARS, "g"), (phi, PHI_VARS, "phi"),
                                      (f, F_VARS, "f")):
-            levels = expr.depth(tree)
-            if levels > expr.MAX_DEPTH:
-                raise ValueError(f"an expression is nested too deeply: {label} has "
-                                 f"{levels} levels, more than {expr.MAX_DEPTH}")
-            if levels > expr.MAX_NESTING and (nested := _nesting(tree)) > expr.MAX_NESTING:
-                raise ValueError(f"an expression is nested too deeply: {label} has "
-                                 f"{nested} nested parentheses, more than {expr.MAX_NESTING}")
+            if why := _too_deep(tree):
+                raise ValueError(f"an expression is nested too deeply: {label} has {why}")
             extra = expr.free_vars(tree) - set(allowed)
             if extra:
                 raise ValueError(f"{label} may only use {allowed}, found {sorted(extra)}")

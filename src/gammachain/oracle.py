@@ -6,11 +6,12 @@ of the original second-order equation is evaluated from sampled tracks.
 The tracks are T-periodic, so each history integral is a circular
 convolution of phi(x, xdot) with the kernel folded modulo T, integrated by
 composite Simpson on 4096 cells per period and evaluated by FFT.  The
-tracks reach that grid spectrally: their periodic cubic spline in
-B-spline form (and the spline of their central-difference derivative) on
-the 4096 times jT/4096 is one inverse FFT of the samples' spectrum times a
-cached upsampling response, so no spline coefficients are built;
-``PeriodicTrack.value`` builds them, for evaluation at arbitrary times.
+tracks reach that grid spectrally: each track's periodic cubic spline in
+B-spline form on the 4096 times jT/4096 is one inverse FFT of its samples'
+spectrum times a cached upsampling response, so no spline coefficients are
+built; ``PeriodicTrack.value`` builds them, for evaluation at arbitrary
+times.  Every derivative of a track is ``PeriodicTrack.derivative``'s
+central differences on its samples.
 This path never reuses the cascade ODEs, so agreement with the integrated
 chain coordinates is a genuine cross-check of the reduction.  The oracle
 reads sample arrays only: it neither integrates nor imports the
@@ -97,17 +98,14 @@ def _cubic_bspline(u: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=8)
-def _upsampling_response(n: int, period: float) -> np.ndarray:
+def _upsampling_response(n: int) -> np.ndarray:
     """Multipliers that take the spectrum of n samples to the spectrum of
-    their periodic cubic spline (row 0) and of their derivative()'s spline
-    (row 1) at the 4096 times jT/4096, shape (2, 2049).
+    their periodic cubic spline at the 4096 times jT/4096, shape (2049,).
 
     The spline's coefficients c have the samples' spectrum over (4 + 2 cos
     w) / 6 (``_bspline_coefficients``).  At r = 4096 / n times per cell,
     the spline on the grid is c spread r steps apart (whose spectrum
-    repeats every n bins) convolved with B sampled at l / r.  The central
-    differences of derivative() are the multiplier i (8 sin w - sin 2w) /
-    (6h).
+    repeats every n bins) convolved with B sampled at l / r.
     """
     m = QUAD_SUBINTERVALS
     r = m // n
@@ -115,18 +113,14 @@ def _upsampling_response(n: int, period: float) -> np.ndarray:
     kernel = np.zeros(m)
     kernel[steps % m] = _cubic_bspline(steps / r)
     w = 2.0 * np.pi * np.arange(m // 2 + 1) / n
-    response = np.empty((2, m // 2 + 1), complex)
-    response[0] = np.fft.rfft(kernel) * 6.0 / (4.0 + 2.0 * np.cos(w))
-    response[1] = (response[0] * (1j * n / (6.0 * period))
-                   * (8.0 * np.sin(w) - np.sin(2.0 * w)))
+    response = np.fft.rfft(kernel) * 6.0 / (4.0 + 2.0 * np.cos(w))
     response.flags.writeable = False
     return response
 
 
-def _on_grid(track: PeriodicTrack, derivative: bool = False):
+def _on_grid(track: PeriodicTrack) -> np.ndarray:
     """The track at the 4096 times jT/4096, shape (..., 4096) for samples
-    of shape (..., n), and with ``derivative`` then also track.derivative()
-    there: each one inverse FFT of the samples' one rFFT times the
+    of shape (..., n): one inverse FFT of the samples' rFFT times the
     upsampling response.  ValueError unless n divides 4096.
     """
     m = QUAD_SUBINTERVALS
@@ -137,8 +131,10 @@ def _on_grid(track: PeriodicTrack, derivative: bool = False):
     full = np.concatenate((spectrum, np.conj(spectrum[..., -2:0:-1])), axis=-1)
     # bin k of the grid's spectrum holds the samples' bin k mod n
     repeated = np.take(full, np.arange(m // 2 + 1) % n, axis=-1)
-    response = _upsampling_response(n, track.period)
-    return [np.fft.irfft(repeated * response[d], m) for d in range(1 + derivative)]
+    # in place: one more temporary of about 128 KiB per call slowed a fresh
+    # process's verify through malloc's dynamic mmap threshold
+    repeated *= _upsampling_response(n)
+    return np.fft.irfft(repeated, m)
 
 
 def _simpson_weights(n: int) -> np.ndarray:
@@ -175,15 +171,12 @@ def _kernel_spectra(a: float, b: int, period: float) -> np.ndarray:
 
 
 def _phi_spectrum(p: chain.ProblemSpec, x: PeriodicTrack,
-                  xdot: PeriodicTrack | None) -> np.ndarray:
+                  xdot: PeriodicTrack) -> np.ndarray:
     """rFFT of phi(x, xdot) at the 4096 times jT/4096, along the last
-    axis, with xdot x.derivative() where it is None; ArithmeticError where
-    it is not finite, as it is wherever a phi sample is (bin 0 sums them)."""
+    axis; ArithmeticError where it is not finite, as it is wherever a phi
+    sample is (bin 0 sums them)."""
     _, phi, _ = chain._compiled(p, vectorized=True)
-    if xdot is None:
-        xv, vv = _on_grid(x, derivative=True)
-    else:
-        (xv,), (vv,) = _on_grid(x), _on_grid(xdot)
+    xv, vv = _on_grid(x), _on_grid(xdot)
     z = np.zeros(xv.shape)  # broadcasts a phi without variables, a scalar
     z += phi(xv, vv)
     spectrum = np.fft.rfft(z)
@@ -193,10 +186,9 @@ def _phi_spectrum(p: chain.ProblemSpec, x: PeriodicTrack,
 
 
 def _convolutions(p: chain.ProblemSpec, x: PeriodicTrack,
-                  xdot: PeriodicTrack | None, stages, m: int) -> np.ndarray:
+                  xdot: PeriodicTrack, stages, m: int) -> np.ndarray:
     """The history convolutions of ``stages`` at the m times jT/m (m
-    divides 4096), shape (..., len(stages), m) for tracks of shape (..., n),
-    with xdot x.derivative() where it is None.
+    divides 4096), shape (..., len(stages), m) for tracks of shape (..., n).
 
     phi is evaluated once on the 4096-point grid jT/4096 and
     transformed once.  One stage at a time, its product with the cached
@@ -274,8 +266,8 @@ def direct_residual(p: chain.ProblemSpec, lam, x: PeriodicTrack):
 
         | xddot - g(x, xdot, conv_b) - lam * f(t, x, xdot) |
 
-    with xdot, xddot the finite differences of the track's samples and
-    conv_b the b-th history convolution of (x, xdot).  The times are every
+    with xdot = x.derivative(), xddot = xdot.derivative() and conv_b the
+    b-th history convolution of (x, xdot).  The times are every
     (n // 64)-th sample.  For tracks of several rows, ``lam`` holds one
     value per row, and the result is an array with the max of each.
     Raises ValueError when n is not a multiple of 64.
@@ -284,8 +276,8 @@ def direct_residual(p: chain.ProblemSpec, lam, x: PeriodicTrack):
     if n % TEST_TIMES:
         raise ValueError(f"need tracks with a multiple of {TEST_TIMES} samples, got {n}")
     g, _, f = chain._compiled(p, vectorized=True)
-    conv = _convolutions(p, x, None, (p.kernel.b,), TEST_TIMES)[..., 0, :]
     xdot = x.derivative()
+    conv = _convolutions(p, x, xdot, (p.kernel.b,), TEST_TIMES)[..., 0, :]
     xv, vv, av = (track.samples[..., ::n // TEST_TIMES]
                   for track in (x, xdot, xdot.derivative()))
     times = np.linspace(0.0, p.T, TEST_TIMES, endpoint=False)

@@ -447,7 +447,8 @@ def _march(field, z_start, tangent, params):
 
 
 def _with_arclengths(points: list[BranchPoint]) -> list[BranchPoint]:
-    out = []
+    """Sets each point's arclength, the length of the polygon in (lambda,
+    xi) from the first point to it, and returns the points."""
     arc = 0.0
     prev = None
     for bp in points:
@@ -455,8 +456,8 @@ def _with_arclengths(points: list[BranchPoint]) -> list[BranchPoint]:
         if prev is not None:
             arc += float(np.linalg.norm(z - prev))
         prev = z
-        out.append(BranchPoint(bp.sp, bp.sup_norm, bp.diameter, arc))
-    return out
+        bp.arclength = arc
+    return points
 
 
 def _trace(field, seed: StartingPoint, params: ContinuationParams) -> BranchTrace:

@@ -276,12 +276,12 @@ class TestOracleWork:
 
     @pytest.mark.parametrize("rows", [1, 4])
     def test_direct_residual_work(self, counted, example_problem, rows):
-        # x and its xdot from one rFFT of x's samples, an inverse FFT each
+        # x and x.derivative(): one rFFT and one inverse FFT each
         trajs, lams = chunk_of_trajectories(example_problem, rows)
         _, x, _ = helpers.sampled_tracks(trajs)
         counted.update(track_rffts=0, grid_irffts=0)
         direct_residual(example_problem, lams, x)
-        assert counted["track_rffts"] == 1 and counted["grid_irffts"] == 2
+        assert counted["track_rffts"] == 2 and counted["grid_irffts"] == 2
         assert counted["spline_builds"] == 0
 
 
@@ -295,20 +295,18 @@ def test_grid_route_is_the_periodic_cubic_spline(rows, n, period, shift, seed):
     rng = np.random.default_rng(seed)
     y = rng.normal(0.0, 10.0 ** rng.uniform(-2, 2), (rows, n)) + rng.uniform(-5, 5)
     track = PeriodicTrack(y, period)
-    xv, dv = (np.roll(v, -shift, axis=-1)
-              for v in oracle._on_grid(track, derivative=True))
+    d = track.derivative()
+    xv, dv = (np.roll(oracle._on_grid(tr), -shift, axis=-1) for tr in (track, d))
     ts = grid_times(period) + shift * period / oracle.QUAD_SUBINTERVALS
     bound = 1e-12 * np.max(np.abs(y))
     assert np.max(np.abs(xv - track.value(ts))) <= bound
     ref = CubicSpline(np.linspace(0.0, period, n + 1), np.append(y, y[:, :1], axis=-1),
                       bc_type="periodic", axis=-1)
     assert np.max(np.abs(xv - ref(np.mod(ts, period)))) <= bound
-    d = track.derivative()
     assert np.max(np.abs(dv - d.value(ts))) <= 1e-12 * np.max(np.abs(d.samples))
     for r in range(rows):
-        one = oracle._on_grid(PeriodicTrack(y[r], period), derivative=True)
-        assert np.array_equal(np.roll(one[0], -shift), xv[r])
-        assert np.array_equal(np.roll(one[1], -shift), dv[r])
+        one = oracle._on_grid(PeriodicTrack(y[r], period))
+        assert np.array_equal(np.roll(one, -shift), xv[r])
 
 
 class TestChunks:
@@ -466,6 +464,28 @@ class TestDirectResidual:
             direct_residual(example_problem, 0.0, flat)
         with pytest.raises(ValueError, match="multiple of 64"):
             verify_lift(example_problem, np.zeros((2, 96)), flat, flat)
+
+    @pytest.mark.parametrize("lams", [[0.08], [0.02, 0.05, 0.08, 0.11]],
+                             ids=["one_row", "four_rows"])
+    def test_differentiates_x_once(self, example_problem, example_field, lams):
+        # every xdot of the residual, the convolution's too, is
+        # x.derivative(), and its derivative is xddot: bit for bit, on
+        # periodic points of the example, one track row each
+        p = example_problem
+        trajs = []
+        for lam in lams:
+            sp = orbit.newton_periodic(example_field, lam, np.zeros(4))
+            trajs.append(orbit.integrate(example_field, lam, sp.xi0, 0.0, p.T))
+        _, x, _ = helpers.sampled_tracks(trajs if len(lams) > 1 else trajs[0])
+        lam = np.array(lams if len(lams) > 1 else lams[0])
+        xd = x.derivative()
+        conv = oracle._convolutions(p, x, xd, (p.kernel.b,), oracle.TEST_TIMES)[..., 0, :]
+        step = orbit.DENSE_SAMPLES // oracle.TEST_TIMES
+        xv, vv, av = (tr.samples[..., ::step] for tr in (x, xd, xd.derivative()))
+        g, _, f = chain._compiled(p, vectorized=True)
+        times = np.linspace(0.0, p.T, oracle.TEST_TIMES, endpoint=False)
+        res = av - g(xv, vv, conv) - lam[..., None] * f(times, xv, vv)
+        assert np.array_equal(direct_residual(p, lam, x), np.max(np.abs(res), axis=-1))
 
     def test_matches_scalar_reference(self, example_problem, forced_point,
                                       long_period_point):

@@ -1308,6 +1308,172 @@ def test_march_detects_a_closed_loop(monkeypatch):
     assert len(points) == 39
 
 
+def accepted(z):
+    """A stand-in for the starting point a corrector accepts at z."""
+    return orbit.StartingPoint(float(z[0]), z[1:], 0.0)
+
+
+class TestMarchExits:
+    """``_march``'s exits and step control with a stand-in corrector
+    (``orbit._newton``) on a one-dimensional xi, z = (lambda, xi)."""
+
+    @pytest.fixture(autouse=True)
+    def no_metrics(self, monkeypatch):
+        # a branch point is the starting point itself
+        monkeypatch.setattr(orbit, "_branch_point", lambda field, sp: sp)
+
+    def test_failed_correctors_shrink_the_step_until_min_step(self, monkeypatch):
+        steps = []
+
+        def corrector(field, z_pred, t_hat, params, start=None, A=None):
+            steps.append(float(np.linalg.norm(z_pred - z0)))
+            raise NoConvergenceError("stand-in")
+
+        monkeypatch.setattr(orbit, "_newton", corrector)
+        z0 = np.array([0.5, 0.2])
+        params = ContinuationParams(initial_step=0.01, min_step=1e-3, step_shrink=0.5)
+        points, status = orbit._march(None, z0, np.array([1.0, 0.0]), params)
+        assert status == "corrector_failure" and points == []
+        # 0.01 / 16 is below min_step: no fifth corrector
+        assert steps == pytest.approx([0.01, 0.005, 0.0025, 0.00125], rel=1e-12)
+
+    @pytest.mark.parametrize("lands", [True, False])
+    def test_a_point_below_lambda_zero_lands(self, monkeypatch, lands):
+        below = np.array([-0.01, 0.3])
+        landings = []
+
+        def land(field, lam, guess, params):
+            landings.append((lam, guess))
+            if not lands:
+                raise NoConvergenceError("stand-in")
+            return accepted(np.array([lam, 0.25]))
+
+        monkeypatch.setattr(orbit, "_newton",
+                            lambda *args, **kwargs: (below, 1, accepted(below), None))
+        monkeypatch.setattr(orbit, "newton_periodic", land)
+        points, status = orbit._march(None, np.array([0.5, 0.2]), np.array([-1.0, 0.0]),
+                                      ContinuationParams())
+        # the landing Newton starts from the accepted point's xi
+        assert len(landings) == 1 and landings[0][0] == 0.0
+        assert np.array_equal(landings[0][1], below[1:])
+        if lands:
+            assert status == "lambda_zero"
+            assert [(sp.lam, sp.xi0[0]) for sp in points] == [(0.0, 0.25)]
+        else:
+            assert status == "lambda_negative" and points == []
+
+    def test_norm_max(self, monkeypatch):
+        far = np.array([0.5, 2.5])
+        monkeypatch.setattr(orbit, "_newton",
+                            lambda *args, **kwargs: (far, 1, accepted(far), None))
+        points, status = orbit._march(None, np.array([0.5, 0.2]), np.array([0.0, 1.0]),
+                                      ContinuationParams(norm_max=2.0))
+        assert status == "norm_max" and points == []
+
+    def test_slow_solves_shrink_the_step(self, monkeypatch):
+        # 7 chord iterations shrink ds by step_shrink, down to min_step at
+        # most; 3 grow it by step_grow
+        iterations = iter([7, 7, 3, 1])
+        steps = []
+
+        def corrector(field, z_pred, t_hat, params, start=None, A=None):
+            steps.append(float(z_pred[0] - z_last[0]))
+            z_last[:] = z_pred
+            return z_pred.copy(), next(iterations), accepted(z_pred), np.zeros((1, 2))
+
+        monkeypatch.setattr(orbit, "_newton", corrector)
+        z_last = np.array([0.5, 0.2])
+        params = ContinuationParams(initial_step=0.01, min_step=0.004, step_shrink=0.5,
+                                    step_grow=1.5, max_steps=4)
+        points, status = orbit._march(None, z_last.copy(), np.array([1.0, 0.0]), params)
+        assert status == "max_steps" and len(points) == 4
+        assert steps == pytest.approx([0.01, 0.005, 0.004, 0.006], rel=1e-9)
+
+
+def test_seed_at_lambda_max_traces_backward_only(example_field):
+    # the second point, past lambda_max, fixes the tangent but is not
+    # kept: the forward march ends at once, and the seed ends the trace
+    params = ContinuationParams(lambda_max=orbit.SEED_LAMBDA)
+    trace = trace_from_zero(example_field, 0.0, params)
+    assert trace.status_forward == "lambda_max"
+    assert trace.status_backward == "lambda_zero"
+    lams = [bp.sp.lam for bp in trace.points]
+    assert lams[0] == 0.0 and lams[-1] == orbit.SEED_LAMBDA
+    assert all(lam <= orbit.SEED_LAMBDA for lam in lams)
+    arcs = [bp.arclength for bp in trace.points]
+    assert arcs[0] == 0.0 and all(b > a for a, b in zip(arcs, arcs[1:]))
+
+
+class Shot:
+    """A stand-in one-period solve ending at ``y_end``."""
+
+    def __init__(self, y_end):
+        self.y_end = np.array(y_end, float)
+
+
+class TestBroydenHandsBack:
+    """``_broyden`` gives up to the chord Newton, returning no accepted
+    point, on a failed shot or a diverged iterate; z = (lambda, xi) with a
+    one-dimensional xi and border row e_0."""
+
+    z = np.array([0.1, 0.0])
+    e0 = np.array([1.0, 0.0])
+    A = np.array([[0.0, -0.5]])  # the state block's estimate: from R = 1, xi goes to 2
+
+    def test_first_shot_fails(self, monkeypatch):
+        def shoot(field, lam, xi):
+            raise IntegrationError(0.5, "stand-in")
+
+        monkeypatch.setattr(orbit, "_shoot", shoot)
+        z, acc, A = orbit._broyden(None, self.z, self.e0, ContinuationParams(),
+                                   self.z, self.A)
+        assert np.array_equal(z, self.z) and acc is None
+        assert np.array_equal(A, self.A)
+
+    def test_a_later_shot_fails(self, monkeypatch):
+        shots = []
+
+        def shoot(field, lam, xi):
+            shots.append(xi.copy())
+            if len(shots) > 1:
+                raise IntegrationError(0.5, "stand-in")
+            return Shot(xi + 1.0)
+
+        monkeypatch.setattr(orbit, "_shoot", shoot)
+        z, acc, A = orbit._broyden(None, self.z, self.e0, ContinuationParams(),
+                                   self.z, self.A)
+        # the iterate xi = 2 was shot and failed: back to the start
+        assert len(shots) == 2 and shots[1] == pytest.approx([2.0])
+        assert np.array_equal(z, self.z) and acc is None
+        assert np.array_equal(A, self.A)
+
+    def test_an_iterate_leaves_ten_norm_max(self, monkeypatch):
+        shots = []
+
+        def shoot(field, lam, xi):
+            shots.append(xi.copy())
+            return Shot(xi + 1.0)
+
+        monkeypatch.setattr(orbit, "_shoot", shoot)
+        params = ContinuationParams(norm_max=0.1)  # the iterate xi = 2 is beyond 1
+        z, acc, A = orbit._broyden(None, self.z, self.e0, params, self.z, self.A)
+        assert len(shots) == 1
+        assert np.array_equal(z, self.z) and acc is None
+        assert np.array_equal(A, self.A)
+
+
+def test_chord_iterate_beyond_ten_norm_max_raises(monkeypatch):
+    # [D - (0, 1); e_0] has least singular value 1e-4, so the chord step
+    # from the residual 1 takes xi to -1e4, beyond 10 norm_max = 1000
+    field = mock.Mock(dim=1)
+    monkeypatch.setattr(orbit, "_linearize", lambda field, lam, xi: (
+        Shot(xi + 1.0), np.array([[0.0, 1.0 + 1e-4]])))
+    monkeypatch.setattr(orbit, "_shoot", mock.Mock(side_effect=AssertionError))
+    with pytest.raises(NoConvergenceError, match="diverged"):
+        orbit._newton(field, np.array([0.1, 0.0]), np.array([1.0, 0.0]),
+                      ContinuationParams())
+
+
 @settings(derandomize=True, deadline=None, max_examples=20)
 @given(c=st.floats(0.5, 3.0), d=st.floats(0.0, 1.0), a=st.floats(1.0, 4.0),
        b=st.integers(1, 5), T=st.floats(0.5, 3.0), u_bar=st.sampled_from([0.0, 1.0]))
