@@ -162,8 +162,6 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
                 break
             bad = pos + len(rest) - len(rest.lstrip())
             raise ParseError(f"unexpected character {text[bad]!r}", bad)
-        if m.lastgroup is None:
-            break
         start = m.start(m.lastgroup)
         tokens.append((m.lastgroup, m.group(m.lastgroup), start))
         pos = m.end()

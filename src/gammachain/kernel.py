@@ -46,10 +46,6 @@ class GammaKernel:
     def mean(self) -> float:
         return self.b / self.a
 
-    @property
-    def variance(self) -> float:
-        return self.b / self.a**2
-
 
 def gamma_eval(k: GammaKernel, s):
     """Density value(s) at ``s``; scalar in, scalar out.

@@ -5,13 +5,12 @@ convolutions of the gamma density against phi(x, xdot), and the residual
 of the original second-order equation is evaluated from sampled tracks.
 The tracks are T-periodic, so each history integral is a circular
 convolution of phi(x, xdot) with the kernel folded modulo T, integrated by
-composite Simpson on 4096 cells per period and evaluated by FFT.  The
-tracks reach that grid spectrally: each track's periodic cubic spline in
-B-spline form on the 4096 times jT/4096 is one inverse FFT of its samples'
-spectrum times a cached upsampling response, so no spline coefficients are
-built; ``PeriodicTrack.value`` builds them, for evaluation at arbitrary
-times.  Every derivative of a track is ``PeriodicTrack.derivative``'s
-central differences on its samples.
+composite Simpson on 4096 cells per period and evaluated by FFT.  A
+track is the trigonometric interpolant of its samples: it reaches that
+grid by one inverse FFT of its samples' spectrum zero-padded to the
+grid's, and ``PeriodicTrack.value`` sums the same interpolant at
+arbitrary times.  Every derivative of a track is
+``PeriodicTrack.derivative``'s central differences on its samples.
 This path never reuses the cascade ODEs, so agreement with the integrated
 chain coordinates is a genuine cross-check of the reduction.  The oracle
 reads sample arrays only: it neither integrates nor imports the
@@ -43,9 +42,9 @@ class PeriodicTrack:
     """T-periodic scalar signals sampled on uniform points of [0, T).
 
     ``samples`` has shape (..., n): one track per index of the leading
-    axes, sampled along the last.  Evaluation uses the periodic cubic
-    spline through the samples in B-spline form; differentiation uses
-    4th-order central differences on the sample grid.
+    axes, sampled along the last.  Evaluation uses the trigonometric
+    interpolant of the samples (their spectrum, Nyquist bin halved);
+    differentiation uses 4th-order central differences on the sample grid.
     """
 
     __slots__ = ("samples", "period")
@@ -59,16 +58,21 @@ class PeriodicTrack:
             raise ValueError("period must be positive")
 
     def value(self, t):
-        """The spline sum_i c_i B(t/h - i) over the four B-splines that
-        reach t, shape (..., *t.shape) for samples of shape (..., n)."""
+        """The trigonometric interpolant of the samples at t, shape (...,
+        *t.shape) for samples of shape (..., n): the real part of
+        sum_k c_k z^k over the bins k = 0 .. n // 2 of the samples' rFFT
+        over n, every bin below the Nyquist bin doubled for its mirror
+        image, with z = exp(2 pi i t / T), summed by Horner's rule."""
         n = self.samples.shape[-1]
-        h = self.period / n
-        tm = np.mod(t, self.period)
-        i = np.minimum((tm / h).astype(int), n - 1)
-        u = (tm - i * h) / h  # t/h - i, with the cell's offset taken in time
-        c = _bspline_coefficients(self.samples)
-        return sum(np.take(c, (i + k) % n, axis=-1) * _cubic_bspline(u - k)
-                   for k in (-1, 0, 1, 2))
+        # the times on one flat axis: a scalar t takes the array arithmetic
+        # of many, so each row's value is the one a one-row call gives
+        z = np.exp(2j * np.pi * np.reshape(np.mod(t, self.period) / self.period, -1))
+        c = np.fft.rfft(self.samples) / n
+        c[..., 1:(n + 1) // 2] *= 2.0
+        s = 0.0
+        for ck in np.moveaxis(c, -1, 0)[::-1, ..., None]:
+            s = s * z + ck
+        return s.real.reshape(c.shape[:-1] + np.shape(t))
 
     def derivative(self) -> "PeriodicTrack":
         """Track of the time derivative (4th-order central differences)."""
@@ -81,60 +85,27 @@ class PeriodicTrack:
         return PeriodicTrack(d, self.period)
 
 
-def _bspline_coefficients(y: np.ndarray) -> np.ndarray:
-    """The c of the periodic cubic spline sum_i c_i B(s - i) through the
-    samples y[k] at s = k, shape (..., n): B at the integers is the
-    circulant (1, 4, 1) / 6, of eigenvalues (4 + 2 cos 2 pi k / n) / 6."""
-    n = y.shape[-1]
-    w = 2.0 * np.pi * np.arange(n // 2 + 1) / n
-    return np.fft.irfft(np.fft.rfft(y) * 6.0 / (4.0 + 2.0 * np.cos(w)), n)
-
-
-def _cubic_bspline(u: np.ndarray) -> np.ndarray:
-    """The centred cubic B-spline, 2/3 at 0 and 1/6 at +-1, zero from |u| = 2."""
-    u = np.abs(u)
-    return np.where(u < 1.0, (4.0 - 6.0 * u**2 + 3.0 * u**3) / 6.0,
-                    np.maximum(2.0 - u, 0.0) ** 3 / 6.0)
-
-
-@lru_cache(maxsize=8)
-def _upsampling_response(n: int) -> np.ndarray:
-    """Multipliers that take the spectrum of n samples to the spectrum of
-    their periodic cubic spline at the 4096 times jT/4096, shape (2049,).
-
-    The spline's coefficients c have the samples' spectrum over (4 + 2 cos
-    w) / 6 (``_bspline_coefficients``).  At r = 4096 / n times per cell,
-    the spline on the grid is c spread r steps apart (whose spectrum
-    repeats every n bins) convolved with B sampled at l / r.
-    """
-    m = QUAD_SUBINTERVALS
-    r = m // n
-    steps = np.arange(-2 * r - 1, 2 * r + 2)
-    kernel = np.zeros(m)
-    kernel[steps % m] = _cubic_bspline(steps / r)
-    w = 2.0 * np.pi * np.arange(m // 2 + 1) / n
-    response = np.fft.rfft(kernel) * 6.0 / (4.0 + 2.0 * np.cos(w))
-    response.flags.writeable = False
-    return response
-
-
 def _on_grid(track: PeriodicTrack) -> np.ndarray:
     """The track at the 4096 times jT/4096, shape (..., 4096) for samples
-    of shape (..., n): one inverse FFT of the samples' rFFT times the
-    upsampling response.  ValueError unless n divides 4096.
+    of shape (..., n): ``PeriodicTrack.value``'s interpolant, by one
+    inverse FFT of the samples' rFFT zero-padded to 2049 bins.
+    ValueError unless n divides 4096, which keeps the samples on the grid
+    and n even.
     """
     m = QUAD_SUBINTERVALS
     n = track.samples.shape[-1]
     if m % n:
         raise ValueError(f"need tracks whose sample count divides {m}, got {n}")
-    spectrum = np.fft.rfft(track.samples)
-    full = np.concatenate((spectrum, np.conj(spectrum[..., -2:0:-1])), axis=-1)
-    # bin k of the grid's spectrum holds the samples' bin k mod n
-    repeated = np.take(full, np.arange(m // 2 + 1) % n, axis=-1)
-    # in place: one more temporary of about 128 KiB per call slowed a fresh
-    # process's verify through malloc's dynamic mmap threshold
-    repeated *= _upsampling_response(n)
-    return np.fft.irfft(repeated, m)
+    # an explicit buffer the size of the grid's spectrum: a larger
+    # temporary per call slows a fresh process's verify through malloc's
+    # dynamic mmap threshold
+    spectrum = np.zeros(track.samples.shape[:-1] + (m // 2 + 1,), complex)
+    np.multiply(np.fft.rfft(track.samples), m / n, out=spectrum[..., :n // 2 + 1])
+    if n < m:
+        # the samples' Nyquist bin counts once, but irfft doubles every
+        # bin below the grid's own
+        spectrum[..., n // 2] *= 0.5
+    return np.fft.irfft(spectrum, m)
 
 
 def _simpson_weights(n: int) -> np.ndarray:

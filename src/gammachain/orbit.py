@@ -340,7 +340,7 @@ def orbit_metrics(x) -> tuple[float, float]:
     return float(np.max(np.abs(x))), float(np.max(x) - np.min(x))
 
 
-def _branch_point(field, acc: _Accepted) -> BranchPoint:
+def _branch_point(acc: _Accepted) -> BranchPoint:
     """The branch point of an accepted starting point, its orbit metrics
     taken from the dense samples of x of the solve that accepted it."""
     sup, diam = orbit_metrics(dense_samples(acc.solution, 1)[0])
@@ -361,7 +361,7 @@ def _land(field, xi_guess, params, points):
         sp = newton_periodic(field, 0.0, xi_guess, params)
     except _NEWTON_FAILURES:
         return "lambda_negative"
-    points.append(_branch_point(field, sp))
+    points.append(_branch_point(sp))
     return "lambda_zero"
 
 
@@ -433,7 +433,7 @@ def _march(field, z_start, tangent, params):
                   & (earlier[:, 1] @ new_tangent > 0.9)):
             status = "closed_loop"
             break
-        points.append(_branch_point(field, acc))
+        points.append(_branch_point(acc))
         if n == len(curve):
             curve = np.concatenate((curve, np.empty_like(curve)))
         curve[n] = z_new, new_tangent
@@ -472,7 +472,7 @@ def _trace(field, seed: StartingPoint, params: ContinuationParams) -> BranchTrac
     forward march ends at once with status ``lambda_max``.
     """
     z0 = np.concatenate(([seed.lam], seed.xi0))
-    seed_bp = _branch_point(field, seed)
+    seed_bp = _branch_point(seed)
 
     # second point by a natural lambda step fixes the initial tangent
     lam_stop = params.lambda_max if params.lambda_max > seed.lam else math.inf
@@ -494,7 +494,7 @@ def _trace(field, seed: StartingPoint, params: ContinuationParams) -> BranchTrac
     if sp2.lam > params.lambda_max:
         plus_points, status_plus = [], "lambda_max"
     else:
-        bp1 = _branch_point(field, sp2)
+        bp1 = _branch_point(sp2)
         plus_points, status_plus = _march(field, z1, t_hat, params)
         plus_points.insert(0, bp1)
 
@@ -515,7 +515,7 @@ def trace_from_zero(field, u_bar: float, params: ContinuationParams) -> BranchTr
     def trivial_only(status: str, reason: str = "") -> BranchTrace:
         sol = _shoot(field, 0.0, lifted)
         residual = float(np.linalg.norm(sol.y_end - lifted, np.inf))
-        return BranchTrace([_branch_point(field, _Accepted(0.0, lifted, residual, sol))],
+        return BranchTrace([_branch_point(_Accepted(0.0, lifted, residual, sol))],
                            status, status, reason)
 
     if SEED_LAMBDA > params.lambda_max:

@@ -203,7 +203,7 @@ def float_stages(derivatives: list[str], namespace: dict):
 _CC_FLAGS = ("-O1", "-ffp-contract=off", "-fno-fast-math", "-fno-builtin",
              "-fPIC", "-shared")
 _COMPILE_TIMEOUT_S = 10.0
-_CACHE_KEEP = 256       # libraries the cache keeps, about 16 KB each
+_CACHE_KEEP = 256       # libraries the cache keeps, about 27 KB each
 _STALE_TMP_S = 3600.0   # a temporary file this old is a killed compile's
 _FIRST_CAPACITY = 128  # steps a compiled solve makes room for before growing
 _DONE, _FULL, _REPLAY, _UNDERFLOW = range(4)  # the return codes of gc_solve

@@ -650,33 +650,27 @@ class TestVerify:
     def test_chunk_takes_four_tracks_to_the_grid(self, branch_csv, tmp_path, monkeypatch):
         # x and xdot of verify_lift, then x and its xdot of the residual
         # from one rFFT: four inverse FFTs onto the quadrature grid per chunk
-        # of rows, whatever its size, and no spline coefficients built
+        # of rows, whatever its size
         cfg, csv = branch_csv
         lines = csv.read_text().splitlines()
         one_row = tmp_path / "one_row.csv"
         one_row.write_text("\n".join([lines[0], lines[-1]]) + "\n")
-        work = {"grid_irffts": 0, "spline_builds": 0}
-        irfft, coefficients = np.fft.irfft, oracle._bspline_coefficients
+        work = {"grid_irffts": 0}
+        irfft = np.fft.irfft
 
         def counted_irfft(a, n=None, *args, **kwargs):
             work["grid_irffts"] += n == oracle.QUAD_SUBINTERVALS
             return irfft(a, n, *args, **kwargs)
 
-        def counted_coefficients(y):
-            work["spline_builds"] += 1
-            return coefficients(y)
-
         monkeypatch.setattr(np.fft, "irfft", counted_irfft)
-        monkeypatch.setattr(oracle, "_bspline_coefficients", counted_coefficients)
         doc = cmd_verify(cfg, one_row)
         assert doc["all_pass"] and len(doc["rows"]) == 1
-        assert work == {"grid_irffts": 4, "spline_builds": 0}
+        assert work == {"grid_irffts": 4}
         work["grid_irffts"] = 0
         doc = cmd_verify(cfg, csv)
         rows = len(lines) - 1
         assert rows > cli.VERIFY_CHUNK and len(doc["rows"]) == rows
-        assert work == {"grid_irffts": 4 * math.ceil(rows / cli.VERIFY_CHUNK),
-                        "spline_builds": 0}
+        assert work == {"grid_irffts": 4 * math.ceil(rows / cli.VERIFY_CHUNK)}
 
     @staticmethod
     def assert_rows_are_one_row_calls(cfg, csv):

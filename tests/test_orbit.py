@@ -960,7 +960,7 @@ class TestShootingWork:
         assert acc.solution is run
         assert np.array_equal(acc.solution.t, run.t)
         assert np.array_equal(acc.solution.y_end, run.y[:dim, -1])
-        bp = orbit._branch_point(example_field, acc)
+        bp = orbit._branch_point(acc)
         x = orbit.dense_samples(integrate(example_field, z[0], z[1:], 0.0, 1.0))[0]
         fresh = orbit_metrics(x)
         assert bp.sup_norm == pytest.approx(fresh[0], abs=1e-12)
@@ -1301,7 +1301,7 @@ def test_march_detects_a_closed_loop(monkeypatch):
         return np.array(next(steps)), 1, None, np.zeros((1, 2))
 
     monkeypatch.setattr(orbit, "_newton", corrector)
-    monkeypatch.setattr(orbit, "_branch_point", lambda field, acc: acc)
+    monkeypatch.setattr(orbit, "_branch_point", lambda acc: acc)
     points, status = orbit._march(None, vertices[0], vertices[0] - vertices[-1],
                                   ContinuationParams())
     assert status == "closed_loop"
@@ -1320,7 +1320,7 @@ class TestMarchExits:
     @pytest.fixture(autouse=True)
     def no_metrics(self, monkeypatch):
         # a branch point is the starting point itself
-        monkeypatch.setattr(orbit, "_branch_point", lambda field, sp: sp)
+        monkeypatch.setattr(orbit, "_branch_point", lambda sp: sp)
 
     def test_failed_correctors_shrink_the_step_until_min_step(self, monkeypatch):
         steps = []
