@@ -216,7 +216,7 @@ def _make_record(p: chain.ProblemSpec, u: float) -> ZeroRecord:
     b = p.kernel.b
     dphi = phi_prime(p, u)
     lifted = chain.lifted_zero(p, u)
-    J = jacobian_fd(chain.expand(p).G_batch, lifted[:, None])[0]
+    J = jacobian_fd(chain.expand(p).G, lifted[:, None])[0]
     sign_fd, log_fd = np.linalg.slogdet(J)
     sign_formula = (-1) ** (b - 1) * _sign(dphi)
     log_formula = b * math.log(a) + (math.log(abs(dphi)) if dphi else -math.inf)

@@ -14,7 +14,7 @@ so the box is sampled on a tensor grid over those three axes alone
 (``ExpandedField.jacobian_axes``).  The samples are taken in chunks of
 ``SAMPLE_CHUNK`` points up to dim 40, fewer above it so that a chunk holds
 no more floats than at dim 40, and each chunk's central-difference
-Jacobians come from one call of the column-batched field ``G_batch``.
+Jacobians come from one call of the field ``G`` on the block of columns.
 """
 from __future__ import annotations
 
@@ -113,7 +113,7 @@ def lipschitz_estimate(field: chain.ExpandedField, center, radius: float,
     coordinates at the center: the same Jacobians as the full-box grid, up
     to finite-difference rounding.  The Jacobians of each chunk of at most
     ``SAMPLE_CHUNK`` samples come from one ``analysis.jacobian_fd`` call
-    on ``field.G_batch``, which raises ``ArithmeticError`` naming the
+    on ``field.G``, which raises ``ArithmeticError`` naming the
     first sample whose Jacobian has a non-finite entry (a pole of the
     field in the box, or overflow).
     """
@@ -124,7 +124,7 @@ def lipschitz_estimate(field: chain.ExpandedField, center, radius: float,
     center = chain.as_state(center, field.dim)
     best = 0.0
     for X in _box_samples(center, radius, grid_per_axis, field.jacobian_axes):
-        J = analysis.jacobian_fd(field.G_batch, X)
+        J = analysis.jacobian_fd(field.G, X)
         best = max(best, float(np.max(np.linalg.norm(J, 2, axis=(1, 2)))))
     return best
 

@@ -4,21 +4,20 @@ A :class:`ProblemSpec` holds the three user maps and the kernel; ``expand``
 turns it into the autonomous field G and T-periodic forcing F on
 R^(b+2), with state ordered (u, v0, v1, ..., vb) = (x, xdot, chain stages).
 Constant solutions of the second-order equation correspond to zeros of
-G through ``lifted_zero``.  G is the one field of a problem: the
-Lipschitz sampler and the degree cross-check read its column-batched form
-``G_batch``.  Every solve, single or the stacked run of a shooting
-Jacobian, takes its stages from ``stages(lams)``, one lambda per column,
-and runs on float stages at every dim: one RK45 attempt of G + lambda F
-as straight-line float code, which ``rk45.float_stages`` generates from
-the same expression code as the compiled g, phi and f.  Where a C compiler
-is on PATH, ``rk45.compiled_stages`` compiles the C that the same writer
-makes of the same trees to one C solve, initial step and step loop, on
-the first solve, which waits for it, and the Python float stages are
-generated only for a solve that C replays on them.  On Python float stages a stacked run makes each column's attempt
-in turn (``rk45.stacked_stages``) below ``VECTOR_STAGES_MIN_DIM`` and the
-attempt of all columns at once on an array (``rk45.vector_stages``) from
-there on.  Each gives the same results bit for bit, so which one runs
-never moves an output.
+G through ``lifted_zero``.  G, on a state or a block of states as
+columns, is the one field of a problem; F, which no library code calls,
+and the dataclass stay for the tests and the benchmark's tracer.  Every
+solve, single or the stacked run of a shooting Jacobian, runs on the
+float stages of ``stages(lams)``, one lambda per column: one RK45 attempt
+of G + lambda F as straight-line float code, which ``rk45.float_stages``
+generates from the same expression code as the compiled g, phi and f.
+Where a C compiler is on PATH, ``rk45.compiled_stages`` compiles the C
+that the same writer makes of the same trees to one C solve on the first
+solve, which waits for it; the Python float stages are then generated
+only for a solve that C replays on them.  On those, a stacked run makes
+its columns' attempts in turn (``rk45.stacked_stages``) below
+``VECTOR_STAGES_MIN_DIM`` and at once on an array (``rk45.vector_stages``)
+from there on, with the same bits either way.
 """
 from __future__ import annotations
 
@@ -141,28 +140,31 @@ class ProblemSpec:
 class ExpandedField:
     """First-order field on R^dim, dim = b+2.
 
-    ``G`` is the autonomous part, ``F(t, xi)`` the forcing direction
-    (nonzero only in the xdot component).  ``G_batch`` is G on columns: it
-    maps a (dim, N) array of states to the (dim, N) array of their images,
-    for evaluating many states in one call (box samples, finite-difference
-    Jacobians).  ``stages(lams)`` is the stages value of
+    ``G(xi)`` is the autonomous part and ``F(t, xi)`` the forcing direction
+    (nonzero only in the xdot component); each maps a state of shape (dim,)
+    or the columns of a (dim, N) array to images of the same shape.
+    ``stages(lams)`` is the stages value of
     ``rk45.solve_ivp`` for the columns of a (dim, N) array stacked into
     one state, column after column, of G + lams[j] F in column j, at
     lams[j] = 0 too; ``(lam,)`` gives a single solve.  They are float
     stages at every dim: an ``rk45.CompiledAttempt`` where their C kernel
     is loaded, which builds the (rhs, attempt) of the Python float stages
-    for a replay, and that (rhs, attempt) otherwise.
-    ``jacobian_axes`` are the coordinates that the Jacobian of G varies
-    with, (u, v0, vb): the cascade rows are constant.  Every field is
-    built by ``expand``.
+    for a replay, and that (rhs, attempt) otherwise.  ``dim`` and
+    ``jacobian_axes``, the coordinates that the Jacobian of G varies with,
+    (u, v0, vb), are read from ``problem``.  Every field is built by
+    ``expand``.  ``F``, which only the tests call, and the dataclass stay
+    for the benchmark's tracer, which copies a field with
+    ``dataclasses.replace`` to count the calls of ``G`` and ``F``.
     """
 
-    dim: int
     G: Callable[[np.ndarray], np.ndarray]
     F: Callable[[float, np.ndarray], np.ndarray]
     problem: ProblemSpec
-    G_batch: Callable[[np.ndarray], np.ndarray]
     stages: Callable[[tuple], tuple]
+
+    @property
+    def dim(self) -> int:
+        return self.problem.kernel.b + 2
 
     @property
     def jacobian_axes(self) -> tuple:
@@ -182,42 +184,31 @@ def expand(p: ProblemSpec) -> ExpandedField:
     """Build the expanded field: componentwise
 
     (v0, g(u, v0, vb), a*(phi(u, v0) - v1), a*(v1 - v2), ..., a*(v_{b-1} - vb))
-    with forcing (0, f(t, u, v0), 0, ..., 0).  ``G_batch`` evaluates G on
-    the columns of a (dim, N) array with the vectorized g and phi.
-    ``stages`` gives the float stages of G + lam F, from the Python and
+    with forcing (0, f(t, u, v0), 0, ..., 0), by the vectorized g, phi and
+    f.  ``stages`` gives the float stages of G + lam F, from the Python and
     the C that ``expr._code`` writes of g, phi and f, in the same chain
     glue.  Their C kernel is built on the first call
-    (``rk45.compiled_stages``: loaded from the cache, or compiled
-    then), never in ``expand`` itself, and that call's answer holds for the
-    life of the field.  Without a kernel the solves run on the Python float
+    (``rk45.compiled_stages``: loaded from the cache, or compiled then),
+    never in ``expand`` itself, and that call's answer holds for the life
+    of the field.  Without a kernel the solves run on the Python float
     stages, which ``rk45.float_stages`` generates once for every lam; with
     one, they are generated only on the first replay.
     """
     a = p.kernel.a
-    b = p.kernel.b
-    dim = b + 2
+    dim = p.kernel.b + 2
+    g, phi, f = _compiled(p, vectorized=True)
 
-    def field(batched):
-        """The autonomous field; with ``batched`` set it maps the columns
-        of a (dim, N) array, using the vectorized g and phi."""
-        g, phi, _ = _compiled(p, vectorized=True) if batched else _compiled(p)
-
-        def G(xi):
-            out = np.empty(xi.shape) if batched else np.empty(dim)
-            u, v0 = xi[0], xi[1]
-            out[0] = v0
-            out[1] = g(u, v0, xi[dim - 1])
-            out[2] = a * (phi(u, v0) - xi[2])
-            out[3:] = a * (xi[2:dim - 1] - xi[3:dim])
-            return out
-        return G
-
-    g, phi, f = _compiled(p)
-    G = field(batched=False)
-    G_batch = field(batched=True)
+    def G(xi):
+        out = np.empty(xi.shape)
+        u, v0 = xi[0], xi[1]
+        out[0] = v0
+        out[1] = g(u, v0, xi[dim - 1])
+        out[2] = a * (phi(u, v0) - xi[2])
+        out[3:] = a * (xi[2:dim - 1] - xi[3:dim])
+        return out
 
     def F(t, xi):
-        out = np.zeros(dim)
+        out = np.zeros(xi.shape)
         out[1] = f(t, xi[0], xi[1])
         return out
 
@@ -226,6 +217,7 @@ def expand(p: ProblemSpec) -> ExpandedField:
         ``rk45.vector_stages``: the cascade rows elementwise, rows 1 and 2
         column after column with the scalar g, phi and f, since NumPy's
         sin, cos and exp need not round as the float stages' libm does."""
+        g, phi, f = _compiled(p)
         def field(s, W, out):
             u, v0 = W[:, 0].tolist(), W[:, 1].tolist()
             out[:, 0] = W[:, 1]
@@ -272,7 +264,7 @@ def expand(p: ProblemSpec) -> ExpandedField:
             return python_stages(lams)
         return compiled(lams, lambda: python_stages(lams))
 
-    return ExpandedField(dim=dim, G=G, F=F, problem=p, G_batch=G_batch, stages=stages)
+    return ExpandedField(G=G, F=F, problem=p, stages=stages)
 
 
 def as_state(xi, dim: int) -> np.ndarray:

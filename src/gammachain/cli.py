@@ -80,7 +80,7 @@ def _require_keys(d, allowed: set, required: set, path: str):
 
 def _number(d: dict, key: str, path: str) -> float:
     v = d[key]
-    if isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v):
+    if not orbit.finite_number(v):
         raise ConfigError(f"{path}.{key}: expected a finite number, got {v!r}")
     return float(v)
 

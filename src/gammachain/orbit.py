@@ -94,6 +94,14 @@ class BranchPoint:
         self.arclength = arclength
 
 
+def finite_number(v) -> bool:
+    """Whether v is an int or float, not a bool, of finite float value."""
+    try:
+        return not isinstance(v, bool) and isinstance(v, (int, float)) and math.isfinite(v)
+    except OverflowError:  # an integer beyond the float range
+        return False
+
+
 class ContinuationParams:
     """The continuation's settings; the keyword names are the config's
     ``continuation`` keys (``__slots__``), the two counts integers and the
@@ -112,8 +120,7 @@ class ContinuationParams:
             if name in ("max_steps", "newton_max_iter"):
                 if isinstance(v, bool) or not isinstance(v, int):
                     raise ValueError(f"{name} must be an integer, got {v!r}")
-            elif (isinstance(v, bool) or not isinstance(v, (int, float))
-                  or not math.isfinite(v)):
+            elif not finite_number(v):
                 raise ValueError(f"{name} must be a finite number, got {v!r}")
             setattr(self, name, v)
         if not (0 < min_step <= initial_step <= max_step):

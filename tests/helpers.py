@@ -104,9 +104,27 @@ def reference_jacobian(fun, x: np.ndarray) -> np.ndarray:
     return J
 
 
+def scalar_field(p: ProblemSpec):
+    """(G, F) of ``p`` on one state, from ``expr.compile_expr``'s scalar g,
+    phi and f: math's sin, cos, exp and pow, which raise ValueError where
+    the float stages do and round as they do, not as NumPy's."""
+    g = expr.compile_expr(p.g, chain.G_VARS)
+    phi = expr.compile_expr(p.phi, chain.PHI_VARS)
+    f = expr.compile_expr(p.f, chain.F_VARS)
+    a = p.kernel.a
+
+    def G(xi):
+        return np.array([xi[1], g(xi[0], xi[1], xi[-1]), a * (phi(xi[0], xi[1]) - xi[2]),
+                         *(a * (xi[2:-1] - xi[3:]))])
+
+    def F(t, xi):
+        return np.array([0.0, f(t, xi[0], xi[1]), *np.zeros(xi.size - 2)])
+    return G, F
+
+
 def reference_lipschitz(field: chain.ExpandedField, center, radius: float,
                         grid_per_axis: int = certify.DEFAULT_GRID) -> float:
-    """The Lipschitz estimate one sample at a time with the scalar G: the
+    """The Lipschitz estimate one sample at a time, G on one state: the
     tensor grid by ``itertools.product`` over the field's
     ``jacobian_axes``, the other coordinates at the center."""
     center = np.asarray(center, dtype=float)

@@ -104,25 +104,20 @@ class TestBatchedLipschitz:
         assert [field.dim for field in long_chains] == [47, 120]
         jacobian_fd = analysis.jacobian_fd
         for chain_field in (example_field, *long_chains):
-            calls = {"G": 0, "widths": [], "points": []}
-
-            def scalar_G(xi):
-                calls["G"] += 1
-                return chain_field.G(xi)
+            calls = {"widths": [], "points": []}
 
             def batch_G(X):
                 calls["widths"].append(X.shape[1])
                 assert X.size <= 40 * 2 * 40 * certify.SAMPLE_CHUNK
-                return chain_field.G_batch(X)
+                return chain_field.G(X)
 
             def recorded_jacobian(fun, X):
                 calls["points"].append(X.shape[1])
                 return jacobian_fd(fun, X)
 
             monkeypatch.setattr(analysis, "jacobian_fd", recorded_jacobian)
-            field = dataclasses.replace(chain_field, G=scalar_G, G_batch=batch_G)
+            field = dataclasses.replace(chain_field, G=batch_G)
             lipschitz_estimate(field, np.zeros(field.dim), 0.1)
-            assert calls["G"] == 0
             assert sum(calls["points"]) == certify.DEFAULT_GRID ** 3
             assert max(calls["points"]) <= certify.SAMPLE_CHUNK
             assert max(calls["widths"]) <= 2 * field.dim * certify.SAMPLE_CHUNK
@@ -178,19 +173,16 @@ def cubic_problems(draw, max_b=8):
 def test_batched_jacobian_matches_per_point(p, seed):
     field = chain.expand(p)
     X = np.random.default_rng(seed).uniform(-2.0, 2.0, (field.dim, 64))
-    J = analysis.jacobian_fd(field.G_batch, X)
+    J = analysis.jacobian_fd(field.G, X)
     assert J.shape == (64, field.dim, field.dim)
-
-    def one_column(xi):
-        return field.G_batch(xi[:, None])[:, 0]
-
+    G, _ = helpers.scalar_field(p)
     for k in range(64):
         # batching changes no arithmetic: bitwise equal per point
-        assert np.array_equal(J[k], helpers.reference_jacobian(one_column, X[:, k]))
+        assert np.array_equal(J[k], helpers.reference_jacobian(field.G, X[:, k]))
         # np.power and math.pow differ in the last bit for a few percent of
         # cubes; one ulp of a term below 16, divided by 2 * FD_STEP, is
         # 1.8e-9, and g has three power terms
-        want = helpers.reference_jacobian(field.G, X[:, k])
+        want = helpers.reference_jacobian(G, X[:, k])
         assert np.max(np.abs(J[k] - want)) <= 1e-8
 
 
@@ -204,12 +196,12 @@ def test_jacobian_ignores_the_inner_chain_stages(p, seed):
     X = rng.uniform(-2.0, 2.0, (field.dim, 32))
     moved = X.copy()
     moved[2:field.dim - 1] = rng.uniform(-2.0, 2.0, (field.dim - 3, 32))
-    J, J_moved = (analysis.jacobian_fd(field.G_batch, Y) for Y in (X, moved))
+    J, J_moved = (analysis.jacobian_fd(field.G, Y) for Y in (X, moved))
     # a cascade row is a * (x - y) with |x|, |y| <= m; rounding the step,
     # the difference and the product moves its quotients by a few
     # eps * a * m / FD_STEP
     a = p.kernel.a
-    m = 2.0 + max(np.max(np.abs(field.G_batch(Y)[2])) for Y in (X, moved)) / a
+    m = 2.0 + max(np.max(np.abs(field.G(Y)[2])) for Y in (X, moved)) / a
     tol = 8.0 * a * np.finfo(float).eps * m / analysis.FD_STEP
     assert np.max(np.abs(J - J_moved)) <= tol
     # the rows of v0 and g read none of the moved coordinates
@@ -226,7 +218,7 @@ def test_three_axis_estimate_is_the_full_box_estimate(p, seed, radius):
     center = np.random.default_rng(seed).uniform(-1.0, 1.0, field.dim)
     X = np.array(list(itertools.product(
         *(np.linspace(c - radius, c + radius, certify.DEFAULT_GRID) for c in center)))).T
-    J = analysis.jacobian_fd(field.G_batch, X)
+    J = analysis.jacobian_fd(field.G, X)
     full_box = float(np.max(np.linalg.norm(J, 2, axis=(1, 2))))
     got = lipschitz_estimate(field, center, radius)
     assert got == pytest.approx(full_box, rel=1e-8, abs=0.0)

@@ -211,7 +211,7 @@ class TestExpand:
             a, b = problem.kernel.a, problem.kernel.b
             field = expand(problem)
             for rec in analysis.scan_zeros(problem, -2.5, 2.5, 400):
-                J = analysis.jacobian_fd(field.G_batch, rec.lifted[:, None])[0]
+                J = analysis.jacobian_fd(field.G, rec.lifted[:, None])[0]
                 assert rec.det_fd == np.linalg.det(J)
                 want = (-1.0) ** (b - 1) * a**b * rec.phi_prime
                 assert rec.det_formula == want

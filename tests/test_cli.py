@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import collections
+import dataclasses
 import importlib.util
 import json
 import math
@@ -109,16 +110,21 @@ class TestLoadConfig:
         ("continuation", "max_steps", 10.5),
         ("continuation", "lambda_max", math.nan),
         ("continuation", "newton_tol", 0),
+        # integers beyond the float range, on which math.isfinite raises
+        # OverflowError
+        *(pytest.param(section, key, 10**400, id=f"{section}-{key}-10^400")
+          for section, key in (("problem", "T"), ("continuation", "lambda_max"),
+                               ("certify", "radius"))),
     ])
     def test_rejects_nonfinite_or_mistyped_numbers(self, tmp_path, capsys,
                                                    section, key, value):
         doc = json.loads(json.dumps(EXAMPLE_CONFIG))
-        doc[section] = {key: value}
+        doc.setdefault(section, {})[key] = value
         path = write_config(tmp_path, doc)  # json writes Infinity / NaN
         with pytest.raises(ConfigError, match=key):
             load_config(path)
         assert main(["analyze", "--config", str(path)]) == 1
-        capsys.readouterr()
+        assert capsys.readouterr().err.startswith("config error: " + section)
 
     @pytest.mark.parametrize("section,value", [
         ("problem", 3),
@@ -544,6 +550,33 @@ def test_every_solve_goes_through_orbit_solve_ivp(tmp_path, monkeypatch):
     assert calls["verify", "stacked"] == 0
 
 
+def test_analyze_and_the_scan_call_G_on_blocks_of_columns(tmp_path, monkeypatch):
+    # perfbench/tracing.py counts the calls of G through a copy made with
+    # dataclasses.replace; every Jacobian of G is one call on its block of
+    # shifted columns, 2 * dim per state
+    expand = chain.expand
+    widths = []
+
+    def counted_expand(p):
+        field = expand(p)
+
+        def counting_G(X):
+            widths.append(X.shape[1])
+            return field.G(X)
+        return dataclasses.replace(field, G=counting_G)
+
+    monkeypatch.setattr(chain, "expand", counted_expand)
+    cfg = load_config(write_config(tmp_path, SHORT_BRANCH_CONFIG))
+    cmd_analyze(cfg)
+    # the scan's determinant at each of the two zeros, then each zero's
+    # 7^3 box samples in chunks of at most 128
+    assert widths == [2 * 4, 2 * 4] + 2 * [2 * 4 * 128, 2 * 4 * 128, 2 * 4 * 87]
+    assert len(widths) == 8 and sum(widths) == 2 * (2 * 4 + 7**3 * 2 * 4) == 5504
+    widths.clear()
+    cmd_branch(cfg, tmp_path / "out", seed_index=0)
+    assert widths == [8, 8]
+
+
 def test_the_benchmark_tracer_finds_every_name_it_patches(example_problem):
     # perfbench/tracing.py wraps library functions by module attribute
     # (orbit.solve_ivp, orbit.period_map, oracle.history_convolution,
@@ -862,16 +895,19 @@ classes = {c for name, module in list(sys.modules.items()) if name.split(".")[0]
            for c in vars(module).values()
            if inspect.isclass(c) and c.__module__.split(".")[0] == "gammachain"}
 print(sorted(c.__qualname__ for c in classes if dataclasses.is_dataclass(c)))
+print([f.name for f in dataclasses.fields(gammachain.chain.ExpandedField)])
 print("argparse" in sys.modules)
 """
 
 
 def test_import_processes_one_dataclass_and_no_argparse():
     # the records are plain classes, so importing generates no code but the
-    # tracer's ExpandedField; argparse loads in main alone
+    # tracer's ExpandedField, whose fields perfbench/tracing.py replaces and
+    # copies; argparse loads in main alone
     proc = run_script(IMPORT_CLI)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines() == ["['ExpandedField']", "False"]
+    assert proc.stdout.splitlines() == ["['ExpandedField']",
+                                        "['G', 'F', 'problem', 'stages']", "False"]
 
 
 NO_NUMPY_RANDOM_RUN = """

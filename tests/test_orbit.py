@@ -154,8 +154,7 @@ def test_states_are_checked_where_they_enter(example_field, state):
 
 
 def reference_solve(field, lam, xi0, dense_output=False):
-    """One period from xi0 by a lone solve_ivp RK45 solve on the scalar
-    field."""
+    """One period from xi0 by a lone solve_ivp RK45 solve on the field."""
     G, F = field.G, field.F
     return solve_ivp(lambda t, y: G(y) + lam * F(t, y), (0.0, field.problem.T),
                      xi0, method="RK45", rtol=rk45.TOL,
@@ -391,13 +390,10 @@ def test_quotients_match_the_numpy_stages(name):
     lam, xi = mid_branch_row(name)
     _, D = orbit._linearize(field, lam, xi)
     lams, y0 = jacobian_start(lam, xi)
-    _, _, f = chain._compiled(field.problem, vectorized=True)
 
     def fun(t, y):
         X = y.reshape(field.dim, lams.size, order="F")
-        out = field.G_batch(X)
-        out[1] += lams * f(t, X[0], X[1])
-        return out.ravel(order="F")
+        return (field.G(X) + lams * field.F(t, X)).ravel(order="F")
 
     ref = solve_ivp(fun, (0.0, field.problem.T), y0, method="RK45", rtol=rk45.TOL,
                     atol=rk45.TOL)
@@ -407,19 +403,22 @@ def test_quotients_match_the_numpy_stages(name):
 
 
 class TestFloatStageFailures:
-    """Failures in g on the float stages, against solve_ivp on the scalar
-    field, whose np.float64 arithmetic turns 1/0 into inf or NaN."""
+    """Failures in g on the float stages, against solve_ivp on the field
+    with math's scalar maps, which raise as the float stages do, or with
+    the field's own, whose np.float64 arithmetic turns 1/0 into inf or
+    NaN."""
 
     def test_math_domain_error_at_the_stage_time(self):
         f = chain.expand(ProblemSpec.from_strings("x0^0.5 - x2", "q-p", "1",
                                                   1.0, 1, 1.0))
+        G, F = helpers.scalar_field(f.problem)
         xi0 = np.array([0.01, -1.0, 0.0])
         for lam in (0.0, 1.0):
             stage_times = []
 
             def fun(t, y):
                 stage_times.append(t)
-                return f.G(y) + lam * f.F(t, y)
+                return G(y) + lam * F(t, y)
 
             with pytest.raises(ValueError, match="math domain error"):
                 solve_ivp(fun, (0.0, 1.0), xi0, method="RK45",
