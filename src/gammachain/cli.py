@@ -81,14 +81,14 @@ def _require_keys(d, allowed: set, required: set, path: str):
 def _number(d: dict, key: str, path: str) -> float:
     v = d[key]
     if not orbit.finite_number(v):
-        raise ConfigError(f"{path}.{key}: expected a finite number, got {v!r}")
+        raise ConfigError(f"{path}.{key}: expected a finite number, got {orbit.shown(v)}")
     return float(v)
 
 
 def _integer(d: dict, key: str, path: str) -> int:
     v = d[key]
     if isinstance(v, bool) or not isinstance(v, int):
-        raise ConfigError(f"{path}.{key}: expected an integer, got {v!r}")
+        raise ConfigError(f"{path}.{key}: expected an integer, got {orbit.shown(v)}")
     return v
 
 
@@ -98,10 +98,11 @@ def load_config(path) -> RunConfig:
         raw = json.loads(Path(path).read_text(encoding="utf-8"))
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}") from None
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"invalid JSON in {path}: {exc}") from exc
+    except (OSError, ValueError) as exc:
+        # undecodable text, or an integer literal of more digits than int converts
+        raise ConfigError(f"cannot read config {path}: {exc}") from exc
     _require_keys(raw, _TOP_KEYS, {"problem", "interval"}, "top level")
 
     prob = raw["problem"]

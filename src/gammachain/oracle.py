@@ -3,18 +3,19 @@
 The chain coordinates of a solution are recomputed directly as history
 convolutions of the gamma density against phi(x, xdot), and the residual
 of the original second-order equation is evaluated from sampled tracks.
-The tracks are T-periodic, so each history integral is a circular
-convolution of phi(x, xdot) with the kernel folded modulo T, integrated by
-composite Simpson on 4096 cells per period and evaluated by FFT.  A
-track is the trigonometric interpolant of its samples: it reaches that
-grid by one inverse FFT of its samples' spectrum zero-padded to the
-grid's, and ``PeriodicTrack.value`` sums the same interpolant at
-arbitrary times.  Every derivative of a track is
-``PeriodicTrack.derivative``'s central differences on its samples.
-This path never reuses the cascade ODEs, so agreement with the integrated
-chain coordinates is a genuine cross-check of the reduction.  The oracle
-reads sample arrays only: it neither integrates nor imports the
-integrator.
+A track is the trigonometric interpolant of its n samples of one period
+T, and ``PeriodicTrack.value`` sums it at arbitrary times.  phi is
+evaluated on the samples, and the history integral of stage i multiplies
+each harmonic exp(2 pi i k t / T) of its interpolant by the gamma law's
+Laplace transform (a / (a + 2 pi i k / T))^i (MacDonald, Time Lags in
+Biological Models, 1978).  So every convolution is one rFFT of phi on the
+samples, one product with those transfer functions and one inverse FFT of
+size n: the tracks' own sampling is the only discretisation.  Every
+derivative of a track is ``PeriodicTrack.derivative``'s central
+differences on its samples.  This path never reuses the cascade ODEs, so
+agreement with the integrated chain coordinates is a genuine cross-check
+of the reduction.  The oracle reads sample arrays only: it neither
+integrates nor imports the integrator.
 
 Tracks may hold several rows (solutions) on their leading axes; every
 function here then works on all rows in one pass of array calls, and each
@@ -22,19 +23,15 @@ row's result is the value a one-row call gives.
 """
 from __future__ import annotations
 
-import math
-from functools import lru_cache
-
 import numpy as np
 
 from . import chain
-from .kernel import GammaKernel, tail_horizon, gamma_eval
+# unused here, but perfbench/tracing.py patches both names on this module
+from .kernel import gamma_eval, tail_horizon
 
 __all__ = ["PeriodicTrack", "history_convolution", "verify_lift",
            "direct_residual"]
 
-TRUNCATION_MASS = 1e-12
-QUAD_SUBINTERVALS = 4096  # Simpson cells per period
 TEST_TIMES = 64
 
 
@@ -85,123 +82,56 @@ class PeriodicTrack:
         return PeriodicTrack(d, self.period)
 
 
-def _on_grid(track: PeriodicTrack) -> np.ndarray:
-    """The track at the 4096 times jT/4096, shape (..., 4096) for samples
-    of shape (..., n): ``PeriodicTrack.value``'s interpolant, by one
-    inverse FFT of the samples' rFFT zero-padded to 2049 bins.
-    ValueError unless n divides 4096, which keeps the samples on the grid
-    and n even.
-    """
-    m = QUAD_SUBINTERVALS
-    n = track.samples.shape[-1]
-    if m % n:
-        raise ValueError(f"need tracks whose sample count divides {m}, got {n}")
-    # an explicit buffer the size of the grid's spectrum: a larger
-    # temporary per call slows a fresh process's verify through malloc's
-    # dynamic mmap threshold
-    spectrum = np.zeros(track.samples.shape[:-1] + (m // 2 + 1,), complex)
-    np.multiply(np.fft.rfft(track.samples), m / n, out=spectrum[..., :n // 2 + 1])
-    if n < m:
-        # the samples' Nyquist bin counts once, but irfft doubles every
-        # bin below the grid's own
-        spectrum[..., n // 2] *= 0.5
-    return np.fft.irfft(spectrum, m)
-
-
-def _simpson_weights(n: int) -> np.ndarray:
-    w = np.ones(n + 1)
-    w[1:-1:2] = 4.0
-    w[2:-1:2] = 2.0
-    return w
-
-
-@lru_cache(maxsize=4)
-def _kernel_spectra(a: float, b: int, period: float) -> np.ndarray:
-    """rFFT of the Simpson weights of gamma_a^i folded modulo the period,
-    row i - 1 for stage i = 1 .. b, shape (b, 2049).
-
-    The fold sums the density over the whole periods that cover the tail
-    horizon of mass TRUNCATION_MASS; the weight at tau = T joins tau = 0,
-    where the periodic integrand takes the same value.
-    """
-    n = QUAD_SUBINTERVALS
-    tau = np.linspace(0.0, period, n + 1)
-    spectra = np.empty((b, n // 2 + 1), complex)
-    for i in range(1, b + 1):
-        k = GammaKernel(a, i)
-        H = tail_horizon(k, TRUNCATION_MASS)
-        folded = np.zeros(n + 1)
-        # one period at a time keeps the peak memory flat
-        for m in range(max(1, math.ceil(H / period))):
-            folded += gamma_eval(k, tau + m * period)
-        w = folded * _simpson_weights(n) * (period / n / 3.0)
-        w[0] += w[n]
-        spectra[i - 1] = np.fft.rfft(w[:n])
-    spectra.flags.writeable = False
-    return spectra
-
-
-def _phi_spectrum(p: chain.ProblemSpec, x: PeriodicTrack,
-                  xdot: PeriodicTrack) -> np.ndarray:
-    """rFFT of phi(x, xdot) at the 4096 times jT/4096, along the last
-    axis; ArithmeticError where it is not finite, as it is wherever a phi
-    sample is (bin 0 sums them)."""
-    _, phi, _ = chain._compiled(p, vectorized=True)
-    xv, vv = _on_grid(x), _on_grid(xdot)
-    z = np.zeros(xv.shape)  # broadcasts a phi without variables, a scalar
-    z += phi(xv, vv)
-    spectrum = np.fft.rfft(z)
-    if not np.all(np.isfinite(spectrum)):
-        raise ArithmeticError("non-finite history convolution")
-    return spectrum
+def _kernel_spectra(a: float, b: int, period: float, n: int) -> np.ndarray:
+    """The gamma law's transfer functions (a / (a + i w_k))^i at the rFFT
+    bins w_k = 2 pi k / T, k = 0 .. n // 2, row i - 1 for stage i = 1 ..
+    b, shape (b, n // 2 + 1): the cumulative product over the stages."""
+    w = 2.0 * np.pi * np.arange(n // 2 + 1) / period
+    return np.cumprod(np.broadcast_to(a / (a + 1j * w), (b, w.size)), axis=0)
 
 
 def _convolutions(p: chain.ProblemSpec, x: PeriodicTrack,
                   xdot: PeriodicTrack, stages, m: int) -> np.ndarray:
     """The history convolutions of ``stages`` at the m times jT/m (m
-    divides 4096), shape (..., len(stages), m) for tracks of shape (..., n).
+    divides n), shape (..., len(stages), m) for tracks of shape (..., n).
 
-    phi is evaluated once on the 4096-point grid jT/4096 and
-    transformed once.  One stage at a time, its product with the cached
-    kernel spectrum is extended to the full spectrum by symmetry and summed
-    over the frequencies congruent modulo m: sampling every (4096/m)-th
-    time aliases them, and at m = 4096 the sum is the identity.  One
-    inverse FFT of size m then gives every stage at the m times.
-    ArithmeticError if phi's spectrum or a result is not finite.
+    phi is evaluated once on the samples and transformed once; its
+    spectrum times each stage's transfer function, by one inverse FFT of
+    size n, gives every stage at the n sample times, of which every
+    (n/m)-th is kept.  ArithmeticError if phi's spectrum or a result is
+    not finite, as the spectrum is wherever a phi sample is (bin 0 sums
+    them).
     """
-    T = x.period
-    n = QUAD_SUBINTERVALS
-    spectrum = _phi_spectrum(p, x, xdot)
-    kernels = _kernel_spectra(p.kernel.a, p.kernel.b, T)
-    rows = spectrum.shape[:-1]
-    full = np.empty(rows + (n,), complex)
-    half, mirror = full[..., :n // 2 + 1], full[..., n // 2 + 1:]
-    aliases = full.reshape(rows + (n // m, m))
-    folded = np.empty(rows + (len(stages), m // 2 + 1), complex)
-    for s, i in enumerate(stages):
-        np.multiply(kernels[i - 1], spectrum, out=half)
-        np.conj(half[..., -2:0:-1], out=mirror)
-        folded[..., s, :] = aliases.sum(axis=-2)[..., :m // 2 + 1]
-    y = np.fft.irfft(folded, m) / (n // m)
+    _, phi, _ = chain._compiled(p, vectorized=True)
+    z = np.zeros(x.samples.shape)  # broadcasts a phi without variables, a scalar
+    z += phi(x.samples, xdot.samples)
+    spectrum = np.fft.rfft(z)
+    if not np.all(np.isfinite(spectrum)):
+        raise ArithmeticError("non-finite history convolution")
+    n = z.shape[-1]
+    kernels = _kernel_spectra(p.kernel.a, p.kernel.b, x.period, n)
+    y = np.fft.irfft(spectrum[..., None, :] * kernels[[i - 1 for i in stages]], n)
     if not np.all(np.isfinite(y)):
         raise ArithmeticError("non-finite history convolution")
-    return y
+    return y[..., ::n // m]
 
 
 def history_convolution(p: chain.ProblemSpec, x: PeriodicTrack,
                         xdot: PeriodicTrack) -> np.ndarray:
     """Every chain coordinate as an explicit history integral, at the
-    4096 times t = jT/4096 (row i - 1 holds stage i, shape (b, 4096) for
-    one-row tracks):
+    tracks' n sample times t = jT/n (row i - 1 holds stage i, shape (b, n)
+    for one-row tracks):
 
-        y_i(t) = integral_0^T  K_i(tau) * phi(x(t - tau), xdot(t - tau)) dtau
+        y_i(t) = integral_0^inf  gamma_a^i(tau) * psi(t - tau) dtau
 
-    with the kernel folded modulo T, K_i(tau) = sum_m gamma_a^i(tau + mT),
-    over the whole periods covering the tail horizon of mass 1e-12, and
-    composite Simpson on 4096 cells per period.  Raises
-    ValueError unless the tracks' sample count divides 4096.
+    with psi the trigonometric interpolant of phi(x, xdot) on the samples.
+    Each harmonic exp(i w t) of psi, w = 2 pi k / T, comes out multiplied
+    by the density's Laplace transform (a / (a + i w))^i, so the integral
+    is exact to rounding: no quadrature, truncation or grid beyond the
+    samples.
     """
-    return _convolutions(p, x, xdot, range(1, p.kernel.b + 1), QUAD_SUBINTERVALS)
+    n = x.samples.shape[-1]
+    return _convolutions(p, x, xdot, range(1, p.kernel.b + 1), n)
 
 
 def _max_per_row(d: np.ndarray, axes):

@@ -102,6 +102,13 @@ def finite_number(v) -> bool:
         return False
 
 
+def shown(v, limit: int = 40) -> str:
+    """repr(v) for an error message: its first ``limit`` characters and
+    its length, when it is longer."""
+    text = repr(v)
+    return text if len(text) <= limit else f"{text[:limit]}... ({len(text)} characters)"
+
+
 class ContinuationParams:
     """The continuation's settings; the keyword names are the config's
     ``continuation`` keys (``__slots__``), the two counts integers and the
@@ -119,9 +126,9 @@ class ContinuationParams:
         for name, v in zip(self.__slots__, values):
             if name in ("max_steps", "newton_max_iter"):
                 if isinstance(v, bool) or not isinstance(v, int):
-                    raise ValueError(f"{name} must be an integer, got {v!r}")
+                    raise ValueError(f"{name} must be an integer, got {shown(v)}")
             elif not finite_number(v):
-                raise ValueError(f"{name} must be a finite number, got {v!r}")
+                raise ValueError(f"{name} must be a finite number, got {shown(v)}")
             setattr(self, name, v)
         if not (0 < min_step <= initial_step <= max_step):
             raise ValueError("need 0 < min_step <= initial_step <= max_step")

@@ -124,7 +124,20 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match=key):
             load_config(path)
         assert main(["analyze", "--config", str(path)]) == 1
-        assert capsys.readouterr().err.startswith("config error: " + section)
+        err = capsys.readouterr().err
+        assert err.startswith("config error: " + section)
+        # a 401-digit value is shown by its first 40 characters and its length
+        assert max(map(len, err.splitlines())) <= 130
+
+    def test_oversized_integer_literal_is_a_config_error(self, tmp_path, capsys):
+        # json's int() refuses more than 4300 digits by default
+        text = json.dumps(EXAMPLE_CONFIG).replace('"T": 1.0', '"T": 1' + "0" * 5000)
+        path = tmp_path / "config.json"
+        path.write_text(text)
+        with pytest.raises(ConfigError):
+            load_config(path)
+        assert main(["analyze", "--config", str(path)]) == 1
+        assert capsys.readouterr().err.startswith("config error: ")
 
     @pytest.mark.parametrize("section,value", [
         ("problem", 3),
@@ -681,29 +694,36 @@ class TestVerify:
         capsys.readouterr()
 
     def test_chunk_takes_four_tracks_to_the_grid(self, branch_csv, tmp_path, monkeypatch):
-        # x and xdot of verify_lift, then x and its xdot of the residual
-        # from one rFFT: four inverse FFTs onto the quadrature grid per chunk
-        # of rows, whatever its size
+        # phi on the samples of verify_lift's tracks, then on those of the
+        # residual's: two inverse FFTs of the tracks' size per chunk of
+        # rows, whatever its size, none of another, and no density value
         cfg, csv = branch_csv
         lines = csv.read_text().splitlines()
         one_row = tmp_path / "one_row.csv"
         one_row.write_text("\n".join([lines[0], lines[-1]]) + "\n")
-        work = {"grid_irffts": 0}
-        irfft = np.fft.irfft
+        work = {"track_irffts": 0, "other_sizes": 0, "gamma_calls": 0}
+        irfft, gamma_eval = np.fft.irfft, oracle.gamma_eval
 
         def counted_irfft(a, n=None, *args, **kwargs):
-            work["grid_irffts"] += n == oracle.QUAD_SUBINTERVALS
+            size = n or 2 * (np.shape(a)[-1] - 1)
+            work["track_irffts" if size == orbit.DENSE_SAMPLES else "other_sizes"] += 1
             return irfft(a, n, *args, **kwargs)
 
+        def counted_gamma_eval(k, s):
+            work["gamma_calls"] += 1
+            return gamma_eval(k, s)
+
         monkeypatch.setattr(np.fft, "irfft", counted_irfft)
+        monkeypatch.setattr(oracle, "gamma_eval", counted_gamma_eval)
         doc = cmd_verify(cfg, one_row)
         assert doc["all_pass"] and len(doc["rows"]) == 1
-        assert work == {"grid_irffts": 4}
-        work["grid_irffts"] = 0
+        assert work == {"track_irffts": 2, "other_sizes": 0, "gamma_calls": 0}
+        work["track_irffts"] = 0
         doc = cmd_verify(cfg, csv)
         rows = len(lines) - 1
         assert rows > cli.VERIFY_CHUNK and len(doc["rows"]) == rows
-        assert work == {"grid_irffts": 4 * math.ceil(rows / cli.VERIFY_CHUNK)}
+        assert work == {"track_irffts": 2 * math.ceil(rows / cli.VERIFY_CHUNK),
+                        "other_sizes": 0, "gamma_calls": 0}
 
     @staticmethod
     def assert_rows_are_one_row_calls(cfg, csv):

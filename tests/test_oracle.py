@@ -11,9 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import helpers
-from gammachain import chain, oracle, orbit
+from gammachain import chain, kernel, oracle, orbit
 from gammachain.chain import ProblemSpec, lifted_zero
-from gammachain.kernel import GammaKernel, tail_horizon
 from gammachain.oracle import (PeriodicTrack, direct_residual,
                                history_convolution, verify_lift)
 
@@ -37,9 +36,10 @@ def cardinal_series(y, T, ts):
     return np.sin(n * s) / (n * (np.tan(s) if n % 2 == 0 else np.sin(s))) @ y
 
 
-def grid_times(T):
-    """The quadrature grid's times jT/4096 at which the oracle convolves."""
-    return T * np.arange(oracle.QUAD_SUBINTERVALS) / oracle.QUAD_SUBINTERVALS
+def sample_times(track):
+    """The track's sample times jT/n, at which the oracle convolves."""
+    n = track.samples.shape[-1]
+    return track.period * np.arange(n) / n
 
 
 def lift_of(p, sol):
@@ -140,63 +140,55 @@ class TestHistoryConvolution:
         x = cosine_track()
         xd = x.derivative()
         w = 2 * math.pi
-        t = grid_times(1.0)
+        t = sample_times(x)
         want = a * (a * np.cos(w * t) + w * np.sin(w * t)) / (a * a + w * w)
         got = history_convolution(p, x, xd)[0]
         assert np.max(np.abs(got - want)) <= 1e-6
 
-    def test_every_stage_closed_form(self):
-        # phi(x, xdot) = x with x(s) = cos(omega s), omega = 2 pi / T:
+    @staticmethod
+    def assert_every_stage_closed_form(a, b, T, n, cycles, bound):
+        # phi(x, xdot) = x with x(s) = cos(omega s), omega = 2 pi cycles / T:
         # stage i is Re[(a / (a + i omega))^i exp(i omega t)]
-        a, b, T = 8.0, 4, 4.0
-        p = ProblemSpec.from_strings("-x0", "p", "sin(2*pi*t/4)", a, b, T)
-        x = cosine_track(T=T)
-        xd = x.derivative()
-        w = 2 * math.pi / T
-        t = grid_times(T)
-        got = history_convolution(p, x, xd)
+        p = ProblemSpec.from_strings("-x0", "p", f"sin(2*pi*t/{T})", a, b, T)
+        x = cosine_track(cycles=cycles, n=n, T=T)
+        w = 2 * math.pi * cycles / T
+        got = history_convolution(p, x, x.derivative())
+        # each column's time, jT/m for m columns: the samples' for m = n
+        t = T * np.arange(got.shape[-1]) / got.shape[-1]
         want = [((a / (a + 1j * w)) ** i * np.exp(1j * w * t)).real
                 for i in range(1, b + 1)]
-        assert np.max(np.abs(got - want)) <= 1e-9
+        assert np.max(np.abs(got - want)) <= bound
+        assert got.shape == (b, n)
+
+    @pytest.mark.parametrize("a, b, T", [(8.0, 4, 4.0), (60.0, 60, 1.0), (150.0, 150, 1.0)],
+                             ids=["a8_b4_T4", "a60_b60_T1", "a150_b150_T1"])
+    def test_every_stage_closed_form(self, a, b, T):
+        # the transfer functions are exact, so only rounding is left: a
+        # quadrature of the density would be off by 1e-10 to 1e-7 here
+        self.assert_every_stage_closed_form(a, b, T, 512, 3, 1e-13)
 
     def test_shape(self):
         x = cosine_track()
         for b in (2, 8):
             p = ProblemSpec.from_strings("-x0", "q-p", "sin(2*pi*t)", 2.0, b, 1.0)
-            assert history_convolution(p, x, x.derivative()).shape == (b, 4096)
+            assert history_convolution(p, x, x.derivative()).shape == (b, 512)
 
-    def test_tracks_off_the_quadrature_grid(self, example_problem):
-        # the grid's 4096 times hold a whole number of them per sample cell
-        for n in (96, 8192):
-            x = PeriodicTrack(np.zeros(n), 1.0)
-            with pytest.raises(ValueError, match="divides 4096"):
-                history_convolution(example_problem, x, x)
-
-    def test_horizon_doubling_converged(self, example_problem, monkeypatch):
-        # a tail mass of 1e-24 about doubles the folded horizon
-        x = cosine_track(amplitude=0.3)
-        xd = x.derivative()
-        k = GammaKernel(2.0, 2)
-        assert tail_horizon(k, 1e-24) >= 1.9 * tail_horizon(k, oracle.TRUNCATION_MASS)
-        a = history_convolution(example_problem, x, xd)
-        monkeypatch.setattr(oracle, "TRUNCATION_MASS", 1e-24)
-        oracle._kernel_spectra.cache_clear()
-        try:
-            b = history_convolution(example_problem, x, xd)
-        finally:
-            oracle._kernel_spectra.cache_clear()
-        assert np.max(np.abs(a - b)) < 1e-9
+    def test_tracks_off_the_quadrature_grid(self):
+        # the oracle convolves on no grid but the samples', so counts
+        # that do not divide 4096, exceed it or are odd meet the closed
+        # form as 512 does
+        for n in (96, 8192, 99):
+            self.assert_every_stage_closed_form(8.0, 4, 4.0, n, 3, 1e-13)
 
     def test_chain_recurrence_closure(self, example_problem):
         # d/dt y_i = a (y_{i-1} - y_i), with y_0-level input phi(x, xdot)
         p = example_problem
-        x = cosine_track(amplitude=0.3)
+        x = cosine_track(amplitude=0.3, n=4096)
         xd = x.derivative()
-        t = grid_times(1.0)
-        phi = xd.value(t) - x.value(t)
+        phi = xd.samples - x.samples
         y1, y2 = history_convolution(p, x, xd)
-        # central differences across one grid step either side
-        h = t[1]
+        # central differences across one sample step either side
+        h = x.period / x.samples.size
         d1, d2 = ((np.roll(y, -1) - np.roll(y, 1)) / (2 * h) for y in (y1, y2))
         assert np.max(np.abs(d1 - 2.0 * (phi - y1))) <= 1e-5
         assert np.max(np.abs(d2 - 2.0 * (y1 - y2))) <= 1e-5
@@ -207,9 +199,9 @@ class TestHistoryConvolution:
         for p, tr in ((example_problem, traj), long_period_point):
             _, x, xd = helpers.sampled_tracks(tr)
             conv = history_convolution(p, x, xd)
-            t = grid_times(p.T)
+            t = sample_times(x)
             # about the times 0, 0.23 T and 0.71 T
-            for j in (0, 942, 2908):
+            for j in (0, 118, 364):
                 want = [helpers.reference_history_convolution(p, x, xd, i, t[j])
                         for i in range(1, p.kernel.b + 1)]
                 assert np.max(np.abs(conv[:, j] - want)) <= 1e-9
@@ -225,91 +217,81 @@ def chunk_of_trajectories(p, rows=3):
 
 
 class TestOracleWork:
-    """One verify_lift or direct_residual on a chunk of rows takes each
-    track to the quadrature grid by one rFFT and one inverse FFT, and
-    reuses the cached kernel spectra on the next call."""
+    """One verify_lift or direct_residual on a chunk of rows transforms
+    phi on the tracks' samples by one rFFT and brings every stage back by
+    one inverse FFT, both of the tracks' size; no transform of another
+    size, and no evaluation of the density or of its tail."""
 
     @pytest.fixture()
     def counted(self, monkeypatch):
-        work = {"grid_irffts": 0, "track_rffts": 0, "gamma_calls": 0}
-        rfft, irfft, gamma_eval = np.fft.rfft, np.fft.irfft, oracle.gamma_eval
+        work = {"rffts": 0, "irffts": 0, "other_sizes": 0, "kernel_calls": 0}
+        rfft, irfft = np.fft.rfft, np.fft.irfft
 
-        def counted_rfft(a, *args, **kwargs):
-            work["track_rffts"] += np.shape(a)[-1] == orbit.DENSE_SAMPLES
-            return rfft(a, *args, **kwargs)
+        def count(size, key):
+            work[key if size == orbit.DENSE_SAMPLES else "other_sizes"] += 1
+
+        def counted_rfft(a, n=None, *args, **kwargs):
+            count(n or np.shape(a)[-1], "rffts")
+            return rfft(a, n, *args, **kwargs)
 
         def counted_irfft(a, n=None, *args, **kwargs):
-            work["grid_irffts"] += n == oracle.QUAD_SUBINTERVALS
+            count(n or 2 * (np.shape(a)[-1] - 1), "irffts")
             return irfft(a, n, *args, **kwargs)
 
-        def counted_gamma_eval(k, s):
-            work["gamma_calls"] += 1
-            return gamma_eval(k, s)
+        def counted_kernel(function):
+            def call(*args):
+                work["kernel_calls"] += 1
+                return function(*args)
+            return call
 
         monkeypatch.setattr(np.fft, "rfft", counted_rfft)
         monkeypatch.setattr(np.fft, "irfft", counted_irfft)
-        monkeypatch.setattr(oracle, "gamma_eval", counted_gamma_eval)
+        for owner in (kernel, oracle):
+            for name in ("gamma_eval", "tail_horizon"):
+                monkeypatch.setattr(owner, name, counted_kernel(getattr(owner, name)))
         return work
 
     @pytest.mark.parametrize("b", [2, 8])
     def test_verify_lift_work(self, counted, b):
-        # x and xdot: one rFFT and one inverse FFT each
         p = ProblemSpec.from_strings(**dict(helpers.EXAMPLE, b=b))
         for rows in (1, 4):
             trajs, _ = chunk_of_trajectories(p, rows)
             coords, x, xd = helpers.sampled_tracks(trajs)
-            counted.update(track_rffts=0, grid_irffts=0)
+            counted.update(rffts=0, irffts=0)
             verify_lift(p, coords, x, xd)
-            assert counted["track_rffts"] == 2 and counted["grid_irffts"] == 2
-            counted["gamma_calls"] = 0
-            verify_lift(p, coords, x, xd)
-            assert counted["gamma_calls"] == 0
-
-    def test_kernel_spectra_stay_cached_above_128_stages(self, counted):
-        # every stage's spectrum is one cache entry of the problem, so a
-        # walk over 150 stages does not evict the stages it comes back to
-        b = 150
-        p = ProblemSpec.from_strings(**dict(helpers.EXAMPLE, a=150.0, b=b))
-        x = cosine_track(amplitude=0.3)
-        coords = np.zeros((b, x.samples.size))
-        verify_lift(p, coords, x, x.derivative())
-        assert counted["gamma_calls"] >= b
-        counted["gamma_calls"] = 0
-        verify_lift(p, coords, x, x.derivative())
-        direct_residual(p, 0.0, x)
-        assert counted["gamma_calls"] == 0
+            assert counted == {"rffts": 1, "irffts": 1, "other_sizes": 0,
+                               "kernel_calls": 0}
 
     @pytest.mark.parametrize("rows", [1, 4])
     def test_direct_residual_work(self, counted, example_problem, rows):
-        # x and x.derivative(): one rFFT and one inverse FFT each
         trajs, lams = chunk_of_trajectories(example_problem, rows)
         _, x, _ = helpers.sampled_tracks(trajs)
-        counted.update(track_rffts=0, grid_irffts=0)
+        counted.update(rffts=0, irffts=0)
         direct_residual(example_problem, lams, x)
-        assert counted["track_rffts"] == 2 and counted["grid_irffts"] == 2
+        assert counted == {"rffts": 1, "irffts": 1, "other_sizes": 0, "kernel_calls": 0}
 
 
 @settings(derandomize=True, deadline=None, max_examples=40)
 @given(rows=st.integers(1, 5), n=st.sampled_from([16, 64, 512]),
-       period=st.floats(0.2, 8.0), shift=st.integers(-2 * 4096, 3 * 4096),
+       period=st.floats(0.2, 8.0), shift=st.floats(-2.0, 3.0),
        seed=st.integers(0, 2**32 - 1))
 def test_grid_route_is_the_trigonometric_interpolant(rows, n, period, shift, seed):
-    # the grid's values rolled by ``shift`` steps are value's at the grid
-    # times shifted by shift T / 4096, which wrap outside [0, T)
+    # value at the sample times shifted by the whole steps in ``shift``
+    # periods, which wrap outside [0, T), is the samples rolled by as many
+    # steps; so for the derivative's track
+    steps = math.floor(shift * n)
     rng = np.random.default_rng(seed)
     y = rng.normal(0.0, 10.0 ** rng.uniform(-2, 2), (rows, n)) + rng.uniform(-5, 5)
     track = PeriodicTrack(y, period)
     d = track.derivative()
-    xv, dv = (np.roll(oracle._on_grid(tr), -shift, axis=-1) for tr in (track, d))
-    ts = grid_times(period) + shift * period / oracle.QUAD_SUBINTERVALS
+    ts = sample_times(track) + steps * period / n
     bound = 1e-12 * np.max(np.abs(y))
-    assert np.max(np.abs(xv - track.value(ts))) <= bound
-    assert np.max(np.abs(dv - d.value(ts))) <= 1e-12 * np.max(np.abs(d.samples))
-    # value goes through the samples
-    assert np.max(np.abs(track.value(period * np.arange(n) / n) - y)) <= bound
+    assert np.max(np.abs(track.value(ts) - np.roll(y, -steps, axis=-1))) <= bound
+    assert (np.max(np.abs(d.value(ts) - np.roll(d.samples, -steps, axis=-1)))
+            <= 1e-12 * np.max(np.abs(d.samples)))
     for r in range(rows):
-        one = oracle._on_grid(PeriodicTrack(y[r], period))
-        assert np.array_equal(np.roll(one, -shift), xv[r])
+        one = PeriodicTrack(y[r], period).value(ts)
+        assert np.max(np.abs(one - np.roll(y[r], -steps))) <= bound
     # and reproduces harmonics below n / 2 at any time, to the rounding of
     # t times the harmonic's number
     k = rng.integers(0, n // 2, 6)
@@ -349,24 +331,13 @@ class TestChunks:
         lifts = verify_lift(p, coords, x, xd)
         residuals = direct_residual(p, lams, x)
         conv = history_convolution(p, x, xd)
-        assert lifts.shape == residuals.shape == (5,) and conv.shape == (5, 4, 4096)
+        assert lifts.shape == residuals.shape == (5,)
+        assert conv.shape == (5, 4, orbit.DENSE_SAMPLES)
         for r, traj in enumerate(trajs):
             coords1, x1, xd1 = helpers.sampled_tracks(traj)
             assert lifts[r] == verify_lift(p, coords1, x1, xd1)
             assert residuals[r] == direct_residual(p, lams[r], x1)
             assert np.array_equal(conv[r], history_convolution(p, x1, xd1))
-
-    def test_test_times_are_the_full_grid_decimated(self, example_problem,
-                                                    long_period_point):
-        # folding the spectrum modulo 64 samples the 4096-time result
-        for p, traj in ((example_problem, chunk_of_trajectories(example_problem, 1)[0][0]),
-                        long_period_point):
-            _, x, xd = helpers.sampled_tracks(traj)
-            step = oracle.QUAD_SUBINTERVALS // oracle.TEST_TIMES
-            full = history_convolution(p, x, xd)
-            folded = oracle._convolutions(p, x, xd, range(1, p.kernel.b + 1),
-                                          oracle.TEST_TIMES)
-            assert np.max(np.abs(folded - full[:, ::step])) <= 1e-15
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_nonfinite_row_raises(self, example_problem, bad):
