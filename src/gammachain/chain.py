@@ -15,9 +15,8 @@ Where a C compiler is on PATH, ``rk45.compiled_stages`` compiles the C
 that the same writer makes of the same trees to one C solve on the first
 solve, which waits for it; the Python float stages are then generated
 only for a solve that C replays on them.  On those, a stacked run makes
-its columns' attempts in turn (``rk45.stacked_stages``) below
-``VECTOR_STAGES_MIN_DIM`` and at once on an array (``rk45.vector_stages``)
-from there on, with the same bits either way.
+its columns' attempts at once on an array (``rk45.vector_stages``), with
+the bits and the failures of the C solve.
 """
 from __future__ import annotations
 
@@ -36,13 +35,6 @@ __all__ = ["ProblemSpec", "ExpandedField", "expand", "lifted_zero", "as_state"]
 _PERIODICITY_SEED = 0x5EED0001
 _PERIODICITY_SAMPLES = 50
 _PERIODICITY_TOL = 1e-9
-# Least dim whose stacked runs on the Python float stages are vectorized.
-# One stacked run of dim + 2 columns over a period, from linspace(0.3,
-# -0.2, dim) at lam = 0.1, takes 5.4 / 7.0 / 8.9 / 13.8 / 27 ms column
-# after column and 6.9 / 7.7 / 8.5 / 10.4 / 13.5 ms vectorized at dim 8 / 9
-# / 10 / 12 / 16 (the workload fields with a = b = dim - 2, T = 1; 2-vCPU
-# x86, medians of 7).  Both give the same bits.
-VECTOR_STAGES_MIN_DIM = 10
 
 G_VARS = ("x0", "x1", "x2")   # (x, xdot, delayed term)
 PHI_VARS = ("p", "q")         # (x, xdot)
@@ -214,16 +206,18 @@ def expand(p: ProblemSpec) -> ExpandedField:
 
     def vector_field(lams):
         """G + lams[c] F on row c of a (columns, dim) array of states, for
-        ``rk45.vector_stages``: the cascade rows elementwise, rows 1 and 2
-        column after column with the scalar g, phi and f, since NumPy's
-        sin, cos and exp need not round as the float stages' libm does."""
+        ``rk45.vector_stages``: the cascade rows elementwise, and rows 1
+        and 2 by the scalar g, phi and f (NumPy's sin, cos and exp need not
+        round as the float stages' libm does) in one loop over the columns,
+        g, f and phi in each, the float stages' order, so that the first of
+        them to fail is the one at which C stops."""
         g, phi, f = _compiled(p)
         def field(s, W, out):
-            u, v0 = W[:, 0].tolist(), W[:, 1].tolist()
+            u, v0, vb = W[:, 0].tolist(), W[:, 1].tolist(), W[:, dim - 1].tolist()
             out[:, 0] = W[:, 1]
-            out[:, 1] = [g(x, v, w) + lam * f(s, x, v)
-                         for x, v, w, lam in zip(u, v0, W[:, dim - 1].tolist(), lams)]
-            out[:, 2] = a * (np.array([phi(x, v) for x, v in zip(u, v0)]) - W[:, 2])
+            out[:, 1:3] = [(g(x, v, w) + lam * f(s, x, v), phi(x, v))
+                           for x, v, w, lam in zip(u, v0, vb, lams)]
+            out[:, 2] = a * (out[:, 2] - W[:, 2])
             out[:, 3:] = a * (W[:, 2:dim - 1] - W[:, 3:])
         return field
 
@@ -248,13 +242,10 @@ def expand(p: ProblemSpec) -> ExpandedField:
 
     def python_stages(lams):
         """The Python float stages of the columns at ``lams``: a lone
-        column's own, and for more, column after column below
-        ``VECTOR_STAGES_MIN_DIM``, vectorized from there on."""
+        column's own, and for more, vectorized."""
         columns = [column_stages()(lam) for lam in lams]
         if len(columns) == 1:
             return columns[0]
-        if dim < VECTOR_STAGES_MIN_DIM:
-            return rk45.stacked_stages(columns, dim)
         return rk45.vector_stages(vector_field(lams), columns, dim)
 
     def stages(lams):

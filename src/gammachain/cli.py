@@ -89,6 +89,8 @@ def _integer(d: dict, key: str, path: str) -> int:
     v = d[key]
     if isinstance(v, bool) or not isinstance(v, int):
         raise ConfigError(f"{path}.{key}: expected an integer, got {orbit.shown(v)}")
+    if v > sys.maxsize:  # no array can be that long
+        raise ConfigError(f"{path}.{key}: must be at most {sys.maxsize}, got {orbit.shown(v)}")
     return v
 
 

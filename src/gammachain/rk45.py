@@ -7,10 +7,9 @@ Shampine (1986), as in SciPy's ``RK45``.  ``solve_ivp`` runs the step
 control on float stages.  The float stages of ``float_stages`` are
 straight-line float code for one RK45 attempt of a field given as one
 Python expression per component (``chain.expand`` compiles them for each
-problem's field); ``stacked_stages`` makes that attempt for many columns
-stacked into one state, each at its own lam, by calling each column's
-attempt in turn, and ``vector_stages`` makes it on the array of the
-columns at once, with the same results bit for bit.  Their C kernel
+problem's field); ``vector_stages`` makes that attempt for many columns
+stacked into one state, each at its own lam, on the array of the columns
+at once, failing where the C loop stops.  Their C kernel
 (:func:`compiled_stages`, a :class:`CompiledAttempt` per solve) runs a
 whole solve of one column or of many, initial step and step loop, in one
 call, generated from the C spelling of the same field with the same IEEE
@@ -42,7 +41,7 @@ import numpy as np
 
 __all__ = ["TOL", "C", "A", "B", "E", "P", "IntegrationError", "Solution",
            "CompiledAttempt", "compiled_stages", "float_stages",
-           "stacked_stages", "vector_stages", "solve_ivp"]
+           "vector_stages", "solve_ivp"]
 
 TOL = 1e-10  # the relative and absolute tolerance of every solve
 
@@ -142,17 +141,16 @@ def float_stages(derivatives: list[str], namespace: dict):
     ``derivatives[i]`` is a Python expression for component i of F over
     the stage state ``w0 .. w<n-1>``, the stage time ``s`` and ``lam``;
     ``namespace`` holds the functions it calls.  ``rhs(s, y)`` is the tuple
-    F(s, y) for any sequence y.  ``attempt(t, y, f, h, sq=0.0)`` takes the
-    state y and f = F(t, y) as float tuples or lists and makes one RK45
-    attempt of step h with SciPy's arithmetic written out per component
-    (sums in stage order; zero coefficients skipped, except that the error
-    keeps 0 * k1, so a non-finite stage still gives a non-finite error).
-    It returns (y_new, f_new, the 7n stages stage after stage, sq plus the
+    F(s, y) for any sequence y.  ``attempt(t, y, f, h)`` takes the state y
+    and f = F(t, y) as float tuples or lists and makes one RK45 attempt of
+    step h with SciPy's arithmetic written out per component (sums in
+    stage order; zero coefficients skipped, except that the error keeps 0
+    * k1, so a non-finite stage still gives a non-finite error).  It
+    returns (y_new, f_new, the 7n stages stage after stage, the sum of the
     squares of the error relative to TOL + max(|y|, |y_new|) * TOL, added
-    one component after another): the running sum of squares of a stacked
-    run, whose root ``solve_ivp``'s step loop takes.  A field
-    evaluation that raises OverflowError or ValueError raises
-    :class:`IntegrationError` at its stage time; ZeroDivisionError
+    one component after another), whose root ``solve_ivp``'s step loop
+    takes.  A field evaluation that raises OverflowError or ValueError
+    raises :class:`IntegrationError` at its stage time; ZeroDivisionError
     propagates.
     """
     n = len(derivatives)
@@ -161,7 +159,7 @@ def float_stages(derivatives: list[str], namespace: dict):
              "    def rhs(s, y):",
              f"        {w} = y",
              f"        return ({', '.join(derivatives)},)",
-             "    def attempt(t, y, f, h, sq=0.0):",
+             "    def attempt(t, y, f, h):",
              f"        {', '.join(f'y{i}' for i in range(n))}, = y",
              f"        {', '.join(f'k0_{i}' for i in range(n))}, = f",
              "        try:"]
@@ -184,7 +182,7 @@ def float_stages(derivatives: list[str], namespace: dict):
                   f" / ({TOL!r} + (a{i} if a{i} > b{i} else b{i}) * {TOL!r})"]
     stages = ", ".join(f"k{st}_{i}" for st in range(7) for i in range(n))
     lines += [f"        return ({w}), ({', '.join(f'k6_{i}' for i in range(n))},), ({stages},), "
-              f"sq + {' + '.join(f'e{i} * e{i}' for i in range(n))}",
+              f"{' + '.join(f'e{i} * e{i}' for i in range(n))}",
               "    return rhs, attempt"]
     ns = dict(namespace, IntegrationError=IntegrationError,
               OverflowError=OverflowError, ValueError=ValueError, abs=abs,
@@ -216,9 +214,10 @@ def _c_source(derivatives: list[str]) -> str:
     w[n-1]``, the stage time ``s`` and ``lam`` as ``expr._code`` writes
     them, for a state of one or more columns: its initial step
     (:func:`_float_initial_step`) and its step loop, written with the same
-    operations in the same order as the Python float stages, whose
-    attempts :func:`stacked_stages` makes column after column, the error's
-    sum of squares running on from one to the next (``min(a, b)`` as ``b <
+    operations in the same order as the Python float stages of one column
+    and :func:`vector_stages` of more, the field evaluated stage after
+    stage and in each stage column after column, and the error's sum of
+    squares running on from one column to the next (``min(a, b)`` as ``b <
     a ? b : a`` and ``max(a, b)`` as ``b > a ? b : a``, which keep Python's
     choice when one of them is NaN).  The field computes the expressions
     as written and returns the flag that its checks set where Python might
@@ -533,9 +532,9 @@ class CompiledAttempt:
     initial step and step loop, and where it stops at a value for which
     Python might part from C, the solve replays on the Python float stages
     of the same columns, which ``build()`` makes: the (rhs, attempt) of
-    the float stages of one column, or of :func:`stacked_stages` of theirs
-    for more.  Where two columns would fail differently, the replay raises
-    the failure of the lower one."""
+    the float stages of one column, or of :func:`vector_stages` of theirs
+    for more, which fail at the stage, column and component at which C
+    stops."""
 
     __slots__ = ("solve", "dim", "lams", "build")
 
@@ -593,37 +592,6 @@ def _steps_block(cap, size, n):
             block[cap * (1 + size):].reshape(cap, 7, n))
 
 
-def stacked_stages(columns, dim):
-    """(rhs, attempt) of ``solve_ivp`` for columns of ``dim`` components
-    stacked into one state, column after column, column c solving y' =
-    F_c(t, y) on its float stages ``columns[c]``, an (rhs, attempt) of
-    :func:`float_stages`.  ``rhs`` calls each column's on its slice of the
-    state.  The attempt makes each column's attempt in column order,
-    handing the error's sum of squares on from one to the next, so that it
-    sums as the C loop does and its results are the C loop's bit for bit;
-    it keeps column 0's stages.  Each column's attempt ends before the
-    next one starts, so where two columns would fail differently, the
-    lower one's failure is raised (the C loop stops at either and replays
-    the run here)."""
-    def rhs(s, y):
-        out = []
-        for c, (field, _) in enumerate(columns):
-            out += field(s, y[c * dim:c * dim + dim])
-        return out
-
-    def attempt(t, y, f, h, sq=0.0):
-        y_new, f_new = [], []
-        for c, (_, step) in enumerate(columns):
-            w, k6, K, sq = step(t, y[c * dim:c * dim + dim], f[c * dim:c * dim + dim], h, sq)
-            y_new += w
-            f_new += k6
-            if c == 0:
-                stages = K
-        return y_new, f_new, stages, sq
-
-    return rhs, attempt
-
-
 def _vector_sum(coefs, K, zeros=False):
     """sum_j coefs[j] * K[j] of the stage arrays K[j], elementwise, as
     :func:`_combination` writes it."""
@@ -635,21 +603,31 @@ def _vector_sum(coefs, K, zeros=False):
 
 
 def vector_stages(field, columns, dim):
-    """(rhs, attempt) of ``solve_ivp`` for the stacked run of
-    :func:`stacked_stages` ``(columns, dim)``, its attempt made on the
-    (columns, dim) array of the state at once, with the same results bit
-    for bit.  ``field(s, W, out)`` writes into the (columns, dim) array
+    """(rhs, attempt) of ``solve_ivp`` for columns of ``dim`` components
+    stacked into one state, column after column, column c solving y' =
+    F_c(t, y) on its float stages ``columns[c]``, an (rhs, attempt) of
+    :func:`float_stages`.  ``rhs`` calls each column's on its slice of the
+    state.  The attempt is made on the (columns, dim) array of the state
+    at once, with the results of the C loop bit for bit, and keeps column
+    0's stages.  ``field(s, W, out)`` writes into the (columns, dim) array
     ``out`` the field of each row of W, at the stage time s and its
-    column's lam, rounding as the float stages do.  The stage sums are
-    :func:`_combination`'s, elementwise, and the error's squares add in
+    column's lam, rounding as the float stages do, column after column and
+    in each column in the float stages' component order.  The stage sums
+    are :func:`_combination`'s, elementwise, and the error's squares add in
     column then component order (``np.add.accumulate``), the larger of
     |y| and |y_new| taken as ``a if a > b else b``.  The state stays an
-    array from attempt to attempt.  ``rhs`` is that of
-    :func:`stacked_stages`.  Wherever ``field`` raises, the attempt is made
-    again on :func:`stacked_stages`, so that the lower column's failure is
-    the one raised."""
-    rhs, replay = stacked_stages(columns, dim)
+    array from attempt to attempt.  An attempt fails where the C loop
+    stops: at the first failure in stage order, then column order, then
+    component order.  There, as in the float stages, an OverflowError or
+    ValueError of the field raises :class:`IntegrationError` at its stage
+    time, and a ZeroDivisionError propagates."""
     shape = (len(columns), dim)
+
+    def rhs(s, y):
+        out = []
+        for c, (column, _) in enumerate(columns):
+            out += column(s, y[c * dim:c * dim + dim])
+        return out
 
     def attempt(t, y, f, h):
         Y = np.reshape(y, shape)
@@ -665,8 +643,8 @@ def vector_stages(field, columns, dim):
                         s = t + h
                         W = Y + h * _vector_sum(B, K)
                     field(s, W, K[st])
-            except (ZeroDivisionError, OverflowError, ValueError):
-                return replay(t, np.asarray(y).tolist(), np.asarray(f).tolist(), h)
+            except (OverflowError, ValueError) as exc:
+                raise IntegrationError(s, f"field evaluation failed: {exc}") from exc
             a, b = np.abs(Y), np.abs(W)
             e = (_vector_sum(E, K, zeros=True) * h) / (TOL + np.where(a > b, a, b) * TOL)
             sq = np.add.accumulate((e * e).ravel())[-1]
@@ -731,14 +709,13 @@ def solve_ivp(stages, t_span, y0) -> Solution:
     """SciPy's RK45 for y' = F(t, y) from y0 over t_span = (t0, t1), t0 <
     t1, at rtol = atol = ``TOL``, on the float stages ``stages`` of F.
 
-    ``stages`` is the (rhs, attempt) of :func:`float_stages`,
-    :func:`stacked_stages` or :func:`vector_stages`, or a
-    :class:`CompiledAttempt` of them, whose C call runs the whole solve and
-    which builds them to replay it where C stops.  The dense output
-    is that of the stages the attempt keeps: every component of a single
-    solve, column 0's of a stacked run.  Every attempt returns the error's
-    sum of squares, and the step loop takes the RMS norm, sqrt(sq) /
-    sqrt(n).  The step control is SciPy's: its initial step, with the
+    ``stages`` is the (rhs, attempt) of :func:`float_stages` or
+    :func:`vector_stages`, or a :class:`CompiledAttempt` of them, whose C
+    call runs the whole solve and which builds them to replay it where C
+    stops.  The dense output is that of the stages the attempt keeps:
+    every component of a single solve, column 0's of a stacked run.  Every
+    attempt returns the error's sum of squares, and the step loop takes the
+    RMS norm, sqrt(sq) / sqrt(n).  The step control is SciPy's: its initial step, with the
     norms' squares summed in component order (``_float_initial_step``, as
     in C), a least step of 10 ulp(t), step factors 0.9 err^(-1/5) within
     [0.2, 10] (at most 1 after a rejection), and the last step clipped to

@@ -288,7 +288,6 @@ def test_forcing_batch_matches_scalar(example_field, monkeypatch):
     vector_stages = rk45.vector_stages
     monkeypatch.setattr(rk45, "vector_stages",
                         lambda field, *args: fields.append(field) or vector_stages(field, *args))
-    monkeypatch.setattr(chain, "VECTOR_STAGES_MIN_DIM", 0)
     rng = np.random.default_rng(7)
     lams = rng.uniform(0.0, 1.0, size=9)
     helpers.python_stages(example_field.stages(lams))

@@ -129,6 +129,20 @@ class TestLoadConfig:
         # a 401-digit value is shown by its first 40 characters and its length
         assert max(map(len, err.splitlines())) <= 130
 
+    @pytest.mark.parametrize("value", [10**400, sys.maxsize + 1], ids=["10^400", "maxsize+1"])
+    @pytest.mark.parametrize("section,key", [("problem", "b"), ("interval", "grid_n"),
+                                             ("certify", "grid_per_axis")])
+    def test_rejects_integers_beyond_an_index(self, tmp_path, capsys, section, key, value):
+        # an integer no array index holds is a config error, not NumPy's
+        # "Maximum allowed size exceeded" on the way
+        doc = json.loads(json.dumps(EXAMPLE_CONFIG))
+        doc.setdefault(section, {})[key] = value
+        path = write_config(tmp_path, doc)
+        with pytest.raises(ConfigError, match=f"{section}.{key}: must be at most"):
+            load_config(path)
+        assert main(["analyze", "--config", str(path)]) == 1
+        assert capsys.readouterr().err.startswith(f"config error: {section}.{key}")
+
     def test_oversized_integer_literal_is_a_config_error(self, tmp_path, capsys):
         # json's int() refuses more than 4300 digits by default
         text = json.dumps(EXAMPLE_CONFIG).replace('"T": 1.0', '"T": 1' + "0" * 5000)

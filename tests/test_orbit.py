@@ -179,16 +179,6 @@ def jacobian_start(lam, xi):
     return lams, X0.ravel(order="F")
 
 
-def python_builders():
-    """Yields twice: with the Python float stages of every stacked run
-    made column after column (``rk45.stacked_stages``), then vectorized
-    (``rk45.vector_stages``), whatever its dim.  A compiled stacked run
-    replays on them."""
-    for min_dim in (math.inf, 0):
-        with mock.patch.object(chain, "VECTOR_STAGES_MIN_DIM", min_dim):
-            yield
-
-
 def mid_branch_row(name):
     """(lam, xi) of the middle row of the workload's seed-0 reference CSV."""
     field = WORKLOAD_FIELDS[name]
@@ -241,9 +231,7 @@ class TestDenseOutput:
 
 
 class TestPeriodMaps:
-    """Failures of a stacked Jacobian run (``orbit._linearize``), each with
-    the Python float stages of the run column after column and vectorized
-    (``python_builders``)."""
+    """Failures of a stacked Jacobian run (``orbit._linearize``)."""
 
     def test_nan_stages_fail_instead_of_hanging(self):
         # x0 turns negative within the first steps, so x0^0.5 gives a math
@@ -251,10 +239,9 @@ class TestPeriodMaps:
         # size
         f = chain.expand(ProblemSpec.from_strings("x0^0.5 - x2", "q-p", "1",
                                                   1.0, 1, 1.0))
-        for _ in python_builders():
-            with helpers.deadline(5):
-                with pytest.raises(IntegrationError):
-                    orbit._linearize(f, 1.0, np.array([0.01, -1.0, 0.0]))
+        with helpers.deadline(5):
+            with pytest.raises(IntegrationError):
+                orbit._linearize(f, 1.0, np.array([0.01, -1.0, 0.0]))
 
     def test_field_failure_reports_running_time(self):
         # the failure is reported at the time of the failing stage,
@@ -262,10 +249,9 @@ class TestPeriodMaps:
         # (TestIntegrate.test_field_failure_reports_stage_time)
         f = chain.expand(ProblemSpec.from_strings("x0^0.5 - x2", "q-p", "1",
                                                   1.0, 1, 1.0))
-        for _ in python_builders():
-            with pytest.raises(IntegrationError, match="field evaluation failed") as err:
-                orbit._linearize(f, 1.0, np.array([0.01, -1.0, 0.0]))
-            assert 0.0100 < err.value.time < 0.0103
+        with pytest.raises(IntegrationError, match="field evaluation failed") as err:
+            orbit._linearize(f, 1.0, np.array([0.01, -1.0, 0.0]))
+        assert 0.0100 < err.value.time < 0.0103
 
     def test_blow_up_fails_where_solve_ivp_does(self):
         p = ProblemSpec.from_strings("x0^3", "0*p", "sin(2*pi*t)", 1.0, 1, 1.0)
@@ -273,13 +259,12 @@ class TestPeriodMaps:
         xi0 = np.array([20.0, 20.0, 0.0])
         sol = reference_solve(f, 0.0, xi0)
         assert not sol.success
-        for _ in python_builders():
-            with pytest.raises(IntegrationError) as err:
-                orbit._linearize(f, 0.0, xi0)
-            # the stacked run's step control differs from the lone solve's
-            # by the perturbed columns: the times agree to 4.7e-9 (relative)
-            assert err.value.time == pytest.approx(float(sol.t[-1]), rel=1e-8)
-            assert err.value.time == pytest.approx(0.0903137, abs=1e-7)
+        with pytest.raises(IntegrationError) as err:
+            orbit._linearize(f, 0.0, xi0)
+        # the stacked run's step control differs from the lone solve's by
+        # the perturbed columns: the times agree to 4.7e-9 (relative)
+        assert err.value.time == pytest.approx(float(sol.t[-1]), rel=1e-8)
+        assert err.value.time == pytest.approx(0.0903137, abs=1e-7)
 
 
 @st.composite
@@ -469,26 +454,29 @@ class TestFloatStageFailures:
         assert divisions
 
 
+def row_stages(columns, dim):
+    """``rk45.vector_stages`` of the float stages ``columns``, an (rhs,
+    attempt) each, with a field that evaluates row c by column c's rhs."""
+    def field(s, W, out):
+        for c, (rhs, _) in enumerate(columns):
+            out[c] = rhs(s, W[c].tolist())
+    return rk45.vector_stages(field, columns, dim)
+
+
 @pytest.mark.parametrize("name", sorted(WORKLOAD_FIELDS))
 def test_one_stacked_column_is_the_single_solve(name):
-    # a stacked run of one column makes the Python float stages' own
-    # attempts, so it is their single solve, bit for bit
+    # a vectorized stacked run of one column makes the Python float
+    # stages' own attempt on an array, so it is their single solve, bit
+    # for bit
     field = WORKLOAD_FIELDS[name]
     column = helpers.python_stages(field.stages((0.1,)))
     xi0 = np.linspace(0.3, -0.2, field.dim)
     single, stacked = (rk45.solve_ivp(stages, (0.0, field.problem.T), xi0)
-                       for stages in (column, rk45.stacked_stages([column], field.dim)))
+                       for stages in (column, row_stages([column], field.dim)))
     assert np.array_equal(stacked.t, single.t)
     assert np.array_equal(stacked.y, single.y)
     assert np.array_equal(stacked.K, single.K)
     assert stacked.nfev == single.nfev
-
-
-def python_stacked(field, lams, vectorized):
-    """(rhs, attempt) of the Python float stages of the stacked run of
-    ``field`` at ``lams``, column after column or vectorized."""
-    with mock.patch.object(chain, "VECTOR_STAGES_MIN_DIM", 0 if vectorized else math.inf):
-        return helpers.python_stages(field.stages(lams))
 
 
 def same_bits(a, b):
@@ -513,46 +501,51 @@ def vector_attempts(draw):
 
 
 class TestVectorStages:
-    """The vectorized attempt of a stacked run (``rk45.vector_stages``) is
-    the attempt of the float stages made column after column
-    (``rk45.stacked_stages``), bit for bit, its failures included."""
+    """The vectorized attempt of a stacked run (``rk45.vector_stages``):
+    each row is its column's float-stage attempt, bit for bit, the run is
+    its C solve, and it fails where the C loop stops."""
 
     @settings(derandomize=True, deadline=None, max_examples=25)
     @given(case=vector_attempts())
     def test_one_attempt_is_the_column_attempts(self, case):
+        # y_new and f_new row by row, and the stages kept, column 0's; the
+        # sum of squares runs on from column to column, as the C parity
+        # tests check
         p, lams, t, y, h = case
         field = chain.expand(p)
-        rhs, columns = python_stacked(field, lams, vectorized=False)
-        _, vector = python_stacked(field, lams, vectorized=True)
+        dim = field.dim
+        rhs, vector = helpers.python_stages(field.stages(lams))
         f = rhs(t, y.tolist())
-        want = columns(t, y.tolist(), f, h)
-        got = vector(t, y, np.array(f), h)
-        assert len(got) == len(want) == 4
-        for a, b in zip(got, want):
-            assert same_bits(a, b)
+        y_new, f_new, stages, _ = vector(t, y, np.array(f), h)
+        for c, lam in enumerate(lams):
+            _, column = helpers.python_stages(field.stages((lam,)))
+            rows = slice(c * dim, c * dim + dim)
+            w, k6, K, _ = column(t, y[rows].tolist(), f[rows], h)
+            assert same_bits(y_new[rows], w)
+            assert same_bits(f_new[rows], k6)
+            if c == 0:
+                assert same_bits(stages, K)
 
     @helpers.requires_compiler
-    @pytest.mark.parametrize("b", [6, 45])
+    @pytest.mark.parametrize("b", [1, 2, 4, 6, 45])
     def test_stacked_runs_are_the_c_solve(self, b):
-        # dims 8 and 47, below chain.VECTOR_STAGES_MIN_DIM and above it: the
-        # Jacobian run from linspace(0.3, -0.2, dim) at lambda = 0.1 on
-        # either Python float stages is its C solve
+        # dims 3 to 47, dim 3's cascade slice empty: the Jacobian run from
+        # linspace(0.3, -0.2, dim) at lambda = 0.1 on the Python float
+        # stages is its C solve
         field = chain.expand(ProblemSpec.from_strings(
             "-x0*(1+x2)", "q-p", "1+x*sin(2*pi*t)", float(b), b, 1.0))
         lams, y0 = jacobian_start(0.1, np.linspace(0.3, -0.2, field.dim))
-        for _ in python_builders():
-            python = TestCompiledStages.assert_same(field.stages(lams), (0.0, 1.0), y0)
-            assert isinstance(python, rk45.Solution)
+        python = TestCompiledStages.assert_same(field.stages(lams), (0.0, 1.0), y0)
+        assert isinstance(python, rk45.Solution)
 
-    def test_the_lower_column_fails_first(self):
+    def test_the_earlier_stage_fails_first(self):
         # three unforced columns: column 2 starts at x0 = 0 with x2 = 1, so
         # x0 turns negative and x0^0.5 fails at stage 2 (s = 0.3 h) of every
         # attempt, and f has a pole at the first step size H, where column
-        # 0 divides by 0 at stage 5 (s = h) of the first attempt.  Column
-        # after column, that division rejects the first attempt before
-        # column 2 runs, and the root fails in the next one, at 0.2 * 0.3 H;
-        # the vectorized attempt meets the root first, and makes the
-        # attempt again column after column
+        # 0 divides by 0 at stage 5 (s = h) of the first attempt.  Stage
+        # after stage, and column after column within a stage, as the C
+        # loop goes, the root of the first attempt fails first, at 0.3 H,
+        # on the Python float stages and where C stops there and replays
         y0 = np.array([1.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 1.0])
         lams = (0.0, 0.0, 0.0)
         smooth = chain.expand(ProblemSpec.from_strings("x0^0.5 - x2", "q-p", "1", 1.0, 1, 1.0))
@@ -562,15 +555,12 @@ class TestVectorStages:
             "x0^0.5 - x2", "q-p", f"1/sin(2*pi*(t - {H!r}))", 1.0, 1, 1.0))
         rhs, _ = helpers.python_stages(field.stages(lams))
         assert rk45._float_initial_step(rhs, 0.0, 1.0, y0.tolist())[0] == H
-        errors = []
-        for vectorized in (False, True):
-            errors.append(TestCompiledStages.solve(python_stacked(field, lams, vectorized),
-                                                   (0.0, 1.0), y0))
-        for _ in python_builders():
-            errors.append(TestCompiledStages.solve(field.stages(lams), (0.0, 1.0), y0))
+        stacked = field.stages(lams)
+        errors = [TestCompiledStages.solve(stages, (0.0, 1.0), y0)
+                  for stages in (helpers.python_stages(stacked), stacked)]
         for err in errors:
             assert type(err) is IntegrationError
-            assert err.time == pytest.approx(0.06 * H, rel=1e-12)
+            assert err.time == pytest.approx(0.3 * H, rel=1e-12)
             assert err.time == errors[0].time and str(err) == str(errors[0])
             assert str(err).endswith("field evaluation failed: math domain error")
 
@@ -604,8 +594,8 @@ def random_fields(draw):
 class TestCompiledStages:
     """The float stages compiled to C are the Python float stages, bit for
     bit, wherever a compiler makes them: for a single solve, and for the
-    stacked run of a shooting Jacobian, whose Python float stages are one
-    column's float stages after another (``rk45.stacked_stages``)."""
+    stacked run of a shooting Jacobian, whose Python float stages make
+    its columns' attempts at once on an array (``rk45.vector_stages``)."""
 
     REPLAYS = {
         # sqrt of a negative x0: math.pow raises ValueError at a stage time
@@ -704,8 +694,7 @@ class TestCompiledStages:
     def test_stacked_replay_when_one_column_fails(self, name, monkeypatch):
         # two columns, of which only column 1 meets the failure: C stops
         # there, and the whole run replays on the Python float stages,
-        # column 0's attempt and then column 1's, which raises; two safe
-        # columns run in C to the end
+        # where column 1 raises; two safe columns run in C to the end
         args, xi0 = self.REPLAYS[name]
         field = chain.expand(ProblemSpec.from_strings(*args))
         safe = np.array(self.SAFE[name])
@@ -798,7 +787,7 @@ class TestInitialStep:
         float stages as the replay."""
         make = rk45.float_stages(python, namespace)
         kernel = rk45.compiled_stages(c)
-        return [kernel(lams, lambda lams=lams: rk45.stacked_stages(
+        return [kernel(lams, lambda lams=lams: row_stages(
             [make(lam) for lam in lams], len(python))) for lams in ((0.0,), (0.0, 0.0))]
 
     @pytest.mark.parametrize("case", sorted(BRANCHES))
