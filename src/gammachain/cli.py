@@ -28,11 +28,12 @@ EXIT_SCHEMA = 4
 
 LIFT_THRESHOLD = 1e-4
 RESIDUAL_THRESHOLD = 1e-3
-# rows per oracle pass in ``verify``.  A pass holds about 0.22 MB per row
-# (tracemalloc peak, dense samples included); over row-by-row checks, chunks
-# of 4 rows added 0.6-0.7 MB to the peak RSS of a cold verify of a
-# benchmark reference CSV, chunks of 8 1.6-1.9 MB and chunks of 16 3.7-4.3 MB
-# (medians of 5, x86)
+# rows per oracle pass in ``verify``.  A pass of 4 rows holds 0.06-0.16 MB
+# per row (tracemalloc peak, dense samples included, on the example,
+# long_period and long_chain benchmark reference CSVs); over row-by-row
+# checks, chunks of 4 rows added 0.09-0.24 MB to the peak RSS of a cold
+# verify of the example and long_chain reference CSVs, chunks of 8
+# 0.11-0.76 MB and chunks of 16 0.48-1.8 MB (medians of 5, x86)
 VERIFY_CHUNK = 4
 
 

@@ -22,7 +22,11 @@ or ``integrate`` is one solve of one column.  A shooting Jacobian is one
 solve of the unperturbed column, the lambda column and the monodromy
 columns, stacked into one state; the first residual of each chord Newton
 is its column 0.  Every solve is one ``rk45.Solution``, whose call is its
-dense output; ``dense_samples`` samples it on 512 uniform points.
+dense output, the same bits in C and in NumPy and for x alone or every
+component; ``dense_samples`` samples it on 512 uniform points.  Vector
+norms are NumPy's own formulas written out, ``np.abs(v).max()`` and
+``math.sqrt(v @ v)``, at the bits of ``np.linalg.norm`` and without its
+dispatch.
 """
 from __future__ import annotations
 
@@ -258,8 +262,8 @@ def _newton(field, z_pred, tangent, params, start=None, A=None):
     J, sol = jacobian(z)
     for it in range(cap + 1):
         R = sol.y_end - z[1:]
-        res = float(np.linalg.norm(R, np.inf))
-        scale = 1.0 + float(np.linalg.norm(z, np.inf))
+        res = float(np.abs(R).max())
+        scale = 1.0 + float(np.abs(z).max())
         if res <= tol * scale or (it == cap and res <= 1e-9 * scale):
             return z, it, _Accepted(float(z[0]), z[1:], res, sol), J[:dim]
         if it == cap:
@@ -272,7 +276,7 @@ def _newton(field, z_pred, tangent, params, start=None, A=None):
             raise SingularJacobianError(str(exc)) from exc
         z = z + delta
         z -= (tangent @ (z - z_pred)) * tangent
-        if not np.linalg.norm(z[1:], np.inf) <= 10.0 * params.norm_max:
+        if not np.abs(z[1:]).max() <= 10.0 * params.norm_max:
             raise NoConvergenceError(f"Newton iterate diverged at lambda={z[0]}")
         sol = _shoot(field, z[0], z[1:])
     raise NoConvergenceError(f"no convergence at lambda={z[0]}: residual {res:.3e}")
@@ -299,11 +303,11 @@ def _broyden(field, z_pred, tangent, params, z, A):
     except IntegrationError:
         return z, None, A
     R = sol.y_end - z[1:]
-    res = float(np.linalg.norm(R, np.inf))
+    res = float(np.abs(R).max())
     A = A.copy()
     limit = min(BROYDEN_MAX_ITER, params.newton_max_iter)
     for it in range(limit + 1):
-        if res <= tol * (1.0 + float(np.linalg.norm(z, np.inf))):
+        if res <= tol * (1.0 + float(np.abs(z).max())):
             return z, _Accepted(float(z[0]), z[1:], res, sol), A
         if it == limit:
             break
@@ -312,14 +316,14 @@ def _broyden(field, z_pred, tangent, params, z, A):
         except np.linalg.LinAlgError:
             break
         z_new -= (tangent @ (z_new - z_pred)) * tangent
-        if not np.linalg.norm(z_new[1:], np.inf) <= 10.0 * params.norm_max:
+        if not np.abs(z_new[1:]).max() <= 10.0 * params.norm_max:
             break
         try:
             sol_new = _shoot(field, z_new[0], z_new[1:])
         except IntegrationError:
             break
         R_new = sol_new.y_end - z_new[1:]
-        res_new = float(np.linalg.norm(R_new, np.inf))
+        res_new = float(np.abs(R_new).max())
         if res_new > BROYDEN_CONTRACTION * res:
             return (z_new if res_new < res else z), None, A
         delta = z_new - z
@@ -342,7 +346,7 @@ def newton_periodic(field, lam: float, guess,
     :class:`NoConvergenceError` otherwise on failure.
     """
     xi = chain.as_state(guess, field.dim)
-    if np.linalg.norm(xi, np.inf) > params.norm_max:
+    if np.abs(xi).max() > params.norm_max:
         raise NoConvergenceError(f"guess norm exceeds {params.norm_max}")
     e0 = np.eye(field.dim + 1)[0]
     return _newton(field, np.concatenate(([float(lam)], xi)), e0, params)[2]
@@ -383,8 +387,9 @@ def _extrapolate(zs, ds, z_pred, t_hat):
     """The quadratic through the three points ``zs`` in the chord-length
     parameter, at ds beyond the last, put on the border plane t_hat . (z -
     z_pred) = 0."""
-    s1 = float(np.linalg.norm(zs[1] - zs[0]))
-    s2 = s1 + float(np.linalg.norm(zs[2] - zs[1]))
+    d1, d2 = zs[1] - zs[0], zs[2] - zs[1]
+    s1 = math.sqrt(d1 @ d1)
+    s2 = s1 + math.sqrt(d2 @ d2)
     s = s2 + ds
     q = ((s - s1) * (s - s2) / (s1 * s2) * zs[0]
          - s * (s - s2) / (s1 * (s2 - s1)) * zs[1]
@@ -410,7 +415,7 @@ def _march(field, z_start, tangent, params):
     """
     points: list[BranchPoint] = []
     curve = np.empty((16, 2, z_start.size))  # accepted (z, tangent) rows
-    curve[0] = z_start, tangent / np.linalg.norm(tangent)
+    curve[0] = z_start, tangent / math.sqrt(tangent @ tangent)
     n = 1
     A = None
     ds = params.initial_step
@@ -437,14 +442,14 @@ def _march(field, z_start, tangent, params):
         if z_new[0] > params.lambda_max:
             status = "lambda_max"
             break
-        if np.linalg.norm(z_new[1:], np.inf) > params.norm_max:
+        if np.abs(z_new[1:]).max() > params.norm_max:
             status = "norm_max"
             break
         step_vec = z_new - z_last
-        new_tangent = step_vec / np.linalg.norm(step_vec)
-        earlier = curve[:n - 1]
-        if np.any((np.linalg.norm(earlier[:, 0] - z_new, axis=1) <= 1e-6)
-                  & (earlier[:, 1] @ new_tangent > 0.9)):
+        new_tangent = step_vec / math.sqrt(step_vec @ step_vec)
+        gaps = curve[:n - 1, 0] - z_new
+        if np.any((np.sqrt(np.add.reduce(gaps * gaps, axis=1)) <= 1e-6)
+                  & (curve[:n - 1, 1] @ new_tangent > 0.9)):
             status = "closed_loop"
             break
         points.append(_branch_point(acc))
@@ -468,7 +473,8 @@ def _with_arclengths(points: list[BranchPoint]) -> list[BranchPoint]:
     for bp in points:
         z = _z(bp)
         if prev is not None:
-            arc += float(np.linalg.norm(z - prev))
+            d = z - prev
+            arc += math.sqrt(d @ d)
         prev = z
         bp.arclength = arc
     return points
@@ -502,7 +508,8 @@ def _trace(field, seed: StartingPoint, params: ContinuationParams) -> BranchTrac
     if sp2 is None:
         return BranchTrace([seed_bp], "corrector_failure", "corrector_failure")
     z1 = np.concatenate(([sp2.lam], sp2.xi0))
-    t_hat = (z1 - z0) / np.linalg.norm(z1 - z0)
+    d = z1 - z0
+    t_hat = d / math.sqrt(d @ d)
 
     minus_points, status_minus = _march(field, z0, -t_hat, params)
     if sp2.lam > params.lambda_max:
@@ -528,7 +535,7 @@ def trace_from_zero(field, u_bar: float, params: ContinuationParams) -> BranchTr
 
     def trivial_only(status: str, reason: str = "") -> BranchTrace:
         sol = _shoot(field, 0.0, lifted)
-        residual = float(np.linalg.norm(sol.y_end - lifted, np.inf))
+        residual = float(np.abs(sol.y_end - lifted).max())
         return BranchTrace([_branch_point(_Accepted(0.0, lifted, residual, sol))],
                            status, status, reason)
 

@@ -17,9 +17,11 @@ operations in the same order, so its results are theirs bit for bit; it
 is cached per user, compiled with ``cc`` by the first solve that needs
 it, which waits for it, and replays a solve on the float stages wherever
 Python might part from C.  ``solve_ivp`` takes either as one stages value.
-A solve is one :class:`Solution`, whose call is its vectorized quartic
-interpolant.  Every failure of a solve is an :class:`IntegrationError` at
-the time it happened.
+A solve is one :class:`Solution`, whose call is its quartic interpolant
+as fixed-order float code: in C by the library's ``gc_dense`` for the
+solves of a compiled field, and otherwise by its NumPy twin, elementwise,
+with the same bits and no BLAS.  Every failure of a solve is an
+:class:`IntegrationError` at the time it happened.
 """
 from __future__ import annotations
 
@@ -85,24 +87,32 @@ class Solution:
     dim) of step k for the first dim components.  A failed solve raises,
     so ``success`` is always true.
 
-    Calling it is the dense output of those components.  On step k, from
-    ``t[k]`` to ``t[k+1]`` with h = t[k+1] - t[k] and x = (t - t[k]) / h,
-    the solution is the Dormand-Prince quartic interpolant ``y[:dim, k] +
-    h * Q[k] @ (x, x^2, x^3, x^4)`` with Q[k] = K[k]^T P (Hairer, Norsett
-    & Wanner, Solving ODEs I, II.6), formed only for the span of steps a
-    call evaluates.  A time on a step boundary takes the earlier step, and
-    times outside [t[0], t[-1]] extrapolate the first or last step, as in
-    ``OdeSolution``.
+    Calling it is the dense output of those components, the Dormand-Prince
+    quartic interpolant (Shampine 1986; Hairer, Norsett & Wanner, Solving
+    ODEs I, II.6) as fixed-order float code.  A time tau falls in step k =
+    searchsorted(t, tau, 'left') - 1, clipped to the steps, so a time on a
+    step boundary takes the earlier step and times outside [t[0], t[-1]]
+    extrapolate the first or last step, as in ``OdeSolution``.  With h =
+    t[k+1] - t[k] and x = (tau - t[k]) / h, each component is
+    h * (((Q0 x + Q1 x^2) + Q2 x^3) + Q3 x^4) + y[:, k], the powers x,
+    x*x, then times x twice, and Q_j = sum_s P[s][j] K[k][s] over P's
+    nonzero entries in stage order, as :func:`_combination` writes sums.
+    ``dense`` is the C evaluator ``gc_dense`` of the library that made a
+    compiled field's solve, which forms Q_j once per step it meets; without
+    it, :func:`_dense` computes the same operations elementwise in NumPy.
+    Either gives the same bits, on no BLAS.
     """
 
-    __slots__ = ("t", "y", "nfev", "K")
+    __slots__ = ("t", "y", "nfev", "K", "dense")
     success = True
 
-    def __init__(self, t: np.ndarray, y: np.ndarray, nfev: int, K: np.ndarray):
+    def __init__(self, t: np.ndarray, y: np.ndarray, nfev: int, K: np.ndarray,
+                 dense: Callable | None = None):
         self.t = t
         self.y = y
         self.nfev = nfev
         self.K = K
+        self.dense = dense
 
     @property
     def y_end(self) -> np.ndarray:
@@ -113,17 +123,46 @@ class Solution:
         """y(t): shape (dim,) for a scalar t, (dim, len(t)) for an array;
         only the first ``components`` components where given."""
         t = np.asarray(t, dtype=float)
-        tv = t.reshape(-1)
-        steps, _, dim = self.K.shape
-        dim = dim if components is None else components
-        k = np.clip(np.searchsorted(self.t, tv, side="left") - 1, 0, steps - 1)
-        t_old = self.t[k]
-        h = self.t[k + 1] - t_old
-        lo = k.min()
-        Q = self.K[lo:k.max() + 1, :, :dim].transpose(0, 2, 1) @ _P
-        powers = np.cumprod(np.tile((tv - t_old) / h, (Q.shape[-1], 1)), axis=0)
-        y = h * np.einsum("mdk,km->dm", Q[k - lo], powers) + self.y[:dim, k]
+        times = np.ascontiguousarray(t.reshape(-1))
+        steps, _, n = self.K.shape
+        dim = n if components is None else components
+        if not 0 < dim <= n:
+            raise ValueError(f"components must be in 1..{n}, got {components!r}")
+        if self.dense is None:
+            y = _dense(self.t, self.y, self.K, times, dim)
+        else:
+            ts, Y, K = (np.ascontiguousarray(a, dtype=float) for a in (self.t, self.y.T, self.K))
+            if not steps or ts.shape != (steps + 1,) or Y.shape[0] != steps + 1 or Y.shape[1] < n:
+                raise ValueError("t, y and K do not hold the same steps")
+            y = np.empty((dim, times.size))
+            self.dense(times.size, times.ctypes.data, steps, ts.ctypes.data, Y.ctypes.data,
+                       Y.shape[1], K.ctypes.data, n, dim, y.ctypes.data)
         return y[:, 0] if t.ndim == 0 else y
+
+
+def _dense(t, y, K, times, components):
+    """The dense output of the first ``components`` components of a solve
+    (t, y, K) at ``times``, shape (components, len(times)): the operations
+    of ``gc_dense`` elementwise.  Q is formed for every step, as (4,
+    components, steps) from a contiguous copy of the stages, so that the
+    gathers of Q and y by step take contiguous rows; P's column 0 is stage
+    0's alone, and its columns 1-3 take every stage but stage 1, in stage
+    order."""
+    steps = len(K)
+    k = np.searchsorted(t, times, side="left") - 1
+    np.clip(k, 0, steps - 1, out=k)
+    t_old = t[k]
+    h = t[k + 1] - t_old
+    x = (times - t_old) / h
+    stages = np.ascontiguousarray(K[:, :, :components].transpose(1, 2, 0))
+    Q = _P[0, :, None, None] * stages[0]
+    for s in range(2, 7):
+        Q[1:] += _P[s, 1:, None, None] * stages[s]
+    Q = Q.take(k, axis=2)
+    x2 = x * x
+    x3 = x2 * x
+    return (h * (((Q[0] * x + Q[1] * x2) + Q[2] * x3) + Q[3] * (x3 * x))
+            + y[:components].take(k, axis=1))
 
 
 def _combination(coefs, stage, zeros=False):
@@ -225,7 +264,9 @@ def _c_source(derivatives: list[str]) -> str:
     whose argument or result is not finite (``SIN``, ``COS``, ``EXP``,
     ``POW``), the only values for which Python's math functions raise or
     special-case.  A flag that is set, or a non-finite field at the
-    start, returns ``_REPLAY``."""
+    start, returns ``_REPLAY``.  The library also holds ``gc_dense``, the
+    dense output of a solve as :class:`Solution` computes it, the same
+    for every problem."""
     stage = "k[{j} * n + i]"
     steps = []
     for st in range(1, 7):
@@ -238,6 +279,9 @@ def _c_source(derivatives: list[str]) -> str:
         steps.append(f"for (c = 0; c < cols; c++) if (field(s, w + c * N, lams[c], "
                      f"k + {st} * n + c * N)) {{ status = {_REPLAY}; goto done; }}")
     steps = "\n            ".join(steps)
+    interpolant = "\n                ".join(
+        f"Q[4 * i + {j}] = {_combination(column, 'K[{j} * n + i]')};"
+        for j, column in enumerate(zip(*P)))
     return f"""\
 #include <math.h>
 #include <stdint.h>
@@ -371,6 +415,43 @@ done:
     counts[1] = nfev;
     h_io[0] = h_abs;
     return status;
+}}
+
+/* The dense output of a solve, as Solution's call computes it: the first
+   components of the n components at each of the count times, into
+   out[i * count + j] for component i at times[j], from the steps + 1
+   times ts, the states ys (rows of size) and the stages ks (7 rows of n
+   per step).  Q of a step is formed when the step changes. */
+void gc_dense(int64_t count, const double *times, int64_t steps, const double *ts,
+              const double *ys, int64_t size, const double *ks, int64_t n,
+              int64_t components, double *out)
+{{
+    double Q[4 * components];
+    int64_t i, j, last = -1;
+    for (j = 0; j < count; j++) {{
+        const double tau = times[j];
+        int64_t lo = 0, hi = steps + 1, k;
+        double h, x, x2, x3;
+        while (lo < hi) {{  /* searchsorted(ts, tau, 'left'), a NaN after every time */
+            const int64_t mid = lo + (hi - lo) / 2;
+            if (ts[mid] >= tau) hi = mid; else lo = mid + 1;
+        }}
+        k = lo < 1 ? 0 : lo > steps ? steps - 1 : lo - 1;
+        if (k != last) {{
+            const double *K = ks + k * 7 * n;
+            for (i = 0; i < components; i++) {{
+                {interpolant}
+            }}
+            last = k;
+        }}
+        h = ts[k + 1] - ts[k];
+        x = (tau - ts[k]) / h;
+        x2 = x * x;
+        x3 = x2 * x;
+        for (i = 0; i < components; i++)
+            out[i * count + j] = h * (((Q[4 * i] * x + Q[4 * i + 1] * x2) + Q[4 * i + 2] * x3)
+                                      + Q[4 * i + 3] * (x3 * x)) + ys[k * size + i];
+    }}
 }}
 """
 
@@ -511,7 +592,8 @@ def compiled_stages(derivatives: list[str]):
                     os.unlink(tmp)
         if not _private(path.stat()):
             return None
-        solve = ctypes.CDLL(str(path)).gc_solve
+        library = ctypes.CDLL(str(path))
+        solve, dense = library.gc_solve, library.gc_dense
     # NotImplementedError: no setsid; AttributeError: a library not ours
     except (OSError, NotImplementedError, AttributeError):
         return None
@@ -522,7 +604,11 @@ def compiled_stages(derivatives: list[str]):
                       ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p,
                       ctypes.c_void_p)
     solve.restype = ctypes.c_int
-    return functools.partial(CompiledAttempt, solve, len(derivatives))
+    dense.argtypes = (ctypes.c_int64, ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p,
+                      ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p, ctypes.c_int64,
+                      ctypes.c_int64, ctypes.c_void_p)
+    dense.restype = None
+    return functools.partial(CompiledAttempt, solve, dense, len(derivatives))
 
 
 class CompiledAttempt:
@@ -534,12 +620,15 @@ class CompiledAttempt:
     of the same columns, which ``build()`` makes: the (rhs, attempt) of
     the float stages of one column, or of :func:`vector_stages` of theirs
     for more, which fail at the stage, column and component at which C
-    stops."""
+    stops.  ``dense`` is the library's ``gc_dense``, the dense output of
+    each of its solves, replayed or not."""
 
-    __slots__ = ("solve", "dim", "lams", "build")
+    __slots__ = ("solve", "dense", "dim", "lams", "build")
 
-    def __init__(self, solve: Callable, dim: int, lams: tuple, build: Callable):
+    def __init__(self, solve: Callable, dense: Callable, dim: int, lams: tuple,
+                 build: Callable):
         self.solve = solve
+        self.dense = dense
         self.dim = dim
         self.lams = lams
         self.build = build
@@ -741,7 +830,7 @@ def solve_ivp(stages, t_span, y0) -> Solution:
     t, Y, K, nfev = run
     if not np.isfinite(Y[-1]).all():
         raise IntegrationError(float(t[-1]), "non-finite state")
-    return Solution(t=t, y=Y.T, nfev=nfev, K=K)
+    return Solution(t=t, y=Y.T, nfev=nfev, K=K, dense=stages.dense if compiled else None)
 
 
 def _steps(attempt, t0, t1, h_abs, y, f):

@@ -212,22 +212,76 @@ class TestDenseOutput:
         assert np.max(np.abs(dense.y_end - sol.y[:, -1])) <= 1e-13 * (1 + np.max(np.abs(sol.y)))
 
 
-    def test_interpolant_is_the_eager_formula(self):
-        # Q[k] = K[k]^T P is formed per call, for the steps it evaluates:
-        # the values are those of Q formed once for every step, bit for bit,
-        # for a solve on float stages and for a stacked run
+    @staticmethod
+    def float_interpolant(sol, tau, components):
+        """The dense output at the scalar time tau, written out on Python
+        floats: the step of searchsorted, x, the powers x, x*x, then times
+        x twice, Q_j summed over P's nonzero entries in stage order, and
+        h * (((Q0 x + Q1 x^2) + Q2 x^3) + Q3 x^4) + y."""
+        k = min(max(int(np.searchsorted(sol.t, tau, side="left")) - 1, 0), len(sol.K) - 1)
+        t_old = float(sol.t[k])
+        h = float(sol.t[k + 1]) - t_old
+        x = (float(tau) - t_old) / h
+        x2 = x * x
+        x3 = x2 * x
+        powers = (x, x2, x3, x3 * x)
+        out = []
+        for i in range(components):
+            stages = sol.K[k, :, i].tolist()
+            terms = []
+            for j, q in enumerate(zip(*rk45.P)):
+                total = None
+                for c, stage in zip(q, stages):
+                    if c:
+                        total = c * stage if total is None else total + c * stage
+                terms.append(total * powers[j])
+            out.append(h * (((terms[0] + terms[1]) + terms[2]) + terms[3]) + float(sol.y[i, k]))
+        return out
+
+    def test_interpolant_is_the_fixed_order_formula(self):
+        # the dense output is the interpolant written out on floats, bit
+        # for bit, and the compiled evaluator (gc_dense), which every
+        # solve of a compiled field carries, is its NumPy twin, bit for
+        # bit: on a solve and on a stacked run, at uniform times, at the
+        # step times and at a scalar time, for x alone and every component
         field = WORKLOAD_FIELDS["example"]
-        assert field.stages((0.1,)) is not None
+        compiled = isinstance(field.stages((0.1,)), rk45.CompiledAttempt)
         xi = np.linspace(0.3, -0.2, field.dim)
         uniform = field.problem.T * np.arange(orbit.DENSE_SAMPLES) / orbit.DENSE_SAMPLES
         for sol in (orbit._shoot(field, 0.1, xi), orbit._linearize(field, 0.1, xi)[0]):
-            Q = sol.K.transpose(0, 2, 1) @ np.array(rk45.P)
-            for ts in (uniform, sol.t):
-                k = np.clip(np.searchsorted(sol.t, ts, side="left") - 1, 0, len(Q) - 1)
-                h = sol.t[k + 1] - sol.t[k]
-                powers = np.cumprod(np.tile((ts - sol.t[k]) / h, (4, 1)), axis=0)
-                eager = h * np.einsum("mdk,km->dm", Q[k], powers) + sol.y[:field.dim, k]
-                assert np.array_equal(sol(ts), eager)
+            assert (sol.dense is not None) == compiled
+            twin = rk45.Solution(sol.t, sol.y, sol.nfev, sol.K)
+            for ts in (uniform, sol.t, sol.t[7] + 0.3 * (sol.t[8] - sol.t[7])):
+                for components in (1, None):
+                    got = sol(ts, components)
+                    assert np.array_equal(got, twin(ts, components))
+                    columns = [self.float_interpolant(sol, tau, components or field.dim)
+                               for tau in np.atleast_1d(ts)]
+                    expected = np.array(columns).T
+                    assert np.array_equal(got, expected if np.ndim(ts) else expected[:, 0])
+
+    def test_a_part_of_a_call_is_that_part_of_the_whole_call(self):
+        # a call on some of the times, in any order, or on the first
+        # components gives the bits of the whole call there, compiled or
+        # not, as Q of a step does not depend on the times that meet it
+        field = WORKLOAD_FIELDS["long_chain"]
+        xi = np.linspace(0.3, -0.2, field.dim)
+        uniform = field.problem.T * np.arange(orbit.DENSE_SAMPLES) / orbit.DENSE_SAMPLES
+        rng = np.random.default_rng(0)
+        for run in (orbit._shoot(field, 0.1, xi), orbit._linearize(field, 0.1, xi)[0]):
+            for sol in (run, rk45.Solution(run.t, run.y, run.nfev, run.K)):
+                ts = np.concatenate((uniform, run.t))
+                whole = sol(ts)
+                for part in (rng.permutation(ts.size)[:37], np.arange(ts.size)[::-5],
+                             [uniform.size + 3]):
+                    assert np.array_equal(sol(ts[part]), whole[:, part])
+                for components in (1, 3, field.dim):
+                    assert np.array_equal(sol(ts, components), whole[:components])
+                for j in (0, 100, uniform.size + 5):
+                    assert np.array_equal(sol(ts[j], 2), whole[:2, j])
+                for components in (0, field.dim + 1):
+                    with pytest.raises(ValueError, match="components"):
+                        sol(ts, components)
 
 
 class TestPeriodMaps:
@@ -1188,8 +1242,8 @@ class TestTraceFromZero:
 
     def test_metrics_equal_a_fresh_integration(self, example_field):
         # sup_norm and diameter come from the dense output of x of the solve
-        # that accepted each point; integrating it again gives the same bits.
-        # x alone rounds apart from x among every component by an ulp or so
+        # that accepted each point; integrating it again gives the same bits,
+        # and x alone is x among every component, bit for bit
         params = ContinuationParams(lambda_max=0.05, max_steps=40)
         fields = [(example_field, trace_from_zero(example_field, 0.0, params))]
         resonant = chain.expand(resonant_problem())
@@ -1200,8 +1254,7 @@ class TestTraceFromZero:
                                   field.problem.T)
                 x = orbit.dense_samples(fresh, 1)[0]
                 assert orbit_metrics(x) == (bp.sup_norm, bp.diameter)
-                np.testing.assert_allclose(x, orbit.dense_samples(fresh)[0],
-                                           rtol=1e-14, atol=1e-14)
+                assert np.array_equal(x, orbit.dense_samples(fresh)[0])
 
     def test_arclength_monotone(self, example_field):
         params = ContinuationParams(lambda_max=0.05, max_steps=40)
