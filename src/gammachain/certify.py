@@ -9,12 +9,12 @@ it.  The multiplicity verdict certifies the zeros of an
 computed, without scanning Phi again.  The Lipschitz constant is estimated
 as the sampled maximum of the Jacobian operator 2-norm over a box; this is
 a lower estimate, so the certification comparison applies a safety factor
-on top of it.  The Jacobian of a chain field varies only with (u, v0, vb),
-so the box is sampled on a tensor grid over those three axes alone
-(``ExpandedField.jacobian_axes``).  The samples are taken in chunks of
-``SAMPLE_CHUNK`` points up to dim 40, fewer above it so that a chunk holds
-no more floats than at dim 40, and each chunk's central-difference
-Jacobians come from one call of the field ``G`` on the block of columns.
+on top of it.  The Jacobian DG of a chain field varies only with (u, v0,
+vb), and only in rows 1 and 2, so DG^T DG = C + W W^T, with C fixed by the
+other rows (``ExpandedField.constant_jacobian``) and W = [row 1, row 2];
+sigma_max^2 is the largest root of a 2 x 2 secular equation in C's
+eigenbasis (Golub, SIAM Review 15, 1973; Bunch, Nielsen and Sorensen,
+Numer. Math. 31, 1978), O(dim) per sample.
 """
 from __future__ import annotations
 
@@ -29,7 +29,8 @@ __all__ = ["CertReport", "MultiplicityReport", "lipschitz_estimate",
 
 SAFETY_FACTOR = 1.1
 DEFAULT_GRID = 7
-SAMPLE_CHUNK = 128  # box samples per batched Jacobian call, up to dim 40
+SECULAR_MAX_ITER = 100  # safeguarded Newton steps per sample, at most
+_TINY = np.finfo(float).tiny
 
 
 class CertReport:
@@ -81,52 +82,88 @@ class MultiplicityReport:
         }
 
 
-def _box_samples(center: np.ndarray, radius: float, grid_per_axis: int, axes):
-    """The samples of the box center +- radius as (dim, k) column chunks:
-    the tensor grid over ``axes`` in ``itertools.product`` order, every
-    other coordinate at the center.  A chunk takes ``SAMPLE_CHUNK`` points
-    up to dim 40 and ``SAMPLE_CHUNK`` * (40 / dim)^2 (at least 1) above it,
-    so that its finite differences (2 dim shifted states and a dim x dim
-    Jacobian per sample) hold no more floats than at dim 40."""
-    dim = center.size
-    chunk = min(SAMPLE_CHUNK, max(1, SAMPLE_CHUNK * 40**2 // dim**2))
-    values = [np.linspace(center[i] - radius, center[i] + radius, grid_per_axis)
-              for i in axes]
-    total = grid_per_axis ** len(values)
-    for start in range(0, total, chunk):
-        flat = np.arange(start, min(start + chunk, total))
-        idx = np.unravel_index(flat, (grid_per_axis,) * len(values))
-        X = np.repeat(center[:, None], flat.size, axis=1)
-        for i, v, j in zip(axes, values, idx):
-            X[i] = v[j]
-        yield X
+def _largest_roots(lams: np.ndarray, U: np.ndarray) -> np.ndarray:
+    """The largest eigenvalue of diag(lams) + U_s^T U_s for each (2, dim)
+    slice U_s of the stack U: above top = lams.max(), the root of the least
+    eigenvalue mu(x) of I - sum_k u_k u_k^T / (x - lams[k]) (u_k column k
+    of U_s), which increases on (top, top + ||U_s||_F^2].  Newton steps on
+    (x - top) mu(x), exact for a lone pole at the top, run from the upper
+    end until a step is at most 4 ulp, bisecting where one leaves the
+    bracket; where U_s has no weight on the top eigenvectors and mu >= 0
+    down to the top, the root is the top."""
+    w = np.stack((U[:, 0] * U[:, 0], U[:, 1] * U[:, 1], U[:, 0] * U[:, 1]), axis=1)
+    top = lams.max()
+    with np.errstate(all="ignore"):
+        is_top = lams == top
+        r = np.broadcast_to(np.where(is_top, 0.0, 1.0 / (top - lams)), w[:, 0].shape)
+        clamped = ~np.any(U[:, :, is_top], axis=(1, 2)) & (_mu(w, r, r)[0] >= 0.0)
+        roots = np.full(len(U), top)
+        idx = np.flatnonzero(~clamped)
+        w, lo = w[idx], roots[idx]
+        x = hi = lo + w[:, 0].sum(axis=1) + w[:, 1].sum(axis=1)
+        for _ in range(SECULAR_MAX_ITER):
+            if not idx.size:
+                break
+            r = 1.0 / (x[:, None] - lams)
+            f, slope = _mu(w, r, r * r)
+            lo, hi = np.where(f < 0.0, x, lo), np.where(f < 0.0, hi, x)
+            nxt = x - (x - top) * f / (f + (x - top) * slope)
+            nxt = np.where((nxt >= lo) & (nxt <= hi), nxt, 0.5 * (lo + hi))
+            roots[idx] = nxt
+            going = np.abs(nxt - x) > 4.0 * np.spacing(x)
+            idx, w, lo, hi, x = (v[going] for v in (idx, w, lo, hi, nxt))
+    return roots
+
+
+def _mu(w, r, r2):
+    """mu of ``_largest_roots`` and its slope, from w, the squares and
+    product of U_s's rows, r = 1 / (x - lams) and r2 = r * r."""
+    s11, s22, s12 = np.einsum("nkd,nd->kn", w, r)
+    t11, t22, t12 = np.einsum("nkd,nd->kn", w, r2)
+    half = 0.5 * (s22 - s11)
+    rad = np.hypot(half, s12)
+    slope = 0.5 * (t11 + t22) - (0.5 * half * (t11 - t22) - s12 * t12) / np.maximum(rad, _TINY)
+    return 1.0 - 0.5 * (s11 + s22) - rad, slope
 
 
 def lipschitz_estimate(field: chain.ExpandedField, center, radius: float,
                        grid_per_axis: int = DEFAULT_GRID) -> float:
     """Sampled lower estimate of the local Lipschitz constant of G.
 
-    Maximum of the operator 2-norm of the finite-difference Jacobian over
-    the box center +- radius.  The Jacobian of a chain field varies only
-    with (u, v0, vb), so the samples are the tensor grid of
-    ``grid_per_axis`` points on each of those three axes, the other
-    coordinates at the center: the same Jacobians as the full-box grid, up
-    to finite-difference rounding.  The Jacobians of each chunk of at most
-    ``SAMPLE_CHUNK`` samples come from one ``analysis.jacobian_fd`` call
-    on ``field.G``, which raises ``ArithmeticError`` naming the
-    first sample whose Jacobian has a non-finite entry (a pole of the
-    field in the box, or overflow).
+    Maximum of the operator 2-norm of DG over the box center +- radius, on
+    the tensor grid of ``grid_per_axis`` points on each of the axes (u,
+    v0, vb) that DG varies with, the other coordinates at the center: the
+    Jacobians of the full-box grid.  A sample's DG is
+    ``field.constant_jacobian`` plus rows 1 and 2 in those columns, their
+    central differences at every sample from one ``analysis.jacobian_fd``
+    call, which raises ``ArithmeticError`` naming the first sample with a
+    non-finite entry (a pole of the field in the box, or overflow).
     """
     if radius <= 0:
         raise ValueError("radius must be positive")
     if grid_per_axis < 2:
         raise ValueError("grid_per_axis must be >= 2")
     center = chain.as_state(center, field.dim)
-    best = 0.0
-    for X in _box_samples(center, radius, grid_per_axis, field.jacobian_axes):
-        J = analysis.jacobian_fd(field.G, X)
-        best = max(best, float(np.max(np.linalg.norm(J, 2, axis=(1, 2)))))
-    return best
+    axes = list(field.jacobian_axes)
+    points = np.array(np.meshgrid(
+        *(np.linspace(center[i] - radius, center[i] + radius, grid_per_axis) for i in axes),
+        indexing="ij")).reshape(len(axes), -1)
+
+    def rows_1_2(P):
+        X = np.repeat(center[:, None], P.shape[1], axis=1)
+        X[axes] = P
+        return field.G(X)[1:3]
+
+    D = analysis.jacobian_fd(rows_1_2, points)
+    K = field.constant_jacobian
+    rows = np.delete(K, (1, 2), axis=0)
+    lams, Q = np.linalg.eigh(rows.T @ rows)
+    # rows 1 and 2 of DG in C's eigenbasis, O(dim) a sample
+    U = K[1:3] @ Q + D @ Q[axes]
+    L = math.sqrt(float(_largest_roots(lams, U).max()))
+    if not math.isfinite(L):
+        raise ArithmeticError(f"the Lipschitz estimate overflows around {center.tolist()}")
+    return L
 
 
 def yorke_check(L: float, T: float) -> tuple[float, bool]:

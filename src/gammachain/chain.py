@@ -141,9 +141,10 @@ class ExpandedField:
     lams[j] = 0 too; ``(lam,)`` gives a single solve.  They are float
     stages at every dim: an ``rk45.CompiledAttempt`` where their C kernel
     is loaded, which builds the (rhs, attempt) of the Python float stages
-    for a replay, and that (rhs, attempt) otherwise.  ``dim`` and
+    for a replay, and that (rhs, attempt) otherwise.  ``dim``,
     ``jacobian_axes``, the coordinates that the Jacobian of G varies with,
-    (u, v0, vb), are read from ``problem``.  Every field is built by
+    (u, v0, vb), and ``constant_jacobian``, the entries of that Jacobian
+    which do not vary, are read from ``problem``.  Every field is built by
     ``expand``.  ``F``, which only the tests call, and the dataclass stay
     for the benchmark's tracer, which copies a field with
     ``dataclasses.replace`` to count the calls of ``G`` and ``F``.
@@ -161,6 +162,19 @@ class ExpandedField:
     @property
     def jacobian_axes(self) -> tuple:
         return (0, 1, self.dim - 1)
+
+    @property
+    def constant_jacobian(self) -> np.ndarray:
+        """DG, exactly, but 0 where it varies: in rows 1 and 2 (g and phi)
+        at the columns of ``jacobian_axes`` (at b = 1, row 2's -a too)."""
+        a, dim = self.problem.kernel.a, self.dim
+        J = np.zeros((dim, dim))
+        J[0, 1] = 1.0
+        i = np.arange(2, dim)
+        J[i, i] = -a
+        J[i[1:], i[:-1]] = a
+        J[1:3, list(self.jacobian_axes)] = 0.0
+        return J
 
 
 @lru_cache(maxsize=128)

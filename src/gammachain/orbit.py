@@ -44,6 +44,7 @@ __all__ = ["StartingPoint", "BranchPoint", "ContinuationParams",
            "dense_samples", "orbit_metrics", "fold_lambdas"]
 
 DENSE_SAMPLES = 512
+FRACTIONS = np.arange(DENSE_SAMPLES) / DENSE_SAMPLES  # exact: j / 512
 MONODROMY_STEP = 1e-7
 SINGULAR_TOL = 1e-6  # least singular value of a singular bordered Jacobian
 SEED_LAMBDA = 1e-3  # lambda of the first corrected point next to a zero
@@ -184,7 +185,7 @@ def dense_samples(sol: Solution, components=None) -> np.ndarray:
     (dim, DENSE_SAMPLES), or (components, DENSE_SAMPLES) for the first
     ``components`` components only."""
     t0, t1 = sol.t[0], sol.t[-1]
-    return sol(t0 + (t1 - t0) * np.arange(DENSE_SAMPLES) / DENSE_SAMPLES, components)
+    return sol(t0 + (t1 - t0) * FRACTIONS, components)
 
 
 def _shoot(field, lam, xi0) -> Solution:

@@ -68,22 +68,105 @@ class TestLipschitzEstimate:
             lipschitz_estimate(example_field, np.zeros(4), 0.1, grid_per_axis=1)
 
 
+def recorded_estimate(field, center, radius):
+    """``lipschitz_estimate`` with the points and entries of its
+    ``jacobian_fd`` calls and the largest roots of its samples recorded."""
+    seen = {"points": [], "entries": [], "roots": []}
+    jacobian_fd, largest_roots = analysis.jacobian_fd, certify._largest_roots
+
+    def recorded_jacobian(fun, X):
+        seen["points"].append(X.copy())
+        seen["entries"].append(jacobian_fd(fun, X))
+        return seen["entries"][-1]
+
+    def recorded_roots(lams, U):
+        seen["roots"].append(largest_roots(lams, U))
+        return seen["roots"][-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(analysis, "jacobian_fd", recorded_jacobian)
+        mp.setattr(certify, "_largest_roots", recorded_roots)
+        L = lipschitz_estimate(field, center, radius)
+    return L, seen
+
+
+def check_structured_estimate(field, center, radius):
+    """The estimate's checks: its differenced entries are the full batched
+    Jacobians' bit for bit and the rest of DG theirs to rounding, each
+    sample's sigma_max is the 2-norm of its DG assembled from
+    ``constant_jacobian`` and those entries to 1e-12, and L is the
+    per-sample reference's to 1e-9.  Returns the recorded samples."""
+    center = np.asarray(center, dtype=float)
+    L, seen = recorded_estimate(field, center, radius)
+    axes = list(field.jacobian_axes)
+    [P], [D], [roots] = seen["points"], seen["entries"], seen["roots"]
+    X = np.repeat(center[:, None], P.shape[1], axis=1)
+    X[axes] = P
+    full = analysis.jacobian_fd(field.G, X)
+    assert np.array_equal(D, full[:, 1:3][:, :, axes])
+    J = np.repeat(field.constant_jacobian[None], len(D), axis=0)
+    J[:, 1:3, axes] = D
+    # the constant rows are the differenced ones up to their rounding
+    np.testing.assert_allclose(J, full, rtol=0.0, atol=1e-8 * (1.0 + field.problem.kernel.a))
+    sigma = np.sqrt(roots)
+    np.testing.assert_allclose(sigma, np.linalg.norm(J, 2, axis=(1, 2)), rtol=1e-12, atol=0.0)
+    assert L == sigma.max()
+    assert L == pytest.approx(helpers.reference_lipschitz(field, center, radius),
+                              rel=1e-9, abs=0.0)
+    return seen
+
+
 class TestBatchedLipschitz:
-    """The chunked, column-batched estimate against the per-sample loop."""
+    """The structured estimate, one central-difference call per box and a
+    secular equation per sample, against full Jacobians and the
+    per-sample loop."""
 
     def test_tensor_grid_matches_reference(self, example_problem, example_field):
         zeros = analysis.scan_zeros(example_problem, -0.5, 1.5, 200)
         for z in zeros:
-            got = lipschitz_estimate(example_field, z.lifted, 0.1)
-            assert got == helpers.reference_lipschitz(example_field, z.lifted, 0.1)
+            check_structured_estimate(example_field, z.lifted, 0.1)
 
     def test_three_axis_grid_matches_reference_beyond_five_axes(self):
         p = ProblemSpec.from_strings("-x0*(1+x2)", "q-p", "1+x*sin(2*pi*t)",
                                      8.0, 8, 1.0)
         field = chain.expand(p)
-        center = chain.lifted_zero(p, 0.0)
-        got = lipschitz_estimate(field, center, 0.1)
-        assert got == helpers.reference_lipschitz(field, center, 0.1)
+        check_structured_estimate(field, chain.lifted_zero(p, 0.0), 0.1)
+
+    def test_one_chain_stage_differences_row_2_at_vb(self):
+        # at b = 1, vb is coordinate 2: row 2's -a is a differenced entry,
+        # not a constant one
+        p = ProblemSpec.from_strings("-x0*(1+x2)", "q-p", "1+x*sin(2*pi*t)",
+                                     2.0, 1, 1.0)
+        field = chain.expand(p)
+        assert field.jacobian_axes == (0, 1, 2)
+        assert not field.constant_jacobian[1:3].any()
+        for u in (0.0, 1.0):
+            seen = check_structured_estimate(field, chain.lifted_zero(p, u), 0.1)
+            assert np.allclose(seen["entries"][0][:, 1, 2], -2.0, rtol=1e-9, atol=0.0)
+
+    def test_no_weight_on_the_top_eigenvector_clamps_to_it(self):
+        # at b = 1 the constant rows' Gram matrix is e1 e1^T; g and phi
+        # read neither x1 nor q, so rows 1 and 2 have no weight on e1, and
+        # their own Gram matrix stays below 1: every sample's root is 1
+        p = ProblemSpec.from_strings("-0.5*x0 + 0.1*x2", "0.1*p", "sin(2*pi*t)",
+                                     0.5, 1, 1.0)
+        field = chain.expand(p)
+        seen = check_structured_estimate(field, np.array([0.2, -0.1, 0.3]), 0.2)
+        assert np.all(seen["roots"][0] == 1.0)
+
+    def test_largest_roots_is_the_largest_eigenvalue(self):
+        # a doubly degenerate top: weight on one of its eigenvectors, on
+        # both, on neither
+        rng = np.random.default_rng(5)
+        lams = np.array([0.0, 1.0, 0.5, 1.0, 0.25])
+        U = rng.normal(size=(6, 2, 5))
+        U[0:2, :, 1] = 0.0
+        U[2:4, :, [1, 3]] = 0.0
+        U[3] *= 0.1
+        roots = certify._largest_roots(lams, U)
+        want = [np.linalg.eigvalsh(np.diag(lams) + u.T @ u)[-1] for u in U]
+        np.testing.assert_allclose(roots, want, rtol=1e-13, atol=0.0)
+        assert roots[3] == 1.0
 
     def test_transcendental_field_matches_reference(self):
         # np.sin and math.sin may differ in the last bit
@@ -95,53 +178,51 @@ class TestBatchedLipschitz:
         want = helpers.reference_lipschitz(field, center, 0.4)
         assert got == pytest.approx(want, rel=1e-9, abs=0.0)
 
-    def test_samples_go_through_bounded_batches(self, example_field, monkeypatch):
-        # the three-axis grid of a chain field at any dim: grid_per_axis^3
-        # points in batched chunks, whose block of shifted states (dim x
-        # width floats) never exceeds its size at dim 40
+    def test_one_jacobian_call_per_box(self, example_field, monkeypatch):
+        # the three-axis grid of a chain field at any dim: one jacobian_fd
+        # call on the grid_per_axis^3 axis points, and one call of G on the
+        # (dim, 6 grid_per_axis^3) block of shifted states
         long_chains = [chain.expand(ProblemSpec.from_strings(
             "-x0*(1+x2)", "q-p", "1+x*sin(2*pi*t)", 8.0, b, 1.0)) for b in (45, 118)]
         assert [field.dim for field in long_chains] == [47, 120]
         jacobian_fd = analysis.jacobian_fd
+        points = certify.DEFAULT_GRID ** 3
         for chain_field in (example_field, *long_chains):
-            calls = {"widths": [], "points": []}
+            calls = {"blocks": [], "points": []}
 
-            def batch_G(X):
-                calls["widths"].append(X.shape[1])
-                assert X.size <= 40 * 2 * 40 * certify.SAMPLE_CHUNK
+            def block_G(X):
+                calls["blocks"].append(X.shape)
                 return chain_field.G(X)
 
             def recorded_jacobian(fun, X):
-                calls["points"].append(X.shape[1])
+                calls["points"].append(X.shape)
                 return jacobian_fd(fun, X)
 
             monkeypatch.setattr(analysis, "jacobian_fd", recorded_jacobian)
-            field = dataclasses.replace(chain_field, G=batch_G)
+            field = dataclasses.replace(chain_field, G=block_G)
             lipschitz_estimate(field, np.zeros(field.dim), 0.1)
-            assert sum(calls["points"]) == certify.DEFAULT_GRID ** 3
-            assert max(calls["points"]) <= certify.SAMPLE_CHUNK
-            assert max(calls["widths"]) <= 2 * field.dim * certify.SAMPLE_CHUNK
-            assert len(calls["widths"]) == len(calls["points"])
+            assert calls["points"] == [(3, points)]
+            assert calls["blocks"] == [(field.dim, 6 * points)]
 
     def test_example_grid_holds_the_full_box_grid_points(self, example_problem,
-                                                         example_field, monkeypatch):
+                                                         example_field):
         # the distinct (u, v0, vb) of the 7^4 full-box grid, each once,
-        # with v1 at the center
-        seen = []
-        jacobian_fd = analysis.jacobian_fd
-
-        def recorded_jacobian(fun, X):
-            seen.append(X.copy())
-            return jacobian_fd(fun, X)
-
-        monkeypatch.setattr(analysis, "jacobian_fd", recorded_jacobian)
+        # embedded with v1 at the center
         center = chain.lifted_zero(example_problem, 1.0)
-        lipschitz_estimate(example_field, center, 0.1)
-        X = np.hstack(seen)
+        blocks = []
+
+        def block_G(X):
+            blocks.append(X.copy())
+            return example_field.G(X)
+
+        field = dataclasses.replace(example_field, G=block_G)
+        _, seen = recorded_estimate(field, center, 0.1)
+        [P] = seen["points"]
+        [X] = blocks
         assert np.all(X[2] == center[2])
         grid = {(u, v0, vb) for u, v0, _, vb in itertools.product(
             *(np.linspace(c - 0.1, c + 0.1, certify.DEFAULT_GRID) for c in center))}
-        points = [tuple(col) for col in X[[0, 1, 3]].T]
+        points = [tuple(col) for col in P.T]
         assert len(points) == len(set(points)) == certify.DEFAULT_GRID ** 3
         assert set(points) == grid
 
@@ -222,6 +303,14 @@ def test_three_axis_estimate_is_the_full_box_estimate(p, seed, radius):
     full_box = float(np.max(np.linalg.norm(J, 2, axis=(1, 2))))
     got = lipschitz_estimate(field, center, radius)
     assert got == pytest.approx(full_box, rel=1e-8, abs=0.0)
+
+
+@settings(derandomize=True, deadline=None, max_examples=30)
+@given(p=cubic_problems(), seed=st.integers(0, 2**32 - 1), radius=st.floats(0.05, 0.5))
+def test_structured_estimate_matches_full_jacobians(p, seed, radius):
+    field = chain.expand(p)
+    center = np.random.default_rng(seed).uniform(-1.0, 1.0, field.dim)
+    check_structured_estimate(field, center, radius)
 
 
 class TestYorkeCheck:

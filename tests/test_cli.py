@@ -580,7 +580,7 @@ def test_every_solve_goes_through_orbit_solve_ivp(tmp_path, monkeypatch):
 def test_analyze_and_the_scan_call_G_on_blocks_of_columns(tmp_path, monkeypatch):
     # perfbench/tracing.py counts the calls of G through a copy made with
     # dataclasses.replace; every Jacobian of G is one call on its block of
-    # shifted columns, 2 * dim per state
+    # shifted columns
     expand = chain.expand
     widths = []
 
@@ -595,10 +595,10 @@ def test_analyze_and_the_scan_call_G_on_blocks_of_columns(tmp_path, monkeypatch)
     monkeypatch.setattr(chain, "expand", counted_expand)
     cfg = load_config(write_config(tmp_path, SHORT_BRANCH_CONFIG))
     cmd_analyze(cfg)
-    # the scan's determinant at each of the two zeros, then each zero's
-    # 7^3 box samples in chunks of at most 128
-    assert widths == [2 * 4, 2 * 4] + 2 * [2 * 4 * 128, 2 * 4 * 128, 2 * 4 * 87]
-    assert len(widths) == 8 and sum(widths) == 2 * (2 * 4 + 7**3 * 2 * 4) == 5504
+    # the scan's determinant at each of the two zeros, 2 * dim shifted
+    # states, then each zero's 7^3 box samples at once, 2 * 3 shifted
+    # (u, v0, vb) points per sample
+    assert widths == [2 * 4, 2 * 4] + 2 * [2 * 3 * 7**3]
     widths.clear()
     cmd_branch(cfg, tmp_path / "out", seed_index=0)
     assert widths == [8, 8]

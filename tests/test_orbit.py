@@ -53,7 +53,7 @@ class TestIntegrate:
     def test_dense_sampling_layout(self, example_field):
         # the samples are the dense output at 512 uniform points of
         # [t0, t1), t1 excluded
-        for t0, t1 in ((0.0, 1.0), (0.5, 2.5)):
+        for t0, t1 in ((0.0, 1.0), (0.5, 2.5), (0.3, 1.7)):
             sol = integrate(example_field, 0.1, P1, t0, t1)
             Y = orbit.dense_samples(sol)
             assert Y.shape == (4, 512) and orbit.DENSE_SAMPLES == 512
