@@ -140,7 +140,9 @@ def load_config(path) -> RunConfig:
     try:
         continuation = orbit.ContinuationParams(**cont_raw)
     except (TypeError, ValueError) as exc:
-        raise ConfigError(f"continuation: {exc}") from exc
+        # the failure of one key reads "key: ...", as _number's does
+        key = str(exc).partition(":")[0]
+        raise ConfigError(f"continuation{'.' if key in cont_raw else ': '}{exc}") from exc
 
     cert_raw = raw.get("certify", {})
     _require_keys(cert_raw, _CERTIFY_KEYS, set(), "certify")

@@ -12,21 +12,29 @@ updated along the curve and recomputed only where Broyden stalls
 (predictor-corrector with Jacobian updating).  A fixed-lambda solve
 (``newton_periodic``) is the chord Newton with border row e_0 (Keller
 1977; Broyden 1965; Allgower & Georg, Numerical Continuation Methods,
-1990, ch. 7).
+1990, ch. 7).  The Broyden iterates update the inverse of the bordered
+Jacobian as well (Sherman-Morrison), which the march carries from point
+to point and inverts afresh (``np.linalg.inv``) only after a fresh
+Jacobian; every sum of a phase runs in index order, on no BLAS, in two
+spellings of the same bits: one C call of the field's library
+(``CompiledAttempt.broyden``), whose shots are its C solve loop, and the
+NumPy twin ``_broyden``, which runs without a compiler and wherever a
+shot of that call replays.
 
-Every integration is one call of ``solve_ivp``, the RK45 driver of
+Every other integration is one call of ``solve_ivp``, the RK45 driver of
 ``rk45``, made through this module's own name ``orbit.solve_ivp``, which
 the benchmark's tracer wraps to count solves, made by ``_solve`` on the
-field's float stages for its columns (``field.stages(lams)``).  A residual
-or ``integrate`` is one solve of one column.  A shooting Jacobian is one
-solve of the unperturbed column, the lambda column and the monodromy
-columns, stacked into one state; the first residual of each chord Newton
-is its column 0.  Every solve is one ``rk45.Solution``, whose call is its
-dense output, the same bits in C and in NumPy and for x alone or every
-component; ``dense_samples`` samples it on 512 uniform points.  Vector
-norms are NumPy's own formulas written out, ``np.abs(v).max()`` and
-``math.sqrt(v @ v)``, at the bits of ``np.linalg.norm`` and without its
-dispatch.
+field's float stages for its columns (``field.stages(lams)``); the shots
+of a compiled Broyden phase do not pass it, and the call reports their
+count and nfev instead.  A residual or ``integrate`` is one solve of one
+column.  A shooting Jacobian is one solve of the unperturbed column, the
+lambda column and the monodromy columns, stacked into one state; the
+first residual of each chord Newton is its column 0.  Every solve is one
+``rk45.Solution``, whose call is its dense output, the same bits in C
+and in NumPy and for x alone or every component; ``dense_samples``
+samples it on 512 uniform points.  Vector norms are NumPy's own formulas
+written out, ``np.abs(v).max()`` and ``math.sqrt(v @ v)``, at the bits
+of ``np.linalg.norm`` and without its dispatch.
 """
 from __future__ import annotations
 
@@ -35,7 +43,7 @@ import math
 import numpy as np
 
 from . import chain
-from .rk45 import IntegrationError, Solution, solve_ivp
+from .rk45 import CompiledAttempt, IntegrationError, Solution, solve_ivp
 
 __all__ = ["StartingPoint", "BranchPoint", "ContinuationParams",
            "BranchTrace", "IntegrationError", "NoConvergenceError",
@@ -79,13 +87,17 @@ class StartingPoint:
 class _Accepted(StartingPoint):
     """A starting point with the solve that accepted it: the one-period
     solution from ``xi0`` at ``lam`` whose end gave ``residual``, from
-    ``_shoot`` or a ``_linearize`` run, whose column 0 it is."""
+    ``_shoot`` or a ``_linearize`` run, whose column 0 it is.  Accepted by
+    a Broyden phase, it keeps the ``inverse`` of the bordered [A; tangent]
+    that the phase ended with; None from the chord Newton."""
 
-    __slots__ = ("solution",)
+    __slots__ = ("solution", "inverse")
 
-    def __init__(self, lam: float, xi0: np.ndarray, residual: float, solution: Solution):
+    def __init__(self, lam: float, xi0: np.ndarray, residual: float, solution: Solution,
+                 inverse: np.ndarray | None = None):
         super().__init__(lam, xi0, residual)
         self.solution = solution
+        self.inverse = inverse
 
 
 class BranchPoint:
@@ -131,9 +143,9 @@ class ContinuationParams:
         for name, v in zip(self.__slots__, values):
             if name in ("max_steps", "newton_max_iter"):
                 if isinstance(v, bool) or not isinstance(v, int):
-                    raise ValueError(f"{name} must be an integer, got {shown(v)}")
+                    raise ValueError(f"{name}: expected an integer, got {shown(v)}")
             elif not finite_number(v):
-                raise ValueError(f"{name} must be a finite number, got {shown(v)}")
+                raise ValueError(f"{name}: expected a finite number, got {shown(v)}")
             setattr(self, name, v)
         if not (0 < min_step <= initial_step <= max_step):
             raise ValueError("need 0 < min_step <= initial_step <= max_step")
@@ -224,23 +236,27 @@ def _linearize(field, lam, xi):
     return run, (P[:, 1:] - P[:, :1]) / MONODROMY_STEP
 
 
-def _newton(field, z_pred, tangent, params, start=None, A=None):
+def _newton(field, z_pred, tangent, params, start=None, A=None, H=None):
     """Newton for z = (lam, xi) on [P(lam, xi) - xi ; tangent . (z -
     z_pred)] = 0 from ``start`` (default ``z_pred``), a point of the border
     plane, for a unit ``tangent``.
 
     Given ``A``, an estimate of the state block [P(lam, xi) - xi]' (dim,
-    dim + 1), the solve first runs ``_broyden`` from the start.  Otherwise,
-    or when that phase gives up, it is a chord Newton from where that
-    phase got to: the Jacobian is one ``_linearize`` run there, whose
-    column 0 gives the residual there, refreshed once if the fifth iterate
-    stalls.  Each iterate is put back on the border plane (exactly for
-    tangent e_0, so a fixed lambda stays bit-exact).  Acceptance: residual
-    <= ``newton_tol``, or (chord only) <= 1e-9 after the last of
-    ``newton_max_iter`` iterations, times 1 + ||z||_inf.  Returns (z,
-    iterations, the accepted starting point, A): the chord iterations, 0
-    when the Broyden phase accepted, and the state block that phase
-    updated or that of the chord's last Jacobian.  Raises
+    dim + 1), and ``H``, the inverse of [A; tangent] (computed when not
+    given), the solve first runs the Broyden phase from the start: one C
+    call (``CompiledAttempt.broyden``) where ``field.stages((lam,))`` is
+    compiled, and its NumPy twin ``_broyden`` otherwise or where a shot of
+    that call replays.  Otherwise, or when that phase gives up, it is a
+    chord Newton from where that phase got to: the Jacobian is one
+    ``_linearize`` run there, whose column 0 gives the residual there,
+    refreshed once if the fifth iterate stalls.  Each iterate is put back
+    on the border plane (exactly for tangent e_0, so a fixed lambda stays
+    bit-exact).  Acceptance: residual <= ``newton_tol``, or (chord only)
+    <= 1e-9 after the last of ``newton_max_iter`` iterations, times 1 +
+    ||z||_inf.  Returns (z, iterations, the accepted starting point, A):
+    the chord iterations, 0 when the Broyden phase accepted (its point
+    keeps the phase's last H), and the state block that phase updated or
+    that of the chord's last Jacobian.  Raises
     :class:`SingularJacobianError` (least singular value of the bordered
     Jacobian <= ``SINGULAR_TOL``) or :class:`NoConvergenceError` (xi
     beyond 10 ``norm_max`` or non-finite, or nothing accepted).
@@ -248,7 +264,16 @@ def _newton(field, z_pred, tangent, params, start=None, A=None):
     dim, tol, cap = field.dim, params.newton_tol, params.newton_max_iter
     z = z_pred if start is None else start
     if A is not None and BROYDEN_MAX_ITER > 0:
-        z, acc, A = _broyden(field, z_pred, tangent, params, z, A)
+        H = _inverse(A, tangent) if H is None else H
+        stages = field.stages((z[0],))
+        phase = isinstance(stages, CompiledAttempt) and stages.broyden(
+            field.problem.T, z, z_pred, tangent, H, A, tol, 10.0 * params.norm_max,
+            BROYDEN_CONTRACTION, min(BROYDEN_MAX_ITER, cap))
+        if phase:
+            z, A, H, sol, res = phase[:5]
+            acc = None if sol is None else _Accepted(float(z[0]), z[1:], res, sol, H)
+        else:
+            z, acc, A = _broyden(field, z_pred, tangent, params, z, A, H)
         if acc is not None:
             return z, 0, acc, A
 
@@ -283,40 +308,65 @@ def _newton(field, z_pred, tangent, params, start=None, A=None):
     raise NoConvergenceError(f"no convergence at lambda={z[0]}: residual {res:.3e}")
 
 
-def _broyden(field, z_pred, tangent, params, z, A):
+def _dots(X, y):
+    """X @ y, each sum in index order from its first product
+    (``np.add.accumulate``), as ``gc_broyden`` sums."""
+    return np.add.accumulate(X * y, axis=-1)[..., -1]
+
+
+def _inverse(A, tangent):
+    """The inverse of the bordered [A; tangent], NaN where it is singular."""
+    try:
+        return np.linalg.inv(np.vstack((A, tangent)))
+    except np.linalg.LinAlgError:
+        return np.full((tangent.size, tangent.size), np.nan)
+
+
+def _sherman_morrison(H, x, c):
+    """The inverse of J + a c^T from H, the inverse of J, and x = H a:
+    H - (x / s) (c^T H) with s = 1 + c . x, each sum :func:`_dots`'s, or
+    NaN where s is 0 or not finite (Sherman & Morrison 1950)."""
+    s = 1.0 + float(_dots(c, x))
+    if s != 0.0 and math.isfinite(s):
+        return H - (x / s)[:, None] * _dots(H.T, c)
+    return np.full_like(H, np.nan)
+
+
+def _broyden(field, z_pred, tangent, params, z, A, H=None):
     """The quasi-Newton phase of ``_newton`` from z with the state block
     estimate A: the good-Broyden method (Broyden 1965) on the bordered
-    system.
+    system, in NumPy: the twin of ``gc_broyden``, bit for bit.
 
-    One single solve at z gives its residual R.  Each iterate solves
-    [A; tangent] delta = -[R; 0], is put back on the border plane, shoots,
-    and updates A += (dR - A delta) delta^T / ||delta||^2 with the step it
-    took.  Returns (z, the accepted starting point, A) once a residual is
-    accepted at ``newton_tol``, or (the iterate of least residual, None,
-    A) to go on with the chord Newton: after an iterate that contracts the
-    residual by less than ``BROYDEN_CONTRACTION``, after
+    One single solve at z gives its residual R.  H is the inverse of [A;
+    tangent], ``_inverse(A, tangent)`` when not given.  Each iterate,
+    z - H[:, :dim] R, is put back on the border plane and shoots.  The
+    step delta it took updates A += u c^T, with u = dR - A delta and c =
+    delta / ||delta||^2, and H by :func:`_sherman_morrison` with x =
+    H[:, :dim] u (Dennis & Schnabel 1983, 8.3).  Sums are :func:`_dots`'s
+    and outer products elementwise: no BLAS after H.  Returns (z, the
+    accepted starting point, which keeps the last H, A) once a residual
+    is accepted at ``newton_tol``, or (the iterate of least residual,
+    None, A) to go on with the chord Newton: after an iterate that
+    contracts the residual by less than ``BROYDEN_CONTRACTION``, after
     min(``BROYDEN_MAX_ITER``, ``newton_max_iter``) iterates, or on a
-    singular solve, a diverged iterate or a failed integration.
+    diverged iterate (NaN from a singular H too) or a failed integration.
     """
-    tol = params.newton_tol
+    tol, dim = params.newton_tol, len(A)
     try:
         sol = _shoot(field, z[0], z[1:])
     except IntegrationError:
         return z, None, A
     R = sol.y_end - z[1:]
     res = float(np.abs(R).max())
-    A = A.copy()
+    A, H = A.copy(), _inverse(A, tangent) if H is None else H
     limit = min(BROYDEN_MAX_ITER, params.newton_max_iter)
     for it in range(limit + 1):
         if res <= tol * (1.0 + float(np.abs(z).max())):
-            return z, _Accepted(float(z[0]), z[1:], res, sol), A
+            return z, _Accepted(float(z[0]), z[1:], res, sol, H), A
         if it == limit:
             break
-        try:
-            z_new = z + np.linalg.solve(np.vstack((A, tangent)), -np.append(R, 0.0))
-        except np.linalg.LinAlgError:
-            break
-        z_new -= (tangent @ (z_new - z_pred)) * tangent
+        z_new = z - _dots(H[:, :dim], R)
+        z_new -= _dots(tangent, z_new - z_pred) * tangent
         if not np.abs(z_new[1:]).max() <= 10.0 * params.norm_max:
             break
         try:
@@ -328,7 +378,10 @@ def _broyden(field, z_pred, tangent, params, z, A):
         if res_new > BROYDEN_CONTRACTION * res:
             return (z_new if res_new < res else z), None, A
         delta = z_new - z
-        A += np.outer(R_new - R - A @ delta, delta / (delta @ delta))
+        c = delta / _dots(delta, delta)
+        u = (R_new - R) - _dots(A, delta)
+        A += u[:, None] * c
+        H = _sherman_morrison(H, _dots(H[:, :dim], u), c)
         z, R, res, sol = z_new, R_new, res_new, sol_new
     return z, None, A
 
@@ -409,7 +462,10 @@ def _march(field, z_start, tangent, params):
     (predictor-corrector with Jacobian updating; Allgower & Georg 1990,
     ch. 7): after each accepted step dz, A <- A - (A dz) dz^T / ||dz||^2,
     the secant condition with zero residual at both ends, and the next
-    solve starts with Broyden on A.  ds grows by ``step_grow`` after a
+    solve starts with Broyden on A.  After a Broyden phase accepted, the
+    inverse of [A; t_hat] rides along as well, by two Sherman-Morrison
+    updates, for that A and for the new tangent row; after the chord
+    Newton, the next phase inverts [A; t_hat] afresh.  ds grows by ``step_grow`` after a
     solve that took at most 3 chord iterations (0 when Broyden accepted
     without a fresh Jacobian), and shrinks by ``step_shrink`` after 7 or
     more, and after a failed solve.
@@ -418,7 +474,7 @@ def _march(field, z_start, tangent, params):
     curve = np.empty((16, 2, z_start.size))  # accepted (z, tangent) rows
     curve[0] = z_start, tangent / math.sqrt(tangent @ tangent)
     n = 1
-    A = None
+    A = H = None
     ds = params.initial_step
     status = "max_steps"
 
@@ -430,7 +486,7 @@ def _march(field, z_start, tangent, params):
             break
         start = z_pred if n < 3 else _extrapolate(curve[n - 3:n, 0], ds, z_pred, t_hat)
         try:
-            z_new, iters, acc, A_new = _newton(field, z_pred, t_hat, params, start, A)
+            z_new, iters, acc, A_new = _newton(field, z_pred, t_hat, params, start, A, H)
         except _NEWTON_FAILURES:
             ds *= params.step_shrink
             if ds < params.min_step:
@@ -458,7 +514,12 @@ def _march(field, z_start, tangent, params):
             curve = np.concatenate((curve, np.empty_like(curve)))
         curve[n] = z_new, new_tangent
         n += 1
-        A = A_new - np.outer(A_new @ step_vec, step_vec / (step_vec @ step_vec))
+        Adz, c = A_new @ step_vec, step_vec / (step_vec @ step_vec)
+        A = A_new - np.outer(Adz, c)
+        H = None
+        if not iters and acc.inverse is not None:  # a Broyden phase accepted
+            H = _sherman_morrison(acc.inverse, -_dots(acc.inverse[:, :-1], Adz), c)
+            H = _sherman_morrison(H, H[:, -1], new_tangent - t_hat)
         if iters <= 3:
             ds = min(ds * params.step_grow, params.max_step)
         elif iters >= 7:

@@ -17,11 +17,14 @@ operations in the same order, so its results are theirs bit for bit; it
 is cached per user, compiled with ``cc`` by the first solve that needs
 it, which waits for it, and replays a solve on the float stages wherever
 Python might part from C.  ``solve_ivp`` takes either as one stages value.
-A solve is one :class:`Solution`, whose call is its quartic interpolant
-as fixed-order float code: in C by the library's ``gc_dense`` for the
-solves of a compiled field, and otherwise by its NumPy twin, elementwise,
-with the same bits and no BLAS.  Every failure of a solve is an
-:class:`IntegrationError` at the time it happened.
+The same library runs a whole Broyden phase of ``orbit._newton`` in one
+call, ``gc_broyden``, the operations of its NumPy twin ``orbit._broyden``
+in their order, whose single solves are the step loop of ``gc_solve``
+and pass no ``solve_ivp``.  A solve is one :class:`Solution`, whose call
+is its quartic interpolant as fixed-order float code: in C by the
+library's ``gc_dense`` for the solves its loop made, and otherwise by its
+NumPy twin, elementwise, with the same bits and no BLAS.  Every failure
+of a solve is an :class:`IntegrationError` at the time it happened.
 """
 from __future__ import annotations
 
@@ -97,22 +100,24 @@ class Solution:
     h * (((Q0 x + Q1 x^2) + Q2 x^3) + Q3 x^4) + y[:, k], the powers x,
     x*x, then times x twice, and Q_j = sum_s P[s][j] K[k][s] over P's
     nonzero entries in stage order, as :func:`_combination` writes sums.
-    ``dense`` is the C evaluator ``gc_dense`` of the library that made a
-    compiled field's solve, which forms Q_j once per step it meets; without
-    it, :func:`_dense` computes the same operations elementwise in NumPy.
-    Either gives the same bits, on no BLAS.
+    ``dense`` is the C evaluator ``gc_dense`` of the library whose C loop
+    made the solve, which forms Q_j once per step it meets, and ``at`` the
+    addresses of t, y and K in the steps block that loop wrote, of which
+    they are views; without it, :func:`_dense` computes the same operations
+    elementwise in NumPy.  Either gives the same bits, on no BLAS.
     """
 
-    __slots__ = ("t", "y", "nfev", "K", "dense")
+    __slots__ = ("t", "y", "nfev", "K", "dense", "at")
     success = True
 
     def __init__(self, t: np.ndarray, y: np.ndarray, nfev: int, K: np.ndarray,
-                 dense: Callable | None = None):
+                 dense: Callable | None = None, at: tuple = ()):
         self.t = t
         self.y = y
         self.nfev = nfev
         self.K = K
         self.dense = dense
+        self.at = at
 
     @property
     def y_end(self) -> np.ndarray:
@@ -131,12 +136,10 @@ class Solution:
         if self.dense is None:
             y = _dense(self.t, self.y, self.K, times, dim)
         else:
-            ts, Y, K = (np.ascontiguousarray(a, dtype=float) for a in (self.t, self.y.T, self.K))
-            if not steps or ts.shape != (steps + 1,) or Y.shape[0] != steps + 1 or Y.shape[1] < n:
-                raise ValueError("t, y and K do not hold the same steps")
+            ts, ys, ks = self.at
             y = np.empty((dim, times.size))
-            self.dense(times.size, times.ctypes.data, steps, ts.ctypes.data, Y.ctypes.data,
-                       Y.shape[1], K.ctypes.data, n, dim, y.ctypes.data)
+            self.dense(times.size, times.ctypes.data, steps, ts, ys, len(self.y), ks, n, dim,
+                       y.ctypes.data)
         return y[:, 0] if t.ndim == 0 else y
 
 
@@ -243,7 +246,9 @@ _COMPILE_TIMEOUT_S = 10.0
 _CACHE_KEEP = 256       # libraries the cache keeps, about 27 KB each
 _STALE_TMP_S = 3600.0   # a temporary file this old is a killed compile's
 _FIRST_CAPACITY = 128  # steps a compiled solve makes room for before growing
-_DONE, _FULL, _REPLAY, _UNDERFLOW = range(4)  # the return codes of gc_solve
+_PHASE_CAPACITY = 256  # steps each shot of a compiled Broyden phase first has room for
+# the return codes of gc_solve and gc_broyden
+_DONE, _FULL, _REPLAY, _UNDERFLOW, _GAVE_UP = range(5)
 _UNDERFLOW_MESSAGE = "Required step size is less than spacing between numbers."
 
 
@@ -266,7 +271,8 @@ def _c_source(derivatives: list[str]) -> str:
     special-case.  A flag that is set, or a non-finite field at the
     start, returns ``_REPLAY``.  The library also holds ``gc_dense``, the
     dense output of a solve as :class:`Solution` computes it, the same
-    for every problem."""
+    for every problem, and ``gc_broyden``, a Broyden phase of single
+    solves of that loop (:meth:`CompiledAttempt.broyden`)."""
     stage = "k[{j} * n + i]"
     steps = []
     for st in range(1, 7):
@@ -286,7 +292,7 @@ def _c_source(derivatives: list[str]) -> str:
 #include <math.h>
 #include <stdint.h>
 
-enum {{ N = {len(derivatives)} }};
+enum {{ N = {len(derivatives)}, M = N + 1 }};
 
 static inline double divisor(double x, int *bad) {{ *bad |= x == 0.0; return x; }}
 
@@ -325,8 +331,8 @@ static int field(double s, const double *w, double lam, double *out)
    = 0 starts the solve at ts[0], ys[0]: it evaluates k[0] there and takes
    the initial step, with f(t0 + h0, y0 + h0 k[0]) in stage 1 and y0 + h0
    k[0] in stage 2 as scratch. */
-int gc_solve(double t1, int64_t cols, const double *lams, double *h_io, int64_t *counts,
-             int64_t cap, double *ts, double *ys, double *ks, double *k)
+static int solve(double t1, int64_t cols, const double *lams, double *h_io, int64_t *counts,
+                 int64_t cap, double *ts, double *ys, double *ks, double *k)
 {{
     const int64_t n = N * cols;
     const double root = pow((double)n, 0.5);
@@ -414,6 +420,112 @@ done:
     counts[0] = m;
     counts[1] = nfev;
     h_io[0] = h_abs;
+    return status;
+}}
+
+int gc_solve(double t1, int64_t cols, const double *lams, double *h_io, int64_t *counts,
+             int64_t cap, double *ts, double *ys, double *ks, double *k)
+{{
+    return solve(t1, cols, lams, h_io, counts, cap, ts, ys, ks, k);
+}}
+
+/* sum_i x[i] y[i * stride] over i < n, in index order from the first product */
+static double dot(const double *x, const double *y, int64_t stride, int64_t n)
+{{
+    double s = x[0] * y[0];
+    int64_t i;
+    for (i = 1; i < n; i++) s += x[i] * y[i * stride];
+    return s;
+}}
+
+/* max |x[i]| over i < n, NaN where one is NaN, as NumPy's max */
+static double amax(const double *x, int64_t n)
+{{
+    double m = fabs(x[0]);
+    int64_t i;
+    for (i = 1; i < n; i++) m = fabs(x[i]) > m || x[i] != x[i] ? fabs(x[i]) : m;
+    return m;
+}}
+
+/* One period of a single solve from z[1] .. z[N] at lambda z[0] into the
+   steps block of room for cap: solve's status, {_GAVE_UP} for a step
+   underflow or a non-finite end, and when it is done the residual R and
+   its largest |R| in *res.  out takes its steps and nfev, and adds them
+   to (shots, nfev of all). */
+static int shoot(double t1, const double *z, int64_t cap, double *steps, double *k,
+                 int64_t *out, double *R, double *res)
+{{
+    int64_t counts[2] = {{0, 0}}, i;
+    double h = 0.0, *y = steps + cap;
+    int status;
+    steps[0] = 0.0;
+    for (i = 0; i < N; i++) y[i] = z[1 + i];
+    status = solve(t1, 1, z, &h, counts, cap, steps, y, steps + cap * (1 + N), k);
+    out[0] = counts[0];
+    out[1] = counts[1];
+    out[2] += 1;
+    out[3] += counts[1];
+    if (status != {_DONE}) return status == {_UNDERFLOW} ? {_GAVE_UP} : status;
+    y += counts[0] * N;
+    for (i = 0; i < N; i++) {{
+        if (!isfinite(y[i])) return {_GAVE_UP};
+        R[i] = y[i] - z[1 + i];
+    }}
+    *res = amax(R, N);
+    return {_DONE};
+}}
+
+/* The Broyden phase of orbit._broyden, its NumPy twin, with its operations
+   in its order: from z, with H the inverse of the bordered [A; tangent],
+   each iterate z - H[:, :N] R, put back on the border plane through zp,
+   is shot, and A and H take the good-Broyden update, H in the inverse
+   form (Sherman-Morrison), a zero or non-finite denominator making it
+   NaN.  w holds, as int64, the steps and nfev of the last shot, then the
+   shots and their nfev, then the accepted residual, z, zp, the tangent,
+   H and A (M by M and N by M, row after row), which the call updates;
+   the steps block holds the last shot.  Returns {_DONE} when z is
+   accepted, {_GAVE_UP} when z goes back to the chord Newton, and a shot's
+   {_FULL} or {_REPLAY}. */
+int gc_broyden(double t1, double tol, double bound, double contraction, int64_t limit,
+               int64_t cap, double *w, double *steps)
+{{
+    int64_t *out = (int64_t *)w, it, i, j;
+    double *z = w + 5, *zp = z + M, *tn = zp + M, *H = tn + M, *A = H + M * M;
+    double k[7 * N], R[N], Rn[N], u[N], zn[M], d[M], c[M], x[M], v[M], res, rn, s;
+    int status;
+    out[2] = out[3] = 0;
+    status = shoot(t1, z, cap, steps, k, out, R, &res);
+    for (it = 0; status == {_DONE}; it++) {{
+        if (res <= tol * (1.0 + amax(z, M))) {{
+            w[4] = res;
+            return {_DONE};
+        }}
+        if (it == limit) return {_GAVE_UP};
+        for (i = 0; i < M; i++) zn[i] = z[i] - dot(H + i * M, R, 1, N);
+        for (i = 0; i < M; i++) d[i] = zn[i] - zp[i];
+        s = dot(tn, d, 1, M);
+        for (i = 0; i < M; i++) zn[i] -= s * tn[i];
+        for (i = 1; i < M; i++) if (!(fabs(zn[i]) <= bound)) return {_GAVE_UP};
+        status = shoot(t1, zn, cap, steps, k, out, Rn, &rn);
+        if (status != {_DONE}) break;
+        if (rn > contraction * res) {{
+            if (rn < res) for (i = 0; i < M; i++) z[i] = zn[i];
+            return {_GAVE_UP};
+        }}
+        for (i = 0; i < M; i++) d[i] = zn[i] - z[i];
+        s = dot(d, d, 1, M);
+        for (i = 0; i < M; i++) c[i] = d[i] / s;
+        for (i = 0; i < N; i++) u[i] = (Rn[i] - R[i]) - dot(A + i * M, d, 1, M);
+        for (i = 0; i < N; i++) for (j = 0; j < M; j++) A[i * M + j] += u[i] * c[j];
+        for (i = 0; i < M; i++) x[i] = dot(H + i * M, u, 1, N);
+        for (j = 0; j < M; j++) v[j] = dot(c, H + j, M, M);
+        s = 1.0 + dot(c, x, 1, M);
+        for (i = 0; i < M; i++) for (j = 0; j < M; j++)
+            H[i * M + j] = s != 0.0 && isfinite(s) ? H[i * M + j] - x[i] / s * v[j] : NAN;
+        for (i = 0; i < M; i++) z[i] = zn[i];
+        for (i = 0; i < N; i++) R[i] = Rn[i];
+        res = rn;
+    }}
     return status;
 }}
 
@@ -593,7 +705,7 @@ def compiled_stages(derivatives: list[str]):
         if not _private(path.stat()):
             return None
         library = ctypes.CDLL(str(path))
-        solve, dense = library.gc_solve, library.gc_dense
+        solve, dense, phase = library.gc_solve, library.gc_dense, library.gc_broyden
     # NotImplementedError: no setsid; AttributeError: a library not ours
     except (OSError, NotImplementedError, AttributeError):
         return None
@@ -603,12 +715,14 @@ def compiled_stages(derivatives: list[str]):
                       ctypes.c_void_p, ctypes.c_void_p, ctypes.c_int64,
                       ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p,
                       ctypes.c_void_p)
-    solve.restype = ctypes.c_int
     dense.argtypes = (ctypes.c_int64, ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p,
                       ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p, ctypes.c_int64,
                       ctypes.c_int64, ctypes.c_void_p)
+    phase.argtypes = (*(ctypes.c_double,) * 4, ctypes.c_int64, ctypes.c_int64,
+                      ctypes.c_void_p, ctypes.c_void_p)
+    solve.restype = phase.restype = ctypes.c_int
     dense.restype = None
-    return functools.partial(CompiledAttempt, solve, dense, len(derivatives))
+    return functools.partial(CompiledAttempt, solve, dense, phase, len(derivatives))
 
 
 class CompiledAttempt:
@@ -621,26 +735,30 @@ class CompiledAttempt:
     the float stages of one column, or of :func:`vector_stages` of theirs
     for more, which fail at the stage, column and component at which C
     stops.  ``dense`` is the library's ``gc_dense``, the dense output of
-    each of its solves, replayed or not."""
+    each solve its C loop makes (a replayed one has the NumPy twin's), and
+    ``phase`` its ``gc_broyden``, whose single solves are that loop's
+    (:meth:`broyden`)."""
 
-    __slots__ = ("solve", "dense", "dim", "lams", "build")
+    __slots__ = ("solve", "dense", "phase", "dim", "lams", "build")
 
-    def __init__(self, solve: Callable, dense: Callable, dim: int, lams: tuple,
-                 build: Callable):
+    def __init__(self, solve: Callable, dense: Callable, phase: Callable, dim: int,
+                 lams: tuple, build: Callable):
         self.solve = solve
         self.dense = dense
+        self.phase = phase
         self.dim = dim
         self.lams = lams
         self.build = build
 
     def run(self, t0, t1, y0):
-        """(t, Y, K, nfev) of the solve from (t0, y0), or None to replay it.
-        The buffers double whenever the C loop fills them.  Each C call
-        reads the addresses of two float64 blocks: the loop state, which
-        the calls carry on (the counts (m, nfev) as int64, nfev = 0 telling
-        C to start the solve, the step size, lams and the 7 stages of a
-        step, k[0] the field, which C advances), and the steps written (ts,
-        ys, ks), which a new block replaces when it grows."""
+        """(t, Y, K, nfev, the addresses of t, Y and K) of the solve from
+        (t0, y0), or None to replay it.  The buffers double whenever the C
+        loop fills them.  Each C call reads the addresses of two float64
+        blocks: the loop state, which the calls carry on (the counts (m,
+        nfev) as int64, nfev = 0 telling C to start the solve, the step
+        size, lams and the 7 stages of a step, k[0] the field, which C
+        advances), and the steps written (ts, ys, ks), which a new block
+        replaces when it grows."""
         n, cols = self.dim, len(self.lams)
         size = n * cols
         if y0.shape != (size,):
@@ -651,33 +769,63 @@ class CompiledAttempt:
         state[3:3 + cols] = self.lams
         at = state.ctypes.data  # bytes: counts at 0, h at 16, lams at 24, k after them
         cap = _FIRST_CAPACITY
-        block, ts, ys, ks = _steps_block(cap, size, n)
+        steps, ts, ys, ks = _steps_block(cap, size, n)
         ts[0], ys[0] = t0, y0
         while True:
-            base = block.ctypes.data
-            status = self.solve(t1, cols, at + 24, at + 16, at, cap, base, base + 8 * cap,
-                                base + 8 * cap * (1 + size), at + 8 * (3 + cols))
+            status = self.solve(t1, cols, at + 24, at + 16, at, cap, *steps, at + 8 * (3 + cols))
             if status != _FULL:
                 break
             m, cap = int(counts[0]), 2 * cap
             grown = _steps_block(cap, size, n)
             for old, new in zip((ts, ys, ks), grown[1:]):
                 new[:m + 1] = old[:m + 1]
-            block, ts, ys, ks = grown
+            steps, ts, ys, ks = grown
         m = int(counts[0])
         if status == _REPLAY:
             return None
         if status == _UNDERFLOW:
             raise IntegrationError(float(ts[m]), _UNDERFLOW_MESSAGE)
-        return ts[:m + 1], ys[:m + 1], ks[:m], int(counts[1])
+        return ts[:m + 1], ys[:m + 1], ks[:m], int(counts[1]), steps
+
+    def broyden(self, t1, z, z_pred, tangent, H, A, tol, bound, contraction, limit):
+        """The Broyden phase of ``orbit._newton`` in one C call
+        (``gc_broyden``), its single solves over [0, t1] at lambda z[0]
+        from z[1:]: None to replay it on ``orbit._broyden`` where a shot
+        replays, else (z, A, H, the accepted shot's :class:`Solution` or
+        None when z goes back to the chord Newton, its residual, the shots
+        made, their nfev).  Every shot writes one block, of room for
+        ``_PHASE_CAPACITY`` steps, and a shot that fills it starts the
+        phase again with twice the room."""
+        n, m = self.dim, self.dim + 1
+        if not (z.shape == z_pred.shape == tangent.shape == (m,) and H.shape == (m, m)
+                and A.shape == (n, m)):
+            raise ValueError("z, z_pred, tangent, H and A do not fit the dimension")
+        room, status = _PHASE_CAPACITY, _FULL
+        while status == _FULL:
+            work = np.concatenate((np.zeros(5), z, z_pred, tangent, H.ravel(), A.ravel()))
+            steps, ts, ys, ks = _steps_block(room, n, n)
+            status = self.phase(t1, tol, bound, contraction, limit, room, work.ctypes.data,
+                                steps[0])
+            room *= 2
+        if status == _REPLAY:
+            return None
+        count, nfev, shots, total = work[:4].view(np.int64).tolist()
+        sol = None
+        if status == _DONE:
+            sol = Solution(ts[:count + 1], ys[:count + 1].T, nfev, ks[:count], self.dense, steps)
+        H, A = work[5 + 3 * m:].reshape(-1, m)[:m], work[-n * m:].reshape(n, m)
+        return work[5:5 + m], A, H, sol, float(work[4]), shots, total
 
 
 def _steps_block(cap, size, n):
-    """One float64 block of room for ``cap`` steps of a compiled solve of
-    a state of ``size``, with its views ts (cap,), ys (cap, size) and ks
-    (cap, 7, n), laid out in that order."""
+    """Room for ``cap`` steps of a compiled solve of a state of ``size``:
+    the addresses of ts (cap,), ys (cap, size) and ks (cap, 7, n), laid out
+    in that order in one float64 block, and those views of it, which keep
+    it."""
     block = np.empty(cap * (1 + size + 7 * n))
-    return (block, block[:cap], block[cap:cap * (1 + size)].reshape(cap, size),
+    base = block.ctypes.data
+    return ((base, base + 8 * cap, base + 8 * cap * (1 + size)), block[:cap],
+            block[cap:cap * (1 + size)].reshape(cap, size),
             block[cap * (1 + size):].reshape(cap, 7, n))
 
 
@@ -827,15 +975,16 @@ def solve_ivp(stages, t_span, y0) -> Solution:
         y = y0.tolist()
         h_abs, f0 = _float_initial_step(fun, t0, t1, y)
         run = _steps(attempt, t0, t1, h_abs, y, f0)
-    t, Y, K, nfev = run
+    t, Y, K, nfev, at = run
     if not np.isfinite(Y[-1]).all():
         raise IntegrationError(float(t[-1]), "non-finite state")
-    return Solution(t=t, y=Y.T, nfev=nfev, K=K, dense=stages.dense if compiled else None)
+    return Solution(t, Y.T, nfev, K, stages.dense if at else None, at)
 
 
 def _steps(attempt, t0, t1, h_abs, y, f):
     """The step loop of ``solve_ivp`` in Python from the state y with f =
-    F(t0, y): (t, Y, K, nfev), where Y[k] is the state at t[k]."""
+    F(t0, y): (t, Y, K, nfev, ()), where Y[k] is the state at t[k] and ()
+    says that no steps block holds them."""
     t, ts, ys, stages, nfev = t0, [t0], [y], [], 2
     root = len(y) ** 0.5
     while t < t1:
@@ -864,4 +1013,4 @@ def _steps(attempt, t0, t1, h_abs, y, f):
         ys.append(y)
         stages.append(K)
     return (np.array(ts), np.array(ys),
-            np.array(stages).reshape(len(stages), 7, -1), nfev)
+            np.array(stages).reshape(len(stages), 7, -1), nfev, ())

@@ -129,6 +129,25 @@ class TestLoadConfig:
         # a 401-digit value is shown by its first 40 characters and its length
         assert max(map(len, err.splitlines())) <= 130
 
+    @pytest.mark.parametrize("section,key,value,message", [
+        ("problem", "T", "x", "problem.T: expected a finite number, got 'x'"),
+        ("continuation", "lambda_max", "x",
+         "continuation.lambda_max: expected a finite number, got 'x'"),
+        ("continuation", "max_steps", 1.5, "continuation.max_steps: expected an integer, got 1.5"),
+        ("continuation", "min_step", 0.5,
+         "continuation: need 0 < min_step <= initial_step <= max_step"),
+    ])
+    def test_a_bad_value_reads_alike_in_every_section(self, tmp_path, section, key, value,
+                                                      message):
+        # a continuation key's own failure is worded as _number's and
+        # _integer's, section.key first; a failure of several keys names
+        # the section
+        doc = json.loads(json.dumps(EXAMPLE_CONFIG))
+        doc.setdefault(section, {})[key] = value
+        with pytest.raises(ConfigError) as info:
+            load_config(write_config(tmp_path, doc))
+        assert str(info.value) == message
+
     @pytest.mark.parametrize("value", [10**400, sys.maxsize + 1], ids=["10^400", "maxsize+1"])
     @pytest.mark.parametrize("section,key", [("problem", "b"), ("interval", "grid_n"),
                                              ("certify", "grid_per_axis")])
@@ -550,8 +569,12 @@ class TestBranch:
 def test_every_solve_goes_through_orbit_solve_ivp(tmp_path, monkeypatch):
     # perfbench/tracing.py and perfbench/worker.py count and slow down the
     # integrations by patching orbit.solve_ivp, so branch and verify must
-    # reach the integrator through that name, never as rk45.solve_ivp
+    # reach the integrator through that name, never as rk45.solve_ivp.  The
+    # shots of a compiled Broyden phase run in its one C call instead, which
+    # reports them: with them, branch makes the solves of a run on the
+    # Python float stages alone
     solve = rk45.solve_ivp
+    broyden = rk45.CompiledAttempt.broyden
     calls = collections.Counter()
     phase = "branch"
 
@@ -564,8 +587,14 @@ def test_every_solve_goes_through_orbit_solve_ivp(tmp_path, monkeypatch):
         calls["bypassed"] += 1
         raise AssertionError("rk45.solve_ivp called past orbit.solve_ivp")
 
+    def reported(self, *args):
+        result = broyden(self, *args)
+        calls[phase, "shots"] += 0 if result is None else result[5]
+        return result
+
     monkeypatch.setattr(rk45, "solve_ivp", bypassed)
     monkeypatch.setattr(orbit, "solve_ivp", counted)
+    monkeypatch.setattr(rk45.CompiledAttempt, "broyden", reported)
     cfg = load_config(write_config(tmp_path, EXAMPLE_CONFIG))
     summary = cmd_branch(cfg, tmp_path / "out", seed_index=0)
     phase = "verify"
@@ -574,7 +603,19 @@ def test_every_solve_goes_through_orbit_solve_ivp(tmp_path, monkeypatch):
     assert doc["all_pass"] and len(doc["rows"]) == summary["seeds"][0]["points"]
     assert calls["branch", "single"] > 0 and calls["branch", "stacked"] > 0
     assert calls["verify", "single"] == len(doc["rows"])
-    assert calls["verify", "stacked"] == 0
+    assert calls["verify", "stacked"] == calls["verify", "shots"] == 0
+    if isinstance(chain.expand(cfg.problem).stages((0.1,)), rk45.CompiledAttempt):
+        assert calls["branch", "shots"] > 0
+    # the same branch on a field of the Python float stages alone
+    phase = "python"
+    monkeypatch.setattr(rk45, "compiled_stages", lambda derivatives: None)
+    monkeypatch.setattr(chain, "expand", chain.expand.__wrapped__)
+    cmd_branch(cfg, tmp_path / "python", seed_index=0)
+    assert calls["python", "shots"] == 0
+    assert (calls["python", "single"], calls["python", "stacked"]) == (
+        calls["branch", "single"] + calls["branch", "shots"], calls["branch", "stacked"])
+    assert ((tmp_path / "python" / "branch_0.csv").read_bytes()
+            == (tmp_path / "out" / "branch_0.csv").read_bytes())
 
 
 def test_analyze_and_the_scan_call_G_on_blocks_of_columns(tmp_path, monkeypatch):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import math
 from pathlib import Path
@@ -952,6 +953,22 @@ class TestShootingWork:
         return solves
 
     @staticmethod
+    def reported_shots(monkeypatch):
+        """The shots that each compiled Broyden phase reports, whose
+        single solves do not pass orbit.solve_ivp (0 for a phase that
+        replays on the twin, whose solves do)."""
+        shots = []
+        broyden = rk45.CompiledAttempt.broyden
+
+        def reported(self, *args):
+            phase = broyden(self, *args)
+            shots.append(0 if phase is None else phase[5])
+            return phase
+
+        monkeypatch.setattr(rk45.CompiledAttempt, "broyden", reported)
+        return shots
+
+    @staticmethod
     def converged_point(field):
         sp = newton_periodic(field, 0.01, lifted_zero(field.problem, 0.0))
         tangent = np.zeros(field.dim + 1)
@@ -1011,18 +1028,21 @@ class TestShootingWork:
     def test_converged_start_accepts_one_single_solve(self, example_field,
                                                      monkeypatch):
         # with a carried block, a converged start is accepted on the one
-        # single solve that shoots from it, which gives the accepted solution
+        # single solve that shoots from it, which gives the accepted
+        # solution: a solve of the twin, or the one shot the compiled phase
+        # reports
         z, tangent = self.converged_point(example_field)
         A = self.state_block(example_field, z)
         solves = self.record(monkeypatch)
+        shots = self.reported_shots(monkeypatch)
         z_new, iters, acc, A_new = orbit._newton(example_field, z + 0.01 * tangent,
                                                  tangent, ContinuationParams(), z, A)
         dim = example_field.dim
         assert iters == 0 and np.array_equal(z_new, z)
-        assert [y0.size for y0, _ in solves] == [dim]
-        assert np.array_equal(solves[0][0], z[1:])
-        assert acc.solution is solves[0][1]
-        assert np.array_equal(acc.solution.t, solves[0][1].t)
+        assert [dim] * sum(shots) + [y0.size for y0, _ in solves] == [dim]
+        assert np.array_equal(acc.solution.y[:, 0], z[1:])
+        if solves:
+            assert acc.solution is solves[0][1]
         assert np.array_equal(A_new, A)
 
     def test_every_single_solve_takes_the_field_stages(self, example_field,
@@ -1052,14 +1072,16 @@ class TestShootingWork:
         chord = orbit._newton(example_field, z_pred, tangent, params)[0]
         A = self.state_block(example_field, z)
         solves = self.record(monkeypatch)
+        shots = self.reported_shots(monkeypatch)
         z_new, iters, acc, _ = orbit._newton(example_field, z_pred, tangent,
                                              params, z_pred, A)
         dim = example_field.dim
         assert iters == 0
-        sizes = [y0.size for y0, _ in solves]
+        # the twin's solves, or the shots the compiled phase reports
+        sizes = [dim] * sum(shots) + [y0.size for y0, _ in solves]
         assert 2 <= len(sizes) <= 1 + orbit.BROYDEN_MAX_ITER
         assert sizes == [dim] * len(sizes)
-        assert np.array_equal(solves[-1][0], z_new[1:])
+        assert np.array_equal(acc.solution.y[:, 0], z_new[1:])
         assert acc.residual <= params.newton_tol * (1 + np.linalg.norm(z_new, np.inf))
         assert np.max(np.abs(z_new - chord)) <= params.newton_tol
 
@@ -1092,6 +1114,7 @@ class TestShootingWork:
         z, tangent = self.converged_point(example_field)
         A = self.state_block(example_field, z)
         solves = self.record(monkeypatch)
+        shots = self.reported_shots(monkeypatch)
         z_pred = z + 0.005 * tangent
         try:
             orbit._newton(example_field, z_pred, tangent,
@@ -1099,7 +1122,10 @@ class TestShootingWork:
         except NoConvergenceError:
             pass
         dim = example_field.dim
-        assert [y0.size for y0, _ in solves] == [dim, dim, dim * (dim + 2), dim]
+        # the Broyden phase's two shots are the twin's solves, or the
+        # compiled phase's report
+        assert [dim] * sum(shots) + [y0.size for y0, _ in solves] == [
+            dim, dim, dim * (dim + 2), dim]
 
     def test_example_trace_takes_few_jacobian_runs(self, example_field, monkeypatch):
         # full Jacobians: the seed, the second point, the first solve of
@@ -1200,11 +1226,11 @@ class TestContinuationParams:
         assert (given.max_steps, given.lambda_max) == (7, 0.5)
 
     @pytest.mark.parametrize("changes, message", [
-        ({"max_steps": 1.0}, "max_steps must be an integer, got 1.0"),
-        ({"newton_max_iter": True}, "newton_max_iter must be an integer, got True"),
-        ({"initial_step": math.nan}, "initial_step must be a finite number, got nan"),
-        ({"norm_max": "1"}, "norm_max must be a finite number, got '1'"),
-        ({"lambda_max": False}, "lambda_max must be a finite number, got False"),
+        ({"max_steps": 1.0}, "max_steps: expected an integer, got 1.0"),
+        ({"newton_max_iter": True}, "newton_max_iter: expected an integer, got True"),
+        ({"initial_step": math.nan}, "initial_step: expected a finite number, got nan"),
+        ({"norm_max": "1"}, "norm_max: expected a finite number, got '1'"),
+        ({"lambda_max": False}, "lambda_max: expected a finite number, got False"),
         ({"min_step": 0.1}, "need 0 < min_step <= initial_step <= max_step"),
         ({"max_steps": 0}, "iteration counts must be positive"),
         ({"newton_tol": 0.0}, "newton_tol must be positive"),
@@ -1338,7 +1364,7 @@ def test_march_detects_a_closed_loop(monkeypatch):
                                 0.5 + 0.2 * np.sin(2 * np.pi * k / 40)))
     steps = iter(vertices[1:].tolist() + [vertices[0]])
 
-    def corrector(field, z_pred, t_hat, params, start=None, A=None):
+    def corrector(field, z_pred, t_hat, params, start=None, A=None, H=None):
         return np.array(next(steps)), 1, None, np.zeros((1, 2))
 
     monkeypatch.setattr(orbit, "_newton", corrector)
@@ -1347,6 +1373,26 @@ def test_march_detects_a_closed_loop(monkeypatch):
                                   ContinuationParams())
     assert status == "closed_loop"
     assert len(points) == 39
+
+
+def test_the_march_carries_the_bordered_inverse(example_field, monkeypatch):
+    # after a Broyden phase accepts, the next solve gets the inverse of
+    # [A; t_hat] by two Sherman-Morrison updates, not by a fresh inversion,
+    # which only the first phase after a chord Newton makes
+    seen, inversions = [], []
+    newton, inverse = orbit._newton, orbit._inverse
+
+    def recorded(field, z_pred, t_hat, params, start=None, A=None, H=None):
+        seen.append((A, H, t_hat.copy()))
+        return newton(field, z_pred, t_hat, params, start, A, H)
+
+    monkeypatch.setattr(orbit, "_newton", recorded)
+    monkeypatch.setattr(orbit, "_inverse", lambda *args: inversions.append(1) or inverse(*args))
+    trace_from_zero(example_field, 0.0, ContinuationParams(max_steps=15))
+    carried = [(A, H, t) for A, H, t in seen if H is not None]
+    assert len(carried) >= 10 and len(inversions) <= 4
+    for A, H, t in carried:
+        assert np.max(np.abs(H @ np.vstack((A, t)) - np.eye(t.size))) <= 1e-9
 
 
 def accepted(z):
@@ -1366,7 +1412,7 @@ class TestMarchExits:
     def test_failed_correctors_shrink_the_step_until_min_step(self, monkeypatch):
         steps = []
 
-        def corrector(field, z_pred, t_hat, params, start=None, A=None):
+        def corrector(field, z_pred, t_hat, params, start=None, A=None, H=None):
             steps.append(float(np.linalg.norm(z_pred - z0)))
             raise NoConvergenceError("stand-in")
 
@@ -1417,7 +1463,7 @@ class TestMarchExits:
         iterations = iter([7, 7, 3, 1])
         steps = []
 
-        def corrector(field, z_pred, t_hat, params, start=None, A=None):
+        def corrector(field, z_pred, t_hat, params, start=None, A=None, H=None):
             steps.append(float(z_pred[0] - z_last[0]))
             z_last[:] = z_pred
             return z_pred.copy(), next(iterations), accepted(z_pred), np.zeros((1, 2))
@@ -1501,6 +1547,149 @@ class TestBroydenHandsBack:
         assert len(shots) == 1
         assert np.array_equal(z, self.z) and acc is None
         assert np.array_equal(A, self.A)
+
+
+def compiled_broyden(field, z_pred, tangent, params, z, A):
+    """The Broyden phase from z in one C call, as ``_newton`` makes it."""
+    return field.stages((z[0],)).broyden(
+        field.problem.T, z, z_pred, tangent, orbit._inverse(A, tangent), A,
+        params.newton_tol, 10.0 * params.norm_max, orbit.BROYDEN_CONTRACTION,
+        min(orbit.BROYDEN_MAX_ITER, params.newton_max_iter))
+
+
+def python_field(field):
+    """The field on its Python float stages alone, as without a compiler."""
+    return dataclasses.replace(field,
+                               stages=lambda lams: helpers.python_stages(field.stages(lams)))
+
+
+def assert_twins(field, z_pred, tangent, params, z, A):
+    """The compiled phase and ``_broyden`` on the Python float stages give
+    the same bits: z, A, whether and at what residual z is accepted, the
+    accepted shot, and the shots made, the twin's through solve_ivp.
+    Returns the compiled phase."""
+    phase = compiled_broyden(field, z_pred, tangent, params, z, A)
+    assert phase is not None
+    solves = []
+    solve = orbit.solve_ivp
+    with mock.patch.object(orbit, "solve_ivp",
+                           lambda *args: solves.append(1) or solve(*args)):
+        z_twin, acc, A_twin = orbit._broyden(python_field(field), z_pred, tangent,
+                                             params, z, A)
+    z_new, A_new, H, sol, res, shots, _ = phase
+    assert np.array_equal(z_new, z_twin) and np.array_equal(A_new, A_twin)
+    assert shots == len(solves)
+    assert (sol is None) == (acc is None)
+    if sol is not None:
+        assert res == acc.residual
+        assert np.array_equal(H, acc.inverse, equal_nan=True)
+        for name in ("t", "y", "K", "nfev"):
+            assert np.array_equal(getattr(sol, name), getattr(acc.solution, name))
+    return phase
+
+
+@st.composite
+def broyden_starts(draw):
+    """A cubic-g problem with b in 1..5 and T in [0.5, 3], and a start of
+    its Broyden phase next to the lifted zero, with a random tangent and a
+    random carried block: the state block there plus noise."""
+    c1, c2, c3, d = (draw(st.floats(lo, hi)) for lo, hi in
+                     ((-2.0, 1.0), (-1.0, 1.0), (0.2, 1.0), (0.0, 1.0)))
+    T = round(draw(st.floats(0.5, 3.0)), 4)
+    p = ProblemSpec.from_strings(
+        f"({c1:.3f})*x0 + ({c2:.3f})*x0^2 - {c3:.3f}*x0^3 - {d:.3f}*x1*(1+x2)",
+        "q-p", f"1 + x*sin(2*pi*t/{T})", draw(st.floats(0.5, 4.0)),
+        draw(st.integers(1, 5)), T)
+    field = chain.expand(p)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    z = np.concatenate(([draw(st.floats(0.0, 0.3))],
+                        lifted_zero(p, 0.0) + draw(st.sampled_from([0.0, 1e-4, 1e-2]))
+                        * rng.normal(size=field.dim)))
+    tangent = rng.normal(size=field.dim + 1)
+    tangent /= np.linalg.norm(tangent)
+    noise = draw(st.sampled_from([0.0, 1e-3, 1e-2, 0.1]))
+    A = TestShootingWork.state_block(field, z) + noise * rng.normal(size=(field.dim, field.dim + 1))
+    return field, z + 0.01 * tangent, tangent, z, A
+
+
+@helpers.requires_compiler
+class TestCompiledBroyden:
+    """The Broyden phase in one C call (``CompiledAttempt.broyden``) is
+    ``orbit._broyden``, its NumPy twin, bit for bit."""
+
+    @settings(derandomize=True, deadline=None, max_examples=30)
+    @given(case=broyden_starts())
+    def test_the_twin_bit_for_bit(self, case):
+        assert_twins(*case[:3], ContinuationParams(), *case[3:])
+
+    @staticmethod
+    def aimed(field, lam, xi, target):
+        """A carried block from which the first iterate from (lam, xi),
+        with border row e_0, goes to the state ``target``."""
+        R = period_map(field, lam, xi) - xi
+        return np.column_stack((np.zeros(xi.size), np.diag(-R / (target - xi))))
+
+    @pytest.mark.parametrize("case", ["first shot fails", "a later shot fails",
+                                      "an iterate leaves ten norm_max"])
+    def test_hands_back(self, case):
+        # TestBroydenHandsBack's cases on real shots: x0 = 20 blows up
+        # before t = 0.1, and the C loop stops at the step underflow
+        field = chain.expand(ProblemSpec.from_strings("x0*x0*x0", "0*p", "sin(2*pi*t)",
+                                                      1.0, 1, 1.0))
+        xi, far = np.full(3, 0.1), np.full(3, 20.0)
+        A = self.aimed(field, 0.1, xi, far)
+        if case == "first shot fails":
+            xi, A = far, np.eye(3, 4, 1)
+        z, e0 = np.concatenate(([0.1], xi)), np.eye(4)[0]
+        params = ContinuationParams(norm_max=1.0 if case.startswith("an iterate") else 100.0)
+        z_new, A_new, _, sol, _, shots, _ = assert_twins(field, z, e0, params, z, A)
+        assert sol is None and shots == (2 if case == "a later shot fails" else 1)
+        assert np.array_equal(z_new, z) and np.array_equal(A_new, A)
+
+    def test_a_shot_that_replays_runs_the_phase_on_the_twin(self, monkeypatch):
+        # CI's mixed-operations field: the first iterate goes to states of
+        # 1e200, where C's checks fire (pow and exp of non-finite values),
+        # so the phase replays on the twin, whose shot there fails
+        field = chain.expand(ProblemSpec.from_strings(
+            "-x0*(1+x2)/(1+0.1*x1^2) + 0.01*exp(-x0^2)*cos(x1)", "(q-p)/(1+abs(p))",
+            "1+x*sin(2*pi*t)/(2+cos(2*pi*t))", 3.0, 3, 1.0))
+        xi = np.full(field.dim, 0.1)
+        A = self.aimed(field, 0.01, xi, np.full(field.dim, 1e200))
+        z, e0 = np.concatenate(([0.01], xi)), np.eye(field.dim + 1)[0]
+        params = ContinuationParams(norm_max=1e300)
+        assert compiled_broyden(field, z, e0, params, z, A) is None
+        twins = []
+        twin = orbit._broyden
+        monkeypatch.setattr(orbit, "_broyden", lambda *args: twins.append(twin(*args))
+                            or twins[-1])
+        with contextlib.suppress(*orbit._NEWTON_FAILURES):
+            orbit._newton(field, z, e0, params, z, A)
+        assert len(twins) == 1
+        z_new, acc, A_new = twins[0]
+        assert acc is None and np.array_equal(z_new, z) and np.array_equal(A_new, A)
+
+    def test_a_full_block_starts_the_phase_again(self, example_field, monkeypatch):
+        # room for 2 steps: each shot fills it, and the phase starts again
+        # with twice the room until the shots fit, with the same result
+        z, tangent = TestShootingWork.converged_point(example_field)
+        A = TestShootingWork.state_block(example_field, z)
+        args = (example_field, z + 0.005 * tangent, tangent, ContinuationParams(),
+                z + 0.005 * tangent, A)
+        whole = compiled_broyden(*args)
+        calls = []
+        stages = example_field.stages((args[4][0],))
+        phase = stages.phase
+        stages.phase = lambda *a: calls.append(a[5]) or phase(*a)
+        monkeypatch.setattr(rk45, "_PHASE_CAPACITY", 2)
+        again = compiled_broyden(dataclasses.replace(example_field, stages=lambda lams: stages),
+                                 *args[1:])
+        assert calls[:2] == [2, 4] and len(calls) > 3 and whole[3] is not None
+        for a, b in zip(whole, again):
+            if isinstance(a, rk45.Solution):
+                for name in ("t", "y", "K", "nfev"):
+                    assert np.array_equal(getattr(a, name), getattr(b, name))
+            else:
+                assert np.array_equal(a, b)
 
 
 def test_chord_iterate_beyond_ten_norm_max_raises(monkeypatch):
